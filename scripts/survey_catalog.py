@@ -28,16 +28,15 @@ RECON_SEGMENTS = {
 }
 
 
-def survey(name: str, trials: int, depth: int, seed: int, workers: int) -> dict:
+def survey(name: str, trials: int, depth: int, seed: int) -> dict:
     spec = next(s for s in catalog() if s.name == name)
     oracle = oracle_by_name(name)
     t0 = time.perf_counter()
 
-    axioms = run_axiom_suite(oracle, list(ALL_AXIOMS), trials=trials,
-                             seed=seed, workers=workers)
+    axioms = run_axiom_suite(oracle, list(ALL_AXIOMS), trials=trials, seed=seed)
     failed_axioms = [a for a, r in axioms.items() if not r.passed]
 
-    gossen = check_gossen_law(oracle, trials=trials, seed=seed, workers=workers)
+    gossen = check_gossen_law(oracle, trials=trials, seed=seed)
 
     # Non-monotone or discontinuous fixtures legitimately reject some
     # stages (no strictly-ranked diagonal, no calibration); report those
@@ -49,8 +48,7 @@ def survey(name: str, trials: int, depth: int, seed: int, workers: int) -> dict:
         line_verdict = "n/a"
     try:
         debreu_verdict = debreu_smoothness_proxy(
-            oracle, trials=max(10, trials // 100), seed=seed,
-            workers=workers).verdict
+            oracle, trials=max(10, trials // 100), seed=seed).verdict
     except AltkitError:
         debreu_verdict = "n/a"
 
@@ -83,7 +81,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--depth", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--fixtures", nargs="+",
                         help="subset of fixture names (default: whole catalog)")
     args = parser.parse_args(argv)
@@ -95,7 +92,7 @@ def main(argv=None) -> int:
     print("-" * len(header))
     trouble = []
     for name in names:
-        row = survey(name, args.trials, args.depth, args.seed, args.workers)
+        row = survey(name, args.trials, args.depth, args.seed)
         print(f"{row['name']:<18} {row['axioms']:<14} {row['gossen']:<15} "
               f"{row['tag']:<17} {row['line']:<16} {row['debreu']:<12} "
               f"{row['representation']:<15} {row['seconds']:>5.1f}")

@@ -25,11 +25,11 @@ from .ladder import (AffineFit, DyadicLadder, ReconstructedUtility, archimedean_
                      build_ladder, check_density, order_embedding_check,
                      reconstruct_utility, representation_spot_check,
                      verify_affine_uniqueness)
-from .oracle import AltOracle, IntensityOrder, Preference, PreferenceOrder, classify
-from .sampling import box_sampler, cycle_sampler, run_indexed, subrng
+from .oracle import AltOracle, IntensityOrder, Preference, classify
+from .sampling import cycle_sampler, run_indexed, subrng
 from .smoothness import (SmoothnessReport, calibrate, debreu_smoothness_proxy,
                          diagonal_point, line_smoothness_limit, solve_f)
-from .solvers import band_bisect, indifference_param, solve_crossing, solve_midpoint
+from .solvers import band_bisect, indifference_param, solve_midpoint
 
 __version__ = "0.1.0"
 
@@ -38,10 +38,10 @@ __all__ = [
     "ArchimedeanError", "AxiomReport", "BoxDomain", "BracketError",
     "ConcavityVerdict", "ConfigError", "ConstructionError", "DegenerateFitError",
     "DomainError", "DyadicLadder", "IntensityOrder", "IntensitySpec",
-    "OrderingError", "Preference", "PreferenceOrder", "RangeError",
+    "OrderingError", "Preference", "RangeError",
     "ReconstructedUtility", "RunConfig", "Segment", "SmoothnessReport",
     "UtilitySpec", "Witness", "alep_classify", "archimedean_count", "as_point",
-    "band_bisect", "box_sampler", "build_ladder", "calibrate", "catalog",
+    "band_bisect", "build_ladder", "calibrate", "catalog",
     "check_consistency", "check_continuity_proxy", "check_crossover",
     "check_density", "check_gossen_law", "check_midpoint_concavity",
     "check_monotonicity", "check_second_consistency", "classify",
@@ -51,6 +51,6 @@ __all__ = [
     "numeric_gradient", "numeric_hessian", "oracle_by_name",
     "order_embedding_check", "reconstruct_utility", "replay_witness",
     "representation_spot_check", "run_axiom_suite", "run_indexed",
-    "solve_crossing", "solve_f", "solve_midpoint", "subrng", "utility_by_name",
+    "solve_f", "solve_midpoint", "subrng", "utility_by_name",
     "utility_from_json", "verify_affine_uniqueness",
 ]

@@ -1,9 +1,13 @@
 """Randomized axiom checkers for intensity-comparison oracles.
 
-Each checker draws seeded samples, evaluates one candidate instance of an
-axiom per sample, and reports capped witness lists plus a total violation
-count.  Sub-seeds are derived per sample index, so a report regenerated
-from its stored seed is bit-identical regardless of worker count.
+Each axiom is written once, as a draw and a predicate.  The draw turns a
+per-trial generator into the points of one candidate instance; the
+predicate asks the oracle whether that instance violates the axiom and
+returns a ``Witness``, ``None`` (it holds) or ``SKIP`` (its premise did
+not hold).  Every checker runs its predicate over seeded draws in one
+trial loop, and ``replay_witness`` runs the same predicate on the points
+of a stored witness.  Sub-seeds are derived per trial index, so a report
+regenerated from its stored seed is bit-identical.
 
 The continuity check is a necessary-condition proxy (strict outcomes must
 survive small coordinate perturbations); its reports carry ``proxy=True``.
@@ -16,15 +20,25 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Segment
-from .errors import DomainError
 from .oracle import AltOracle, IntensityOrder, Preference
-from .sampling import Sampler, box_sampler, run_indexed, subrng
+from .sampling import Sampler, checked_sampler, run_indexed, subrng
 from .solvers import band_bisect
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
 WITNESS_CAP = 10
+DEFAULT_DELTA = 1e-8
+DEFAULT_PROBES = 8
+
+SKIP = "skip"
+QUAD = ("x", "y", "z", "w")
+
+
+def to_json(report, **kwargs) -> str:
+    """JSON text of a report's ``to_dict()``; sorted keys and indent 2 by default."""
+    kwargs.setdefault("sort_keys", True)
+    kwargs.setdefault("indent", 2)
+    return json.dumps(report.to_dict(), **kwargs)
 
 
 @dataclass
@@ -72,32 +86,28 @@ class AxiomReport:
             "extras": self.extras,
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    to_json = to_json
 
 
 def _pt(p: np.ndarray) -> list[float]:
     return [float(v) for v in p]
 
 
-def _validate_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _pts(points: dict) -> dict[str, list[float]]:
+    return {name: _pt(p) for name, p in points.items()}
 
 
 def _collect(axiom: str, trials: int, seed: int, results: list,
              proxy: bool = False, witness_cap: int = WITNESS_CAP,
              extras: dict | None = None) -> AxiomReport:
-    """Fold per-trial results (None | 'skip' | Witness) into a report."""
+    """Fold per-trial results (None | SKIP | Witness) into a report."""
     violations: list[Witness] = []
     count = 0
     skipped = 0
     for r in results:
         if r is None:
             continue
-        if r == "skip":
+        if r == SKIP:
             skipped += 1
             continue
         count += 1
@@ -107,62 +117,16 @@ def _collect(axiom: str, trials: int, seed: int, results: list,
                        violations, count, proxy, skipped, extras or {})
 
 
-def _checked_sample(oracle: AltOracle, sampler: Sampler, rng) -> np.ndarray:
-    p = sampler(rng)
-    if getattr(sampler, "box", None) is oracle.domain:
-        return p  # drawn from the oracle's own box; membership holds by construction
-    return oracle.domain.require(p, "sampled point")
-
-
-def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,
-                      trials: int = 1000, seed: int = 0, workers: int = 1,
-                      witness_cap: int = WITNESS_CAP) -> AxiomReport:
-    """Shifting both sides by a common reference point z must preserve the
-    derived order: x weakly preferred to y iff [x,z] >= [y,z].  Applied to
-    the pair in both orders this is an exact sign match between the
-    preference trichotomy and the shifted comparison.
-    """
-    _validate_trials(trials)
-    sampler = sampler or box_sampler(oracle.domain)
-
-    def trial(i: int):
-        rng = subrng(seed, i)
-        x = _checked_sample(oracle, sampler, rng)
-        y = _checked_sample(oracle, sampler, rng)
-        z = _checked_sample(oracle, sampler, rng)
-        p = oracle.compare(x, y, y, y)
-        c = oracle.compare(x, z, y, z)
-        if p.sign != c.sign:
-            return Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z)},
-                           {"preference": p.value, "shifted": c.value})
-        return None
-
-    return _collect("consistency", trials, seed,
-                    run_indexed(trial, trials, workers), witness_cap=witness_cap)
-
-
-def check_second_consistency(oracle: AltOracle, sampler: Sampler | None = None,
-                             trials: int = 1000, seed: int = 0, workers: int = 1,
-                             witness_cap: int = WITNESS_CAP) -> AxiomReport:
-    """Mirror form of consistency on the second slot: x weakly preferred
-    to y iff [z,y] >= [z,x]."""
-    _validate_trials(trials)
-    sampler = sampler or box_sampler(oracle.domain)
-
-    def trial(i: int):
-        rng = subrng(seed, i)
-        x = _checked_sample(oracle, sampler, rng)
-        y = _checked_sample(oracle, sampler, rng)
-        z = _checked_sample(oracle, sampler, rng)
-        p = oracle.compare(x, y, y, y)
-        c = oracle.compare(z, y, z, x)
-        if p.sign != c.sign:
-            return Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z)},
-                           {"preference": p.value, "mirrored": c.value})
-        return None
-
-    return _collect("second-consistency", trials, seed,
-                    run_indexed(trial, trials, workers), witness_cap=witness_cap)
+def _bisect_to_equal(side: Callable[[float], IntensityOrder], lo: float, hi: float,
+                     s_lo: IntensityOrder, s_hi: IntensityOrder, tol: float) -> float | None:
+    """A parameter in [lo, hi] where ``side`` answers EQUAL, if the endpoint
+    answers straddle EQUAL in either orientation; otherwise None."""
+    if s_lo is not GREATER and s_hi is not LESS:
+        return band_bisect(side, lo, hi, tol, lo_state=s_lo, hi_state=s_hi, refine=False)
+    if s_lo is not LESS and s_hi is not GREATER:
+        return band_bisect(lambda t: side(t).flipped(), lo, hi, tol,
+                           lo_state=s_lo.flipped(), hi_state=s_hi.flipped(), refine=False)
+    return None
 
 
 def _scan_for_equal(side: Callable[[float], IntensityOrder],
@@ -180,19 +144,187 @@ def _scan_for_equal(side: Callable[[float], IntensityOrder],
         if st is EQUAL:
             return t
     for j in range(subintervals):
-        a, b = states[j], states[j + 1]
-        if a is LESS and b is GREATER:
-            return band_bisect(side, ts[j], ts[j + 1], tol,
-                               lo_state=a, hi_state=b, refine=False)
-        if a is GREATER and b is LESS:
-            return band_bisect(lambda t: side(t).flipped(), ts[j], ts[j + 1],
-                               tol, lo_state=LESS, hi_state=GREATER,
-                               refine=False)
+        s = _bisect_to_equal(side, ts[j], ts[j + 1], states[j], states[j + 1], tol)
+        if s is not None:
+            return s
     return None
 
 
+def _draw_triple(oracle: AltOracle, sample: Sampler):
+    return lambda rng: {"x": sample(rng), "y": sample(rng), "z": sample(rng)}
+
+
+def _draw_crossover(oracle: AltOracle, sample: Sampler, tol_t: float):
+    """Sample (x, y, z), then solve for w on the domain diagonal so that
+    [z,w] matches [x,y]; w is left out when no diagonal point matches."""
+    diag = oracle.domain.diagonal()
+    # Probe once whether preference is monotone along the diagonal; if it
+    # is, a failed endpoint bracket means the target is genuinely out of
+    # range and the per-trial fallback scan can be skipped.
+    corners = [diag.at(k / 8) for k in range(9)]
+    steps = [oracle.compare(corners[k + 1], corners[k], corners[k], corners[k]).sign
+             for k in range(8)]
+    diag_monotone = all(s >= 0 for s in steps) or all(s <= 0 for s in steps)
+
+    def draw(rng):
+        x, y, z = sample(rng), sample(rng), sample(rng)
+
+        # w runs down the diagonal so that [z,w] rises with s when the
+        # system is increasing along the diagonal.
+        def side(s: float) -> IntensityOrder:
+            return oracle.compare(z, diag.at(1.0 - s), x, y)
+
+        s0, s1 = side(0.0), side(1.0)
+        s = _bisect_to_equal(side, 0.0, 1.0, s0, s1, tol_t)
+        if s is None and not diag_monotone:
+            s = _scan_for_equal(side, s0, s1, tol_t)
+        points = {"x": x, "y": y, "z": z}
+        if s is not None:
+            points["w"] = diag.at(1.0 - s)
+        return points
+    return draw
+
+
+def _draw_perturbed(oracle: AltOracle, sample: Sampler, delta: float, probes: int):
+    """Sample a quadruple x, y, z, w; ``moved`` lazily yields ``probes``
+    copies of it, each coordinate moved by up to ``delta`` of the box
+    extent and clipped to the box.  The copies are drawn only if the
+    predicate asks for them, so a skipped trial does not pay for them."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if delta > 0.1:
+        raise ValueError("delta must be small relative to the domain (<= 0.1)")
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
+    box = oracle.domain
+    radius = delta * box.extent
+
+    def draw(rng):
+        quad = [sample(rng) for _ in range(4)]
+
+        def moved():
+            shifts = rng.uniform(-1.0, 1.0, (probes, 4, box.dim)) * radius
+            yield from np.clip(np.asarray(quad) + shifts, box.lower, box.upper)
+        return {**dict(zip(QUAD, quad)), "moved": moved()}
+    return draw
+
+
+def _draw_dominating(oracle: AltOracle, sample: Sampler):
+    """Sample y, then x above y on every axis, inside the box."""
+    box = oracle.domain
+
+    def draw(rng):
+        y = sample(rng)
+        frac = 1e-6 + rng.random(box.dim) * (1.0 - 2e-6)
+        return {"x": y + frac * (box.upper - y), "y": y}
+    return draw
+
+
+def _consistency(oracle: AltOracle, p: dict):
+    pref = oracle.compare(p["x"], p["y"], p["y"], p["y"])
+    shifted = oracle.compare(p["x"], p["z"], p["y"], p["z"])
+    if pref.sign != shifted.sign:
+        return Witness(_pts(p), {"preference": pref.value, "shifted": shifted.value})
+    return None
+
+
+def _second_consistency(oracle: AltOracle, p: dict):
+    pref = oracle.compare(p["x"], p["y"], p["y"], p["y"])
+    mirrored = oracle.compare(p["z"], p["y"], p["z"], p["x"])
+    if pref.sign != mirrored.sign:
+        return Witness(_pts(p), {"preference": pref.value, "mirrored": mirrored.value})
+    return None
+
+
+def _crossover(oracle: AltOracle, p: dict):
+    """[z,w] = [x,y] implies [x,z] = [y,w] (checked when w is present),
+    and [x,x] = [y,y] always.  SKIP when no Equal premise was found."""
+    x, y = p["x"], p["y"]
+    manufactured = False
+    if "w" in p:
+        premise = oracle.compare(p["z"], p["w"], x, y)
+        if premise is EQUAL:
+            manufactured = True
+            swapped = oracle.compare(x, p["z"], y, p["w"])
+            if swapped is not EQUAL:
+                return Witness(_pts(p), {"premise": premise.value, "swapped": swapped.value},
+                               note="rebracket")
+    null = oracle.compare(x, x, y, y)
+    if null is not EQUAL:
+        return Witness({"x": _pt(x), "y": _pt(y)}, {"null_brackets": null.value},
+                       note="null-brackets")
+    return None if manufactured else SKIP
+
+
+def _continuity(oracle: AltOracle, p: dict):
+    """A GREATER answer on x, y, z, w must not turn LESS on any moved copy:
+    those of ``moved`` from a draw, or the one stored in a witness as
+    ``x_moved`` ... ``w_moved``.  SKIP when the answer is not GREATER."""
+    quad = [p[n] for n in QUAD]
+    base = oracle.compare(*quad)
+    if base is not GREATER:
+        return SKIP
+    copies = p["moved"] if "moved" in p else [[p[n + "_moved"] for n in QUAD]]
+    for moved in copies:
+        flipped = oracle.compare(*moved)
+        if flipped is LESS:
+            points = {n: _pt(v) for n, v in zip(QUAD, quad)}
+            points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, moved)})
+            return Witness(points, {"base": base.value, "perturbed": flipped.value})
+    return None
+
+
+def _monotonicity(oracle: AltOracle, p: dict):
+    """x above y on every axis implies x strictly preferred to y."""
+    if not np.all(p["x"] > p["y"]):
+        return SKIP
+    pref = oracle.preference(p["x"], p["y"])
+    if pref is not Preference.PREFER:
+        return Witness(_pts(p), {"preference": pref.value})
+    return None
+
+
+_RULES = {
+    "consistency": (_draw_triple, _consistency),
+    "crossover": (_draw_crossover, _crossover),
+    "second-consistency": (_draw_triple, _second_consistency),
+    "continuity-proxy": (_draw_perturbed, _continuity),
+    "monotonicity": (_draw_dominating, _monotonicity),
+}
+
+
+def _trials(axiom: str, oracle: AltOracle, sampler: Sampler | None, trials: int,
+            seed: int, **params) -> list:
+    """The trial loop of every checker: trial i draws one instance from
+    substream (seed, i) and applies the axiom's predicate to it."""
+    draw_for, violation = _RULES[axiom]
+    draw = draw_for(oracle, checked_sampler(oracle.domain, sampler), **params)
+    return run_indexed(lambda i: violation(oracle, draw(subrng(seed, i))), trials)
+
+
+def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,
+                      trials: int = 1000, seed: int = 0,
+                      witness_cap: int = WITNESS_CAP) -> AxiomReport:
+    """Shifting both sides by a common reference point z must preserve the
+    derived order: x weakly preferred to y iff [x,z] >= [y,z].  Applied to
+    the pair in both orders this is an exact sign match between the
+    preference trichotomy and the shifted comparison.
+    """
+    results = _trials("consistency", oracle, sampler, trials, seed)
+    return _collect("consistency", trials, seed, results, witness_cap=witness_cap)
+
+
+def check_second_consistency(oracle: AltOracle, sampler: Sampler | None = None,
+                             trials: int = 1000, seed: int = 0,
+                             witness_cap: int = WITNESS_CAP) -> AxiomReport:
+    """Mirror form of consistency on the second slot: x weakly preferred
+    to y iff [z,y] >= [z,x]."""
+    results = _trials("second-consistency", oracle, sampler, trials, seed)
+    return _collect("second-consistency", trials, seed, results, witness_cap=witness_cap)
+
+
 def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
-                    trials: int = 1000, seed: int = 0, workers: int = 1,
+                    trials: int = 1000, seed: int = 0,
                     witness_cap: int = WITNESS_CAP, tol_t: float = 1e-10) -> AxiomReport:
     """Equally strong improvements stay equally strong when the inner
     points are exchanged: [x,y] = [z,w] implies [x,z] = [y,w].
@@ -206,59 +338,7 @@ def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
     failed.  Each trial also asserts the degenerate consequence
     [x,x] = [y,y].
     """
-    _validate_trials(trials)
-    sampler = sampler or box_sampler(oracle.domain)
-    diag = oracle.domain.diagonal()
-    # Probe once whether preference is monotone along the diagonal; if it
-    # is, a failed endpoint bracket means the target is genuinely out of
-    # range and the per-trial fallback scan can be skipped.
-    corners = [diag.at(k / 8) for k in range(9)]
-    steps = [oracle.compare(corners[k + 1], corners[k], corners[k], corners[k]).sign
-             for k in range(8)]
-    diag_monotone = all(s >= 0 for s in steps) or all(s <= 0 for s in steps)
-
-    def trial(i: int):
-        rng = subrng(seed, i)
-        x = _checked_sample(oracle, sampler, rng)
-        y = _checked_sample(oracle, sampler, rng)
-        z = _checked_sample(oracle, sampler, rng)
-
-        # w runs down the diagonal so that [z,w] rises with s when the
-        # system is increasing along the diagonal.
-        def side(s: float) -> IntensityOrder:
-            return oracle.compare(z, diag.at(1.0 - s), x, y)
-
-        s0, s1 = side(0.0), side(1.0)
-        if s0 is not GREATER and s1 is not LESS:
-            s = band_bisect(side, 0.0, 1.0, tol_t,
-                            lo_state=s0, hi_state=s1, refine=False)
-        elif s0 is not LESS and s1 is not GREATER:
-            s = band_bisect(lambda t: side(t).flipped(), 0.0, 1.0, tol_t,
-                            lo_state=s0.flipped(), hi_state=s1.flipped(),
-                            refine=False)
-        elif diag_monotone:
-            s = None
-        else:
-            s = _scan_for_equal(side, s0, s1, tol_t)
-
-        manufactured = False
-        if s is not None:
-            w = diag.at(1.0 - s)
-            premise = oracle.compare(z, w, x, y)
-            if premise is EQUAL:
-                manufactured = True
-                swapped = oracle.compare(x, z, y, w)
-                if swapped is not EQUAL:
-                    return Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z), "w": _pt(w)},
-                                   {"premise": premise.value, "swapped": swapped.value},
-                                   note="rebracket")
-        null = oracle.compare(x, x, y, y)
-        if null is not EQUAL:
-            return Witness({"x": _pt(x), "y": _pt(y)},
-                           {"null_brackets": null.value}, note="null-brackets")
-        return None if manufactured else "skip"
-
-    results = run_indexed(trial, trials, workers)
+    results = _trials("crossover", oracle, sampler, trials, seed, tol_t=tol_t)
     manufactured = sum(1 for r in results
                        if r is None or (isinstance(r, Witness) and r.note == "rebracket"))
     return _collect("crossover", trials, seed, results, witness_cap=witness_cap,
@@ -266,8 +346,8 @@ def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
 
 
 def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
-                           trials: int = 1000, seed: int = 0, delta: float = 1e-8,
-                           probes: int = 8, workers: int = 1,
+                           trials: int = 1000, seed: int = 0, delta: float = DEFAULT_DELTA,
+                           probes: int = DEFAULT_PROBES,
                            witness_cap: int = WITNESS_CAP) -> AxiomReport:
     """Necessary-condition proxy for closedness of the relation: a strictly
     GREATER outcome must not flip to LESS under coordinate perturbations of
@@ -277,66 +357,19 @@ def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     defaults to just above the equality dead band so that continuous
     systems keep comfortable margins while jump discontinuities still flip.
     """
-    _validate_trials(trials)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if delta > 0.1:
-        raise ValueError("delta must be small relative to the domain (<= 0.1)")
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    sampler = sampler or box_sampler(oracle.domain)
-    box = oracle.domain
-    radius = delta * box.extent
-
-    def trial(i: int):
-        rng = subrng(seed, i)
-        pts = [_checked_sample(oracle, sampler, rng) for _ in range(4)]
-        base = oracle.compare(*pts)
-        if base is not GREATER:
-            return "skip"
-        shifts = rng.uniform(-1.0, 1.0, (probes, 4, box.dim)) * radius
-        batch = np.clip(np.asarray(pts) + shifts, box.lower, box.upper)
-        for k in range(probes):
-            moved = batch[k]
-            flipped = oracle.compare(moved[0], moved[1], moved[2], moved[3])
-            if flipped is LESS:
-                names = ("x", "y", "z", "w")
-                points = {n: _pt(p) for n, p in zip(names, pts)}
-                points.update({n + "_moved": _pt(p) for n, p in zip(names, moved)})
-                return Witness(points, {"base": base.value, "perturbed": flipped.value})
-        return None
-
-    return _collect("continuity-proxy", trials, seed,
-                    run_indexed(trial, trials, workers), proxy=True,
+    results = _trials("continuity-proxy", oracle, sampler, trials, seed,
+                      delta=delta, probes=probes)
+    return _collect("continuity-proxy", trials, seed, results, proxy=True,
                     witness_cap=witness_cap, extras={"delta": delta, "probes": probes})
 
 
 def check_monotonicity(oracle: AltOracle, sampler: Sampler | None = None,
-                       trials: int = 1000, seed: int = 0, workers: int = 1,
+                       trials: int = 1000, seed: int = 0,
                        witness_cap: int = WITNESS_CAP) -> AxiomReport:
     """Coordinatewise strict dominance must imply strict preference."""
-    _validate_trials(trials)
-    sampler = sampler or box_sampler(oracle.domain)
-    box = oracle.domain
+    results = _trials("monotonicity", oracle, sampler, trials, seed)
+    return _collect("monotonicity", trials, seed, results, witness_cap=witness_cap)
 
-    def trial(i: int):
-        rng = subrng(seed, i)
-        y = _checked_sample(oracle, sampler, rng)
-        frac = 1e-6 + rng.random(box.dim) * (1.0 - 2e-6)
-        x = y + frac * (box.upper - y)
-        if not np.all(x > y):
-            return "skip"
-        p = oracle.preference(x, y)
-        if p is not Preference.PREFER:
-            return Witness({"x": _pt(x), "y": _pt(y)}, {"preference": p.value})
-        return None
-
-    return _collect("monotonicity", trials, seed,
-                    run_indexed(trial, trials, workers), witness_cap=witness_cap)
-
-
-ALL_AXIOMS = ("consistency", "crossover", "second-consistency",
-              "continuity-proxy", "monotonicity")
 
 _CHECKERS: dict[str, Callable] = {
     "consistency": check_consistency,
@@ -346,40 +379,25 @@ _CHECKERS: dict[str, Callable] = {
     "monotonicity": check_monotonicity,
 }
 
+ALL_AXIOMS = tuple(_CHECKERS)
+
 
 def run_axiom_suite(oracle: AltOracle, axioms=ALL_AXIOMS, trials: int = 1000,
-                    seed: int = 0, workers: int = 1, **kwargs) -> dict[str, AxiomReport]:
-    """Run several checkers with a shared master seed."""
+                    seed: int = 0, delta: float = DEFAULT_DELTA,
+                    probes: int = DEFAULT_PROBES) -> dict[str, AxiomReport]:
+    """Run several checkers with a shared master seed; ``delta`` and
+    ``probes`` go to the continuity proxy."""
     reports = {}
     for name in axioms:
-        checker = _CHECKERS[name]
-        reports[name] = checker(oracle, trials=trials, seed=seed, workers=workers,
-                                **{k: v for k, v in kwargs.items()
-                                   if k in checker.__code__.co_varnames})
+        params = {"delta": delta, "probes": probes} if name == "continuity-proxy" else {}
+        reports[name] = _CHECKERS[name](oracle, trials=trials, seed=seed, **params)
     return reports
 
 
 def replay_witness(oracle: AltOracle, axiom: str, witness: Witness) -> bool:
-    """Re-evaluate a stored witness; True iff it still violates the axiom."""
+    """Re-evaluate a stored witness with the axiom's own predicate; True iff
+    it still violates the axiom."""
+    if axiom not in _RULES:
+        raise ValueError(f"no replay rule for axiom {axiom!r}")
     pts = {k: np.asarray(v, dtype=float) for k, v in witness.points.items()}
-    if axiom == "consistency":
-        p = oracle.compare(pts["x"], pts["y"], pts["y"], pts["y"])
-        c = oracle.compare(pts["x"], pts["z"], pts["y"], pts["z"])
-        return p.sign != c.sign
-    if axiom == "second-consistency":
-        p = oracle.compare(pts["x"], pts["y"], pts["y"], pts["y"])
-        c = oracle.compare(pts["z"], pts["y"], pts["z"], pts["x"])
-        return p.sign != c.sign
-    if axiom == "crossover":
-        if witness.note == "null-brackets":
-            return oracle.compare(pts["x"], pts["x"], pts["y"], pts["y"]) is not EQUAL
-        premise = oracle.compare(pts["z"], pts["w"], pts["x"], pts["y"])
-        swapped = oracle.compare(pts["x"], pts["z"], pts["y"], pts["w"])
-        return premise is EQUAL and swapped is not EQUAL
-    if axiom == "continuity-proxy":
-        base = oracle.compare(pts["x"], pts["y"], pts["z"], pts["w"])
-        moved = oracle.compare(pts["x_moved"], pts["y_moved"], pts["z_moved"], pts["w_moved"])
-        return base is GREATER and moved is LESS
-    if axiom == "monotonicity":
-        return oracle.preference(pts["x"], pts["y"]) is not Preference.PREFER
-    raise ValueError(f"no replay rule for axiom {axiom!r}")
+    return isinstance(_RULES[axiom][1](oracle, pts), Witness)

@@ -16,8 +16,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .axioms import ALL_AXIOMS, run_axiom_suite
 from .concavity import check_gossen_law
 from .config import RunConfig
@@ -52,12 +50,6 @@ def _write_csv(cfg: RunConfig, name: str, rows: list[list]) -> Path:
     return path
 
 
-def _lattice(box, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _resolve_oracle(cfg: RunConfig):
     return oracle_by_name(cfg.oracle, cfg.box_override(), cfg.eps_eq)
 
@@ -82,7 +74,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     oracle = _resolve_oracle(cfg)
     axioms = cfg.axioms or list(ALL_AXIOMS)
     reports = run_axiom_suite(oracle, axioms, trials=cfg.trials, seed=cfg.seed,
-                              workers=cfg.resolved_workers,
                               delta=cfg.delta, probes=cfg.probes)
     all_pass = True
     for name, report in reports.items():
@@ -104,7 +95,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     _write_report(cfg, "reconstruction.json", {"reconstruction": recon.to_dict()})
 
     rows: list[list] = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
-    for point in _lattice(oracle.domain, cfg.grid):
+    for point in oracle.domain.lattice(cfg.grid):
         rows.append([float(v) for v in point] + [recon(point)])
     _write_csv(cfg, "grid.csv", rows)
 
@@ -116,9 +107,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     ok = spot.passed
 
     if cfg.second_anchors is not None:
-        fit = verify_affine_uniqueness(
-            oracle, cfg.anchors, cfg.second_anchors,
-            depth=cfg.depth, seed=cfg.seed, tol_t=cfg.tol_t)
+        fit = verify_affine_uniqueness(recon, cfg.second_anchors, seed=cfg.seed)
         _write_report(cfg, "affine.json", {"fit": fit.to_dict()})
         print(f"affine uniqueness: {fit.verdict} "
               f"[alpha {fit.alpha:.6g}, beta {fit.beta:.6g}, "
@@ -131,8 +120,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 def cmd_concavity(cfg: RunConfig) -> int:
     oracle = _resolve_oracle(cfg)
-    verdict = check_gossen_law(oracle, trials=cfg.trials, seed=cfg.seed,
-                               workers=cfg.resolved_workers)
+    verdict = check_gossen_law(oracle, trials=cfg.trials, seed=cfg.seed)
     _write_report(cfg, "concavity.json", {"gossen": verdict.to_dict()})
     print(f"midpoint gain law: {verdict.verdict} "
           f"[violations {verdict.violation_count}/{verdict.trials}, "
@@ -151,7 +139,7 @@ def cmd_smoothness(cfg: RunConfig) -> int:
     b = cfg.b if cfg.b is not None else 0.5 * (lo + hi)
     line = line_smoothness_limit(oracle, b)
     debreu = debreu_smoothness_proxy(oracle, trials=cfg.debreu_trials, seed=cfg.seed,
-                                     workers=cfg.resolved_workers, tol_t=cfg.tol_t)
+                                     tol_t=cfg.tol_t)
     _write_report(cfg, "smoothness.json",
                   {"line": line.to_dict(), "debreu": debreu.to_dict()})
     _write_csv(cfg, "quotients.csv", line.csv_rows())
@@ -170,7 +158,7 @@ def cmd_alep(cfg: RunConfig) -> int:
     if spec.dim < 2 and tuple(cfg.pair) != (0, 0):
         raise ConfigError("cross-partial classification needs dimension >= 2")
     inner = box.shrunk(2.0 * cfg.h)
-    points = _lattice(inner, cfg.grid)
+    points = inner.lattice(cfg.grid)
     labels = alep_classify(spec.evaluator, points, pair=(cfg.pair[0], cfg.pair[1]),
                            h=cfg.h, threshold=cfg.threshold, box=box)
     _write_report(cfg, "alep.json",
@@ -223,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--oracle", help="catalog fixture name or JSON utility file")
     common.add_argument("--seed", type=int, help="master seed (default 0)")
     common.add_argument("--trials", type=int, help="sample count for randomized checks")
-    common.add_argument("--workers", type=int, help="parallel sampling threads "
-                                                    "(default: one per CPU; results identical)")
+    common.add_argument("--workers", type=int,
+                        help="ignored: trials run in index order on one thread "
+                             "(accepted, validated and echoed for compatibility)")
     common.add_argument("--outdir", help="report directory (default altkit-reports)")
     common.add_argument("--eps-eq", type=float, dest="eps_eq",
                         help="oracle equality dead band (default: scaled to value range)")

@@ -11,19 +11,18 @@ driver ties the two to a fixture's ground-truth tag.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import WITNESS_CAP, Witness, _pt
+from .axioms import WITNESS_CAP, Witness, _pt, to_json
 from .domain import BoxDomain, Segment
 from .errors import ConfigError
 from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
                        make_difference_oracle)
 from .ladder import reconstruct_utility
 from .oracle import AltOracle, IntensityOrder
-from .sampling import Sampler, box_sampler, run_indexed, subrng
+from .sampling import Sampler, checked_sampler, run_indexed, subrng
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -75,10 +74,7 @@ class ConcavityVerdict:
             "extras": self.extras,
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    to_json = to_json
 
 
 def _fold_verdict(law: str, trials: int, seed: int, rows: list, floor: float,
@@ -106,7 +102,7 @@ def _fold_verdict(law: str, trials: int, seed: int, rows: list, floor: float,
 
 
 def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
-                     trials: int = 1000, seed: int = 0, workers: int = 1,
+                     trials: int = 1000, seed: int = 0,
                      floor: float | None = None, parameterization: str = "pair",
                      witness_cap: int = WITNESS_CAP) -> ConcavityVerdict:
     """Sample pairs and assert the midpoint gain law [z,x] >= [y,z], z=(x+y)/2.
@@ -117,20 +113,17 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
     on the triple x, x+v, x+2v).  Pairs closer than ``floor`` (default
     1e-6 of the box diameter) never count toward strictness.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if parameterization not in ("pair", "step"):
         raise ConfigError(f"unknown parameterization {parameterization!r}")
     box = oracle.domain
-    sampler = sampler or box_sampler(box)
+    sample = checked_sampler(box, sampler)
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * box.diameter
 
     def draw_pair(rng) -> tuple[np.ndarray, np.ndarray]:
         if parameterization == "pair":
-            return (box.require(sampler(rng), "sampled point"),
-                    box.require(sampler(rng), "sampled point"))
-        x = box.require(sampler(rng), "sampled point")
+            return sample(rng), sample(rng)
+        x = sample(rng)
         d = rng.standard_normal(box.dim)
         d /= np.linalg.norm(d)
         # Largest m with x + m*d still inside the box, split into two steps.
@@ -154,7 +147,7 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
             return ("below-floor", None)
         return ("strict" if out is GREATER else "equal", None)
 
-    rows = run_indexed(trial, trials, workers)
+    rows = run_indexed(trial, trials)
     return _fold_verdict("gossen-first-law", trials, seed, rows, floor, witness_cap,
                          extras={"parameterization": parameterization,
                                  "oracle": oracle.name})
@@ -170,7 +163,7 @@ def _dyadic_params(depth: int) -> list[float]:
 
 
 def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = None,
-                             trials: int = 200, seed: int = 0, workers: int = 1,
+                             trials: int = 200, seed: int = 0,
                              tol: float = 0.0, dyadic_depth: int | None = None,
                              floor: float | None = None,
                              witness_cap: int = WITNESS_CAP) -> ConcavityVerdict:
@@ -182,19 +175,16 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
     margin beyond ``tol`` (floored at float-noise scale) on every pair
     farther apart than ``floor``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    sampler = sampler or box_sampler(domain)
+    sample = checked_sampler(domain, sampler)
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
     params = _dyadic_params(dyadic_depth) if dyadic_depth else [0.5]
 
     def trial(i: int):
         rng = subrng(seed, i)
-        x = domain.require(sampler(rng), "sampled point")
-        y = domain.require(sampler(rng), "sampled point")
+        x, y = sample(rng), sample(rng)
         ux, uy = u_fn(x), u_fn(y)
         distinct = float(np.linalg.norm(x - y)) >= floor
         worst = np.inf
@@ -211,13 +201,13 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
             return ("below-floor", None)
         return ("strict" if worst > 0 else "equal", None)
 
-    rows = run_indexed(trial, trials, workers)
+    rows = run_indexed(trial, trials)
     return _fold_verdict("midpoint-concavity", trials, seed, rows, floor, witness_cap,
                          dyadic_depth=dyadic_depth, extras={"tol": tol})
 
 
 def concavity_roundtrip(spec: UtilitySpec, domain: BoxDomain | None = None,
-                        trials: int = 2000, seed: int = 0, workers: int = 1,
+                        trials: int = 2000, seed: int = 0,
                         depth: int = 8, segment: Segment | None = None,
                         floor: float | None = None) -> dict:
     """Tie the oracle-side law, the reconstruction, and the ground-truth tag.
@@ -233,11 +223,11 @@ def concavity_roundtrip(spec: UtilitySpec, domain: BoxDomain | None = None,
     if spec.concavity not in (CONCAVE, STRICTLY_CONCAVE, NON_CONCAVE):
         raise ConfigError(f"fixture {spec.name!r} carries no usable concavity tag")
     oracle = make_difference_oracle(spec, domain)
-    gossen = check_gossen_law(oracle, trials=trials, seed=seed, workers=workers, floor=floor)
+    gossen = check_gossen_law(oracle, trials=trials, seed=seed, floor=floor)
     recon = reconstruct_utility(oracle, depth=depth, segment=segment)
     midpoint = check_midpoint_concavity(
         recon, oracle.domain, trials=max(1, trials // 10), seed=seed + 1,
-        workers=workers, tol=2.0 * recon.interpolation_budget)
+        tol=2.0 * recon.interpolation_budget)
 
     tag_concave = spec.concavity in (CONCAVE, STRICTLY_CONCAVE)
     tag_strict = spec.concavity == STRICTLY_CONCAVE

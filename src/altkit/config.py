@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ class RunConfig:
     delta: float = 1e-8                 # continuity-proxy perturbation fraction
     probes: int = 8
     b: float | None = None              # diagonal scale for smoothness
-    workers: int | None = None          # None -> one per CPU
+    workers: int | None = None          # accepted and echoed; trials run on one thread
     outdir: str = "altkit-reports"
     axioms: list[str] | None = None
     strict: bool = False
@@ -66,12 +65,6 @@ class RunConfig:
         known = set(self.field_names())
         clean = {k: v for k, v in overrides.items() if k in known and v is not None}
         return dataclasses.replace(self, **clean)
-
-    @property
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
 
     def box_override(self) -> BoxDomain | None:
         if self.domain is None:

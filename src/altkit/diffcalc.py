@@ -9,11 +9,11 @@ signature of a kink or of interpolation noise).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .axioms import to_json
 from .domain import BoxDomain, as_point
 from .errors import ConfigError, DomainError
 
@@ -89,10 +89,7 @@ class AlepClassification:
                 "estimate_h2": self.estimate_h2, "label": self.label,
                 "h": self.h, "threshold": self.threshold}
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    to_json = to_json
 
 
 def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,

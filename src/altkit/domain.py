@@ -108,6 +108,13 @@ class BoxDomain:
             out[j] = lo[j] + r[j] * ext[j]
         return out
 
+    def lattice(self, per_axis: int) -> np.ndarray:
+        """Regular grid of ``per_axis`` points per axis, corners included,
+        as rows in C order."""
+        axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(self.lower, self.upper)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
     def diagonal(self) -> "Segment":
         """Main diagonal, lower corner to upper corner."""
         return Segment(self.lower.copy(), self.upper.copy())

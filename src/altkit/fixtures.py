@@ -71,47 +71,65 @@ class IntensitySpec:
     domain: BoxDomain
 
 
+def _evaluator_error(bad: Exception, *points) -> ConfigError:
+    where = ", ".join(str(np.asarray(p, dtype=float).tolist()) for p in points)
+    return ConfigError(f"evaluator failed at {where}: {bad}")
+
+
 def estimate_value_range(fn: Evaluator, box: BoxDomain, per_axis: int = 7) -> float:
-    """Span of fn over a deterministic lattice plus the box corners."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = [fn(p) for p in points]
+    """Span of fn over a deterministic lattice plus the box corners.
+
+    An evaluator that raises ValueError or ArithmeticError at a lattice
+    point raises ConfigError naming that point.
+    """
+    values = []
+    try:
+        for p in box.lattice(per_axis):
+            values.append(fn(p))
+    except (ValueError, ArithmeticError) as bad:
+        raise _evaluator_error(bad, p) from None
     span = float(max(values) - min(values))
     return max(span, 1e-12)
+
+
+def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
+                  eps_eq: float | None, pairwise: bool) -> AltOracle:
+    """Oracle over ``spec.evaluator``: a utility u compared by
+    (u(x)-u(y)) - (u(z)-u(w)), or, when ``pairwise``, an intensity g
+    compared by g(x,y) - g(z,w).  An evaluator's ValueError or
+    ArithmeticError, at set-up or in a compare, raises ConfigError naming
+    the points it was evaluated at."""
+    kind = "intensity" if pairwise else "utility"
+    box = domain or spec.domain
+    if box.dim != spec.dim:
+        raise ValueError(f"domain dimension {box.dim} != {kind} dimension {spec.dim}")
+    f = spec.evaluator
+    if eps_eq is None:
+        probe = (lambda p: f(p, box.lower)) if pairwise else f
+        eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
+
+    def comparator(x, y, z, w):
+        try:
+            if pairwise:
+                return classify(f(x, y) - f(z, w), eps_eq)
+            return classify((f(x) - f(y)) - (f(z) - f(w)), eps_eq)
+        except (ValueError, ArithmeticError) as bad:
+            raise _evaluator_error(bad, x, y, z, w) from None
+
+    name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"
+    return AltOracle(spec.dim, box, comparator, eps_eq, name=name)
 
 
 def make_difference_oracle(spec: UtilitySpec, domain: BoxDomain | None = None,
                            eps_eq: float | None = None) -> AltOracle:
     """Oracle comparing utility differences: sign of (u(x)-u(y)) - (u(z)-u(w))."""
-    box = domain or spec.domain
-    if box.dim != spec.dim:
-        raise ValueError(f"domain dimension {box.dim} != utility dimension {spec.dim}")
-    if eps_eq is None:
-        eps_eq = RELATIVE_EPS * estimate_value_range(spec.evaluator, box)
-    u = spec.evaluator
-
-    def comparator(x, y, z, w):
-        return classify((u(x) - u(y)) - (u(z) - u(w)), eps_eq)
-
-    return AltOracle(spec.dim, box, comparator, eps_eq, name=f"diff:{spec.name}")
+    return _build_oracle(spec, domain, eps_eq, pairwise=False)
 
 
 def make_intensity_oracle(spec: IntensitySpec, domain: BoxDomain | None = None,
                           eps_eq: float | None = None) -> AltOracle:
     """Oracle comparing a raw intensity function g(x,y) against g(z,w)."""
-    box = domain or spec.domain
-    if box.dim != spec.dim:
-        raise ValueError(f"domain dimension {box.dim} != intensity dimension {spec.dim}")
-    if eps_eq is None:
-        probe = lambda p: spec.evaluator(p, box.lower)
-        eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
-    g = spec.evaluator
-
-    def comparator(x, y, z, w):
-        return classify(g(x, y) - g(z, w), eps_eq)
-
-    return AltOracle(spec.dim, box, comparator, eps_eq, name=f"intensity:{spec.name}")
+    return _build_oracle(spec, domain, eps_eq, pairwise=True)
 
 
 # ----------------------------------------------------------------------------

@@ -10,17 +10,16 @@ and interpolating linearly between the deepest rungs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .axioms import WITNESS_CAP, AxiomReport, Witness, _collect, _pt
+from .axioms import WITNESS_CAP, AxiomReport, Witness, _collect, _pt, to_json
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder, Preference
-from .sampling import Sampler, box_sampler, run_indexed, subrng
+from .sampling import Sampler, checked_sampler, run_indexed, subrng
 from .solvers import DEFAULT_TOL_T, band_bisect, indifference_param
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -268,10 +267,7 @@ class ReconstructedUtility:
             "clamped_evaluations": self.clamped,
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    to_json = to_json
 
 
 def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int = 10,
@@ -304,23 +300,21 @@ class AffineFit:
                 "threshold": self.threshold, "verdict": self.verdict}
 
 
-def verify_affine_uniqueness(oracle: AltOracle, anchors_a: Sequence, anchors_b: Sequence,
-                             depth: int = 10, samples: int = 200, seed: int = 0,
-                             tol_t: float = DEFAULT_TOL_T, segment: Segment | None = None,
+def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
+                             samples: int = 200, seed: int = 0,
                              threshold: float = 5e-3) -> AffineFit:
-    """Reconstruct twice with different anchor params and fit u_b ~ alpha*u_a + beta.
+    """Reconstruct again from other anchor params and fit u_b ~ alpha*u_a + beta.
 
-    ``anchors_a`` and ``anchors_b`` are (lo, hi) parameter pairs on the
-    reference segment.  A faithful system admits only positive affine
-    rescalings, so the fit must have alpha > 0 and residuals within the
-    interpolation budget.
+    ``anchors_b`` is a (lo, hi) parameter pair on the reference segment of
+    ``recon_a``; the second reconstruction uses that segment and the
+    oracle, depth and tolerance of ``recon_a``.  A faithful system admits
+    only positive affine rescalings, so the fit must have alpha > 0 and
+    residuals within the interpolation budget.
     """
-    pair_a = (float(anchors_a[0]), float(anchors_a[1]))
-    pair_b = (float(anchors_b[0]), float(anchors_b[1]))
-    recon_a = reconstruct_utility(oracle, depth=depth, tol_t=tol_t, segment=segment,
-                                  anchor_params=pair_a)
-    recon_b = reconstruct_utility(oracle, depth=depth, tol_t=tol_t, segment=segment,
-                                  anchor_params=pair_b)
+    oracle = recon_a.oracle
+    recon_b = reconstruct_utility(oracle, depth=recon_a.depth, tol_t=recon_a.tol_t,
+                                  segment=recon_a.ladder.segment,
+                                  anchor_params=(float(anchors_b[0]), float(anchors_b[1])))
     rng_points = [oracle.domain.sample(subrng(seed, i)) for i in range(samples)]
     u_a = np.array([recon_a(p) for p in rng_points])
     u_b = np.array([recon_b(p) for p in rng_points])
@@ -334,14 +328,12 @@ def verify_affine_uniqueness(oracle: AltOracle, anchors_a: Sequence, anchors_b: 
 
 def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | None = None,
                   trials: int = 200, seed: int = 0, min_depth: int = 1,
-                  workers: int = 1, witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                  witness_cap: int = WITNESS_CAP) -> AxiomReport:
     """Between any sampled strict pair more than two rung steps apart there
     must be a rung strictly between them (oracle-checked)."""
     if ladder.depth < min_depth:
         raise ValueError(f"ladder depth {ladder.depth} below configured minimum {min_depth}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    sampler = sampler or box_sampler(oracle.domain)
+    sample = checked_sampler(oracle.domain, sampler)
     recon = ReconstructedUtility(oracle, ladder, ladder.tol_t)
     gap_threshold = 2.0 ** (1 - ladder.depth)
     rung_points = [ladder.segment.at(t) for _, t in ladder.rungs()]
@@ -349,8 +341,7 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
 
     def trial(i: int):
         rng = subrng(seed, i)
-        a = oracle.domain.require(sampler(rng), "sampled point")
-        b = oracle.domain.require(sampler(rng), "sampled point")
+        a, b = sample(rng), sample(rng)
         p = oracle.preference(a, b)
         if p is Preference.INDIFFERENT:
             return "skip"
@@ -366,7 +357,7 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
         return Witness({"hi": _pt(hi), "lo": _pt(lo)},
                        {"reconstructed_gap": f"{gap:.6g}"})
 
-    return _collect("density", trials, seed, run_indexed(trial, trials, workers),
+    return _collect("density", trials, seed, run_indexed(trial, trials),
                     witness_cap=witness_cap,
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
@@ -376,18 +367,16 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
                               sampler: Sampler | None = None) -> AxiomReport:
     """Reconstructed value differences must reproduce the oracle trichotomy
     on random quadruples, up to a dead band of a few rung steps."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     oracle = recon.oracle
     if dead_band is None:
         dead_band = 2.0 ** (2 - recon.depth)
-    sampler = sampler or box_sampler(oracle.domain)
+    sample = checked_sampler(oracle.domain, sampler)
     in_band = 0
 
     def trial(i: int):
         nonlocal in_band
         rng = subrng(seed, i)
-        pts = [oracle.domain.require(sampler(rng), "sampled point") for _ in range(4)]
+        pts = [sample(rng) for _ in range(4)]
         d_hat = (recon(pts[0]) - recon(pts[1])) - (recon(pts[2]) - recon(pts[3]))
         if abs(d_hat) <= dead_band:
             in_band += 1
@@ -401,7 +390,7 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
                             "value_difference": f"{d_hat:.6g}"})
         return None
 
-    report = _collect("representation", trials, seed, [trial(i) for i in range(trials)],
+    report = _collect("representation", trials, seed, run_indexed(trial, trials),
                       extras={"dead_band": dead_band})
     report.extras["in_band"] = in_band
     return report
@@ -410,8 +399,6 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
 def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
                           seed: int = 0, dead_band: float | None = None) -> AxiomReport:
     """Reconstructed values must rank pairs exactly as the derived order."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     oracle = recon.oracle
     if dead_band is None:
         dead_band = 2.0 ** (1 - recon.depth)
@@ -434,7 +421,7 @@ def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
                             "value_difference": f"{d:.6g}"})
         return None
 
-    report = _collect("order-embedding", trials, seed, [trial(i) for i in range(trials)],
+    report = _collect("order-embedding", trials, seed, run_indexed(trial, trials),
                       extras={"dead_band": dead_band})
     report.extras["in_band"] = in_band
     return report

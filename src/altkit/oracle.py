@@ -52,13 +52,6 @@ class Preference(Enum):
     INDIFFERENT = "indifferent"
     DISPREFER = "disprefer"
 
-    @property
-    def sign(self) -> int:
-        return _PREF_SIGNS[self]
-
-
-_PREF_SIGNS = {Preference.PREFER: 1, Preference.INDIFFERENT: 0, Preference.DISPREFER: -1}
-
 _PREF_FROM_INTENSITY = {
     IntensityOrder.GREATER: Preference.PREFER,
     IntensityOrder.EQUAL: Preference.INDIFFERENT,
@@ -73,8 +66,8 @@ class AltOracle:
     """Black-box four-point comparator over a box domain.
 
     ``comparator`` must be total and deterministic on domain^4.  The call
-    counter is exact for sequential use; under concurrent sampling it is
-    a statistical tally (results never depend on it).
+    counter counts every compare made through this object; results never
+    depend on it.
     """
 
     dim: int
@@ -116,21 +109,3 @@ class AltOracle:
 
     def weakly_prefers(self, x, y) -> bool:
         return self.preference(x, y) is not Preference.DISPREFER
-
-
-@dataclass(eq=False)
-class PreferenceOrder:
-    """Two-point comparator derived from an intensity oracle."""
-
-    oracle: AltOracle
-
-    def compare(self, x, y) -> Preference:
-        return self.oracle.preference(x, y)
-
-    def __call__(self, x, y) -> Preference:
-        return self.compare(x, y)
-
-
-def derive_preference(oracle: AltOracle) -> PreferenceOrder:
-    """The weak order induced by comparing [x,y] against [y,y]."""
-    return PreferenceOrder(oracle)

@@ -1,12 +1,11 @@
 """Seeded sampling utilities.
 
-Every randomized checker derives one independent substream per sample
-index from its master seed, so reports are reproducible bit-for-bit and
-independent of how samples are partitioned across workers.
+Every randomized checker derives one independent substream per trial
+index from its master seed and runs its trials in index order on the
+calling thread, so reports are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,17 +24,13 @@ def subrng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def box_sampler(box: BoxDomain) -> Sampler:
-    """Uniform sampler over the (closure of the) box.
-
-    The returned callable carries ``box`` as an attribute so consumers
-    validating samples against that same box object can skip the
-    re-check; draws are inside it by construction.
-    """
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return box.sample(rng)
-    sample.box = box
-    return sample
+def checked_sampler(box: BoxDomain, sampler: Sampler | None) -> Sampler:
+    """``box.sample`` when no sampler is given (its draws are inside the
+    box by construction); otherwise ``sampler`` with every draw required
+    to lie in ``box``."""
+    if sampler is None:
+        return box.sample
+    return lambda rng: box.require(sampler(rng), "sampled point")
 
 
 def cycle_sampler(points: Sequence) -> Sampler:
@@ -51,18 +46,11 @@ def cycle_sampler(points: Sequence) -> Sampler:
     return sample
 
 
-def dominating_pair(rng: np.random.Generator, box: BoxDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (x, y) with x strictly above y on every axis, both in the box."""
-    y = box.lower + rng.random(box.dim) * box.extent * 0.999
-    frac = 1e-6 + rng.random(box.dim) * (1.0 - 2e-6)
-    x = y + frac * (box.upper - y)
-    return x, y
-
-
-def run_indexed(fn: Callable[[int], object], n: int, workers: int = 1) -> list:
-    """Evaluate ``fn(i)`` for i in range(n); results are ordered by index
-    regardless of worker count, so fan-out cannot change a report."""
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+def run_indexed(fn: Callable[[int], object], n: int, _unused: object = None) -> list:
+    """``[fn(0), ..., fn(n - 1)]`` for a trial count ``n >= 1``, evaluated
+    in index order on the calling thread.  The optional third argument is
+    ignored; it keeps the call form of the former worker-count parameter,
+    which perfbench's tracer still uses."""
+    if n < 1:
+        raise ValueError("trials must be >= 1")
+    return [fn(i) for i in range(n)]

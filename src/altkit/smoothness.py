@@ -11,16 +11,15 @@ step-halving drift or one-sided disagreement (kinks).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import WITNESS_CAP, AxiomReport, Witness, _collect, _pt
+from .axioms import WITNESS_CAP, AxiomReport, Witness, _collect, _pt, to_json
 from .domain import Segment
 from .errors import BracketError, ConfigError, ConstructionError, DomainError, RangeError
 from .oracle import AltOracle
-from .sampling import Sampler, box_sampler, run_indexed, subrng
+from .sampling import Sampler, run_indexed, subrng
 from .solvers import DEFAULT_TOL_T, indifference_param, solve_midpoint
 
 LINE_SMOOTH = "line-smooth"
@@ -87,10 +86,7 @@ class SmoothnessReport:
             "extras": self.extras,
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    to_json = to_json
 
     def csv_rows(self) -> list[list]:
         return [["a", "f", "quotient"]] + [[a, f, q] for a, f, q in self.rows]
@@ -170,7 +166,7 @@ def calibrate(oracle: AltOracle, x, tol_t: float = DEFAULT_TOL_T) -> float:
 
 
 def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
-                            trials: int = 50, seed: int = 0, workers: int = 1,
+                            trials: int = 50, seed: int = 0,
                             h_fraction: float = 1e-3, rel_tol: float = 1e-2,
                             one_sided_tol: float = 5e-2,
                             tol_t: float = DEFAULT_TOL_T,
@@ -184,14 +180,12 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     differences disagree by more than ``one_sided_tol`` (a kink).  A
     sampled proxy only: kinks on sets the sampler misses go undetected.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if h_fraction <= 0 or rel_tol <= 0 or one_sided_tol <= 0:
         raise ValueError("h_fraction, rel_tol, and one_sided_tol must be > 0")
     box = oracle.domain
     h_vec = h_fraction * box.extent
     if sampler is None:
-        sampler = box_sampler(box.shrunk(2.0 * h_vec))
+        sampler = box.shrunk(2.0 * h_vec).sample
 
     def cal(p) -> float:
         return calibrate(oracle, p, tol_t)
@@ -227,7 +221,7 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
                 return Witness({"x": _pt(x)}, outputs, note="one-sided kink")
         return None
 
-    results = run_indexed(trial, trials, workers)
+    results = run_indexed(trial, trials)
     return _collect("debreu-smoothness-proxy", trials, seed, results, proxy=True,
                     witness_cap=witness_cap,
                     extras={"h_fraction": h_fraction, "rel_tol": rel_tol,

@@ -68,58 +68,23 @@ def band_bisect(side: Side, lo: float, hi: float, tol: float,
         return 0.5 * (a + b)
     if not refine:
         return eq
-
-    # Refine the lower edge of the EQUAL band inside [a, eq].
-    if s_a is LESS:
-        e_lo, e_hi = a, eq
-        while (e_hi - e_lo) > tol:
-            m = 0.5 * (e_lo + e_hi)
-            if side(m) is LESS:
-                e_lo = m
-            else:
-                e_hi = m
-        lower_edge = 0.5 * (e_lo + e_hi)
-    else:
-        lower_edge = a
-    # Upper edge inside [eq, b].
-    if s_b is GREATER:
-        e_lo, e_hi = eq, b
-        while (e_hi - e_lo) > tol:
-            m = 0.5 * (e_lo + e_hi)
-            if side(m) is GREATER:
-                e_hi = m
-            else:
-                e_lo = m
-        upper_edge = 0.5 * (e_lo + e_hi)
-    else:
-        upper_edge = b
+    lower_edge = _band_edge(side, a, eq, LESS, tol) if s_a is LESS else a
+    upper_edge = _band_edge(side, b, eq, GREATER, tol) if s_b is GREATER else b
     return 0.5 * (lower_edge + upper_edge)
 
 
-def solve_crossing(oracle: AltOracle, seg: Segment,
-                   in_upper: Callable[[np.ndarray], bool],
-                   in_lower: Callable[[np.ndarray], bool],
-                   tol_t: float = DEFAULT_TOL_T) -> np.ndarray:
-    """Point on ``seg`` lying in both half-spaces of a target bracket.
-
-    ``in_upper(p)`` states that p's bracket is at least the target;
-    ``in_lower(p)`` that it is at most the target.  ``seg.p`` must satisfy
-    ``in_lower`` and ``seg.q`` must satisfy ``in_upper`` (BracketError
-    otherwise); a total trichotomy guarantees every point satisfies one.
-    """
-    def side(t: float) -> IntensityOrder:
-        pt = seg.at(t)
-        up, dn = in_upper(pt), in_lower(pt)
-        if up and dn:
-            return EQUAL
-        if up:
-            return GREATER
-        if dn:
-            return LESS
-        raise ConstructionError("membership predicates exclude a segment point from both sides")
-
-    t = band_bisect(side, 0.0, 1.0, tol_t)
-    return seg.at(t)
+def _band_edge(side: Side, outer: float, inner: float, outer_state: IntensityOrder,
+               tol: float) -> float:
+    """Edge of the EQUAL band between ``outer`` (answering ``outer_state``)
+    and ``inner`` (inside the band), located to width ``tol``.  ``outer``
+    may lie on either side of ``inner``."""
+    while abs(inner - outer) > tol:
+        m = 0.5 * (outer + inner)
+        if side(m) is outer_state:
+            outer = m
+        else:
+            inner = m
+    return 0.5 * (outer + inner)
 
 
 def solve_midpoint(oracle: AltOracle, x: np.ndarray, z: np.ndarray,

@@ -83,10 +83,6 @@ class TestRunConfig:
         assert box.upper.tolist() == [1.0, 2.0]
         assert RunConfig().box_override() is None
 
-    def test_resolved_workers(self):
-        assert RunConfig(workers=3).resolved_workers == 3
-        assert RunConfig().resolved_workers >= 1
-
 
 class TestCatalogCommand:
     def test_table_lists_fixtures(self, capsys):
@@ -151,6 +147,26 @@ class TestVerifyCommand:
         rc = main(["verify", "--oracle", "linear", "--domain-lower", "0", "0",
                    "--outdir", str(tmp_path)])
         assert rc == 2
+
+    def test_evaluator_error_at_setup_exits_two(self, tmp_path, capsys):
+        # log(0) at the box corner, hit while sizing the dead band.
+        rc = main(["verify", "--oracle", "log_sum", "--domain-lower", "0", "0",
+                   "--domain-upper", "1", "1", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[0.0, 0.0]" in err
+
+    def test_evaluator_error_in_compare_exits_two(self, tmp_path, capsys):
+        # With the dead band given there is no set-up pass; the first
+        # compare below x = 0.5 takes the log of a negative number.
+        path = tmp_path / "shifted_log.json"
+        path.write_text(json.dumps({"name": "shifted_log", "dimension": 1,
+                                    "expr": ["log", ["sub", ["x", 0], 0.5]],
+                                    "domain": {"lower": [0.0], "upper": [1.0]}}))
+        rc = main(["verify", "--oracle", str(path), "--eps-eq", "1e-9",
+                   "--axioms", "consistency", "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "math domain error" in capsys.readouterr().err
 
     def test_usage_error_raises_systemexit(self):
         with pytest.raises(SystemExit):

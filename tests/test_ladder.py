@@ -260,33 +260,29 @@ class TestAffineUniqueness:
         # Reconstructions from anchor params (0.25, 0.75) and (0.1, 0.9)
         # of a utility affine in the diagonal parameter differ by exactly
         # alpha = 0.5/0.8 and beta = 0.15/0.8.
-        fit = verify_affine_uniqueness(oracle_by_name("linear"),
-                                       (0.25, 0.75), (0.1, 0.9),
-                                       depth=6, samples=60, seed=0)
+        recon = reconstruct_utility(oracle_by_name("linear"), depth=6)
+        fit = verify_affine_uniqueness(recon, (0.1, 0.9), samples=60, seed=0)
         assert fit.verdict == "pass"
         assert fit.alpha == pytest.approx(0.625, abs=1e-6)
         assert fit.beta == pytest.approx(0.1875, abs=1e-6)
         assert fit.max_residual < 5e-3
 
     def test_identical_anchors_give_identity_map(self):
-        fit = verify_affine_uniqueness(oracle_by_name("linear"),
-                                       (0.25, 0.75), (0.25, 0.75),
-                                       depth=6, samples=60, seed=0)
+        recon = reconstruct_utility(oracle_by_name("linear"), depth=6)
+        fit = verify_affine_uniqueness(recon, (0.25, 0.75), samples=60, seed=0)
         assert fit.alpha == pytest.approx(1.0, abs=1e-9)
         assert fit.beta == pytest.approx(0.0, abs=1e-9)
 
     def test_curved_utility_still_affine(self):
         # u = t^3 is far from affine in t, yet two reconstructions of it
         # must still be affine images of one another.
-        fit = verify_affine_uniqueness(_power_oracle(3), (0.2, 0.8),
-                                       (0.3, 0.9), depth=8, samples=60,
-                                       seed=3)
+        recon = reconstruct_utility(_power_oracle(3), depth=8, anchor_params=(0.2, 0.8))
+        fit = verify_affine_uniqueness(recon, (0.3, 0.9), samples=60, seed=3)
         assert fit.verdict == "pass" and fit.alpha > 0
 
     def test_to_dict_round(self):
-        fit = verify_affine_uniqueness(oracle_by_name("linear"),
-                                       (0.25, 0.75), (0.1, 0.9),
-                                       depth=4, samples=30, seed=0)
+        recon = reconstruct_utility(oracle_by_name("linear"), depth=4)
+        fit = verify_affine_uniqueness(recon, (0.1, 0.9), samples=30, seed=0)
         d = fit.to_dict()
         assert set(d) == {"alpha", "beta", "max_residual", "samples",
                           "threshold", "verdict"}
@@ -294,8 +290,8 @@ class TestAffineUniqueness:
 
     def test_degenerate_fit_raises(self):
         with pytest.raises(DegenerateFitError, match="variance"):
-            verify_affine_uniqueness(_power_oracle(2), (0.25, 0.75),
-                                     (0.1, 0.9), depth=1, samples=1)
+            verify_affine_uniqueness(reconstruct_utility(_power_oracle(2), depth=1),
+                                     (0.1, 0.9), samples=1)
 
 
 class TestDensity:

@@ -3,8 +3,7 @@ import pytest
 
 from altkit.domain import BoxDomain
 from altkit.fixtures import catalog, intensity_catalog, oracle_by_name
-from altkit.oracle import (AltOracle, IntensityOrder, Preference, classify,
-                           derive_preference)
+from altkit.oracle import AltOracle, IntensityOrder, Preference, classify
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -67,12 +66,6 @@ class TestAltOracle:
         assert o.weakly_prefers([0.8], [0.2])
         assert o.weakly_prefers([0.4], [0.4])
         assert not o.weakly_prefers([0.2], [0.8])
-
-    def test_derived_order_object(self):
-        o = _unit_difference_oracle()
-        order = derive_preference(o)
-        assert order([0.9], [0.1]) is Preference.PREFER
-        assert order.compare([0.1], [0.9]) is Preference.DISPREFER
 
 
 class TestTypedInvariants:

@@ -9,8 +9,7 @@ from altkit.domain import BoxDomain, Segment
 from altkit.errors import BracketError, OrderingError
 from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
-from altkit.solvers import (band_bisect, indifference_param, solve_crossing,
-                            solve_midpoint)
+from altkit.solvers import band_bisect, indifference_param, solve_midpoint
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -120,37 +119,6 @@ class TestSolveMidpoint:
         x, z = np.array([0.5, 0.5]), np.array([8.0, 8.0])
         y = solve_midpoint(o, x, z)
         assert o.compare(y, x, z, y) is E
-
-
-class TestSolveCrossing:
-    def test_threshold_crossing(self):
-        # Find where u(t)=t crosses 0.62 using membership predicates.
-        o = _quadratic_oracle()
-        seg = Segment([0.0], [1.0])
-        target = 0.62
-
-        def in_upper(p):
-            return p[0] >= target - 1e-12
-
-        def in_lower(p):
-            return p[0] <= target + 1e-12
-
-        p = solve_crossing(o, seg, in_upper, in_lower)
-        assert p[0] == pytest.approx(target, abs=1e-8)
-
-    def test_bad_bracket_raises(self):
-        # Every point is strictly above the target: side(0) is GREATER.
-        o = _quadratic_oracle()
-        seg = Segment([0.0], [1.0])
-        with pytest.raises(BracketError):
-            solve_crossing(o, seg, lambda p: True, lambda p: False)
-
-    def test_contradictory_predicates_raise(self):
-        from altkit.errors import ConstructionError
-        o = _quadratic_oracle()
-        seg = Segment([0.0], [1.0])
-        with pytest.raises(ConstructionError, match="exclude"):
-            solve_crossing(o, seg, lambda p: False, lambda p: False)
 
 
 class TestIndifferenceParam:
