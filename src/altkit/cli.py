@@ -95,8 +95,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     _write_report(cfg, "reconstruction.json", {"reconstruction": recon.to_dict()})
 
     rows: list[list] = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
-    for point in oracle.domain.lattice(cfg.grid):
-        rows.append([float(v) for v in point] + [recon(point)])
+    points = oracle.domain.lattice(cfg.grid)
+    for point, value in zip(points, recon.evaluate_many(points).tolist()):
+        rows.append([float(v) for v in point] + [value])
     _write_csv(cfg, "grid.csv", rows)
 
     spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)

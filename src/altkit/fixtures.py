@@ -19,9 +19,10 @@ import numpy as np
 
 from .domain import BoxDomain, as_point
 from .errors import ConfigError
-from .oracle import AltOracle, classify
+from .oracle import AltOracle, classify, classify_many
 
 Evaluator = Callable[[np.ndarray], float]
+BatchEvaluator = Callable[[np.ndarray], np.ndarray]
 
 # Concavity tags
 CONCAVE = "concave"
@@ -34,7 +35,12 @@ RELATIVE_EPS = 1e-9  # dead band = RELATIVE_EPS * estimated utility range
 
 @dataclass(eq=False)
 class UtilitySpec:
-    """A named utility with optional analytic derivatives and ground-truth tags."""
+    """A named utility with optional analytic derivatives and ground-truth tags.
+
+    ``batch``, when given, maps an (N, dim) array of points to the (N,)
+    values of ``evaluator``, bit-identical row by row, so that an oracle
+    may answer many comparisons at once without changing any answer.
+    """
 
     name: str
     dim: int
@@ -47,6 +53,7 @@ class UtilitySpec:
     continuous: bool | None = None
     debreu_smooth: bool | None = None
     line_smooth: bool | None = None
+    batch: BatchEvaluator | None = None
 
     def __call__(self, x) -> float:
         return self.evaluator(x)
@@ -79,13 +86,17 @@ def _evaluator_error(bad: Exception, *points) -> ConfigError:
 def estimate_value_range(fn: Evaluator, box: BoxDomain, per_axis: int = 7) -> float:
     """Span of fn over a deterministic lattice plus the box corners.
 
-    An evaluator that raises ValueError or ArithmeticError at a lattice
-    point raises ConfigError naming that point.
+    An evaluator that raises ValueError or ArithmeticError, or returns a
+    NaN or infinite value, at a lattice point raises ConfigError naming
+    that point.
     """
     values = []
     try:
         for p in box.lattice(per_axis):
-            values.append(fn(p))
+            v = fn(p)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v}")
+            values.append(v)
     except (ValueError, ArithmeticError) as bad:
         raise _evaluator_error(bad, p) from None
     span = float(max(values) - min(values))
@@ -97,8 +108,10 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     """Oracle over ``spec.evaluator``: a utility u compared by
     (u(x)-u(y)) - (u(z)-u(w)), or, when ``pairwise``, an intensity g
     compared by g(x,y) - g(z,w).  An evaluator's ValueError or
-    ArithmeticError, at set-up or in a compare, raises ConfigError naming
-    the points it was evaluated at."""
+    ArithmeticError, or a non-finite difference, at set-up or in a compare,
+    raises ConfigError naming the points it was evaluated at.  A utility
+    with a ``batch`` evaluator gets a batch comparator with the same
+    answers and the same errors."""
     kind = "intensity" if pairwise else "utility"
     box = domain or spec.domain
     if box.dim != spec.dim:
@@ -116,8 +129,23 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         except (ValueError, ArithmeticError) as bad:
             raise _evaluator_error(bad, x, y, z, w) from None
 
+    fb = None if pairwise else spec.batch
+
+    def batch(X, Y, Z, W):
+        try:
+            with np.errstate(all="ignore"):
+                delta = (fb(X) - fb(Y)) - (fb(Z) - fb(W))
+            if np.isfinite(delta).all():
+                return classify_many(delta, eps_eq)
+        except (ValueError, ArithmeticError):
+            pass
+        # Replay row by row: the first failing row raises the same error,
+        # naming the same points, as the scalar comparator.
+        return np.array([comparator(*row).sign for row in zip(X, Y, Z, W)], dtype=np.int8)
+
     name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"
-    return AltOracle(spec.dim, box, comparator, eps_eq, name=name)
+    return AltOracle(spec.dim, box, comparator, eps_eq, name=name,
+                     batch=None if fb is None else batch)
 
 
 def make_difference_oracle(spec: UtilitySpec, domain: BoxDomain | None = None,
@@ -155,6 +183,33 @@ def _u_kinked(x):
     slope 1 below v=1 and slope 1/2 above it."""
     v = math.sqrt(x[0] * x[1])
     return v - 1.0 if v <= 1.0 else 0.5 * (v - 1.0)
+
+
+# Batch evaluators: numpy where its result is bit-identical to the scalar
+# one (+ - * /, sqrt, floor, minimum), libm through np.frompyfunc where it
+# is not (numpy's log, exp and array **2 differ from math.log, math.exp and
+# float pow in the last bit on some inputs).
+def _libm(fn, nin: int = 1):
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: ufunc(*args).astype(float)
+
+
+_log, _exp, _pow = _libm(math.log), _libm(math.exp), _libm(pow, 2)
+
+
+def _b_linear(X):      return X[:, 0] + X[:, 1]
+def _b_cobb(X):        return np.sqrt(X[:, 0] * X[:, 1])
+def _b_ces(X):         return _pow(np.sqrt(X[:, 0]) + np.sqrt(X[:, 1]), 2)
+def _b_log_sum(X):     return _log(X[:, 0]) + _log(X[:, 1])
+def _b_exp1d(X):       return _exp(X[:, 0])
+def _b_min2(X):        return np.minimum(X[:, 0], X[:, 1])
+def _b_step(X):        return np.floor(X[:, 0])
+def _b_neg_quad(X):    return -_pow(X[:, 0] - 1.0, 2)
+
+
+def _b_kinked(X):
+    v = np.sqrt(X[:, 0] * X[:, 1])
+    return np.where(v <= 1.0, v - 1.0, 0.5 * (v - 1.0))
 
 
 def _grad_linear(x):   return np.ones_like(x)
@@ -208,34 +263,43 @@ def catalog() -> list[UtilitySpec]:
     """
     return [
         UtilitySpec("linear", 2, _u_linear, _box(0.1, 10, 2),
+                    batch=_b_linear,
                     gradient=_grad_linear, hessian=_hess_linear,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("cobb_douglas", 2, _u_cobb, _box(0.1, 10, 2),
+                    batch=_b_cobb,
                     gradient=_grad_cobb, hessian=_hess_cobb,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("ces", 2, _u_ces, _box(0.1, 10, 2),
+                    batch=_b_ces,
                     gradient=_grad_ces, hessian=_hess_ces,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("log_sum", 2, _u_log_sum, _box(0.1, 10, 2),
+                    batch=_b_log_sum,
                     gradient=_grad_log_sum, hessian=_hess_log_sum,
                     concavity=STRICTLY_CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("exp1d", 1, _u_exp1d, _box(0.0, 1.0, 1),
+                    batch=_b_exp1d,
                     gradient=_grad_exp1d, hessian=_hess_exp1d,
                     concavity=NON_CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("kinked_composite", 2, _u_kinked, _box(0.01, 4.0, 2),
+                    batch=_b_kinked,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=False),
         UtilitySpec("min2", 2, _u_min2, _box(0.1, 10, 2),
+                    batch=_b_min2,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=False, line_smooth=True),
         UtilitySpec("neg_quadratic", 1, _u_neg_quad, _box(0.0, 2.0, 1),
+                    batch=_b_neg_quad,
                     concavity=STRICTLY_CONCAVE, monotone=False, continuous=True),
         UtilitySpec("step", 1, _u_step, _box(0.0, 3.0, 1),
+                    batch=_b_step,
                     concavity=NON_CONCAVE, monotone=False, continuous=False),
     ]
 

@@ -15,12 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .axioms import WITNESS_CAP, AxiomReport, Witness, _collect, _pt, to_json
+from .axioms import QUAD, WITNESS_CAP, AxiomReport, Witness, _collect, _pt, to_json
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder, Preference
 from .sampling import Sampler, checked_sampler, run_indexed, subrng
-from .solvers import DEFAULT_TOL_T, band_bisect, indifference_param
+from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param,
+                      indifference_param_many)
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -29,7 +30,9 @@ MAX_RUNGS_PER_LEVEL = 200_000
 
 @dataclass(eq=False)
 class DyadicLadder:
-    """Rung parameters by (level, index); rung (i, k) carries value i/2**k."""
+    """Rung parameters by (level, index); rung (i, k) carries value i/2**k.
+
+    ``oracle_calls`` is the number of compares the construction made."""
 
     segment: Segment
     depth: int
@@ -37,6 +40,7 @@ class DyadicLadder:
     anchor_lo: np.ndarray
     anchor_hi: np.ndarray
     tol_t: float
+    oracle_calls: int = 0
 
     def param(self, i: int, k: int) -> float:
         return self.levels[k][i]
@@ -82,6 +86,7 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    calls0 = oracle.calls
     seg = segment or oracle.domain.diagonal()
     y_star = oracle.domain.require(as_point(y_star, seg.dim), "anchor y*")
     x_star = oracle.domain.require(as_point(x_star, seg.dim), "anchor x*")
@@ -145,15 +150,19 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
     for _ in range(depth):
         prev = levels[-1]
         cur = {2 * i: t for i, t in prev.items()}
-        for i in sorted(prev)[:-1]:
-            t_lo, t_hi = prev[i], prev[i + 1]
-            lo_pt, hi_pt = seg.at(t_lo), seg.at(t_hi)
+        # Every step of the level is bisected by its intensity midpoint,
+        # all steps in lockstep.
+        inner = sorted(prev)[:-1]
+        t_lo = np.array([prev[i] for i in inner])
+        t_hi = np.array([prev[i + 1] for i in inner])
+        lo_pts, hi_pts = seg.at_many(t_lo), seg.at_many(t_hi)
 
-            def side(t: float) -> IntensityOrder:
-                p = seg.at(t)
-                return oracle.compare(p, lo_pt, hi_pt, p)
+        def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
+            p = seg.at_many(t)
+            return oracle.compare_batch(p, lo_pts[j], hi_pts[j], p)
 
-            cur[2 * i + 1] = band_bisect(side, t_lo, t_hi, tol_t)
+        mids = band_bisect_many(side, t_lo, t_hi, tol_t)
+        cur.update(zip((2 * i + 1 for i in inner), mids.tolist()))
         # One extra half-step may fit past each edge; by construction a
         # second one never does.
         unit_lo_pt, unit_hi_pt = seg.at(cur[0]), seg.at(cur[1])
@@ -161,7 +170,8 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
         grow_down(cur, unit_lo_pt, unit_hi_pt, limit=1)
         levels.append(cur)
 
-    return DyadicLadder(seg, depth, levels, y_star, x_star, tol_t)
+    return DyadicLadder(seg, depth, levels, y_star, x_star, tol_t,
+                        oracle_calls=oracle.calls - calls0)
 
 
 def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
@@ -254,6 +264,33 @@ class ReconstructedUtility:
     def evaluate(self, x) -> float:
         return self.evaluate_detailed(x)[0]
 
+    def evaluate_many(self, xs) -> np.ndarray:
+        """:meth:`evaluate` for every point of ``xs``, bit-identical point by
+        point and with the same ``clamped`` count, after the same number of
+        compares; the anchor checks and the indifference solves of all
+        points run in lockstep."""
+        oracle, ladder = self.oracle, self.ladder
+        xs = np.array([oracle.domain.require(x) for x in xs]).reshape(-1, oracle.dim)
+        values = np.empty(len(xs))
+        rest = np.arange(len(xs))
+        for anchor, value in ((ladder.anchor_lo, 0.0), (ladder.anchor_hi, 1.0)):
+            a = np.broadcast_to(anchor, (rest.size, oracle.dim))
+            equal = oracle.compare_batch(xs[rest], a, a, a) == 0
+            values[rest[equal]] = value
+            rest = rest[~equal]
+        t, clamp = indifference_param_many(oracle, ladder.segment, xs[rest], self.tol_t)
+        params, vals = self._params, self._values
+        below = (clamp < 0) | (t <= params[0])
+        above = ~below & ((clamp > 0) | (t >= params[-1]))
+        self.clamped += int(np.count_nonzero(
+            (below & ((clamp < 0) | (t < params[0])))
+            | (above & ((clamp > 0) | (t > params[-1])))))
+        j = np.clip(np.searchsorted(params, t), 1, params.size - 1)
+        frac = (t - params[j - 1]) / (params[j] - params[j - 1])
+        inside = vals[j - 1] + frac * (vals[j] - vals[j - 1])
+        values[rest] = np.where(below, vals[0], np.where(above, vals[-1], inside))
+        return values
+
     def __call__(self, x) -> float:
         return self.evaluate(x)
 
@@ -263,7 +300,7 @@ class ReconstructedUtility:
             "tol_t": self.tol_t,
             "eps_eq": self.oracle.eps_eq,
             "oracle": self.oracle.name,
-            "oracle_calls": self.oracle.calls,
+            "oracle_calls": self.ladder.oracle_calls,
             "clamped_evaluations": self.clamped,
         }
 
@@ -316,8 +353,8 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
                                   segment=recon_a.ladder.segment,
                                   anchor_params=(float(anchors_b[0]), float(anchors_b[1])))
     rng_points = [oracle.domain.sample(subrng(seed, i)) for i in range(samples)]
-    u_a = np.array([recon_a(p) for p in rng_points])
-    u_b = np.array([recon_b(p) for p in rng_points])
+    u_a = recon_a.evaluate_many(rng_points)
+    u_b = recon_b.evaluate_many(rng_points)
     if float(np.var(u_a)) < 1e-18:
         raise DegenerateFitError("no utility variance across samples; cannot fit")
     alpha, beta = np.polyfit(u_a, u_b, 1)
@@ -371,28 +408,30 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
     if dead_band is None:
         dead_band = 2.0 ** (2 - recon.depth)
     sample = checked_sampler(oracle.domain, sampler)
-    in_band = 0
 
-    def trial(i: int):
-        nonlocal in_band
+    def draw(i: int) -> list[np.ndarray]:
         rng = subrng(seed, i)
-        pts = [sample(rng) for _ in range(4)]
-        d_hat = (recon(pts[0]) - recon(pts[1])) - (recon(pts[2]) - recon(pts[3]))
-        if abs(d_hat) <= dead_band:
-            in_band += 1
-            return None
-        c = oracle.compare(*pts)
-        predicted = GREATER if d_hat > 0 else LESS
-        if c is not predicted:
-            names = ("x", "y", "z", "w")
-            return Witness({n: _pt(p) for n, p in zip(names, pts)},
-                           {"oracle": c.value, "reconstruction": predicted.value,
-                            "value_difference": f"{d_hat:.6g}"})
-        return None
+        return [sample(rng) for _ in range(4)]
 
-    report = _collect("representation", trials, seed, run_indexed(trial, trials),
+    # Every trial's quadruple is drawn first, so that all 4 * trials
+    # reconstructed values and all oracle answers come from batched calls.
+    quads = np.array(run_indexed(draw, trials)).reshape(trials, 4, oracle.dim)
+    u = recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
+    d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])
+    judged = np.flatnonzero(np.abs(d_hat) > dead_band)
+    answers = oracle.compare_batch(*(quads[judged, k] for k in range(4)))
+    results: list = [None] * trials
+    for i, c in zip(judged.tolist(), answers.tolist()):
+        predicted = GREATER if d_hat[i] > 0 else LESS
+        if c != predicted.sign:
+            results[i] = Witness({n: _pt(p) for n, p in zip(QUAD, quads[i])},
+                                 {"oracle": (LESS, EQUAL, GREATER)[c + 1].value,
+                                  "reconstruction": predicted.value,
+                                  "value_difference": f"{d_hat[i]:.6g}"})
+
+    report = _collect("representation", trials, seed, results,
                       extras={"dead_band": dead_band})
-    report.extras["in_band"] = in_band
+    report.extras["in_band"] = trials - judged.size
     return report
 
 

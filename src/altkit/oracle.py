@@ -9,6 +9,7 @@ to y exactly when [x,y] >= [y,y].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -39,12 +40,25 @@ _SIGNS = {IntensityOrder.GREATER: 1, IntensityOrder.EQUAL: 0, IntensityOrder.LES
 
 
 def classify(delta: float, eps: float) -> IntensityOrder:
-    """Trichotomy of a signed magnitude with a symmetric dead band."""
+    """Trichotomy of a signed magnitude with a symmetric dead band.
+
+    A NaN or infinite ``delta`` raises ValueError: it carries no order, and
+    answering EQUAL would hide a broken evaluator."""
     if delta > eps:
-        return IntensityOrder.GREATER
-    if delta < -eps:
-        return IntensityOrder.LESS
-    return IntensityOrder.EQUAL
+        if delta < math.inf:
+            return IntensityOrder.GREATER
+    elif delta < -eps:
+        if delta > -math.inf:
+            return IntensityOrder.LESS
+    elif delta == delta:
+        return IntensityOrder.EQUAL
+    raise ValueError(f"non-finite intensity difference {delta}")
+
+
+def classify_many(delta: np.ndarray, eps: float) -> np.ndarray:
+    """``classify(d, eps).sign`` for each entry of an array of finite
+    deltas, as int8."""
+    return (delta > eps).astype(np.int8) - (delta < -eps).astype(np.int8)
 
 
 class Preference(Enum):
@@ -59,6 +73,8 @@ _PREF_FROM_INTENSITY = {
 }
 
 Comparator = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], IntensityOrder]
+# Row-wise comparator over (N, dim) arrays: int8[N] of signs (+1, 0, -1).
+BatchComparator = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(eq=False)
@@ -67,7 +83,8 @@ class AltOracle:
 
     ``comparator`` must be total and deterministic on domain^4.  The call
     counter counts every compare made through this object; results never
-    depend on it.
+    depend on it.  ``batch``, when given, answers many quadruples at once
+    and must agree with ``comparator`` row by row.
     """
 
     dim: int
@@ -75,6 +92,7 @@ class AltOracle:
     comparator: Comparator
     eps_eq: float
     name: str = "oracle"
+    batch: BatchComparator | None = None
 
     def __post_init__(self) -> None:
         if self.domain.dim != self.dim:
@@ -87,6 +105,16 @@ class AltOracle:
         """[x,y] versus [z,w]."""
         self._calls += 1
         return self.comparator(x, y, z, w)
+
+    def compare_batch(self, X, Y, Z, W) -> np.ndarray:
+        """[X_i,Y_i] versus [Z_i,W_i] for every row i, as int8 signs
+        (+1 GREATER, 0 EQUAL, -1 LESS); counts one call per row.  Without
+        a batch comparator this is a loop over :meth:`compare`."""
+        if self.batch is None:
+            return np.array([self.compare(*row).sign for row in zip(X, Y, Z, W)],
+                            dtype=np.int8)
+        self._calls += len(X)
+        return self.batch(X, Y, Z, W)
 
     @property
     def calls(self) -> int:

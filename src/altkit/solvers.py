@@ -27,6 +27,9 @@ GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOr
 DEFAULT_TOL_T = 1e-10
 
 Side = Callable[[float], IntensityOrder]
+# Lockstep side: (bracket indices, parameters) -> int8 signs of the
+# trichotomy of bracket idx[j] at t[j] (+1 GREATER, 0 EQUAL, -1 LESS).
+SideMany = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def band_bisect(side: Side, lo: float, hi: float, tol: float,
@@ -87,6 +90,72 @@ def _band_edge(side: Side, outer: float, inner: float, outer_state: IntensityOrd
     return 0.5 * (outer + inner)
 
 
+def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
+                     lo_state: np.ndarray | None = None,
+                     hi_state: np.ndarray | None = None) -> np.ndarray:
+    """:func:`band_bisect` over N brackets [lo_j, hi_j] in lockstep.
+
+    Each bracket is asked the same parameters, in the same order, as
+    ``band_bisect`` would ask it alone, so every bracket gets the same
+    result after the same number of queries; one call of ``side`` serves
+    one step of every bracket still running.  States are int8 signs.
+    """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if np.any(hi <= lo):
+        raise ValueError("need lo < hi")
+    every = np.arange(lo.size)
+    s_lo = side(every, lo) if lo_state is None else np.array(lo_state, dtype=np.int8)
+    s_hi = side(every, hi) if hi_state is None else np.array(hi_state, dtype=np.int8)
+    bad = np.flatnonzero((s_lo > 0) | (s_hi < 0))
+    if bad.size:
+        j = bad[0]
+        raise BracketError(f"bracket {j}: endpoints do not straddle the target "
+                           f"(side(lo)={s_lo[j]}, side(hi)={s_hi[j]})")
+
+    a, b = lo, hi    # moved in place
+    found = (s_lo == 0) | (s_hi == 0)
+    eq = np.where(s_lo == 0, a, b)
+    run = ~found & (b - a > tol)
+    while run.any():
+        j = np.flatnonzero(run)
+        m = 0.5 * (a[j] + b[j])
+        s = side(j, m)
+        a[j[s < 0]] = m[s < 0]
+        b[j[s > 0]] = m[s > 0]
+        eq[j[s == 0]] = m[s == 0]
+        found[j[s == 0]] = True
+        run[j] = (s != 0) & (b[j] - a[j] > tol)
+    out = 0.5 * (a + b)
+
+    # Refine both edges of every band found, as _band_edge does: an end
+    # that answers LESS (below) or GREATER (above) is walked in towards the
+    # EQUAL parameter.  An end answers so exactly when its bracket
+    # endpoint did, because bisection only moves an end of that state.
+    lower = np.flatnonzero(found & (s_lo < 0))
+    upper = np.flatnonzero(found & (s_hi > 0))
+    owner = np.concatenate([lower, upper])
+    outer = np.concatenate([a[lower], b[upper]])
+    inner = eq[owner]
+    state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
+    run = np.abs(inner - outer) > tol
+    while run.any():
+        k = np.flatnonzero(run)
+        m = 0.5 * (outer[k] + inner[k])
+        hit = side(owner[k], m) == state[k]
+        outer[k[hit]] = m[hit]
+        inner[k[~hit]] = m[~hit]
+        run[k] = np.abs(inner[k] - outer[k]) > tol
+    edge = 0.5 * (outer + inner)
+    lower_edge, upper_edge = a.copy(), b.copy()
+    lower_edge[lower] = edge[:lower.size]
+    upper_edge[upper] = edge[lower.size:]
+    out[found] = 0.5 * (lower_edge[found] + upper_edge[found])
+    return out
+
+
 def solve_midpoint(oracle: AltOracle, x: np.ndarray, z: np.ndarray,
                    tol_t: float = DEFAULT_TOL_T) -> np.ndarray:
     """Point y on the segment x -> z whose gain over x matches the gain
@@ -131,3 +200,29 @@ def indifference_param(oracle: AltOracle, seg: Segment, x: np.ndarray,
         return (1.0, +1)
     t = band_bisect(side, 0.0, 1.0, tol_t, lo_state=s0, hi_state=s1)
     return (t, 0)
+
+
+def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,
+                            tol_t: float = DEFAULT_TOL_T) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`indifference_param` for every row of ``xs``, solved in
+    lockstep: arrays (t, clamp), bit-identical row by row, after the same
+    number of compares."""
+    def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        x = xs[idx]
+        return oracle.compare_batch(seg.at_many(t), x, x, x)
+
+    n = len(xs)
+    s0 = side(np.arange(n), np.zeros(n))
+    t = np.zeros(n)
+    clamp = np.zeros(n, dtype=np.int64)
+    clamp[s0 > 0] = -1
+    rest = np.flatnonzero(s0 < 0)
+    s1 = side(rest, np.ones(rest.size))
+    t[rest[s1 < 0]] = 1.0
+    clamp[rest[s1 < 0]] = 1
+    keep = s1 >= 0
+    rest = rest[keep]
+    t[rest] = band_bisect_many(lambda j, u: side(rest[j], u), np.zeros(rest.size),
+                               np.ones(rest.size), tol_t,
+                               lo_state=s0[rest], hi_state=s1[keep])
+    return t, clamp

@@ -168,6 +168,19 @@ class TestVerifyCommand:
         assert rc == 2
         assert "math domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--eps-eq", "1e-9"]])
+    def test_non_finite_utility_exits_two(self, tmp_path, capsys, extra):
+        # x0 * 1e308 * 10 overflows to inf for x0 > 1: caught while sizing
+        # the dead band, or, with the dead band given, in the first compare.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"name": "overflow", "dimension": 2,
+                                    "expr": ["mul", ["mul", ["x", 0], 1e308], 10]}))
+        rc = main(["verify", "--oracle", str(path), "--trials", "20", *extra,
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-finite" in err
+
     def test_usage_error_raises_systemexit(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])

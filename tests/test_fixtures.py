@@ -109,6 +109,57 @@ class TestDifferenceOracle:
             assert base.compare(*q) is shifted.compare(*q)
 
 
+class TestBatchEvaluators:
+    @pytest.mark.parametrize("name", [s.name for s in catalog()])
+    def test_batch_is_bit_identical_to_evaluator(self, name):
+        spec = utility_by_name(name)
+        rng = np.random.default_rng(20)
+        lo, hi = spec.domain.lower, spec.domain.upper
+        corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(spec.dim, -1).T
+        points = np.vstack([lo + rng.random((100_000, spec.dim)) * (hi - lo), corners])
+        expected = np.array([spec.evaluator(p) for p in points])
+        assert spec.batch(points).tobytes() == expected.tobytes()
+
+    def test_batch_comparator_matches_compare(self):
+        oracle = oracle_by_name("log_sum")
+        rng = np.random.default_rng(5)
+        quads = [np.array([oracle.domain.sample(rng) for _ in range(500)]) for _ in range(4)]
+        # Repeat some points so that EQUAL answers occur.
+        quads[2][:100], quads[3][:100] = quads[0][:100], quads[1][:100]
+        signs = oracle.compare_batch(*quads)
+        assert signs.tolist() == [oracle.compare(*q).sign for q in zip(*quads)]
+        assert 0 in signs.tolist()
+
+    def test_batch_error_names_the_scalar_point(self):
+        # log(0) on an overridden box; the dead band is given, so the
+        # error first surfaces inside a batch, which replays row by row.
+        oracle = make_difference_oracle(utility_by_name("log_sum"),
+                                        domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
+                                        eps_eq=1e-9)
+        good, bad = np.array([0.5, 0.5]), np.array([0.0, 0.5])
+        x = np.array([good, good, bad])
+        y = np.array([good, bad, good])    # row 1 is the first to fail
+        with pytest.raises(ConfigError) as batched:
+            oracle.compare_batch(x, y, x, x)
+        with pytest.raises(ConfigError) as scalar:
+            oracle.compare(good, bad, good, good)
+        assert str(batched.value) == str(scalar.value)
+        assert "[0.0, 0.5]" in str(batched.value)
+
+    def test_non_finite_batch_value_raises_like_compare(self):
+        spec = utility_by_name("exp1d")
+        oracle = make_difference_oracle(spec, domain=BoxDomain([0.0], [800.0]), eps_eq=1e-9)
+        rows = np.array([[1.0], [710.0]])    # exp(710) overflows
+        with pytest.raises(ConfigError, match=r"\[710.0\]"):
+            oracle.compare_batch(rows, rows[::-1], rows, rows)
+
+    def test_non_finite_value_at_setup_raises(self):
+        spec = utility_from_json({"name": "overflow", "dimension": 2,
+                                  "expr": ["mul", ["mul", ["x", 0], 1e308], 10]})
+        with pytest.raises(ConfigError, match="non-finite value inf"):
+            estimate_value_range(spec.evaluator, spec.domain)
+
+
 class TestIntensityOracle:
     def test_broken_crossover_pattern(self):
         """The frozen counterexample: premise [4,1]=[2,0] holds yet the

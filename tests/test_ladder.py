@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from altkit.domain import BoxDomain, Segment
-from altkit.errors import (ArchimedeanError, DegenerateFitError,
+from altkit.errors import (ArchimedeanError, DegenerateFitError, DomainError,
                            OrderingError)
 from altkit.fixtures import oracle_by_name
-from altkit.ladder import (archimedean_count, build_ladder, check_density,
-                           order_embedding_check, reconstruct_utility,
+from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder,
+                           check_density, order_embedding_check, reconstruct_utility,
                            representation_spot_check, verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.sampling import subrng
@@ -234,6 +234,85 @@ class TestReconstructedUtility:
                             "oracle_calls", "clamped_evaluations"}
         assert doc["oracle"] == "diff:cobb_douglas"
         assert doc["ladder"]["depth"] == 6
+
+
+def _without_batch(oracle: AltOracle) -> AltOracle:
+    """The same comparator behind an oracle that answers one quadruple at
+    a time, as a third-party comparator does."""
+    return AltOracle(oracle.dim, oracle.domain, oracle.comparator, oracle.eps_eq,
+                     name=oracle.name)
+
+
+class TestBatchedReconstruction:
+    @pytest.mark.parametrize("name", ["linear", "cobb_douglas", "ces", "log_sum", "exp1d",
+                                      "kinked_composite", "min2"])
+    def test_ladder_equals_batchless_ladder(self, name):
+        batched = oracle_by_name(name)
+        plain = _without_batch(batched)
+        a = reconstruct_utility(batched, depth=6).ladder
+        b = reconstruct_utility(plain, depth=6).ladder
+        assert a.levels == b.levels
+        assert batched.calls == plain.calls == a.oracle_calls == b.oracle_calls
+
+    def test_evaluate_many_matches_evaluate(self):
+        oracle = oracle_by_name("cobb_douglas")
+        ladder = reconstruct_utility(oracle, depth=6).ladder
+        seg = ladder.segment
+        rng = np.random.default_rng(2)
+        # Anchors, both corners (one clamped), a rung, and random points.
+        points = [seg.at(0.25), seg.at(0.75), [0.1, 0.1], [10.0, 10.0],
+                  seg.at(ladder.param(5, 6))]
+        points += [oracle.domain.sample(rng) for _ in range(300)]
+        scalar, batched = ReconstructedUtility(oracle, ladder), ReconstructedUtility(oracle, ladder)
+        calls = oracle.calls
+        expected = np.array([scalar.evaluate(p) for p in points])
+        scalar_calls, calls = oracle.calls - calls, oracle.calls
+        got = batched.evaluate_many(points)
+        assert got.tobytes() == expected.tobytes()
+        assert batched.clamped == scalar.clamped >= 1
+        assert oracle.calls - calls == scalar_calls
+
+    def test_evaluate_many_through_batchless_oracle(self):
+        oracle = _without_batch(oracle_by_name("exp1d"))
+        recon = reconstruct_utility(oracle, depth=5)
+        points = [[0.0], [0.3], [0.5], [0.95], [1.0]]
+        assert recon.evaluate_many(points).tolist() == [recon(p) for p in points]
+
+    def test_evaluate_many_rejects_points_outside_the_box(self, cobb_recon):
+        with pytest.raises(DomainError):
+            cobb_recon.evaluate_many([[1.0, 1.0], [20.0, 1.0]])
+
+    def test_oracle_calls_is_the_build_cost(self):
+        oracle = oracle_by_name("linear")
+        recon = reconstruct_utility(oracle, depth=4)
+        built = oracle.calls
+        recon.evaluate_many([[1.0, 2.0], [3.0, 4.0]])
+        assert oracle.calls > built
+        assert recon.to_dict()["oracle_calls"] == recon.ladder.oracle_calls == built
+
+    def test_spot_check_matches_per_trial_reference(self):
+        # Rungs of the log-sum ladder read through the linear oracle's
+        # indifference classes: a deliberately wrong reconstruction, so
+        # that the witness path runs too.
+        oracle = oracle_by_name("linear")
+        wrong = ReconstructedUtility(
+            oracle, reconstruct_utility(oracle_by_name("log_sum"), depth=5).ladder)
+        report = representation_spot_check(wrong, trials=150, seed=4)
+
+        reference = ReconstructedUtility(oracle, wrong.ladder)
+        violations, in_band = [], 0
+        for i in range(150):
+            rng = subrng(4, i)
+            pts = [oracle.domain.sample(rng) for _ in range(4)]
+            d = (reference(pts[0]) - reference(pts[1])) - (reference(pts[2]) - reference(pts[3]))
+            if abs(d) <= report.extras["dead_band"]:
+                in_band += 1
+            elif oracle.compare(*pts).sign != (1 if d > 0 else -1):
+                violations.append(([p.tolist() for p in pts], f"{d:.6g}"))
+        assert report.violation_count == len(violations) > 0
+        assert report.extras["in_band"] == in_band
+        assert [([w.points[n] for n in "xyzw"], w.outputs["value_difference"])
+                for w in report.violations] == violations[:len(report.violations)]
 
 
 class TestRepresentationChecks:

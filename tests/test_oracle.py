@@ -3,7 +3,7 @@ import pytest
 
 from altkit.domain import BoxDomain
 from altkit.fixtures import catalog, intensity_catalog, oracle_by_name
-from altkit.oracle import AltOracle, IntensityOrder, Preference, classify
+from altkit.oracle import AltOracle, IntensityOrder, Preference, classify, classify_many
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -19,6 +19,17 @@ class TestClassify:
         # Exactly eps away is still EQUAL: strict outcomes need margin.
         assert classify(0.1, 0.1) is E
         assert classify(-0.1, 0.1) is E
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"),
+                                       np.float64("nan")])
+    def test_non_finite_delta_raises(self, delta):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(delta, 0.1)
+
+    def test_classify_many_matches_classify(self):
+        delta = np.array([0.5, -0.5, 0.05, -0.05, 0.1, -0.1, 0.0, 1e300, -1e300])
+        assert classify_many(delta, 0.1).tolist() == [classify(d, 0.1).sign for d in delta]
+        assert classify_many(delta, 0.1).dtype == np.int8
 
     def test_flipped_and_sign(self):
         assert G.flipped() is L
@@ -55,6 +66,24 @@ class TestAltOracle:
         assert o.calls == 2
         o.reset_calls()
         assert o.calls == 0
+
+    def test_compare_batch_falls_back_to_compare(self):
+        o = _unit_difference_oracle()
+        assert o.batch is None
+        rows = np.array([[0.9], [0.5], [0.1], [0.3]])
+        x, y, z, w = rows, rows[::-1], rows, rows
+        got = o.compare_batch(x, y, z, w)
+        assert got.dtype == np.int8
+        assert got.tolist() == [o.compare(*q).sign for q in zip(x, y, z, w)]
+        assert o.calls == 2 * len(rows)
+
+    def test_compare_batch_counts_rows(self, cobb_oracle):
+        rng = np.random.default_rng(4)
+        quads = [np.array([cobb_oracle.domain.sample(rng) for _ in range(50)])
+                 for _ in range(4)]
+        signs = cobb_oracle.compare_batch(*quads)
+        assert cobb_oracle.calls == 50
+        assert signs.tolist() == [cobb_oracle.compare(*q).sign for q in zip(*quads)]
 
     def test_preference_via_null_bracket(self):
         o = _unit_difference_oracle()

@@ -9,7 +9,8 @@ from altkit.domain import BoxDomain, Segment
 from altkit.errors import BracketError, OrderingError
 from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
-from altkit.solvers import band_bisect, indifference_param, solve_midpoint
+from altkit.solvers import (band_bisect, band_bisect_many, indifference_param,
+                            indifference_param_many, solve_midpoint)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -85,6 +86,56 @@ class TestBandBisect:
         assert t == pytest.approx(center, abs=1e-7)
 
 
+# One bracket: (lo, width, center offset as a fraction of the width, band
+# half-width).  Offsets 0 and 1 put the crossing on an endpoint, so that
+# endpoint answers EQUAL; a band of 0 leaves a bare sign change.
+_brackets = st.lists(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(1e-6, 3.0),
+              st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+              st.one_of(st.just(0.0), st.floats(1e-12, 0.5))),
+    min_size=1, max_size=12)
+
+
+class TestBandBisectMany:
+    @settings(max_examples=60, deadline=None)
+    @given(_brackets, st.sampled_from([1e-10, 1e-6, 1e-2]), st.booleans())
+    def test_matches_band_bisect_per_bracket(self, brackets, tol, pass_states):
+        lo = np.array([b[0] for b in brackets])
+        hi = lo + np.array([b[1] for b in brackets])
+        center = np.clip(lo + np.array([b[2] for b in brackets]) * (hi - lo), lo, hi)
+        band = [b[3] for b in brackets]
+        sides = [_banded_side(c, w) for c, w in zip(center, band)]
+
+        expected, counts = [], []
+        for side, a, b in zip(sides, lo, hi):
+            calls = []
+            counted = lambda t, side=side, calls=calls: calls.append(t) or side(t)
+            states = ({"lo_state": side(a), "hi_state": side(b)} if pass_states else {})
+            expected.append(band_bisect(counted, float(a), float(b), tol, **states))
+            counts.append(len(calls))
+
+        queries = np.zeros(len(brackets), dtype=int)
+
+        def side_many(idx, t):
+            np.add.at(queries, idx, 1)
+            return np.array([sides[j](u).sign for j, u in zip(idx, t)], dtype=np.int8)
+
+        states = {}
+        if pass_states:
+            states = {"lo_state": [s(a).sign for s, a in zip(sides, lo)],
+                      "hi_state": [s(b).sign for s, b in zip(sides, hi)]}
+        got = band_bisect_many(side_many, lo, hi, tol, **states)
+        assert got.tolist() == expected
+        assert queries.tolist() == counts
+
+    def test_rejects_bad_bracket(self):
+        side = lambda idx, t: np.where(t > 0.5, 1, -1).astype(np.int8)
+        with pytest.raises(BracketError, match="bracket 1"):
+            band_bisect_many(side, [0.0, 0.6], [1.0, 1.0], 1e-9)
+        with pytest.raises(ValueError, match="lo < hi"):
+            band_bisect_many(side, [0.0, 1.0], [1.0, 1.0], 1e-9)
+
+
 def _quadratic_oracle():
     """Difference oracle of u(t) = t^2 on [0, 1]."""
     box = BoxDomain([0.0], [1.0])
@@ -142,6 +193,20 @@ class TestIndifferenceParam:
         seg = Segment([0.1, 0.1], [1.0, 1.0])
         t, clamp = indifference_param(o, seg, np.array([9.0, 9.0]))
         assert (t, clamp) == (1.0, +1)
+
+    def test_many_matches_scalar(self):
+        # Points below, on, inside and above a diagonal sub-segment.
+        o = oracle_by_name("cobb_douglas")
+        seg = Segment([1.0, 1.0], [5.0, 5.0])
+        rng = np.random.default_rng(8)
+        xs = np.vstack([[[0.5, 0.5], [1.0, 1.0], [4.0, 1.0], [9.0, 9.0], [2.0, 8.0]],
+                        [o.domain.sample(rng) for _ in range(60)]])
+        expected = [indifference_param(o, seg, x) for x in xs]
+        calls = o.calls
+        t, clamp = indifference_param_many(o, seg, xs)
+        assert list(zip(t.tolist(), clamp.tolist())) == expected
+        assert o.calls - calls == calls
+        assert {-1, 0, 1} <= set(clamp.tolist())
 
     def test_exact_bottom_hit_reports_no_clamp(self):
         o = oracle_by_name("cobb_douglas")
