@@ -339,14 +339,16 @@ class AffineFit:
 
 def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
                              samples: int = 200, seed: int = 0,
-                             threshold: float = 5e-3) -> AffineFit:
+                             threshold: float | None = None) -> AffineFit:
     """Reconstruct again from other anchor params and fit u_b ~ alpha*u_a + beta.
 
     ``anchors_b`` is a (lo, hi) parameter pair on the reference segment of
     ``recon_a``; the second reconstruction uses that segment and the
     oracle, depth and tolerance of ``recon_a``.  A faithful system admits
     only positive affine rescalings, so the fit must have alpha > 0 and
-    residuals within the interpolation budget.
+    residuals within the interpolation budget: one rung step of u_b plus
+    one of u_a carried through alpha, (1 + |alpha|) * 2**-depth, unless
+    ``threshold`` is given.
     """
     oracle = recon_a.oracle
     recon_b = reconstruct_utility(oracle, depth=recon_a.depth, tol_t=recon_a.tol_t,
@@ -359,6 +361,8 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
         raise DegenerateFitError("no utility variance across samples; cannot fit")
     alpha, beta = np.polyfit(u_a, u_b, 1)
     residual = float(np.max(np.abs(u_b - (alpha * u_a + beta))))
+    if threshold is None:
+        threshold = (1.0 + abs(float(alpha))) * recon_a.interpolation_budget
     verdict = "pass" if (alpha > 0 and residual <= threshold) else "fail"
     return AffineFit(float(alpha), float(beta), residual, samples, threshold, verdict)
 

@@ -31,7 +31,7 @@ CASES = {
                                  "--trials", "200"], 1),
     "reconstruct-log_sum": (["reconstruct", "--oracle", "log_sum", "--depth", "4",
                              "--trials", "100", "--grid", "3",
-                             "--second-anchors", "0.1", "0.9"], 1),
+                             "--second-anchors", "0.1", "0.9"], 0),
     "concavity-neg_quadratic": (["concavity", "--oracle", "neg_quadratic",
                                  "--trials", "300"], 0),
     "concavity-exp1d": (["concavity", "--oracle", "exp1d", "--trials", "300"], 1),

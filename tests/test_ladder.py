@@ -367,6 +367,16 @@ class TestAffineUniqueness:
                           "threshold", "verdict"}
         assert d["samples"] == 30
 
+    def test_default_threshold_is_the_interpolation_budget(self):
+        # Depth 4 leaves residuals near 0.0077 here, over a fixed 5e-3 but
+        # inside one rung step of each reconstruction, 2**-4 * (1 + alpha).
+        recon = reconstruct_utility(oracle_by_name("log_sum"), depth=4)
+        fit = verify_affine_uniqueness(recon, (0.1, 0.9), seed=3)
+        assert fit.threshold == (1 + abs(fit.alpha)) * 2.0 ** -4
+        assert 5e-3 < fit.max_residual <= fit.threshold and fit.verdict == "pass"
+        strict = verify_affine_uniqueness(recon, (0.1, 0.9), seed=3, threshold=5e-3)
+        assert (strict.threshold, strict.verdict) == (5e-3, "fail")
+
     def test_degenerate_fit_raises(self):
         with pytest.raises(DegenerateFitError, match="variance"):
             verify_affine_uniqueness(reconstruct_utility(_power_oracle(2), depth=1),
