@@ -102,20 +102,19 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    if np.any(hi <= lo):
+    a = np.array(lo, dtype=float)    # copies: both ends move in place
+    b = np.array(hi, dtype=float)
+    if np.any(b <= a):
         raise ValueError("need lo < hi")
-    every = np.arange(lo.size)
-    s_lo = side(every, lo) if lo_state is None else np.array(lo_state, dtype=np.int8)
-    s_hi = side(every, hi) if hi_state is None else np.array(hi_state, dtype=np.int8)
+    every = np.arange(a.size)
+    s_lo = side(every, a) if lo_state is None else np.array(lo_state, dtype=np.int8)
+    s_hi = side(every, b) if hi_state is None else np.array(hi_state, dtype=np.int8)
     bad = np.flatnonzero((s_lo > 0) | (s_hi < 0))
     if bad.size:
         j = bad[0]
         raise BracketError(f"bracket {j}: endpoints do not straddle the target "
                            f"(side(lo)={s_lo[j]}, side(hi)={s_hi[j]})")
 
-    a, b = lo, hi    # moved in place
     found = (s_lo == 0) | (s_hi == 0)
     eq = np.where(s_lo == 0, a, b)
     run = ~found & (b - a > tol)

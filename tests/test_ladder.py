@@ -254,13 +254,18 @@ class TestBatchedReconstruction:
         assert a.levels == b.levels
         assert batched.calls == plain.calls == a.oracle_calls == b.oracle_calls
 
-    def test_evaluate_many_matches_evaluate(self):
-        oracle = oracle_by_name("cobb_douglas")
-        ladder = reconstruct_utility(oracle, depth=6).ladder
+    @pytest.mark.parametrize("name, segment", [
+        ("cobb_douglas", None),                       # the whole diagonal
+        ("log_sum", None),                            # edge strips at both ends
+        ("log_sum", Segment([1.0, 1.0], [5.0, 5.0])),  # points off both segment ends
+    ])
+    def test_evaluate_many_matches_evaluate(self, name, segment):
+        oracle = oracle_by_name(name)
+        ladder = reconstruct_utility(oracle, depth=6, segment=segment).ladder
         seg = ladder.segment
         rng = np.random.default_rng(2)
-        # Anchors, both corners (one clamped), a rung, and random points.
-        points = [seg.at(0.25), seg.at(0.75), [0.1, 0.1], [10.0, 10.0],
+        # Anchors, both corners, a rung, and random points.
+        points = [seg.at(0.25), seg.at(0.75), oracle.domain.lower, oracle.domain.upper,
                   seg.at(ladder.param(5, 6))]
         points += [oracle.domain.sample(rng) for _ in range(300)]
         scalar, batched = ReconstructedUtility(oracle, ladder), ReconstructedUtility(oracle, ladder)
@@ -271,6 +276,8 @@ class TestBatchedReconstruction:
         assert got.tobytes() == expected.tobytes()
         assert batched.clamped == scalar.clamped >= 1
         assert oracle.calls - calls == scalar_calls
+        if name == "log_sum":
+            assert {scalar._values[0], scalar._values[-1]} <= set(expected.tolist())
 
     def test_evaluate_many_through_batchless_oracle(self):
         oracle = _without_batch(oracle_by_name("exp1d"))
