@@ -39,16 +39,19 @@ class IntensityOrder(Enum):
 _SIGNS = {IntensityOrder.GREATER: 1, IntensityOrder.EQUAL: 0, IntensityOrder.LESS: -1}
 
 
+_INF, _NEG_INF = math.inf, -math.inf
+
+
 def classify(delta: float, eps: float) -> IntensityOrder:
     """Trichotomy of a signed magnitude with a symmetric dead band.
 
     A NaN or infinite ``delta`` raises ValueError: it carries no order, and
     answering EQUAL would hide a broken evaluator."""
     if delta > eps:
-        if delta < math.inf:
+        if delta < _INF:
             return IntensityOrder.GREATER
     elif delta < -eps:
-        if delta > -math.inf:
+        if delta > _NEG_INF:
             return IntensityOrder.LESS
     elif delta == delta:
         return IntensityOrder.EQUAL
