@@ -15,6 +15,7 @@ survive small coordinate perturbations); its reports carry ``proxy=True``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,26 +32,37 @@ DEFAULT_DELTA = 1e-8
 DEFAULT_PROBES = 8
 
 SKIP = "skip"
+VIOLATION = "violation"
 QUAD = ("x", "y", "z", "w")
 
 
-def to_json(report, **kwargs) -> str:
-    """JSON text of a report's ``to_dict()``; sorted keys and indent 2 by default."""
-    kwargs.setdefault("sort_keys", True)
-    kwargs.setdefault("indent", 2)
-    return json.dumps(report.to_dict(), **kwargs)
+class Record:
+    """Base of the report dataclasses.  ``to_dict`` is a shallow copy of
+    the fields in which a list of records becomes a list of dicts, and
+    ``dumps`` is the JSON text of every report: sorted keys, indent 2."""
+
+    def to_dict(self) -> dict:
+        d = dict(vars(self))
+        for name, value in d.items():
+            if isinstance(value, list) and value and isinstance(value[0], Record):
+                d[name] = [r.to_dict() for r in value]
+        return d
+
+    def to_json(self) -> str:
+        return self.dumps(self.to_dict())
+
+    @staticmethod
+    def dumps(doc) -> str:
+        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 @dataclass
-class Witness:
+class Witness(Record):
     """A violating instance: the points involved and the oracle's answers."""
 
     points: dict[str, list[float]]
     outputs: dict[str, str]
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"points": self.points, "outputs": self.outputs, "note": self.note}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Witness":
@@ -58,7 +70,7 @@ class Witness:
 
 
 @dataclass
-class AxiomReport:
+class AxiomReport(Record):
     axiom: str
     trials: int
     seed: int
@@ -73,21 +85,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "trials": self.trials,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "violations": [w.to_dict() for w in self.violations],
-            "violation_count": self.violation_count,
-            "proxy": self.proxy,
-            "skipped": self.skipped,
-            "extras": self.extras,
-        }
-
-    to_json = to_json
-
 
 def _pt(p: np.ndarray) -> list[float]:
     return [float(v) for v in p]
@@ -97,24 +94,28 @@ def _pts(points: dict) -> dict[str, list[float]]:
     return {name: _pt(p) for name, p in points.items()}
 
 
-def _collect(axiom: str, trials: int, seed: int, results: list,
-             proxy: bool = False, witness_cap: int = WITNESS_CAP,
-             extras: dict | None = None) -> AxiomReport:
-    """Fold per-trial results (None | SKIP | Witness) into a report."""
-    violations: list[Witness] = []
-    count = 0
-    skipped = 0
+def _fold(results, witness_cap: int) -> tuple[list[Witness], Counter]:
+    """Count per-trial outcomes.  A trial returns None when the property
+    holds, a ``Witness`` for a violation (counted as VIOLATION; the first
+    ``witness_cap`` are kept) or a tag string such as SKIP, counted under
+    itself."""
+    witnesses: list[Witness] = []
+    counts: Counter = Counter()
     for r in results:
-        if r is None:
-            continue
-        if r == SKIP:
-            skipped += 1
-            continue
-        count += 1
-        if len(violations) < witness_cap:
-            violations.append(r)
-    return AxiomReport(axiom, trials, seed, "fail" if count else "pass",
-                       violations, count, proxy, skipped, extras or {})
+        if isinstance(r, Witness):
+            if len(witnesses) < witness_cap:
+                witnesses.append(r)
+            r = VIOLATION
+        if r is not None:
+            counts[r] += 1
+    return witnesses, counts
+
+
+def _collect(axiom: str, trials: int, seed: int, violations: list[Witness],
+             counts: Counter, proxy: bool = False, extras: dict | None = None) -> AxiomReport:
+    """The report of a fold's output: it fails on any violation."""
+    return AxiomReport(axiom, trials, seed, "fail" if counts[VIOLATION] else "pass",
+                       violations, counts[VIOLATION], proxy, counts[SKIP], extras or {})
 
 
 def _bisect_to_equal(side: Callable[[float], IntensityOrder], lo: float, hi: float,
@@ -311,7 +312,7 @@ def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,
     preference trichotomy and the shifted comparison.
     """
     results = _trials("consistency", oracle, sampler, trials, seed)
-    return _collect("consistency", trials, seed, results, witness_cap=witness_cap)
+    return _collect("consistency", trials, seed, *_fold(results, witness_cap))
 
 
 def check_second_consistency(oracle: AltOracle, sampler: Sampler | None = None,
@@ -320,7 +321,7 @@ def check_second_consistency(oracle: AltOracle, sampler: Sampler | None = None,
     """Mirror form of consistency on the second slot: x weakly preferred
     to y iff [z,y] >= [z,x]."""
     results = _trials("second-consistency", oracle, sampler, trials, seed)
-    return _collect("second-consistency", trials, seed, results, witness_cap=witness_cap)
+    return _collect("second-consistency", trials, seed, *_fold(results, witness_cap))
 
 
 def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
@@ -341,7 +342,7 @@ def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
     results = _trials("crossover", oracle, sampler, trials, seed, tol_t=tol_t)
     manufactured = sum(1 for r in results
                        if r is None or (isinstance(r, Witness) and r.note == "rebracket"))
-    return _collect("crossover", trials, seed, results, witness_cap=witness_cap,
+    return _collect("crossover", trials, seed, *_fold(results, witness_cap),
                     extras={"manufactured": manufactured})
 
 
@@ -359,8 +360,8 @@ def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     """
     results = _trials("continuity-proxy", oracle, sampler, trials, seed,
                       delta=delta, probes=probes)
-    return _collect("continuity-proxy", trials, seed, results, proxy=True,
-                    witness_cap=witness_cap, extras={"delta": delta, "probes": probes})
+    return _collect("continuity-proxy", trials, seed, *_fold(results, witness_cap),
+                    proxy=True, extras={"delta": delta, "probes": probes})
 
 
 def check_monotonicity(oracle: AltOracle, sampler: Sampler | None = None,
@@ -368,7 +369,7 @@ def check_monotonicity(oracle: AltOracle, sampler: Sampler | None = None,
                        witness_cap: int = WITNESS_CAP) -> AxiomReport:
     """Coordinatewise strict dominance must imply strict preference."""
     results = _trials("monotonicity", oracle, sampler, trials, seed)
-    return _collect("monotonicity", trials, seed, results, witness_cap=witness_cap)
+    return _collect("monotonicity", trials, seed, *_fold(results, witness_cap))
 
 
 _CHECKERS: dict[str, Callable] = {

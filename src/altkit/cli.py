@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .axioms import ALL_AXIOMS, run_axiom_suite
+from .axioms import ALL_AXIOMS, Record, run_axiom_suite
 from .concavity import check_gossen_law
 from .config import RunConfig
 from .errors import AltkitError, ConfigError
@@ -37,7 +36,7 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            **payload}
     path = outdir / name
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(Record.dumps(doc) + "\n")
     return path
 
 
@@ -187,8 +186,7 @@ def cmd_catalog(as_json: bool) -> int:
                                "upper": s.domain.upper.tolist()}}
                    for s in intensity_catalog()]
     if as_json:
-        print(json.dumps({"utilities": utilities, "intensities": intensities},
-                         sort_keys=True, indent=2))
+        print(Record.dumps({"utilities": utilities, "intensities": intensities}))
         return 0
     print(f"{'name':<18} {'kind':<10} {'dim':<4} {'concavity':<17} "
           f"{'monotone':<9} {'smooth (debreu/line)'}")

@@ -11,11 +11,12 @@ driver ties the two to a fixture's ground-truth tag.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import WITNESS_CAP, Witness, _pt, to_json
+from .axioms import VIOLATION, WITNESS_CAP, Record, Witness, _fold, _pt
 from .domain import BoxDomain, Segment
 from .errors import ConfigError
 from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
@@ -34,7 +35,7 @@ STRICTNESS_FLOOR_FRACTION = 1e-6  # of the box diameter
 
 
 @dataclass
-class ConcavityVerdict:
+class ConcavityVerdict(Record):
     """Outcome of a midpoint-law scan: holds / holds-strictly / fails."""
 
     law: str
@@ -58,47 +59,21 @@ class ConcavityVerdict:
     def strict(self) -> bool:
         return self.verdict == HOLDS_STRICTLY
 
-    def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "seed": self.seed,
-            "violations": [w.to_dict() for w in self.violations],
-            "violation_count": self.violation_count,
-            "strict_count": self.strict_count,
-            "equal_count": self.equal_count,
-            "below_floor": self.below_floor,
-            "floor": self.floor,
-            "dyadic_depth": self.dyadic_depth,
-            "extras": self.extras,
-        }
 
-    to_json = to_json
-
-
-def _fold_verdict(law: str, trials: int, seed: int, rows: list, floor: float,
-                  witness_cap: int, dyadic_depth: int | None = None,
-                  extras: dict | None = None) -> ConcavityVerdict:
-    """Fold per-trial rows (kind, witness-or-None) into a verdict.
-
-    Kinds: 'violation', 'strict', 'equal', 'below-floor'.
-    """
-    violations: list[Witness] = []
-    counts = {"violation": 0, "strict": 0, "equal": 0, "below-floor": 0}
-    for kind, witness in rows:
-        counts[kind] += 1
-        if kind == "violation" and len(violations) < witness_cap:
-            violations.append(witness)
-    if counts["violation"]:
+def _judge(law: str, trials: int, seed: int, violations: list[Witness], counts: Counter,
+           floor: float, dyadic_depth: int | None = None,
+           extras: dict | None = None) -> ConcavityVerdict:
+    """The verdict of a fold's output: it fails on any violation and holds
+    strictly when some above-floor trial was strict and none equal."""
+    if counts[VIOLATION]:
         verdict = FAILS
     elif counts["strict"] and not counts["equal"]:
         verdict = HOLDS_STRICTLY
     else:
         verdict = HOLDS
-    return ConcavityVerdict(law, verdict, trials, seed, violations,
-                            counts["violation"], counts["strict"], counts["equal"],
-                            counts["below-floor"], floor, dyadic_depth, extras or {})
+    return ConcavityVerdict(law, verdict, trials, seed, violations, counts[VIOLATION],
+                            counts["strict"], counts["equal"], counts["below-floor"],
+                            floor, dyadic_depth, extras or {})
 
 
 def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
@@ -141,16 +116,15 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
         out = oracle.compare(z, x, y, z)
         distinct = float(np.linalg.norm(x - y)) >= floor
         if out is LESS:
-            return ("violation", Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z)},
-                                         {"midpoint_law": out.value}))
+            return Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z)},
+                           {"midpoint_law": out.value})
         if not distinct:
-            return ("below-floor", None)
-        return ("strict" if out is GREATER else "equal", None)
+            return "below-floor"
+        return "strict" if out is GREATER else "equal"
 
-    rows = run_indexed(trial, trials)
-    return _fold_verdict("gossen-first-law", trials, seed, rows, floor, witness_cap,
-                         extras={"parameterization": parameterization,
-                                 "oracle": oracle.name})
+    return _judge("gossen-first-law", trials, seed,
+                  *_fold(run_indexed(trial, trials), witness_cap), floor,
+                  extras={"parameterization": parameterization, "oracle": oracle.name})
 
 
 def _dyadic_params(depth: int) -> list[float]:
@@ -193,17 +167,16 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
             margin = u_fn(p) - ((1.0 - t) * ux + t * uy)
             tol_eff = max(tol, 1e-12 * (1.0 + abs(ux) + abs(uy)))
             if margin < -tol_eff:
-                return ("violation", Witness(
-                    {"x": _pt(x), "y": _pt(y), "point": _pt(p)},
-                    {"chord_parameter": f"{t:.10g}", "margin": f"{margin:.6g}"}))
+                return Witness({"x": _pt(x), "y": _pt(y), "point": _pt(p)},
+                               {"chord_parameter": f"{t:.10g}", "margin": f"{margin:.6g}"})
             worst = min(worst, margin - tol_eff)
         if not distinct:
-            return ("below-floor", None)
-        return ("strict" if worst > 0 else "equal", None)
+            return "below-floor"
+        return "strict" if worst > 0 else "equal"
 
-    rows = run_indexed(trial, trials)
-    return _fold_verdict("midpoint-concavity", trials, seed, rows, floor, witness_cap,
-                         dyadic_depth=dyadic_depth, extras={"tol": tol})
+    return _judge("midpoint-concavity", trials, seed,
+                  *_fold(run_indexed(trial, trials), witness_cap), floor,
+                  dyadic_depth=dyadic_depth, extras={"tol": tol})
 
 
 def concavity_roundtrip(spec: UtilitySpec, domain: BoxDomain | None = None,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import to_json
+from .axioms import Record
 from .domain import BoxDomain, as_point
 from .errors import ConfigError, DomainError
 
@@ -71,7 +71,7 @@ def numeric_hessian(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> n
 
 
 @dataclass
-class AlepClassification:
+class AlepClassification(Record):
     """Cross-partial sign read at one point for one goods pair."""
 
     point: list[float]
@@ -82,14 +82,6 @@ class AlepClassification:
     label: str
     h: float
     threshold: float
-
-    def to_dict(self) -> dict:
-        return {"point": self.point, "pair": list(self.pair),
-                "estimate": self.estimate, "estimate_h": self.estimate_h,
-                "estimate_h2": self.estimate_h2, "label": self.label,
-                "h": self.h, "threshold": self.threshold}
-
-    to_json = to_json
 
 
 def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,

@@ -31,6 +31,7 @@ NON_CONCAVE = "non-concave"
 UNKNOWN = "unknown"
 
 RELATIVE_EPS = 1e-9  # dead band = RELATIVE_EPS * estimated utility range
+SETUP_LATTICE_POINTS = 7 ** 4  # cap on the lattice that estimates the range
 
 
 @dataclass(eq=False)
@@ -83,13 +84,18 @@ def _evaluator_error(bad: Exception, *points) -> ConfigError:
     return ConfigError(f"evaluator failed at {where}: {bad}")
 
 
-def estimate_value_range(fn: Evaluator, box: BoxDomain, per_axis: int = 7) -> float:
-    """Span of fn over a deterministic lattice plus the box corners.
+def estimate_value_range(fn: Evaluator, box: BoxDomain) -> float:
+    """Span of fn over a deterministic lattice that includes the box corners:
+    7 points per axis, or in more than 4 dimensions the most points per
+    axis, at least 2, that keep the lattice within SETUP_LATTICE_POINTS.
 
     An evaluator that raises ValueError or ArithmeticError, or returns a
     NaN or infinite value, at a lattice point raises ConfigError naming
     that point.
     """
+    per_axis = 7
+    while per_axis > 2 and per_axis ** box.dim > SETUP_LATTICE_POINTS:
+        per_axis -= 1
     values = []
     try:
         for p in box.lattice(per_axis):
@@ -360,7 +366,7 @@ def oracle_by_name(name: str, domain: BoxDomain | None = None,
 
 _UNARY_OPS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "neg": operator.neg}
 _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-               "div": operator.truediv, "pow": operator.pow}
+               "div": operator.truediv, "pow": math.pow}
 _VARIADIC_OPS = {"min": min, "max": max}
 
 
@@ -369,7 +375,8 @@ def parse_expression(node, dim: int) -> Evaluator:
 
     Grammar: a number is a constant; ``["x", i]`` is coordinate i; every
     other list is ``[op, arg, ...]`` with op drawn from add/sub/mul/div/pow
-    (binary), sqrt/log/exp/neg (unary), min/max (2+ args).
+    (binary), sqrt/log/exp/neg (unary), min/max (2+ args).  ``pow`` is
+    ``math.pow``, which raises ValueError where the power is not real.
     """
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         c = float(node)

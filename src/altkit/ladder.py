@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .axioms import QUAD, WITNESS_CAP, AxiomReport, Witness, _collect, _pt, to_json
+from .axioms import (QUAD, SKIP, WITNESS_CAP, AxiomReport, Record, Witness, _collect,
+                     _fold, _pt)
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder, Preference
@@ -210,7 +211,7 @@ def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
 
 
 @dataclass(eq=False)
-class ReconstructedUtility:
+class ReconstructedUtility(Record):
     """Piecewise-linear utility over the ladder's deepest level.
 
     Values are in anchor units: 0 at y*, 1 at x*.  Points outside the
@@ -304,8 +305,6 @@ class ReconstructedUtility:
             "clamped_evaluations": self.clamped,
         }
 
-    to_json = to_json
-
 
 def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int = 10,
                         tol_t: float = DEFAULT_TOL_T, segment: Segment | None = None,
@@ -321,7 +320,7 @@ def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int 
 
 
 @dataclass
-class AffineFit:
+class AffineFit(Record):
     """Least-squares fit of one reconstruction onto another."""
 
     alpha: float
@@ -330,11 +329,6 @@ class AffineFit:
     samples: int
     threshold: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "max_residual": self.max_residual, "samples": self.samples,
-                "threshold": self.threshold, "verdict": self.verdict}
 
 
 def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
@@ -385,11 +379,11 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
         a, b = sample(rng), sample(rng)
         p = oracle.preference(a, b)
         if p is Preference.INDIFFERENT:
-            return "skip"
+            return SKIP
         hi, lo = (a, b) if p is Preference.PREFER else (b, a)
         gap = recon(hi) - recon(lo)
         if gap <= gap_threshold:
-            return "skip"
+            return SKIP
         mid = recon(lo) + 0.5 * gap
         for j in np.argsort(np.abs(rung_values - mid)):
             zp = rung_points[j]
@@ -398,8 +392,7 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
         return Witness({"hi": _pt(hi), "lo": _pt(lo)},
                        {"reconstructed_gap": f"{gap:.6g}"})
 
-    return _collect("density", trials, seed, run_indexed(trial, trials),
-                    witness_cap=witness_cap,
+    return _collect("density", trials, seed, *_fold(run_indexed(trial, trials), witness_cap),
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
 
@@ -433,10 +426,8 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
                                   "reconstruction": predicted.value,
                                   "value_difference": f"{d_hat[i]:.6g}"})
 
-    report = _collect("representation", trials, seed, results,
-                      extras={"dead_band": dead_band})
-    report.extras["in_band"] = trials - judged.size
-    return report
+    return _collect("representation", trials, seed, *_fold(results, WITNESS_CAP),
+                    extras={"dead_band": dead_band, "in_band": trials - judged.size})
 
 
 def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
@@ -445,17 +436,14 @@ def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
     oracle = recon.oracle
     if dead_band is None:
         dead_band = 2.0 ** (1 - recon.depth)
-    in_band = 0
 
     def trial(i: int):
-        nonlocal in_band
         rng = subrng(seed, i)
         a = oracle.domain.sample(rng)
         b = oracle.domain.sample(rng)
         d = recon(a) - recon(b)
         if abs(d) <= dead_band:
-            in_band += 1
-            return None
+            return "in-band"
         p = oracle.preference(a, b)
         expected = Preference.PREFER if d > 0 else Preference.DISPREFER
         if p is not expected:
@@ -464,7 +452,6 @@ def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
                             "value_difference": f"{d:.6g}"})
         return None
 
-    report = _collect("order-embedding", trials, seed, run_indexed(trial, trials),
-                      extras={"dead_band": dead_band})
-    report.extras["in_band"] = in_band
-    return report
+    violations, counts = _fold(run_indexed(trial, trials), WITNESS_CAP)
+    return _collect("order-embedding", trials, seed, violations, counts,
+                    extras={"dead_band": dead_band, "in_band": counts["in-band"]})

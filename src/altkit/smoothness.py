@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import WITNESS_CAP, AxiomReport, Witness, _collect, _pt, to_json
+from .axioms import SKIP, WITNESS_CAP, AxiomReport, Record, Witness, _collect, _fold, _pt
 from .domain import Segment
 from .errors import BracketError, ConfigError, ConstructionError, DomainError, RangeError
 from .oracle import AltOracle
@@ -60,8 +60,9 @@ def solve_f(oracle: AltOracle, a: float, b: float, tol: float | None = None) -> 
 
 
 @dataclass
-class SmoothnessReport:
-    """Quotient table along the step schedule plus the extrapolated limit."""
+class SmoothnessReport(Record):
+    """Quotient table along the step schedule plus the extrapolated limit;
+    ``oracle_calls`` is the number of compares the estimate made."""
 
     b: float
     rows: list[tuple[float, float, float]]  # (a, f(a,b), (b-f)/a)
@@ -74,19 +75,8 @@ class SmoothnessReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "rows": [{"a": a, "f": f, "quotient": q} for a, f, q in self.rows],
-            "estimate": self.estimate,
-            "uncertainty": self.uncertainty,
-            "floor": self.floor,
-            "verdict": self.verdict,
-            "oracle": self.oracle,
-            "oracle_calls": self.oracle_calls,
-            "extras": self.extras,
-        }
-
-    to_json = to_json
+        return {**super().to_dict(),
+                "rows": [{"a": a, "f": f, "quotient": q} for a, f, q in self.rows]}
 
     def csv_rows(self) -> list[list]:
         return [["a", "f", "quotient"]] + [[a, f, q] for a, f, q in self.rows]
@@ -120,6 +110,7 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
     if floor <= 0:
         raise ConfigError("floor must be > 0")
 
+    calls0 = oracle.calls
     rows: list[tuple[float, float, float]] = []
     extras: dict = {}
     for a in schedule:
@@ -133,7 +124,7 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
 
     if len(rows) < 2:
         return SmoothnessReport(b, rows, None, None, floor, INCONCLUSIVE,
-                                oracle.name, oracle.calls, extras)
+                                oracle.name, oracle.calls - calls0, extras)
     qs = [q for _, _, q in rows[-tail:]]
     extrapolants = [2.0 * q2 - q1 for q1, q2 in zip(qs, qs[1:])]
     estimate = float(np.mean(extrapolants))
@@ -145,7 +136,7 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
     else:
         verdict = INCONCLUSIVE
     return SmoothnessReport(b, rows, estimate, uncertainty, floor, verdict,
-                            oracle.name, oracle.calls, extras)
+                            oracle.name, oracle.calls - calls0, extras)
 
 
 def calibrate(oracle: AltOracle, x, tol_t: float = DEFAULT_TOL_T) -> float:
@@ -194,11 +185,11 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
         rng = subrng(seed, i)
         x = sampler(rng)
         if not box.contains(x, margin=0.0):
-            return "skip"
+            return SKIP
         try:
             a0 = cal(x)
         except (RangeError, DomainError):
-            return "skip"
+            return SKIP
         for axis in range(box.dim):
             h = float(h_vec[axis])
             e = np.zeros(box.dim)
@@ -207,7 +198,7 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
                 a_p, a_m = cal(x + h * e), cal(x - h * e)
                 a_ph, a_mh = cal(x + 0.5 * h * e), cal(x - 0.5 * h * e)
             except (RangeError, DomainError):
-                return "skip"
+                return SKIP
             d1 = (a_p - a_m) / (2.0 * h)
             d2 = (a_ph - a_mh) / h
             left = (a0 - a_mh) / (0.5 * h)
@@ -221,8 +212,7 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
                 return Witness({"x": _pt(x)}, outputs, note="one-sided kink")
         return None
 
-    results = run_indexed(trial, trials)
-    return _collect("debreu-smoothness-proxy", trials, seed, results, proxy=True,
-                    witness_cap=witness_cap,
+    return _collect("debreu-smoothness-proxy", trials, seed,
+                    *_fold(run_indexed(trial, trials), witness_cap), proxy=True,
                     extras={"h_fraction": h_fraction, "rel_tol": rel_tol,
                             "one_sided_tol": one_sided_tol})

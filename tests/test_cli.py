@@ -181,6 +181,23 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--eps-eq", "1e-9"]])
+    def test_complex_power_exits_two(self, tmp_path, capsys, extra):
+        # (-sqrt(x0)) ** 0.5 has no real value: caught while sizing the
+        # dead band at the lower corner, or, with the dead band given, in
+        # the first compare.
+        path = tmp_path / "cplx.json"
+        path.write_text(json.dumps({"name": "cplx", "dimension": 1,
+                                    "expr": ["pow", ["neg", ["sqrt", ["x", 0]]], 0.5]}))
+        rc = main(["verify", "--oracle", str(path), "--trials", "20", *extra,
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: evaluator failed at [" in err
+        assert "math domain error" in err
+        if not extra:
+            assert "[0.1]" in err
+
     def test_usage_error_raises_systemexit(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])

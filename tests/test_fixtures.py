@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -152,6 +153,21 @@ class TestBatchEvaluators:
         rows = np.array([[1.0], [710.0]])    # exp(710) overflows
         with pytest.raises(ConfigError, match=r"\[710.0\]"):
             oracle.compare_batch(rows, rows[::-1], rows, rows)
+
+    @pytest.mark.parametrize("dim, points", [(1, 7), (4, 7 ** 4), (5, 4 ** 5), (6, 3 ** 6),
+                                             (8, 2 ** 8)])
+    def test_setup_lattice_is_capped(self, dim, points):
+        # 7 points per axis up to dimension 4; beyond it the most per axis
+        # within 7**4 points (at dimension 8 only the corners).
+        expr = ["x", 0]
+        for i in range(1, dim):
+            expr = ["add", expr, ["x", i]]
+        spec = utility_from_json({"name": "sum", "dimension": dim, "expr": expr})
+        calls = []
+        counted = dataclasses.replace(spec, evaluator=lambda x: calls.append(1) or spec(x))
+        oracle = make_difference_oracle(counted)
+        assert len(calls) == points
+        assert oracle.eps_eq == pytest.approx(1e-9 * 9.9 * dim)
 
     def test_non_finite_value_at_setup_raises(self):
         spec = utility_from_json({"name": "overflow", "dimension": 2,

@@ -106,6 +106,16 @@ class TestLineSmoothnessLimit:
         csv = r.csv_rows()
         assert csv[0] == ["a", "f", "quotient"] and len(csv) == 5
 
+    def test_oracle_calls_are_per_call(self):
+        # The oracle's own counter runs on across calls; each report
+        # counts only the compares of its own estimate.
+        o = oracle_by_name("cobb_douglas")
+        calls0 = o.calls
+        first = line_smoothness_limit(o, 2.0)
+        second = line_smoothness_limit(o, 2.0)
+        assert first.oracle_calls == second.oracle_calls > 0
+        assert first.oracle_calls + second.oracle_calls == o.calls - calls0
+
 
 class TestCalibrate:
     def test_known_scales(self):

@@ -7,7 +7,9 @@ import io
 import re
 from pathlib import Path
 
-from altkit import axioms, cli, fixtures, ladder, sampling
+import pytest
+
+from altkit import axioms, cli, concavity, fixtures, ladder, sampling, smoothness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,30 +39,65 @@ def _reports(outdir: Path) -> dict[str, bytes]:
             for p in sorted(outdir.iterdir())}
 
 
-def test_reconstruct_reports_match_under_the_tracer(tmp_path, monkeypatch):
+def _plain_and_traced(tmp_path, monkeypatch, argv, rc):
+    """Run one command untraced and then traced, each in its own directory
+    with the same relative --outdir (reports echo it); return both sets of
+    reports and the tracer."""
     monkeypatch.syspath_prepend(str(ROOT))
     tracing = importlib.import_module("perfbench.tracing")
-    # The report echoes --outdir, so both runs use the same relative one.
-    argv = ["reconstruct", "--oracle", "cobb_douglas", "--depth", "3", "--trials", "20",
-            "--grid", "3", "--second-anchors", "0.1", "0.9", "--seed", "1",
-            "--outdir", "out"]
-    originals = (ladder.band_bisect, ladder.ReconstructedUtility.evaluate,
-                 cli.representation_spot_check, cli.verify_affine_uniqueness)
+    argv = [*argv, "--seed", "1", "--outdir", "out"]
     for run in ("plain", "traced"):
         (tmp_path / run).mkdir()
     with contextlib.redirect_stdout(io.StringIO()):
         monkeypatch.chdir(tmp_path / "plain")
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == rc
         monkeypatch.chdir(tmp_path / "traced")
         with tracing.traced(tracing.Tracer()) as tracer:
-            assert cli.main(argv) == 0
+            assert cli.main(argv) == rc
+    return _reports(tmp_path / "plain" / "out"), _reports(tmp_path / "traced" / "out"), tracer
+
+
+def test_reconstruct_reports_match_under_the_tracer(tmp_path, monkeypatch):
+    argv = ["reconstruct", "--oracle", "cobb_douglas", "--depth", "3", "--trials", "20",
+            "--grid", "3", "--second-anchors", "0.1", "0.9"]
+    originals = (ladder.band_bisect, ladder.ReconstructedUtility.evaluate,
+                 cli.representation_spot_check, cli.verify_affine_uniqueness)
+    plain, traced, tracer = _plain_and_traced(tmp_path, monkeypatch, argv, 0)
     assert (ladder.band_bisect, ladder.ReconstructedUtility.evaluate,
             cli.representation_spot_check, cli.verify_affine_uniqueness) == originals
-    plain = _reports(tmp_path / "plain" / "out")
-    assert _reports(tmp_path / "traced" / "out") == plain
+    assert traced == plain
     assert sorted(plain) == [
         "affine.json", "grid.csv", "reconstruction.json", "representation.json"]
     assert tracer.get("ladder.build_ladder").calls == 2
     assert tracer.get("ladder.spot_check").calls == 1
     assert tracer.get("ladder.affine").calls == 1
     assert tracer.get("sampling.subrng").calls > 0
+
+
+# command -> (argv, exit code, report files, spans the command must enter)
+SHAPE_COMMANDS = {
+    "concavity": (["concavity", "--oracle", "neg_quadratic", "--trials", "40"], 0,
+                  ["concavity.json"], ["concavity.gossen", "sampling.subrng"]),
+    "smoothness": (["smoothness", "--oracle", "kinked_composite", "--b", "1.0",
+                    "--debreu-trials", "4"], 1, ["quotients.csv", "smoothness.json"],
+                   ["smoothness.line", "smoothness.debreu", "smoothness.solve_f",
+                    "smoothness.calibrate", "sampling.subrng"]),
+    "alep": (["alep", "--oracle", "cobb_douglas", "--grid", "3"], 0,
+             ["alep.csv", "alep.json"], ["diffcalc.alep"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHAPE_COMMANDS))
+def test_shape_reports_match_under_the_tracer(command, tmp_path, monkeypatch):
+    argv, rc, files, spans = SHAPE_COMMANDS[command]
+    originals = (cli.check_gossen_law, cli.line_smoothness_limit, cli.alep_classify,
+                 concavity.subrng, concavity.run_indexed, smoothness.subrng,
+                 smoothness.run_indexed, smoothness.solve_f, smoothness.calibrate)
+    plain, traced, tracer = _plain_and_traced(tmp_path, monkeypatch, argv, rc)
+    assert (cli.check_gossen_law, cli.line_smoothness_limit, cli.alep_classify,
+            concavity.subrng, concavity.run_indexed, smoothness.subrng,
+            smoothness.run_indexed, smoothness.solve_f, smoothness.calibrate) == originals
+    assert traced == plain
+    assert sorted(plain) == files
+    for span in spans:
+        assert tracer.get(span).calls > 0, span
