@@ -2,7 +2,10 @@
 
 Each case below re-runs one command at seed 3 and compares every file it
 writes with the copy checked in under ``tests/golden/<case>/``, after
-blanking the timestamp.  Reports that only the library writes (the
+blanking the timestamp.  A case that names a JSON utility file finds it,
+under a relative path, in the directory it runs in (``INPUTS``), so the
+path its reports echo does not depend on where the tests live.  Reports
+that only the library writes (the
 value-side concavity check, density, order embedding and the concavity
 round trip) are pinned the same way under ``tests/golden/library/``.
 The golden files are regenerated with
@@ -36,6 +39,10 @@ CASES = {
     "verify-step": (["verify", "--oracle", "step", "--trials", "200"], 1),
     "verify-broken_crossover": (["verify", "--oracle", "broken_crossover",
                                  "--trials", "200"], 1),
+    # neg_quadratic is not monotone along the diagonal: crossover's w-solve
+    # takes the grid scan.
+    "verify-neg_quadratic": (["verify", "--oracle", "neg_quadratic", "--trials", "200"], 1),
+    "verify-sqrt_log": (["verify", "--oracle", "sqrt_log.json", "--trials", "200"], 0),
     "reconstruct-log_sum": (["reconstruct", "--oracle", "log_sum", "--depth", "4",
                              "--trials", "100", "--grid", "3",
                              "--second-anchors", "0.1", "0.9"], 0),
@@ -47,14 +54,29 @@ CASES = {
     "alep-cobb_douglas": (["alep", "--oracle", "cobb_douglas", "--grid", "3"], 0),
 }
 
+# JSON utility files the cases name, written next to their report directory.
+INPUTS = {
+    "sqrt_log.json": {"name": "sqrt_log", "dimension": 2,
+                      "domain": {"lower": [0.1, 0.1], "upper": [10.0, 10.0]},
+                      "expr": ["add", ["mul", 2.0, ["sqrt", ["x", 0]]],
+                               ["log", ["x", 1]]]},
+}
+
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
 
 def run_case(case: str) -> tuple[int, dict[str, bytes]]:
     """Run one case in the current directory; its reports go to ./<case>."""
     argv, _ = CASES[case]
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = main([*argv, "--seed", SEED, "--outdir", case])
+    inputs = [Path(name) for name in INPUTS if name in argv]
+    for path in inputs:
+        path.write_text(json.dumps(INPUTS[path.name]))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--seed", SEED, "--outdir", case])
+    finally:
+        for path in inputs:
+            path.unlink()
     files = {p.name: _TIMESTAMP.sub(b'"timestamp": ""', p.read_bytes())
              for p in sorted(Path(case).iterdir())}
     return rc, files
