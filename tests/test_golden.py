@@ -5,9 +5,9 @@ writes with the copy checked in under ``tests/golden/<case>/``, after
 blanking the timestamp.  A case that names a JSON utility file finds it,
 under a relative path, in the directory it runs in (``INPUTS``), so the
 path its reports echo does not depend on where the tests live.  Reports
-that only the library writes (the
-value-side concavity check, density, order embedding and the concavity
-round trip) are pinned the same way under ``tests/golden/library/``.
+that only the library writes (the value-side concavity check, density,
+order embedding, the concavity round trip and the axiom checkers fed by a
+``cycle_sampler``) are pinned the same way under ``tests/golden/library/``.
 The golden files are regenerated with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,10 +25,13 @@ from pathlib import Path
 
 import pytest
 
+from altkit.axioms import (Record, check_consistency, check_continuity_proxy,
+                           check_crossover, check_monotonicity, check_second_consistency)
 from altkit.cli import main
 from altkit.concavity import check_midpoint_concavity, concavity_roundtrip
 from altkit.fixtures import oracle_by_name, utility_by_name
 from altkit.ladder import check_density, order_embedding_check, reconstruct_utility
+from altkit.sampling import cycle_sampler
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "3"
@@ -93,6 +96,28 @@ def test_reports_match_golden(case, tmp_path, monkeypatch):
         assert data == expected[name], f"{case}/{name} differs from its golden copy"
 
 
+CHECKERS = {"consistency": check_consistency, "crossover": check_crossover,
+            "second-consistency": check_second_consistency,
+            "continuity-proxy": check_continuity_proxy, "monotonicity": check_monotonicity}
+# Points replayed by cycle_sampler, by dimension; clipped to each box.
+CYCLE_POINTS = {1: [[4.0], [1.0], [2.0], [7.5], [0.5]],
+                2: [[1.0, 2.0], [3.0, 0.5], [9.0, 9.0], [0.2, 5.0], [2.0, 2.0]]}
+
+
+def cycle_sampler_reports() -> str:
+    """Every axiom checker fed by a cycle_sampler (7 trials, seed 5) on
+    four oracles, with the compares each made."""
+    doc = {}
+    for name in ("broken_crossover", "cobb_douglas", "step", "neg_quadratic"):
+        for axiom, check in CHECKERS.items():
+            oracle = oracle_by_name(name)
+            points = [oracle.domain.clip(p) for p in CYCLE_POINTS[oracle.dim]]
+            report = check(oracle, sampler=cycle_sampler(points), trials=7, seed=5)
+            doc[f"{name}/{axiom}"] = {"report": report.to_dict(),
+                                      "oracle_calls": oracle.calls}
+    return Record.dumps(doc)
+
+
 def library_reports() -> dict[str, str]:
     """JSON text of the reports the CLI never writes, by file name."""
     exp1d, neg_quad = utility_by_name("exp1d"), utility_by_name("neg_quadratic")
@@ -112,6 +137,7 @@ def library_reports() -> dict[str, str]:
         "order-embedding-cobb_douglas.json": order_embedding_check(
             recon, trials=100, seed=3).to_json(),
         "roundtrip-log_sum.json": json.dumps(roundtrip, sort_keys=True, indent=2),
+        "cycle-sampler.json": cycle_sampler_reports(),
     }
 
 
