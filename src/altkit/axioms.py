@@ -1,13 +1,21 @@
 """Randomized axiom checkers for intensity-comparison oracles.
 
-Each axiom is written once, as a draw and a predicate.  The draw turns a
-per-trial generator into the points of one candidate instance; the
-predicate asks the oracle whether that instance violates the axiom and
-returns a ``Witness``, ``None`` (it holds) or ``SKIP`` (its premise did
-not hold).  Every checker runs its predicate over seeded draws in one
-trial loop, and ``replay_witness`` runs the same predicate on the points
-of a stored witness.  Sub-seeds are derived per trial index, so a report
-regenerated from its stored seed is bit-identical.
+Each axiom is written once, as a draw and a predicate, and every checker
+runs in two phases.  In the draw phase trial i draws the points of one
+candidate instance from its own generator, ``subrng(seed, i)``, in trial
+order; the draws are stacked into one array per point name, one row per
+trial.  In the predicate phase the axiom's predicate asks each of its
+stages with one ``compare_batch`` over the trials that earlier stages
+left undecided, and returns per trial a ``Witness``, ``None`` (it holds)
+or ``SKIP`` (its premise did not hold).  Every trial is asked what a
+loop over single trials would ask it, so reports and compare counts do
+not depend on the batching; ``replay_witness`` runs the same predicate
+on a batch of one, the points of a stored witness.  Sub-seeds are
+derived per trial index, so a report regenerated from its stored seed is
+bit-identical.
+
+Crossover's draw also solves for its fourth point: the diagonal brackets
+of all trials are bisected in lockstep (``solvers.band_bisect_many``).
 
 The continuity check is a necessary-condition proxy (strict outcomes must
 survive small coordinate perturbations); its reports carry ``proxy=True``.
@@ -22,8 +30,9 @@ from typing import Callable
 import numpy as np
 
 from .oracle import AltOracle, IntensityOrder, Preference
-from .sampling import Sampler, checked_sampler, run_indexed, subrng
-from .solvers import band_bisect
+from .sampling import PointRows, Sampler, point_rows, run_indexed, subrng
+# band_bisect is unused here; perfbench/tracing.py patches it by this name.
+from .solvers import SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -34,6 +43,11 @@ DEFAULT_PROBES = 8
 SKIP = "skip"
 VIOLATION = "violation"
 QUAD = ("x", "y", "z", "w")
+
+# Names of int8 comparison signs in witness outputs.
+_ORDER = {o.sign: o.value for o in IntensityOrder}
+_PREFERENCE = {1: Preference.PREFER.value, 0: Preference.INDIFFERENT.value,
+               -1: Preference.DISPREFER.value}
 
 
 class Record:
@@ -90,8 +104,9 @@ def _pt(p: np.ndarray) -> list[float]:
     return [float(v) for v in p]
 
 
-def _pts(points: dict) -> dict[str, list[float]]:
-    return {name: _pt(p) for name, p in points.items()}
+def _row(points: dict, i: int, names) -> dict[str, list[float]]:
+    """The points ``names`` of trial ``i`` in a batch, as lists."""
+    return {name: _pt(points[name][i]) for name in names}
 
 
 def _fold(results, witness_cap: int) -> tuple[list[Witness], Counter]:
@@ -118,79 +133,109 @@ def _collect(axiom: str, trials: int, seed: int, violations: list[Witness],
                        violations, counts[VIOLATION], proxy, counts[SKIP], extras or {})
 
 
-def _bisect_to_equal(side: Callable[[float], IntensityOrder], lo: float, hi: float,
-                     s_lo: IntensityOrder, s_hi: IntensityOrder, tol: float) -> float | None:
-    """A parameter in [lo, hi] where ``side`` answers EQUAL, if the endpoint
-    answers straddle EQUAL in either orientation; otherwise None."""
-    if s_lo is not GREATER and s_hi is not LESS:
-        return band_bisect(side, lo, hi, tol, lo_state=s_lo, hi_state=s_hi, refine=False)
-    if s_lo is not LESS and s_hi is not GREATER:
-        return band_bisect(lambda t: side(t).flipped(), lo, hi, tol,
-                           lo_state=s_lo.flipped(), hi_state=s_hi.flipped(), refine=False)
-    return None
+def _bisect_to_equal(side: SideMany, lo: np.ndarray, hi: np.ndarray, s_lo: np.ndarray,
+                     s_hi: np.ndarray, tol: float) -> np.ndarray:
+    """Per bracket j, a parameter in [lo_j, hi_j] where ``side`` answers
+    EQUAL, if the endpoint answers straddle EQUAL in either orientation;
+    NaN otherwise.  The brackets are bisected in lockstep, each in the
+    orientation in which its answers rise, and the first EQUAL wins."""
+    up = (s_lo <= 0) & (s_hi >= 0)
+    live = np.flatnonzero(up | ((s_lo >= 0) & (s_hi <= 0)))
+    orient = np.where(up[live], 1, -1).astype(np.int8)
+    out = np.full(len(lo), np.nan)
+    out[live] = band_bisect_many(lambda j, t: orient[j] * side(live[j], t),
+                                 lo[live], hi[live], tol, lo_state=orient * s_lo[live],
+                                 hi_state=orient * s_hi[live], refine=False)
+    return out
 
 
-def _scan_for_equal(side: Callable[[float], IntensityOrder],
-                    s_first: IntensityOrder, s_last: IntensityOrder,
-                    tol: float, subintervals: int = 16) -> float | None:
-    """Parameter where a possibly non-monotone trichotomy answers EQUAL.
+def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
+                    tol: float, subintervals: int = 16) -> np.ndarray:
+    """Per trial, a parameter where a possibly non-monotone trichotomy
+    answers EQUAL, or NaN when the target value is out of reach.
 
-    Evaluates ``side`` on a uniform grid, then bisects the first adjacent
-    pair whose answers straddle EQUAL (in either orientation).  Returns
-    None when no straddle exists, i.e. the target value is out of reach.
+    One batch asks every trial the interior points of a uniform grid; a
+    grid point answering EQUAL is taken as it is, otherwise the first
+    adjacent pair whose answers straddle EQUAL is bisected.
     """
-    ts = [j / subintervals for j in range(subintervals + 1)]
-    states = [s_first] + [side(t) for t in ts[1:-1]] + [s_last]
-    for t, st in zip(ts, states):
-        if st is EQUAL:
-            return t
-    for j in range(subintervals):
-        s = _bisect_to_equal(side, ts[j], ts[j + 1], states[j], states[j + 1], tol)
-        if s is not None:
-            return s
-    return None
+    n = len(s_first)
+    ts = np.arange(subintervals + 1) / subintervals
+    states = np.empty((n, subintervals + 1), dtype=np.int8)
+    states[:, 0], states[:, -1] = s_first, s_last
+    states[:, 1:-1] = side(np.repeat(np.arange(n), subintervals - 1),
+                           np.tile(ts[1:-1], n)).reshape(n, subintervals - 1)
+    out = np.full(n, np.nan)
+    equal = states == 0
+    hit = equal.any(axis=1)
+    out[hit] = ts[equal[hit].argmax(axis=1)]
+    straddle = (states[:, :-1] * states[:, 1:] < 0) & ~hit[:, None]
+    rows = np.flatnonzero(straddle.any(axis=1))
+    j = straddle[rows].argmax(axis=1)
+    out[rows] = _bisect_to_equal(lambda k, t: side(rows[k], t), ts[j], ts[j + 1],
+                                 states[rows, j], states[rows, j + 1], tol)
+    return out
 
 
-def _draw_triple(oracle: AltOracle, sample: Sampler):
-    return lambda rng: {"x": sample(rng), "y": sample(rng), "z": sample(rng)}
+def _each(draw: Callable, seed: int, trials: int) -> list[np.ndarray]:
+    """Trial i's arrays from ``draw(subrng(seed, i))``, drawn in trial
+    order; one stacked array per position, whose row i is trial i's."""
+    out: list[np.ndarray] = []
+
+    def trial(i: int) -> None:
+        for k, value in enumerate(draw(subrng(seed, i))):
+            if k == len(out):
+                out.append(np.empty((trials, *np.shape(value))))
+            out[k][i] = value
+    run_indexed(trial, trials)
+    return out
 
 
-def _draw_crossover(oracle: AltOracle, sample: Sampler, tol_t: float):
-    """Sample (x, y, z), then solve for w on the domain diagonal so that
-    [z,w] matches [x,y]; w is left out when no diagonal point matches."""
-    diag = oracle.domain.diagonal()
-    # Probe once whether preference is monotone along the diagonal; if it
-    # is, a failed endpoint bracket means the target is genuinely out of
-    # range and the per-trial fallback scan can be skipped.
-    corners = [diag.at(k / 8) for k in range(9)]
-    steps = [oracle.compare(corners[k + 1], corners[k], corners[k], corners[k]).sign
-             for k in range(8)]
-    diag_monotone = all(s >= 0 for s in steps) or all(s <= 0 for s in steps)
-
-    def draw(rng):
-        x, y, z = sample(rng), sample(rng), sample(rng)
-
-        # w runs down the diagonal so that [z,w] rises with s when the
-        # system is increasing along the diagonal.
-        def side(s: float) -> IntensityOrder:
-            return oracle.compare(z, diag.at(1.0 - s), x, y)
-
-        s0, s1 = side(0.0), side(1.0)
-        s = _bisect_to_equal(side, 0.0, 1.0, s0, s1, tol_t)
-        if s is None and not diag_monotone:
-            s = _scan_for_equal(side, s0, s1, tol_t)
-        points = {"x": x, "y": y, "z": z}
-        if s is not None:
-            points["w"] = diag.at(1.0 - s)
-        return points
+def _draw_triple(oracle: AltOracle, points: PointRows):
+    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
+        (xyz,) = _each(lambda rng: (points.draw(rng, 3),), seed, trials)
+        return dict(zip("xyz", points.finish(xyz).transpose(1, 0, 2)))
     return draw
 
 
-def _draw_perturbed(oracle: AltOracle, sample: Sampler, delta: float, probes: int):
-    """Sample a quadruple x, y, z, w; ``moved`` lazily yields ``probes``
-    copies of it, each coordinate moved by up to ``delta`` of the box
-    extent and clipped to the box.  The copies are drawn only if the
-    predicate asks for them, so a skipped trial does not pay for them."""
+def _draw_crossover(oracle: AltOracle, points: PointRows, tol_t: float):
+    """Sample (x, y, z), then solve for w on the domain diagonal so that
+    [z,w] matches [x,y]; w is NaN where no diagonal point matches."""
+    diag = oracle.domain.diagonal()
+    # Probe once whether preference is monotone along the diagonal; if it
+    # is, a failed endpoint bracket means the target is genuinely out of
+    # range and the fallback scan can be skipped.
+    corners = diag.at_many(np.arange(9) / 8)
+    lower = corners[:-1]
+    steps = oracle.compare_batch(corners[1:], lower, lower, lower)
+    diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
+    draw_triple = _draw_triple(oracle, points)
+
+    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
+        p = draw_triple(seed, trials)
+        x, y, z = p["x"], p["y"], p["z"]
+
+        # w runs down the diagonal so that [z,w] rises with s when the
+        # system is increasing along the diagonal.
+        def side(j: np.ndarray, s: np.ndarray) -> np.ndarray:
+            return oracle.compare_batch(z[j], diag.at_many(1.0 - s), x[j], y[j])
+
+        every = np.arange(trials)
+        lo, hi = np.zeros(trials), np.ones(trials)
+        s0, s1 = side(every, lo), side(every, hi)
+        s = _bisect_to_equal(side, lo, hi, s0, s1, tol_t)
+        if not diag_monotone:
+            miss = np.flatnonzero(np.isnan(s))
+            s[miss] = _scan_for_equal(lambda j, t: side(miss[j], t), s0[miss], s1[miss], tol_t)
+        p["w"] = diag.at_many(1.0 - s)
+        return p
+    return draw
+
+
+def _draw_perturbed(oracle: AltOracle, points: PointRows, delta: float, probes: int):
+    """Sample a quadruple x, y, z, w and ``moved``: ``probes`` copies of
+    it, each coordinate moved by up to ``delta`` of the box extent and
+    clipped to the box.  A trial draws its copies right after its
+    quadruple, from its own generator."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if delta > 0.1:
@@ -200,89 +245,112 @@ def _draw_perturbed(oracle: AltOracle, sample: Sampler, delta: float, probes: in
     box = oracle.domain
     radius = delta * box.extent
 
-    def draw(rng):
-        quad = [sample(rng) for _ in range(4)]
-
-        def moved():
-            shifts = rng.uniform(-1.0, 1.0, (probes, 4, box.dim)) * radius
-            yield from np.clip(np.asarray(quad) + shifts, box.lower, box.upper)
-        return {**dict(zip(QUAD, quad)), "moved": moved()}
+    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
+        quad, moved = _each(lambda rng: (points.draw(rng, 4),
+                                         rng.uniform(-1.0, 1.0, (probes, 4, box.dim))),
+                            seed, trials)
+        quad = points.finish(quad)
+        moved *= radius           # in place: one array holds all the copies
+        moved += quad[:, None]
+        np.clip(moved, box.lower, box.upper, out=moved)
+        return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "moved": moved}
     return draw
 
 
-def _draw_dominating(oracle: AltOracle, sample: Sampler):
+def _draw_dominating(oracle: AltOracle, points: PointRows):
     """Sample y, then x above y on every axis, inside the box."""
     box = oracle.domain
 
-    def draw(rng):
-        y = sample(rng)
-        frac = 1e-6 + rng.random(box.dim) * (1.0 - 2e-6)
+    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
+        y, r = _each(lambda rng: (points.draw(rng, 1)[0], rng.random(box.dim)), seed, trials)
+        y = points.finish(y)
+        frac = 1e-6 + r * (1.0 - 2e-6)
         return {"x": y + frac * (box.upper - y), "y": y}
     return draw
 
 
-def _consistency(oracle: AltOracle, p: dict):
-    pref = oracle.compare(p["x"], p["y"], p["y"], p["y"])
-    shifted = oracle.compare(p["x"], p["z"], p["y"], p["z"])
-    if pref.sign != shifted.sign:
-        return Witness(_pts(p), {"preference": pref.value, "shifted": shifted.value})
-    return None
+def _sign_match(label: str, quad: Callable):
+    """Predicate of the two consistency axioms: the preference of x over
+    y ([x,y] against [y,y]) and the comparison of ``quad(x, y, z)`` must
+    have the same sign; a witness names the latter ``label``."""
+    def predicate(oracle: AltOracle, p: dict) -> list:
+        x, y, z = p["x"], p["y"], p["z"]
+        pref = oracle.compare_batch(x, y, y, y)
+        other = oracle.compare_batch(*quad(x, y, z))
+        out: list = [None] * len(x)
+        for i in np.flatnonzero(pref != other):
+            out[i] = Witness(_row(p, i, "xyz"), {"preference": _ORDER[pref[i]],
+                                                 label: _ORDER[other[i]]})
+        return out
+    return predicate
 
 
-def _second_consistency(oracle: AltOracle, p: dict):
-    pref = oracle.compare(p["x"], p["y"], p["y"], p["y"])
-    mirrored = oracle.compare(p["z"], p["y"], p["z"], p["x"])
-    if pref.sign != mirrored.sign:
-        return Witness(_pts(p), {"preference": pref.value, "mirrored": mirrored.value})
-    return None
+# x weakly preferred to y iff [x,z] >= [y,z]; and iff [z,y] >= [z,x].
+_consistency = _sign_match("shifted", lambda x, y, z: (x, z, y, z))
+_second_consistency = _sign_match("mirrored", lambda x, y, z: (z, y, z, x))
 
 
-def _crossover(oracle: AltOracle, p: dict):
-    """[z,w] = [x,y] implies [x,z] = [y,w] (checked when w is present),
-    and [x,x] = [y,y] always.  SKIP when no Equal premise was found."""
-    x, y = p["x"], p["y"]
-    manufactured = False
-    if "w" in p:
-        premise = oracle.compare(p["z"], p["w"], x, y)
-        if premise is EQUAL:
-            manufactured = True
-            swapped = oracle.compare(x, p["z"], y, p["w"])
-            if swapped is not EQUAL:
-                return Witness(_pts(p), {"premise": premise.value, "swapped": swapped.value},
-                               note="rebracket")
-    null = oracle.compare(x, x, y, y)
-    if null is not EQUAL:
-        return Witness({"x": _pt(x), "y": _pt(y)}, {"null_brackets": null.value},
-                       note="null-brackets")
-    return None if manufactured else SKIP
+def _crossover(oracle: AltOracle, p: dict) -> list:
+    """[z,w] = [x,y] implies [x,z] = [y,w] (checked where w is given and
+    not NaN), and [x,x] = [y,y] always.  SKIP when no Equal premise was
+    found."""
+    x, y, w = p["x"], p["y"], p.get("w")
+    out: list = [SKIP] * len(x)
+    rebracket = np.zeros(len(x), dtype=bool)
+    if w is not None:
+        j = np.flatnonzero(~np.isnan(w[:, 0]))
+        premise = oracle.compare_batch(p["z"][j], w[j], x[j], y[j])
+        j = j[premise == 0]
+        swapped = oracle.compare_batch(x[j], p["z"][j], y[j], w[j])
+        for i in j:
+            out[i] = None
+        for i, s in zip(j[swapped != 0], swapped[swapped != 0]):
+            out[i] = Witness(_row(p, i, QUAD), {"premise": EQUAL.value, "swapped": _ORDER[s]},
+                             note="rebracket")
+            rebracket[i] = True
+    rest = np.flatnonzero(~rebracket)
+    null = oracle.compare_batch(x[rest], x[rest], y[rest], y[rest])
+    for i, s in zip(rest[null != 0], null[null != 0]):
+        out[i] = Witness(_row(p, i, ("x", "y")), {"null_brackets": _ORDER[s]},
+                         note="null-brackets")
+    return out
 
 
-def _continuity(oracle: AltOracle, p: dict):
+def _continuity(oracle: AltOracle, p: dict) -> list:
     """A GREATER answer on x, y, z, w must not turn LESS on any moved copy:
     those of ``moved`` from a draw, or the one stored in a witness as
-    ``x_moved`` ... ``w_moved``.  SKIP when the answer is not GREATER."""
-    quad = [p[n] for n in QUAD]
-    base = oracle.compare(*quad)
-    if base is not GREATER:
-        return SKIP
-    copies = p["moved"] if "moved" in p else [[p[n + "_moved"] for n in QUAD]]
-    for moved in copies:
-        flipped = oracle.compare(*moved)
-        if flipped is LESS:
-            points = {n: _pt(v) for n, v in zip(QUAD, quad)}
-            points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, moved)})
-            return Witness(points, {"base": base.value, "perturbed": flipped.value})
-    return None
+    ``x_moved`` ... ``w_moved``.  Probe k is asked of every GREATER trial
+    that no earlier probe flipped.  SKIP when the answer is not GREATER."""
+    if "moved" in p:
+        moved = p["moved"]
+    else:
+        moved = np.stack([p[n + "_moved"] for n in QUAD], axis=1)[:, None]
+    base = oracle.compare_batch(*(p[n] for n in QUAD))
+    out: list = [None if b > 0 else SKIP for b in base]
+    live = np.flatnonzero(base > 0)
+    for k in range(moved.shape[1]):
+        if not live.size:
+            break
+        copies = moved[live, k]
+        flipped = oracle.compare_batch(*copies.transpose(1, 0, 2)) < 0
+        for i, copy in zip(live[flipped], copies[flipped]):
+            points = _row(p, i, QUAD)
+            points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, copy)})
+            out[i] = Witness(points, {"base": GREATER.value, "perturbed": LESS.value})
+        live = live[~flipped]
+    return out
 
 
-def _monotonicity(oracle: AltOracle, p: dict):
+def _monotonicity(oracle: AltOracle, p: dict) -> list:
     """x above y on every axis implies x strictly preferred to y."""
-    if not np.all(p["x"] > p["y"]):
-        return SKIP
-    pref = oracle.preference(p["x"], p["y"])
-    if pref is not Preference.PREFER:
-        return Witness(_pts(p), {"preference": pref.value})
-    return None
+    x, y = p["x"], p["y"]
+    dominates = np.all(x > y, axis=1)
+    out: list = [None if d else SKIP for d in dominates]
+    j = np.flatnonzero(dominates)
+    pref = oracle.compare_batch(x[j], y[j], y[j], y[j])
+    for i, s in zip(j[pref <= 0], pref[pref <= 0]):
+        out[i] = Witness(_row(p, i, ("x", "y")), {"preference": _PREFERENCE[s]})
+    return out
 
 
 _RULES = {
@@ -296,11 +364,12 @@ _RULES = {
 
 def _trials(axiom: str, oracle: AltOracle, sampler: Sampler | None, trials: int,
             seed: int, **params) -> list:
-    """The trial loop of every checker: trial i draws one instance from
-    substream (seed, i) and applies the axiom's predicate to it."""
+    """The two phases of every checker: draw the instances of all trials
+    (trial i from substream (seed, i), in trial order), then apply the
+    axiom's predicate to all of them at once."""
     draw_for, violation = _RULES[axiom]
-    draw = draw_for(oracle, checked_sampler(oracle.domain, sampler), **params)
-    return run_indexed(lambda i: violation(oracle, draw(subrng(seed, i))), trials)
+    draw = draw_for(oracle, point_rows(oracle.domain, sampler), **params)
+    return violation(oracle, draw(seed, trials))
 
 
 def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,
@@ -396,9 +465,9 @@ def run_axiom_suite(oracle: AltOracle, axioms=ALL_AXIOMS, trials: int = 1000,
 
 
 def replay_witness(oracle: AltOracle, axiom: str, witness: Witness) -> bool:
-    """Re-evaluate a stored witness with the axiom's own predicate; True iff
-    it still violates the axiom."""
+    """Re-evaluate a stored witness with the axiom's own predicate, on a
+    batch of one; True iff it still violates the axiom."""
     if axiom not in _RULES:
         raise ValueError(f"no replay rule for axiom {axiom!r}")
-    pts = {k: np.asarray(v, dtype=float) for k, v in witness.points.items()}
-    return isinstance(_RULES[axiom][1](oracle, pts), Witness)
+    pts = {k: np.asarray(v, dtype=float)[None] for k, v in witness.points.items()}
+    return isinstance(_RULES[axiom][1](oracle, pts)[0], Witness)

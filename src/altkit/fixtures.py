@@ -71,12 +71,17 @@ class UtilitySpec:
 
 @dataclass(eq=False)
 class IntensitySpec:
-    """A named two-point intensity function g(x, y); [x,y]>=[z,w] iff g(x,y)>=g(z,w)."""
+    """A named two-point intensity function g(x, y); [x,y]>=[z,w] iff g(x,y)>=g(z,w).
+
+    ``batch``, when given, maps two (N, dim) arrays to the (N,) values of
+    ``evaluator`` row by row, bit-identical, as ``UtilitySpec.batch`` does.
+    """
 
     name: str
     dim: int
     evaluator: Callable[[np.ndarray, np.ndarray], float]
     domain: BoxDomain
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _evaluator_error(bad: Exception, *points) -> ConfigError:
@@ -115,9 +120,9 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     (u(x)-u(y)) - (u(z)-u(w)), or, when ``pairwise``, an intensity g
     compared by g(x,y) - g(z,w).  An evaluator's ValueError or
     ArithmeticError, or a non-finite difference, at set-up or in a compare,
-    raises ConfigError naming the points it was evaluated at.  A utility
-    with a ``batch`` evaluator gets a batch comparator with the same
-    answers and the same errors."""
+    raises ConfigError naming the points it was evaluated at.  A spec with
+    a ``batch`` evaluator gets a batch comparator with the same answers
+    and the same errors."""
     kind = "intensity" if pairwise else "utility"
     box = domain or spec.domain
     if box.dim != spec.dim:
@@ -135,12 +140,15 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         except (ValueError, ArithmeticError) as bad:
             raise _evaluator_error(bad, x, y, z, w) from None
 
-    fb = None if pairwise else spec.batch
+    fb = spec.batch
 
     def batch(X, Y, Z, W):
         try:
             with np.errstate(all="ignore"):
-                delta = (fb(X) - fb(Y)) - (fb(Z) - fb(W))
+                if pairwise:
+                    delta = fb(X, Y) - fb(Z, W)
+                else:
+                    delta = (fb(X) - fb(Y)) - (fb(Z) - fb(W))
             if np.isfinite(delta).all():
                 return classify_many(delta, eps_eq)
         except (ValueError, ArithmeticError):
@@ -320,11 +328,16 @@ def _g_constant(x, y):
     return 0.0
 
 
+def _gb_broken_crossover(X, Y):  return X[:, 0] - 2.0 * Y[:, 0]
+def _gb_constant(X, Y):          return np.zeros(len(X))
+
+
 def intensity_catalog() -> list[IntensitySpec]:
     """Negative fixtures expressed directly as intensity functions."""
     return [
-        IntensitySpec("broken_crossover", 1, _g_broken_crossover, _box(0.0, 10.0, 1)),
-        IntensitySpec("constant", 1, _g_constant, _box(0.0, 1.0, 1)),
+        IntensitySpec("broken_crossover", 1, _g_broken_crossover, _box(0.0, 10.0, 1),
+                      batch=_gb_broken_crossover),
+        IntensitySpec("constant", 1, _g_constant, _box(0.0, 1.0, 1), batch=_gb_constant),
     ]
 
 
@@ -370,8 +383,41 @@ _BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 _VARIADIC_OPS = {"min": min, "max": max}
 
 
-def parse_expression(node, dim: int) -> Evaluator:
-    """Compile an expression tree to an evaluator.
+def _divide(a, b):
+    # A zero divisor raises, so the row replays through the scalar
+    # evaluator, whose answer depends on whether its operands are numpy
+    # scalars (inf) or Python floats (ZeroDivisionError).
+    if (b == 0).any():
+        raise ZeroDivisionError("division by zero")
+    return a / b
+
+
+def _running(better):
+    """Python's min (``better`` = less) or max over arrays, row by row: a
+    later value replaces the running one only where ``better`` holds, which
+    keeps or skips a NaN exactly as Python does."""
+    def fold(values):
+        it = iter(values)
+        out = next(it)
+        for v in it:
+            out = np.where(better(v, out), v, out)
+        return out
+    return fold
+
+
+# The array twins of the operators: numpy for + - * / (IEEE, as Python
+# floats), the scalar libm function through _libm for the others.
+_ARRAY_OPS = {"sqrt": _libm(math.sqrt), "log": _log, "exp": _exp, "neg": np.negative,
+              "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide,
+              "pow": _libm(math.pow, 2), "min": _running(np.less), "max": _running(np.greater)}
+
+
+def parse_expression(node, dim: int, batch: bool = False) -> Evaluator:
+    """Compile an expression tree to an evaluator, or with ``batch`` to a
+    batch evaluator ((N, dim) array to (N,) values, bit-identical to the
+    evaluator row by row; a row the evaluator fails on or sends through a
+    zero divisor makes it raise or give a non-finite value, so the oracle
+    replays the batch through the evaluator).
 
     Grammar: a number is a constant; ``["x", i]`` is coordinate i; every
     other list is ``[op, arg, ...]`` with op drawn from add/sub/mul/div/pow
@@ -380,7 +426,7 @@ def parse_expression(node, dim: int) -> Evaluator:
     """
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         c = float(node)
-        return lambda x: c
+        return (lambda X: np.full(len(X), c)) if batch else (lambda x: c)
     if not isinstance(node, list) or not node:
         raise ConfigError(f"malformed expression node: {node!r}")
     op = node[0]
@@ -390,22 +436,22 @@ def parse_expression(node, dim: int) -> Evaluator:
         i = node[1]
         if not 0 <= i < dim:
             raise ConfigError(f"coordinate index {i} out of range for dimension {dim}")
-        return lambda x: x[i]
-    args = [parse_expression(a, dim) for a in node[1:]]
+        return (lambda X: X[:, i]) if batch else (lambda x: x[i])
+    args = [parse_expression(a, dim, batch) for a in node[1:]]
     if op in _UNARY_OPS:
         if len(args) != 1:
             raise ConfigError(f"{op} takes exactly one argument")
-        fn, (a,) = _UNARY_OPS[op], args
+        fn, (a,) = (_ARRAY_OPS if batch else _UNARY_OPS)[op], args
         return lambda x: fn(a(x))
     if op in _BINARY_OPS:
         if len(args) != 2:
             raise ConfigError(f"{op} takes exactly two arguments")
-        fn, (a, b) = _BINARY_OPS[op], args
+        fn, (a, b) = (_ARRAY_OPS if batch else _BINARY_OPS)[op], args
         return lambda x: fn(a(x), b(x))
     if op in _VARIADIC_OPS:
         if len(args) < 2:
             raise ConfigError(f"{op} takes at least two arguments")
-        fn = _VARIADIC_OPS[op]
+        fn = (_ARRAY_OPS if batch else _VARIADIC_OPS)[op]
         return lambda x: fn(e(x) for e in args)
     raise ConfigError(f"unknown operator {op!r}")
 
@@ -431,13 +477,14 @@ def utility_from_json(source) -> UtilitySpec:
     if dim < 1:
         raise ConfigError("dimension must be >= 1")
     evaluator = parse_expression(expr, dim)
+    batch = parse_expression(expr, dim, batch=True)
     if "domain" in doc:
         box = BoxDomain(as_point(doc["domain"]["lower"], dim),
                         as_point(doc["domain"]["upper"], dim))
     else:
         box = _box(0.1, 10.0, dim)
     return UtilitySpec(
-        name, dim, evaluator, box,
+        name, dim, evaluator, box, batch=batch,
         concavity=doc.get("concavity", UNKNOWN),
         monotone=doc.get("monotone"),
         continuous=doc.get("continuous"),

@@ -6,7 +6,7 @@ calling thread, so reports are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,29 @@ def checked_sampler(box: BoxDomain, sampler: Sampler | None) -> Sampler:
     if sampler is None:
         return box.sample
     return lambda rng: box.require(sampler(rng), "sampled point")
+
+
+class PointRows(NamedTuple):
+    """Points for many trials: ``draw(rng, k)`` draws a trial's k points
+    from its generator as the rows of an array, and ``finish`` maps the
+    stacked draws of all trials to the points.  Together they give the
+    points that k calls of ``checked_sampler(box, sampler)`` draw."""
+
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    finish: Callable[[np.ndarray], np.ndarray]
+
+
+def point_rows(box: BoxDomain, sampler: Sampler | None) -> PointRows:
+    """The ``PointRows`` of ``sampler``, or of ``box.sample`` when None:
+    then one ``rng.random`` call draws a trial's uniforms, which consumes
+    the stream as k calls of ``box.sample`` do, and ``finish`` scales all
+    of them to the box at once with the same arithmetic."""
+    if sampler is None:
+        return PointRows(lambda rng, k: rng.random((k, box.dim)),
+                         lambda u: box.lower + u * box.extent)
+    sample = checked_sampler(box, sampler)
+    return PointRows(lambda rng, k: np.array([sample(rng) for _ in range(k)]),
+                     lambda points: points)
 
 
 def cycle_sampler(points: Sequence) -> Sampler:

@@ -92,13 +92,16 @@ def _band_edge(side: Side, outer: float, inner: float, outer_state: IntensityOrd
 
 def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
                      lo_state: np.ndarray | None = None,
-                     hi_state: np.ndarray | None = None) -> np.ndarray:
+                     hi_state: np.ndarray | None = None,
+                     refine: bool = True) -> np.ndarray:
     """:func:`band_bisect` over N brackets [lo_j, hi_j] in lockstep.
 
     Each bracket is asked the same parameters, in the same order, as
     ``band_bisect`` would ask it alone, so every bracket gets the same
     result after the same number of queries; one call of ``side`` serves
     one step of every bracket still running.  States are int8 signs.
+    ``refine=False`` returns the first EQUAL parameter of each bracket
+    that meets one, as in ``band_bisect``.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -128,6 +131,9 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
         found[j[s == 0]] = True
         run[j] = (s != 0) & (b[j] - a[j] > tol)
     out = 0.5 * (a + b)
+    if not refine:
+        out[found] = eq[found]
+        return out
 
     # Refine both edges of every band found, as _band_edge does: an end
     # that answers LESS (below) or GREATER (above) is walked in towards the

@@ -9,7 +9,8 @@ from altkit.axioms import (ALL_AXIOMS, AxiomReport, Witness,
                            check_second_consistency, replay_witness,
                            run_axiom_suite)
 from altkit.domain import BoxDomain
-from altkit.fixtures import IntensitySpec, make_intensity_oracle, oracle_by_name
+from altkit.fixtures import (IntensitySpec, catalog, make_difference_oracle,
+                             make_intensity_oracle, oracle_by_name, utility_from_json)
 from altkit.oracle import IntensityOrder
 from altkit.sampling import cycle_sampler
 
@@ -206,3 +207,80 @@ class TestSuiteAndReplay:
                                   Witness({"x": [0.1], "y": [0.9]}, {}))
         with pytest.raises(ValueError, match="replay"):
             replay_witness(oracle, "nonsense", w)
+
+
+# A JSON utility whose expression uses pow, min, log and div.
+MIXED = {"name": "mixed", "dimension": 2,
+         "expr": ["add", ["pow", ["x", 0], 0.3],
+                  ["min", ["log", ["x", 1]], ["div", ["x", 0], 2.0]]]}
+
+# Compares made by crossover and continuity-proxy at 200 trials, seeds 0
+# and 1, as (crossover 0, continuity 0, crossover 1, continuity 1); the
+# per-trial checkers made one compare per trial (twice for both
+# consistencies).  Measured with one compare per scalar call, before the
+# checkers were batched.
+CALLS_AT_200 = {
+    "linear": (5670, 1008, 5514, 1096),
+    "cobb_douglas": (5545, 960, 5367, 1104),
+    "ces": (5489, 992, 5570, 1104),
+    "log_sum": (5474, 976, 5533, 1128),
+    "exp1d": (4003, 968, 4951, 984),
+    "kinked_composite": (5750, 968, 5684, 1104),
+    "min2": (5310, 936, 5032, 1096),
+    "neg_quadratic": (6998, 1000, 7119, 992),
+    "step": (1044, 832, 1095, 816),
+    "broken_crossover": (5207, 992, 5725, 976),
+    "mixed": (5397, 968, 5555, 1096),
+}
+
+
+def _oracle(name):
+    return make_difference_oracle(utility_from_json(MIXED)) if name == "mixed" \
+        else oracle_by_name(name)
+
+
+class TestBatchedCheckers:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(CALLS_AT_200))
+    def test_compare_counts_are_unchanged(self, name, seed):
+        crossover, continuity = CALLS_AT_200[name][2 * seed:2 * seed + 2]
+        expected = {"consistency": 400, "crossover": crossover,
+                    "second-consistency": 400, "continuity-proxy": continuity,
+                    "monotonicity": 200}
+        for axiom, calls in expected.items():
+            oracle = _oracle(name)
+            report = run_axiom_suite(oracle, [axiom], trials=200, seed=seed)[axiom]
+            assert oracle.calls == calls, axiom
+            for w in report.violations:
+                assert replay_witness(oracle, axiom, w), (axiom, w)
+
+    def test_every_catalog_oracle_answers_in_batches(self):
+        names = [s.name for s in catalog()] + ["broken_crossover", "constant"]
+        assert all(oracle_by_name(n).batch is not None for n in names)
+        assert _oracle("mixed").batch is not None
+
+    def test_cycle_sampler_pattern_among_other_trials(self):
+        # Trial 0 draws 4/1/2 and solves w = 0; trial 1 draws 7.5/0.5/4, and
+        # so on round the cycle, all solved in one lockstep bisection.
+        oracle = oracle_by_name("broken_crossover")
+        points = [[4.0], [1.0], [2.0], [7.5], [0.5]]
+        rep = check_crossover(oracle, sampler=cycle_sampler(points), trials=7, seed=5)
+        assert (rep.violation_count, rep.skipped, rep.extras["manufactured"]) == (7, 0, 5)
+        first, second = rep.violations[:2]
+        assert first.points == {"x": [4.0], "y": [1.0], "z": [2.0], "w": [0.0]}
+        assert first.outputs == {"premise": "equal", "swapped": "less"}
+        assert second.note == "null-brackets"
+        assert second.points == {"x": [7.5], "y": [0.5]}
+        assert oracle.calls == 123
+        for w in rep.violations:
+            assert replay_witness(oracle, "crossover", w)
+
+    def test_witnesses_of_failing_oracles_replay(self):
+        for oracle, axioms in ((_inconsistent_oracle(), ALL_AXIOMS),
+                               (oracle_by_name("step"), ALL_AXIOMS),
+                               (oracle_by_name("constant"), ALL_AXIOMS)):
+            reports = run_axiom_suite(oracle, axioms, trials=300, seed=2)
+            assert any(r.violations for r in reports.values())
+            for axiom, report in reports.items():
+                for w in report.violations:
+                    assert replay_witness(oracle, axiom, w), (oracle.name, axiom)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError
@@ -176,7 +178,76 @@ class TestBatchEvaluators:
             estimate_value_range(spec.evaluator, spec.domain)
 
 
+# Random expression trees over every operator of the grammar, with leaves
+# that reach its error paths: zero divisors, logs and square roots of
+# negative values, overflowing powers and exponentials.
+_leaves = st.sampled_from([["x", 0], ["x", 1], 0, 1, 2.0, -1.5, 0.3, 1e308])
+_expressions = st.recursive(_leaves, lambda inner: st.one_of(
+    st.tuples(st.sampled_from(["sqrt", "log", "exp", "neg"]), inner).map(list),
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), inner, inner).map(list),
+    st.tuples(st.sampled_from(["min", "max"]),
+              st.lists(inner, min_size=2, max_size=3)).map(lambda t: [t[0], *t[1]])),
+    max_leaves=8)
+
+
+def _grammar_points(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    special = rng.choice([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0, 700.0], (n, 2))
+    return np.where(rng.random((n, 2)) < 0.5, special, rng.uniform(-3.0, 10.0, (n, 2)))
+
+
+class TestBatchExpressions:
+    @settings(max_examples=150, deadline=None)
+    @given(_expressions)
+    def test_batch_matches_evaluator_row_by_row(self, expr):
+        scalar, batch = parse_expression(expr, 2), parse_expression(expr, 2, batch=True)
+        points = _grammar_points(64, 1)
+        try:
+            with np.errstate(all="ignore"):
+                got = batch(points)
+        except (ValueError, ArithmeticError):
+            return    # the oracle replays such a batch through the evaluator
+        with np.errstate(all="ignore"):
+            expected = np.array([scalar(p) for p in points], dtype=float)
+        assert got.shape == (64,)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_expressions)
+    def test_batch_comparator_answers_or_fails_like_compare(self, expr):
+        spec = utility_from_json({"name": "random", "dimension": 2, "expr": expr,
+                                  "domain": {"lower": [-3.0, -3.0], "upper": [10.0, 10.0]}})
+        oracle = make_difference_oracle(spec, eps_eq=1e-9)
+        quad = [_grammar_points(32, seed) for seed in range(4)]
+        with np.errstate(all="ignore"):
+            try:
+                expected = [oracle.compare(*row).sign for row in zip(*quad)]
+            except ConfigError as bad:
+                with pytest.raises(ConfigError) as batched:
+                    oracle.compare_batch(*quad)
+                assert str(batched.value) == str(bad)
+                return
+            assert oracle.compare_batch(*quad).tolist() == expected
+
+    def test_json_oracle_has_a_batch_comparator(self, tmp_path):
+        path = tmp_path / "sqrt_log.json"
+        path.write_text(json.dumps({"name": "sqrt_log", "dimension": 2,
+                                    "expr": ["add", ["mul", 2.0, ["sqrt", ["x", 0]]],
+                                             ["log", ["x", 1]]]}))
+        assert oracle_by_name(str(path)).batch is not None
+
+
 class TestIntensityOracle:
+    @pytest.mark.parametrize("name", ["broken_crossover", "constant"])
+    def test_batch_comparator_matches_compare(self, name):
+        oracle = oracle_by_name(name)
+        rng = np.random.default_rng(3)
+        quad = [np.array([oracle.domain.sample(rng) for _ in range(400)]) for _ in range(4)]
+        quad[2][:100], quad[3][:100] = quad[0][:100], quad[1][:100]
+        assert oracle.batch is not None
+        assert oracle.compare_batch(*quad).tolist() == \
+            [oracle.compare(*row).sign for row in zip(*quad)]
+
     def test_broken_crossover_pattern(self):
         """The frozen counterexample: premise [4,1]=[2,0] holds yet the
         exchanged brackets disagree ([4,2] < [1,0])."""

@@ -98,8 +98,8 @@ _brackets = st.lists(
 
 class TestBandBisectMany:
     @settings(max_examples=60, deadline=None)
-    @given(_brackets, st.sampled_from([1e-10, 1e-6, 1e-2]), st.booleans())
-    def test_matches_band_bisect_per_bracket(self, brackets, tol, pass_states):
+    @given(_brackets, st.sampled_from([1e-10, 1e-6, 1e-2]), st.booleans(), st.booleans())
+    def test_matches_band_bisect_per_bracket(self, brackets, tol, pass_states, refine):
         lo = np.array([b[0] for b in brackets])
         hi = lo + np.array([b[1] for b in brackets])
         center = np.clip(lo + np.array([b[2] for b in brackets]) * (hi - lo), lo, hi)
@@ -111,7 +111,8 @@ class TestBandBisectMany:
             calls = []
             counted = lambda t, side=side, calls=calls: calls.append(t) or side(t)
             states = ({"lo_state": side(a), "hi_state": side(b)} if pass_states else {})
-            expected.append(band_bisect(counted, float(a), float(b), tol, **states))
+            expected.append(band_bisect(counted, float(a), float(b), tol, refine=refine,
+                                        **states))
             counts.append(len(calls))
 
         queries = np.zeros(len(brackets), dtype=int)
@@ -124,7 +125,7 @@ class TestBandBisectMany:
         if pass_states:
             states = {"lo_state": [s(a).sign for s, a in zip(sides, lo)],
                       "hi_state": [s(b).sign for s, b in zip(sides, hi)]}
-        got = band_bisect_many(side_many, lo, hi, tol, **states)
+        got = band_bisect_many(side_many, lo, hi, tol, refine=refine, **states)
         assert got.tolist() == expected
         assert queries.tolist() == counts
 
