@@ -414,10 +414,10 @@ _ARRAY_OPS = {"sqrt": _libm(math.sqrt), "log": _log, "exp": _exp, "neg": np.nega
 
 def parse_expression(node, dim: int, batch: bool = False) -> Evaluator:
     """Compile an expression tree to an evaluator, or with ``batch`` to a
-    batch evaluator ((N, dim) array to (N,) values, bit-identical to the
-    evaluator row by row; a row the evaluator fails on or sends through a
-    zero divisor makes it raise or give a non-finite value, so the oracle
-    replays the batch through the evaluator).
+    batch evaluator: (N, dim) points to the (N,) values of the evaluator,
+    bit-identical row by row.  Where the evaluator would fail, or divides
+    by zero, the batch raises or gives a non-finite value, and the oracle
+    replays it through the evaluator.
 
     Grammar: a number is a constant; ``["x", i]`` is coordinate i; every
     other list is ``[op, arg, ...]`` with op drawn from add/sub/mul/div/pow
