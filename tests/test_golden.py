@@ -6,7 +6,8 @@ blanking the timestamp.  A case that names a JSON utility file finds it,
 under a relative path, in the directory it runs in (``INPUTS``), so the
 path its reports echo does not depend on where the tests live.  Reports
 that only the library writes (the value-side concavity check, density,
-order embedding, the concavity round trip and the axiom checkers fed by a
+order embedding, the concavity round trip, the Debreu proxy's witnesses
+and skips, Gossen's "step" parameterization, and the checkers fed by a
 ``cycle_sampler``) are pinned the same way under ``tests/golden/library/``.
 The golden files are regenerated with
 
@@ -28,10 +29,12 @@ import pytest
 from altkit.axioms import (Record, check_consistency, check_continuity_proxy,
                            check_crossover, check_monotonicity, check_second_consistency)
 from altkit.cli import main
-from altkit.concavity import check_midpoint_concavity, concavity_roundtrip
+from altkit.concavity import check_gossen_law, check_midpoint_concavity, concavity_roundtrip
+from altkit.domain import BoxDomain
 from altkit.fixtures import oracle_by_name, utility_by_name
 from altkit.ladder import check_density, order_embedding_check, reconstruct_utility
 from altkit.sampling import cycle_sampler
+from altkit.smoothness import debreu_smoothness_proxy
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "3"
@@ -118,12 +121,67 @@ def cycle_sampler_reports() -> str:
     return Record.dumps(doc)
 
 
+def debreu_skip_reports() -> str:
+    """Debreu proxy reports that skip trials: a thin box where most points
+    rank above every diagonal multiple, a box with no diagonal ray, and a
+    cycle_sampler feeding min2 points off the box, near its faces and on
+    its kink."""
+    points = [[3.0, 3.0], [11.0, 2.0], [0.1, 5.0], [9.995, 2.0], [2.0, 7.0],
+              [5.0, 5.0000001]]
+    return Record.dumps({
+        "linear-thin-box": debreu_smoothness_proxy(
+            oracle_by_name("linear", BoxDomain([0.1, 0.1], [10.0, 1.0])),
+            trials=20, seed=3).to_dict(),
+        "linear-no-diagonal": debreu_smoothness_proxy(
+            oracle_by_name("linear", BoxDomain([0.1, 6.0], [5.0, 10.0])),
+            trials=5, seed=3).to_dict(),
+        "min2-cycle-sampler": debreu_smoothness_proxy(
+            oracle_by_name("min2"), sampler=cycle_sampler(points), trials=7,
+            seed=3).to_dict(),
+    })
+
+
+# Gossen pairs replayed by cycle_sampler: the first two points of each list
+# are closer than the strictness floor.
+GOSSEN_CYCLES = {
+    "cobb_douglas": [[1.0, 2.0], [1.0, 2.0 + 1e-9], [3.0, 0.5], [9.0, 9.0], [2.0, 2.0],
+                     [2.5, 2.5]],
+    "exp1d": [[0.2], [0.2 + 1e-9], [0.1], [0.9], [0.5], [0.5000001]],
+    "neg_quadratic": [[0.5], [0.5 + 1e-9], [0.1], [1.9], [1.0], [1.5]],
+}
+
+
+def gossen_cycle_reports() -> str:
+    """Gossen's law fed by a cycle_sampler (7 trials, seed 5), with the
+    compares each made."""
+    doc = {}
+    for name, points in GOSSEN_CYCLES.items():
+        oracle = oracle_by_name(name)
+        report = check_gossen_law(oracle, sampler=cycle_sampler(points), trials=7, seed=5)
+        doc[name] = {"report": report.to_dict(), "oracle_calls": oracle.calls}
+    return Record.dumps(doc)
+
+
+def embedding_report(oracle, depth: int, trials: int) -> str:
+    """Order embedding of a reconstruction, with the compares it made and
+    the evaluations it clamped."""
+    recon = reconstruct_utility(oracle, depth=depth)
+    calls0 = oracle.calls
+    report = order_embedding_check(recon, trials=trials, seed=3)
+    return Record.dumps({"report": report.to_dict(), "oracle_calls": oracle.calls - calls0,
+                         "clamped": recon.clamped})
+
+
 def library_reports() -> dict[str, str]:
     """JSON text of the reports the CLI never writes, by file name."""
     exp1d, neg_quad = utility_by_name("exp1d"), utility_by_name("neg_quadratic")
     oracle = oracle_by_name("cobb_douglas")
     recon = reconstruct_utility(oracle, depth=4)
     roundtrip = concavity_roundtrip(utility_by_name("log_sum"), trials=200, seed=3, depth=4)
+    log_sum = oracle_by_name("log_sum")
+    # A dead band wider than a rung step: the reconstruction ranks pairs
+    # the oracle calls indifferent, and some points clamp.
+    wide = oracle_by_name("exp1d", eps_eq=0.1)
     return {
         "midpoint-exp1d.json": check_midpoint_concavity(
             exp1d.evaluator, exp1d.domain, trials=50, seed=3).to_json(),
@@ -136,6 +194,24 @@ def library_reports() -> dict[str, str]:
             oracle, recon.ladder, trials=50, seed=3).to_json(),
         "order-embedding-cobb_douglas.json": order_embedding_check(
             recon, trials=100, seed=3).to_json(),
+        "density-log_sum.json": check_density(
+            log_sum, reconstruct_utility(log_sum, depth=4).ladder, trials=50,
+            seed=3).to_json(),
+        "order-embedding-log_sum.json": embedding_report(log_sum, depth=4, trials=100),
+        "density-exp1d-wide-band.json": check_density(
+            wide, reconstruct_utility(wide, depth=4).ladder, trials=50, seed=3).to_json(),
+        "order-embedding-exp1d-wide-band.json": embedding_report(wide, depth=4, trials=100),
+        "debreu-kinked_composite.json": debreu_smoothness_proxy(
+            oracle_by_name("kinked_composite"), trials=20, seed=25).to_json(),
+        "debreu-min2.json": debreu_smoothness_proxy(
+            oracle_by_name("min2"), trials=20, seed=8).to_json(),
+        "debreu-skips.json": debreu_skip_reports(),
+        "gossen-step-cobb_douglas.json": check_gossen_law(
+            oracle_by_name("cobb_douglas"), trials=100, seed=3,
+            parameterization="step").to_json(),
+        "gossen-step-exp1d.json": check_gossen_law(
+            oracle_by_name("exp1d"), trials=100, seed=3, parameterization="step").to_json(),
+        "gossen-cycle-sampler.json": gossen_cycle_reports(),
         "roundtrip-log_sum.json": json.dumps(roundtrip, sort_keys=True, indent=2),
         "cycle-sampler.json": cycle_sampler_reports(),
     }
