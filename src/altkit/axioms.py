@@ -39,6 +39,9 @@ GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOr
 WITNESS_CAP = 10
 DEFAULT_DELTA = 1e-8
 DEFAULT_PROBES = 8
+# Trials per batch of crossover's fallback grid scan; a batch holds
+# SCAN_CHUNK * (subintervals - 1) rows.
+SCAN_CHUNK = 64
 
 SKIP = "skip"
 VIOLATION = "violation"
@@ -154,16 +157,19 @@ def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
     """Per trial, a parameter where a possibly non-monotone trichotomy
     answers EQUAL, or NaN when the target value is out of reach.
 
-    One batch asks every trial the interior points of a uniform grid; a
-    grid point answering EQUAL is taken as it is, otherwise the first
-    adjacent pair whose answers straddle EQUAL is bisected.
+    The trials are asked the interior points of a uniform grid, one batch
+    per ``SCAN_CHUNK`` trials, in trial order; a grid point answering
+    EQUAL is taken as it is, otherwise the first adjacent pair whose
+    answers straddle EQUAL is bisected.
     """
     n = len(s_first)
     ts = np.arange(subintervals + 1) / subintervals
     states = np.empty((n, subintervals + 1), dtype=np.int8)
     states[:, 0], states[:, -1] = s_first, s_last
-    states[:, 1:-1] = side(np.repeat(np.arange(n), subintervals - 1),
-                           np.tile(ts[1:-1], n)).reshape(n, subintervals - 1)
+    for start in range(0, n, SCAN_CHUNK):
+        rows = np.arange(start, min(start + SCAN_CHUNK, n))
+        states[rows, 1:-1] = side(np.repeat(rows, subintervals - 1),
+                                  np.tile(ts[1:-1], rows.size)).reshape(rows.size, -1)
     out = np.full(n, np.nan)
     equal = states == 0
     hit = equal.any(axis=1)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from altkit.axioms import (ALL_AXIOMS, AxiomReport, Witness,
+from altkit.axioms import (ALL_AXIOMS, SCAN_CHUNK, AxiomReport, Witness, _scan_for_equal,
                            check_consistency, check_continuity_proxy,
                            check_crossover, check_monotonicity,
                            check_second_consistency, replay_witness,
@@ -284,3 +284,23 @@ class TestBatchedCheckers:
             for axiom, report in reports.items():
                 for w in report.violations:
                     assert replay_witness(oracle, axiom, w), (oracle.name, axiom)
+
+    def test_scan_asks_in_bounded_chunks_in_trial_order(self):
+        # Trial i answers LESS below its target c_i and GREATER above: every
+        # grid point is asked, then the straddling pair is bisected.
+        n = 2 * SCAN_CHUNK + 5
+        target = np.linspace(0.03, 0.97, n)
+        asked = []
+
+        def side(j, t):
+            asked.append((j.copy(), t.copy()))
+            return np.sign(t - target[j]).astype(np.int8)
+
+        got = _scan_for_equal(side, -np.ones(n, np.int8), np.ones(n, np.int8), 1e-12)
+        assert np.allclose(got, target, atol=1e-9)
+        grid = asked[:3]
+        assert [len(j) for j, _ in grid] == [15 * SCAN_CHUNK, 15 * SCAN_CHUNK, 15 * 5]
+        rows = np.concatenate([j for j, _ in grid])
+        ts = np.concatenate([t for _, t in grid])
+        assert rows.tolist() == np.repeat(np.arange(n), 15).tolist()
+        assert ts.tolist() == np.tile(np.arange(1, 16) / 16, n).tolist()
