@@ -29,7 +29,7 @@ from .oracle import AltOracle, IntensityOrder, Preference, classify
 from .sampling import cycle_sampler, run_indexed, subrng
 from .smoothness import (SmoothnessReport, calibrate, debreu_smoothness_proxy,
                          diagonal_point, line_smoothness_limit, solve_f)
-from .solvers import band_bisect, indifference_param, solve_midpoint
+from .solvers import band_bisect, solve_midpoint
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "check_density", "check_gossen_law", "check_midpoint_concavity",
     "check_monotonicity", "check_second_consistency", "classify",
     "concavity_roundtrip", "cycle_sampler", "debreu_smoothness_proxy",
-    "diagonal_point", "indifference_param", "intensity_catalog",
+    "diagonal_point", "intensity_catalog",
     "line_smoothness_limit", "make_difference_oracle", "make_intensity_oracle",
     "numeric_gradient", "numeric_hessian", "oracle_by_name",
     "order_embedding_check", "reconstruct_utility", "replay_witness",

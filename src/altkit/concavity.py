@@ -3,10 +3,11 @@
 The generalized first law of diminishing marginal utility says the gain
 from x to the midpoint z=(x+y)/2 is at least the gain from z on to y;
 for represented systems this holds iff the utility is concave (strictly,
-when strict for distinct pairs).  The oracle-side checker samples pairs
-and applies the law directly; a value-side checker certifies midpoint
-concavity of any real-valued function (e.g. a reconstruction), with an
-optional dyadic sweep over chord parameters m/2**l.  The round-trip
+when strict for distinct pairs).  The oracle-side checker draws the pairs
+of all its trials and asks the law of all of them in one batch.  A
+value-side checker certifies midpoint concavity of any real-valued
+function (e.g. a reconstruction), calling it one point at a time, with
+an optional dyadic sweep over chord parameters m/2**l.  The round-trip
 driver ties the two to a fixture's ground-truth tag.
 """
 from __future__ import annotations
@@ -86,7 +87,9 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
     samples both endpoints uniformly, "step" samples a base point plus a
     feasible step v and tests [x+v,x] >= [x+2v,x+v] (the same comparison
     on the triple x, x+v, x+2v).  Pairs closer than ``floor`` (default
-    1e-6 of the box diameter) never count toward strictness.
+    1e-6 of the box diameter) never count toward strictness.  Every
+    trial's pair is drawn first, trial i from ``subrng(seed, i)``, and one
+    ``compare_batch`` asks the law of all of them.
     """
     if parameterization not in ("pair", "step"):
         raise ConfigError(f"unknown parameterization {parameterization!r}")
@@ -109,21 +112,21 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
         v = (0.5 * m_max * rng.random()) * d
         return x, x + 2.0 * v
 
-    def trial(i: int):
-        rng = subrng(seed, i)
-        x, y = draw_pair(rng)
-        z = 0.5 * (x + y)
-        out = oracle.compare(z, x, y, z)
-        distinct = float(np.linalg.norm(x - y)) >= floor
-        if out is LESS:
-            return Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z)},
-                           {"midpoint_law": out.value})
-        if not distinct:
-            return "below-floor"
-        return "strict" if out is GREATER else "equal"
+    pairs = np.array(run_indexed(lambda i: draw_pair(subrng(seed, i)), trials))
+    x, y = pairs[:, 0], pairs[:, 1]
+    z = 0.5 * (x + y)
+    law = oracle.compare_batch(z, x, y, z)
+    results: list = []
+    for i, out in enumerate(law.tolist()):
+        if out < 0:
+            results.append(Witness({"x": _pt(x[i]), "y": _pt(y[i]), "z": _pt(z[i])},
+                                   {"midpoint_law": LESS.value}))
+        elif float(np.linalg.norm(x[i] - y[i])) < floor:
+            results.append("below-floor")
+        else:
+            results.append("strict" if out > 0 else "equal")
 
-    return _judge("gossen-first-law", trials, seed,
-                  *_fold(run_indexed(trial, trials), witness_cap), floor,
+    return _judge("gossen-first-law", trials, seed, *_fold(results, witness_cap), floor,
                   extras={"parameterization": parameterization, "oracle": oracle.name})
 
 

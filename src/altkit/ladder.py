@@ -6,7 +6,11 @@ both domain edges, and each deeper level bisects every step by an
 intensity midpoint, then tries one extra half-step past each edge.  Rung
 (i, k) has value i / 2**k by construction.  A reconstructed utility
 evaluates any point by sliding it to its indifferent diagonal parameter
-and interpolating linearly between the deepest rungs.
+and interpolating linearly between the deepest rungs; ``evaluate_many``
+solves many points in lockstep, and ``evaluate`` is that solve on one
+point.  The sampled checks on a ladder (density, representation, order
+embedding) draw every trial's points first and then ask the oracle and
+the reconstruction in batches.
 """
 from __future__ import annotations
 
@@ -15,14 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .axioms import (QUAD, SKIP, WITNESS_CAP, AxiomReport, Record, Witness, _collect,
-                     _fold, _pt)
+from .axioms import (_PREFERENCE, QUAD, SKIP, WITNESS_CAP, AxiomReport, Record, Witness,
+                     _collect, _fold, _pt)
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
-from .oracle import AltOracle, IntensityOrder, Preference
+from .oracle import AltOracle, IntensityOrder
 from .sampling import Sampler, checked_sampler, run_indexed, subrng
-from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param,
-                      indifference_param_many)
+from .solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param_many
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -240,36 +243,16 @@ class ReconstructedUtility(Record):
         """Value-units error budget of one evaluation (one rung step)."""
         return 2.0 ** (-self.ladder.depth)
 
-    def evaluate_detailed(self, x) -> tuple[float, bool]:
-        x = self.oracle.domain.require(x)
-        if self.oracle.indifferent(x, self.ladder.anchor_lo):
-            return 0.0, False
-        if self.oracle.indifferent(x, self.ladder.anchor_hi):
-            return 1.0, False
-        t, clamp = indifference_param(self.oracle, self.ladder.segment, x, self.tol_t)
-        params, values = self._params, self._values
-        if clamp < 0 or t <= params[0]:
-            out_of_range = clamp < 0 or t < params[0]
-            if out_of_range:
-                self.clamped += 1
-            return float(values[0]), out_of_range
-        if clamp > 0 or t >= params[-1]:
-            out_of_range = clamp > 0 or t > params[-1]
-            if out_of_range:
-                self.clamped += 1
-            return float(values[-1]), out_of_range
-        j = int(np.searchsorted(params, t))
-        frac = (t - params[j - 1]) / (params[j] - params[j - 1])
-        return float(values[j - 1] + frac * (values[j] - values[j - 1])), False
-
     def evaluate(self, x) -> float:
-        return self.evaluate_detailed(x)[0]
+        return float(self.evaluate_many([x])[0])
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """:meth:`evaluate` for every point of ``xs``, bit-identical point by
-        point and with the same ``clamped`` count, after the same number of
-        compares; the anchor checks and the indifference solves of all
-        points run in lockstep."""
+        """Values of every point of ``xs``.  A point indifferent to an
+        anchor takes its value; the others are solved to their indifferent
+        segment parameters in lockstep and interpolated between rungs, or
+        clamped to an edge value (and counted) outside the rung range.  A
+        point gets the same value after the same number of compares
+        whatever the other points are."""
         oracle, ladder = self.oracle, self.ladder
         xs = np.array([oracle.domain.require(x) for x in xs]).reshape(-1, oracle.dim)
         values = np.empty(len(xs))
@@ -361,38 +344,58 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
     return AffineFit(float(alpha), float(beta), residual, samples, threshold, verdict)
 
 
+def _draw_points(sample: Sampler, seed: int, trials: int, k: int, dim: int) -> np.ndarray:
+    """Array (trials, k, dim) of k points per trial; trial i draws them
+    from ``subrng(seed, i)``, in trial order."""
+    def draw(i: int) -> list[np.ndarray]:
+        rng = subrng(seed, i)
+        return [sample(rng) for _ in range(k)]
+    return np.array(run_indexed(draw, trials)).reshape(trials, k, dim)
+
+
 def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | None = None,
                   trials: int = 200, seed: int = 0, min_depth: int = 1,
                   witness_cap: int = WITNESS_CAP) -> AxiomReport:
     """Between any sampled strict pair more than two rung steps apart there
-    must be a rung strictly between them (oracle-checked)."""
+    must be a rung strictly between them (oracle-checked).
+
+    Every trial's pair is drawn first, then ranked and valued in batches;
+    the rungs nearest the pair's reconstructed midpoint are tried first,
+    in lockstep rounds over the trials."""
     if ladder.depth < min_depth:
         raise ValueError(f"ladder depth {ladder.depth} below configured minimum {min_depth}")
     sample = checked_sampler(oracle.domain, sampler)
     recon = ReconstructedUtility(oracle, ladder, ladder.tol_t)
     gap_threshold = 2.0 ** (1 - ladder.depth)
-    rung_points = [ladder.segment.at(t) for _, t in ladder.rungs()]
+    rung_points = ladder.segment.at_many(np.array([t for _, t in ladder.rungs()]))
     rung_values = np.array([ladder.value(i, ladder.depth) for i, _ in ladder.rungs()])
 
-    def trial(i: int):
-        rng = subrng(seed, i)
-        a, b = sample(rng), sample(rng)
-        p = oracle.preference(a, b)
-        if p is Preference.INDIFFERENT:
-            return SKIP
-        hi, lo = (a, b) if p is Preference.PREFER else (b, a)
-        gap = recon(hi) - recon(lo)
-        if gap <= gap_threshold:
-            return SKIP
-        mid = recon(lo) + 0.5 * gap
-        for j in np.argsort(np.abs(rung_values - mid)):
-            zp = rung_points[j]
-            if oracle.prefers(hi, zp) and oracle.prefers(zp, lo):
-                return None
-        return Witness({"hi": _pt(hi), "lo": _pt(lo)},
-                       {"reconstructed_gap": f"{gap:.6g}"})
+    pairs = _draw_points(sample, seed, trials, 2, oracle.dim)
+    a, b = pairs[:, 0], pairs[:, 1]
+    pref = oracle.compare_batch(a, b, b, b)
+    hi, lo = np.where(pref[:, None] > 0, a, b), np.where(pref[:, None] > 0, b, a)
+    strict = np.flatnonzero(pref != 0)
+    u_hi, u_lo = recon.evaluate_many(np.concatenate([hi[strict], lo[strict]])).reshape(2, -1)
+    gap = u_hi - u_lo
+    wide = gap > gap_threshold
+    idx, gap, mid = strict[wide], gap[wide], u_lo[wide] + 0.5 * gap[wide]
+    order = np.array([np.argsort(np.abs(rung_values - m)) for m in mid.tolist()],
+                     dtype=np.intp).reshape(idx.size, rung_values.size)
+    found = np.zeros(idx.size, dtype=bool)
+    for r in range(rung_values.size):        # round r: each open trial's r-th rung
+        q = np.flatnonzero(~found)
+        if not q.size:
+            break
+        zp = rung_points[order[q, r]]
+        above = oracle.compare_batch(hi[idx[q]], zp, zp, zp) > 0
+        q, zp, lo_q = q[above], zp[above], lo[idx[q[above]]]
+        found[q[oracle.compare_batch(zp, lo_q, lo_q, lo_q) > 0]] = True
 
-    return _collect("density", trials, seed, *_fold(run_indexed(trial, trials), witness_cap),
+    results: list = [SKIP] * trials
+    for q, i in enumerate(idx.tolist()):
+        results[i] = None if found[q] else Witness(
+            {"hi": _pt(hi[i]), "lo": _pt(lo[i])}, {"reconstructed_gap": f"{gap[q]:.6g}"})
+    return _collect("density", trials, seed, *_fold(results, witness_cap),
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
 
@@ -404,15 +407,9 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
     oracle = recon.oracle
     if dead_band is None:
         dead_band = 2.0 ** (2 - recon.depth)
-    sample = checked_sampler(oracle.domain, sampler)
-
-    def draw(i: int) -> list[np.ndarray]:
-        rng = subrng(seed, i)
-        return [sample(rng) for _ in range(4)]
-
     # Every trial's quadruple is drawn first, so that all 4 * trials
     # reconstructed values and all oracle answers come from batched calls.
-    quads = np.array(run_indexed(draw, trials)).reshape(trials, 4, oracle.dim)
+    quads = _draw_points(checked_sampler(oracle.domain, sampler), seed, trials, 4, oracle.dim)
     u = recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
     d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])
     judged = np.flatnonzero(np.abs(d_hat) > dead_band)
@@ -432,26 +429,29 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
 
 def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
                           seed: int = 0, dead_band: float | None = None) -> AxiomReport:
-    """Reconstructed values must rank pairs exactly as the derived order."""
+    """Reconstructed values must rank pairs exactly as the derived order.
+
+    Every trial's pair is drawn first; one ``evaluate_many`` values all of
+    them and one ``compare_batch`` ranks the pairs whose values differ by
+    more than the dead band."""
     oracle = recon.oracle
     if dead_band is None:
         dead_band = 2.0 ** (1 - recon.depth)
 
-    def trial(i: int):
-        rng = subrng(seed, i)
-        a = oracle.domain.sample(rng)
-        b = oracle.domain.sample(rng)
-        d = recon(a) - recon(b)
-        if abs(d) <= dead_band:
-            return "in-band"
-        p = oracle.preference(a, b)
-        expected = Preference.PREFER if d > 0 else Preference.DISPREFER
-        if p is not expected:
-            return Witness({"a": _pt(a), "b": _pt(b)},
-                           {"oracle": p.value, "reconstruction": expected.value,
-                            "value_difference": f"{d:.6g}"})
-        return None
+    pairs = _draw_points(oracle.domain.sample, seed, trials, 2, oracle.dim)
+    u = recon.evaluate_many(pairs.reshape(-1, oracle.dim)).reshape(trials, 2)
+    d = u[:, 0] - u[:, 1]
+    judged = np.flatnonzero(np.abs(d) > dead_band)
+    a, b = pairs[judged, 0], pairs[judged, 1]
+    answers = oracle.compare_batch(a, b, b, b)
+    results: list = ["in-band"] * trials
+    for i, p in zip(judged.tolist(), answers.tolist()):
+        expected = 1 if d[i] > 0 else -1
+        results[i] = None if p == expected else Witness(
+            {"a": _pt(pairs[i, 0]), "b": _pt(pairs[i, 1])},
+            {"oracle": _PREFERENCE[p], "reconstruction": _PREFERENCE[expected],
+             "value_difference": f"{d[i]:.6g}"})
 
-    violations, counts = _fold(run_indexed(trial, trials), WITNESS_CAP)
+    violations, counts = _fold(results, WITNESS_CAP)
     return _collect("order-embedding", trials, seed, violations, counts,
                     extras={"dead_band": dead_band, "in_band": counts["in-band"]})

@@ -7,20 +7,23 @@ Richardson extrapolation turns that limit into a verdict with an honest
 error bar.  Debreu-style smoothness of indifference sets is proxied by
 numerically differentiating the calibration map a(x) -- the diagonal
 scale whose multiple of (1,...,1) is indifferent to x -- and flagging
-step-halving drift or one-sided disagreement (kinks).
+step-halving drift or one-sided disagreement (kinks); the difference
+stencils of all its trials are calibrated in one lockstep solve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .axioms import SKIP, WITNESS_CAP, AxiomReport, Record, Witness, _collect, _fold, _pt
 from .domain import Segment
-from .errors import BracketError, ConfigError, ConstructionError, DomainError, RangeError
+from .errors import (BracketError, ConfigError, ConstructionError, DomainError,
+                     OrderingError, RangeError)
 from .oracle import AltOracle
 from .sampling import Sampler, run_indexed, subrng
-from .solvers import DEFAULT_TOL_T, indifference_param, solve_midpoint
+from .solvers import DEFAULT_TOL_T, indifference_param_many, solve_midpoint
 
 LINE_SMOOTH = "line-smooth"
 NOT_LINE_SMOOTH = "not-line-smooth"
@@ -116,7 +119,7 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
     for a in schedule:
         try:
             f = solve_f(oracle, a, b)
-        except (BracketError, ConstructionError, DomainError) as stop:
+        except (BracketError, ConstructionError, DomainError, OrderingError) as stop:
             extras["truncated_at"] = a
             extras["truncation_reason"] = str(stop)
             break
@@ -139,21 +142,28 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
                             oracle.name, oracle.calls - calls0, extras)
 
 
+def _scales(oracle: AltOracle, xs: np.ndarray, tol_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal scales a(x) of the rows of ``xs``, solved in lockstep, and
+    their clamps (nonzero where no diagonal multiple in the box matches)."""
+    box = oracle.domain
+    c_lo, c_hi = box.diagonal_scale_range()
+    seg = Segment(np.full(box.dim, c_lo), np.full(box.dim, c_hi))
+    t, clamp = indifference_param_many(oracle, seg, xs, tol_t)
+    return c_lo + t * (c_hi - c_lo), clamp
+
+
 def calibrate(oracle: AltOracle, x, tol_t: float = DEFAULT_TOL_T) -> float:
     """Diagonal scale a(x) with x indifferent to a(x)*(1,...,1).
 
     Unique for monotone systems.  RangeError when no diagonal multiple
     inside the box matches x.
     """
-    box = oracle.domain
-    x = box.require(x)
-    c_lo, c_hi = box.diagonal_scale_range()
-    seg = Segment(np.full(box.dim, c_lo), np.full(box.dim, c_hi))
-    t, clamp = indifference_param(oracle, seg, x, tol_t)
+    x = oracle.domain.require(x)
+    (a,), (clamp,) = _scales(oracle, x[None], tol_t)
     if clamp != 0:
         side = "below" if clamp < 0 else "above"
         raise RangeError(f"point ranks {side} every diagonal multiple in the box")
-    return c_lo + t * (c_hi - c_lo)
+    return float(a)
 
 
 def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
@@ -170,6 +180,10 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     ``rel_tol`` (relative), or when the left and right one-sided h/2
     differences disagree by more than ``one_sided_tol`` (a kink).  A
     sampled proxy only: kinks on sets the sampler misses go undetected.
+
+    Every trial's point is drawn first, and the stencils of all trials
+    are calibrated in one lockstep solve.  A trial is skipped when a
+    stencil point it reaches is off the box or has no calibration.
     """
     if h_fraction <= 0 or rel_tol <= 0 or one_sided_tol <= 0:
         raise ValueError("h_fraction, rel_tol, and one_sided_tol must be > 0")
@@ -178,27 +192,31 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     if sampler is None:
         sampler = box.shrunk(2.0 * h_vec).sample
 
-    def cal(p) -> float:
-        return calibrate(oracle, p, tol_t)
+    xs = np.array(run_indexed(lambda i: sampler(subrng(seed, i)), trials),
+                  dtype=float).reshape(trials, 1, box.dim)
+    # Row 0 of a trial's stencil is x; rows 1 + 4*axis ... 4 + 4*axis move x
+    # along the axis by +h, -h, +h/2 and -h/2.
+    stencil = np.repeat(xs, 1 + 4 * box.dim, axis=1)
+    for axis in range(box.dim):
+        stencil[:, 1 + 4 * axis:5 + 4 * axis, axis] += np.array([1, -1, 0.5, -0.5]) * h_vec[axis]
+    points = stencil.reshape(-1, box.dim)
+    ok = np.flatnonzero([box.contains(p) for p in points])
+    scales = np.full(len(points), np.nan)        # NaN: no calibration
+    try:
+        a, clamp = _scales(oracle, points[ok], tol_t)
+        scales[ok[clamp == 0]] = a[clamp == 0]
+    except DomainError:
+        pass                                     # the box holds no diagonal ray
 
-    def trial(i: int):
-        rng = subrng(seed, i)
-        x = sampler(rng)
-        if not box.contains(x, margin=0.0):
-            return SKIP
-        try:
-            a0 = cal(x)
-        except (RangeError, DomainError):
+    def judge(x: np.ndarray, a: list[float]):
+        a0 = a[0]
+        if math.isnan(a0):
             return SKIP
         for axis in range(box.dim):
-            h = float(h_vec[axis])
-            e = np.zeros(box.dim)
-            e[axis] = 1.0
-            try:
-                a_p, a_m = cal(x + h * e), cal(x - h * e)
-                a_ph, a_mh = cal(x + 0.5 * h * e), cal(x - 0.5 * h * e)
-            except (RangeError, DomainError):
+            a_p, a_m, a_ph, a_mh = a[1 + 4 * axis:5 + 4 * axis]
+            if any(map(math.isnan, (a_p, a_m, a_ph, a_mh))):
                 return SKIP
+            h = float(h_vec[axis])
             d1 = (a_p - a_m) / (2.0 * h)
             d2 = (a_ph - a_mh) / h
             left = (a0 - a_mh) / (0.5 * h)
@@ -212,7 +230,8 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
                 return Witness({"x": _pt(x)}, outputs, note="one-sided kink")
         return None
 
+    results = [judge(x[0], a) for x, a in zip(xs, scales.reshape(trials, -1).tolist())]
     return _collect("debreu-smoothness-proxy", trials, seed,
-                    *_fold(run_indexed(trial, trials), witness_cap), proxy=True,
+                    *_fold(results, witness_cap), proxy=True,
                     extras={"h_fraction": h_fraction, "rel_tol": rel_tol,
                             "one_sided_tol": one_sided_tol})

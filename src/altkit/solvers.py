@@ -7,6 +7,13 @@ band and chained constructions would drift by one band-width per step.  The
 solvers therefore locate *both* edges of an observed EQUAL band and return
 its center, which keeps ladder constructions accurate to the bisection
 tolerance rather than to the dead band.
+
+There is one bisection, :func:`band_bisect_many`, which runs N brackets
+in lockstep with one batched side call per step.  :func:`band_bisect` is
+that bisection on one bracket with a scalar side, for callers that are
+sequential by nature (ladder edge growth, midpoints, Archimedean walks),
+and :func:`indifference_param_many` solves indifference for many points
+on one segment.
 """
 from __future__ import annotations
 
@@ -43,7 +50,8 @@ def band_bisect(side: Side, lo: float, hi: float, tol: float,
     and the band center is returned; otherwise the LESS/GREATER sign change
     is located to width ``tol``.  ``refine=False`` skips the edge
     refinement and returns the first EQUAL parameter encountered — cheaper
-    when any point inside the band will do.
+    when any point inside the band will do.  This is
+    :func:`band_bisect_many` on one bracket.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -55,53 +63,28 @@ def band_bisect(side: Side, lo: float, hi: float, tol: float,
         raise BracketError(
             f"endpoints do not straddle the target (side(lo)={s_lo.value}, side(hi)={s_hi.value})")
 
-    a, b = lo, hi
-    s_a, s_b = s_lo, s_hi
-    eq = a if s_a is EQUAL else (b if s_b is EQUAL else None)
-    while eq is None and (b - a) > tol:
-        m = 0.5 * (a + b)
-        s_m = side(m)
-        if s_m is LESS:
-            a, s_a = m, s_m
-        elif s_m is GREATER:
-            b, s_b = m, s_m
-        else:
-            eq = m
-    if eq is None:
-        return 0.5 * (a + b)
-    if not refine:
-        return eq
-    lower_edge = _band_edge(side, a, eq, LESS, tol) if s_a is LESS else a
-    upper_edge = _band_edge(side, b, eq, GREATER, tol) if s_b is GREATER else b
-    return 0.5 * (lower_edge + upper_edge)
+    def side_many(_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.array([side(u).sign for u in t.tolist()], dtype=np.int8)
 
-
-def _band_edge(side: Side, outer: float, inner: float, outer_state: IntensityOrder,
-               tol: float) -> float:
-    """Edge of the EQUAL band between ``outer`` (answering ``outer_state``)
-    and ``inner`` (inside the band), located to width ``tol``.  ``outer``
-    may lie on either side of ``inner``."""
-    while abs(inner - outer) > tol:
-        m = 0.5 * (outer + inner)
-        if side(m) is outer_state:
-            outer = m
-        else:
-            inner = m
-    return 0.5 * (outer + inner)
+    return float(band_bisect_many(side_many, [lo], [hi], tol, [s_lo.sign], [s_hi.sign],
+                                  refine)[0])
 
 
 def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
                      lo_state: np.ndarray | None = None,
                      hi_state: np.ndarray | None = None,
                      refine: bool = True) -> np.ndarray:
-    """:func:`band_bisect` over N brackets [lo_j, hi_j] in lockstep.
+    """Crossing parameters of N weakly increasing trichotomies, one per
+    bracket [lo_j, hi_j], located in lockstep.
 
-    Each bracket is asked the same parameters, in the same order, as
-    ``band_bisect`` would ask it alone, so every bracket gets the same
-    result after the same number of queries; one call of ``side`` serves
-    one step of every bracket still running.  States are int8 signs.
-    ``refine=False`` returns the first EQUAL parameter of each bracket
-    that meets one, as in ``band_bisect``.
+    Each bracket is asked the parameters it would be asked alone, so every
+    bracket gets the same result after the same number of queries
+    whatever the other brackets are; one call of ``side`` serves one step
+    of every bracket still running.  States are int8 signs.  A bracket
+    bisects until it meets EQUAL or narrows to ``tol``; with ``refine``,
+    both edges of the EQUAL band it met are then walked in to width
+    ``tol`` and the band center is returned.  ``refine=False`` returns the
+    first EQUAL parameter of each bracket that meets one.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -135,10 +118,10 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
         out[found] = eq[found]
         return out
 
-    # Refine both edges of every band found, as _band_edge does: an end
-    # that answers LESS (below) or GREATER (above) is walked in towards the
-    # EQUAL parameter.  An end answers so exactly when its bracket
-    # endpoint did, because bisection only moves an end of that state.
+    # Refine both edges of every band found: an end that answers LESS
+    # (below) or GREATER (above) is walked in towards the EQUAL parameter.
+    # An end answers so exactly when its bracket endpoint did, because
+    # bisection only moves an end of that state.
     lower = np.flatnonzero(found & (s_lo < 0))
     upper = np.flatnonzero(found & (s_hi > 0))
     owner = np.concatenate([lower, upper])
@@ -185,33 +168,16 @@ def solve_midpoint(oracle: AltOracle, x: np.ndarray, z: np.ndarray,
     return y
 
 
-def indifference_param(oracle: AltOracle, seg: Segment, x: np.ndarray,
-                       tol_t: float = DEFAULT_TOL_T) -> tuple[float, int]:
-    """Parameter t with seg.at(t) indifferent to x, assuming preference
-    increases along the segment.
-
-    Returns (t, clamp) where clamp is -1 if x ranks below the whole
-    segment (t=0 returned), +1 if above (t=1), else 0.
-    """
-    def side(t: float) -> IntensityOrder:
-        return oracle.compare(seg.at(t), x, x, x)
-
-    s0 = side(0.0)
-    if s0 is not LESS:
-        # Bottom of the segment already matches or exceeds x.
-        return (0.0, 0 if s0 is EQUAL else -1)
-    s1 = side(1.0)
-    if s1 is LESS:
-        return (1.0, +1)
-    t = band_bisect(side, 0.0, 1.0, tol_t, lo_state=s0, hi_state=s1)
-    return (t, 0)
-
-
 def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,
                             tol_t: float = DEFAULT_TOL_T) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`indifference_param` for every row of ``xs``, solved in
-    lockstep: arrays (t, clamp), bit-identical row by row, after the same
-    number of compares."""
+    """Parameters t with seg.at(t) indifferent to each row of ``xs``,
+    assuming preference increases along the segment, solved in lockstep.
+
+    Returns arrays (t, clamp) where clamp is -1 if a row ranks below the
+    whole segment (t=0 returned), +1 if above (t=1), else 0.  A row gets
+    the same t, after the same number of compares, whatever the other
+    rows are.
+    """
     def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         x = xs[idx]
         return oracle.compare_batch(seg.at_many(t), x, x, x)

@@ -301,6 +301,23 @@ class TestSmoothnessCommand:
         assert doc["line"]["verdict"] == "not-line-smooth"
         assert doc["line"]["estimate"] == pytest.approx(0.25, abs=1e-3)
 
+    @pytest.mark.parametrize("name", ["step", "neg_quadratic", "constant"])
+    def test_unordered_diagonal_truncates(self, name, tmp_path, capsys):
+        # The diagonal points b-a and b+a are not strictly ranked, so no
+        # intensity midpoint exists: the estimate stops at the first step.
+        rc = main(["smoothness", "--oracle", name, "--debreu-trials", "4",
+                   "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "quotients.csv", "smoothness.json"]
+        line = _load(tmp_path / "smoothness.json")["line"]
+        assert line["verdict"] == "inconclusive"
+        assert line["rows"] == []
+        assert line["extras"]["truncated_at"] == line["b"] / 16
+        assert line["extras"]["truncation_reason"] == \
+            "solve_midpoint requires z strictly preferred to x"
+
 
 class TestAlepCommand:
     def test_cobb_grid_is_all_complement(self, tmp_path, capsys):

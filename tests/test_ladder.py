@@ -207,8 +207,9 @@ class TestReconstructedUtility:
         lo, hi = u(seg.at(0.25)), u(seg.at(0.75))
         for i in range(40):
             p = o.domain.sample(subrng(11, i))
-            got, out_of_range = cobb_recon.evaluate_detailed(p)
-            if not out_of_range:
+            before = cobb_recon.clamped
+            got = cobb_recon.evaluate(p)
+            if cobb_recon.clamped == before:
                 truth = (u(p) - lo) / (hi - lo)
                 assert got == pytest.approx(truth, abs=1e-6)
 
@@ -217,11 +218,9 @@ class TestReconstructedUtility:
         # (value -0.5); the top corner coincides with the highest rung
         # (value 1.5) because the upper half-step lands exactly on it.
         before = cobb_recon.clamped
-        value, out_of_range = cobb_recon.evaluate_detailed([0.1, 0.1])
-        assert (value, out_of_range) == (-0.5, True)
+        assert cobb_recon.evaluate([0.1, 0.1]) == -0.5
         assert cobb_recon.clamped == before + 1
-        value, out_of_range = cobb_recon.evaluate_detailed([10.0, 10.0])
-        assert (value, out_of_range) == (1.5, False)
+        assert cobb_recon.evaluate([10.0, 10.0]) == 1.5
         assert cobb_recon.clamped == before + 1
 
     def test_call_is_evaluate(self, cobb_recon):
@@ -278,6 +277,28 @@ class TestBatchedReconstruction:
         assert oracle.calls - calls == scalar_calls
         if name == "log_sum":
             assert {scalar._values[0], scalar._values[-1]} <= set(expected.tolist())
+
+    def test_evaluate_many_rows_are_batch_independent(self):
+        # Each point gets the value, the compares and the clamp count that
+        # it gets when evaluated alone, whatever batch it is evaluated in.
+        oracle = oracle_by_name("log_sum")
+        recon = reconstruct_utility(oracle, depth=5)
+        seg = recon.ladder.segment
+        rng = np.random.default_rng(5)
+        points = np.array([seg.at(0.25), seg.at(0.75), oracle.domain.lower,
+                           oracle.domain.upper] + [oracle.domain.sample(rng) for _ in range(40)])
+        alone = []
+        for p in points:
+            calls, clamped = oracle.calls, recon.clamped
+            value = recon.evaluate(p)
+            alone.append((value, oracle.calls - calls, recon.clamped - clamped))
+        assert {c for _, _, c in alone} == {0, 1}
+        for batch in (np.arange(len(points)), rng.permutation(len(points))[:17]):
+            calls, clamped = oracle.calls, recon.clamped
+            got = recon.evaluate_many(points[batch])
+            assert got.tolist() == [alone[k][0] for k in batch]
+            assert oracle.calls - calls == sum(alone[k][1] for k in batch)
+            assert recon.clamped - clamped == sum(alone[k][2] for k in batch)
 
     def test_evaluate_many_through_batchless_oracle(self):
         oracle = _without_batch(oracle_by_name("exp1d"))

@@ -1,15 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError, RangeError
 from altkit.fixtures import catalog, make_difference_oracle, oracle_by_name
 from altkit.sampling import cycle_sampler
-from altkit.smoothness import (calibrate, debreu_smoothness_proxy,
+from altkit.smoothness import (_scales, calibrate, debreu_smoothness_proxy,
                                default_schedule, diagonal_point,
                                line_smoothness_limit, solve_f)
+from altkit.solvers import DEFAULT_TOL_T
 
 SPECS = {s.name: s for s in catalog()}
 
@@ -179,3 +181,30 @@ class TestDebreuProxy:
             debreu_smoothness_proxy(o, trials=0)
         with pytest.raises(ValueError, match="must be > 0"):
             debreu_smoothness_proxy(o, h_fraction=-1.0)
+
+    def test_stencil_rows_are_batch_independent(self):
+        # The proxy calibrates all its stencil points in one lockstep solve.
+        # Each row must get the scale, or the RangeError, and the compares
+        # that calibrate() gives it alone, whatever batch it is solved in.
+        box = BoxDomain([0.1, 0.1], [10.0, 1.0])
+        o = make_difference_oracle(SPECS["cobb_douglas"], box)
+        rng = np.random.default_rng(3)
+        x = np.array([box.sample(rng) for _ in range(12)] + [[0.5, 0.5], [10.0, 1.0]])
+        h = 1e-3 * box.extent
+        points = np.concatenate([x, x + [h[0], 0.0], x - [0.0, h[1] / 2]])
+        points = points[[box.contains(p) for p in points]]
+        alone, calls = [], []
+        for p in points:
+            c0 = o.calls
+            try:
+                alone.append(calibrate(o, p))
+            except RangeError:
+                alone.append(None)
+            calls.append(o.calls - c0)
+        assert None in alone and len(set(alone)) > 10
+        for batch in (np.arange(len(points)), rng.permutation(len(points))[:9]):
+            c0 = o.calls
+            a, clamp = _scales(o, points[batch], DEFAULT_TOL_T)
+            assert [None if c else v for v, c in zip(a.tolist(), clamp)] == \
+                [alone[k] for k in batch]
+            assert o.calls - c0 == sum(calls[k] for k in batch)

@@ -9,10 +9,68 @@ from altkit.domain import BoxDomain, Segment
 from altkit.errors import BracketError, OrderingError
 from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
-from altkit.solvers import (band_bisect, band_bisect_many, indifference_param,
+from altkit.solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,
                             indifference_param_many, solve_midpoint)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
+
+
+# Scalar reference solvers: one bracket or one point at a time, asking a
+# scalar side one parameter per call.  The lockstep solvers must match them
+# bracket by bracket and row by row, in results and in query counts.
+
+def reference_band_bisect(side, lo, hi, tol, lo_state=None, hi_state=None, refine=True):
+    s_a = side(lo) if lo_state is None else lo_state
+    s_b = side(hi) if hi_state is None else hi_state
+    a, b = lo, hi
+    eq = a if s_a is E else (b if s_b is E else None)
+    while eq is None and (b - a) > tol:
+        m = 0.5 * (a + b)
+        s_m = side(m)
+        if s_m is L:
+            a, s_a = m, s_m
+        elif s_m is G:
+            b, s_b = m, s_m
+        else:
+            eq = m
+    if eq is None:
+        return 0.5 * (a + b)
+    if not refine:
+        return eq
+    lower_edge = _reference_band_edge(side, a, eq, L, tol) if s_a is L else a
+    upper_edge = _reference_band_edge(side, b, eq, G, tol) if s_b is G else b
+    return 0.5 * (lower_edge + upper_edge)
+
+
+def _reference_band_edge(side, outer, inner, outer_state, tol):
+    """Edge of the EQUAL band between ``outer`` (answering ``outer_state``)
+    and ``inner`` (inside the band), located to width ``tol``."""
+    while abs(inner - outer) > tol:
+        m = 0.5 * (outer + inner)
+        if side(m) is outer_state:
+            outer = m
+        else:
+            inner = m
+    return 0.5 * (outer + inner)
+
+
+def reference_indifference_param(oracle, seg, x, tol_t=DEFAULT_TOL_T):
+    def side(t):
+        return oracle.compare(seg.at(t), x, x, x)
+
+    s0 = side(0.0)
+    if s0 is not L:
+        return (0.0, 0 if s0 is E else -1)
+    s1 = side(1.0)
+    if s1 is L:
+        return (1.0, +1)
+    return (reference_band_bisect(side, 0.0, 1.0, tol_t, lo_state=s0, hi_state=s1), 0)
+
+
+def _indifference_param(oracle, seg, x):
+    """The lockstep solve on one point, as (t, clamp)."""
+    t, clamp = indifference_param_many(oracle, seg, np.array([x], dtype=float))
+    return float(t[0]), int(clamp[0])
 
 
 def _banded_side(center: float, band: float):
@@ -111,9 +169,14 @@ class TestBandBisectMany:
             calls = []
             counted = lambda t, side=side, calls=calls: calls.append(t) or side(t)
             states = ({"lo_state": side(a), "hi_state": side(b)} if pass_states else {})
-            expected.append(band_bisect(counted, float(a), float(b), tol, refine=refine,
-                                        **states))
+            expected.append(reference_band_bisect(counted, float(a), float(b), tol,
+                                                  refine=refine, **states))
             counts.append(len(calls))
+            # The public one-bracket solver asks the same number of queries.
+            calls.clear()
+            assert band_bisect(counted, float(a), float(b), tol, refine=refine,
+                               **states) == expected[-1]
+            assert len(calls) == counts[-1]
 
         queries = np.zeros(len(brackets), dtype=int)
 
@@ -179,20 +242,20 @@ class TestIndifferenceParam:
         # i.e. t = (2 - 0.1) / 9.9.
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        t, clamp = indifference_param(o, seg, np.array([4.0, 1.0]))
+        t, clamp = _indifference_param(o, seg, [4.0, 1.0])
         assert clamp == 0
         assert t == pytest.approx((2.0 - 0.1) / 9.9, abs=1e-8)
 
     def test_clamp_below_segment(self):
         o = oracle_by_name("cobb_douglas")
         seg = Segment([5.0, 5.0], [10.0, 10.0])
-        t, clamp = indifference_param(o, seg, np.array([1.0, 1.0]))
+        t, clamp = _indifference_param(o, seg, [1.0, 1.0])
         assert (t, clamp) == (0.0, -1)
 
     def test_clamp_above_segment(self):
         o = oracle_by_name("cobb_douglas")
         seg = Segment([0.1, 0.1], [1.0, 1.0])
-        t, clamp = indifference_param(o, seg, np.array([9.0, 9.0]))
+        t, clamp = _indifference_param(o, seg, [9.0, 9.0])
         assert (t, clamp) == (1.0, +1)
 
     def test_many_matches_scalar(self):
@@ -202,7 +265,7 @@ class TestIndifferenceParam:
         rng = np.random.default_rng(8)
         xs = np.vstack([[[0.5, 0.5], [1.0, 1.0], [4.0, 1.0], [9.0, 9.0], [2.0, 8.0]],
                         [o.domain.sample(rng) for _ in range(60)]])
-        expected = [indifference_param(o, seg, x) for x in xs]
+        expected = [reference_indifference_param(o, seg, x) for x in xs]
         calls = o.calls
         t, clamp = indifference_param_many(o, seg, xs)
         assert list(zip(t.tolist(), clamp.tolist())) == expected
@@ -212,5 +275,5 @@ class TestIndifferenceParam:
     def test_exact_bottom_hit_reports_no_clamp(self):
         o = oracle_by_name("cobb_douglas")
         seg = Segment([2.0, 2.0], [10.0, 10.0])
-        t, clamp = indifference_param(o, seg, np.array([4.0, 1.0]))  # u=2
+        t, clamp = _indifference_param(o, seg, [4.0, 1.0])  # u=2
         assert (t, clamp) == (0.0, 0)
