@@ -2,17 +2,18 @@
 
 Each axiom is written once, as a draw and a predicate, and every checker
 runs in two phases.  In the draw phase trial i draws the points of one
-candidate instance from its own generator, ``subrng(seed, i)``, in trial
-order; the draws are stacked into one array per point name, one row per
-trial.  In the predicate phase the axiom's predicate asks each of its
-stages with one ``compare_batch`` over the trials that earlier stages
-left undecided, and returns per trial a ``Witness``, ``None`` (it holds)
-or ``SKIP`` (its premise did not hold).  Every trial is asked what a
-loop over single trials would ask it, so reports and compare counts do
-not depend on the batching; ``replay_witness`` runs the same predicate
-on a batch of one, the points of a stored witness.  Sub-seeds are
-derived per trial index, so a report regenerated from its stored seed is
-bit-identical.
+candidate instance from its own stream, that of ``subrng(seed, i)``; with
+no caller sampler one ``sampling.draw`` call computes every trial's
+points at once, and the draws are stacked into one array per point name,
+one row per trial.  In the predicate phase the axiom's predicate asks
+each of its stages with one ``compare_batch`` over the trials that
+earlier stages left undecided, and returns per trial a ``Witness``,
+``None`` (it holds) or ``SKIP`` (its premise did not hold).  Every trial
+is asked what a loop over single trials would ask it, so reports and
+compare counts do not depend on the batching; ``replay_witness`` runs
+the same predicate on a batch of one, the points of a stored witness.
+Streams are derived per trial index, so a report regenerated from its
+stored seed is bit-identical.
 
 Crossover's draw also solves for its fourth point: the diagonal brackets
 of all trials are bisected in lockstep (``solvers.band_bisect_many``).
@@ -30,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .oracle import AltOracle, IntensityOrder, Preference
-from .sampling import PointRows, Sampler, point_rows, run_indexed, subrng
-# band_bisect is unused here; perfbench/tracing.py patches it by this name.
+# run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
+from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng  # noqa: F401
 from .solvers import SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -182,28 +183,14 @@ def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
     return out
 
 
-def _each(draw: Callable, seed: int, trials: int) -> list[np.ndarray]:
-    """Trial i's arrays from ``draw(subrng(seed, i))``, drawn in trial
-    order; one stacked array per position, whose row i is trial i's."""
-    out: list[np.ndarray] = []
-
-    def trial(i: int) -> None:
-        for k, value in enumerate(draw(subrng(seed, i))):
-            if k == len(out):
-                out.append(np.empty((trials, *np.shape(value))))
-            out[k][i] = value
-    run_indexed(trial, trials)
-    return out
+def _draw_triple(oracle: AltOracle, sampler: Sampler | None, seed: int,
+                 trials: int) -> dict[str, np.ndarray]:
+    xyz, _ = draw(oracle.domain, sampler, seed, trials, 3)
+    return dict(zip("xyz", xyz.transpose(1, 0, 2)))
 
 
-def _draw_triple(oracle: AltOracle, points: PointRows):
-    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
-        (xyz,) = _each(lambda rng: (points.draw(rng, 3),), seed, trials)
-        return dict(zip("xyz", points.finish(xyz).transpose(1, 0, 2)))
-    return draw
-
-
-def _draw_crossover(oracle: AltOracle, points: PointRows, tol_t: float):
+def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int, trials: int,
+                    tol_t: float) -> dict[str, np.ndarray]:
     """Sample (x, y, z), then solve for w on the domain diagonal so that
     [z,w] matches [x,y]; w is NaN where no diagonal point matches."""
     diag = oracle.domain.diagonal()
@@ -214,34 +201,31 @@ def _draw_crossover(oracle: AltOracle, points: PointRows, tol_t: float):
     lower = corners[:-1]
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
-    draw_triple = _draw_triple(oracle, points)
+    p = _draw_triple(oracle, sampler, seed, trials)
+    x, y, z = p["x"], p["y"], p["z"]
 
-    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
-        p = draw_triple(seed, trials)
-        x, y, z = p["x"], p["y"], p["z"]
+    # w runs down the diagonal so that [z,w] rises with s when the
+    # system is increasing along the diagonal.
+    def side(j: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return oracle.compare_batch(z[j], diag.at_many(1.0 - s), x[j], y[j])
 
-        # w runs down the diagonal so that [z,w] rises with s when the
-        # system is increasing along the diagonal.
-        def side(j: np.ndarray, s: np.ndarray) -> np.ndarray:
-            return oracle.compare_batch(z[j], diag.at_many(1.0 - s), x[j], y[j])
-
-        every = np.arange(trials)
-        lo, hi = np.zeros(trials), np.ones(trials)
-        s0, s1 = side(every, lo), side(every, hi)
-        s = _bisect_to_equal(side, lo, hi, s0, s1, tol_t)
-        if not diag_monotone:
-            miss = np.flatnonzero(np.isnan(s))
-            s[miss] = _scan_for_equal(lambda j, t: side(miss[j], t), s0[miss], s1[miss], tol_t)
-        p["w"] = diag.at_many(1.0 - s)
-        return p
-    return draw
+    every = np.arange(trials)
+    lo, hi = np.zeros(trials), np.ones(trials)
+    s0, s1 = side(every, lo), side(every, hi)
+    s = _bisect_to_equal(side, lo, hi, s0, s1, tol_t)
+    if not diag_monotone:
+        miss = np.flatnonzero(np.isnan(s))
+        s[miss] = _scan_for_equal(lambda j, t: side(miss[j], t), s0[miss], s1[miss], tol_t)
+    p["w"] = diag.at_many(1.0 - s)
+    return p
 
 
-def _draw_perturbed(oracle: AltOracle, points: PointRows, delta: float, probes: int):
+def _draw_perturbed(oracle: AltOracle, sampler: Sampler | None, seed: int, trials: int,
+                    delta: float, probes: int) -> dict[str, np.ndarray]:
     """Sample a quadruple x, y, z, w and ``moved``: ``probes`` copies of
     it, each coordinate moved by up to ``delta`` of the box extent and
-    clipped to the box.  A trial draws its copies right after its
-    quadruple, from its own generator."""
+    clipped to the box.  A trial draws its copies' moves, 2u - 1 from
+    uniforms u, right after its quadruple, from its own stream."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if delta > 0.1:
@@ -249,30 +233,23 @@ def _draw_perturbed(oracle: AltOracle, points: PointRows, delta: float, probes: 
     if probes < 1:
         raise ValueError("probes must be >= 1")
     box = oracle.domain
-    radius = delta * box.extent
-
-    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
-        quad, moved = _each(lambda rng: (points.draw(rng, 4),
-                                         rng.uniform(-1.0, 1.0, (probes, 4, box.dim))),
-                            seed, trials)
-        quad = points.finish(quad)
-        moved *= radius           # in place: one array holds all the copies
-        moved += quad[:, None]
-        np.clip(moved, box.lower, box.upper, out=moved)
-        return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "moved": moved}
-    return draw
+    quad, u = draw(box, sampler, seed, trials, 4, probes * 4 * box.dim)
+    moved = u.reshape(trials, probes, 4, box.dim) * 2.0
+    moved -= 1.0                  # in place: one array holds all the copies
+    moved *= delta * box.extent
+    moved += quad[:, None]
+    np.clip(moved, box.lower, box.upper, out=moved)
+    return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "moved": moved}
 
 
-def _draw_dominating(oracle: AltOracle, points: PointRows):
+def _draw_dominating(oracle: AltOracle, sampler: Sampler | None, seed: int,
+                     trials: int) -> dict[str, np.ndarray]:
     """Sample y, then x above y on every axis, inside the box."""
     box = oracle.domain
-
-    def draw(seed: int, trials: int) -> dict[str, np.ndarray]:
-        y, r = _each(lambda rng: (points.draw(rng, 1)[0], rng.random(box.dim)), seed, trials)
-        y = points.finish(y)
-        frac = 1e-6 + r * (1.0 - 2e-6)
-        return {"x": y + frac * (box.upper - y), "y": y}
-    return draw
+    y, r = draw(box, sampler, seed, trials, 1, box.dim)
+    y = y[:, 0]
+    frac = 1e-6 + r * (1.0 - 2e-6)
+    return {"x": y + frac * (box.upper - y), "y": y}
 
 
 def _sign_match(label: str, quad: Callable):
@@ -371,11 +348,11 @@ _RULES = {
 def _trials(axiom: str, oracle: AltOracle, sampler: Sampler | None, trials: int,
             seed: int, **params) -> list:
     """The two phases of every checker: draw the instances of all trials
-    (trial i from substream (seed, i), in trial order), then apply the
-    axiom's predicate to all of them at once."""
+    (trial i from its stream under ``seed``), then apply the axiom's
+    predicate to all of them at once."""
     draw_for, violation = _RULES[axiom]
-    draw = draw_for(oracle, point_rows(oracle.domain, sampler), **params)
-    return violation(oracle, draw(seed, trials))
+    sampler = checked_sampler(oracle.domain, sampler)
+    return violation(oracle, draw_for(oracle, sampler, seed, trials, **params))
 
 
 def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,

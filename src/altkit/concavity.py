@@ -6,9 +6,10 @@ for represented systems this holds iff the utility is concave (strictly,
 when strict for distinct pairs).  The oracle-side checker draws the pairs
 of all its trials and asks the law of all of them in one batch.  A
 value-side checker certifies midpoint concavity of any real-valued
-function (e.g. a reconstruction), calling it one point at a time, with
-an optional dyadic sweep over chord parameters m/2**l.  The round-trip
-driver ties the two to a fixture's ground-truth tag.
+function (e.g. a reconstruction), valuing every point of every trial in
+one ``evaluate_many`` call when the function has one, with an optional
+dyadic sweep over chord parameters m/2**l.  The round-trip driver ties
+the two to a fixture's ground-truth tag.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
                        make_difference_oracle)
 from .ladder import reconstruct_utility
 from .oracle import AltOracle, IntensityOrder
-from .sampling import Sampler, checked_sampler, run_indexed, subrng
+from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -88,8 +89,10 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
     feasible step v and tests [x+v,x] >= [x+2v,x+v] (the same comparison
     on the triple x, x+v, x+2v).  Pairs closer than ``floor`` (default
     1e-6 of the box diameter) never count toward strictness.  Every
-    trial's pair is drawn first, trial i from ``subrng(seed, i)``, and one
-    ``compare_batch`` asks the law of all of them.
+    trial's pair is drawn first, trial i from its stream under ``seed``,
+    and one ``compare_batch`` asks the law of all of them.  "pair" draws
+    every trial at once; "step" draws its direction with
+    ``standard_normal``, so it draws trial by trial from ``subrng(seed, i)``.
     """
     if parameterization not in ("pair", "step"):
         raise ConfigError(f"unknown parameterization {parameterization!r}")
@@ -98,10 +101,8 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * box.diameter
 
-    def draw_pair(rng) -> tuple[np.ndarray, np.ndarray]:
-        if parameterization == "pair":
-            return sample(rng), sample(rng)
-        x = sample(rng)
+    def draw_step(rng) -> tuple[np.ndarray, np.ndarray]:
+        x = (sample or box.sample)(rng)
         d = rng.standard_normal(box.dim)
         d /= np.linalg.norm(d)
         # Largest m with x + m*d still inside the box, split into two steps.
@@ -112,7 +113,10 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
         v = (0.5 * m_max * rng.random()) * d
         return x, x + 2.0 * v
 
-    pairs = np.array(run_indexed(lambda i: draw_pair(subrng(seed, i)), trials))
+    if parameterization == "pair":
+        pairs, _ = draw(box, sample, seed, trials, 2)
+    else:
+        pairs = np.array(run_indexed(lambda i: draw_step(subrng(seed, i)), trials))
     x, y = pairs[:, 0], pairs[:, 1]
     z = 0.5 * (x + y)
     law = oracle.compare_batch(z, x, y, z)
@@ -154,31 +158,34 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    sample = checked_sampler(domain, sampler)
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
-    params = _dyadic_params(dyadic_depth) if dyadic_depth else [0.5]
+    ts = np.array(_dyadic_params(dyadic_depth) if dyadic_depth else [0.5])
+    pairs, _ = draw(domain, checked_sampler(domain, sampler), seed, trials, 2)
+    x, y = pairs[:, 0], pairs[:, 1]
+    chord = x[:, None] + ts[:, None] * (y - x)[:, None]
+    points = np.concatenate([x, y, chord.reshape(-1, domain.dim)])
+    many = getattr(u_fn, "evaluate_many", None)
+    values = many(points) if many else np.array([u_fn(p) for p in points], dtype=float)
+    ux, uy, up = values[:trials], values[trials:2 * trials], values[2 * trials:]
+    margin = up.reshape(trials, ts.size) - ((1.0 - ts) * ux[:, None] + ts * uy[:, None])
+    # fmax and fmin skip NaN, as max and min over Python floats do.
+    tol_eff = np.fmax(tol, 1e-12 * (1.0 + np.abs(ux) + np.abs(uy)))[:, None]
+    bad = margin < -tol_eff
+    worst = np.fmin.reduce(margin - tol_eff, axis=1, initial=np.inf)
 
-    def trial(i: int):
-        rng = subrng(seed, i)
-        x, y = sample(rng), sample(rng)
-        ux, uy = u_fn(x), u_fn(y)
-        distinct = float(np.linalg.norm(x - y)) >= floor
-        worst = np.inf
-        for t in params:
-            p = x + t * (y - x)
-            margin = u_fn(p) - ((1.0 - t) * ux + t * uy)
-            tol_eff = max(tol, 1e-12 * (1.0 + abs(ux) + abs(uy)))
-            if margin < -tol_eff:
-                return Witness({"x": _pt(x), "y": _pt(y), "point": _pt(p)},
-                               {"chord_parameter": f"{t:.10g}", "margin": f"{margin:.6g}"})
-            worst = min(worst, margin - tol_eff)
-        if not distinct:
-            return "below-floor"
-        return "strict" if worst > 0 else "equal"
-
-    return _judge("midpoint-concavity", trials, seed,
-                  *_fold(run_indexed(trial, trials), witness_cap), floor,
+    results: list = []
+    for i in range(trials):
+        if bad[i].any():
+            j = int(bad[i].argmax())
+            results.append(Witness({"x": _pt(x[i]), "y": _pt(y[i]), "point": _pt(chord[i, j])},
+                                   {"chord_parameter": f"{ts[j]:.10g}",
+                                    "margin": f"{margin[i, j]:.6g}"}))
+        elif float(np.linalg.norm(x[i] - y[i])) < floor:
+            results.append("below-floor")
+        else:
+            results.append("strict" if worst[i] > 0 else "equal")
+    return _judge("midpoint-concavity", trials, seed, *_fold(results, witness_cap), floor,
                   dyadic_depth=dyadic_depth, extras={"tol": tol})
 
 

@@ -77,6 +77,8 @@ class RunConfig:
     def validate(self) -> None:
         if not self.oracle:
             raise ConfigError("no oracle selected (use --oracle or the config file)")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.debreu_trials < 1:

@@ -54,12 +54,11 @@ class BoxDomain:
             raise ValueError("box needs lower < upper on every axis")
         self.lower_open = self._faces(self.lower_open)
         self.upper_open = self._faces(self.upper_open)
-        # Python-native mirrors for the membership and sampling hot paths.
+        # Python-native mirrors for the membership hot path.
         self._lo = tuple(float(v) for v in self.lower)
         self._hi = tuple(float(v) for v in self.upper)
         self._lo_open = tuple(bool(v) for v in self.lower_open)
         self._hi_open = tuple(bool(v) for v in self.upper_open)
-        self._ext = tuple(hi - lo for lo, hi in zip(self._lo, self._hi))
 
     def _faces(self, flags) -> np.ndarray:
         if flags is None:
@@ -100,13 +99,7 @@ class BoxDomain:
         return np.clip(as_point(x, dim=self.dim), self.lower, self.upper)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        n = self.lower.size
-        r = rng.random(n)
-        out = np.empty(n)
-        lo, ext = self._lo, self._ext
-        for j in range(n):
-            out[j] = lo[j] + r[j] * ext[j]
-        return out
+        return self.lower + rng.random(self.dim) * self.extent
 
     def lattice(self, per_axis: int) -> np.ndarray:
         """Regular grid of ``per_axis`` points per axis, corners included,

@@ -24,7 +24,8 @@ from .axioms import (_PREFERENCE, QUAD, SKIP, WITNESS_CAP, AxiomReport, Record, 
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder
-from .sampling import Sampler, checked_sampler, run_indexed, subrng
+# run_indexed and subrng are unused here; perfbench/tracing.py patches them.
+from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng  # noqa: F401
 from .solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param_many
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -331,7 +332,7 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
     recon_b = reconstruct_utility(oracle, depth=recon_a.depth, tol_t=recon_a.tol_t,
                                   segment=recon_a.ladder.segment,
                                   anchor_params=(float(anchors_b[0]), float(anchors_b[1])))
-    rng_points = [oracle.domain.sample(subrng(seed, i)) for i in range(samples)]
+    rng_points = draw(oracle.domain, None, seed, samples, 1)[0][:, 0]
     u_a = recon_a.evaluate_many(rng_points)
     u_b = recon_b.evaluate_many(rng_points)
     if float(np.var(u_a)) < 1e-18:
@@ -342,15 +343,6 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
         threshold = (1.0 + abs(float(alpha))) * recon_a.interpolation_budget
     verdict = "pass" if (alpha > 0 and residual <= threshold) else "fail"
     return AffineFit(float(alpha), float(beta), residual, samples, threshold, verdict)
-
-
-def _draw_points(sample: Sampler, seed: int, trials: int, k: int, dim: int) -> np.ndarray:
-    """Array (trials, k, dim) of k points per trial; trial i draws them
-    from ``subrng(seed, i)``, in trial order."""
-    def draw(i: int) -> list[np.ndarray]:
-        rng = subrng(seed, i)
-        return [sample(rng) for _ in range(k)]
-    return np.array(run_indexed(draw, trials)).reshape(trials, k, dim)
 
 
 def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | None = None,
@@ -364,13 +356,12 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
     in lockstep rounds over the trials."""
     if ladder.depth < min_depth:
         raise ValueError(f"ladder depth {ladder.depth} below configured minimum {min_depth}")
-    sample = checked_sampler(oracle.domain, sampler)
     recon = ReconstructedUtility(oracle, ladder, ladder.tol_t)
     gap_threshold = 2.0 ** (1 - ladder.depth)
     rung_points = ladder.segment.at_many(np.array([t for _, t in ladder.rungs()]))
     rung_values = np.array([ladder.value(i, ladder.depth) for i, _ in ladder.rungs()])
 
-    pairs = _draw_points(sample, seed, trials, 2, oracle.dim)
+    pairs, _ = draw(oracle.domain, checked_sampler(oracle.domain, sampler), seed, trials, 2)
     a, b = pairs[:, 0], pairs[:, 1]
     pref = oracle.compare_batch(a, b, b, b)
     hi, lo = np.where(pref[:, None] > 0, a, b), np.where(pref[:, None] > 0, b, a)
@@ -409,7 +400,7 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
         dead_band = 2.0 ** (2 - recon.depth)
     # Every trial's quadruple is drawn first, so that all 4 * trials
     # reconstructed values and all oracle answers come from batched calls.
-    quads = _draw_points(checked_sampler(oracle.domain, sampler), seed, trials, 4, oracle.dim)
+    quads, _ = draw(oracle.domain, checked_sampler(oracle.domain, sampler), seed, trials, 4)
     u = recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
     d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])
     judged = np.flatnonzero(np.abs(d_hat) > dead_band)
@@ -438,7 +429,7 @@ def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
     if dead_band is None:
         dead_band = 2.0 ** (1 - recon.depth)
 
-    pairs = _draw_points(oracle.domain.sample, seed, trials, 2, oracle.dim)
+    pairs, _ = draw(oracle.domain, None, seed, trials, 2)
     u = recon.evaluate_many(pairs.reshape(-1, oracle.dim)).reshape(trials, 2)
     d = u[:, 0] - u[:, 1]
     judged = np.flatnonzero(np.abs(d) > dead_band)

@@ -22,7 +22,8 @@ from .domain import Segment
 from .errors import (BracketError, ConfigError, ConstructionError, DomainError,
                      OrderingError, RangeError)
 from .oracle import AltOracle
-from .sampling import Sampler, run_indexed, subrng
+# run_indexed and subrng are unused here; perfbench/tracing.py patches them.
+from .sampling import Sampler, draw, run_indexed, subrng  # noqa: F401
 from .solvers import DEFAULT_TOL_T, indifference_param_many, solve_midpoint
 
 LINE_SMOOTH = "line-smooth"
@@ -189,11 +190,10 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
         raise ValueError("h_fraction, rel_tol, and one_sided_tol must be > 0")
     box = oracle.domain
     h_vec = h_fraction * box.extent
-    if sampler is None:
-        sampler = box.shrunk(2.0 * h_vec).sample
-
-    xs = np.array(run_indexed(lambda i: sampler(subrng(seed, i)), trials),
-                  dtype=float).reshape(trials, 1, box.dim)
+    # The sampler's points are not required to lie in the box: a trial whose
+    # stencil leaves it is skipped.
+    xs, _ = draw(box.shrunk(2.0 * h_vec) if sampler is None else box, sampler,
+                 seed, trials, 1)
     # Row 0 of a trial's stencil is x; rows 1 + 4*axis ... 4 + 4*axis move x
     # along the axis by +h, -h, +h/2 and -h/2.
     stencil = np.repeat(xs, 1 + 4 * box.dim, axis=1)

@@ -216,21 +216,21 @@ MIXED = {"name": "mixed", "dimension": 2,
 
 # Compares made by crossover and continuity-proxy at 200 trials, seeds 0
 # and 1, as (crossover 0, continuity 0, crossover 1, continuity 1); the
-# per-trial checkers made one compare per trial (twice for both
-# consistencies).  Measured with one compare per scalar call, before the
-# checkers were batched.
+# other checkers make one compare per trial (twice for both
+# consistencies).  Measured on the Philox stream, where the default path
+# and the per-trial path fed ``box.sample`` make the same compares.
 CALLS_AT_200 = {
-    "linear": (5670, 1008, 5514, 1096),
-    "cobb_douglas": (5545, 960, 5367, 1104),
-    "ces": (5489, 992, 5570, 1104),
-    "log_sum": (5474, 976, 5533, 1128),
-    "exp1d": (4003, 968, 4951, 984),
-    "kinked_composite": (5750, 968, 5684, 1104),
-    "min2": (5310, 936, 5032, 1096),
-    "neg_quadratic": (6998, 1000, 7119, 992),
-    "step": (1044, 832, 1095, 816),
-    "broken_crossover": (5207, 992, 5725, 976),
-    "mixed": (5397, 968, 5555, 1096),
+    "linear": (5840, 1008, 5711, 1088),
+    "cobb_douglas": (5470, 976, 5356, 1088),
+    "ces": (5631, 1000, 5627, 1112),
+    "log_sum": (5386, 984, 5509, 1064),
+    "exp1d": (4764, 968, 4717, 912),
+    "kinked_composite": (5652, 976, 5590, 1088),
+    "min2": (5422, 976, 5094, 1064),
+    "neg_quadratic": (7076, 1032, 7059, 1056),
+    "step": (1059, 800, 1088, 736),
+    "broken_crossover": (5438, 1008, 5433, 976),
+    "mixed": (5351, 976, 5521, 1096),
 }
 
 

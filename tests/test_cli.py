@@ -54,6 +54,10 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field, value, message", [
         ("oracle", "", "no oracle"),
+        ("seed", -1, "seed"),
+        ("seed", 2**64, "seed"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
         ("trials", 0, "trials"),
         ("debreu_trials", 0, "debreu_trials"),
         ("depth", -1, "depth"),
@@ -131,6 +135,24 @@ class TestVerifyCommand:
         assert "crossover: FAIL" in capsys.readouterr().out
         doc = _load(tmp_path / "verify-crossover.json")
         assert doc["report"]["violation_count"] > 0
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_two(self, seed, tmp_path, capsys):
+        rc = main(["verify", "--oracle", "linear", "--seed", seed,
+                   "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: seed")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.0, "3"])
+    def test_config_file_seed_validated(self, seed, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"oracle": "linear", "seed": seed}))
+        rc = main(["verify", "--config", str(config), "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: seed")
 
     def test_unknown_oracle_exits_two(self, tmp_path, capsys):
         rc = main(["verify", "--oracle", "nope", "--outdir", str(tmp_path)])

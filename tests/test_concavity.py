@@ -1,17 +1,52 @@
 import json
 
+import numpy as np
 import pytest
 
-from altkit.concavity import (check_gossen_law, check_midpoint_concavity,
+from altkit.axioms import Witness, _fold, _pt
+from altkit.concavity import (STRICTNESS_FLOOR_FRACTION, _dyadic_params, _judge,
+                              check_gossen_law, check_midpoint_concavity,
                               concavity_roundtrip)
 from altkit.domain import BoxDomain, Segment
 from altkit.errors import ConfigError
 from altkit.fixtures import UtilitySpec, catalog, oracle_by_name
+from altkit.ladder import reconstruct_utility
 from altkit.oracle import IntensityOrder
-from altkit.sampling import cycle_sampler
+from altkit.sampling import cycle_sampler, subrng
 
 SPECS = {s.name: s for s in catalog()}
 UNIT_BOX = BoxDomain([0.0], [1.0])
+
+
+def reference_midpoint_concavity(u_fn, domain, sampler=None, trials=200, seed=0, tol=0.0,
+                                 dyadic_depth=None):
+    """``check_midpoint_concavity`` one trial and one point at a time, on
+    the same draws: trial i draws x and y from ``subrng(seed, i)`` and
+    stops at its first chord point below the chord."""
+    sample = sampler or domain.sample
+    floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
+    params = _dyadic_params(dyadic_depth) if dyadic_depth else [0.5]
+
+    def trial(i: int):
+        rng = subrng(seed, i)
+        x, y = sample(rng), sample(rng)
+        ux, uy = u_fn(x), u_fn(y)
+        worst = np.inf
+        for t in params:
+            p = x + t * (y - x)
+            margin = u_fn(p) - ((1.0 - t) * ux + t * uy)
+            tol_eff = max(tol, 1e-12 * (1.0 + abs(ux) + abs(uy)))
+            if margin < -tol_eff:
+                return Witness({"x": _pt(x), "y": _pt(y), "point": _pt(p)},
+                               {"chord_parameter": f"{t:.10g}", "margin": f"{margin:.6g}"})
+            worst = min(worst, margin - tol_eff)
+        if float(np.linalg.norm(x - y)) < floor:
+            return "below-floor"
+        return "strict" if worst > 0 else "equal"
+
+    return _judge("midpoint-concavity", trials, seed,
+                  *_fold([trial(i) for i in range(trials)], 10), floor,
+                  dyadic_depth=dyadic_depth, extras={"tol": tol})
 
 
 class TestGossenLaw:
@@ -129,6 +164,27 @@ class TestMidpointConcavity:
                                         trials=1, seed=0).verdict == "fails"
         assert check_midpoint_concavity(dip, UNIT_BOX, sampler=chord, trials=1,
                                         seed=0, tol=1e-2).holds
+
+    @pytest.mark.parametrize("depth", [None, 3])
+    @pytest.mark.parametrize("case", ["exp1d-recon", "cobb-recon", "square", "near-pair"])
+    def test_batch_matches_per_point_reference(self, case, depth):
+        # Reconstructions are valued by evaluate_many, plain functions one
+        # point at a time; both must give the per-point loop's report.
+        domain, tol = UNIT_BOX, 0.0
+        if case.endswith("recon"):
+            oracle = oracle_by_name("exp1d" if case == "exp1d-recon" else "cobb_douglas")
+            u_fn = reconstruct_utility(oracle, depth=5)
+            domain, tol = oracle.domain, 2.0 * u_fn.interpolation_budget
+        else:
+            u_fn = (lambda p: p[0] ** 2) if case == "square" else (lambda p: -p[0] ** 2)
+        reports = []
+        for check in (check_midpoint_concavity, reference_midpoint_concavity):
+            sampler = cycle_sampler([[0.5], [0.5 + 1e-9], [0.1], [0.9]]) \
+                if case == "near-pair" else None
+            reports.append(check(u_fn, domain, sampler=sampler, trials=60, seed=2, tol=tol,
+                                 dyadic_depth=depth))
+        assert reports[0].to_json() == reports[1].to_json()
+        assert (reports[0].verdict == "fails") == (case in ("exp1d-recon", "square"))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):

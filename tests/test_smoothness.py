@@ -159,10 +159,12 @@ class TestDebreuProxy:
         assert abs(float(w.outputs["left"]) - float(w.outputs["right"])) > 0.5
 
     def test_min2_random_sampling_misses_kink(self):
-        # The kink set has measure zero; box sampling at this seed never
-        # lands on it, which is exactly why the proxy is only a proxy.
-        rep = debreu_smoothness_proxy(oracle_by_name("min2"), trials=25, seed=0)
-        assert rep.verdict == "pass"
+        # The kink set has measure zero, so box sampling finds it only when
+        # a stencil happens to straddle it: some seeds miss it, which is
+        # exactly why the proxy is only a proxy, and some flag it.
+        verdicts = {debreu_smoothness_proxy(oracle_by_name("min2"), trials=25, seed=seed).verdict
+                    for seed in range(60)}
+        assert verdicts == {"pass", "fail"}
 
     @pytest.mark.parametrize("name", ["cobb_douglas", "kinked_composite"])
     def test_smooth_calibrations_pass(self, name):

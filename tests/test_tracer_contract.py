@@ -28,10 +28,11 @@ def test_verify_runs_under_the_tracer(tmp_path, monkeypatch):
             fixtures.make_difference_oracle, cli.check_gossen_law) == originals
     consistency = tracer.get("axioms.consistency")
     assert consistency.items == 20
-    # Each of the five checkers draws its trials in one run_indexed call
-    # and answers them with compare_batch, which the tracer does not count.
-    assert tracer.get("sampling.run_indexed").calls == 5
-    assert tracer.get("sampling.subrng").calls == 5 * 20
+    # Each of the five checkers draws all its trials with one stream call,
+    # without a per-trial generator, and answers them with compare_batch,
+    # which the tracer does not count.
+    assert tracer.get("sampling.run_indexed").calls == 0
+    assert tracer.get("sampling.subrng").calls == 0
     assert tracer.get("fixtures.setup").calls == 1
     assert [tracer.get(f"axioms.{a}").items for a in axioms.ALL_AXIOMS] == [20] * 5
 
@@ -73,20 +74,23 @@ def test_reconstruct_reports_match_under_the_tracer(tmp_path, monkeypatch):
     assert tracer.get("ladder.build_ladder").calls == 2
     assert tracer.get("ladder.spot_check").calls == 1
     assert tracer.get("ladder.affine").calls == 1
-    assert tracer.get("sampling.subrng").calls > 0
+    assert tracer.get("sampling.subrng").calls == 0
+    assert tracer.get("sampling.run_indexed").calls == 0
 
 
 # command -> (argv, exit code, report files, spans the command must enter).
 # The Debreu proxy calibrates its stencils in one lockstep solve, so the
 # smoothness command enters the scalar bisection only through solve_f and
 # never calls smoothness.calibrate; the tracer still patches that name.
+# No command draws trial by trial, so none enters sampling.subrng or
+# sampling.run_indexed.
 SHAPE_COMMANDS = {
     "concavity": (["concavity", "--oracle", "neg_quadratic", "--trials", "40"], 0,
-                  ["concavity.json"], ["concavity.gossen", "sampling.subrng"]),
+                  ["concavity.json"], ["concavity.gossen"]),
     "smoothness": (["smoothness", "--oracle", "kinked_composite", "--b", "1.0",
                     "--debreu-trials", "4"], 1, ["quotients.csv", "smoothness.json"],
                    ["smoothness.line", "smoothness.debreu", "smoothness.solve_f",
-                    "solvers.band_bisect", "sampling.subrng"]),
+                    "solvers.band_bisect"]),
     "alep": (["alep", "--oracle", "cobb_douglas", "--grid", "3"], 0,
              ["alep.csv", "alep.json"], ["diffcalc.alep"]),
 }
@@ -106,3 +110,5 @@ def test_shape_reports_match_under_the_tracer(command, tmp_path, monkeypatch):
     assert sorted(plain) == files
     for span in spans:
         assert tracer.get(span).calls > 0, span
+    assert tracer.get("sampling.subrng").calls == 0
+    assert tracer.get("sampling.run_indexed").calls == 0
