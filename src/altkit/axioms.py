@@ -234,8 +234,9 @@ def _draw_perturbed(oracle: AltOracle, sampler: Sampler | None, seed: int, trial
         raise ValueError("probes must be >= 1")
     box = oracle.domain
     quad, u = draw(box, sampler, seed, trials, 4, probes * 4 * box.dim)
-    moved = u.reshape(trials, probes, 4, box.dim) * 2.0
-    moved -= 1.0                  # in place: one array holds all the copies
+    moved = u.reshape(trials, probes, 4, box.dim)   # a view: the copies are made in u
+    moved *= 2.0
+    moved -= 1.0
     moved *= delta * box.extent
     moved += quad[:, None]
     np.clip(moved, box.lower, box.upper, out=moved)

@@ -190,8 +190,7 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
         raise ValueError("h_fraction, rel_tol, and one_sided_tol must be > 0")
     box = oracle.domain
     h_vec = h_fraction * box.extent
-    # The sampler's points are not required to lie in the box: a trial whose
-    # stencil leaves it is skipped.
+    # Unchecked sampler: a trial whose stencil leaves the box is skipped.
     xs, _ = draw(box.shrunk(2.0 * h_vec) if sampler is None else box, sampler,
                  seed, trials, 1)
     # Row 0 of a trial's stencil is x; rows 1 + 4*axis ... 4 + 4*axis move x
