@@ -54,10 +54,6 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field, value, message", [
         ("oracle", "", "no oracle"),
-        ("seed", -1, "seed"),
-        ("seed", 2**64, "seed"),
-        ("seed", 1.5, "seed"),
-        ("seed", True, "seed"),
         ("trials", 0, "trials"),
         ("debreu_trials", 0, "debreu_trials"),
         ("depth", -1, "depth"),
@@ -73,6 +69,10 @@ class TestRunConfig:
         ("pair", [0, -1], "pair"),
         ("axioms", ["nonsense"], "unknown axioms"),
         ("domain", {"lower": [0.0]}, "domain override"),
+        ("seed", -1, "seed"),
+        ("seed", 2**64, "seed"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
     ])
     def test_validate_rejects(self, field, value, message):
         cfg = RunConfig(oracle="linear")
