@@ -159,7 +159,7 @@ def cmd_alep(cfg: RunConfig) -> int:
         raise ConfigError("cross-partial classification needs dimension >= 2")
     inner = box.shrunk(2.0 * cfg.h)
     points = inner.lattice(cfg.grid)
-    labels = alep_classify(spec.evaluator, points, pair=(cfg.pair[0], cfg.pair[1]),
+    labels = alep_classify(spec, points, pair=(cfg.pair[0], cfg.pair[1]),
                            h=cfg.h, threshold=cfg.threshold, box=box)
     _write_report(cfg, "alep.json",
                   {"classifications": [c.to_dict() for c in labels]})

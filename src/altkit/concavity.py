@@ -22,7 +22,7 @@ from .axioms import VIOLATION, WITNESS_CAP, Record, Witness, _fold, _pt
 from .domain import BoxDomain, Segment
 from .errors import ConfigError
 from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
-                       make_difference_oracle)
+                       evaluate_points, make_difference_oracle)
 from .ladder import reconstruct_utility
 from .oracle import AltOracle, IntensityOrder
 from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng
@@ -165,8 +165,7 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
     x, y = pairs[:, 0], pairs[:, 1]
     chord = x[:, None] + ts[:, None] * (y - x)[:, None]
     points = np.concatenate([x, y, chord.reshape(-1, domain.dim)])
-    many = getattr(u_fn, "evaluate_many", None)
-    values = many(points) if many else np.array([u_fn(p) for p in points], dtype=float)
+    values = evaluate_points(u_fn, points)
     ux, uy, up = values[:trials], values[trials:2 * trials], values[2 * trials:]
     margin = up.reshape(trials, ts.size) - ((1.0 - ts) * ux[:, None] + ts * uy[:, None])
     # fmax and fmin skip NaN, as max and min over Python floats do.

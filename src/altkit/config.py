@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,9 +77,14 @@ class RunConfig:
             raise ConfigError(f"domain override needs 'lower' and 'upper' lists: {bad}") from None
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not self.oracle:
             raise ConfigError("no oracle selected (use --oracle or the config file)")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -103,7 +110,7 @@ class RunConfig:
                 continue
             if len(pair) != 2 or not 0.0 <= pair[0] < pair[1] <= 1.0:
                 raise ConfigError(f"{label} must be two diagonal parameters with 0 <= lo < hi <= 1")
-        if len(self.pair) != 2 or any(not isinstance(i, int) or i < 0 for i in self.pair):
+        if len(self.pair) != 2 or any(i < 0 for i in self.pair):
             raise ConfigError("pair must be two non-negative coordinate indices")
         if self.axioms is not None:
             unknown = set(self.axioms) - set(ALL_AXIOMS)
@@ -114,3 +121,13 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation.  A bool is not an
+    int, and an int is accepted where a float is."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(_has_type(v, *typing.get_args(hint)) for v in value)
+    return type(value) in ((int, float) if hint is float else (hint,))

@@ -16,6 +16,7 @@ import numpy as np
 from .axioms import Record
 from .domain import BoxDomain, as_point
 from .errors import ConfigError, DomainError
+from .fixtures import evaluate_points
 
 SUBSTITUTE = "substitute"
 COMPLEMENT = "complement"
@@ -36,24 +37,24 @@ def numeric_gradient(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> 
     if h <= 0:
         raise ValueError("h must be > 0")
     _require_margin(box, x, h)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (u_fn(x + e) - u_fn(x - e)) / (2.0 * h)
-    return g
+    steps = h * np.eye(x.size)
+    up, down = evaluate_points(u_fn, np.concatenate([x + steps, x - steps])).reshape(2, -1)
+    return (up - down) / (2.0 * h)
 
 
-def cross_second_difference(u_fn, x: np.ndarray, i: int, j: int, h: float) -> float:
-    """Standard 4-point stencil for the (i,j) second partial."""
-    ei = np.zeros(x.size)
-    ej = np.zeros(x.size)
-    ei[i] = h
-    ej[j] = h
+def second_differences(u_fn, X, i: int, j: int, steps) -> np.ndarray:
+    """Stencil estimates of the (i,j) second partial at each row of the
+    (N, dim) array X, one row per step: 3 points on the diagonal (i == j),
+    4 off it.  All stencil points are valued in one call."""
+    blocks = []
+    for h in steps:
+        ei, ej = h * np.eye(X.shape[1])[[i, j]]
+        blocks += ([X + ei, X, X - ei] if i == j
+                   else [X + ei + ej, X + ei - ej, X - ei + ej, X - ei - ej])
+    v = evaluate_points(u_fn, np.concatenate(blocks)).reshape(len(steps), -1, len(X))
     if i == j:
-        return (u_fn(x + ei) - 2.0 * u_fn(x) + u_fn(x - ei)) / h ** 2
-    return (u_fn(x + ei + ej) - u_fn(x + ei - ej)
-            - u_fn(x - ei + ej) + u_fn(x - ei - ej)) / (4.0 * h ** 2)
+        return np.array([(a - 2.0 * b + c) / h ** 2 for (a, b, c), h in zip(v, steps)])
+    return np.array([(a - b - c + d) / (4.0 * h ** 2) for (a, b, c, d), h in zip(v, steps)])
 
 
 def numeric_hessian(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> np.ndarray:
@@ -66,7 +67,7 @@ def numeric_hessian(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> n
     hess = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            hess[i, j] = hess[j, i] = cross_second_difference(u_fn, x, i, j, h)
+            hess[i, j] = hess[j, i] = second_differences(u_fn, x[None], i, j, (h,))[0, 0]
     return hess
 
 
@@ -105,16 +106,18 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
             f"reconstruction depth {depth} < {MIN_RECONSTRUCTION_DEPTH}: second "
             "differences would read rung noise; rebuild deeper or pass allow_shallow")
     i, j = pair
-    out: list[AlepClassification] = []
-    for raw in points:
-        x = as_point(raw)
+    xs = [as_point(raw) for raw in points]
+    for x in xs:
         if not (0 <= i < x.size and 0 <= j < x.size):
             raise ConfigError(f"pair {pair} out of range for dimension {x.size}")
         _require_margin(box, x, h)
-        est_h = cross_second_difference(u_fn, x, i, j, h)
-        est_h2 = cross_second_difference(u_fn, x, i, j, 0.5 * h)
-        estimate = 0.5 * (est_h + est_h2)
-        if abs(est_h - est_h2) > max(threshold, agree_tol * abs(estimate)):
+    if not xs:
+        return []
+    est_h, est_h2 = second_differences(u_fn, np.array(xs), i, j, (h, 0.5 * h))
+    out: list[AlepClassification] = []
+    for x, e_h, e_h2 in zip(xs, est_h, est_h2):
+        estimate = 0.5 * (e_h + e_h2)
+        if abs(e_h - e_h2) > max(threshold, agree_tol * abs(estimate)):
             label = INDETERMINATE
         elif estimate < -threshold:
             label = SUBSTITUTE
@@ -123,5 +126,5 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
         else:
             label = NEUTRAL
         out.append(AlepClassification([float(v) for v in x], (i, j), float(estimate),
-                                      float(est_h), float(est_h2), label, h, threshold))
+                                      float(e_h), float(e_h2), label, h, threshold))
     return out

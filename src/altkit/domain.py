@@ -151,9 +151,6 @@ class Segment:
         self._dir = self.q - self.p
         if not np.any(self._dir):
             raise ValueError("segment endpoints coincide")
-        # Python-native mirrors: at() sits inside every bisection loop.
-        self._p_list = self.p.tolist()
-        self._dir_list = self._dir.tolist()
 
     @property
     def dim(self) -> int:
@@ -164,11 +161,7 @@ class Segment:
         return float(np.linalg.norm(self._dir))
 
     def at(self, t: float) -> np.ndarray:
-        p, d = self._p_list, self._dir_list
-        out = np.empty(len(p))
-        for j, (pj, dj) in enumerate(zip(p, d)):
-            out[j] = pj + t * dj
-        return out
+        return self.p + t * self._dir
 
     def at_many(self, t: np.ndarray) -> np.ndarray:
         """Rows ``at(t_i)`` for a 1-D array of parameters, bit-identical to

@@ -1,6 +1,11 @@
 """Built-in utility systems, comparison-oracle factories, and a small
 JSON expression grammar for loading custom utilities.
 
+Each utility u and intensity g is defined once, as an array function:
+an (N, dim) array of points (two of them for g) to N values.  Its value
+at one point is row 0 of that function, and an oracle's compare is its
+batch comparison on one-row views.
+
 Every catalog entry carries ground-truth tags (concavity, monotonicity,
 continuity, smoothness) that the diagnostic pipelines are tested against.
 Difference oracles compare u(x)-u(y) with u(z)-u(w); intensity oracles
@@ -10,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -34,18 +38,39 @@ RELATIVE_EPS = 1e-9  # dead band = RELATIVE_EPS * estimated utility range
 SETUP_LATTICE_POINTS = 7 ** 4  # cap on the lattice that estimates the range
 
 
+def _row(point) -> np.ndarray:
+    return np.asarray(point, dtype=float).reshape(1, -1)
+
+
+def _one_definition(evaluator, batch):
+    """Complete a spec from the form it was given: without ``batch``, the
+    batch is ``evaluator`` looped over rows; without ``evaluator``, the
+    evaluator is row 0 of ``batch``."""
+    if batch is None:
+        if evaluator is None:
+            raise ValueError("a spec needs an evaluator or a batch")
+
+        def batch(*arrays):
+            return np.array([evaluator(*row) for row in zip(*arrays)], dtype=float)
+    if evaluator is None:
+        def evaluator(*points):
+            return float(batch(*map(_row, points))[0])
+    return evaluator, batch
+
+
 @dataclass(eq=False)
 class UtilitySpec:
     """A named utility with optional analytic derivatives and ground-truth tags.
 
-    ``batch``, when given, maps an (N, dim) array of points to the (N,)
-    values of ``evaluator``, bit-identical row by row, so that an oracle
-    may answer many comparisons at once without changing any answer.
+    ``batch`` defines the utility: it maps an (N, dim) array of points to
+    their (N,) values.  ``evaluator``, the value at one point, is row 0 of
+    ``batch`` unless given; a spec given only an ``evaluator`` gets a
+    ``batch`` that loops it over rows.  Oracles use ``batch`` alone.
     """
 
     name: str
     dim: int
-    evaluator: Evaluator
+    evaluator: Evaluator | None
     domain: BoxDomain
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
@@ -56,8 +81,15 @@ class UtilitySpec:
     line_smooth: bool | None = None
     batch: BatchEvaluator | None = None
 
+    def __post_init__(self) -> None:
+        self.evaluator, self.batch = _one_definition(self.evaluator, self.batch)
+
     def __call__(self, x) -> float:
         return self.evaluator(x)
+
+    def evaluate_many(self, xs) -> np.ndarray:
+        """Values at the rows of an (N, dim) array of points."""
+        return self.batch(np.asarray(xs, dtype=float).reshape(-1, self.dim))
 
     def tag_dict(self) -> dict:
         return {
@@ -73,93 +105,92 @@ class UtilitySpec:
 class IntensitySpec:
     """A named two-point intensity function g(x, y); [x,y]>=[z,w] iff g(x,y)>=g(z,w).
 
-    ``batch``, when given, maps two (N, dim) arrays to the (N,) values of
-    ``evaluator`` row by row, bit-identical, as ``UtilitySpec.batch`` does.
+    ``batch`` maps two (N, dim) arrays to the (N,) values of g row by row,
+    and ``evaluator`` is its row 0, completed as ``UtilitySpec`` does.
     """
 
     name: str
     dim: int
-    evaluator: Callable[[np.ndarray, np.ndarray], float]
+    evaluator: Callable[[np.ndarray, np.ndarray], float] | None
     domain: BoxDomain
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-
-def _evaluator_error(bad: Exception, *points) -> ConfigError:
-    where = ", ".join(str(np.asarray(p, dtype=float).tolist()) for p in points)
-    return ConfigError(f"evaluator failed at {where}: {bad}")
+    def __post_init__(self) -> None:
+        self.evaluator, self.batch = _one_definition(self.evaluator, self.batch)
 
 
-def estimate_value_range(fn: Evaluator, box: BoxDomain) -> float:
-    """Span of fn over a deterministic lattice that includes the box corners:
-    7 points per axis, or in more than 4 dimensions the most points per
-    axis, at least 2, that keep the lattice within SETUP_LATTICE_POINTS.
+def _finite(fn, arrays, what: str) -> np.ndarray:
+    """``fn(*arrays)``, every value finite.  A call that raises ValueError
+    or ArithmeticError, or gives a NaN or infinite value, is replayed row
+    by row on one-row views, and the first bad row raises ConfigError
+    naming its points."""
+    try:
+        with np.errstate(all="ignore"):
+            values = fn(*arrays)
+        if np.isfinite(values).all():
+            return values
+    except (ValueError, ArithmeticError):
+        pass
+    values = np.empty(len(arrays[0]))
+    for k, row in enumerate(zip(*arrays)):
+        try:
+            with np.errstate(all="ignore"):
+                values[k] = fn(*(r[None] for r in row))[0]
+            if not math.isfinite(values[k]):
+                raise ValueError(f"{what} {values[k]}")
+        except (ValueError, ArithmeticError) as bad:
+            where = ", ".join(str(r.tolist()) for r in row)
+            raise ConfigError(f"evaluator failed at {where}: {bad}") from None
+    return values
 
-    An evaluator that raises ValueError or ArithmeticError, or returns a
-    NaN or infinite value, at a lattice point raises ConfigError naming
-    that point.
+
+def estimate_value_range(fn: BatchEvaluator, box: BoxDomain) -> float:
+    """Span of the array function fn over a deterministic lattice that
+    includes the box corners: 7 points per axis, or in more than 4
+    dimensions the most points per axis, at least 2, that keep the lattice
+    within SETUP_LATTICE_POINTS.  The lattice is valued in one call.
+
+    A function that raises ValueError or ArithmeticError, or gives a NaN
+    or infinite value, at a lattice point raises ConfigError naming the
+    first such point.
     """
     per_axis = 7
     while per_axis > 2 and per_axis ** box.dim > SETUP_LATTICE_POINTS:
         per_axis -= 1
-    values = []
-    try:
-        for p in box.lattice(per_axis):
-            v = fn(p)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v}")
-            values.append(v)
-    except (ValueError, ArithmeticError) as bad:
-        raise _evaluator_error(bad, p) from None
-    span = float(max(values) - min(values))
-    return max(span, 1e-12)
+    values = _finite(fn, (box.lattice(per_axis),), "non-finite value")
+    return max(float(values.max() - values.min()), 1e-12)
 
 
 def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
                   eps_eq: float | None, pairwise: bool) -> AltOracle:
-    """Oracle over ``spec.evaluator``: a utility u compared by
+    """Oracle over ``spec.batch``: a utility u compared by
     (u(x)-u(y)) - (u(z)-u(w)), or, when ``pairwise``, an intensity g
-    compared by g(x,y) - g(z,w).  An evaluator's ValueError or
-    ArithmeticError, or a non-finite difference, at set-up or in a compare,
-    raises ConfigError naming the points it was evaluated at.  A spec with
-    a ``batch`` evaluator gets a batch comparator with the same answers
-    and the same errors."""
+    compared by g(x,y) - g(z,w).  The batch comparator classifies that
+    difference row by row; ``compare`` is the same on one-row views.  An
+    evaluator's ValueError or ArithmeticError, or a non-finite difference,
+    at set-up or in a compare, raises ConfigError naming the points of the
+    first bad row."""
     kind = "intensity" if pairwise else "utility"
     box = domain or spec.domain
     if box.dim != spec.dim:
         raise ValueError(f"domain dimension {box.dim} != {kind} dimension {spec.dim}")
-    f = spec.evaluator
+    f = spec.batch
     if eps_eq is None:
-        probe = (lambda p: f(p, box.lower)) if pairwise else f
+        probe = (lambda P: f(P, np.broadcast_to(box.lower, P.shape))) if pairwise else f
         eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
 
-    def comparator(x, y, z, w):
-        try:
-            if pairwise:
-                return classify(f(x, y) - f(z, w), eps_eq)
-            return classify((f(x) - f(y)) - (f(z) - f(w)), eps_eq)
-        except (ValueError, ArithmeticError) as bad:
-            raise _evaluator_error(bad, x, y, z, w) from None
+    def delta(X, Y, Z, W):
+        return f(X, Y) - f(Z, W) if pairwise else (f(X) - f(Y)) - (f(Z) - f(W))
 
-    fb = spec.batch
+    def batch(*arrays):
+        return classify_many(_finite(delta, arrays, "non-finite intensity difference"), eps_eq)
 
-    def batch(X, Y, Z, W):
-        try:
-            with np.errstate(all="ignore"):
-                if pairwise:
-                    delta = fb(X, Y) - fb(Z, W)
-                else:
-                    delta = (fb(X) - fb(Y)) - (fb(Z) - fb(W))
-            if np.isfinite(delta).all():
-                return classify_many(delta, eps_eq)
-        except (ValueError, ArithmeticError):
-            pass
-        # Replay row by row: the first failing row raises the same error,
-        # naming the same points, as the scalar comparator.
-        return np.array([comparator(*row).sign for row in zip(X, Y, Z, W)], dtype=np.int8)
+    def comparator(*points):
+        rows = [_row(p) for p in points]
+        return classify(_finite(delta, rows, "non-finite intensity difference")[0], eps_eq)
 
     name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"
-    return AltOracle(spec.dim, box, comparator, eps_eq, name=name,
-                     batch=None if fb is None else batch)
+    return AltOracle(spec.dim, box, comparator, eps_eq, name=name, batch=batch)
 
 
 def make_difference_oracle(spec: UtilitySpec, domain: BoxDomain | None = None,
@@ -174,6 +205,13 @@ def make_intensity_oracle(spec: IntensitySpec, domain: BoxDomain | None = None,
     return _build_oracle(spec, domain, eps_eq, pairwise=True)
 
 
+def evaluate_points(u_fn, points) -> np.ndarray:
+    """Values of ``u_fn`` at the rows of ``points``: one ``evaluate_many``
+    call when the function has one, else one call per point."""
+    many = getattr(u_fn, "evaluate_many", None)
+    return many(points) if many else np.array([u_fn(p) for p in points], dtype=float)
+
+
 # ----------------------------------------------------------------------------
 # Catalog fixtures
 # ----------------------------------------------------------------------------
@@ -182,27 +220,9 @@ def _box(lo: float, hi: float, n: int) -> BoxDomain:
     return BoxDomain([lo] * n, [hi] * n)
 
 
-def _u_linear(x):      return x[0] + x[1]
-def _u_cobb(x):        return math.sqrt(x[0] * x[1])
-def _u_ces(x):         return (math.sqrt(x[0]) + math.sqrt(x[1])) ** 2
-def _u_log_sum(x):     return math.log(x[0]) + math.log(x[1])
-def _u_exp1d(x):       return math.exp(x[0])
-def _u_min2(x):        return min(x[0], x[1])
-def _u_step(x):        return float(math.floor(x[0]))
-def _u_neg_quad(x):    return -(x[0] - 1.0) ** 2
-
-
-def _u_kinked(x):
-    """Concave composite with a kink in the scale: v = sqrt(x1*x2), then
-    slope 1 below v=1 and slope 1/2 above it."""
-    v = math.sqrt(x[0] * x[1])
-    return v - 1.0 if v <= 1.0 else 0.5 * (v - 1.0)
-
-
-# Batch evaluators: numpy where its result is bit-identical to the scalar
-# one (+ - * /, sqrt, floor, minimum), libm through np.frompyfunc where it
-# is not (numpy's log, exp and array **2 differ from math.log, math.exp and
-# float pow in the last bit on some inputs).
+# libm through np.frompyfunc: numpy's log, exp and array **2 differ from
+# math.log, math.exp and float pow in the last bit on some inputs, and the
+# reports' bits were made with the latter.
 def _libm(fn, nin: int = 1):
     ufunc = np.frompyfunc(fn, nin, 1)
     return lambda *args: ufunc(*args).astype(float)
@@ -211,17 +231,19 @@ def _libm(fn, nin: int = 1):
 _log, _exp, _pow = _libm(math.log), _libm(math.exp), _libm(pow, 2)
 
 
-def _b_linear(X):      return X[:, 0] + X[:, 1]
-def _b_cobb(X):        return np.sqrt(X[:, 0] * X[:, 1])
-def _b_ces(X):         return _pow(np.sqrt(X[:, 0]) + np.sqrt(X[:, 1]), 2)
-def _b_log_sum(X):     return _log(X[:, 0]) + _log(X[:, 1])
-def _b_exp1d(X):       return _exp(X[:, 0])
-def _b_min2(X):        return np.minimum(X[:, 0], X[:, 1])
-def _b_step(X):        return np.floor(X[:, 0])
-def _b_neg_quad(X):    return -_pow(X[:, 0] - 1.0, 2)
+def _linear(X):      return X[:, 0] + X[:, 1]
+def _cobb(X):        return np.sqrt(X[:, 0] * X[:, 1])
+def _ces(X):         return _pow(np.sqrt(X[:, 0]) + np.sqrt(X[:, 1]), 2)
+def _log_sum(X):     return _log(X[:, 0]) + _log(X[:, 1])
+def _exp1d(X):       return _exp(X[:, 0])
+def _min2(X):        return np.minimum(X[:, 0], X[:, 1])
+def _step(X):        return np.floor(X[:, 0])
+def _neg_quad(X):    return -_pow(X[:, 0] - 1.0, 2)
 
 
-def _b_kinked(X):
+def _kinked(X):
+    """Concave composite with a kink in the scale: v = sqrt(x1*x2), then
+    slope 1 below v=1 and slope 1/2 above it."""
     v = np.sqrt(X[:, 0] * X[:, 1])
     return np.where(v <= 1.0, v - 1.0, 0.5 * (v - 1.0))
 
@@ -276,68 +298,54 @@ def catalog() -> list[UtilitySpec]:
     off-diagonal cells of that 2x2 matrix.
     """
     return [
-        UtilitySpec("linear", 2, _u_linear, _box(0.1, 10, 2),
-                    batch=_b_linear,
+        UtilitySpec("linear", 2, None, _box(0.1, 10, 2), batch=_linear,
                     gradient=_grad_linear, hessian=_hess_linear,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
-        UtilitySpec("cobb_douglas", 2, _u_cobb, _box(0.1, 10, 2),
-                    batch=_b_cobb,
+        UtilitySpec("cobb_douglas", 2, None, _box(0.1, 10, 2), batch=_cobb,
                     gradient=_grad_cobb, hessian=_hess_cobb,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
-        UtilitySpec("ces", 2, _u_ces, _box(0.1, 10, 2),
-                    batch=_b_ces,
+        UtilitySpec("ces", 2, None, _box(0.1, 10, 2), batch=_ces,
                     gradient=_grad_ces, hessian=_hess_ces,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
-        UtilitySpec("log_sum", 2, _u_log_sum, _box(0.1, 10, 2),
-                    batch=_b_log_sum,
+        UtilitySpec("log_sum", 2, None, _box(0.1, 10, 2), batch=_log_sum,
                     gradient=_grad_log_sum, hessian=_hess_log_sum,
                     concavity=STRICTLY_CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
-        UtilitySpec("exp1d", 1, _u_exp1d, _box(0.0, 1.0, 1),
-                    batch=_b_exp1d,
+        UtilitySpec("exp1d", 1, None, _box(0.0, 1.0, 1), batch=_exp1d,
                     gradient=_grad_exp1d, hessian=_hess_exp1d,
                     concavity=NON_CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
-        UtilitySpec("kinked_composite", 2, _u_kinked, _box(0.01, 4.0, 2),
-                    batch=_b_kinked,
+        UtilitySpec("kinked_composite", 2, None, _box(0.01, 4.0, 2), batch=_kinked,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=False),
-        UtilitySpec("min2", 2, _u_min2, _box(0.1, 10, 2),
-                    batch=_b_min2,
+        UtilitySpec("min2", 2, None, _box(0.1, 10, 2), batch=_min2,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=False, line_smooth=True),
-        UtilitySpec("neg_quadratic", 1, _u_neg_quad, _box(0.0, 2.0, 1),
-                    batch=_b_neg_quad,
+        UtilitySpec("neg_quadratic", 1, None, _box(0.0, 2.0, 1), batch=_neg_quad,
                     concavity=STRICTLY_CONCAVE, monotone=False, continuous=True),
-        UtilitySpec("step", 1, _u_step, _box(0.0, 3.0, 1),
-                    batch=_b_step,
+        UtilitySpec("step", 1, None, _box(0.0, 3.0, 1), batch=_step,
                     concavity=NON_CONCAVE, monotone=False, continuous=False),
     ]
 
 
-def _g_broken_crossover(x, y):
+def _broken_crossover(X, Y):
     # Re-weighted difference: orders pairs consistently but breaks the
     # crossover exchange of inner points.
-    return x[0] - 2.0 * y[0]
+    return X[:, 0] - 2.0 * Y[:, 0]
 
 
-def _g_constant(x, y):
-    return 0.0
-
-
-def _gb_broken_crossover(X, Y):  return X[:, 0] - 2.0 * Y[:, 0]
-def _gb_constant(X, Y):          return np.zeros(len(X))
+def _constant(X, Y):   return np.zeros(len(X))
 
 
 def intensity_catalog() -> list[IntensitySpec]:
     """Negative fixtures expressed directly as intensity functions."""
     return [
-        IntensitySpec("broken_crossover", 1, _g_broken_crossover, _box(0.0, 10.0, 1),
-                      batch=_gb_broken_crossover),
-        IntensitySpec("constant", 1, _g_constant, _box(0.0, 1.0, 1), batch=_gb_constant),
+        IntensitySpec("broken_crossover", 1, None, _box(0.0, 10.0, 1),
+                      batch=_broken_crossover),
+        IntensitySpec("constant", 1, None, _box(0.0, 1.0, 1), batch=_constant),
     ]
 
 
@@ -377,56 +385,40 @@ def oracle_by_name(name: str, domain: BoxDomain | None = None,
 # JSON expression grammar
 # ----------------------------------------------------------------------------
 
-_UNARY_OPS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "neg": operator.neg}
-_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-               "div": operator.truediv, "pow": math.pow}
-_VARIADIC_OPS = {"min": min, "max": max}
-
-
-def _divide(a, b):
-    # A zero divisor raises, so the row replays through the scalar
-    # evaluator, whose answer depends on whether its operands are numpy
-    # scalars (inf) or Python floats (ZeroDivisionError).
-    if (b == 0).any():
-        raise ZeroDivisionError("division by zero")
-    return a / b
-
-
 def _running(better):
     """Python's min (``better`` = less) or max over arrays, row by row: a
     later value replaces the running one only where ``better`` holds, which
     keeps or skips a NaN exactly as Python does."""
-    def fold(values):
-        it = iter(values)
-        out = next(it)
-        for v in it:
+    def fold(first, *rest):
+        out = first
+        for v in rest:
             out = np.where(better(v, out), v, out)
         return out
     return fold
 
 
-# The array twins of the operators: numpy for + - * / (IEEE, as Python
-# floats), the scalar libm function through _libm for the others.
-_ARRAY_OPS = {"sqrt": _libm(math.sqrt), "log": _log, "exp": _exp, "neg": np.negative,
-              "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide,
-              "pow": _libm(math.pow, 2), "min": _running(np.less), "max": _running(np.greater)}
+# name: (function over arrays, number of arguments; None for two or more)
+_OPS = {"sqrt": (_libm(math.sqrt), 1), "log": (_log, 1), "exp": (_exp, 1),
+        "neg": (np.negative, 1), "add": (np.add, 2), "sub": (np.subtract, 2),
+        "mul": (np.multiply, 2), "div": (np.divide, 2), "pow": (_libm(math.pow, 2), 2),
+        "min": (_running(np.less), None), "max": (_running(np.greater), None)}
 
 
-def parse_expression(node, dim: int, batch: bool = False) -> Evaluator:
-    """Compile an expression tree to an evaluator, or with ``batch`` to a
-    batch evaluator: (N, dim) points to the (N,) values of the evaluator,
-    bit-identical row by row.  Where the evaluator would fail, or divides
-    by zero, the batch raises or gives a non-finite value, and the oracle
-    replays it through the evaluator.
+def parse_expression(node, dim: int) -> BatchEvaluator:
+    """Compile an expression tree to an array function: an (N, dim) array
+    of points to their (N,) values.
 
     Grammar: a number is a constant; ``["x", i]`` is coordinate i; every
     other list is ``[op, arg, ...]`` with op drawn from add/sub/mul/div/pow
-    (binary), sqrt/log/exp/neg (unary), min/max (2+ args).  ``pow`` is
-    ``math.pow``, which raises ValueError where the power is not real.
+    (binary), sqrt/log/exp/neg (unary), min/max (2+ args).  ``div`` is IEEE
+    division, so a zero divisor gives an infinite or NaN value, which the
+    oracle rejects where it reaches a compared value.  ``sqrt``, ``log``,
+    ``exp`` and ``pow`` are the math module's, and raise as it does, e.g.
+    ValueError where the power is not real.
     """
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         c = float(node)
-        return (lambda X: np.full(len(X), c)) if batch else (lambda x: c)
+        return lambda X: np.full(len(X), c)
     if not isinstance(node, list) or not node:
         raise ConfigError(f"malformed expression node: {node!r}")
     op = node[0]
@@ -436,24 +428,16 @@ def parse_expression(node, dim: int, batch: bool = False) -> Evaluator:
         i = node[1]
         if not 0 <= i < dim:
             raise ConfigError(f"coordinate index {i} out of range for dimension {dim}")
-        return (lambda X: X[:, i]) if batch else (lambda x: x[i])
-    args = [parse_expression(a, dim, batch) for a in node[1:]]
-    if op in _UNARY_OPS:
-        if len(args) != 1:
-            raise ConfigError(f"{op} takes exactly one argument")
-        fn, (a,) = (_ARRAY_OPS if batch else _UNARY_OPS)[op], args
-        return lambda x: fn(a(x))
-    if op in _BINARY_OPS:
-        if len(args) != 2:
-            raise ConfigError(f"{op} takes exactly two arguments")
-        fn, (a, b) = (_ARRAY_OPS if batch else _BINARY_OPS)[op], args
-        return lambda x: fn(a(x), b(x))
-    if op in _VARIADIC_OPS:
-        if len(args) < 2:
-            raise ConfigError(f"{op} takes at least two arguments")
-        fn = (_ARRAY_OPS if batch else _VARIADIC_OPS)[op]
-        return lambda x: fn(e(x) for e in args)
-    raise ConfigError(f"unknown operator {op!r}")
+        return lambda X: X[:, i]
+    args = [parse_expression(a, dim) for a in node[1:]]
+    if op not in _OPS:
+        raise ConfigError(f"unknown operator {op!r}")
+    fn, arity = _OPS[op]
+    if arity is None and len(args) < 2:
+        raise ConfigError(f"{op} takes at least two arguments")
+    if arity is not None and len(args) != arity:
+        raise ConfigError(f"{op} takes exactly {('one argument', 'two arguments')[arity - 1]}")
+    return lambda X: fn(*[a(X) for a in args])
 
 
 def utility_from_json(source) -> UtilitySpec:
@@ -476,15 +460,14 @@ def utility_from_json(source) -> UtilitySpec:
         raise ConfigError(f"utility JSON missing key {missing}") from None
     if dim < 1:
         raise ConfigError("dimension must be >= 1")
-    evaluator = parse_expression(expr, dim)
-    batch = parse_expression(expr, dim, batch=True)
+    batch = parse_expression(expr, dim)
     if "domain" in doc:
         box = BoxDomain(as_point(doc["domain"]["lower"], dim),
                         as_point(doc["domain"]["upper"], dim))
     else:
         box = _box(0.1, 10.0, dim)
     return UtilitySpec(
-        name, dim, evaluator, box, batch=batch,
+        name, dim, None, box, batch=batch,
         concavity=doc.get("concavity", UNKNOWN),
         monotone=doc.get("monotone"),
         continuous=doc.get("continuous"),

@@ -13,7 +13,9 @@ in lockstep with one batched side call per step.  :func:`band_bisect` is
 that bisection on one bracket with a scalar side, for callers that are
 sequential by nature (ladder edge growth, midpoints, Archimedean walks),
 and :func:`indifference_param_many` solves indifference for many points
-on one segment.
+on one segment.  A scalar side asks ``AltOracle.compare``, which for a
+catalog or JSON oracle is its batch comparison on one-row views, so a
+bracket gets the same answers alone as in lockstep.
 """
 from __future__ import annotations
 

@@ -154,6 +154,24 @@ class TestVerifyCommand:
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("config error: seed")
 
+    @pytest.mark.parametrize("field, value", [
+        ("oracle", 3), ("domain", [0.0, 1.0]), ("seed", "1"), ("trials", "abc"),
+        ("depth", 2.5), ("eps_eq", "x"), ("tol_t", None), ("h", [1e-3]),
+        ("threshold", True), ("delta", "x"), ("probes", 8.0), ("b", "1"),
+        ("workers", False), ("outdir", 5), ("axioms", "consistency"), ("strict", 1),
+        ("grid", None), ("anchors", 5), ("second_anchors", ["0.1", "0.9"]),
+        ("pair", [0, 1.0]), ("debreu_trials", "50"),
+    ])
+    def test_config_file_field_types_validated(self, field, value, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"oracle": "linear", "outdir": str(tmp_path / "out"),
+                                      field: value}))
+        rc = main(["verify", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_oracle_exits_two(self, tmp_path, capsys):
         rc = main(["verify", "--oracle", "nope", "--outdir", str(tmp_path)])
         assert rc == 2
@@ -202,6 +220,19 @@ class TestVerifyCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "non-finite" in err
+
+    def test_zero_divisor_exits_two(self, tmp_path, capsys):
+        # x0 / x1 is IEEE division: inf or NaN on the face x1 = 0, which the
+        # set-up lattice reaches.
+        path = tmp_path / "ratio.json"
+        path.write_text(json.dumps({"name": "ratio", "dimension": 2,
+                                    "expr": ["div", ["x", 0], ["x", 1]],
+                                    "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}))
+        rc = main(["verify", "--oracle", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: evaluator failed at [0.0, 0.0]: non-finite value nan")
 
     @pytest.mark.parametrize("extra", [[], ["--eps-eq", "1e-9"]])
     def test_complex_power_exits_two(self, tmp_path, capsys, extra):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from altkit.diffcalc import (alep_classify, cross_second_difference,
-                             numeric_gradient, numeric_hessian)
+from altkit.diffcalc import (alep_classify, numeric_gradient, numeric_hessian,
+                             second_differences)
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError, DomainError
 from altkit.fixtures import catalog, oracle_by_name
@@ -87,15 +87,14 @@ class TestCrossStencil:
         # On the diagonal the 4-point stencil of min reads 1/(2h): it
         # measures the kink, not a second derivative, so halving h
         # doubles the reading instead of converging.
-        x = np.array([2.0, 2.0])
-        d1 = cross_second_difference(SPECS["min2"], x, 0, 1, 0.1)
-        d2 = cross_second_difference(SPECS["min2"], x, 0, 1, 0.05)
+        x = np.array([[2.0, 2.0]])
+        (d1,), (d2,) = second_differences(SPECS["min2"], x, 0, 1, (0.1, 0.05))
         assert d1 == pytest.approx(5.0, abs=1e-9)
         assert d2 == pytest.approx(10.0, abs=1e-9)
 
     def test_diagonal_entry_uses_three_points(self):
-        d = cross_second_difference(SPECS["cobb_douglas"],
-                                    np.array([1.0, 1.0]), 0, 0, 1e-3)
+        (d,), = second_differences(SPECS["cobb_douglas"],
+                                   np.array([[1.0, 1.0]]), 0, 0, (1e-3,))
         assert d == pytest.approx(-0.25, abs=1e-5)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError
-from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE,
+from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
                              catalog, estimate_value_range, intensity_by_name,
                              make_difference_oracle, make_intensity_oracle,
                              oracle_by_name, parse_expression,
@@ -85,7 +86,7 @@ class TestDifferenceOracle:
         oracle = make_difference_oracle(spec)
         # u = x0 + x1 spans [0.2, 20] on the box: range 19.8.
         assert oracle.eps_eq == pytest.approx(1e-9 * 19.8)
-        assert estimate_value_range(spec.evaluator, spec.domain) == pytest.approx(19.8)
+        assert estimate_value_range(spec.batch, spec.domain) == pytest.approx(19.8)
 
     def test_custom_eps_and_domain(self):
         spec = utility_by_name("linear")
@@ -103,13 +104,34 @@ class TestDifferenceOracle:
         """Oracles from u and u + c agree on all quadruples."""
         spec = utility_by_name("cobb_douglas")
         base = make_difference_oracle(spec)
-        shifted_spec = utility_by_name("cobb_douglas")
-        shifted_spec.evaluator = lambda x, _u=spec.evaluator: _u(x) + 17.5
-        shifted = make_difference_oracle(shifted_spec)
+        shifted = make_difference_oracle(dataclasses.replace(
+            spec, evaluator=None, batch=lambda X: spec.batch(X) + 17.5))
         rng = np.random.default_rng(11)
-        for _ in range(1000):
-            q = [spec.domain.sample(rng) for _ in range(4)]
+        quads = [np.array([spec.domain.sample(rng) for _ in range(1000)]) for _ in range(4)]
+        quads[2][:100], quads[3][:100] = quads[0][:100], quads[1][:100]
+        assert shifted.compare_batch(*quads).tolist() == base.compare_batch(*quads).tolist()
+        for q in zip(*quads):
             assert base.compare(*q) is shifted.compare(*q)
+
+
+def _kinked_reference(x):
+    v = math.sqrt(x[0] * x[1])
+    return v - 1.0 if v <= 1.0 else 0.5 * (v - 1.0)
+
+
+# Each catalog utility one point at a time through the math module: the
+# reference the array definitions must match bit for bit.
+_REFERENCE = {
+    "linear": lambda x: x[0] + x[1],
+    "cobb_douglas": lambda x: math.sqrt(x[0] * x[1]),
+    "ces": lambda x: (math.sqrt(x[0]) + math.sqrt(x[1])) ** 2,
+    "log_sum": lambda x: math.log(x[0]) + math.log(x[1]),
+    "exp1d": lambda x: math.exp(x[0]),
+    "kinked_composite": _kinked_reference,
+    "min2": lambda x: min(x[0], x[1]),
+    "neg_quadratic": lambda x: -(x[0] - 1.0) ** 2,
+    "step": lambda x: float(math.floor(x[0])),
+}
 
 
 class TestBatchEvaluators:
@@ -120,8 +142,14 @@ class TestBatchEvaluators:
         lo, hi = spec.domain.lower, spec.domain.upper
         corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(spec.dim, -1).T
         points = np.vstack([lo + rng.random((100_000, spec.dim)) * (hi - lo), corners])
-        expected = np.array([spec.evaluator(p) for p in points])
+        expected = np.array([_REFERENCE[name](p) for p in points])
         assert spec.batch(points).tobytes() == expected.tobytes()
+        # The value at one point is row 0 of the array definition.
+        assert np.array([spec(p) for p in points[-100:]]).tobytes() == expected[-100:].tobytes()
+
+    def test_scalar_only_spec_gets_a_row_loop(self):
+        spec = UtilitySpec("scalar", 2, lambda x: x[0] * x[1], BoxDomain([0.0, 0.0], [1.0, 1.0]))
+        assert spec.batch(np.array([[0.5, 0.5], [1.0, 0.25]])).tolist() == [0.25, 0.25]
 
     def test_batch_comparator_matches_compare(self):
         oracle = oracle_by_name("log_sum")
@@ -165,17 +193,46 @@ class TestBatchEvaluators:
         for i in range(1, dim):
             expr = ["add", expr, ["x", i]]
         spec = utility_from_json({"name": "sum", "dimension": dim, "expr": expr})
-        calls = []
-        counted = dataclasses.replace(spec, evaluator=lambda x: calls.append(1) or spec(x))
+        rows = []
+        counted = dataclasses.replace(spec, batch=lambda X: rows.append(len(X)) or spec.batch(X))
         oracle = make_difference_oracle(counted)
-        assert len(calls) == points
+        assert rows == [points]
         assert oracle.eps_eq == pytest.approx(1e-9 * 9.9 * dim)
 
     def test_non_finite_value_at_setup_raises(self):
         spec = utility_from_json({"name": "overflow", "dimension": 2,
                                   "expr": ["mul", ["mul", ["x", 0], 1e308], 10]})
         with pytest.raises(ConfigError, match="non-finite value inf"):
-            estimate_value_range(spec.evaluator, spec.domain)
+            estimate_value_range(spec.batch, spec.domain)
+
+    def test_zero_divisor_under_a_cap_answers(self):
+        # 1/x0 is inf at x0 = 0, and min caps it at 5: a finite value.
+        spec = utility_from_json({"name": "capped", "dimension": 1,
+                                  "expr": ["min", ["div", 1, ["x", 0]], 5],
+                                  "domain": {"lower": [0.0], "upper": [2.0]}})
+        oracle = make_difference_oracle(spec)
+        assert oracle.eps_eq == 4.500000000000001e-09
+        rows = np.array([[0.0], [0.1], [0.25], [0.5], [1.0], [2.0]])
+        signs = oracle.compare_batch(rows, rows[::-1], np.roll(rows, -1, axis=0), rows[[0] * 6])
+        assert signs.tolist() == [1, 1, 1, 1, 1, -1]
+        quads = [([0.0], [1.0], [0.5], [1.0]), ([0.0], [0.2], [0.1], [0.3]),
+                 ([0.1], [0.0], [2.0], [2.0])]
+        assert [oracle.compare(*map(np.array, q)) for q in quads] == [G, L, E]
+
+
+# A reference evaluator of the grammar, one point at a time through the
+# math module; div is IEEE division, as on numpy scalars.
+_REFERENCE_OPS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "neg": operator.neg,
+                  "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                  "div": np.divide, "pow": math.pow, "min": min, "max": max}
+
+
+def _reference_value(node, x):
+    if not isinstance(node, list):
+        return float(node)
+    if node[0] == "x":
+        return x[node[1]]
+    return _REFERENCE_OPS[node[0]](*(_reference_value(a, x) for a in node[1:]))
 
 
 # Random expression trees over every operator of the grammar, with leaves
@@ -199,18 +256,24 @@ def _grammar_points(n: int, seed: int) -> np.ndarray:
 class TestBatchExpressions:
     @settings(max_examples=150, deadline=None)
     @given(_expressions)
-    def test_batch_matches_evaluator_row_by_row(self, expr):
-        scalar, batch = parse_expression(expr, 2), parse_expression(expr, 2, batch=True)
+    def test_batch_matches_reference_row_by_row(self, expr):
+        # The array function raises exactly when some row of the reference
+        # does, and otherwise gives its values bit for bit.
+        batch = parse_expression(expr, 2)
         points = _grammar_points(64, 1)
-        try:
-            with np.errstate(all="ignore"):
-                got = batch(points)
-        except (ValueError, ArithmeticError):
-            return    # the oracle replays such a batch through the evaluator
         with np.errstate(all="ignore"):
-            expected = np.array([scalar(p) for p in points], dtype=float)
-        assert got.shape == (64,)
-        assert got.tobytes() == expected.tobytes()
+            try:
+                got = batch(points)
+            except (ValueError, ArithmeticError):
+                got = None
+            try:
+                expected = np.array([_reference_value(expr, p) for p in points], dtype=float)
+            except (ValueError, ArithmeticError):
+                expected = None
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.shape == (64,)
+            assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(_expressions)
@@ -309,19 +372,19 @@ class TestExpressionGrammar:
     def test_arithmetic_tree(self):
         # sqrt(x0 * x1) evaluated at (4, 1)
         f = parse_expression(["sqrt", ["mul", ["x", 0], ["x", 1]]], 2)
-        assert f(np.array([4.0, 1.0])) == pytest.approx(2.0)
+        assert f(np.array([[4.0, 1.0]])).tolist() == [2.0]
 
     def test_constants_and_binary_ops(self):
         f = parse_expression(["add", ["pow", ["x", 0], 2], 1.5], 1)
-        assert f(np.array([3.0])) == pytest.approx(10.5)
+        assert f(np.array([[3.0], [1.0]])).tolist() == [10.5, 2.5]
 
     def test_variadic_min(self):
         f = parse_expression(["min", ["x", 0], ["x", 1], 5], 2)
-        assert f(np.array([7.0, 6.0])) == 5.0
+        assert f(np.array([[7.0, 6.0]])).tolist() == [5.0]
 
     def test_unary_neg_and_div(self):
         f = parse_expression(["neg", ["div", 1, ["x", 0]]], 1)
-        assert f(np.array([4.0])) == pytest.approx(-0.25)
+        assert f(np.array([[4.0]])).tolist() == [-0.25]
 
     @pytest.mark.parametrize("expr,msg", [
         (["x", 0, 1], "integer index"),
