@@ -256,7 +256,7 @@ def _grammar_points(n: int, seed: int) -> np.ndarray:
 class TestBatchExpressions:
     @settings(max_examples=150, deadline=None)
     @given(_expressions)
-    def test_batch_matches_reference_row_by_row(self, expr):
+    def test_batch_matches_evaluator_row_by_row(self, expr):
         # The array function raises exactly when some row of the reference
         # does, and otherwise gives its values bit for bit.
         batch = parse_expression(expr, 2)
