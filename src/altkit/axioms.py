@@ -23,9 +23,11 @@ survive small coordinate perturbations); its reports carry ``proxy=True``.
 """
 from __future__ import annotations
 
-import json
+import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 import numpy as np
@@ -54,10 +56,38 @@ _PREFERENCE = {1: Preference.PREFER.value, 0: Preference.INDIFFERENT.value,
                -1: Preference.DISPREFER.value}
 
 
+# The report writer writes out the parts it has gathered at the end of a
+# container once there are this many.
+FLUSH_PARTS = 4096
+
+
+def _literal(o) -> str:
+    """JSON text of a scalar that is not a str, as ``json`` writes it."""
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 class Record:
     """Base of the report dataclasses.  ``to_dict`` is a shallow copy of
-    the fields in which a list of records becomes a list of dicts, and
-    ``dumps`` is the JSON text of every report: sorted keys, indent 2."""
+    the fields in which a list of records becomes a list of dicts.
+
+    Every report is written by ``dump``, which streams a document to a
+    text file, ``FLUSH_PARTS`` parts at a time, in the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2)``:
+    dicts with sorted keys, lists and tuples, str, int, bool, float
+    (NaN and the infinities as ``json`` spells them) and None.  Any other
+    type raises TypeError.  ``dumps`` is the same text as a string."""
 
     def to_dict(self) -> dict:
         d = dict(vars(self))
@@ -71,7 +101,61 @@ class Record:
 
     @staticmethod
     def dumps(doc) -> str:
-        return json.dumps(doc, sort_keys=True, indent=2)
+        buf = io.StringIO()
+        Record.dump(doc, buf)
+        return buf.getvalue()
+
+    @staticmethod
+    def dump(doc, fh) -> None:
+        parts: list[str] = []
+        put = parts.append
+
+        # Dicts and lists have a loop each, with scalars written in place:
+        # the per-value work is the writer's cost, and one shared loop over
+        # (key text, value) pairs was measurably slower.
+        def emit(o, pad: str) -> None:
+            inner = pad + "  "
+            if isinstance(o, dict):
+                if not o:
+                    put("{}")
+                    return
+                put("{")
+                sep = inner
+                for k in sorted(o):
+                    put(sep + _quote(k if isinstance(k, str) else _literal(k)) + ": ")
+                    sep = "," + inner
+                    v = o[k]
+                    if isinstance(v, (dict, list, tuple)):
+                        emit(v, inner)
+                    elif isinstance(v, str):
+                        put(_quote(v))
+                    else:
+                        put(_literal(v))
+                put(pad + "}")
+            elif isinstance(o, (list, tuple)):
+                if not o:
+                    put("[]")
+                    return
+                put("[")
+                sep = inner
+                for v in o:
+                    put(sep)
+                    sep = "," + inner
+                    if isinstance(v, (dict, list, tuple)):
+                        emit(v, inner)
+                    elif isinstance(v, str):
+                        put(_quote(v))
+                    else:
+                        put(_literal(v))
+                put(pad + "]")
+            else:
+                put(_quote(o) if isinstance(o, str) else _literal(o))
+            if len(parts) >= FLUSH_PARTS:
+                fh.write("".join(parts))
+                parts.clear()
+
+        emit(doc, "\n")
+        fh.write("".join(parts))
 
 
 @dataclass
@@ -293,7 +377,8 @@ def _crossover(oracle: AltOracle, p: dict) -> list:
                              note="rebracket")
             rebracket[i] = True
     rest = np.flatnonzero(~rebracket)
-    null = oracle.compare_batch(x[rest], x[rest], y[rest], y[rest])
+    xr, yr = x[rest], y[rest]
+    null = oracle.compare_batch(xr, xr, yr, yr)
     for i, s in zip(rest[null != 0], null[null != 0]):
         out[i] = Witness(_row(p, i, ("x", "y")), {"null_brackets": _ORDER[s]},
                          note="null-brackets")
@@ -331,7 +416,8 @@ def _monotonicity(oracle: AltOracle, p: dict) -> list:
     dominates = np.all(x > y, axis=1)
     out: list = [None if d else SKIP for d in dominates]
     j = np.flatnonzero(dominates)
-    pref = oracle.compare_batch(x[j], y[j], y[j], y[j])
+    yj = y[j]
+    pref = oracle.compare_batch(x[j], yj, yj, yj)
     for i, s in zip(j[pref <= 0], pref[pref <= 0]):
         out[i] = Witness(_row(p, i, ("x", "y")), {"preference": _PREFERENCE[s]})
     return out

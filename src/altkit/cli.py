@@ -36,7 +36,9 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            **payload}
     path = outdir / name
-    path.write_text(Record.dumps(doc) + "\n")
+    with path.open("w") as fh:
+        Record.dump(doc, fh)
+        fh.write("\n")
     return path
 
 

@@ -95,6 +95,26 @@ class BoxDomain:
                               f"[{self.lower.tolist()}, {self.upper.tolist()}]")
         return x
 
+    def require_many(self, xs, what: str = "point") -> np.ndarray:
+        """The points of ``xs`` as an (N, dim) array, each one checked as
+        :meth:`require` checks it: shape, finiteness, bounds and open
+        faces, for all rows at once.  If any point fails, the points are
+        replayed through :meth:`require`, so the first bad one raises
+        its error."""
+        try:
+            X = np.asarray(xs, dtype=float)
+        except (TypeError, ValueError):
+            X = None
+        if X is not None and X.ndim == 1 and (self.dim == 1 or X.size == 0):
+            X = X.reshape(-1, self.dim)
+        if X is not None and X.ndim == 2 and X.shape[1] == self.dim:
+            lo, hi = self.lower, self.upper
+            inside = (((X > lo) | ((X == lo) & ~self.lower_open))
+                      & ((X < hi) | ((X == hi) & ~self.upper_open)))
+            if inside.all():
+                return X
+        return np.array([self.require(x, what) for x in xs]).reshape(-1, self.dim)
+
     def clip(self, x) -> np.ndarray:
         return np.clip(as_point(x, dim=self.dim), self.lower, self.upper)
 

@@ -161,15 +161,28 @@ def estimate_value_range(fn: BatchEvaluator, box: BoxDomain) -> float:
     return max(float(values.max() - values.min()), 1e-12)
 
 
+def _per_object(fn, args) -> list:
+    """``[fn(a) for a in args]``, calling fn once per distinct object."""
+    seen: dict = {}
+    return [seen[id(a)] if id(a) in seen else seen.setdefault(id(a), fn(a)) for a in args]
+
+
 def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
                   eps_eq: float | None, pairwise: bool) -> AltOracle:
     """Oracle over ``spec.batch``: a utility u compared by
     (u(x)-u(y)) - (u(z)-u(w)), or, when ``pairwise``, an intensity g
     compared by g(x,y) - g(z,w).  The batch comparator classifies that
-    difference row by row; ``compare`` is the same on one-row views.  An
-    evaluator's ValueError or ArithmeticError, or a non-finite difference,
-    at set-up or in a compare, raises ConfigError naming the points of the
-    first bad row."""
+    difference row by row; ``compare`` is the same on one-row views.
+
+    A utility compare values each distinct argument array once: arguments
+    that are the same object (``compare_batch(P, X, X, X)``, or
+    ``compare(x, y, y, y)``, which ``prefers`` asks) share one call of u.
+    u is a deterministic row-wise function, so the answers are those of
+    four separate calls, bit for bit.
+
+    An evaluator's ValueError or ArithmeticError, or a non-finite
+    difference, at set-up or in a compare, raises ConfigError naming the
+    points of the first bad row."""
     kind = "intensity" if pairwise else "utility"
     box = domain or spec.domain
     if box.dim != spec.dim:
@@ -180,13 +193,16 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
 
     def delta(X, Y, Z, W):
-        return f(X, Y) - f(Z, W) if pairwise else (f(X) - f(Y)) - (f(Z) - f(W))
+        if pairwise:
+            return f(X, Y) - f(Z, W)
+        u_x, u_y, u_z, u_w = _per_object(f, (X, Y, Z, W))
+        return (u_x - u_y) - (u_z - u_w)
 
     def batch(*arrays):
         return classify_many(_finite(delta, arrays, "non-finite intensity difference"), eps_eq)
 
     def comparator(*points):
-        rows = [_row(p) for p in points]
+        rows = _per_object(_row, points)
         return classify(_finite(delta, rows, "non-finite intensity difference")[0], eps_eq)
 
     name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"

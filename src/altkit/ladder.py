@@ -255,7 +255,7 @@ class ReconstructedUtility(Record):
         point gets the same value after the same number of compares
         whatever the other points are."""
         oracle, ladder = self.oracle, self.ladder
-        xs = np.array([oracle.domain.require(x) for x in xs]).reshape(-1, oracle.dim)
+        xs = oracle.domain.require_many(xs)
         values = np.empty(len(xs))
         rest = np.arange(len(xs))
         for anchor, value in ((ladder.anchor_lo, 0.0), (ladder.anchor_hi, 1.0)):

@@ -63,6 +63,24 @@ class TestBoxDomain:
         out = box.require([0.5])
         assert out.tolist() == [0.5]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1e-300, 1.0 + 1e-16,
+                                               np.nan, np.inf, -np.inf]),
+                             min_size=2, max_size=2), max_size=4),
+           st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_require_many_is_require_of_every_row(self, rows, faces):
+        box = BoxDomain([0.0, 0.5], [1.0, 2.0], lower_open=faces[:2], upper_open=faces[2:])
+        try:
+            expected = [box.require(r, "row").tolist() for r in rows]
+        except (DomainError, ValueError) as bad:
+            with pytest.raises(type(bad)) as raised:
+                box.require_many(rows, "row")
+            assert str(raised.value) == str(bad)
+        else:
+            got = box.require_many(rows, "row")
+            assert got.shape == (len(rows), 2)
+            assert got.tolist() == expected
+
     def test_clip(self):
         box = BoxDomain([0.0, 0.0], [1.0, 1.0])
         assert box.clip([-1.0, 0.5]).tolist() == [0.0, 0.5]

@@ -114,6 +114,63 @@ class TestDifferenceOracle:
             assert base.compare(*q) is shifted.compare(*q)
 
 
+SQRT_LOG = {"name": "sqrt_log", "dimension": 2,
+            "expr": ["add", ["mul", 2.0, ["sqrt", ["x", 0]]], ["log", ["x", 1]]]}
+
+
+def _counted(spec: UtilitySpec) -> tuple[UtilitySpec, list[int]]:
+    """``spec`` with a ``batch`` that records the rows of each call."""
+    rows: list[int] = []
+
+    def batch(X):
+        rows.append(len(X))
+        return spec.batch(X)
+
+    return dataclasses.replace(spec, evaluator=None, batch=batch), rows
+
+
+class TestSharedArguments:
+    """A compare values each distinct argument array once; the answers are
+    those of separate copies."""
+
+    @pytest.mark.parametrize("spec", [*catalog(), utility_from_json(SQRT_LOG)],
+                             ids=lambda spec: spec.name)
+    def test_aliased_arguments_answer_as_copies(self, spec):
+        oracle = make_difference_oracle(spec)
+        rng = np.random.default_rng(7)
+        P, A, B, X = (np.array([spec.domain.sample(rng) for _ in range(200)])
+                      for _ in range(4))
+        # Rows that tie: P equal to X, and the bracket [A, B] equal to [P, P].
+        P[:20] = X[:20]
+        A[20:40] = B[20:40] = P[20:40]
+        for aliased, copied in (((P, A, B, P), (P, A, B, P.copy())),
+                                ((P, X, X, X), (P, X, X.copy(), X.copy()))):
+            got = oracle.compare_batch(*aliased)
+            assert got.dtype == np.int8
+            assert got.tolist() == oracle.compare_batch(*copied).tolist()
+        for p, a, b, x in zip(P[:60], A[:60], B[:60], X[:60]):
+            assert oracle.compare(p, a, b, p) is oracle.compare(p, a, b, p.copy())
+            assert oracle.compare(p, x, x, x) is oracle.compare(p, x, x.copy(), x.copy())
+            assert oracle.prefers(p, x) is (oracle.compare(p, x, x.copy(), x.copy()) is G)
+
+    def test_each_distinct_argument_is_valued_once(self):
+        spec, rows = _counted(utility_by_name("cobb_douglas"))
+        oracle = make_difference_oracle(spec)
+        rng = np.random.default_rng(1)
+        P, A, B = (np.array([spec.domain.sample(rng) for _ in range(5)]) for _ in range(3))
+        p, a, b = P[0], A[0], B[0]
+        asks = [(lambda: oracle.compare_batch(P, A, B, P), [5, 5, 5]),
+                (lambda: oracle.compare_batch(P, A, A, A), [5, 5]),
+                (lambda: oracle.compare_batch(P, P, P, P), [5]),
+                (lambda: oracle.compare_batch(P, A, B, P.copy()), [5, 5, 5, 5]),
+                (lambda: oracle.compare(p, a, b, p), [1, 1, 1]),
+                (lambda: oracle.prefers(p, a), [1, 1])]
+        for ask, expected in asks:
+            rows.clear()
+            ask()
+            assert rows == expected
+
+
 def _kinked_reference(x):
     v = math.sqrt(x[0] * x[1])
     return v - 1.0 if v <= 1.0 else 0.5 * (v - 1.0)

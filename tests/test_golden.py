@@ -52,6 +52,14 @@ CASES = {
     "reconstruct-log_sum": (["reconstruct", "--oracle", "log_sum", "--depth", "4",
                              "--trials", "100", "--grid", "3",
                              "--second-anchors", "0.1", "0.9"], 0),
+    # numpy only (np.where on the kink), and a JSON utility valued through
+    # the op table's libm sqrt and log.
+    "reconstruct-kinked_composite": (["reconstruct", "--oracle", "kinked_composite",
+                                      "--depth", "6", "--trials", "100", "--grid", "3",
+                                      "--second-anchors", "0.1", "0.9"], 0),
+    "reconstruct-sqrt_log": (["reconstruct", "--oracle", "sqrt_log.json", "--depth", "6",
+                              "--trials", "100", "--grid", "3",
+                              "--second-anchors", "0.1", "0.9"], 0),
     "concavity-neg_quadratic": (["concavity", "--oracle", "neg_quadratic",
                                  "--trials", "300"], 0),
     "concavity-exp1d": (["concavity", "--oracle", "exp1d", "--trials", "300"], 1),

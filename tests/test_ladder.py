@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from altkit.domain import BoxDomain, Segment
 from altkit.errors import (ArchimedeanError, DegenerateFitError, DomainError,
                            OrderingError)
-from altkit.fixtures import oracle_by_name
+from altkit.fixtures import make_difference_oracle, oracle_by_name, utility_by_name
 from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder,
                            check_density, order_embedding_check, reconstruct_utility,
                            representation_spot_check, verify_affine_uniqueness)
@@ -300,6 +301,33 @@ class TestBatchedReconstruction:
             assert oracle.calls - calls == sum(alone[k][1] for k in batch)
             assert recon.clamped - clamped == sum(alone[k][2] for k in batch)
 
+    def test_evaluator_rows_of_a_depth_4_reconstruction(self):
+        # The ladder's lockstep steps ask (p, lo, hi, p) and value three
+        # arrays; indifference solves ask (P, x, x, x) and value two.
+        inner = utility_by_name("cobb_douglas")
+        rows: list[int] = []
+        spec = dataclasses.replace(inner, evaluator=None,
+                                   batch=lambda X: rows.append(len(X)) or inner.batch(X))
+        oracle = make_difference_oracle(spec)
+        batch, per_batch = oracle.batch, []
+
+        def watched(*arrays):
+            calls = len(rows)
+            out = batch(*arrays)
+            per_batch.append(len(rows) - calls)
+            return out
+
+        oracle.batch = watched
+        rows.clear()
+        recon = reconstruct_utility(oracle, depth=4)
+        assert (sum(rows), len(rows), oracle.calls) == (5729, 710, 1885)
+        assert per_batch == [3] * 134
+        rows.clear()
+        per_batch.clear()
+        recon.evaluate_many(oracle.domain.lattice(5))
+        assert (sum(rows), len(rows)) == (1994, 134)
+        assert per_batch == [2] * 67
+
     def test_evaluate_many_through_batchless_oracle(self):
         oracle = _without_batch(oracle_by_name("exp1d"))
         recon = reconstruct_utility(oracle, depth=5)
@@ -309,6 +337,37 @@ class TestBatchedReconstruction:
     def test_evaluate_many_rejects_points_outside_the_box(self, cobb_recon):
         with pytest.raises(DomainError):
             cobb_recon.evaluate_many([[1.0, 1.0], [20.0, 1.0]])
+
+    # The first bad point of a batch raises what ``domain.require`` raises
+    # for it: the exception type and message of the row-by-row check.
+    @pytest.mark.parametrize("points, error, message", [
+        ([[5.0, 5.0], [11.0, 2.0], [math.nan, 1.0]], DomainError,
+         "point [11.0, 2.0] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
+        ([[5.0, 5.0], [math.nan, 1.0], [11.0, 2.0]], ValueError,
+         "point has non-finite coordinates: array([nan,  1.])"),
+        ([[2.0, math.inf]], ValueError, "point has non-finite coordinates: array([ 2., inf])"),
+        ([[5.0, 5.0], [0.1, 5.0]], DomainError,             # open lower face of axis 0
+         "point [0.1, 5.0] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
+        ([[5.0, 10.0]], DomainError,                        # open upper face of axis 1
+         "point [5.0, 10.0] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
+        ([[5.0, 5.0, 5.0]], ValueError, "point has dimension 3, expected 2"),
+        ([5.0, 5.0], ValueError, "point has dimension 1, expected 2"),
+    ])
+    def test_evaluate_many_names_the_first_bad_point(self, points, error, message):
+        box = BoxDomain([0.1, 0.1], [10.0, 10.0], lower_open=[True, False],
+                        upper_open=[False, True])
+        recon = reconstruct_utility(oracle_by_name("cobb_douglas", box), depth=3)
+        with pytest.raises(error) as raised:
+            recon.evaluate_many(points)
+        assert str(raised.value) == message
+
+    def test_evaluate_many_keeps_closed_faces(self):
+        box = BoxDomain([0.1, 0.1], [10.0, 10.0], lower_open=[True, False],
+                        upper_open=[False, True])
+        recon = reconstruct_utility(oracle_by_name("cobb_douglas", box), depth=3)
+        points = [[5.0, 0.1], [10.0, 5.0]]
+        assert recon.evaluate_many(points).tolist() == [recon(p) for p in points]
+        assert recon.evaluate_many([]).shape == (0,)
 
     def test_oracle_calls_is_the_build_cost(self):
         oracle = oracle_by_name("linear")
