@@ -35,16 +35,17 @@ import numpy as np
 from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng  # noqa: F401
-from .solvers import SideMany, band_bisect, band_bisect_many  # noqa: F401
+from .solvers import DEFAULT_TOL_T, SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
 WITNESS_CAP = 10
 DEFAULT_DELTA = 1e-8
 DEFAULT_PROBES = 8
-# Trials per batch of crossover's fallback grid scan; a batch holds
-# SCAN_CHUNK * (subintervals - 1) rows.
-SCAN_CHUNK = 64
+MAX_DELTA = 0.1          # the continuity proxy's largest perturbation fraction
+# Crossover's fallback scan asks SCAN_CHUNK trials per batch, each at the
+# SCAN_SUBINTERVALS - 1 interior points of a uniform grid on the diagonal.
+SCAN_SUBINTERVALS, SCAN_CHUNK = 16, 64
 
 SKIP = "skip"
 VIOLATION = "violation"
@@ -238,7 +239,7 @@ def _bisect_to_equal(side: SideMany, lo: np.ndarray, hi: np.ndarray, s_lo: np.nd
 
 
 def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
-                    tol: float, subintervals: int = 16) -> np.ndarray:
+                    tol: float) -> np.ndarray:
     """Per trial, a parameter where a possibly non-monotone trichotomy
     answers EQUAL, or NaN when the target value is out of reach.
 
@@ -247,13 +248,13 @@ def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
     EQUAL is taken as it is, otherwise the first adjacent pair whose
     answers straddle EQUAL is bisected.
     """
-    n = len(s_first)
-    ts = np.arange(subintervals + 1) / subintervals
-    states = np.empty((n, subintervals + 1), dtype=np.int8)
+    n, k = len(s_first), SCAN_SUBINTERVALS
+    ts = np.arange(k + 1) / k
+    states = np.empty((n, k + 1), dtype=np.int8)
     states[:, 0], states[:, -1] = s_first, s_last
     for start in range(0, n, SCAN_CHUNK):
         rows = np.arange(start, min(start + SCAN_CHUNK, n))
-        states[rows, 1:-1] = side(np.repeat(rows, subintervals - 1),
+        states[rows, 1:-1] = side(np.repeat(rows, k - 1),
                                   np.tile(ts[1:-1], rows.size)).reshape(rows.size, -1)
     out = np.full(n, np.nan)
     equal = states == 0
@@ -273,8 +274,8 @@ def _draw_triple(oracle: AltOracle, sampler: Sampler | None, seed: int,
     return dict(zip("xyz", xyz.transpose(1, 0, 2)))
 
 
-def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int, trials: int,
-                    tol_t: float) -> dict[str, np.ndarray]:
+def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int,
+                    trials: int) -> dict[str, np.ndarray]:
     """Sample (x, y, z), then solve for w on the domain diagonal so that
     [z,w] matches [x,y]; w is NaN where no diagonal point matches."""
     diag = oracle.domain.diagonal()
@@ -296,10 +297,10 @@ def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int, trial
     every = np.arange(trials)
     lo, hi = np.zeros(trials), np.ones(trials)
     s0, s1 = side(every, lo), side(every, hi)
-    s = _bisect_to_equal(side, lo, hi, s0, s1, tol_t)
+    s = _bisect_to_equal(side, lo, hi, s0, s1, DEFAULT_TOL_T)
     if not diag_monotone:
         miss = np.flatnonzero(np.isnan(s))
-        s[miss] = _scan_for_equal(lambda j, t: side(miss[j], t), s0[miss], s1[miss], tol_t)
+        s[miss] = _scan_for_equal(lambda j, t: side(miss[j], t), s0[miss], s1[miss], DEFAULT_TOL_T)
     p["w"] = diag.at_many(1.0 - s)
     return p
 
@@ -312,8 +313,8 @@ def _draw_perturbed(oracle: AltOracle, sampler: Sampler | None, seed: int, trial
     uniforms u, right after its quadruple, from its own stream."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if delta > 0.1:
-        raise ValueError("delta must be small relative to the domain (<= 0.1)")
+    if delta > MAX_DELTA:
+        raise ValueError(f"delta must be small relative to the domain (<= {MAX_DELTA})")
     if probes < 1:
         raise ValueError("probes must be >= 1")
     box = oracle.domain
@@ -443,29 +444,26 @@ def _trials(axiom: str, oracle: AltOracle, sampler: Sampler | None, trials: int,
 
 
 def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,
-                      trials: int = 1000, seed: int = 0,
-                      witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                      trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Shifting both sides by a common reference point z must preserve the
     derived order: x weakly preferred to y iff [x,z] >= [y,z].  Applied to
     the pair in both orders this is an exact sign match between the
     preference trichotomy and the shifted comparison.
     """
     results = _trials("consistency", oracle, sampler, trials, seed)
-    return _collect("consistency", trials, seed, *_fold(results, witness_cap))
+    return _collect("consistency", trials, seed, *_fold(results, WITNESS_CAP))
 
 
 def check_second_consistency(oracle: AltOracle, sampler: Sampler | None = None,
-                             trials: int = 1000, seed: int = 0,
-                             witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                             trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Mirror form of consistency on the second slot: x weakly preferred
     to y iff [z,y] >= [z,x]."""
     results = _trials("second-consistency", oracle, sampler, trials, seed)
-    return _collect("second-consistency", trials, seed, *_fold(results, witness_cap))
+    return _collect("second-consistency", trials, seed, *_fold(results, WITNESS_CAP))
 
 
 def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
-                    trials: int = 1000, seed: int = 0,
-                    witness_cap: int = WITNESS_CAP, tol_t: float = 1e-10) -> AxiomReport:
+                    trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Equally strong improvements stay equally strong when the inner
     points are exchanged: [x,y] = [z,w] implies [x,z] = [y,w].
 
@@ -478,17 +476,16 @@ def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
     failed.  Each trial also asserts the degenerate consequence
     [x,x] = [y,y].
     """
-    results = _trials("crossover", oracle, sampler, trials, seed, tol_t=tol_t)
+    results = _trials("crossover", oracle, sampler, trials, seed)
     manufactured = sum(1 for r in results
                        if r is None or (isinstance(r, Witness) and r.note == "rebracket"))
-    return _collect("crossover", trials, seed, *_fold(results, witness_cap),
+    return _collect("crossover", trials, seed, *_fold(results, WITNESS_CAP),
                     extras={"manufactured": manufactured})
 
 
 def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
                            trials: int = 1000, seed: int = 0, delta: float = DEFAULT_DELTA,
-                           probes: int = DEFAULT_PROBES,
-                           witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                           probes: int = DEFAULT_PROBES) -> AxiomReport:
     """Necessary-condition proxy for closedness of the relation: a strictly
     GREATER outcome must not flip to LESS under coordinate perturbations of
     relative size ``delta``.  Perturbed points are clipped to the box.
@@ -499,16 +496,15 @@ def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     """
     results = _trials("continuity-proxy", oracle, sampler, trials, seed,
                       delta=delta, probes=probes)
-    return _collect("continuity-proxy", trials, seed, *_fold(results, witness_cap),
+    return _collect("continuity-proxy", trials, seed, *_fold(results, WITNESS_CAP),
                     proxy=True, extras={"delta": delta, "probes": probes})
 
 
 def check_monotonicity(oracle: AltOracle, sampler: Sampler | None = None,
-                       trials: int = 1000, seed: int = 0,
-                       witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                       trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Coordinatewise strict dominance must imply strict preference."""
     results = _trials("monotonicity", oracle, sampler, trials, seed)
-    return _collect("monotonicity", trials, seed, *_fold(results, witness_cap))
+    return _collect("monotonicity", trials, seed, *_fold(results, WITNESS_CAP))
 
 
 _CHECKERS: dict[str, Callable] = {

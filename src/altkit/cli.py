@@ -157,9 +157,14 @@ def cmd_smoothness(cfg: RunConfig) -> int:
 def cmd_alep(cfg: RunConfig) -> int:
     spec = _resolve_utility_spec(cfg.oracle)
     box = cfg.box_override() or spec.domain
+    if box.dim != spec.dim:
+        raise ConfigError(f"domain dimension {box.dim} != utility dimension {spec.dim}")
     if spec.dim < 2 and tuple(cfg.pair) != (0, 0):
         raise ConfigError("cross-partial classification needs dimension >= 2")
-    inner = box.shrunk(2.0 * cfg.h)
+    try:
+        inner = box.shrunk(2.0 * cfg.h)
+    except ValueError:                   # the margins meet
+        raise ConfigError(f"h={cfg.h} leaves no box inside the 2h margin") from None
     points = inner.lattice(cfg.grid)
     labels = alep_classify(spec, points, pair=(cfg.pair[0], cfg.pair[1]),
                            h=cfg.h, threshold=cfg.threshold, box=box)
@@ -301,11 +306,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as bad:
-        print(f"config error: {bad}", file=sys.stderr)
+    except ConfigError as bad:      # messages may quote multi-line array reprs
+        print("config error: " + str(bad).replace("\n", " "), file=sys.stderr)
         return 2
     except AltkitError as bad:
-        print(f"error: {bad}", file=sys.stderr)
+        print("error: " + str(bad).replace("\n", " "), file=sys.stderr)
         return 1
 
 

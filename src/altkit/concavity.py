@@ -80,8 +80,8 @@ def _judge(law: str, trials: int, seed: int, violations: list[Witness], counts: 
 
 def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
                      trials: int = 1000, seed: int = 0,
-                     floor: float | None = None, parameterization: str = "pair",
-                     witness_cap: int = WITNESS_CAP) -> ConcavityVerdict:
+                     floor: float | None = None,
+                     parameterization: str = "pair") -> ConcavityVerdict:
     """Sample pairs and assert the midpoint gain law [z,x] >= [y,z], z=(x+y)/2.
 
     ``parameterization`` chooses how colinear triples are drawn: "pair"
@@ -130,7 +130,7 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
         else:
             results.append("strict" if out > 0 else "equal")
 
-    return _judge("gossen-first-law", trials, seed, *_fold(results, witness_cap), floor,
+    return _judge("gossen-first-law", trials, seed, *_fold(results, WITNESS_CAP), floor,
                   extras={"parameterization": parameterization, "oracle": oracle.name})
 
 
@@ -146,8 +146,7 @@ def _dyadic_params(depth: int) -> list[float]:
 def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = None,
                              trials: int = 200, seed: int = 0,
                              tol: float = 0.0, dyadic_depth: int | None = None,
-                             floor: float | None = None,
-                             witness_cap: int = WITNESS_CAP) -> ConcavityVerdict:
+                             floor: float | None = None) -> ConcavityVerdict:
     """Assert u((x+y)/2) >= (u(x)+u(y))/2 - tol on sampled pairs.
 
     With ``dyadic_depth`` set, all chord parameters m/2**l up to that
@@ -184,7 +183,7 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
             results.append("below-floor")
         else:
             results.append("strict" if worst[i] > 0 else "equal")
-    return _judge("midpoint-concavity", trials, seed, *_fold(results, witness_cap), floor,
+    return _judge("midpoint-concavity", trials, seed, *_fold(results, WITNESS_CAP), floor,
                   dyadic_depth=dyadic_depth, extras={"tol": tol})
 
 

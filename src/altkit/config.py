@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .axioms import ALL_AXIOMS
+from .axioms import ALL_AXIOMS, MAX_DELTA
 from .domain import BoxDomain
 from .errors import ConfigError
 
@@ -75,6 +76,8 @@ class RunConfig:
             return BoxDomain(self.domain["lower"], self.domain["upper"])
         except (KeyError, TypeError) as bad:
             raise ConfigError(f"domain override needs 'lower' and 'upper' lists: {bad}") from None
+        except ValueError as bad:        # the corners do not make a box
+            raise ConfigError(f"domain override: {bad}") from None
 
     def validate(self) -> None:
         hints = typing.get_type_hints(type(self))
@@ -92,19 +95,20 @@ class RunConfig:
             raise ConfigError("debreu_trials must be >= 1")
         if self.depth < 0:
             raise ConfigError("depth must be >= 0")
-        for name in ("tol_t", "h", "threshold", "delta"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.eps_eq is not None and self.eps_eq <= 0:
-            raise ConfigError("eps_eq must be > 0 when given")
+        for name in ("tol_t", "h", "threshold", "delta", "eps_eq", "b"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.tol_t < 1e-15:           # finer than float spacing: bisection never ends
+            raise ConfigError(f"tol_t must be >= 1e-15, got {self.tol_t!r}")
+        if self.delta > MAX_DELTA:
+            raise ConfigError(f"delta must be <= {MAX_DELTA}, got {self.delta!r}")
         if self.probes < 1:
             raise ConfigError("probes must be >= 1")
         if self.grid < 2:
             raise ConfigError("grid must be >= 2")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.b is not None and self.b <= 0:
-            raise ConfigError("b must be > 0")
         for label, pair in (("anchors", self.anchors), ("second_anchors", self.second_anchors)):
             if pair is None:
                 continue

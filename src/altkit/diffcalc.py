@@ -16,7 +16,7 @@ import numpy as np
 from .axioms import Record
 from .domain import BoxDomain, as_point
 from .errors import ConfigError, DomainError
-from .fixtures import evaluate_points
+from .fixtures import _finite, evaluate_points
 
 SUBSTITUTE = "substitute"
 COMPLEMENT = "complement"
@@ -26,9 +26,9 @@ INDETERMINATE = "indeterminate"
 MIN_RECONSTRUCTION_DEPTH = 12
 
 
-def _require_margin(box: BoxDomain | None, x: np.ndarray, h: float) -> None:
-    if box is not None and not box.contains(x, margin=2.0 * h):
-        raise DomainError(f"point {x.tolist()} lacks the 2h={2 * h} interior margin")
+def _require_margin(box: BoxDomain | None, X: np.ndarray, h: float) -> None:
+    if box is not None and not (ok := box.inside(X, 2.0 * h)).all():
+        raise DomainError(f"point {X[ok.argmin()].tolist()} lacks the 2h={2 * h} interior margin")
 
 
 def numeric_gradient(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> np.ndarray:
@@ -36,7 +36,7 @@ def numeric_gradient(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> 
     x = as_point(x)
     if h <= 0:
         raise ValueError("h must be > 0")
-    _require_margin(box, x, h)
+    _require_margin(box, x[None], h)
     steps = h * np.eye(x.size)
     up, down = evaluate_points(u_fn, np.concatenate([x + steps, x - steps])).reshape(2, -1)
     return (up - down) / (2.0 * h)
@@ -45,13 +45,15 @@ def numeric_gradient(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> 
 def second_differences(u_fn, X, i: int, j: int, steps) -> np.ndarray:
     """Stencil estimates of the (i,j) second partial at each row of the
     (N, dim) array X, one row per step: 3 points on the diagonal (i == j),
-    4 off it.  All stencil points are valued in one call."""
+    4 off it.  All stencil points are valued in one call; a non-finite
+    value raises ConfigError naming its point."""
     blocks = []
     for h in steps:
         ei, ej = h * np.eye(X.shape[1])[[i, j]]
         blocks += ([X + ei, X, X - ei] if i == j
                    else [X + ei + ej, X + ei - ej, X - ei + ej, X - ei - ej])
-    v = evaluate_points(u_fn, np.concatenate(blocks)).reshape(len(steps), -1, len(X))
+    v = _finite(lambda P: evaluate_points(u_fn, P), (np.concatenate(blocks),),
+                "non-finite value").reshape(len(steps), -1, len(X))
     if i == j:
         return np.array([(a - 2.0 * b + c) / h ** 2 for (a, b, c), h in zip(v, steps)])
     return np.array([(a - b - c + d) / (4.0 * h ** 2) for (a, b, c, d), h in zip(v, steps)])
@@ -62,7 +64,7 @@ def numeric_hessian(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> n
     x = as_point(x)
     if h <= 0:
         raise ValueError("h must be > 0")
-    _require_margin(box, x, h)
+    _require_margin(box, x[None], h)
     n = x.size
     hess = np.empty((n, n))
     for i in range(n):
@@ -87,18 +89,17 @@ class AlepClassification(Record):
 
 def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
                   threshold: float = 1e-3, box: BoxDomain | None = None,
-                  agree_tol: float = 0.25,
                   allow_shallow: bool = False) -> list[AlepClassification]:
     """Label each point substitute/complement/neutral by the cross-partial sign.
 
     The estimate is the average of the h and h/2 stencils; when those two
-    disagree by more than max(threshold, agree_tol*|estimate|) the point
+    disagree by more than max(threshold, 0.25*|estimate|) the point
     is labeled indeterminate instead.  Piecewise-linear reconstructions
     carry a ``depth`` attribute and are refused below depth 12 (their
     second differences are dominated by rung noise) unless
     ``allow_shallow`` is set.
     """
-    if h <= 0 or threshold <= 0:
+    if not (h > 0 and threshold > 0):
         raise ValueError("h and threshold must be > 0")
     depth = getattr(u_fn, "depth", None)
     if depth is not None and depth < MIN_RECONSTRUCTION_DEPTH and not allow_shallow:
@@ -106,18 +107,17 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
             f"reconstruction depth {depth} < {MIN_RECONSTRUCTION_DEPTH}: second "
             "differences would read rung noise; rebuild deeper or pass allow_shallow")
     i, j = pair
-    xs = [as_point(raw) for raw in points]
-    for x in xs:
-        if not (0 <= i < x.size and 0 <= j < x.size):
-            raise ConfigError(f"pair {pair} out of range for dimension {x.size}")
-        _require_margin(box, x, h)
-    if not xs:
+    if not len(points):
         return []
-    est_h, est_h2 = second_differences(u_fn, np.array(xs), i, j, (h, 0.5 * h))
+    X = np.array([as_point(raw) for raw in points])
+    if not (0 <= i < X.shape[1] and 0 <= j < X.shape[1]):
+        raise ConfigError(f"pair {pair} out of range for dimension {X.shape[1]}")
+    _require_margin(box, X, h)
+    est_h, est_h2 = second_differences(u_fn, X, i, j, (h, 0.5 * h))
     out: list[AlepClassification] = []
-    for x, e_h, e_h2 in zip(xs, est_h, est_h2):
+    for x, e_h, e_h2 in zip(X, est_h, est_h2):
         estimate = 0.5 * (e_h + e_h2)
-        if abs(e_h - e_h2) > max(threshold, agree_tol * abs(estimate)):
+        if abs(e_h - e_h2) > max(threshold, 0.25 * abs(estimate)):
             label = INDETERMINATE
         elif estimate < -threshold:
             label = SUBSTITUTE

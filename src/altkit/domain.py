@@ -54,11 +54,6 @@ class BoxDomain:
             raise ValueError("box needs lower < upper on every axis")
         self.lower_open = self._faces(self.lower_open)
         self.upper_open = self._faces(self.upper_open)
-        # Python-native mirrors for the membership hot path.
-        self._lo = tuple(float(v) for v in self.lower)
-        self._hi = tuple(float(v) for v in self.upper)
-        self._lo_open = tuple(bool(v) for v in self.lower_open)
-        self._hi_open = tuple(bool(v) for v in self.upper_open)
 
     def _faces(self, flags) -> np.ndarray:
         if flags is None:
@@ -77,16 +72,19 @@ class BoxDomain:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.extent))
 
+    def inside(self, X: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """Per row of the (N, dim) array ``X``, whether it lies in the box
+        shrunk by ``margin`` on every face (an open face stays open).  A
+        row with a NaN coordinate is outside."""
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"points of shape {X.shape} are not rows of dimension {self.dim}")
+        lo, hi = self.lower + margin, self.upper - margin
+        return (((X > lo) | ((X == lo) & ~self.lower_open))
+                & ((X < hi) | ((X == hi) & ~self.upper_open))).all(axis=1)
+
     def contains(self, x, margin: float = 0.0) -> bool:
         """Membership test; ``margin > 0`` shrinks the box on every face."""
-        x = as_point(x, dim=self.dim)
-        for j, v in enumerate(x):
-            lo, hi = self._lo[j] + margin, self._hi[j] - margin
-            if v < lo or (v == lo and self._lo_open[j]):
-                return False
-            if v > hi or (v == hi and self._hi_open[j]):
-                return False
-        return True
+        return bool(self.inside(as_point(x, dim=self.dim)[None], margin)[0])
 
     def require(self, x, what: str = "point") -> np.ndarray:
         x = as_point(x, dim=self.dim)
@@ -107,12 +105,8 @@ class BoxDomain:
             X = None
         if X is not None and X.ndim == 1 and (self.dim == 1 or X.size == 0):
             X = X.reshape(-1, self.dim)
-        if X is not None and X.ndim == 2 and X.shape[1] == self.dim:
-            lo, hi = self.lower, self.upper
-            inside = (((X > lo) | ((X == lo) & ~self.lower_open))
-                      & ((X < hi) | ((X == hi) & ~self.upper_open)))
-            if inside.all():
-                return X
+        if X is not None and X.ndim == 2 and X.shape[1] == self.dim and self.inside(X).all():
+            return X
         return np.array([self.require(x, what) for x in xs]).reshape(-1, self.dim)
 
     def clip(self, x) -> np.ndarray:

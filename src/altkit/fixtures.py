@@ -186,7 +186,7 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     kind = "intensity" if pairwise else "utility"
     box = domain or spec.domain
     if box.dim != spec.dim:
-        raise ValueError(f"domain dimension {box.dim} != {kind} dimension {spec.dim}")
+        raise ConfigError(f"domain dimension {box.dim} != {kind} dimension {spec.dim}")
     f = spec.batch
     if eps_eq is None:
         probe = (lambda P: f(P, np.broadcast_to(box.lower, P.shape))) if pairwise else f

@@ -152,14 +152,18 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
     grow_down(level0, y_star, x_star)
     levels = [level0]
 
-    for _ in range(depth):
+    for k in range(1, depth + 1):
         prev = levels[-1]
+        if (size := 2 * len(prev) - 1) > MAX_RUNGS_PER_LEVEL:
+            raise ConstructionError(f"rung cap exceeded: level {k} would hold {size} rungs")
         cur = {2 * i: t for i, t in prev.items()}
         # Every step of the level is bisected by its intensity midpoint,
         # all steps in lockstep.
         inner = sorted(prev)[:-1]
         t_lo = np.array([prev[i] for i in inner])
         t_hi = np.array([prev[i + 1] for i in inner])
+        if np.any(t_hi <= t_lo):         # e.g. two rungs on one jump of a step utility
+            raise ConstructionError(f"level {k - 1} rungs are not strictly increasing")
         lo_pts, hi_pts = seg.at_many(t_lo), seg.at_many(t_hi)
 
         def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -346,8 +350,7 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
 
 
 def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | None = None,
-                  trials: int = 200, seed: int = 0, min_depth: int = 1,
-                  witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                  trials: int = 200, seed: int = 0, min_depth: int = 1) -> AxiomReport:
     """Between any sampled strict pair more than two rung steps apart there
     must be a rung strictly between them (oracle-checked).
 
@@ -386,18 +389,16 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
     for q, i in enumerate(idx.tolist()):
         results[i] = None if found[q] else Witness(
             {"hi": _pt(hi[i]), "lo": _pt(lo[i])}, {"reconstructed_gap": f"{gap[q]:.6g}"})
-    return _collect("density", trials, seed, *_fold(results, witness_cap),
+    return _collect("density", trials, seed, *_fold(results, WITNESS_CAP),
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
 
 def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
-                              seed: int = 0, dead_band: float | None = None,
-                              sampler: Sampler | None = None) -> AxiomReport:
+                              seed: int = 0, sampler: Sampler | None = None) -> AxiomReport:
     """Reconstructed value differences must reproduce the oracle trichotomy
-    on random quadruples, up to a dead band of a few rung steps."""
+    on random quadruples, up to a dead band of four rung steps, 2**(2 - depth)."""
     oracle = recon.oracle
-    if dead_band is None:
-        dead_band = 2.0 ** (2 - recon.depth)
+    dead_band = 2.0 ** (2 - recon.depth)
     # Every trial's quadruple is drawn first, so that all 4 * trials
     # reconstructed values and all oracle answers come from batched calls.
     quads, _ = draw(oracle.domain, checked_sampler(oracle.domain, sampler), seed, trials, 4)
@@ -419,15 +420,14 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
 
 
 def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
-                          seed: int = 0, dead_band: float | None = None) -> AxiomReport:
+                          seed: int = 0) -> AxiomReport:
     """Reconstructed values must rank pairs exactly as the derived order.
 
     Every trial's pair is drawn first; one ``evaluate_many`` values all of
     them and one ``compare_batch`` ranks the pairs whose values differ by
-    more than the dead band."""
+    more than the dead band of two rung steps, 2**(1 - depth)."""
     oracle = recon.oracle
-    if dead_band is None:
-        dead_band = 2.0 ** (1 - recon.depth)
+    dead_band = 2.0 ** (1 - recon.depth)
 
     pairs, _ = draw(oracle.domain, None, seed, trials, 2)
     u = recon.evaluate_many(pairs.reshape(-1, oracle.dim)).reshape(trials, 2)

@@ -31,6 +31,8 @@ NOT_LINE_SMOOTH = "not-line-smooth"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_QUOTIENT_FLOOR = 1e-3
+REL_TOL = 1e-2          # Debreu proxy: step-halving drift allowed
+ONE_SIDED_TOL = 5e-2    # Debreu proxy: one-sided disagreement allowed
 SOLVE_F_SCALE_TOL = 1e-8
 SOLVE_F_RELATIVE_TOL = 1e-4
 
@@ -86,17 +88,17 @@ class SmoothnessReport(Record):
         return [["a", "f", "quotient"]] + [[a, f, q] for a, f, q in self.rows]
 
 
-def default_schedule(b: float, k_lo: int = 4, k_hi: int = 16) -> list[float]:
-    return [b * 2.0 ** (-k) for k in range(k_lo, k_hi + 1)]
+def default_schedule(b: float) -> list[float]:
+    """Steps b/2**4 down to b/2**16."""
+    return [b * 2.0 ** (-k) for k in range(4, 17)]
 
 
 def line_smoothness_limit(oracle: AltOracle, b: float,
                           schedule: list[float] | None = None,
-                          floor: float = DEFAULT_QUOTIENT_FLOOR,
-                          tail: int = 4) -> SmoothnessReport:
+                          floor: float = DEFAULT_QUOTIENT_FLOOR) -> SmoothnessReport:
     """Estimate lim_{a->0} (b - f(a,b))/a along a geometric schedule.
 
-    Richardson-extrapolates the last ``tail`` quotients (each halving of
+    Richardson-extrapolates the last four quotients (each halving of
     a cancels the first-order term); the spread of the extrapolants is
     the reported uncertainty.  Not-line-smooth requires the estimate to
     clear both the floor and three times its uncertainty; line-smooth
@@ -129,7 +131,7 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
     if len(rows) < 2:
         return SmoothnessReport(b, rows, None, None, floor, INCONCLUSIVE,
                                 oracle.name, oracle.calls - calls0, extras)
-    qs = [q for _, _, q in rows[-tail:]]
+    qs = [q for _, _, q in rows[-4:]]
     extrapolants = [2.0 * q2 - q1 for q1, q2 in zip(qs, qs[1:])]
     estimate = float(np.mean(extrapolants))
     uncertainty = float((max(extrapolants) - min(extrapolants)) / 2.0)
@@ -169,25 +171,23 @@ def calibrate(oracle: AltOracle, x, tol_t: float = DEFAULT_TOL_T) -> float:
 
 def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
                             trials: int = 50, seed: int = 0,
-                            h_fraction: float = 1e-3, rel_tol: float = 1e-2,
-                            one_sided_tol: float = 5e-2,
-                            tol_t: float = DEFAULT_TOL_T,
-                            witness_cap: int = WITNESS_CAP) -> AxiomReport:
+                            h_fraction: float = 1e-3,
+                            tol_t: float = DEFAULT_TOL_T) -> AxiomReport:
     """Numeric stand-in for smooth indifference sets: differentiate a(x).
 
     At each sampled point and axis, the calibration derivative is
     estimated by central differences at steps h and h/2; a violation is
     flagged when halving the step moves the estimate by more than
-    ``rel_tol`` (relative), or when the left and right one-sided h/2
-    differences disagree by more than ``one_sided_tol`` (a kink).  A
+    ``REL_TOL`` (relative), or when the left and right one-sided h/2
+    differences disagree by more than ``ONE_SIDED_TOL`` (a kink).  A
     sampled proxy only: kinks on sets the sampler misses go undetected.
 
     Every trial's point is drawn first, and the stencils of all trials
     are calibrated in one lockstep solve.  A trial is skipped when a
     stencil point it reaches is off the box or has no calibration.
     """
-    if h_fraction <= 0 or rel_tol <= 0 or one_sided_tol <= 0:
-        raise ValueError("h_fraction, rel_tol, and one_sided_tol must be > 0")
+    if h_fraction <= 0:
+        raise ValueError("h_fraction must be > 0")
     box = oracle.domain
     h_vec = h_fraction * box.extent
     # Unchecked sampler: a trial whose stencil leaves the box is skipped.
@@ -199,7 +199,7 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     for axis in range(box.dim):
         stencil[:, 1 + 4 * axis:5 + 4 * axis, axis] += np.array([1, -1, 0.5, -0.5]) * h_vec[axis]
     points = stencil.reshape(-1, box.dim)
-    ok = np.flatnonzero([box.contains(p) for p in points])
+    ok = np.flatnonzero(box.inside(points))
     scales = np.full(len(points), np.nan)        # NaN: no calibration
     try:
         a, clamp = _scales(oracle, points[ok], tol_t)
@@ -223,14 +223,14 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
             outputs = {"axis": str(axis), "central_h": f"{d1:.6g}",
                        "central_h2": f"{d2:.6g}", "left": f"{left:.6g}",
                        "right": f"{right:.6g}"}
-            if abs(d2 - d1) > rel_tol * max(1.0, abs(d2)):
+            if abs(d2 - d1) > REL_TOL * max(1.0, abs(d2)):
                 return Witness({"x": _pt(x)}, outputs, note="step-halving drift")
-            if abs(left - right) > one_sided_tol * max(1.0, abs(d2)):
+            if abs(left - right) > ONE_SIDED_TOL * max(1.0, abs(d2)):
                 return Witness({"x": _pt(x)}, outputs, note="one-sided kink")
         return None
 
     results = [judge(x[0], a) for x, a in zip(xs, scales.reshape(trials, -1).tolist())]
     return _collect("debreu-smoothness-proxy", trials, seed,
-                    *_fold(results, witness_cap), proxy=True,
-                    extras={"h_fraction": h_fraction, "rel_tol": rel_tol,
-                            "one_sided_tol": one_sided_tol})
+                    *_fold(results, WITNESS_CAP), proxy=True,
+                    extras={"h_fraction": h_fraction, "rel_tol": REL_TOL,
+                            "one_sided_tol": ONE_SIDED_TOL})

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altkit.cli import main
 from altkit.config import RunConfig
@@ -267,6 +273,153 @@ class TestVerifyCommand:
             for doc in docs:
                 doc["config"].pop("workers")
             assert docs[0] == docs[1] == docs[2]
+
+
+BOX_INVERTED = ["--domain-lower", "1", "1", "--domain-upper", "0", "0"]
+BOX_1D = ["--domain-lower", "0.5", "--domain-upper", "2"]
+BOX_NAN = ["--domain-lower", "nan", "0", "--domain-upper", "1", "1"]
+
+
+class TestUsageErrorsExitTwo:
+    """Bad boxes and non-finite or out-of-range numbers are usage errors:
+    exit 2, one ``config error`` line on stderr, and no report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--oracle", "linear", *BOX_INVERTED],
+        ["concavity", "--oracle", "linear", *BOX_INVERTED],
+        ["verify", "--oracle", "linear", *BOX_1D],
+        ["reconstruct", "--oracle", "linear", *BOX_1D],
+        ["smoothness", "--oracle", "linear", *BOX_1D],
+        ["alep", "--oracle", "cobb_douglas", *BOX_1D],
+        ["verify", "--config", "{config}"],
+        ["verify", "--oracle", "linear", *BOX_NAN],
+        ["verify", "--oracle", "linear", "--eps-eq", "nan"],
+        ["reconstruct", "--oracle", "linear", "--eps-eq", "nan"],
+        ["reconstruct", "--oracle", "linear", "--tol-t", "nan"],
+        ["smoothness", "--oracle", "linear", "--tol-t", "nan"],
+        ["verify", "--oracle", "linear", "--delta", "0.5"],
+        ["verify", "--oracle", "linear", "--delta", "nan"],
+        ["verify", "--oracle", "linear", "--delta", "inf"],
+        ["smoothness", "--oracle", "linear", "--b", "nan"],
+        ["alep", "--oracle", "cobb_douglas", "--h", "nan"],
+        ["alep", "--oracle", "cobb_douglas", "--h", "inf"],
+        ["alep", "--oracle", "cobb_douglas", "--h", "100"],
+        ["alep", "--oracle", "cobb_douglas", "--h", "0.3",
+         "--domain-lower", "0", "0", "--domain-upper", "1", "1"],
+        ["concavity", "--oracle", "linear", "--eps-eq", "inf"],
+        ["alep", "--oracle", "cobb_douglas", "--grid", "3", "--threshold", "nan"],
+        # Found by the fuzz below, or while writing it: sqrt of a negative
+        # number in alep's stencil, a tolerance finer than float spacing
+        # (a bisection that never ends) and an error message quoting a
+        # multi-line array repr.
+        ["alep", "--oracle", "cobb_douglas",
+         "--domain-lower", "-1", "-1", "--domain-upper", "1", "1"],
+        ["verify", "--oracle", "linear", "--axioms", "monotonicity", "--tol-t", "1e-16"],
+        ["verify", "--oracle", "linear", "--domain-lower", "nan", *["0"] * 19,
+         "--domain-upper", *["1"] * 20],
+    ], ids=" ".join)
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"oracle": "linear",
+                                      "domain": {"lower": [0.0, 0.0], "upper": [1.0]}}))
+        argv = [str(config) if a == "{config}" else a for a in argv]
+        rc = main([*argv, "--trials", "5", "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+
+# Pools of the CLI fuzz.  A number is one of its flag's valid values, or,
+# one time in five, an invalid one.  The sizes are always given and stay
+# small, so no example does much work.
+BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e300"]
+SIZES = {"--trials": ["1", "20"], "--depth": ["0", "5"], "--grid": ["2", "3"],
+         "--probes": ["1", "2"], "--debreu-trials": ["1", "3"]}
+NUMBERS = {"--seed": ["0", "7"], "--eps-eq": ["1e-9", "0.01"], "--tol-t": ["1e-10", "1e-6"],
+           "--delta": ["1e-8", "0.05"], "--b": ["0.5", "2"], "--h": ["1e-3", "0.05"],
+           "--threshold": ["1e-3", "0.5"], "--workers": ["1", "2"]}
+PAIRS = {"--anchors": [["0.25", "0.75"], ["0", "1"], ["0.9", "0.1"], ["nan", "0.5"]],
+         "--second-anchors": [["0.1", "0.9"], ["0.5", "0.5"], ["-1", "inf"]],
+         "--pair": [["0", "1"], ["1", "0"], ["0", "0"], ["0", "5"], ["-1", "0"]]}
+FLAGS = {"verify": (["--trials", "--probes"], ["--delta", "--axioms"]),
+         "reconstruct": (["--trials", "--depth", "--grid"], ["--anchors", "--second-anchors"]),
+         "concavity": (["--trials"], ["--strict"]),
+         "smoothness": (["--trials", "--debreu-trials"], ["--b"]),
+         "alep": (["--trials", "--grid"], ["--pair", "--h", "--threshold"])}
+COMMON = ["--seed", "--eps-eq", "--tol-t", "--workers"]
+BOXES = [(["0.5", "0.5"], ["2", "2"]), (["0.5"], ["2"]), (["1", "1"], ["0", "0"]),
+         (["0", "0", "0"], ["1", "1", "1"]), (["nan", "0"], ["1", "1"]),
+         (["0", "0"], ["inf", "1"]), (["1", "1"], ["1", "2"]), (["0", "0"], ["1", "1"])]
+ORACLES = ["linear", "cobb_douglas", "exp1d", "step", "broken_crossover", "{json}", "nope"]
+CONFIGS = [{"trials": "abc"}, {"depth": 2.5}, {"domain": [0, 1]}, {"h": None},
+           {"pair": [0, 1.0]}, {"oracle": 3}, {"axioms": "consistency"}, {"anchors": 5},
+           {"b": "1"}, {"domain": {"lower": [0, 0], "upper": [1]}},
+           {"domain": {"lower": ["a", 0], "upper": [1, 1]}}, {"domain": {"upper": [1, 1]}},
+           {"oracle": "linear", "seed": -1}, {"oracle": "linear"},
+           {"domain": {"lower": [0.5, 0.5], "upper": [2, 2]}}]
+SQRT_LOG = {"name": "sqrt_log", "dimension": 2,
+            "expr": ["add", ["sqrt", ["x", 0]], ["log", ["x", 1]]]}
+
+
+class TestCliFuzz:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_every_argv_keeps_the_exit_code_contract(self, data):
+        """Argparse refuses an argv with SystemExit(2); any other argv
+        returns 0, 1 or 2 without an escaping exception, and a 2 comes
+        with exactly one line on stderr."""
+        draw = data.draw
+
+        def number(pool):
+            return draw(st.sampled_from(pool if draw(st.integers(0, 4)) else BAD_NUMBERS))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            utility = Path(tmp) / "sqrt_log.json"
+            utility.write_text(json.dumps(SQRT_LOG))
+            command = draw(st.sampled_from([*FLAGS, "catalog"]))
+            argv = [command]
+            if command == "catalog":
+                argv += draw(st.sampled_from([[], ["--json"]]))
+            else:
+                sizes, options = FLAGS[command]
+                oracle = draw(st.sampled_from([*ORACLES, None]))
+                if oracle is not None:
+                    argv += ["--oracle", str(utility) if oracle == "{json}" else oracle]
+                for flag in sizes:
+                    argv += [flag, number(SIZES[flag])]
+                for flag in options + COMMON:
+                    if not draw(st.booleans()):
+                        continue
+                    if flag == "--strict":
+                        argv.append(flag)
+                    elif flag == "--axioms":
+                        argv += [flag, *draw(st.sampled_from(
+                            [["consistency", "crossover"], ["continuity-proxy"],
+                             ["monotonicity", "second-consistency"]]))]
+                    elif flag in PAIRS:
+                        argv += [flag, *draw(st.sampled_from(PAIRS[flag]))]
+                    else:
+                        argv += [flag, number(NUMBERS[flag])]
+                if draw(st.booleans()):
+                    lower, upper = draw(st.sampled_from(BOXES))
+                    argv += ["--domain-lower", *lower, "--domain-upper", *upper]
+                if draw(st.integers(0, 3)) == 0:
+                    config = draw(st.sampled_from(CONFIGS))
+                    path = Path(tmp) / "run.json"
+                    path.write_text(json.dumps(config))
+                    argv += ["--config", str(path)]
+                argv += ["--outdir", str(Path(tmp) / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    rc = main(argv)
+                except SystemExit as stop:
+                    assert stop.code == 2, argv
+                    return
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 class TestReconstructCommand:

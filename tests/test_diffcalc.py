@@ -153,6 +153,8 @@ class TestAlepClassify:
     def test_validation_and_serialisation(self):
         with pytest.raises(ValueError, match="must be > 0"):
             alep_classify(SPECS["linear"], [[1.0, 1.0]], h=-1.0)
+        with pytest.raises(ValueError, match="must be > 0"):
+            alep_classify(SPECS["linear"], [[1.0, 1.0]], threshold=float("nan"))
         c = alep_classify(SPECS["linear"], [[1.0, 1.0]])[0]
         doc = json.loads(c.to_json())
         assert doc["label"] == "neutral"

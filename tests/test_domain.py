@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from altkit.domain import BoxDomain, Segment, as_point
@@ -80,6 +82,46 @@ class TestBoxDomain:
             got = box.require_many(rows, "row")
             assert got.shape == (len(rows), 2)
             assert got.tolist() == expected
+
+    @staticmethod
+    def reference_contains(box, x, margin):
+        """Membership of one finite point, one coordinate at a time."""
+        for j, v in enumerate(x):
+            lo, hi = float(box.lower[j]) + margin, float(box.upper[j]) - margin
+            if v < lo or (v == lo and box.lower_open[j]):
+                return False
+            if v > hi or (v == hi and box.upper_open[j]):
+                return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           st.sampled_from([0.0, 0.25, 0.5, 1.5, -0.25]),
+           st.lists(st.booleans(), min_size=4, max_size=4),
+           st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2), max_size=5))
+    def test_inside_is_the_per_coordinate_rule(self, corners, margin, faces, picks):
+        lower = [min(corners[0], corners[1]), min(corners[2], corners[3])]
+        upper = [max(corners[0], corners[1]), max(corners[2], corners[3])]
+        assume(lower[0] < upper[0] and lower[1] < upper[1])
+        box = BoxDomain(lower, upper, lower_open=faces[:2], upper_open=faces[2:])
+        # Per axis: the faces, the faces moved in by the margin, a point
+        # between them, and the non-finite values.
+        values = [[lo, hi, lo + margin, hi - margin, 0.5 * (lo + hi), np.nan,
+                   np.inf if k % 2 else -np.inf] for k, (lo, hi) in enumerate(zip(lower, upper))]
+        X = np.array([[values[0][a], values[1][b]] for a, b in picks]).reshape(-1, 2)
+        expected = [all(map(math.isfinite, x)) and self.reference_contains(box, x, margin)
+                    for x in X.tolist()]
+        assert box.inside(X, margin).tolist() == expected
+        for x, want in zip(X, expected):
+            if all(map(math.isfinite, x)):
+                assert box.contains(x, margin) is want
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    box.contains(x, margin)
+
+    def test_inside_refuses_rows_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            BoxDomain([0.0, 0.0], [1.0, 1.0]).inside(np.zeros((3, 1)))
 
     def test_clip(self):
         box = BoxDomain([0.0, 0.0], [1.0, 1.0])

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from altkit.domain import BoxDomain, Segment
-from altkit.errors import (ArchimedeanError, DegenerateFitError, DomainError,
-                           OrderingError)
+from altkit import ladder
+from altkit.cli import main
+from altkit.errors import (ArchimedeanError, ConstructionError, DegenerateFitError,
+                           DomainError, OrderingError)
 from altkit.fixtures import make_difference_oracle, oracle_by_name, utility_by_name
 from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder,
                            check_density, order_embedding_check, reconstruct_utility,
@@ -112,6 +114,39 @@ class TestBuildLadderValidation:
         o = oracle_by_name("neg_quadratic")
         with pytest.raises(OrderingError, match="custom segment"):
             build_ladder(o, [0.2], [0.9], depth=1)
+
+    def test_coinciding_rungs_stop_the_build(self):
+        # On [0.5, 2] the step utility floor(x0) puts two rungs of level 2
+        # on one jump; the next level has no bracket between them.
+        o = make_difference_oracle(utility_by_name("step"), BoxDomain([0.5], [2.0]))
+        with pytest.raises(ConstructionError, match="level 2 rungs are not strictly"):
+            build_ladder(o, [0.875], [1.625], depth=5)
+
+
+class TestRungCap:
+    # On linear's diagonal level k >= 1 holds 2**(k+1) + 1 rungs, so with the cap
+    # at 100 the midpoints of level 6 (129 rungs) are refused.  The cap is
+    # lowered rather than the ladder deepened: an uncapped deep level would
+    # not fit in memory.
+    def test_every_level_is_capped_before_its_solve(self, monkeypatch):
+        seg = oracle_by_name("linear").domain.diagonal()
+        anchors = seg.at(0.25), seg.at(0.75)
+        built = build_ladder(oracle_by_name("linear"), *anchors, depth=5)
+        assert [len(level) for level in built.levels] == [2, 5, 9, 17, 33, 65]
+        monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 100)
+        o = oracle_by_name("linear")
+        with pytest.raises(ConstructionError, match="level 6 would hold 129 rungs"):
+            build_ladder(o, *anchors, depth=8)
+        assert o.calls == built.oracle_calls        # no compare of level 6
+
+    def test_cli_exits_one_with_one_error_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 100)
+        rc = main(["reconstruct", "--oracle", "linear", "--depth", "8", "--trials", "5",
+                   "--grid", "2", "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error: rung cap exceeded")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEqualStepInvariant:
