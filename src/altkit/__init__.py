@@ -26,7 +26,7 @@ from .ladder import (AffineFit, DyadicLadder, ReconstructedUtility, archimedean_
                      reconstruct_utility, representation_spot_check,
                      verify_affine_uniqueness)
 from .oracle import AltOracle, IntensityOrder, Preference, classify
-from .sampling import cycle_sampler, run_indexed, subrng
+from .sampling import run_indexed, subrng
 from .smoothness import (SmoothnessReport, calibrate, debreu_smoothness_proxy,
                          diagonal_point, line_smoothness_limit, solve_f)
 from .solvers import band_bisect, solve_midpoint
@@ -45,7 +45,7 @@ __all__ = [
     "check_consistency", "check_continuity_proxy", "check_crossover",
     "check_density", "check_gossen_law", "check_midpoint_concavity",
     "check_monotonicity", "check_second_consistency", "classify",
-    "concavity_roundtrip", "cycle_sampler", "debreu_smoothness_proxy",
+    "concavity_roundtrip", "debreu_smoothness_proxy",
     "diagonal_point", "intensity_catalog",
     "line_smoothness_limit", "make_difference_oracle", "make_intensity_oracle",
     "numeric_gradient", "numeric_hessian", "oracle_by_name",

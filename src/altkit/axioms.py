@@ -1,19 +1,19 @@
 """Randomized axiom checkers for intensity-comparison oracles.
 
 Each axiom is written once, as a draw and a predicate, and every checker
-runs in two phases.  In the draw phase trial i draws the points of one
-candidate instance from its own stream, that of ``subrng(seed, i)``; with
-no caller sampler one ``sampling.draw`` call computes every trial's
-points at once, and the draws are stacked into one array per point name,
-one row per trial.  In the predicate phase the axiom's predicate asks
-each of its stages with one ``compare_batch`` over the trials that
-earlier stages left undecided, and returns per trial a ``Witness``,
-``None`` (it holds) or ``SKIP`` (its premise did not hold).  Every trial
-is asked what a loop over single trials would ask it, so reports and
-compare counts do not depend on the batching; ``replay_witness`` runs
-the same predicate on a batch of one, the points of a stored witness.
-Streams are derived per trial index, so a report regenerated from its
-stored seed is bit-identical.
+runs in two phases.  In the draw phase one ``sampling.draw`` call gives
+every trial the points of one candidate instance, from trial i's own
+stream (that of ``subrng(seed, i)``) or, when the caller passes
+``points``, from those rows in order, cycling; the draws are stacked
+into one array per point name, one row per trial.  In the predicate
+phase the axiom's predicate asks each of its stages with one
+``compare_batch`` over the trials that earlier stages left undecided,
+and returns per trial a ``Witness``, ``None`` (it holds) or ``SKIP`` (its
+premise did not hold).  Every trial is asked what a loop over single
+trials would ask it, so reports and compare counts do not depend on the
+batching; ``replay_witness`` runs the same predicate on a batch of one,
+the points of a stored witness.  Streams are derived per trial index, so
+a report regenerated from its stored seed is bit-identical.
 
 Crossover's draw also solves for its fourth point: the diagonal brackets
 of all trials are bisected in lockstep (``solvers.band_bisect_many``).
@@ -34,7 +34,7 @@ import numpy as np
 
 from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
-from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng  # noqa: F401
+from .sampling import draw, run_indexed, subrng  # noqa: F401
 from .solvers import DEFAULT_TOL_T, SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -268,13 +268,13 @@ def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
     return out
 
 
-def _draw_triple(oracle: AltOracle, sampler: Sampler | None, seed: int,
+def _draw_triple(oracle: AltOracle, points: np.ndarray | None, seed: int,
                  trials: int) -> dict[str, np.ndarray]:
-    xyz, _ = draw(oracle.domain, sampler, seed, trials, 3)
+    xyz, _ = draw(oracle.domain, points, seed, trials, 3)
     return dict(zip("xyz", xyz.transpose(1, 0, 2)))
 
 
-def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int,
+def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
                     trials: int) -> dict[str, np.ndarray]:
     """Sample (x, y, z), then solve for w on the domain diagonal so that
     [z,w] matches [x,y]; w is NaN where no diagonal point matches."""
@@ -286,7 +286,7 @@ def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int,
     lower = corners[:-1]
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
-    p = _draw_triple(oracle, sampler, seed, trials)
+    p = _draw_triple(oracle, points, seed, trials)
     x, y, z = p["x"], p["y"], p["z"]
 
     # w runs down the diagonal so that [z,w] rises with s when the
@@ -305,7 +305,7 @@ def _draw_crossover(oracle: AltOracle, sampler: Sampler | None, seed: int,
     return p
 
 
-def _draw_perturbed(oracle: AltOracle, sampler: Sampler | None, seed: int, trials: int,
+def _draw_perturbed(oracle: AltOracle, points: np.ndarray | None, seed: int, trials: int,
                     delta: float, probes: int) -> dict[str, np.ndarray]:
     """Sample a quadruple x, y, z, w and ``moved``: ``probes`` copies of
     it, each coordinate moved by up to ``delta`` of the box extent and
@@ -318,7 +318,7 @@ def _draw_perturbed(oracle: AltOracle, sampler: Sampler | None, seed: int, trial
     if probes < 1:
         raise ValueError("probes must be >= 1")
     box = oracle.domain
-    quad, u = draw(box, sampler, seed, trials, 4, probes * 4 * box.dim)
+    quad, u = draw(box, points, seed, trials, 4, probes * 4 * box.dim)
     moved = u.reshape(trials, probes, 4, box.dim)   # a view: the copies are made in u
     moved *= 2.0
     moved -= 1.0
@@ -328,11 +328,11 @@ def _draw_perturbed(oracle: AltOracle, sampler: Sampler | None, seed: int, trial
     return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "moved": moved}
 
 
-def _draw_dominating(oracle: AltOracle, sampler: Sampler | None, seed: int,
+def _draw_dominating(oracle: AltOracle, points: np.ndarray | None, seed: int,
                      trials: int) -> dict[str, np.ndarray]:
     """Sample y, then x above y on every axis, inside the box."""
     box = oracle.domain
-    y, r = draw(box, sampler, seed, trials, 1, box.dim)
+    y, r = draw(box, points, seed, trials, 1, box.dim)
     y = y[:, 0]
     frac = 1e-6 + r * (1.0 - 2e-6)
     return {"x": y + frac * (box.upper - y), "y": y}
@@ -433,36 +433,35 @@ _RULES = {
 }
 
 
-def _trials(axiom: str, oracle: AltOracle, sampler: Sampler | None, trials: int,
+def _trials(axiom: str, oracle: AltOracle, points: np.ndarray | None, trials: int,
             seed: int, **params) -> list:
     """The two phases of every checker: draw the instances of all trials
-    (trial i from its stream under ``seed``), then apply the axiom's
-    predicate to all of them at once."""
+    (trial i from its stream under ``seed``, its points from ``points``
+    when given), then apply the axiom's predicate to all of them at once."""
     draw_for, violation = _RULES[axiom]
-    sampler = checked_sampler(oracle.domain, sampler)
-    return violation(oracle, draw_for(oracle, sampler, seed, trials, **params))
+    return violation(oracle, draw_for(oracle, points, seed, trials, **params))
 
 
-def check_consistency(oracle: AltOracle, sampler: Sampler | None = None,
+def check_consistency(oracle: AltOracle, points: np.ndarray | None = None,
                       trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Shifting both sides by a common reference point z must preserve the
     derived order: x weakly preferred to y iff [x,z] >= [y,z].  Applied to
     the pair in both orders this is an exact sign match between the
     preference trichotomy and the shifted comparison.
     """
-    results = _trials("consistency", oracle, sampler, trials, seed)
+    results = _trials("consistency", oracle, points, trials, seed)
     return _collect("consistency", trials, seed, *_fold(results, WITNESS_CAP))
 
 
-def check_second_consistency(oracle: AltOracle, sampler: Sampler | None = None,
+def check_second_consistency(oracle: AltOracle, points: np.ndarray | None = None,
                              trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Mirror form of consistency on the second slot: x weakly preferred
     to y iff [z,y] >= [z,x]."""
-    results = _trials("second-consistency", oracle, sampler, trials, seed)
+    results = _trials("second-consistency", oracle, points, trials, seed)
     return _collect("second-consistency", trials, seed, *_fold(results, WITNESS_CAP))
 
 
-def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
+def check_crossover(oracle: AltOracle, points: np.ndarray | None = None,
                     trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Equally strong improvements stay equally strong when the inner
     points are exchanged: [x,y] = [z,w] implies [x,z] = [y,w].
@@ -476,14 +475,14 @@ def check_crossover(oracle: AltOracle, sampler: Sampler | None = None,
     failed.  Each trial also asserts the degenerate consequence
     [x,x] = [y,y].
     """
-    results = _trials("crossover", oracle, sampler, trials, seed)
+    results = _trials("crossover", oracle, points, trials, seed)
     manufactured = sum(1 for r in results
                        if r is None or (isinstance(r, Witness) and r.note == "rebracket"))
     return _collect("crossover", trials, seed, *_fold(results, WITNESS_CAP),
                     extras={"manufactured": manufactured})
 
 
-def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
+def check_continuity_proxy(oracle: AltOracle, points: np.ndarray | None = None,
                            trials: int = 1000, seed: int = 0, delta: float = DEFAULT_DELTA,
                            probes: int = DEFAULT_PROBES) -> AxiomReport:
     """Necessary-condition proxy for closedness of the relation: a strictly
@@ -494,16 +493,16 @@ def check_continuity_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     defaults to just above the equality dead band so that continuous
     systems keep comfortable margins while jump discontinuities still flip.
     """
-    results = _trials("continuity-proxy", oracle, sampler, trials, seed,
+    results = _trials("continuity-proxy", oracle, points, trials, seed,
                       delta=delta, probes=probes)
     return _collect("continuity-proxy", trials, seed, *_fold(results, WITNESS_CAP),
                     proxy=True, extras={"delta": delta, "probes": probes})
 
 
-def check_monotonicity(oracle: AltOracle, sampler: Sampler | None = None,
+def check_monotonicity(oracle: AltOracle, points: np.ndarray | None = None,
                        trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Coordinatewise strict dominance must imply strict preference."""
-    results = _trials("monotonicity", oracle, sampler, trials, seed)
+    results = _trials("monotonicity", oracle, points, trials, seed)
     return _collect("monotonicity", trials, seed, *_fold(results, WITNESS_CAP))
 
 

@@ -25,7 +25,7 @@ from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
                        evaluate_points, make_difference_oracle)
 from .ladder import reconstruct_utility
 from .oracle import AltOracle, IntensityOrder
-from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng
+from .sampling import draw, run_indexed, subrng
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -78,7 +78,7 @@ def _judge(law: str, trials: int, seed: int, violations: list[Witness], counts: 
                             floor, dyadic_depth, extras or {})
 
 
-def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
+def check_gossen_law(oracle: AltOracle, points: np.ndarray | None = None,
                      trials: int = 1000, seed: int = 0,
                      floor: float | None = None,
                      parameterization: str = "pair") -> ConcavityVerdict:
@@ -93,16 +93,18 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
     and one ``compare_batch`` asks the law of all of them.  "pair" draws
     every trial at once; "step" draws its direction with
     ``standard_normal``, so it draws trial by trial from ``subrng(seed, i)``.
+    Given ``points``, its rows, in order and cycling, are the endpoints
+    ("pair") or the base points ("step") of the trials.
     """
     if parameterization not in ("pair", "step"):
         raise ConfigError(f"unknown parameterization {parameterization!r}")
     box = oracle.domain
-    sample = checked_sampler(box, sampler)
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * box.diameter
 
-    def draw_step(rng) -> tuple[np.ndarray, np.ndarray]:
-        x = (sample or box.sample)(rng)
+    def draw_step(i: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = subrng(seed, i)
+        x = box.sample(rng) if base is None else base[i]
         d = rng.standard_normal(box.dim)
         d /= np.linalg.norm(d)
         # Largest m with x + m*d still inside the box, split into two steps.
@@ -114,9 +116,10 @@ def check_gossen_law(oracle: AltOracle, sampler: Sampler | None = None,
         return x, x + 2.0 * v
 
     if parameterization == "pair":
-        pairs, _ = draw(box, sample, seed, trials, 2)
+        pairs, _ = draw(box, points, seed, trials, 2)
     else:
-        pairs = np.array(run_indexed(lambda i: draw_step(subrng(seed, i)), trials))
+        base = None if points is None else draw(box, points, seed, trials, 1)[0][:, 0]
+        pairs = np.array(run_indexed(draw_step, trials))
     x, y = pairs[:, 0], pairs[:, 1]
     z = 0.5 * (x + y)
     law = oracle.compare_batch(z, x, y, z)
@@ -143,7 +146,7 @@ def _dyadic_params(depth: int) -> list[float]:
     return sorted(ts)
 
 
-def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = None,
+def check_midpoint_concavity(u_fn, domain: BoxDomain, points: np.ndarray | None = None,
                              trials: int = 200, seed: int = 0,
                              tol: float = 0.0, dyadic_depth: int | None = None,
                              floor: float | None = None) -> ConcavityVerdict:
@@ -153,18 +156,17 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, sampler: Sampler | None = 
     level are checked against the chord (full-interval concavity on a
     dyadic grid); otherwise only the midpoint.  Strictness requires a
     margin beyond ``tol`` (floored at float-noise scale) on every pair
-    farther apart than ``floor``.
+    farther apart than ``floor``.  ``points`` cycle as in the Gossen law.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
     ts = np.array(_dyadic_params(dyadic_depth) if dyadic_depth else [0.5])
-    pairs, _ = draw(domain, checked_sampler(domain, sampler), seed, trials, 2)
+    pairs, _ = draw(domain, points, seed, trials, 2)
     x, y = pairs[:, 0], pairs[:, 1]
     chord = x[:, None] + ts[:, None] * (y - x)[:, None]
-    points = np.concatenate([x, y, chord.reshape(-1, domain.dim)])
-    values = evaluate_points(u_fn, points)
+    values = evaluate_points(u_fn, np.concatenate([x, y, chord.reshape(-1, domain.dim)]))
     ux, uy, up = values[:trials], values[trials:2 * trials], values[2 * trials:]
     margin = up.reshape(trials, ts.size) - ((1.0 - ts) * ux[:, None] + ts * uy[:, None])
     # fmax and fmin skip NaN, as max and min over Python floats do.

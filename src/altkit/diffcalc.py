@@ -46,7 +46,11 @@ def second_differences(u_fn, X, i: int, j: int, steps) -> np.ndarray:
     """Stencil estimates of the (i,j) second partial at each row of the
     (N, dim) array X, one row per step: 3 points on the diagonal (i == j),
     4 off it.  All stencil points are valued in one call; a non-finite
-    value raises ConfigError naming its point."""
+    value raises ConfigError naming its point, as does a step below its float spacing."""
+    C = X[:, [i, j]]
+    if (flat := np.any([(C + h == C) | (C - h == C) for h in steps], axis=(0, 2))).any():
+        raise ConfigError(f"steps {tuple(steps)} are below the float spacing of point "
+                          f"{X[flat.argmax()].tolist()}: a stencil coordinate equals its centre")
     blocks = []
     for h in steps:
         ei, ej = h * np.eye(X.shape[1])[[i, j]]

@@ -38,8 +38,8 @@ class BoxDomain:
     """Convex box ``prod_i <lower_i, upper_i>`` in R^n.
 
     ``lower_open[i]`` / ``upper_open[i]`` mark faces excluded from the box.
-    All toolkit samplers and solvers work with the closure; openness only
-    affects :meth:`contains`.
+    Random draws and the solvers work with the closure; openness only
+    affects membership, :meth:`inside` and the checks built on it.
     """
 
     lower: np.ndarray
@@ -52,6 +52,9 @@ class BoxDomain:
         self.upper = as_point(self.upper, dim=self.lower.size)
         if np.any(self.upper <= self.lower):
             raise ValueError("box needs lower < upper on every axis")
+        with np.errstate(over="ignore"):        # numpy's norm sums the squares
+            if not np.isfinite([v @ v for v in (self.extent, self.lower, self.upper)]).all():
+                raise ValueError("box too large: the norm of its extent or a corner overflows")
         self.lower_open = self._faces(self.lower_open)
         self.upper_open = self._faces(self.upper_open)
 

@@ -460,28 +460,31 @@ def utility_from_json(source) -> UtilitySpec:
     """Load a UtilitySpec from a JSON document (path, str, or dict).
 
     Required keys: ``name``, ``dimension``, ``expr``.  Optional: ``domain``
-    ({"lower": [...], "upper": [...]}) and ground-truth tag keys.
+    ({"lower": [...], "upper": [...]}) and ground-truth tag keys.  Any
+    other document, or one that cannot be read, raises ConfigError.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        doc = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        doc = json.loads(source)
+    if isinstance(source, (str, Path)):
+        text = str(source)
+        try:
+            doc = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
+        except (OSError, ValueError) as bad:     # ValueError: not UTF-8 or not JSON
+            raise ConfigError(f"cannot read utility JSON {text[:80]!r}: {bad}") from None
     else:
         doc = dict(source)
+    if not isinstance(doc, dict):
+        raise ConfigError("utility JSON must be an object")
     try:
-        name = doc["name"]
-        dim = int(doc["dimension"])
-        expr = doc["expr"]
+        name, dim, expr = doc["name"], doc["dimension"], doc["expr"]
     except KeyError as missing:
         raise ConfigError(f"utility JSON missing key {missing}") from None
-    if dim < 1:
-        raise ConfigError("dimension must be >= 1")
+    if type(dim) is not int or dim < 1:
+        raise ConfigError(f"dimension must be an integer >= 1, got {dim!r}")
     batch = parse_expression(expr, dim)
-    if "domain" in doc:
-        box = BoxDomain(as_point(doc["domain"]["lower"], dim),
-                        as_point(doc["domain"]["upper"], dim))
-    else:
-        box = _box(0.1, 10.0, dim)
+    try:
+        box = (BoxDomain(*(as_point(doc["domain"][end], dim) for end in ("lower", "upper")))
+               if "domain" in doc else _box(0.1, 10.0, dim))
+    except (KeyError, TypeError, ValueError) as bad:
+        raise ConfigError(f"utility JSON domain: {bad}") from None
     return UtilitySpec(
         name, dim, None, box, batch=batch,
         concavity=doc.get("concavity", UNKNOWN),

@@ -25,7 +25,7 @@ from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
-from .sampling import Sampler, checked_sampler, draw, run_indexed, subrng  # noqa: F401
+from .sampling import draw, run_indexed, subrng  # noqa: F401
 from .solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param_many
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -349,7 +349,7 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
     return AffineFit(float(alpha), float(beta), residual, samples, threshold, verdict)
 
 
-def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | None = None,
+def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | None = None,
                   trials: int = 200, seed: int = 0, min_depth: int = 1) -> AxiomReport:
     """Between any sampled strict pair more than two rung steps apart there
     must be a rung strictly between them (oracle-checked).
@@ -364,7 +364,7 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
     rung_points = ladder.segment.at_many(np.array([t for _, t in ladder.rungs()]))
     rung_values = np.array([ladder.value(i, ladder.depth) for i, _ in ladder.rungs()])
 
-    pairs, _ = draw(oracle.domain, checked_sampler(oracle.domain, sampler), seed, trials, 2)
+    pairs, _ = draw(oracle.domain, points, seed, trials, 2)
     a, b = pairs[:, 0], pairs[:, 1]
     pref = oracle.compare_batch(a, b, b, b)
     hi, lo = np.where(pref[:, None] > 0, a, b), np.where(pref[:, None] > 0, b, a)
@@ -394,14 +394,14 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, sampler: Sampler | No
 
 
 def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
-                              seed: int = 0, sampler: Sampler | None = None) -> AxiomReport:
+                              seed: int = 0, points: np.ndarray | None = None) -> AxiomReport:
     """Reconstructed value differences must reproduce the oracle trichotomy
     on random quadruples, up to a dead band of four rung steps, 2**(2 - depth)."""
     oracle = recon.oracle
     dead_band = 2.0 ** (2 - recon.depth)
     # Every trial's quadruple is drawn first, so that all 4 * trials
     # reconstructed values and all oracle answers come from batched calls.
-    quads, _ = draw(oracle.domain, checked_sampler(oracle.domain, sampler), seed, trials, 4)
+    quads, _ = draw(oracle.domain, points, seed, trials, 4)
     u = recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
     d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])
     judged = np.flatnonzero(np.abs(d_hat) > dead_band)

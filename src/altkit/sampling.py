@@ -14,13 +14,11 @@ bit for bit.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .domain import BoxDomain
-
-Sampler = Callable[[np.random.Generator], np.ndarray]
 
 # Philox blocks computed per pass of ``uniforms``; bounds its working memory.
 BLOCK_CHUNK = 2048
@@ -85,48 +83,29 @@ def subrng(seed: int, index: int) -> np.random.Generator:
         key=key, counter=np.array([0, 0, index, 0], dtype=np.uint64)))
 
 
-def checked_sampler(box: BoxDomain, sampler: Sampler | None) -> Sampler | None:
-    """``sampler`` with every draw required to lie in ``box``; None, which
-    ``draw`` reads as the box's own uniform points, when it is None."""
-    return sampler and (lambda rng: box.require(sampler(rng), "sampled point"))
+def cycled(points, n: int, dim: int) -> np.ndarray:
+    """n rows: those of the (rows, dim) array ``points``, in order, cycling."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[1] != dim or not len(P):
+        raise ValueError(f"points of shape {P.shape} are not rows of dimension {dim}")
+    return np.resize(P, (n, dim))
 
 
-def draw(box: BoxDomain, sampler: Sampler | None, seed: int, trials: int, k: int,
+def draw(box: BoxDomain, points, seed: int, trials: int, k: int,
          m: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Points (trials, k, dim) and uniforms (trials, m): trial i's k points
-    and then its m uniforms, from trial i's stream.
-
-    With no sampler the points are ``box.lower + u * box.extent``, the
-    arithmetic of ``box.sample``, and one ``uniforms`` call draws every
-    trial.  A sampler is called k times on ``subrng(seed, i)``, trial by
-    trial, before that generator's m uniforms; ``box.sample`` as the
-    sampler gives the same arrays as no sampler."""
+    """Points (trials, k, dim) and uniforms (trials, m), from one ``uniforms``
+    call: trial i's stream gives its k points, in the arithmetic of
+    ``box.sample``, and then its m uniforms.  Given ``points``, its rows,
+    ``cycled`` and each required to lie in ``box``, are the points instead."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if sampler is None:
-        u = uniforms(seed, trials, k * box.dim + m)
-        points = box.lower + u[:, :k * box.dim].reshape(trials, k, box.dim) * box.extent
-        return points, u[:, k * box.dim:]
-
-    def trial(i: int) -> tuple[list, np.ndarray]:
-        rng = subrng(seed, i)
-        return [sampler(rng) for _ in range(k)], rng.random(m)
-    rows = run_indexed(trial, trials)
-    return (np.array([p for p, _ in rows], dtype=float).reshape(trials, k, box.dim),
-            np.array([e for _, e in rows]).reshape(trials, m))
-
-
-def cycle_sampler(points: Sequence) -> Sampler:
-    """Sampler that replays a fixed list of points, cycling; useful for
-    injecting hand-constructed witnesses into the randomized checkers."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    state = {"i": 0}
-
-    def sample(_rng: np.random.Generator) -> np.ndarray:
-        p = pts[state["i"] % len(pts)]
-        state["i"] += 1
-        return p.copy()
-    return sample
+    n = k * box.dim if points is None else 0
+    u = uniforms(seed, trials, n + m)
+    if points is None:
+        X = box.lower + u[:, :n].reshape(trials, k, box.dim) * box.extent
+    else:
+        X = box.require_many(cycled(points, trials * k, box.dim), "sampled point")
+    return X.reshape(trials, k, box.dim), u[:, n:]
 
 
 def run_indexed(fn: Callable[[int], object], n: int, _unused: object = None) -> list:

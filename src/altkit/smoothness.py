@@ -23,7 +23,7 @@ from .errors import (BracketError, ConfigError, ConstructionError, DomainError,
                      OrderingError, RangeError)
 from .oracle import AltOracle
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
-from .sampling import Sampler, draw, run_indexed, subrng  # noqa: F401
+from .sampling import cycled, draw, run_indexed, subrng  # noqa: F401
 from .solvers import DEFAULT_TOL_T, indifference_param_many, solve_midpoint
 
 LINE_SMOOTH = "line-smooth"
@@ -169,7 +169,7 @@ def calibrate(oracle: AltOracle, x, tol_t: float = DEFAULT_TOL_T) -> float:
     return float(a)
 
 
-def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
+def debreu_smoothness_proxy(oracle: AltOracle, points: np.ndarray | None = None,
                             trials: int = 50, seed: int = 0,
                             h_fraction: float = 1e-3,
                             tol_t: float = DEFAULT_TOL_T) -> AxiomReport:
@@ -180,29 +180,33 @@ def debreu_smoothness_proxy(oracle: AltOracle, sampler: Sampler | None = None,
     flagged when halving the step moves the estimate by more than
     ``REL_TOL`` (relative), or when the left and right one-sided h/2
     differences disagree by more than ``ONE_SIDED_TOL`` (a kink).  A
-    sampled proxy only: kinks on sets the sampler misses go undetected.
+    sampled proxy only: kinks on sets the sample misses go undetected.
 
-    Every trial's point is drawn first, and the stencils of all trials
-    are calibrated in one lockstep solve.  A trial is skipped when a
-    stencil point it reaches is off the box or has no calibration.
+    Every trial's point is drawn first (2h inside the box) or taken from
+    ``points``, in order and cycling; the stencils of all trials are
+    calibrated in one lockstep solve.  A trial is skipped when a stencil
+    point it reaches is off the box or has no calibration.
     """
     if h_fraction <= 0:
         raise ValueError("h_fraction must be > 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     box = oracle.domain
     h_vec = h_fraction * box.extent
-    # Unchecked sampler: a trial whose stencil leaves the box is skipped.
-    xs, _ = draw(box.shrunk(2.0 * h_vec) if sampler is None else box, sampler,
-                 seed, trials, 1)
+    if points is None:
+        xs, _ = draw(box.shrunk(2.0 * h_vec), None, seed, trials, 1)
+    else:               # unchecked: a trial whose stencil leaves the box is skipped
+        xs = cycled(points, trials, box.dim)[:, None]
     # Row 0 of a trial's stencil is x; rows 1 + 4*axis ... 4 + 4*axis move x
     # along the axis by +h, -h, +h/2 and -h/2.
     stencil = np.repeat(xs, 1 + 4 * box.dim, axis=1)
     for axis in range(box.dim):
         stencil[:, 1 + 4 * axis:5 + 4 * axis, axis] += np.array([1, -1, 0.5, -0.5]) * h_vec[axis]
-    points = stencil.reshape(-1, box.dim)
-    ok = np.flatnonzero(box.inside(points))
-    scales = np.full(len(points), np.nan)        # NaN: no calibration
+    rows = stencil.reshape(-1, box.dim)
+    ok = np.flatnonzero(box.inside(rows))
+    scales = np.full(len(rows), np.nan)          # NaN: no calibration
     try:
-        a, clamp = _scales(oracle, points[ok], tol_t)
+        a, clamp = _scales(oracle, rows[ok], tol_t)
         scales[ok[clamp == 0]] = a[clamp == 0]
     except DomainError:
         pass                                     # the box holds no diagonal ray

@@ -86,7 +86,8 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     bisects until it meets EQUAL or narrows to ``tol``; with ``refine``,
     both edges of the EQUAL band it met are then walked in to width
     ``tol`` and the band center is returned.  ``refine=False`` returns the
-    first EQUAL parameter of each bracket that meets one.
+    first EQUAL parameter of each bracket that meets one.  Whatever ``tol``
+    is, a walk stops at adjacent floats, within 1024 + 1074 halvings.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -105,17 +106,19 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
 
     found = (s_lo == 0) | (s_hi == 0)
     eq = np.where(s_lo == 0, a, b)
-    run = ~found & (b - a > tol)
+    out = 0.5 * (a + b)
+    run = ~found & (b - a > tol) & (a < out) & (out < b)
     while run.any():
         j = np.flatnonzero(run)
-        m = 0.5 * (a[j] + b[j])
+        m = out[j]
         s = side(j, m)
         a[j[s < 0]] = m[s < 0]
         b[j[s > 0]] = m[s > 0]
         eq[j[s == 0]] = m[s == 0]
         found[j[s == 0]] = True
-        run[j] = (s != 0) & (b[j] - a[j] > tol)
-    out = 0.5 * (a + b)
+        aj, bj = a[j], b[j]
+        out[j] = m = 0.5 * (aj + bj)
+        run[j] = (s != 0) & (bj - aj > tol) & (aj < m) & (m < bj)
     if not refine:
         out[found] = eq[found]
         return out
@@ -130,15 +133,16 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     outer = np.concatenate([a[lower], b[upper]])
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    run = np.abs(inner - outer) > tol
+    edge = 0.5 * (outer + inner)
+    run = (np.abs(inner - outer) > tol) & (edge != outer) & (edge != inner)
     while run.any():
         k = np.flatnonzero(run)
-        m = 0.5 * (outer[k] + inner[k])
+        m = edge[k]
         hit = side(owner[k], m) == state[k]
         outer[k[hit]] = m[hit]
         inner[k[~hit]] = m[~hit]
-        run[k] = np.abs(inner[k] - outer[k]) > tol
-    edge = 0.5 * (outer + inner)
+        edge[k] = m = 0.5 * (outer[k] + inner[k])
+        run[k] = (np.abs(inner[k] - outer[k]) > tol) & (m != outer[k]) & (m != inner[k])
     lower_edge, upper_edge = a.copy(), b.copy()
     lower_edge[lower] = edge[:lower.size]
     upper_edge[upper] = edge[lower.size:]

@@ -18,7 +18,6 @@ from altkit.ladder import (archimedean_count, build_ladder, check_density,
                            reconstruct_utility, representation_spot_check,
                            verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
-from altkit.sampling import cycle_sampler
 from altkit.smoothness import (debreu_smoothness_proxy, line_smoothness_limit,
                                solve_f)
 
@@ -62,8 +61,8 @@ def test_criterion_2_min2_line_smooth_but_not_debreu():
     limit = line_smoothness_limit(oracle, 1.0)
     if limit.estimate is None or abs(limit.estimate) >= 1e-3:
         failures.append(f"line limit {limit.estimate} (need |.| < 1e-3)")
-    diag = cycle_sampler([[2.0, 2.0], [3.0, 3.0], [5.0, 5.0], [7.0, 7.0]])
-    debreu = debreu_smoothness_proxy(oracle, sampler=diag, trials=4, seed=0)
+    diag = [[2.0, 2.0], [3.0, 3.0], [5.0, 5.0], [7.0, 7.0]]
+    debreu = debreu_smoothness_proxy(oracle, points=diag, trials=4, seed=0)
     if debreu.passed:
         failures.append("calibration proxy did not fail at diagonal points")
     if not all(w.note == "one-sided kink" for w in debreu.violations):
@@ -151,7 +150,7 @@ def test_criterion_5_axiom_suite_and_crossover_counterexample():
 
     # The canonical instance of that class: x=4, y=1, z=2 forces w=0, where
     # u(4)-u(1) = u(2)-u(0) = 2 but u(4)-u(2) = 0 != 1 = u(1)-u(0).
-    pattern = check_crossover(broken, sampler=cycle_sampler([[4.0], [1.0], [2.0]]),
+    pattern = check_crossover(broken, points=[[4.0], [1.0], [2.0]],
                               trials=1, seed=0)
     witness = pattern.violations[0] if pattern.violations else None
     if witness is None or witness.points != {"x": [4.0], "y": [1.0],

@@ -12,7 +12,6 @@ from altkit.domain import BoxDomain
 from altkit.fixtures import (IntensitySpec, catalog, make_difference_oracle,
                              make_intensity_oracle, oracle_by_name, utility_from_json)
 from altkit.oracle import IntensityOrder
-from altkit.sampling import cycle_sampler
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -102,7 +101,7 @@ class TestCrossover:
         """Injecting x=4, y=1, z=3 is not needed: with x=4, y=1, z=2 the
         solver lands on w=0 and the exchanged brackets disagree (0 vs 1)."""
         oracle = oracle_by_name("broken_crossover")
-        rep = check_crossover(oracle, sampler=cycle_sampler([[4.0], [1.0], [2.0]]),
+        rep = check_crossover(oracle, points=[[4.0], [1.0], [2.0]],
                               trials=1, seed=0)
         assert not rep.passed
         w = rep.violations[0]
@@ -131,7 +130,7 @@ class TestContinuityProxy:
         # both onto the same side of the jump.
         oracle = oracle_by_name("step")
         pts = [[1.0], [1.0 - 5e-9], [0.5], [0.5]]
-        rep = check_continuity_proxy(oracle, sampler=cycle_sampler(pts),
+        rep = check_continuity_proxy(oracle, points=pts,
                                      trials=20, seed=0)
         assert not rep.passed
         w = rep.violations[0]
@@ -264,7 +263,7 @@ class TestBatchedCheckers:
         # so on round the cycle, all solved in one lockstep bisection.
         oracle = oracle_by_name("broken_crossover")
         points = [[4.0], [1.0], [2.0], [7.5], [0.5]]
-        rep = check_crossover(oracle, sampler=cycle_sampler(points), trials=7, seed=5)
+        rep = check_crossover(oracle, points=points, trials=7, seed=5)
         assert (rep.violation_count, rep.skipped, rep.extras["manufactured"]) == (7, 0, 5)
         first, second = rep.violations[:2]
         assert first.points == {"x": [4.0], "y": [1.0], "z": [2.0], "w": [0.0]}

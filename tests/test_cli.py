@@ -317,12 +317,25 @@ class TestUsageErrorsExitTwo:
         ["verify", "--oracle", "linear", "--axioms", "monotonicity", "--tol-t", "1e-16"],
         ["verify", "--oracle", "linear", "--domain-lower", "nan", *["0"] * 19,
          "--domain-upper", *["1"] * 20],
+        # Malformed utility files, a box whose norms overflow and an alep
+        # step below the points' float spacing.
+        ["verify", "--oracle", "{not-json}"],
+        ["verify", "--oracle", "{array}"],
+        ["verify", "--oracle", "{dimension-abc}"],
+        ["alep", "--oracle", "{inverted-domain}"],
+        ["concavity", "--oracle", "linear", "--domain-lower", "0", "0",
+         "--domain-upper", "1e300", "1e300"],
+        ["alep", "--oracle", "cobb_douglas", "--grid", "3", "--h", "1e-17"],
     ], ids=" ".join)
     def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"oracle": "linear",
                                       "domain": {"lower": [0.0, 0.0], "upper": [1.0]}}))
-        argv = [str(config) if a == "{config}" else a for a in argv]
+        utility = tmp_path / "utility.json"
+        for a in set(argv) & set(UTILITY_FILES):
+            utility.write_text(UTILITY_FILES[a])
+        argv = [str(config) if a == "{config}" else str(utility) if a in UTILITY_FILES else a
+                for a in argv]
         rc = main([*argv, "--trials", "5", "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -337,7 +350,7 @@ BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e300"]
 SIZES = {"--trials": ["1", "20"], "--depth": ["0", "5"], "--grid": ["2", "3"],
          "--probes": ["1", "2"], "--debreu-trials": ["1", "3"]}
 NUMBERS = {"--seed": ["0", "7"], "--eps-eq": ["1e-9", "0.01"], "--tol-t": ["1e-10", "1e-6"],
-           "--delta": ["1e-8", "0.05"], "--b": ["0.5", "2"], "--h": ["1e-3", "0.05"],
+           "--delta": ["1e-8", "0.05"], "--b": ["0.5", "2"], "--h": ["1e-3", "0.05", "1e-17"],
            "--threshold": ["1e-3", "0.5"], "--workers": ["1", "2"]}
 PAIRS = {"--anchors": [["0.25", "0.75"], ["0", "1"], ["0.9", "0.1"], ["nan", "0.5"]],
          "--second-anchors": [["0.1", "0.9"], ["0.5", "0.5"], ["-1", "inf"]],
@@ -350,8 +363,9 @@ FLAGS = {"verify": (["--trials", "--probes"], ["--delta", "--axioms"]),
 COMMON = ["--seed", "--eps-eq", "--tol-t", "--workers"]
 BOXES = [(["0.5", "0.5"], ["2", "2"]), (["0.5"], ["2"]), (["1", "1"], ["0", "0"]),
          (["0", "0", "0"], ["1", "1", "1"]), (["nan", "0"], ["1", "1"]),
-         (["0", "0"], ["inf", "1"]), (["1", "1"], ["1", "2"]), (["0", "0"], ["1", "1"])]
-ORACLES = ["linear", "cobb_douglas", "exp1d", "step", "broken_crossover", "{json}", "nope"]
+         (["0", "0"], ["inf", "1"]), (["1", "1"], ["1", "2"]), (["0", "0"], ["1", "1"]),
+         (["0", "0"], ["1e300", "1e300"]), (["-1e300", "-1e300"], ["1e300", "1e300"]),
+         (["0"], ["1e300"])]
 CONFIGS = [{"trials": "abc"}, {"depth": 2.5}, {"domain": [0, 1]}, {"h": None},
            {"pair": [0, 1.0]}, {"oracle": 3}, {"axioms": "consistency"}, {"anchors": 5},
            {"b": "1"}, {"domain": {"lower": [0, 0], "upper": [1]}},
@@ -360,6 +374,14 @@ CONFIGS = [{"trials": "abc"}, {"depth": 2.5}, {"domain": [0, 1]}, {"h": None},
            {"domain": {"lower": [0.5, 0.5], "upper": [2, 2]}}]
 SQRT_LOG = {"name": "sqrt_log", "dimension": 2,
             "expr": ["add", ["sqrt", ["x", 0]], ["log", ["x", 1]]]}
+# JSON utility files by name in the oracle pool: one good, four malformed.
+UTILITY_FILES = {
+    "{json}": json.dumps(SQRT_LOG), "{not-json}": "not json", "{array}": "[1, 2]",
+    "{dimension-abc}": json.dumps({**SQRT_LOG, "dimension": "abc"}),
+    "{inverted-domain}": json.dumps({**SQRT_LOG, "domain": {"lower": [1, 1], "upper": [0, 0]}}),
+}
+ORACLES = ["linear", "cobb_douglas", "exp1d", "step", "broken_crossover", *UTILITY_FILES,
+           "nope"]
 
 
 class TestCliFuzz:
@@ -375,8 +397,6 @@ class TestCliFuzz:
             return draw(st.sampled_from(pool if draw(st.integers(0, 4)) else BAD_NUMBERS))
 
         with tempfile.TemporaryDirectory() as tmp:
-            utility = Path(tmp) / "sqrt_log.json"
-            utility.write_text(json.dumps(SQRT_LOG))
             command = draw(st.sampled_from([*FLAGS, "catalog"]))
             argv = [command]
             if command == "catalog":
@@ -384,8 +404,12 @@ class TestCliFuzz:
             else:
                 sizes, options = FLAGS[command]
                 oracle = draw(st.sampled_from([*ORACLES, None]))
+                if oracle in UTILITY_FILES:
+                    utility = Path(tmp) / "utility.json"
+                    utility.write_text(UTILITY_FILES[oracle])
+                    oracle = str(utility)
                 if oracle is not None:
-                    argv += ["--oracle", str(utility) if oracle == "{json}" else oracle]
+                    argv += ["--oracle", oracle]
                 for flag in sizes:
                     argv += [flag, number(SIZES[flag])]
                 for flag in options + COMMON:

@@ -12,24 +12,27 @@ from altkit.errors import ConfigError
 from altkit.fixtures import UtilitySpec, catalog, oracle_by_name
 from altkit.ladder import reconstruct_utility
 from altkit.oracle import IntensityOrder
-from altkit.sampling import cycle_sampler, subrng
+from altkit.sampling import subrng
 
 SPECS = {s.name: s for s in catalog()}
 UNIT_BOX = BoxDomain([0.0], [1.0])
 
 
-def reference_midpoint_concavity(u_fn, domain, sampler=None, trials=200, seed=0, tol=0.0,
+def reference_midpoint_concavity(u_fn, domain, points=None, trials=200, seed=0, tol=0.0,
                                  dyadic_depth=None):
     """``check_midpoint_concavity`` one trial and one point at a time, on
-    the same draws: trial i draws x and y from ``subrng(seed, i)`` and
-    stops at its first chord point below the chord."""
-    sample = sampler or domain.sample
+    the same draws: trial i draws x and y from ``subrng(seed, i)``, or
+    takes rows 2i and 2i + 1 of ``points`` round the cycle, and stops at
+    its first chord point below the chord."""
     floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
     params = _dyadic_params(dyadic_depth) if dyadic_depth else [0.5]
 
     def trial(i: int):
-        rng = subrng(seed, i)
-        x, y = sample(rng), sample(rng)
+        if points is None:
+            rng = subrng(seed, i)
+            x, y = domain.sample(rng), domain.sample(rng)
+        else:
+            x, y = (np.asarray(points[j % len(points)], dtype=float) for j in (2 * i, 2 * i + 1))
         ux, uy = u_fn(x), u_fn(y)
         worst = np.inf
         for t in params:
@@ -78,7 +81,7 @@ class TestGossenLaw:
         # 1.0696, so the injected chord yields the violation directly.
         o = oracle_by_name("exp1d")
         assert o.compare([0.5], [0.0], [1.0], [0.5]) is IntensityOrder.LESS
-        v = check_gossen_law(o, sampler=cycle_sampler([[0.0], [1.0]]),
+        v = check_gossen_law(o, points=[[0.0], [1.0]],
                              trials=1, seed=0)
         assert v.verdict == "fails"
         w = v.violations[0]
@@ -138,11 +141,11 @@ class TestMidpointConcavity:
         # A notch at t=0.25 leaves the t=0.5 midpoint clean, so only the
         # deeper dyadic sweep can see it on the injected chord 0 -> 1.
         notch = lambda p: p[0] - 0.1 * max(0.0, 1.0 - abs(p[0] - 0.25) / 0.05)
-        chord = cycle_sampler([[0.0], [1.0]])
-        shallow = check_midpoint_concavity(notch, UNIT_BOX, sampler=chord,
+        chord = [[0.0], [1.0]]
+        shallow = check_midpoint_concavity(notch, UNIT_BOX, points=chord,
                                            trials=1, seed=0)
         assert shallow.holds
-        deep = check_midpoint_concavity(notch, UNIT_BOX, sampler=chord,
+        deep = check_midpoint_concavity(notch, UNIT_BOX, points=chord,
                                         trials=1, seed=0, dyadic_depth=2)
         assert deep.verdict == "fails"
         assert deep.violations[0].outputs["chord_parameter"] == "0.25"
@@ -151,7 +154,7 @@ class TestMidpointConcavity:
 
     def test_near_coincident_pair_never_counts_strict(self):
         v = check_midpoint_concavity(lambda p: -p[0] ** 2, UNIT_BOX,
-                                     sampler=cycle_sampler([[0.5], [0.5 + 1e-9]]),
+                                     points=[[0.5], [0.5 + 1e-9]],
                                      trials=1, seed=0)
         assert v.verdict == "holds"
         assert v.below_floor == 1 and v.strict_count == 0
@@ -159,10 +162,10 @@ class TestMidpointConcavity:
     def test_tolerance_forgives_small_dips(self):
         # A dip of 1e-3 below the chord fails at tol=0 but passes tol=1e-2.
         dip = lambda p: -1e-3 if abs(p[0] - 0.5) < 0.01 else 0.0
-        chord = cycle_sampler([[0.0], [1.0]])
-        assert check_midpoint_concavity(dip, UNIT_BOX, sampler=chord,
+        chord = [[0.0], [1.0]]
+        assert check_midpoint_concavity(dip, UNIT_BOX, points=chord,
                                         trials=1, seed=0).verdict == "fails"
-        assert check_midpoint_concavity(dip, UNIT_BOX, sampler=chord, trials=1,
+        assert check_midpoint_concavity(dip, UNIT_BOX, points=chord, trials=1,
                                         seed=0, tol=1e-2).holds
 
     @pytest.mark.parametrize("depth", [None, 3])
@@ -177,12 +180,10 @@ class TestMidpointConcavity:
             domain, tol = oracle.domain, 2.0 * u_fn.interpolation_budget
         else:
             u_fn = (lambda p: p[0] ** 2) if case == "square" else (lambda p: -p[0] ** 2)
-        reports = []
-        for check in (check_midpoint_concavity, reference_midpoint_concavity):
-            sampler = cycle_sampler([[0.5], [0.5 + 1e-9], [0.1], [0.9]]) \
-                if case == "near-pair" else None
-            reports.append(check(u_fn, domain, sampler=sampler, trials=60, seed=2, tol=tol,
-                                 dyadic_depth=depth))
+        points = [[0.5], [0.5 + 1e-9], [0.1], [0.9]] if case == "near-pair" else None
+        reports = [check(u_fn, domain, points=points, trials=60, seed=2, tol=tol,
+                         dyadic_depth=depth)
+                   for check in (check_midpoint_concavity, reference_midpoint_concavity)]
         assert reports[0].to_json() == reports[1].to_json()
         assert (reports[0].verdict == "fails") == (case in ("exp1d-recon", "square"))
 

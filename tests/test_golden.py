@@ -7,8 +7,8 @@ under a relative path, in the directory it runs in (``INPUTS``), so the
 path its reports echo does not depend on where the tests live.  Reports
 that only the library writes (the value-side concavity check, density,
 order embedding, the concavity round trip, the Debreu proxy's witnesses
-and skips, Gossen's "step" parameterization, and the checkers fed by a
-``cycle_sampler``) are pinned the same way under ``tests/golden/library/``.
+and skips, Gossen's "step" parameterization, and the checkers given
+fixed trial ``points``) are pinned the same way under ``tests/golden/library/``.
 The golden files are regenerated with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -33,7 +33,6 @@ from altkit.concavity import check_gossen_law, check_midpoint_concavity, concavi
 from altkit.domain import BoxDomain
 from altkit.fixtures import oracle_by_name, utility_by_name
 from altkit.ladder import check_density, order_embedding_check, reconstruct_utility
-from altkit.sampling import cycle_sampler
 from altkit.smoothness import debreu_smoothness_proxy
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -110,20 +109,20 @@ def test_reports_match_golden(case, tmp_path, monkeypatch):
 CHECKERS = {"consistency": check_consistency, "crossover": check_crossover,
             "second-consistency": check_second_consistency,
             "continuity-proxy": check_continuity_proxy, "monotonicity": check_monotonicity}
-# Points replayed by cycle_sampler, by dimension; clipped to each box.
+# Trial points, cycled by every checker, by dimension; clipped to each box.
 CYCLE_POINTS = {1: [[4.0], [1.0], [2.0], [7.5], [0.5]],
                 2: [[1.0, 2.0], [3.0, 0.5], [9.0, 9.0], [0.2, 5.0], [2.0, 2.0]]}
 
 
-def cycle_sampler_reports() -> str:
-    """Every axiom checker fed by a cycle_sampler (7 trials, seed 5) on
+def cycled_points_reports() -> str:
+    """Every axiom checker given cycled trial points (7 trials, seed 5) on
     four oracles, with the compares each made."""
     doc = {}
     for name in ("broken_crossover", "cobb_douglas", "step", "neg_quadratic"):
         for axiom, check in CHECKERS.items():
             oracle = oracle_by_name(name)
             points = [oracle.domain.clip(p) for p in CYCLE_POINTS[oracle.dim]]
-            report = check(oracle, sampler=cycle_sampler(points), trials=7, seed=5)
+            report = check(oracle, points=points, trials=7, seed=5)
             doc[f"{name}/{axiom}"] = {"report": report.to_dict(),
                                       "oracle_calls": oracle.calls}
     return Record.dumps(doc)
@@ -132,7 +131,7 @@ def cycle_sampler_reports() -> str:
 def debreu_skip_reports() -> str:
     """Debreu proxy reports that skip trials: a thin box where most points
     rank above every diagonal multiple, a box with no diagonal ray, and a
-    cycle_sampler feeding min2 points off the box, near its faces and on
+    min2 given trial points off the box, near its faces and on
     its kink."""
     points = [[3.0, 3.0], [11.0, 2.0], [0.1, 5.0], [9.995, 2.0], [2.0, 7.0],
               [5.0, 5.0000001]]
@@ -144,12 +143,12 @@ def debreu_skip_reports() -> str:
             oracle_by_name("linear", BoxDomain([0.1, 6.0], [5.0, 10.0])),
             trials=5, seed=3).to_dict(),
         "min2-cycle-sampler": debreu_smoothness_proxy(
-            oracle_by_name("min2"), sampler=cycle_sampler(points), trials=7,
+            oracle_by_name("min2"), points=points, trials=7,
             seed=3).to_dict(),
     })
 
 
-# Gossen pairs replayed by cycle_sampler: the first two points of each list
+# Gossen pairs given as trial points: the first two points of each list
 # are closer than the strictness floor.
 GOSSEN_CYCLES = {
     "cobb_douglas": [[1.0, 2.0], [1.0, 2.0 + 1e-9], [3.0, 0.5], [9.0, 9.0], [2.0, 2.0],
@@ -160,12 +159,12 @@ GOSSEN_CYCLES = {
 
 
 def gossen_cycle_reports() -> str:
-    """Gossen's law fed by a cycle_sampler (7 trials, seed 5), with the
+    """Gossen's law given cycled trial points (7 trials, seed 5), with the
     compares each made."""
     doc = {}
     for name, points in GOSSEN_CYCLES.items():
         oracle = oracle_by_name(name)
-        report = check_gossen_law(oracle, sampler=cycle_sampler(points), trials=7, seed=5)
+        report = check_gossen_law(oracle, points=points, trials=7, seed=5)
         doc[name] = {"report": report.to_dict(), "oracle_calls": oracle.calls}
     return Record.dumps(doc)
 
@@ -221,7 +220,7 @@ def library_reports() -> dict[str, str]:
             oracle_by_name("exp1d"), trials=100, seed=3, parameterization="step").to_json(),
         "gossen-cycle-sampler.json": gossen_cycle_reports(),
         "roundtrip-log_sum.json": json.dumps(roundtrip, sort_keys=True, indent=2),
-        "cycle-sampler.json": cycle_sampler_reports(),
+        "cycle-sampler.json": cycled_points_reports(),
     }
 
 

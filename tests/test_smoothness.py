@@ -7,7 +7,6 @@ import pytest
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError, RangeError
 from altkit.fixtures import catalog, make_difference_oracle, oracle_by_name
-from altkit.sampling import cycle_sampler
 from altkit.smoothness import (_scales, calibrate, debreu_smoothness_proxy,
                                default_schedule, diagonal_point,
                                line_smoothness_limit, solve_f)
@@ -150,8 +149,8 @@ class TestDebreuProxy:
         # a(x) = min(x0, x1) has slope 1/0 either side of the diagonal;
         # probing diagonal points directly exposes the one-sided split.
         o = oracle_by_name("min2")
-        diag = cycle_sampler([[2.0, 2.0], [3.0, 3.0], [5.0, 5.0]])
-        rep = debreu_smoothness_proxy(o, sampler=diag, trials=3, seed=0)
+        diag = [[2.0, 2.0], [3.0, 3.0], [5.0, 5.0]]
+        rep = debreu_smoothness_proxy(o, points=diag, trials=3, seed=0)
         assert rep.verdict == "fail"
         assert rep.violation_count == 3
         assert all(w.note == "one-sided kink" for w in rep.violations)

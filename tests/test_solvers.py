@@ -192,6 +192,38 @@ class TestBandBisectMany:
         assert got.tolist() == expected
         assert queries.tolist() == counts
 
+    def test_tolerance_below_float_spacing_ends(self):
+        # The midpoint of two adjacent floats is one of them, so only the
+        # stop at adjacent ends lets this solve return.
+        calls = []
+
+        def side(idx, t):
+            calls.append(t)
+            assert len(calls) <= 60, "the solve does not end"
+            return np.where(t < 0.3, -1, 1).astype(np.int8)
+        got = band_bisect_many(side, [0.0], [1.0], 1e-300)
+        assert got[0] == 0.3 or np.nextafter(got[0], 1.0) == 0.3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4, unique=True),
+           st.booleans(), st.floats(5e-324, 1.0), st.booleans())
+    def test_every_solve_ends_within_the_float_format(self, ends, band, tol, refine):
+        # Side -1 below c1, 0 on [c1, c2] and 1 above c2 (no EQUAL band when
+        # c2 < c1).  A loop halves a bracket at most 1024 + 1074 times, from
+        # the largest float's exponent to the smallest subnormal's; the
+        # bisection and the refinement are one loop each, whatever tol is.
+        lo, c1, c2, hi = sorted(ends)
+        if not band:
+            c1, c2 = c2, c1
+        calls = [0]
+
+        def side(idx, t):
+            calls[0] += 1
+            assert calls[0] <= 2 + 2 * (1024 + 1074), "the solve does not end"
+            return np.where(t < c1, -1, np.where(t > c2, 1, 0)).astype(np.int8)
+        got = band_bisect_many(side, [lo], [hi], tol, refine=refine)
+        assert lo <= got[0] <= hi
+
     def test_rejects_bad_bracket(self):
         side = lambda idx, t: np.where(t > 0.5, 1, -1).astype(np.int8)
         with pytest.raises(BracketError, match="bracket 1"):
