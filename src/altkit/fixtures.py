@@ -177,8 +177,11 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     A utility compare values each distinct argument array once: arguments
     that are the same object (``compare_batch(P, X, X, X)``, or
     ``compare(x, y, y, y)``, which ``prefers`` asks) share one call of u.
-    u is a deterministic row-wise function, so the answers are those of
-    four separate calls, bit for bit.
+    The values of the last two read-only arrays that own their data are
+    kept, and a later compare given the same object reuses them; such an
+    array cannot change unless its owner makes it writeable again.  u is a
+    deterministic row-wise function, so the answers are those of four
+    separate calls, bit for bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
@@ -192,10 +195,23 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         probe = (lambda P: f(P, np.broadcast_to(box.lower, P.shape))) if pairwise else f
         eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
 
+    held: tuple = ()     # (array, values) of the last read-only arrays valued
+
+    def value(A):
+        nonlocal held
+        if A.flags.writeable or not A.flags.owndata:
+            return f(A)
+        for B, v in held:
+            if B is A:
+                return v
+        v = f(A)
+        held = ((A, v), *held[:1])
+        return v
+
     def delta(X, Y, Z, W):
         if pairwise:
             return f(X, Y) - f(Z, W)
-        u_x, u_y, u_z, u_w = _per_object(f, (X, Y, Z, W))
+        u_x, u_y, u_z, u_w = _per_object(value, (X, Y, Z, W))
         return (u_x - u_y) - (u_z - u_w)
 
     def batch(*arrays):
@@ -236,25 +252,27 @@ def _box(lo: float, hi: float, n: int) -> BoxDomain:
     return BoxDomain([lo] * n, [hi] * n)
 
 
-# libm through np.frompyfunc: numpy's log, exp and array **2 differ from
-# math.log, math.exp and float pow in the last bit on some inputs, and the
-# reports' bits were made with the latter.
+# libm through np.frompyfunc.  numpy's log, exp and power pick their code
+# from the CPU at run time (NEP 38), and its AVX-512 code differs from
+# libm in the last bit on some inputs; a report that holds a raw value,
+# such as an alep estimate, would then depend on the host.  Squares and
+# square roots are exact in IEEE arithmetic, so the catalog uses numpy's.
 def _libm(fn, nin: int = 1):
     ufunc = np.frompyfunc(fn, nin, 1)
     return lambda *args: ufunc(*args).astype(float)
 
 
-_log, _exp, _pow = _libm(math.log), _libm(math.exp), _libm(pow, 2)
+_log, _exp = _libm(math.log), _libm(math.exp)
 
 
 def _linear(X):      return X[:, 0] + X[:, 1]
 def _cobb(X):        return np.sqrt(X[:, 0] * X[:, 1])
-def _ces(X):         return _pow(np.sqrt(X[:, 0]) + np.sqrt(X[:, 1]), 2)
+def _ces(X):         return np.square(np.sqrt(X[:, 0]) + np.sqrt(X[:, 1]))
 def _log_sum(X):     return _log(X[:, 0]) + _log(X[:, 1])
 def _exp1d(X):       return _exp(X[:, 0])
 def _min2(X):        return np.minimum(X[:, 0], X[:, 1])
 def _step(X):        return np.floor(X[:, 0])
-def _neg_quad(X):    return -_pow(X[:, 0] - 1.0, 2)
+def _neg_quad(X):    return -np.square(X[:, 0] - 1.0)
 
 
 def _kinked(X):
@@ -429,8 +447,11 @@ def parse_expression(node, dim: int) -> BatchEvaluator:
     (binary), sqrt/log/exp/neg (unary), min/max (2+ args).  ``div`` is IEEE
     division, so a zero divisor gives an infinite or NaN value, which the
     oracle rejects where it reaches a compared value.  ``sqrt``, ``log``,
-    ``exp`` and ``pow`` are the math module's, and raise as it does, e.g.
-    ValueError where the power is not real.
+    ``exp`` and ``pow`` are the math module's, one element at a time, and
+    raise as it does, e.g. ValueError where the power is not real, so no
+    such NaN reaches a min or max.  Their values are libm's whatever numpy's
+    CPU dispatch; ``tests/test_dispatch.py`` holds the golden reports with
+    numpy's AVX2 and AVX-512 code disabled.
     """
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         c = float(node)

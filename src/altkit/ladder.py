@@ -26,7 +26,8 @@ from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, Ord
 from .oracle import AltOracle, IntensityOrder
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, subrng  # noqa: F401
-from .solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param_many
+from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param_many,
+                      pinned_rows)
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -164,11 +165,11 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
         t_hi = np.array([prev[i + 1] for i in inner])
         if np.any(t_hi <= t_lo):         # e.g. two rungs on one jump of a step utility
             raise ConstructionError(f"level {k - 1} rungs are not strictly increasing")
-        lo_pts, hi_pts = seg.at_many(t_lo), seg.at_many(t_hi)
+        ends = pinned_rows(seg.at_many(t_lo), seg.at_many(t_hi))
 
         def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
             p = seg.at_many(t)
-            return oracle.compare_batch(p, lo_pts[j], hi_pts[j], p)
+            return oracle.compare_batch(p, *ends(j), p)
 
         mids = band_bisect_many(side, t_lo, t_hi, tol_t)
         cur.update(zip((2 * i + 1 for i in inner), mids.tolist()))

@@ -19,6 +19,7 @@ bracket gets the same answers alone as in lockstep.
 """
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 import numpy as np
@@ -35,10 +36,41 @@ GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOr
 # band width per construction step.
 DEFAULT_TOL_T = 1e-10
 
+_HALF_MAX = sys.float_info.max / 2
+
 Side = Callable[[float], IntensityOrder]
 # Lockstep side: (bracket indices, parameters) -> int8 signs of the
 # trichotomy of bracket idx[j] at t[j] (+1 GREATER, 0 EQUAL, -1 LESS).
 SideMany = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _split(a: np.ndarray, b: np.ndarray, tol: float,
+           far: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``0.5 * (a + b)`` and ``|b - a| > tol``, row by row.  ``far`` says
+    that an end may lie beyond half the float range; such rows are then
+    halved first, so that nothing overflows, which keeps the bits of both
+    wherever ``a + b`` and ``b - a`` are finite."""
+    if not far:
+        return 0.5 * (a + b), np.abs(b - a) > tol
+    h = np.where((np.abs(a) > _HALF_MAX) | (np.abs(b) > _HALF_MAX), 0.5, 1.0)
+    a, b = h * a, h * b
+    return (a + b) * (0.5 / h), np.abs(b - a) > h * tol
+
+
+def pinned_rows(*arrays: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+    """j -> the rows j of each array, read-only.  While j repeats from one
+    call to the next, the same objects come back, so a difference oracle
+    values them once rather than at every step of a lockstep solve."""
+    last: list = [None, ()]
+
+    def rows(j: np.ndarray) -> tuple[np.ndarray, ...]:
+        if not np.array_equal(last[0], j):
+            subsets = tuple(a[j] for a in arrays)
+            for sub in subsets:
+                sub.flags.writeable = False
+            last[:] = [j, subsets]
+        return last[1]
+    return rows
 
 
 def band_bisect(side: Side, lo: float, hi: float, tol: float,
@@ -106,8 +138,11 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
 
     found = (s_lo == 0) | (s_hi == 0)
     eq = np.where(s_lo == 0, a, b)
-    out = 0.5 * (a + b)
-    run = ~found & (b - a > tol) & (a < out) & (out < b)
+    # Every parameter asked lies in its bracket, so one look at the ends
+    # tells whether any midpoint or width can overflow.
+    far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
+    out, wider = _split(a, b, tol, far)
+    run = ~found & wider & (a < out) & (out < b)
     while run.any():
         j = np.flatnonzero(run)
         m = out[j]
@@ -117,8 +152,9 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
         eq[j[s == 0]] = m[s == 0]
         found[j[s == 0]] = True
         aj, bj = a[j], b[j]
-        out[j] = m = 0.5 * (aj + bj)
-        run[j] = (s != 0) & (bj - aj > tol) & (aj < m) & (m < bj)
+        m, wider = _split(aj, bj, tol, far)
+        out[j] = m
+        run[j] = (s != 0) & wider & (aj < m) & (m < bj)
     if not refine:
         out[found] = eq[found]
         return out
@@ -133,20 +169,21 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     outer = np.concatenate([a[lower], b[upper]])
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    edge = 0.5 * (outer + inner)
-    run = (np.abs(inner - outer) > tol) & (edge != outer) & (edge != inner)
+    edge, wider = _split(outer, inner, tol, far)
+    run = wider & (edge != outer) & (edge != inner)
     while run.any():
         k = np.flatnonzero(run)
         m = edge[k]
         hit = side(owner[k], m) == state[k]
         outer[k[hit]] = m[hit]
         inner[k[~hit]] = m[~hit]
-        edge[k] = m = 0.5 * (outer[k] + inner[k])
-        run[k] = (np.abs(inner[k] - outer[k]) > tol) & (m != outer[k]) & (m != inner[k])
+        m, wider = _split(outer[k], inner[k], tol, far)
+        edge[k] = m
+        run[k] = wider & (m != outer[k]) & (m != inner[k])
     lower_edge, upper_edge = a.copy(), b.copy()
     lower_edge[lower] = edge[:lower.size]
     upper_edge[upper] = edge[lower.size:]
-    out[found] = 0.5 * (lower_edge[found] + upper_edge[found])
+    out[found] = _split(lower_edge[found], upper_edge[found], tol, far)[0]
     return out
 
 
@@ -184,8 +221,10 @@ def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,
     the same t, after the same number of compares, whatever the other
     rows are.
     """
+    rows = pinned_rows(xs)
+
     def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        x = xs[idx]
+        x, = rows(idx)
         return oracle.compare_batch(seg.at_many(t), x, x, x)
 
     n = len(xs)

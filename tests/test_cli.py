@@ -561,6 +561,17 @@ class TestAlepCommand:
         rows = (tmp_path / "alep.csv").read_text().strip().splitlines()
         assert rows[0] == "x0,x1,estimate,label" and len(rows) == 10
 
+    @pytest.mark.parametrize("h", ["1e-3", "1e-6", "1e-9", "1e-12"])
+    def test_rounding_noise_is_never_labelled(self, tmp_path, h):
+        # cobb_douglas complements everywhere.  At h = 1e-9 and 1e-12 the
+        # estimates are rounding noise, which reads neither neutral nor
+        # substitute, nor complement by chance.
+        rc = main(["alep", "--oracle", "cobb_douglas", "--grid", "3", "--h", h,
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        labels = [c["label"] for c in _load(tmp_path / "alep.json")["classifications"]]
+        assert labels == ["complement" if float(h) >= 1e-6 else "indeterminate"] * 9
+
     def test_utility_from_json_file(self, tmp_path):
         # -0.5*x0*x1 has constant cross-partial -0.5: all substitutes.
         doc = {"name": "bilinear", "dimension": 2,

@@ -170,23 +170,55 @@ class TestSharedArguments:
             ask()
             assert rows == expected
 
+    def test_read_only_arrays_are_valued_once_across_compares(self):
+        spec, rows = _counted(utility_by_name("cobb_douglas"))
+        oracle = make_difference_oracle(spec)
+        rng = np.random.default_rng(2)
+        P, Q, A, B, C = (np.array([spec.domain.sample(rng) for _ in range(5)])
+                         for _ in range(5))
+        for held in (A, B, C):
+            held.flags.writeable = False
+        view = A[::-1]          # read-only, but not the owner of its data
+        asks = [((P, A, B, P), [5, 5, 5]), ((Q, A, B, Q), [5]), ((P, B, A, P), [5]),
+                ((P, C, B, P), [5, 5]),     # C displaces A: two arrays are kept
+                ((P, A, B, P), [5, 5, 5]), ((P, view, view, P), [5, 5])]
+        for args, expected in asks:
+            rows.clear()
+            got = oracle.compare_batch(*args)
+            assert rows == expected
+            assert got.tolist() == oracle.compare_batch(*(a.copy() for a in args)).tolist()
+        # An owner that makes its array writeable again gets fresh values.
+        rows.clear()
+        before = oracle.compare_batch(A, B, B, B)
+        assert rows == []
+        A.flags.writeable = True
+        A[:] = B
+        assert oracle.compare_batch(A, B, B, B).tolist() == [0] * 5 != before.tolist()
+        assert rows == [5]
+
 
 def _kinked_reference(x):
     v = math.sqrt(x[0] * x[1])
     return v - 1.0 if v <= 1.0 else 0.5 * (v - 1.0)
 
 
-# Each catalog utility one point at a time through the math module: the
-# reference the array definitions must match bit for bit.
+def _square(v):
+    return v * v
+
+
+# Each catalog utility one point at a time: the reference the array
+# definitions must match bit for bit.  Squares are the exact IEEE product
+# v * v, square roots are correctly rounded, and log and exp are the math
+# module's (libm's).
 _REFERENCE = {
     "linear": lambda x: x[0] + x[1],
     "cobb_douglas": lambda x: math.sqrt(x[0] * x[1]),
-    "ces": lambda x: (math.sqrt(x[0]) + math.sqrt(x[1])) ** 2,
+    "ces": lambda x: _square(math.sqrt(x[0]) + math.sqrt(x[1])),
     "log_sum": lambda x: math.log(x[0]) + math.log(x[1]),
     "exp1d": lambda x: math.exp(x[0]),
     "kinked_composite": _kinked_reference,
     "min2": lambda x: min(x[0], x[1]),
-    "neg_quadratic": lambda x: -(x[0] - 1.0) ** 2,
+    "neg_quadratic": lambda x: -_square(x[0] - 1.0),
     "step": lambda x: float(math.floor(x[0])),
 }
 
@@ -203,6 +235,25 @@ class TestBatchEvaluators:
         assert spec.batch(points).tobytes() == expected.tobytes()
         # The value at one point is row 0 of the array definition.
         assert np.array([spec(p) for p in points[-100:]]).tobytes() == expected[-100:].tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(spec=st.sampled_from([*catalog(), *(
+        utility_from_json({"name": op, "dimension": 2, "expr": [op, ["x", 0], ["x", 1]]})
+        for op in ("add", "sub", "mul", "div", "pow", "min", "max"))] + [
+        utility_from_json({"name": op, "dimension": 1, "expr": [op, ["x", 0]]})
+        for op in ("sqrt", "log", "exp", "neg")]),
+        seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(2, 40))
+    def test_row_alone_equals_row_in_batch_and_in_chunks(self, spec, seed, chunk):
+        # compare values its points as one-row views and compare_batch as
+        # rows of a batch; their answers agree only if a row's value does
+        # not depend on where the row sits.
+        box = spec.domain
+        points = box.lower + np.random.default_rng(seed).random((300, spec.dim)) * box.extent
+        whole = spec.batch(points)
+        alone = np.concatenate([spec.batch(points[k:k + 1]) for k in range(len(points))])
+        chunked = np.concatenate([spec.batch(points[k:k + chunk])
+                                  for k in range(0, len(points), chunk)])
+        assert whole.tobytes() == alone.tobytes() == chunked.tobytes()
 
     def test_scalar_only_spec_gets_a_row_loop(self):
         spec = UtilitySpec("scalar", 2, lambda x: x[0] * x[1], BoxDomain([0.0, 0.0], [1.0, 1.0]))

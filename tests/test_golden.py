@@ -52,7 +52,7 @@ CASES = {
                              "--trials", "100", "--grid", "3",
                              "--second-anchors", "0.1", "0.9"], 0),
     # numpy only (np.where on the kink), and a JSON utility valued through
-    # the op table's libm sqrt and log.
+    # the op table's sqrt and log.
     "reconstruct-kinked_composite": (["reconstruct", "--oracle", "kinked_composite",
                                       "--depth", "6", "--trials", "100", "--grid", "3",
                                       "--second-anchors", "0.1", "0.9"], 0),
@@ -65,6 +65,10 @@ CASES = {
     "smoothness-kinked_composite": (["smoothness", "--oracle", "kinked_composite",
                                      "--b", "1.0", "--debreu-trials", "10"], 1),
     "alep-cobb_douglas": (["alep", "--oracle", "cobb_douglas", "--grid", "3"], 0),
+    # Raw second differences of JSON utilities built on exp, pow and log:
+    # their last digits follow the last bit of every utility value.
+    "alep-expprod": (["alep", "--oracle", "expprod.json", "--grid", "5"], 0),
+    "alep-powlog": (["alep", "--oracle", "powlog.json", "--grid", "5"], 0),
 }
 
 # JSON utility files the cases name, written next to their report directory.
@@ -73,6 +77,12 @@ INPUTS = {
                       "domain": {"lower": [0.1, 0.1], "upper": [10.0, 10.0]},
                       "expr": ["add", ["mul", 2.0, ["sqrt", ["x", 0]]],
                                ["log", ["x", 1]]]},
+    "expprod.json": {"name": "expprod", "dimension": 2,
+                     "domain": {"lower": [0.1, 0.1], "upper": [2.0, 2.0]},
+                     "expr": ["exp", ["mul", ["x", 0], ["x", 1]]]},
+    "powlog.json": {"name": "powlog", "dimension": 2,
+                    "domain": {"lower": [0.1, 0.1], "upper": [2.0, 2.0]},
+                    "expr": ["mul", ["pow", ["x", 0], 0.3], ["log", ["add", 1.0, ["x", 1]]]]},
 }
 
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')

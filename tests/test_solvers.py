@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from altkit.domain import BoxDomain, Segment
@@ -10,7 +11,7 @@ from altkit.errors import BracketError, OrderingError
 from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,
-                            indifference_param_many, solve_midpoint)
+                            indifference_param_many, pinned_rows, solve_midpoint)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -205,8 +206,10 @@ class TestBandBisectMany:
         assert got[0] == 0.3 or np.nextafter(got[0], 1.0) == 0.3
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4, unique=True),
+    @given(st.lists(st.floats(-sys.float_info.max, sys.float_info.max), min_size=4,
+                    max_size=4, unique=True),
            st.booleans(), st.floats(5e-324, 1.0), st.booleans())
+    @example([-sys.float_info.max, -1e308, 1e308, sys.float_info.max], True, 1e-10, True)
     def test_every_solve_ends_within_the_float_format(self, ends, band, tol, refine):
         # Side -1 below c1, 0 on [c1, c2] and 1 above c2 (no EQUAL band when
         # c2 < c1).  A loop halves a bracket at most 1024 + 1074 times, from
@@ -224,6 +227,29 @@ class TestBandBisectMany:
         got = band_bisect_many(side, [lo], [hi], tol, refine=refine)
         assert lo <= got[0] <= hi
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-sys.float_info.max, sys.float_info.max), min_size=2,
+                    max_size=2, unique=True))
+    @example([-sys.float_info.max, sys.float_info.max])
+    @example([1e308, sys.float_info.max])
+    def test_midpoint_does_not_overflow(self, ends):
+        # The first parameter asked is 0.5 * (lo + hi), bit for bit, wherever
+        # lo + hi and hi - lo are finite, and the exact midpoint otherwise.
+        lo, hi = sorted(ends)
+        assume(np.nextafter(lo, hi) < hi)    # else no parameter lies between
+        asked = []
+
+        def side(idx, t):
+            asked.append(t[0])
+            return np.zeros(1, dtype=np.int8)
+        assert band_bisect_many(side, [lo], [hi], 5e-324, [-1], [1], refine=False) == asked
+        with np.errstate(over="ignore"):
+            naive = 0.5 * (lo + hi), hi - lo
+        if np.isfinite(naive).all():
+            assert np.float64(asked[0]).tobytes() == np.float64(naive[0]).tobytes()
+        else:
+            assert asked[0] == lo / 2 + hi / 2
+
     def test_rejects_bad_bracket(self):
         side = lambda idx, t: np.where(t > 0.5, 1, -1).astype(np.int8)
         with pytest.raises(BracketError, match="bracket 1"):
@@ -240,6 +266,18 @@ def _quadratic_oracle():
         return classify((x[0] ** 2 - y[0] ** 2) - (z[0] ** 2 - w[0] ** 2), 1e-12)
 
     return AltOracle(1, box, cmp, 1e-12)
+
+
+class TestPinnedRows:
+    def test_same_read_only_objects_while_the_rows_repeat(self):
+        a, b = np.arange(12.0).reshape(6, 2), -np.arange(12.0).reshape(6, 2)
+        rows = pinned_rows(a, b)
+        first = rows(np.array([0, 2, 5]))
+        assert [r.tolist() for r in first] == [a[[0, 2, 5]].tolist(), b[[0, 2, 5]].tolist()]
+        assert not any(r.flags.writeable for r in first) and a.flags.writeable
+        assert all(r is s for r, s in zip(rows(np.array([0, 2, 5])), first))
+        second = rows(np.array([2, 5]))
+        assert second[1].tolist() == b[[2, 5]].tolist() and second[1] is not first[1]
 
 
 class TestSolveMidpoint:
