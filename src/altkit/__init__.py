@@ -29,7 +29,7 @@ from .oracle import AltOracle, IntensityOrder, Preference, classify
 from .sampling import run_indexed, subrng
 from .smoothness import (SmoothnessReport, calibrate, debreu_smoothness_proxy,
                          diagonal_point, line_smoothness_limit, solve_f)
-from .solvers import band_bisect, solve_midpoint
+from .solvers import band_bisect
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,6 @@ __all__ = [
     "numeric_gradient", "numeric_hessian", "oracle_by_name",
     "order_embedding_check", "reconstruct_utility", "replay_witness",
     "representation_spot_check", "run_axiom_suite", "run_indexed",
-    "solve_f", "solve_midpoint", "subrng", "utility_by_name",
+    "solve_f", "subrng", "utility_by_name",
     "utility_from_json", "verify_affine_uniqueness",
 ]

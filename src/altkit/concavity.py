@@ -158,7 +158,7 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, points: np.ndarray | None 
     margin beyond ``tol`` (floored at float-noise scale) on every pair
     farther apart than ``floor``.  ``points`` cycle as in the Gossen law.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * domain.diameter

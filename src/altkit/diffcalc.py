@@ -34,7 +34,7 @@ def _require_margin(box: BoxDomain | None, X: np.ndarray, h: float) -> None:
 def numeric_gradient(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> np.ndarray:
     """Central-difference gradient, error O(h^2)."""
     x = as_point(x)
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be > 0")
     _require_margin(box, x[None], h)
     steps = h * np.eye(x.size)
@@ -73,7 +73,7 @@ def second_differences(u_fn, X, i: int, j: int, steps) -> tuple[np.ndarray, np.n
 def numeric_hessian(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> np.ndarray:
     """Central-difference Hessian (symmetric by stencil construction)."""
     x = as_point(x)
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be > 0")
     _require_margin(box, x[None], h)
     n = x.size

@@ -3,7 +3,8 @@
 The ladder fixes two anchors (value 0 and 1) on a strictly-ranked segment
 and fills in rungs of equal intensity steps: level 0 walks unit steps to
 both domain edges, and each deeper level bisects every step by an
-intensity midpoint, then tries one extra half-step past each edge.  Rung
+intensity midpoint, then tries one extra half-step past each edge.  The
+walks up and down step together, as two brackets of one lockstep solve.  Rung
 (i, k) has value i / 2**k by construction.  A reconstructed utility
 evaluates any point by sliding it to its indifferent diagonal parameter
 and interpolating linearly between the deepest rungs; ``evaluate_many``
@@ -24,10 +25,10 @@ from .axioms import (_PREFERENCE, QUAD, SKIP, WITNESS_CAP, AxiomReport, Record, 
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder
-# run_indexed and subrng are unused here; perfbench/tracing.py patches them.
+# run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, subrng  # noqa: F401
-from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many, indifference_param_many,
-                      pinned_rows)
+from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F401
+                      indifference_param_many, pinned_rows)
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -107,50 +108,8 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
             "reference segment endpoints are not strictly ranked; the system is "
             "not increasing along the default diagonal -- supply a custom segment")
 
-    def grow_up(level: dict[int, float], unit_lo: np.ndarray, unit_hi: np.ndarray,
-                limit: int | None = None) -> None:
-        """Append rungs above max(level) while a full step fits before seg.q."""
-        added = 0
-        while limit is None or added < limit:
-            i = max(level)
-            a = seg.at(level[i])
-            state = oracle.compare(seg.q, a, unit_hi, unit_lo)
-            if state is LESS:
-                return
-            if level[i] >= 1.0:
-                return
-
-            def side(t: float) -> IntensityOrder:
-                return oracle.compare(seg.at(t), a, unit_hi, unit_lo)
-
-            level[i + 1] = band_bisect(side, level[i], 1.0, tol_t, hi_state=state)
-            added += 1
-            if len(level) > MAX_RUNGS_PER_LEVEL:
-                raise ConstructionError("rung cap exceeded; anchors are too close together")
-
-    def grow_down(level: dict[int, float], unit_lo: np.ndarray, unit_hi: np.ndarray,
-                  limit: int | None = None) -> None:
-        added = 0
-        while limit is None or added < limit:
-            j = min(level)
-            a = seg.at(level[j])
-            state = oracle.compare(a, seg.p, unit_hi, unit_lo)
-            if state is LESS:
-                return
-            if level[j] <= 0.0:
-                return
-
-            def side(t: float) -> IntensityOrder:
-                return oracle.compare(a, seg.at(t), unit_hi, unit_lo).flipped()
-
-            level[j - 1] = band_bisect(side, 0.0, level[j], tol_t, lo_state=state.flipped())
-            added += 1
-            if len(level) > MAX_RUNGS_PER_LEVEL:
-                raise ConstructionError("rung cap exceeded; anchors are too close together")
-
     level0: dict[int, float] = {0: t0, 1: t1}
-    grow_up(level0, y_star, x_star)
-    grow_down(level0, y_star, x_star)
+    _grow(oracle, seg, level0, y_star, x_star, tol_t)
     levels = [level0]
 
     for k in range(1, depth + 1):
@@ -176,12 +135,54 @@ def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
         # One extra half-step may fit past each edge; by construction a
         # second one never does.
         unit_lo_pt, unit_hi_pt = seg.at(cur[0]), seg.at(cur[1])
-        grow_up(cur, unit_lo_pt, unit_hi_pt, limit=1)
-        grow_down(cur, unit_lo_pt, unit_hi_pt, limit=1)
+        _grow(oracle, seg, cur, unit_lo_pt, unit_hi_pt, tol_t, limit=1)
         levels.append(cur)
 
     return DyadicLadder(seg, depth, levels, y_star, x_star, tol_t,
                         oracle_calls=oracle.calls - calls0)
+
+
+def _grow(oracle: AltOracle, seg: Segment, level: dict[int, float], unit_lo: np.ndarray,
+          unit_hi: np.ndarray, tol_t: float, limit: int | None = None) -> None:
+    """Add rungs past both edges of ``level`` while a full step [unit_hi,
+    unit_lo] fits before the segment's end, at most ``limit`` on each side.
+
+    The walk up from max(level) and the walk down from min(level) are
+    independent, so each of their steps is one lockstep solve of both.
+    With a the edge rung's point, up stops unless [q, a] >= the step and
+    bisects [edge, 1] on [seg.at(t), a]; down stops unless [a, p] >= the
+    step and bisects [0, edge] on [a, seg.at(t)], with the sign negated.
+    """
+    walk = np.array([1, -1])                  # +1 up, -1 down
+
+    def ask(j: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """[p, a] for walks j up and [a, p] for walks j down, against the step."""
+        w, rows = walk[j, None] > 0, p.shape
+        return oracle.compare_batch(np.where(w, p, a[j]), np.where(w, a[j], p),
+                                    np.broadcast_to(unit_hi, rows), np.broadcast_to(unit_lo, rows))
+
+    added = 0
+    while walk.size and (limit is None or added < limit):
+        edge = np.array([max(level) if w > 0 else min(level) for w in walk.tolist()])
+        t = np.array([level[i] for i in edge.tolist()])
+        a = seg.at_many(t)
+        state = ask(np.arange(walk.size), np.where(walk[:, None] > 0, seg.q, seg.p))
+        keep = (state >= 0) & np.where(walk > 0, t < 1.0, t > 0.0)
+        walk, edge, t, a, state = (v[keep] for v in (walk, edge, t, a, state))
+        if not walk.size:
+            return
+        up = walk > 0
+
+        def side(j: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return walk[j] * ask(j, seg.at_many(u))
+
+        end = side(np.arange(walk.size), t)
+        new = band_bisect_many(side, np.where(up, t, 0.0), np.where(up, 1.0, t), tol_t,
+                               np.where(up, end, -state), np.where(up, state, end))
+        level.update(zip((edge + walk).tolist(), new.tolist()))
+        added += 1
+        if len(level) > MAX_RUNGS_PER_LEVEL:
+            raise ConstructionError("rung cap exceeded; anchors are too close together")
 
 
 def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
@@ -211,11 +212,11 @@ def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
         a = points[-1]
         seg = Segment(a, z)
 
-        def side(t: float) -> IntensityOrder:
-            return oracle.compare(seg.at(t), a, x, y)
+        def side(_j: np.ndarray, t: np.ndarray) -> np.ndarray:     # one bracket: one row
+            return oracle.compare_batch(seg.at_many(t), a[None], x[None], y[None])
 
-        t = band_bisect(side, 0.0, 1.0, tol_t)
-        points.append(seg.at(t))
+        t = band_bisect_many(side, [0.0], [1.0], tol_t)
+        points.append(seg.at(float(t[0])))
         k += 1
 
 

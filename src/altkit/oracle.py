@@ -24,13 +24,6 @@ class IntensityOrder(Enum):
     EQUAL = "equal"
     LESS = "less"
 
-    def flipped(self) -> "IntensityOrder":
-        if self is IntensityOrder.GREATER:
-            return IntensityOrder.LESS
-        if self is IntensityOrder.LESS:
-            return IntensityOrder.GREATER
-        return IntensityOrder.EQUAL
-
     @property
     def sign(self) -> int:
         return _SIGNS[self]

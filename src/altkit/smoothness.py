@@ -2,13 +2,14 @@
 
 Line smoothness looks at the diagonal restriction: the intensity
 midpoint f(a,b) of the scales b-a and b+a must approach b faster than a,
-so the quotient (b - f(a,b))/a vanishes.  A geometric step schedule plus
-Richardson extrapolation turns that limit into a verdict with an honest
-error bar.  Debreu-style smoothness of indifference sets is proxied by
-numerically differentiating the calibration map a(x) -- the diagonal
-scale whose multiple of (1,...,1) is indifferent to x -- and flagging
-step-halving drift or one-sided disagreement (kinks); the difference
-stencils of all its trials are calibrated in one lockstep solve.
+so the quotient (b - f(a,b))/a vanishes.  A geometric step schedule,
+solved in one lockstep call, plus Richardson extrapolation turns that
+limit into a verdict with an honest error bar.  Debreu-style smoothness
+of indifference sets is proxied by numerically differentiating the
+calibration map a(x) -- the diagonal scale whose multiple of (1,...,1)
+is indifferent to x -- and flagging step-halving drift or one-sided
+disagreement (kinks); the difference stencils of all its trials are
+calibrated in one lockstep solve.
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ import numpy as np
 
 from .axioms import SKIP, WITNESS_CAP, AxiomReport, Record, Witness, _collect, _fold, _pt
 from .domain import Segment
-from .errors import (BracketError, ConfigError, ConstructionError, DomainError,
+from .errors import (AltkitError, ConfigError, ConstructionError, DomainError,
                      OrderingError, RangeError)
 from .oracle import AltOracle
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
 from .sampling import cycled, draw, run_indexed, subrng  # noqa: F401
-from .solvers import DEFAULT_TOL_T, indifference_param_many, solve_midpoint
+from .solvers import DEFAULT_TOL_T, band_bisect_many, indifference_param_many, pinned_rows
 
 LINE_SMOOTH = "line-smooth"
 NOT_LINE_SMOOTH = "not-line-smooth"
@@ -43,26 +44,67 @@ def diagonal_point(box, b: float) -> np.ndarray:
     return box.require(p, f"diagonal point {b}*e")
 
 
+def _midpoints(oracle: AltOracle, b: float, steps: list[float],
+               tol: float | None = None) -> tuple[list[float], AltkitError | None]:
+    """Scales f(a, b) of :func:`solve_f` for the steps a, solved in one
+    lockstep call, up to the first step in order that fails, and its
+    failure (None if none fails): a diagonal point off the box, then
+    (b+a)*e not strictly preferred to (b-a)*e, then no z > y > x.  The
+    steps after a failure are asked too, up to the first off the box."""
+    box, ends, tols, stop = oracle.domain, [], [], None
+    for a in steps:
+        if not 0 < a < b:
+            raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
+        try:
+            ends.append((diagonal_point(box, b - a), diagonal_point(box, b + a)))
+        except DomainError as off:
+            stop = off
+            break
+        step_tol = min(SOLVE_F_SCALE_TOL, a * SOLVE_F_RELATIVE_TOL) if tol is None else tol
+        if not step_tol > 0:
+            raise ValueError("tol must be > 0")
+        tols.append(step_tol / (2.0 * a))
+    if not ends:
+        return [], stop
+    x, z = np.array(ends).transpose(1, 0, 2)
+    pre = oracle.compare_batch(z, x, x, x) > 0           # z strictly preferred to x
+    live = np.flatnonzero(pre)
+    x, z = x[live], z[live]
+    rows = pinned_rows(x, z)
+
+    def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
+        xj, zj = rows(j)
+        y = xj + t[:, None] * (zj - xj)
+        return oracle.compare_batch(y, xj, zj, y)
+
+    n = live.size
+    t = band_bisect_many(side, np.zeros(n), np.ones(n), np.array(tols)[live],
+                         np.full(n, -1), np.ones(n))
+    y = x + t[:, None] * (z - x)
+    post = (oracle.compare_batch(z, y, y, y) > 0) & (oracle.compare_batch(y, x, x, x) > 0)
+    good = pre.copy()
+    good[live] = post
+    n = int(np.argmin(np.append(good, False)))           # the first failing step
+    if n < good.size:
+        stop = (ConstructionError("midpoint post-check failed: z > y > x is not strict")
+                if pre[n] else OrderingError("solve_midpoint requires z strictly preferred to x"))
+    return y[:n, 0].tolist(), stop
+
+
 def solve_f(oracle: AltOracle, a: float, b: float, tol: float | None = None) -> float:
     """Diagonal scale f with [f*e, (b-a)*e] = [(b+a)*e, f*e].
 
     The solution is the intensity midpoint of the scales b-a and b+a;
-    concavity pins it to [b-a, b+a] but only 0 < a < b and domain
-    membership are required.  ``tol`` is in scale units and defaults to
+    concavity pins it to [b-a, b+a] but only 0 < a < b, domain membership
+    and (b+a)*e > (b-a)*e are required, and it is post-checked to lie
+    strictly between them.  ``tol`` is in scale units and defaults to
     min(1e-8, a*1e-4) so the quotient (b-f)/a stays resolvable as a
     shrinks.
     """
-    if not 0 < a < b:
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    box = oracle.domain
-    lo = diagonal_point(box, b - a)
-    hi = diagonal_point(box, b + a)
-    if tol is None:
-        tol = min(SOLVE_F_SCALE_TOL, a * SOLVE_F_RELATIVE_TOL)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    y = solve_midpoint(oracle, lo, hi, tol_t=tol / (2.0 * a))
-    return float(y[0])
+    fs, stop = _midpoints(oracle, b, [a], tol)
+    if stop is not None:
+        raise stop
+    return fs[0]
 
 
 @dataclass
@@ -110,23 +152,17 @@ def line_smoothness_limit(oracle: AltOracle, b: float,
     schedule = [float(a) for a in schedule]
     if len(schedule) < 2:
         raise ConfigError("schedule needs at least two step sizes")
-    if any(a <= 0 for a in schedule) or any(
-            a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])):
+    if any(not a > 0 for a in schedule) or any(
+            not a2 < a1 for a1, a2 in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be positive and strictly decreasing")
-    if floor <= 0:
+    if not floor > 0:
         raise ConfigError("floor must be > 0")
 
     calls0 = oracle.calls
-    rows: list[tuple[float, float, float]] = []
-    extras: dict = {}
-    for a in schedule:
-        try:
-            f = solve_f(oracle, a, b)
-        except (BracketError, ConstructionError, DomainError, OrderingError) as stop:
-            extras["truncated_at"] = a
-            extras["truncation_reason"] = str(stop)
-            break
-        rows.append((a, f, (b - f) / a))
+    fs, stop = _midpoints(oracle, b, schedule)
+    rows = [(a, f, (b - f) / a) for a, f in zip(schedule, fs)]
+    extras = {} if stop is None else {"truncated_at": schedule[len(rows)],
+                                      "truncation_reason": str(stop)}
 
     if len(rows) < 2:
         return SmoothnessReport(b, rows, None, None, floor, INCONCLUSIVE,
@@ -187,7 +223,7 @@ def debreu_smoothness_proxy(oracle: AltOracle, points: np.ndarray | None = None,
     calibrated in one lockstep solve.  A trial is skipped when a stencil
     point it reaches is off the box or has no calibration.
     """
-    if h_fraction <= 0:
+    if not h_fraction > 0:
         raise ValueError("h_fraction must be > 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -9,13 +9,12 @@ its center, which keeps ladder constructions accurate to the bisection
 tolerance rather than to the dead band.
 
 There is one bisection, :func:`band_bisect_many`, which runs N brackets
-in lockstep with one batched side call per step.  :func:`band_bisect` is
-that bisection on one bracket with a scalar side, for callers that are
-sequential by nature (ladder edge growth, midpoints, Archimedean walks),
-and :func:`indifference_param_many` solves indifference for many points
-on one segment.  A scalar side asks ``AltOracle.compare``, which for a
-catalog or JSON oracle is its batch comparison on one-row views, so a
-bracket gets the same answers alone as in lockstep.
+in lockstep with one batched side call per step; every solve in altkit
+calls it, a walk that is sequential by nature (ladder edge growth,
+Archimedean walks) on the brackets of one step.  :func:`band_bisect` is
+that bisection on one bracket with a scalar side, and
+:func:`indifference_param_many` solves indifference for many points on
+one segment.
 """
 from __future__ import annotations
 
@@ -25,10 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .domain import Segment
-from .errors import BracketError, ConstructionError, OrderingError
+from .errors import BracketError
 from .oracle import AltOracle, IntensityOrder
-
-GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
 # Default bisection width on the unit parameter.  Kept well below typical
 # equality dead bands so that solved points (rungs, midpoints, calibration
@@ -44,7 +41,7 @@ Side = Callable[[float], IntensityOrder]
 SideMany = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _split(a: np.ndarray, b: np.ndarray, tol: float,
+def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
            far: bool) -> tuple[np.ndarray, np.ndarray]:
     """``0.5 * (a + b)`` and ``|b - a| > tol``, row by row.  ``far`` says
     that an end may lie beyond half the float range; such rows are then
@@ -77,39 +74,22 @@ def band_bisect(side: Side, lo: float, hi: float, tol: float,
                 lo_state: IntensityOrder | None = None,
                 hi_state: IntensityOrder | None = None,
                 refine: bool = True) -> float:
-    """Crossing parameter of a weakly increasing trichotomy on [lo, hi].
-
-    Preconditions: side(lo) is LESS or EQUAL, side(hi) is GREATER or EQUAL.
-    If an EQUAL band is found its two edges are refined to width ``tol``
-    and the band center is returned; otherwise the LESS/GREATER sign change
-    is located to width ``tol``.  ``refine=False`` skips the edge
-    refinement and returns the first EQUAL parameter encountered — cheaper
-    when any point inside the band will do.  This is
-    :func:`band_bisect_many` on one bracket.
-    """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if hi <= lo:
-        raise ValueError("need lo < hi")
-    s_lo = side(lo) if lo_state is None else lo_state
-    s_hi = side(hi) if hi_state is None else hi_state
-    if s_lo is GREATER or s_hi is LESS:
-        raise BracketError(
-            f"endpoints do not straddle the target (side(lo)={s_lo.value}, side(hi)={s_hi.value})")
-
+    """:func:`band_bisect_many` on the one bracket [lo, hi], with a scalar
+    side and end states given as ``IntensityOrder``."""
     def side_many(_idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.array([side(u).sign for u in t.tolist()], dtype=np.int8)
 
-    return float(band_bisect_many(side_many, [lo], [hi], tol, [s_lo.sign], [s_hi.sign],
-                                  refine)[0])
+    states = (None if s is None else [s.sign] for s in (lo_state, hi_state))
+    return float(band_bisect_many(side_many, [lo], [hi], tol, *states, refine)[0])
 
 
-def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
+def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float | np.ndarray,
                      lo_state: np.ndarray | None = None,
                      hi_state: np.ndarray | None = None,
                      refine: bool = True) -> np.ndarray:
     """Crossing parameters of N weakly increasing trichotomies, one per
-    bracket [lo_j, hi_j], located in lockstep.
+    bracket [lo_j, hi_j], located in lockstep.  ``tol`` is one width for
+    every bracket or one per bracket.
 
     Each bracket is asked the parameters it would be asked alone, so every
     bracket gets the same result after the same number of queries
@@ -121,10 +101,14 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     first EQUAL parameter of each bracket that meets one.  Whatever ``tol``
     is, a walk stops at adjacent floats, within 1024 + 1074 halvings.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     a = np.array(lo, dtype=float)    # copies: both ends move in place
     b = np.array(hi, dtype=float)
+    tol = np.asarray(tol, dtype=float)
+    if not np.all(tol > 0):
+        raise ValueError("tolerance must be positive")
+    # One tol serves every row as is; a per-bracket tol is gathered at each step.
+    per = np.broadcast_to(tol, a.shape)
+    width = (lambda k: per[k]) if tol.ndim else (lambda k: tol)
     if np.any(b <= a):
         raise ValueError("need lo < hi")
     every = np.arange(a.size)
@@ -141,7 +125,7 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     # Every parameter asked lies in its bracket, so one look at the ends
     # tells whether any midpoint or width can overflow.
     far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
-    out, wider = _split(a, b, tol, far)
+    out, wider = _split(a, b, per, far)
     run = ~found & wider & (a < out) & (out < b)
     while run.any():
         j = np.flatnonzero(run)
@@ -152,7 +136,7 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
         eq[j[s == 0]] = m[s == 0]
         found[j[s == 0]] = True
         aj, bj = a[j], b[j]
-        m, wider = _split(aj, bj, tol, far)
+        m, wider = _split(aj, bj, width(j), far)
         out[j] = m
         run[j] = (s != 0) & wider & (aj < m) & (m < bj)
     if not refine:
@@ -169,7 +153,7 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
     outer = np.concatenate([a[lower], b[upper]])
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    edge, wider = _split(outer, inner, tol, far)
+    edge, wider = _split(outer, inner, width(owner), far)
     run = wider & (edge != outer) & (edge != inner)
     while run.any():
         k = np.flatnonzero(run)
@@ -177,38 +161,14 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float,
         hit = side(owner[k], m) == state[k]
         outer[k[hit]] = m[hit]
         inner[k[~hit]] = m[~hit]
-        m, wider = _split(outer[k], inner[k], tol, far)
+        m, wider = _split(outer[k], inner[k], width(owner[k]), far)
         edge[k] = m
         run[k] = wider & (m != outer[k]) & (m != inner[k])
     lower_edge, upper_edge = a.copy(), b.copy()
     lower_edge[lower] = edge[:lower.size]
     upper_edge[upper] = edge[lower.size:]
-    out[found] = _split(lower_edge[found], upper_edge[found], tol, far)[0]
+    out[found] = _split(lower_edge[found], upper_edge[found], width(found), far)[0]
     return out
-
-
-def solve_midpoint(oracle: AltOracle, x: np.ndarray, z: np.ndarray,
-                   tol_t: float = DEFAULT_TOL_T) -> np.ndarray:
-    """Point y on the segment x -> z whose gain over x matches the gain
-    from y up to z, i.e. [y,x] = [z,y].  Requires z strictly preferred to
-    x; the result is post-checked to satisfy z > y > x.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not oracle.prefers(z, x):
-        raise OrderingError("solve_midpoint requires z strictly preferred to x")
-    seg = Segment(x, z)
-
-    def side(t: float) -> IntensityOrder:
-        y = seg.at(t)
-        return oracle.compare(y, x, z, y)
-
-    t = band_bisect(side, 0.0, 1.0, tol_t,
-                    lo_state=LESS, hi_state=GREATER)
-    y = seg.at(t)
-    if not (oracle.prefers(z, y) and oracle.prefers(y, x)):
-        raise ConstructionError("midpoint post-check failed: z > y > x is not strict")
-    return y
 
 
 def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,

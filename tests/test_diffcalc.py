@@ -1,14 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from altkit.concavity import check_midpoint_concavity
 from altkit.diffcalc import (alep_classify, numeric_gradient, numeric_hessian,
                              second_differences)
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError, DomainError
 from altkit.fixtures import catalog, oracle_by_name
 from altkit.ladder import reconstruct_utility
+from altkit.smoothness import debreu_smoothness_proxy, line_smoothness_limit, solve_f
 
 SPECS = {s.name: s for s in catalog()}
 
@@ -160,3 +163,38 @@ class TestAlepClassify:
         assert doc["label"] == "neutral"
         assert set(doc) == {"point", "pair", "estimate", "estimate_h",
                             "estimate_h2", "label", "h", "threshold"}
+
+
+def _cobb_check(name):
+    """A call of ``name`` on cobb_douglas with one step, tolerance or floor
+    argument as its parameter."""
+    spec, oracle = SPECS["cobb_douglas"], oracle_by_name("cobb_douglas")
+    return {
+        "numeric_gradient h": lambda v: numeric_gradient(spec, [1.0, 1.0], h=v),
+        "numeric_hessian h": lambda v: numeric_hessian(spec, [1.0, 1.0], h=v),
+        "line_smoothness_limit floor": lambda v: line_smoothness_limit(oracle, 2.0, floor=v),
+        "line_smoothness_limit schedule": lambda v: line_smoothness_limit(
+            oracle, 2.0, schedule=[0.1, v]),
+        "solve_f tol": lambda v: solve_f(oracle, 0.5, 2.0, tol=v),
+        "check_midpoint_concavity tol": lambda v: check_midpoint_concavity(
+            spec, spec.domain, trials=2, tol=v),
+        "debreu_smoothness_proxy h_fraction": lambda v: debreu_smoothness_proxy(
+            oracle, trials=1, h_fraction=v),
+    }[name]
+
+
+# (call, the value refused below the bound, the message of both refusals).
+@pytest.mark.parametrize("name, bad, message", [
+    ("numeric_gradient h", 0.0, "h must be > 0"),
+    ("numeric_hessian h", 0.0, "h must be > 0"),
+    ("line_smoothness_limit floor", 0.0, "floor must be > 0"),
+    ("line_smoothness_limit schedule", 0.0, "schedule must be positive"),
+    ("solve_f tol", 0.0, "tol must be > 0"),
+    ("check_midpoint_concavity tol", -1.0, "tol must be >= 0"),
+    ("debreu_smoothness_proxy h_fraction", 0.0, "h_fraction must be > 0"),
+])
+def test_nan_is_refused_like_a_value_below_the_bound(name, bad, message):
+    call = _cobb_check(name)
+    for value in (bad, math.nan):
+        with pytest.raises(ValueError, match=message):
+            call(value)

@@ -17,8 +17,9 @@ from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder
                            representation_spot_check, verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.sampling import subrng
+from altkit.solvers import band_bisect
 
-E = IntensityOrder.EQUAL
+G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
 
 def _power_oracle(exponent: float, eps: float = 1e-12) -> AltOracle:
@@ -148,6 +149,68 @@ class TestRungCap:
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith("error: rung cap exceeded")
         assert not (tmp_path / "out").exists()
+
+
+def reference_grow(oracle, seg, level, unit_lo, unit_hi, tol_t, limit=None):
+    """The edge walks one at a time, each step one scalar bisection: up from
+    max(level) as far as it goes, then down from min(level).  ``ladder._grow``
+    steps both walks together and must match it rung for rung, bit for bit,
+    after the same number of compares."""
+    def grow_up():
+        added = 0
+        while limit is None or added < limit:
+            i = max(level)
+            a = seg.at(level[i])
+            state = oracle.compare(seg.q, a, unit_hi, unit_lo)
+            if state is L or level[i] >= 1.0:
+                return
+            level[i + 1] = band_bisect(lambda t: oracle.compare(seg.at(t), a, unit_hi, unit_lo),
+                                       level[i], 1.0, tol_t, hi_state=state)
+            added += 1
+
+    def grow_down():
+        flipped = {G: L, E: E, L: G}
+        added = 0
+        while limit is None or added < limit:
+            j = min(level)
+            a = seg.at(level[j])
+            state = oracle.compare(a, seg.p, unit_hi, unit_lo)
+            if state is L or level[j] <= 0.0:
+                return
+            level[j - 1] = band_bisect(
+                lambda t: flipped[oracle.compare(a, seg.at(t), unit_hi, unit_lo)],
+                0.0, level[j], tol_t, lo_state=flipped[state])
+            added += 1
+
+    grow_up()
+    grow_down()
+
+
+class TestEdgeWalks:
+    @pytest.mark.parametrize("name", ["linear", "cobb_douglas", "ces", "log_sum", "exp1d",
+                                      "kinked_composite", "min2"])
+    def test_match_the_sequential_walks(self, name, monkeypatch):
+        lockstep = oracle_by_name(name)
+        built = reconstruct_utility(lockstep, depth=6).ladder
+        monkeypatch.setattr(ladder, "_grow", reference_grow)
+        sequential = oracle_by_name(name)
+        reference = reconstruct_utility(sequential, depth=6).ladder
+        assert json.dumps(built.to_dict()) == json.dumps(reference.to_dict())
+        assert lockstep.calls == sequential.calls == built.oracle_calls
+
+    # Anchors 0.33 and 0.43 on u = t leave 5 unit steps above and 3 below,
+    # so the down walk ends while the up walk goes on.
+    @pytest.mark.parametrize("exponent, anchors", [(1.0, (0.33, 0.43)), (2.0, (0.25, 0.75)),
+                                                   (0.5, (0.25, 0.75))])
+    def test_match_on_a_batchless_oracle(self, exponent, anchors, monkeypatch):
+        lockstep, sequential = _power_oracle(exponent), _power_oracle(exponent)
+        built = build_ladder(lockstep, [anchors[0]], [anchors[1]], depth=4)
+        monkeypatch.setattr(ladder, "_grow", reference_grow)
+        reference = build_ladder(sequential, [anchors[0]], [anchors[1]], depth=4)
+        assert json.dumps(built.to_dict()) == json.dumps(reference.to_dict())
+        assert lockstep.calls == sequential.calls
+        if exponent == 1.0:
+            assert built.index_range(0) == (-3, 6)
 
 
 class TestEqualStepInvariant:
@@ -341,8 +404,10 @@ class TestBatchedReconstruction:
         # The ladder's lockstep steps ask (p, lo, hi, p): the first step over
         # a set of brackets values three arrays, and the next steps over the
         # same set value p alone, as the oracle keeps the values of the
-        # read-only lo and hi.  Indifference solves ask (P, x, x, x) and
-        # value two arrays, or P alone while the rows still running repeat.
+        # read-only lo and hi.  The edge walks ask four distinct arrays at
+        # each step, both walks in one batch.  Indifference solves ask
+        # (P, x, x, x) and value two arrays, or P alone while the rows still
+        # running repeat.
         inner = utility_by_name("cobb_douglas")
         rows: list[int] = []
         spec = dataclasses.replace(inner, evaluator=None,
@@ -359,8 +424,8 @@ class TestBatchedReconstruction:
         oracle.batch = watched
         rows.clear()
         recon = reconstruct_utility(oracle, depth=4)
-        assert (sum(rows), len(rows), oracle.calls) == (2289, 458, 1885)
-        assert Counter(per_batch) == {3: 8, 1: 126}
+        assert (sum(rows), len(rows), oracle.calls) == (2289, 306, 1885)
+        assert Counter(per_batch) == {3: 8, 1: 126, 4: 38}
         rows.clear()
         per_batch.clear()
         recon.evaluate_many(oracle.domain.lattice(5))

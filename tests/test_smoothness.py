@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from altkit.domain import BoxDomain
-from altkit.errors import ConfigError, RangeError
+from altkit.domain import BoxDomain, Segment
+from altkit.errors import ConfigError, ConstructionError, DomainError, OrderingError, RangeError
 from altkit.fixtures import catalog, make_difference_oracle, oracle_by_name
-from altkit.smoothness import (_scales, calibrate, debreu_smoothness_proxy,
-                               default_schedule, diagonal_point,
+from altkit.oracle import AltOracle, IntensityOrder, classify
+from altkit.smoothness import (SOLVE_F_RELATIVE_TOL, SOLVE_F_SCALE_TOL, _scales, calibrate,
+                               debreu_smoothness_proxy, default_schedule, diagonal_point,
                                line_smoothness_limit, solve_f)
-from altkit.solvers import DEFAULT_TOL_T
+from altkit.solvers import DEFAULT_TOL_T, band_bisect
 
 SPECS = {s.name: s for s in catalog()}
 
@@ -55,7 +56,85 @@ class TestSolveF:
             diagonal_point(o.domain, 1.5)
 
 
+def reference_solve_midpoint(oracle, x, z, tol_t):
+    """Point y on x -> z with [y,x] = [z,y], one scalar bisection, post-checked
+    to satisfy z > y > x."""
+    if not oracle.prefers(z, x):
+        raise OrderingError("solve_midpoint requires z strictly preferred to x")
+    seg = Segment(x, z)
+
+    def side(t):
+        y = seg.at(t)
+        return oracle.compare(y, x, z, y)
+
+    y = seg.at(band_bisect(side, 0.0, 1.0, tol_t, lo_state=IntensityOrder.LESS,
+                           hi_state=IntensityOrder.GREATER))
+    if not (oracle.prefers(z, y) and oracle.prefers(y, x)):
+        raise ConstructionError("midpoint post-check failed: z > y > x is not strict")
+    return y
+
+
+def reference_line(oracle, b, schedule):
+    """Rows, extras and compares of the schedule solved step by step,
+    stopping at the first step that fails."""
+    calls0, rows, extras = oracle.calls, [], {}
+    for a in schedule:
+        tol = min(SOLVE_F_SCALE_TOL, a * SOLVE_F_RELATIVE_TOL)
+        try:
+            lo, hi = diagonal_point(oracle.domain, b - a), diagonal_point(oracle.domain, b + a)
+            f = float(reference_solve_midpoint(oracle, lo, hi, tol / (2.0 * a))[0])
+        except (ConstructionError, DomainError, OrderingError) as stop:
+            extras = {"truncated_at": a, "truncation_reason": str(stop)}
+            break
+        rows.append((a, f, (b - f) / a))
+    return rows, extras, oracle.calls - calls0
+
+
+def _dead_zone_oracle(b: float, c: float) -> AltOracle:
+    """u(t) = t - clip(t, b - c, b + c) on [0, 2], flat within c of b, so the
+    line estimate at b stops at its first step a <= c."""
+    def u(t):
+        return t - min(max(t, b - c), b + c)
+    return AltOracle(1, BoxDomain([0.0], [2.0]), lambda x, y, z, w: classify(
+        (u(x[0]) - u(y[0])) - (u(z[0]) - u(w[0])), 1e-12), 1e-12, name="dead-zone")
+
+
 class TestLineSmoothnessLimit:
+    @pytest.mark.parametrize("name, b", [
+        ("kinked_composite", 1.0), ("min2", 1.0), ("cobb_douglas", 2.0), ("exp1d", 0.5),
+        ("log_sum", 2.0), ("ces", 3.0), ("linear", 5.0),           # untruncated
+        ("step", 1.0), ("neg_quadratic", 1.0), ("neg_quadratic", 0.5),
+        ("constant", 1.0), ("exp1d", 1.0)])                          # truncated at once
+    def test_rows_match_the_sequential_solves(self, name, b):
+        # The schedule is solved in one lockstep call; each row is the
+        # step's solve alone, bit for bit.  An untruncated estimate makes
+        # the same compares; a truncated one also asks the later steps.
+        lockstep = line_smoothness_limit(oracle_by_name(name), b)
+        rows, extras, calls = reference_line(oracle_by_name(name), b, default_schedule(b))
+        assert np.array(lockstep.rows).tobytes() == np.array(rows).tobytes()
+        assert lockstep.extras == extras
+        if not extras:
+            assert lockstep.oracle_calls == calls
+
+    def test_truncation_after_solved_steps(self):
+        # Steps b/16, b/32 and b/64 clear the flat zone of half-width
+        # b/100; b/128 does not, so its b+a and b-a are indifferent.
+        oracle = _dead_zone_oracle(1.0, 0.01)
+        r = line_smoothness_limit(oracle, 1.0)
+        rows, extras, _ = reference_line(_dead_zone_oracle(1.0, 0.01), 1.0,
+                                         default_schedule(1.0))
+        assert [a for a, _, _ in r.rows] == [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
+        assert r.rows == rows and r.extras == extras
+        assert extras["truncated_at"] == 2.0 ** -7
+        assert extras["truncation_reason"] == "solve_midpoint requires z strictly preferred to x"
+
+    # A truncated estimate asks every step before the first one off the box,
+    # so it costs the later steps' compares as well.
+    @pytest.mark.parametrize("name, calls", [("step", 279), ("neg_quadratic", 13),
+                                             ("constant", 0), ("exp1d", 0)])
+    def test_truncated_oracle_calls(self, name, calls):
+        assert line_smoothness_limit(oracle_by_name(name), 1.0).oracle_calls == calls
+
     def test_kinked_limit_is_quarter(self):
         r = line_smoothness_limit(oracle_by_name("kinked_composite"), 1.0)
         assert r.verdict == "not-line-smooth"

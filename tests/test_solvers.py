@@ -10,8 +10,9 @@ from altkit.domain import BoxDomain, Segment
 from altkit.errors import BracketError, OrderingError
 from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
+from altkit.smoothness import solve_f
 from altkit.solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,
-                            indifference_param_many, pinned_rows, solve_midpoint)
+                            indifference_param_many, pinned_rows)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -155,15 +156,27 @@ _brackets = st.lists(
     min_size=1, max_size=12)
 
 
+def _banded_brackets(brackets):
+    """Ends and scalar sides of drawn ``_brackets``."""
+    lo = np.array([b[0] for b in brackets])
+    hi = lo + np.array([b[1] for b in brackets])
+    center = np.clip(lo + np.array([b[2] for b in brackets]) * (hi - lo), lo, hi)
+    return lo, hi, [_banded_side(c, b[3]) for c, b in zip(center, brackets)]
+
+
+def _counted_side_many(sides, queries):
+    """Lockstep side over scalar sides, counting each bracket's queries."""
+    def side_many(idx, t):
+        np.add.at(queries, idx, 1)
+        return np.array([sides[j](u).sign for j, u in zip(idx, t)], dtype=np.int8)
+    return side_many
+
+
 class TestBandBisectMany:
     @settings(max_examples=60, deadline=None)
     @given(_brackets, st.sampled_from([1e-10, 1e-6, 1e-2]), st.booleans(), st.booleans())
     def test_matches_band_bisect_per_bracket(self, brackets, tol, pass_states, refine):
-        lo = np.array([b[0] for b in brackets])
-        hi = lo + np.array([b[1] for b in brackets])
-        center = np.clip(lo + np.array([b[2] for b in brackets]) * (hi - lo), lo, hi)
-        band = [b[3] for b in brackets]
-        sides = [_banded_side(c, w) for c, w in zip(center, band)]
+        lo, hi, sides = _banded_brackets(brackets)
 
         expected, counts = [], []
         for side, a, b in zip(sides, lo, hi):
@@ -180,18 +193,39 @@ class TestBandBisectMany:
             assert len(calls) == counts[-1]
 
         queries = np.zeros(len(brackets), dtype=int)
-
-        def side_many(idx, t):
-            np.add.at(queries, idx, 1)
-            return np.array([sides[j](u).sign for j, u in zip(idx, t)], dtype=np.int8)
-
         states = {}
         if pass_states:
             states = {"lo_state": [s(a).sign for s, a in zip(sides, lo)],
                       "hi_state": [s(b).sign for s, b in zip(sides, hi)]}
-        got = band_bisect_many(side_many, lo, hi, tol, refine=refine, **states)
+        got = band_bisect_many(_counted_side_many(sides, queries), lo, hi, tol,
+                               refine=refine, **states)
         assert got.tolist() == expected
         assert queries.tolist() == counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(_brackets, st.lists(st.floats(1e-12, 1.0), min_size=12, max_size=12),
+           st.booleans())
+    def test_tolerance_per_bracket(self, brackets, tols, refine):
+        # One tolerance per bracket: each bracket gets the result and the
+        # query count of its solve alone with its own scalar tolerance.
+        lo, hi, sides = _banded_brackets(brackets)
+        tol = np.array(tols[:len(brackets)])
+        expected, counts = [], []
+        for j in range(len(brackets)):
+            queries = np.zeros(1, dtype=int)
+            expected += band_bisect_many(_counted_side_many([sides[j]], queries), lo[j:j + 1],
+                                         hi[j:j + 1], float(tol[j]), refine=refine).tolist()
+            counts += queries.tolist()
+        queries = np.zeros(len(brackets), dtype=int)
+        got = band_bisect_many(_counted_side_many(sides, queries), lo, hi, tol, refine=refine)
+        assert got.tolist() == expected
+        assert queries.tolist() == counts
+
+    def test_rejects_a_non_positive_tolerance_per_bracket(self):
+        side = lambda idx, t: np.where(t > 0.5, 1, -1).astype(np.int8)
+        for tol in ([1e-9, 0.0], [1e-9, math.nan]):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                band_bisect_many(side, [0.0, 0.0], [1.0, 1.0], tol)
 
     def test_tolerance_below_float_spacing_ends(self):
         # The midpoint of two adjacent floats is one of them, so only the
@@ -258,12 +292,12 @@ class TestBandBisectMany:
             band_bisect_many(side, [0.0, 1.0], [1.0, 1.0], 1e-9)
 
 
-def _quadratic_oracle():
-    """Difference oracle of u(t) = t^2 on [0, 1]."""
+def _quadratic_oracle(sign: float = 1.0):
+    """Difference oracle of u(t) = sign * t^2 on [0, 1]."""
     box = BoxDomain([0.0], [1.0])
 
     def cmp(x, y, z, w):
-        return classify((x[0] ** 2 - y[0] ** 2) - (z[0] ** 2 - w[0] ** 2), 1e-12)
+        return classify(sign * ((x[0] ** 2 - y[0] ** 2) - (z[0] ** 2 - w[0] ** 2)), 1e-12)
 
     return AltOracle(1, box, cmp, 1e-12)
 
@@ -281,28 +315,26 @@ class TestPinnedRows:
 
 
 class TestSolveMidpoint:
+    # solve_f(o, a, b) is the intensity midpoint y of x = (b-a)*e and
+    # z = (b+a)*e on the diagonal, [y,x] = [z,y], as a scale.
     def test_quadratic_midpoint_is_sqrt_half(self):
-        # [y,x] = [z,y] with u=t^2, x=0, z=1 means 2 y^2 = 1.
-        o = _quadratic_oracle()
-        y = solve_midpoint(o, [0.0], [1.0])
-        assert y[0] == pytest.approx(math.sqrt(0.5), abs=1e-9)
+        # u=t^2, x=0.6, z=0.8: 2 y^2 = 0.36 + 0.64.
+        assert solve_f(_quadratic_oracle(), 0.1, 0.7, tol=1e-10) == pytest.approx(
+            math.sqrt(0.5), abs=1e-9)
 
     def test_cobb_diagonal_midpoint(self):
         # u(c,c) = c along the diagonal, so the gain midpoint of
         # (1,1)->(9,9) sits at (5,5).
-        o = oracle_by_name("cobb_douglas")
-        y = solve_midpoint(o, [1.0, 1.0], [9.0, 9.0])
-        assert y == pytest.approx([5.0, 5.0], abs=1e-7)
+        assert solve_f(oracle_by_name("cobb_douglas"), 4.0, 5.0) == pytest.approx(5.0, abs=1e-7)
 
     def test_requires_strict_ordering(self):
-        o = _quadratic_oracle()
         with pytest.raises(OrderingError, match="strictly preferred"):
-            solve_midpoint(o, [1.0], [0.0])
+            solve_f(_quadratic_oracle(-1.0), 0.4, 0.6)
 
     def test_result_is_oracle_equal(self):
         o = oracle_by_name("log_sum")
         x, z = np.array([0.5, 0.5]), np.array([8.0, 8.0])
-        y = solve_midpoint(o, x, z)
+        y = np.full(2, solve_f(o, 3.75, 4.25))
         assert o.compare(y, x, z, y) is E
 
 

@@ -79,18 +79,18 @@ def test_reconstruct_reports_match_under_the_tracer(tmp_path, monkeypatch):
 
 
 # command -> (argv, exit code, report files, spans the command must enter).
-# The Debreu proxy calibrates its stencils in one lockstep solve, so the
-# smoothness command enters the scalar bisection only through solve_f and
-# never calls smoothness.calibrate; the tracer still patches that name.
-# No command draws trial by trial, so none enters sampling.subrng or
+# The line estimate solves its whole schedule, and the Debreu proxy its
+# stencils, in one lockstep solve each, so the smoothness command never
+# enters smoothness.solve_f, smoothness.calibrate or the scalar
+# solvers.band_bisect; the tracer still patches those names.  No command
+# draws trial by trial, so none enters sampling.subrng or
 # sampling.run_indexed.
 SHAPE_COMMANDS = {
     "concavity": (["concavity", "--oracle", "neg_quadratic", "--trials", "40"], 0,
                   ["concavity.json"], ["concavity.gossen"]),
     "smoothness": (["smoothness", "--oracle", "kinked_composite", "--b", "1.0",
                     "--debreu-trials", "4"], 1, ["quotients.csv", "smoothness.json"],
-                   ["smoothness.line", "smoothness.debreu", "smoothness.solve_f",
-                    "solvers.band_bisect"]),
+                   ["smoothness.line", "smoothness.debreu"]),
     "alep": (["alep", "--oracle", "cobb_douglas", "--grid", "3"], 0,
              ["alep.csv", "alep.json"], ["diffcalc.alep"]),
 }
@@ -110,5 +110,6 @@ def test_shape_reports_match_under_the_tracer(command, tmp_path, monkeypatch):
     assert sorted(plain) == files
     for span in spans:
         assert tracer.get(span).calls > 0, span
-    assert tracer.get("sampling.subrng").calls == 0
-    assert tracer.get("sampling.run_indexed").calls == 0
+    for span in ("sampling.subrng", "sampling.run_indexed", "smoothness.solve_f",
+                 "smoothness.calibrate", "solvers.band_bisect"):
+        assert tracer.get(span).calls == 0, span
