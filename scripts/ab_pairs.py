@@ -2,16 +2,19 @@
 """Alternating A/B pairs of the benchmark: a base commit against this checkout.
 
     python scripts/ab_pairs.py --base HEAD~1 --workload reconstruct-ladder --pairs 10 --seconds 10
+    python scripts/ab_pairs.py --base HEAD~1 --workload verify-catalog reconstruct-ladder \
+        shape-diagnostics --pairs 10 --seconds 10
 
-Extracts ``--base`` with ``git archive`` into a temporary directory, then
-runs ``perfbench/run.py --trace 0`` on the base and on this checkout (its
-working tree, uncommitted changes included), one after the other, ``--pairs``
-times.  The order inside a pair alternates, so a host that speeds up or
-slows down during the session does not favour one side.  Prints each
-pair's change/base ratio of every end-to-end metric, then per metric the
-median ratio, the number of pairs the change won (lower is better), and
-the median and quartiles of each side.  Exits 1 if any run failed a
-command or a report check.
+Extracts ``--base`` with ``git archive`` into a temporary directory once,
+then, for each workload in turn, runs ``perfbench/run.py --trace 0`` on the
+base and on this checkout (its working tree, uncommitted changes included),
+one after the other, ``--pairs`` times.  The order inside a pair
+alternates, so a host that speeds up or slows down during the session
+does not favour one side.  Prints each pair's change/base ratio of every
+end-to-end metric, then one summary per workload: per metric the median
+ratio, the number of pairs the change won (lower is better), and the
+median and quartiles of each side.  Exits 1 if any run of any workload
+failed a command or a report check.
 """
 import argparse
 import json
@@ -51,31 +54,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="git ref of the base commit")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=1, help="benchmark seed (default 1)")
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds positive")
-
-    runs: dict[str, list[dict]] = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        extract(args.base, Path(tmp))
-        sides = {"base": Path(tmp) / "base", "change": ROOT}
-        for k in range(args.pairs):
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(bench(sides[side], args.workload, args.seed, args.seconds))
-            base, change = runs["base"][-1]["metrics"], runs["change"][-1]["metrics"]
-            ratios = "  ".join(f"{name} {change[name]['value'] / base[name]['value']:.3f}"
-                               for name in base)
-            print(f"pair {k + 1:>2} ({order[0]} first): {ratios}", flush=True)
-
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s "
+def summarize(workload: str, runs: dict[str, list[dict]], args) -> bool:
+    """Print one workload's summary; False if any of its runs failed."""
+    print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s "
           f"runs, base {args.base} (ratios are change/base; lower is better):")
     for name in runs["base"][0]["metrics"]:
         base = [r["metrics"][name]["value"] for r in runs["base"]]
@@ -92,7 +73,36 @@ def main(argv=None) -> int:
         attempted = sum(r["attempted"] for r in results)
         correct = all(r["correct"] for r in results)
         print(f"  {side}: {failed}/{attempted} commands failed, reports correct: {correct}")
-        ok &= correct
+        ok &= correct and failed == 0
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git ref of the base commit")
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1, help="benchmark seed (default 1)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        parser.error("--pairs must be >= 1 and --seconds positive")
+
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        extract(args.base, Path(tmp))
+        sides = {"base": Path(tmp) / "base", "change": ROOT}
+        for workload in args.workload:
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            for k in range(args.pairs):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                for side in order:
+                    runs[side].append(bench(sides[side], workload, args.seed, args.seconds))
+                base, change = runs["base"][-1]["metrics"], runs["change"][-1]["metrics"]
+                ratios = "  ".join(f"{name} {change[name]['value'] / base[name]['value']:.3f}"
+                                   for name in base)
+                print(f"{workload} pair {k + 1:>2} ({order[0]} first): {ratios}", flush=True)
+            ok &= summarize(workload, runs, args)
     return 0 if ok else 1
 
 

@@ -21,7 +21,8 @@ from .config import RunConfig
 from .errors import AltkitError, ConfigError
 from .fixtures import catalog, intensity_catalog, oracle_by_name, utility_by_name, utility_from_json
 from .diffcalc import alep_classify
-from .ladder import reconstruct_utility, representation_spot_check, verify_affine_uniqueness
+from . import ladder
+from .ladder import ReconstructedUtility, representation_spot_check, verify_affine_uniqueness
 from .smoothness import LINE_SMOOTH, debreu_smoothness_proxy, line_smoothness_limit
 
 
@@ -91,8 +92,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
     oracle = _resolve_oracle(cfg)
-    recon = reconstruct_utility(oracle, depth=cfg.depth, tol_t=cfg.tol_t,
-                                anchor_params=(cfg.anchors[0], cfg.anchors[1]))
+    seg = oracle.domain.diagonal()
+    pairs = [cfg.anchors] + ([] if cfg.second_anchors is None else [cfg.second_anchors])
+    # Both ladders are built, in one solve, before any report is written.
+    ladders = ladder.build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
+                                  cfg.depth, cfg.tol_t, seg)
+    recon, *second = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
     _write_report(cfg, "reconstruction.json", {"reconstruction": recon.to_dict()})
 
     rows: list[list] = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
@@ -108,8 +113,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
           f"in-band {spot.extras.get('in_band', 0)}]")
     ok = spot.passed
 
-    if cfg.second_anchors is not None:
-        fit = verify_affine_uniqueness(recon, cfg.second_anchors, seed=cfg.seed)
+    for recon_b in second:
+        fit = verify_affine_uniqueness(recon, recon_b, seed=cfg.seed)
         _write_report(cfg, "affine.json", {"fit": fit.to_dict()})
         print(f"affine uniqueness: {fit.verdict} "
               f"[alpha {fit.alpha:.6g}, beta {fit.beta:.6g}, "

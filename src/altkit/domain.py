@@ -142,18 +142,6 @@ class BoxDomain:
         m = np.broadcast_to(np.asarray(margin, dtype=float), (self.dim,))
         return BoxDomain(self.lower + m, self.upper - m)
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "lower_open": self.lower_open.tolist(),
-            "upper_open": self.upper_open.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoxDomain":
-        return cls(d["lower"], d["upper"], d.get("lower_open"), d.get("upper_open"))
-
 
 @dataclass(eq=False)
 class Segment:
@@ -172,10 +160,6 @@ class Segment:
     @property
     def dim(self) -> int:
         return self.p.size
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self._dir))
 
     def at(self, t: float) -> np.ndarray:
         return self.p + t * self._dir
@@ -199,6 +183,3 @@ class Segment:
         if t < -atol or t > 1.0 + atol:
             raise DomainError(f"point {x.tolist()} projects outside the segment (t={t:.6f})")
         return min(max(t, 0.0), 1.0)
-
-    def subsegment(self, t0: float, t1: float) -> "Segment":
-        return Segment(self.at(t0), self.at(t1))

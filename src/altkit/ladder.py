@@ -3,15 +3,16 @@
 The ladder fixes two anchors (value 0 and 1) on a strictly-ranked segment
 and fills in rungs of equal intensity steps: level 0 walks unit steps to
 both domain edges, and each deeper level bisects every step by an
-intensity midpoint, then tries one extra half-step past each edge.  The
-walks up and down step together, as two brackets of one lockstep solve.  Rung
-(i, k) has value i / 2**k by construction.  A reconstructed utility
-evaluates any point by sliding it to its indifferent diagonal parameter
-and interpolating linearly between the deepest rungs; ``evaluate_many``
-solves many points in lockstep, and ``evaluate`` is that solve on one
-point.  The sampled checks on a ladder (density, representation, order
-embedding) draw every trial's points first and then ask the oracle and
-the reconstruction in batches.
+intensity midpoint, then tries one extra half-step past each edge.  Rung
+(i, k) has value i / 2**k by construction.  ``build_ladder`` builds the
+ladders of many anchor pairs together, as the brackets of one lockstep
+solve per level and per edge-walk step, each with the rungs it would get
+alone.  A reconstructed utility evaluates any point by sliding it to its
+indifferent diagonal parameter and interpolating linearly between the
+deepest rungs; ``evaluate_many`` solves many points in lockstep, and
+``evaluate`` is that solve on one point.  The sampled checks on a ladder
+(density, representation, order embedding) draw every trial's points
+first and then ask the oracle and the reconstruction in batches.
 """
 from __future__ import annotations
 
@@ -49,9 +50,6 @@ class DyadicLadder:
     tol_t: float
     oracle_calls: int = 0
 
-    def param(self, i: int, k: int) -> float:
-        return self.levels[k][i]
-
     def point(self, i: int, k: int) -> np.ndarray:
         return self.segment.at(self.levels[k][i])
 
@@ -81,107 +79,132 @@ class DyadicLadder:
         }
 
 
-def build_ladder(oracle: AltOracle, y_star, x_star, depth: int,
-                 tol_t: float = DEFAULT_TOL_T, segment: Segment | None = None) -> DyadicLadder:
-    """Build the dyadic rung grid anchored at y* (value 0) and x* (value 1).
+def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float = DEFAULT_TOL_T,
+                 segment: Segment | None = None) -> list[DyadicLadder]:
+    """One dyadic rung grid per (y*, x*) pair of ``anchors``, anchored at
+    y* (value 0) and x* (value 1).
 
-    Both anchors must lie on the reference segment (the domain diagonal by
+    Every anchor must lie on the reference segment (the domain diagonal by
     default) with x* strictly preferred to y*, and the segment endpoints
     must themselves be strictly ranked -- systems that are not monotone
     along the default diagonal are rejected and need a caller-supplied
-    strictly-increasing segment.
+    strictly-increasing segment.  Every pair is checked, in order, before
+    any rung is solved.  Then each level bisects the steps of every ladder
+    in one lockstep solve, and all edge walks step together.  A ladder
+    gets the rungs it would get alone, after the same compares, which its
+    ``oracle_calls`` counts: the ladders' counts add up to the build's.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    calls0 = oracle.calls
     seg = segment or oracle.domain.diagonal()
-    y_star = oracle.domain.require(as_point(y_star, seg.dim), "anchor y*")
-    x_star = oracle.domain.require(as_point(x_star, seg.dim), "anchor x*")
-    t0 = seg.param_of(y_star)
-    t1 = seg.param_of(x_star)
-    if t1 <= t0:
-        raise OrderingError("anchor x* must sit above y* on the reference segment")
-    if not oracle.prefers(x_star, y_star):
-        raise OrderingError("anchors must be strictly ranked: x* > y*")
-    if not oracle.prefers(seg.q, seg.p):
-        raise OrderingError(
-            "reference segment endpoints are not strictly ranked; the system is "
-            "not increasing along the default diagonal -- supply a custom segment")
+    ladders: list[DyadicLadder] = []
+    for y_star, x_star in anchors:
+        calls0 = oracle.calls
+        y_star = oracle.domain.require(as_point(y_star, seg.dim), "anchor y*")
+        x_star = oracle.domain.require(as_point(x_star, seg.dim), "anchor x*")
+        t0, t1 = seg.param_of(y_star), seg.param_of(x_star)
+        if t1 <= t0:
+            raise OrderingError("anchor x* must sit above y* on the reference segment")
+        if not oracle.prefers(x_star, y_star):
+            raise OrderingError("anchors must be strictly ranked: x* > y*")
+        if not oracle.prefers(seg.q, seg.p):
+            raise OrderingError(
+                "reference segment endpoints are not strictly ranked; the system is "
+                "not increasing along the default diagonal -- supply a custom segment")
+        ladders.append(DyadicLadder(seg, depth, [{0: t0, 1: t1}], y_star, x_star, tol_t,
+                                    oracle_calls=oracle.calls - calls0))
+    asked = np.zeros(len(ladders), dtype=np.int64)
 
-    level0: dict[int, float] = {0: t0, 1: t1}
-    _grow(oracle, seg, level0, y_star, x_star, tol_t)
-    levels = [level0]
+    def ask(owner: np.ndarray, *quad: np.ndarray) -> np.ndarray:
+        """compare_batch of ``quad``, whose row r belongs to ladder owner[r]."""
+        asked[:] += np.bincount(owner, minlength=asked.size)
+        return oracle.compare_batch(*quad)
+
+    _grow(ask, seg, [lad.levels[0] for lad in ladders],
+          np.array([lad.anchor_lo for lad in ladders]),
+          np.array([lad.anchor_hi for lad in ladders]), tol_t)
 
     for k in range(1, depth + 1):
-        prev = levels[-1]
-        if (size := 2 * len(prev) - 1) > MAX_RUNGS_PER_LEVEL:
+        prevs = [lad.levels[-1] for lad in ladders]
+        if (size := 2 * max(map(len, prevs), default=0) - 1) > MAX_RUNGS_PER_LEVEL:
             raise ConstructionError(f"rung cap exceeded: level {k} would hold {size} rungs")
-        cur = {2 * i: t for i, t in prev.items()}
-        # Every step of the level is bisected by its intensity midpoint,
-        # all steps in lockstep.
-        inner = sorted(prev)[:-1]
-        t_lo = np.array([prev[i] for i in inner])
-        t_hi = np.array([prev[i + 1] for i in inner])
+        # Every step of every ladder's level is bisected by its intensity
+        # midpoint, all steps in lockstep.
+        inner = [sorted(prev)[:-1] for prev in prevs]
+        sizes = [len(idx) for idx in inner]
+        owner = np.repeat(np.arange(len(prevs)), sizes)
+        t_lo = np.array([prev[i] for prev, idx in zip(prevs, inner) for i in idx])
+        t_hi = np.array([prev[i + 1] for prev, idx in zip(prevs, inner) for i in idx])
         if np.any(t_hi <= t_lo):         # e.g. two rungs on one jump of a step utility
             raise ConstructionError(f"level {k - 1} rungs are not strictly increasing")
         ends = pinned_rows(seg.at_many(t_lo), seg.at_many(t_hi))
 
         def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
             p = seg.at_many(t)
-            return oracle.compare_batch(p, *ends(j), p)
+            return ask(owner[j], p, *ends(j), p)
 
         mids = band_bisect_many(side, t_lo, t_hi, tol_t)
-        cur.update(zip((2 * i + 1 for i in inner), mids.tolist()))
+        curs = []
+        for prev, idx, part in zip(prevs, inner, np.split(mids, np.cumsum(sizes)[:-1])):
+            cur = {2 * i: t for i, t in prev.items()}
+            cur.update(zip((2 * i + 1 for i in idx), part.tolist()))
+            curs.append(cur)
         # One extra half-step may fit past each edge; by construction a
         # second one never does.
-        unit_lo_pt, unit_hi_pt = seg.at(cur[0]), seg.at(cur[1])
-        _grow(oracle, seg, cur, unit_lo_pt, unit_hi_pt, tol_t, limit=1)
-        levels.append(cur)
+        _grow(ask, seg, curs, seg.at_many(np.array([cur[0] for cur in curs])),
+              seg.at_many(np.array([cur[1] for cur in curs])), tol_t, limit=1)
+        for lad, cur in zip(ladders, curs):
+            lad.levels.append(cur)
 
-    return DyadicLadder(seg, depth, levels, y_star, x_star, tol_t,
-                        oracle_calls=oracle.calls - calls0)
+    for lad, n in zip(ladders, asked.tolist()):
+        lad.oracle_calls += n
+    return ladders
 
 
-def _grow(oracle: AltOracle, seg: Segment, level: dict[int, float], unit_lo: np.ndarray,
+def _grow(ask, seg: Segment, levels: list[dict[int, float]], unit_lo: np.ndarray,
           unit_hi: np.ndarray, tol_t: float, limit: int | None = None) -> None:
-    """Add rungs past both edges of ``level`` while a full step [unit_hi,
-    unit_lo] fits before the segment's end, at most ``limit`` on each side.
+    """Add rungs past both edges of each ``levels[l]`` while a full step
+    [unit_hi[l], unit_lo[l]] fits before the segment's end, at most
+    ``limit`` on each side.
 
-    The walk up from max(level) and the walk down from min(level) are
-    independent, so each of their steps is one lockstep solve of both.
+    The walks up from max(level) and down from min(level) of every level
+    are independent, so each of their steps is one lockstep solve of all
+    of them; ``ask`` is ``compare_batch`` told the level of each row.
     With a the edge rung's point, up stops unless [q, a] >= the step and
     bisects [edge, 1] on [seg.at(t), a]; down stops unless [a, p] >= the
     step and bisects [0, edge] on [a, seg.at(t)], with the sign negated.
     """
-    walk = np.array([1, -1])                  # +1 up, -1 down
+    walk = np.tile([1, -1], len(levels))      # +1 up, -1 down
+    owner = np.repeat(np.arange(len(levels)), 2)
 
-    def ask(j: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """[p, a] for walks j up and [a, p] for walks j down, against the step."""
-        w, rows = walk[j, None] > 0, p.shape
-        return oracle.compare_batch(np.where(w, p, a[j]), np.where(w, a[j], p),
-                                    np.broadcast_to(unit_hi, rows), np.broadcast_to(unit_lo, rows))
+    def quad(j: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """[p, a] for walks j up and [a, p] for walks j down, against their step."""
+        w, o = walk[j, None] > 0, owner[j]
+        return ask(o, np.where(w, p, a[j]), np.where(w, a[j], p), unit_hi[o], unit_lo[o])
 
     added = 0
     while walk.size and (limit is None or added < limit):
-        edge = np.array([max(level) if w > 0 else min(level) for w in walk.tolist()])
-        t = np.array([level[i] for i in edge.tolist()])
+        edge = np.array([max(levels[o]) if w > 0 else min(levels[o])
+                         for w, o in zip(walk.tolist(), owner.tolist())])
+        t = np.array([levels[o][i] for o, i in zip(owner.tolist(), edge.tolist())])
         a = seg.at_many(t)
-        state = ask(np.arange(walk.size), np.where(walk[:, None] > 0, seg.q, seg.p))
+        state = quad(np.arange(walk.size), np.where(walk[:, None] > 0, seg.q, seg.p))
         keep = (state >= 0) & np.where(walk > 0, t < 1.0, t > 0.0)
-        walk, edge, t, a, state = (v[keep] for v in (walk, edge, t, a, state))
+        walk, owner, edge, t, a, state = (v[keep] for v in (walk, owner, edge, t, a, state))
         if not walk.size:
             return
         up = walk > 0
 
         def side(j: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return walk[j] * ask(j, seg.at_many(u))
+            return walk[j] * quad(j, seg.at_many(u))
 
         end = side(np.arange(walk.size), t)
         new = band_bisect_many(side, np.where(up, t, 0.0), np.where(up, 1.0, t), tol_t,
                                np.where(up, end, -state), np.where(up, state, end))
-        level.update(zip((edge + walk).tolist(), new.tolist()))
+        for o, i, u in zip(owner.tolist(), (edge + walk).tolist(), new.tolist()):
+            levels[o][i] = u
         added += 1
-        if len(level) > MAX_RUNGS_PER_LEVEL:
+        if any(len(levels[o]) > MAX_RUNGS_PER_LEVEL for o in set(owner.tolist())):
             raise ConstructionError("rung cap exceeded; anchors are too close together")
 
 
@@ -301,11 +324,9 @@ def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int 
                         anchor_params: tuple[float, float] = (0.25, 0.75)) -> ReconstructedUtility:
     """Build a ladder (anchors default to diagonal params 0.25/0.75) and wrap it."""
     seg = segment or oracle.domain.diagonal()
-    if y_star is None:
-        y_star = seg.at(anchor_params[0])
-    if x_star is None:
-        x_star = seg.at(anchor_params[1])
-    ladder = build_ladder(oracle, y_star, x_star, depth, tol_t, seg)
+    y_star = seg.at(anchor_params[0]) if y_star is None else y_star
+    x_star = seg.at(anchor_params[1]) if x_star is None else x_star
+    ladder, = build_ladder(oracle, [(y_star, x_star)], depth, tol_t, seg)
     return ReconstructedUtility(oracle, ladder, tol_t)
 
 
@@ -321,24 +342,19 @@ class AffineFit(Record):
     verdict: str
 
 
-def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
+def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: ReconstructedUtility,
                              samples: int = 200, seed: int = 0,
                              threshold: float | None = None) -> AffineFit:
-    """Reconstruct again from other anchor params and fit u_b ~ alpha*u_a + beta.
+    """Fit u_b ~ alpha*u_a + beta over ``samples`` points of the box.
 
-    ``anchors_b`` is a (lo, hi) parameter pair on the reference segment of
-    ``recon_a``; the second reconstruction uses that segment and the
-    oracle, depth and tolerance of ``recon_a``.  A faithful system admits
-    only positive affine rescalings, so the fit must have alpha > 0 and
-    residuals within the interpolation budget: one rung step of u_b plus
-    one of u_a carried through alpha, (1 + |alpha|) * 2**-depth, unless
-    ``threshold`` is given.
+    ``recon_a`` and ``recon_b`` reconstruct one system from two anchor
+    pairs; :func:`build_ladder` builds both ladders in one solve.  A
+    faithful system admits only positive affine rescalings, so the fit
+    must have alpha > 0 and residuals within the interpolation budget: one
+    rung step of u_b plus one of u_a carried through alpha,
+    2**-depth_b + |alpha| * 2**-depth_a, unless ``threshold`` is given.
     """
-    oracle = recon_a.oracle
-    recon_b = reconstruct_utility(oracle, depth=recon_a.depth, tol_t=recon_a.tol_t,
-                                  segment=recon_a.ladder.segment,
-                                  anchor_params=(float(anchors_b[0]), float(anchors_b[1])))
-    rng_points = draw(oracle.domain, None, seed, samples, 1)[0][:, 0]
+    rng_points = draw(recon_a.oracle.domain, None, seed, samples, 1)[0][:, 0]
     u_a = recon_a.evaluate_many(rng_points)
     u_b = recon_b.evaluate_many(rng_points)
     if float(np.var(u_a)) < 1e-18:
@@ -346,7 +362,8 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, anchors_b: Sequence,
     alpha, beta = np.polyfit(u_a, u_b, 1)
     residual = float(np.max(np.abs(u_b - (alpha * u_a + beta))))
     if threshold is None:
-        threshold = (1.0 + abs(float(alpha))) * recon_a.interpolation_budget
+        threshold = (recon_b.interpolation_budget
+                     + abs(float(alpha)) * recon_a.interpolation_budget)
     verdict = "pass" if (alpha > 0 and residual <= threshold) else "fail"
     return AffineFit(float(alpha), float(beta), residual, samples, threshold, verdict)
 

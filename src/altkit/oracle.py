@@ -116,9 +116,6 @@ class AltOracle:
     def calls(self) -> int:
         return self._calls
 
-    def reset_calls(self) -> None:
-        self._calls = 0
-
     # Derived two-point order -------------------------------------------------
 
     def preference(self, x, y) -> Preference:
@@ -127,9 +124,6 @@ class AltOracle:
 
     def prefers(self, x, y) -> bool:
         return self.preference(x, y) is Preference.PREFER
-
-    def indifferent(self, x, y) -> bool:
-        return self.preference(x, y) is Preference.INDIFFERENT
 
     def weakly_prefers(self, x, y) -> bool:
         return self.preference(x, y) is not Preference.DISPREFER

@@ -55,13 +55,13 @@ def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
 
 
 def pinned_rows(*arrays: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
-    """j -> the rows j of each array, read-only.  While j repeats from one
-    call to the next, the same objects come back, so a difference oracle
-    values them once rather than at every step of a lockstep solve."""
+    """j -> the rows j of each array, read-only.  While j repeats (as the
+    same object, or equal) from one call to the next, the same objects come
+    back, so a difference oracle values them once, not at every step."""
     last: list = [None, ()]
 
     def rows(j: np.ndarray) -> tuple[np.ndarray, ...]:
-        if not np.array_equal(last[0], j):
+        if j is not last[0] and not np.array_equal(last[0], j):
             subsets = tuple(a[j] for a in arrays)
             for sub in subsets:
                 sub.flags.writeable = False
@@ -126,9 +126,8 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     # tells whether any midpoint or width can overflow.
     far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
     out, wider = _split(a, b, per, far)
-    run = ~found & wider & (a < out) & (out < b)
-    while run.any():
-        j = np.flatnonzero(run)
+    j = np.flatnonzero(~found & wider & (a < out) & (out < b))    # running brackets
+    while j.size:
         m = out[j]
         s = side(j, m)
         a[j[s < 0]] = m[s < 0]
@@ -138,7 +137,9 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
         aj, bj = a[j], b[j]
         m, wider = _split(aj, bj, width(j), far)
         out[j] = m
-        run[j] = (s != 0) & wider & (aj < m) & (m < bj)
+        go = (s != 0) & wider & (aj < m) & (m < bj)
+        if not go.all():         # j stays the same object while no bracket stops
+            j = j[go]
     if not refine:
         out[found] = eq[found]
         return out
@@ -154,20 +155,22 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
     edge, wider = _split(outer, inner, width(owner), far)
-    run = wider & (edge != outer) & (edge != inner)
-    while run.any():
-        k = np.flatnonzero(run)
+    k = np.flatnonzero(wider & (edge != outer) & (edge != inner))
+    ok = owner[k]
+    while k.size:
         m = edge[k]
-        hit = side(owner[k], m) == state[k]
+        hit = side(ok, m) == state[k]
         outer[k[hit]] = m[hit]
         inner[k[~hit]] = m[~hit]
-        m, wider = _split(outer[k], inner[k], width(owner[k]), far)
+        ko, ki = outer[k], inner[k]
+        m, wider = _split(ko, ki, width(ok), far)
         edge[k] = m
-        run[k] = wider & (m != outer[k]) & (m != inner[k])
-    lower_edge, upper_edge = a.copy(), b.copy()
-    lower_edge[lower] = edge[:lower.size]
-    upper_edge[upper] = edge[lower.size:]
-    out[found] = _split(lower_edge[found], upper_edge[found], width(found), far)[0]
+        go = wider & (m != ko) & (m != ki)
+        if not go.all():
+            k, ok = k[go], ok[go]
+    a[lower] = edge[:lower.size]          # a and b become the band's edges
+    b[upper] = edge[lower.size:]
+    out[found] = _split(a[found], b[found], width(found), far)[0]
     return out
 
 

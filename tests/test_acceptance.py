@@ -14,9 +14,8 @@ from altkit.concavity import check_gossen_law
 from altkit.diffcalc import alep_classify, numeric_gradient, numeric_hessian
 from altkit.domain import BoxDomain
 from altkit.fixtures import catalog, oracle_by_name
-from altkit.ladder import (archimedean_count, build_ladder, check_density,
-                           reconstruct_utility, representation_spot_check,
-                           verify_affine_uniqueness)
+from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder,
+                           check_density, representation_spot_check, verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.smoothness import (debreu_smoothness_proxy, line_smoothness_limit,
                                solve_f)
@@ -81,12 +80,15 @@ def test_criterion_3_reconstruction_representation_and_uniqueness():
     for name in CONTINUOUS_MONOTONE:
         t0 = time.perf_counter()
         oracle = oracle_by_name(name)
-        recon = reconstruct_utility(oracle, depth=10)
+        seg = oracle.domain.diagonal()
+        ladders = build_ladder(oracle, [(seg.at(0.25), seg.at(0.75)), (seg.at(0.1), seg.at(0.9))],
+                               depth=10)
+        recon, other = (ReconstructedUtility(oracle, lad) for lad in ladders)
         spot = representation_spot_check(recon, trials=1000, seed=0)
         if spot.violation_count != 0:
             failures.append(f"{name}: {spot.violation_count} representation "
                             "mismatches outside the dead band")
-        fit = verify_affine_uniqueness(recon, (0.1, 0.9), seed=0)
+        fit = verify_affine_uniqueness(recon, other, seed=0)
         if not (fit.alpha > 0 and fit.max_residual < 5e-3):
             failures.append(f"{name}: affine fit alpha={fit.alpha:.4g} "
                             f"residual={fit.max_residual:.3g}")
@@ -211,7 +213,7 @@ def test_criterion_7_ladder_properties_and_replay():
     for name in ("cobb_douglas", "log_sum"):
         oracle = oracle_by_name(name)
         seg = oracle.domain.diagonal()
-        ladder = build_ladder(oracle, seg.at(0.25), seg.at(0.75), depth=6)
+        ladder, = build_ladder(oracle, [(seg.at(0.25), seg.at(0.75))], depth=6)
         lo_i, hi_i = ladder.index_range(6)
         rng = np.random.default_rng(1)
         bad = 0
@@ -228,7 +230,7 @@ def test_criterion_7_ladder_properties_and_replay():
     # there is a rung strictly between.
     oracle = oracle_by_name("cobb_douglas")
     seg = oracle.domain.diagonal()
-    ladder = build_ladder(oracle, seg.at(0.25), seg.at(0.75), depth=6)
+    ladder, = build_ladder(oracle, [(seg.at(0.25), seg.at(0.75))], depth=6)
     density = check_density(oracle, ladder, trials=200, seed=0)
     if not density.passed:
         failures.append(f"density: {density.violation_count} gaps without a rung")

@@ -471,6 +471,18 @@ class TestReconstructCommand:
         fit = _load(tmp_path / "affine.json")["fit"]
         assert fit["alpha"] == pytest.approx(0.625, abs=1e-6)
 
+    def test_unranked_second_anchors_fail_before_any_report(self, tmp_path, capsys):
+        # Both ladders are built before anything is written, so second
+        # anchors that tie on the step utility end the run with no report.
+        rc = main(["reconstruct", "--oracle", "step", "--depth", "4", "--trials", "20",
+                   "--grid", "3", "--second-anchors", "0.0", "0.05",
+                   "--outdir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err == "error: anchors must be strictly ranked: x* > y*\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"oracle": "cobb_douglas", "depth": 3,

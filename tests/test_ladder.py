@@ -5,8 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altkit.domain import BoxDomain, Segment
+from altkit.domain import BoxDomain, Segment, as_point
 from altkit import ladder
 from altkit.cli import main
 from altkit.errors import (ArchimedeanError, ConstructionError, DegenerateFitError,
@@ -17,7 +19,7 @@ from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder
                            representation_spot_check, verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.sampling import subrng
-from altkit.solvers import band_bisect
+from altkit.solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, pinned_rows
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -40,7 +42,7 @@ class TestLadderStructure:
         # the intensity midpoint (u = 5/16) and one upper half-step
         # (u = 13/16); below, the remaining 1/16 is less than a half step.
         o = _power_oracle(2)
-        lad = build_ladder(o, [0.25], [0.75], depth=1)
+        lad, = build_ladder(o, [([0.25], [0.75])], depth=1)
         assert lad.rungs(0) == [(0, 0.25), (1, 0.75)]
         level1 = lad.rungs(1)
         assert [i for i, _ in level1] == [0, 1, 2, 3]
@@ -50,26 +52,26 @@ class TestLadderStructure:
         assert lad.index_range(1) == (0, 3)
 
     def test_rung_values_are_dyadic(self):
-        lad = build_ladder(_power_oracle(2), [0.25], [0.75], depth=1)
+        lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=1)
         assert lad.value(3, 1) == 1.5
         assert lad.value(-4, 3) == -0.5
         assert lad.value(0, 5) == 0.0
 
     def test_rungs_defaults_to_deepest_level(self):
-        lad = build_ladder(_power_oracle(2), [0.25], [0.75], depth=2)
+        lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=2)
         assert lad.rungs() == lad.rungs(2)
         assert all(lad.rungs(k) == sorted(lad.levels[k].items()) for k in range(3))
 
     def test_anchor_indices_double_per_level(self):
-        lad = build_ladder(_power_oracle(2), [0.25], [0.75], depth=3)
+        lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=3)
         for k in range(4):
-            assert lad.param(0, k) == 0.25
-            assert lad.param(1 << k, k) == 0.75
+            assert lad.levels[k][0] == 0.25
+            assert lad.levels[k][1 << k] == 0.75
 
     def test_point_lies_on_segment(self):
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        lad = build_ladder(o, seg.at(0.25), seg.at(0.75), depth=2)
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=2)
         for i, t in lad.rungs():
             assert lad.point(i, 2) == pytest.approx(seg.at(t))
 
@@ -77,8 +79,8 @@ class TestLadderStructure:
         # u = -(t-1)^2 increases on [0, 1]; anchors 0.25/0.75 give dyadic
         # rung values v with parameter t = 1 - sqrt(0.5625 - v/2).
         o = oracle_by_name("neg_quadratic")
-        lad = build_ladder(o, [0.25], [0.75], depth=2,
-                           segment=Segment([0.0], [1.0]))
+        lad, = build_ladder(o, [([0.25], [0.75])], depth=2,
+                            segment=Segment([0.0], [1.0]))
         rungs = lad.rungs()
         assert [i for i, _ in rungs] == list(range(-3, 5))
         for i, t in rungs:
@@ -86,7 +88,7 @@ class TestLadderStructure:
             assert t == pytest.approx(1.0 - math.sqrt(0.5625 - v / 2), abs=1e-8)
 
     def test_to_dict_shape(self):
-        lad = build_ladder(_power_oracle(2), [0.25], [0.75], depth=1)
+        lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=1)
         d = lad.to_dict()
         assert set(d) == {"depth", "tol_t", "segment", "anchors", "levels"}
         assert d["depth"] == 1 and len(d["levels"]) == 2
@@ -97,32 +99,32 @@ class TestLadderStructure:
 class TestBuildLadderValidation:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth"):
-            build_ladder(_power_oracle(2), [0.25], [0.75], depth=-1)
+            build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=-1)
 
     def test_swapped_anchors_rejected(self):
         with pytest.raises(OrderingError, match="above"):
-            build_ladder(_power_oracle(2), [0.75], [0.25], depth=1)
+            build_ladder(_power_oracle(2), [([0.75], [0.25])], depth=1)
 
     def test_indifferent_anchors_rejected(self):
         # neg_quadratic is symmetric about t=1 on the default diagonal of
         # [0, 2], so these two anchors tie and cannot span a unit.
         o = oracle_by_name("neg_quadratic")
         with pytest.raises(OrderingError, match="strictly ranked"):
-            build_ladder(o, [0.5], [1.5], depth=1)
+            build_ladder(o, [([0.5], [1.5])], depth=1)
 
     def test_non_monotone_diagonal_needs_custom_segment(self):
         # Strictly ranked anchors, but the full default diagonal of
         # neg_quadratic ends where it starts in value.
         o = oracle_by_name("neg_quadratic")
         with pytest.raises(OrderingError, match="custom segment"):
-            build_ladder(o, [0.2], [0.9], depth=1)
+            build_ladder(o, [([0.2], [0.9])], depth=1)
 
     def test_coinciding_rungs_stop_the_build(self):
         # On [0.5, 2] the step utility floor(x0) puts two rungs of level 2
         # on one jump; the next level has no bracket between them.
         o = make_difference_oracle(utility_by_name("step"), BoxDomain([0.5], [2.0]))
         with pytest.raises(ConstructionError, match="level 2 rungs are not strictly"):
-            build_ladder(o, [0.875], [1.625], depth=5)
+            build_ladder(o, [([0.875], [1.625])], depth=5)
 
 
 class TestRungCap:
@@ -133,12 +135,12 @@ class TestRungCap:
     def test_every_level_is_capped_before_its_solve(self, monkeypatch):
         seg = oracle_by_name("linear").domain.diagonal()
         anchors = seg.at(0.25), seg.at(0.75)
-        built = build_ladder(oracle_by_name("linear"), *anchors, depth=5)
+        built, = build_ladder(oracle_by_name("linear"), [anchors], depth=5)
         assert [len(level) for level in built.levels] == [2, 5, 9, 17, 33, 65]
         monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 100)
         o = oracle_by_name("linear")
         with pytest.raises(ConstructionError, match="level 6 would hold 129 rungs"):
-            build_ladder(o, *anchors, depth=8)
+            build_ladder(o, [anchors], depth=8)
         assert o.calls == built.oracle_calls        # no compare of level 6
 
     def test_cli_exits_one_with_one_error_line(self, monkeypatch, tmp_path, capsys):
@@ -151,10 +153,86 @@ class TestRungCap:
         assert not (tmp_path / "out").exists()
 
 
+def sequential_build(oracle, y_star, x_star, depth, tol_t=DEFAULT_TOL_T, segment=None,
+                     grow=None):
+    """One ladder on its own: its level solves and edge walks hold only its
+    own brackets.  ``ladder.build_ladder`` builds any number of ladders
+    together and must give each of them these rungs, bit for bit, after
+    these compares.  ``grow`` is ``lockstep_grow`` unless given."""
+    grow = grow or lockstep_grow
+    calls0 = oracle.calls
+    seg = segment or oracle.domain.diagonal()
+    y_star = oracle.domain.require(as_point(y_star, seg.dim), "anchor y*")
+    x_star = oracle.domain.require(as_point(x_star, seg.dim), "anchor x*")
+    t0, t1 = seg.param_of(y_star), seg.param_of(x_star)
+    if t1 <= t0:
+        raise OrderingError("anchor x* must sit above y* on the reference segment")
+    if not oracle.prefers(x_star, y_star):
+        raise OrderingError("anchors must be strictly ranked: x* > y*")
+    if not oracle.prefers(seg.q, seg.p):
+        raise OrderingError("reference segment endpoints are not strictly ranked")
+
+    level0 = {0: t0, 1: t1}
+    grow(oracle, seg, level0, y_star, x_star, tol_t)
+    levels = [level0]
+    for k in range(1, depth + 1):
+        prev = levels[-1]
+        cur = {2 * i: t for i, t in prev.items()}
+        inner = sorted(prev)[:-1]
+        t_lo = np.array([prev[i] for i in inner])
+        t_hi = np.array([prev[i + 1] for i in inner])
+        if np.any(t_hi <= t_lo):
+            raise ConstructionError(f"level {k - 1} rungs are not strictly increasing")
+        ends = pinned_rows(seg.at_many(t_lo), seg.at_many(t_hi))
+
+        def side(j, t):
+            p = seg.at_many(t)
+            return oracle.compare_batch(p, *ends(j), p)
+
+        mids = band_bisect_many(side, t_lo, t_hi, tol_t)
+        cur.update(zip((2 * i + 1 for i in inner), mids.tolist()))
+        grow(oracle, seg, cur, seg.at(cur[0]), seg.at(cur[1]), tol_t, limit=1)
+        levels.append(cur)
+    return ladder.DyadicLadder(seg, depth, levels, y_star, x_star, tol_t,
+                               oracle_calls=oracle.calls - calls0)
+
+
+def lockstep_grow(oracle, seg, level, unit_lo, unit_hi, tol_t, limit=None):
+    """The edge walks of one ladder, up and down as the two brackets of one
+    lockstep solve per step."""
+    walk = np.array([1, -1])
+
+    def ask(j, p):
+        w, rows = walk[j, None] > 0, p.shape
+        return oracle.compare_batch(np.where(w, p, a[j]), np.where(w, a[j], p),
+                                    np.broadcast_to(unit_hi, rows), np.broadcast_to(unit_lo, rows))
+
+    added = 0
+    while walk.size and (limit is None or added < limit):
+        edge = np.array([max(level) if w > 0 else min(level) for w in walk.tolist()])
+        t = np.array([level[i] for i in edge.tolist()])
+        a = seg.at_many(t)
+        state = ask(np.arange(walk.size), np.where(walk[:, None] > 0, seg.q, seg.p))
+        keep = (state >= 0) & np.where(walk > 0, t < 1.0, t > 0.0)
+        walk, edge, t, a, state = (v[keep] for v in (walk, edge, t, a, state))
+        if not walk.size:
+            return
+        up = walk > 0
+
+        def side(j, u):
+            return walk[j] * ask(j, seg.at_many(u))
+
+        end = side(np.arange(walk.size), t)
+        new = band_bisect_many(side, np.where(up, t, 0.0), np.where(up, 1.0, t), tol_t,
+                               np.where(up, end, -state), np.where(up, state, end))
+        level.update(zip((edge + walk).tolist(), new.tolist()))
+        added += 1
+
+
 def reference_grow(oracle, seg, level, unit_lo, unit_hi, tol_t, limit=None):
     """The edge walks one at a time, each step one scalar bisection: up from
-    max(level) as far as it goes, then down from min(level).  ``ladder._grow``
-    steps both walks together and must match it rung for rung, bit for bit,
+    max(level) as far as it goes, then down from min(level).  The walks of
+    ``ladder.build_ladder`` must match it rung for rung, bit for bit,
     after the same number of compares."""
     def grow_up():
         added = 0
@@ -186,15 +264,18 @@ def reference_grow(oracle, seg, level, unit_lo, unit_hi, tol_t, limit=None):
     grow_down()
 
 
+MONOTONE = ["linear", "cobb_douglas", "ces", "log_sum", "exp1d", "kinked_composite", "min2"]
+
+
 class TestEdgeWalks:
-    @pytest.mark.parametrize("name", ["linear", "cobb_douglas", "ces", "log_sum", "exp1d",
-                                      "kinked_composite", "min2"])
-    def test_match_the_sequential_walks(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", MONOTONE)
+    def test_match_the_sequential_walks(self, name):
         lockstep = oracle_by_name(name)
         built = reconstruct_utility(lockstep, depth=6).ladder
-        monkeypatch.setattr(ladder, "_grow", reference_grow)
         sequential = oracle_by_name(name)
-        reference = reconstruct_utility(sequential, depth=6).ladder
+        seg = sequential.domain.diagonal()
+        reference = sequential_build(sequential, seg.at(0.25), seg.at(0.75), 6,
+                                     grow=reference_grow)
         assert json.dumps(built.to_dict()) == json.dumps(reference.to_dict())
         assert lockstep.calls == sequential.calls == built.oracle_calls
 
@@ -202,15 +283,67 @@ class TestEdgeWalks:
     # so the down walk ends while the up walk goes on.
     @pytest.mark.parametrize("exponent, anchors", [(1.0, (0.33, 0.43)), (2.0, (0.25, 0.75)),
                                                    (0.5, (0.25, 0.75))])
-    def test_match_on_a_batchless_oracle(self, exponent, anchors, monkeypatch):
+    def test_match_on_a_batchless_oracle(self, exponent, anchors):
         lockstep, sequential = _power_oracle(exponent), _power_oracle(exponent)
-        built = build_ladder(lockstep, [anchors[0]], [anchors[1]], depth=4)
-        monkeypatch.setattr(ladder, "_grow", reference_grow)
-        reference = build_ladder(sequential, [anchors[0]], [anchors[1]], depth=4)
+        built, = build_ladder(lockstep, [([anchors[0]], [anchors[1]])], depth=4)
+        reference = sequential_build(sequential, [anchors[0]], [anchors[1]], 4,
+                                     grow=reference_grow)
         assert json.dumps(built.to_dict()) == json.dumps(reference.to_dict())
         assert lockstep.calls == sequential.calls
         if exponent == 1.0:
             assert built.index_range(0) == (-3, 6)
+
+
+@st.composite
+def _anchor_pairs(draw, gap):
+    """1 to 3 diagonal parameter pairs lo < hi in [0, 1], at least ``gap``
+    apart, which bounds the rungs of each level."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(0.0, 1.0 - gap))
+        pairs.append((lo, draw(st.floats(lo + gap, 1.0))))
+    return pairs
+
+
+class TestLadderBuiltTogether:
+    """Ladders built in one call against the same ladders built one by one."""
+
+    @staticmethod
+    def _check(make_oracle, pairs, depth):
+        together, alone = make_oracle(), make_oracle()
+        seg = together.domain.diagonal()
+        anchors = [(seg.at(lo), seg.at(hi)) for lo, hi in pairs]
+        built = build_ladder(together, anchors, depth)
+        reference = [sequential_build(alone, y, x, depth) for y, x in anchors]
+        assert len(built) == len(reference)
+        for got, want in zip(built, reference):
+            # json writes each float's repr, so equal text is equal bits.
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert got.oracle_calls == want.oracle_calls
+        assert together.calls == alone.calls == sum(lad.oracle_calls for lad in built)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(MONOTONE), _anchor_pairs(0.05), st.integers(0, 5))
+    def test_catalog_oracles(self, name, pairs, depth):
+        self._check(lambda: oracle_by_name(name), pairs, depth)
+
+    # A batch-less oracle answers one row per Python call, so its anchors
+    # stay wider apart to keep the deepest level small.
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 3.0]), _anchor_pairs(0.25), st.integers(0, 5))
+    def test_batchless_oracle(self, exponent, pairs, depth):
+        self._check(lambda: _power_oracle(exponent), pairs, depth)
+
+    def test_no_pairs_build_no_ladder(self):
+        o = oracle_by_name("linear")
+        assert build_ladder(o, [], 3) == [] and o.calls == 0
+
+    def test_failing_pair_stops_the_build_before_any_solve(self):
+        o = oracle_by_name("step")
+        seg = o.domain.diagonal()
+        with pytest.raises(OrderingError, match="strictly ranked: x"):
+            build_ladder(o, [(seg.at(0.25), seg.at(0.75)), (seg.at(0.0), seg.at(0.05))], 4)
+        assert o.calls == 3     # both pre-checks of the first pair, the first of the second
 
 
 class TestEqualStepInvariant:
@@ -219,7 +352,7 @@ class TestEqualStepInvariant:
         # by construction; the oracle must agree after the full build.
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        lad = build_ladder(o, seg.at(0.25), seg.at(0.75), depth=6)
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=6)
         lo_i, hi_i = lad.index_range(6)
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -228,10 +361,8 @@ class TestEqualStepInvariant:
             assert o.compare(b, a, c, b) is E
 
     def test_rung_params_strictly_increasing(self):
-        lad = build_ladder(oracle_by_name("log_sum"),
-                           oracle_by_name("log_sum").domain.diagonal().at(0.25),
-                           oracle_by_name("log_sum").domain.diagonal().at(0.75),
-                           depth=5)
+        seg = oracle_by_name("log_sum").domain.diagonal()
+        lad, = build_ladder(oracle_by_name("log_sum"), [(seg.at(0.25), seg.at(0.75))], depth=5)
         params = [t for _, t in lad.rungs()]
         assert all(a < b for a, b in zip(params, params[1:]))
 
@@ -365,7 +496,7 @@ class TestBatchedReconstruction:
         rng = np.random.default_rng(2)
         # Anchors, both corners, a rung, and random points.
         points = [seg.at(0.25), seg.at(0.75), oracle.domain.lower, oracle.domain.upper,
-                  seg.at(ladder.param(5, 6))]
+                  seg.at(ladder.levels[6][5])]
         points += [oracle.domain.sample(rng) for _ in range(300)]
         scalar, batched = ReconstructedUtility(oracle, ladder), ReconstructedUtility(oracle, ladder)
         calls = oracle.calls
@@ -400,15 +531,12 @@ class TestBatchedReconstruction:
             assert oracle.calls - calls == sum(alone[k][1] for k in batch)
             assert recon.clamped - clamped == sum(alone[k][2] for k in batch)
 
-    def test_evaluator_rows_of_a_depth_4_reconstruction(self):
-        # The ladder's lockstep steps ask (p, lo, hi, p): the first step over
-        # a set of brackets values three arrays, and the next steps over the
-        # same set value p alone, as the oracle keeps the values of the
-        # read-only lo and hi.  The edge walks ask four distinct arrays at
-        # each step, both walks in one batch.  Indifference solves ask
-        # (P, x, x, x) and value two arrays, or P alone while the rows still
-        # running repeat.
-        inner = utility_by_name("cobb_douglas")
+    @staticmethod
+    def _watched(name):
+        """A difference oracle of ``name`` with two logs: ``rows`` gets the
+        row count of each call of the utility's array function, after
+        set-up, and ``per_batch`` the number of such calls of each batch."""
+        inner = utility_by_name(name)
         rows: list[int] = []
         spec = dataclasses.replace(inner, evaluator=None,
                                    batch=lambda X: rows.append(len(X)) or inner.batch(X))
@@ -423,6 +551,17 @@ class TestBatchedReconstruction:
 
         oracle.batch = watched
         rows.clear()
+        return oracle, rows, per_batch
+
+    def test_evaluator_rows_of_a_depth_4_reconstruction(self):
+        # The ladder's lockstep steps ask (p, lo, hi, p): the first step over
+        # a set of brackets values three arrays, and the next steps over the
+        # same set value p alone, as the oracle keeps the values of the
+        # read-only lo and hi.  The edge walks ask four distinct arrays at
+        # each step, both walks in one batch.  Indifference solves ask
+        # (P, x, x, x) and value two arrays, or P alone while the rows still
+        # running repeat.
+        oracle, rows, per_batch = self._watched("cobb_douglas")
         recon = reconstruct_utility(oracle, depth=4)
         assert (sum(rows), len(rows), oracle.calls) == (2289, 306, 1885)
         assert Counter(per_batch) == {3: 8, 1: 126, 4: 38}
@@ -431,6 +570,30 @@ class TestBatchedReconstruction:
         recon.evaluate_many(oracle.domain.lattice(5))
         assert (sum(rows), len(rows)) == (1262, 82)
         assert Counter(per_batch) == {2: 15, 1: 52}
+
+    def test_evaluator_rows_of_two_ladders_built_together(self):
+        # Each level solve and each edge-walk step asks the brackets of both
+        # ladders in one batch, so the build makes fewer array-function
+        # calls than two builds alone.  All brackets of a cobb_douglas level
+        # end their bisection at the same step, so the pinned bracket ends
+        # are valued as often as alone and the rows are the same.  Where
+        # they end at different steps (log_sum, exp1d, kinked_composite),
+        # each end re-values the pinned ends of both ladders, so the build
+        # values more rows than two builds alone.
+        pairs = [(0.25, 0.75), (0.1, 0.9)]
+        alone = []
+        for pair in pairs:
+            oracle, rows, _ = self._watched("cobb_douglas")
+            _recons(oracle, 4, pair)
+            alone.append((sum(rows), len(rows), oracle.calls))
+        oracle, rows, per_batch = self._watched("cobb_douglas")
+        _recons(oracle, 4, *pairs)
+        assert sum(rows) == sum(a[0] for a in alone)
+        assert oracle.calls == sum(a[2] for a in alone)
+        assert len(rows) < sum(a[1] for a in alone)
+        assert alone == [(2289, 306, 1885), (1453, 298, 1133)]
+        assert (sum(rows), len(rows), oracle.calls) == (3742, 434, 3018)
+        assert Counter(per_batch) == {3: 8, 1: 126, 4: 69}
 
     def test_evaluate_many_through_batchless_oracle(self):
         oracle = _without_batch(oracle_by_name("exp1d"))
@@ -525,34 +688,43 @@ class TestRepresentationChecks:
             order_embedding_check(cobb_recon, trials=0)
 
 
+def _recons(oracle, depth, *anchor_params):
+    """One reconstruction per (lo, hi) diagonal parameter pair, all ladders
+    built in one call, as ``altkit reconstruct --second-anchors`` does."""
+    seg = oracle.domain.diagonal()
+    ladders = build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in anchor_params],
+                           depth)
+    return [ReconstructedUtility(oracle, lad) for lad in ladders]
+
+
 class TestAffineUniqueness:
     def test_linear_alpha_beta_are_span_ratios(self):
         # Reconstructions from anchor params (0.25, 0.75) and (0.1, 0.9)
         # of a utility affine in the diagonal parameter differ by exactly
         # alpha = 0.5/0.8 and beta = 0.15/0.8.
-        recon = reconstruct_utility(oracle_by_name("linear"), depth=6)
-        fit = verify_affine_uniqueness(recon, (0.1, 0.9), samples=60, seed=0)
+        recon, other = _recons(oracle_by_name("linear"), 6, (0.25, 0.75), (0.1, 0.9))
+        fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
         assert fit.verdict == "pass"
         assert fit.alpha == pytest.approx(0.625, abs=1e-6)
         assert fit.beta == pytest.approx(0.1875, abs=1e-6)
         assert fit.max_residual < 5e-3
 
     def test_identical_anchors_give_identity_map(self):
-        recon = reconstruct_utility(oracle_by_name("linear"), depth=6)
-        fit = verify_affine_uniqueness(recon, (0.25, 0.75), samples=60, seed=0)
+        recon, other = _recons(oracle_by_name("linear"), 6, (0.25, 0.75), (0.25, 0.75))
+        fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
         assert fit.alpha == pytest.approx(1.0, abs=1e-9)
         assert fit.beta == pytest.approx(0.0, abs=1e-9)
 
     def test_curved_utility_still_affine(self):
         # u = t^3 is far from affine in t, yet two reconstructions of it
         # must still be affine images of one another.
-        recon = reconstruct_utility(_power_oracle(3), depth=8, anchor_params=(0.2, 0.8))
-        fit = verify_affine_uniqueness(recon, (0.3, 0.9), samples=60, seed=3)
+        recon, other = _recons(_power_oracle(3), 8, (0.2, 0.8), (0.3, 0.9))
+        fit = verify_affine_uniqueness(recon, other, samples=60, seed=3)
         assert fit.verdict == "pass" and fit.alpha > 0
 
     def test_to_dict_round(self):
-        recon = reconstruct_utility(oracle_by_name("linear"), depth=4)
-        fit = verify_affine_uniqueness(recon, (0.1, 0.9), samples=30, seed=0)
+        recon, other = _recons(oracle_by_name("linear"), 4, (0.25, 0.75), (0.1, 0.9))
+        fit = verify_affine_uniqueness(recon, other, samples=30, seed=0)
         d = fit.to_dict()
         assert set(d) == {"alpha", "beta", "max_residual", "samples",
                           "threshold", "verdict"}
@@ -561,24 +733,33 @@ class TestAffineUniqueness:
     def test_default_threshold_is_the_interpolation_budget(self):
         # Depth 4 leaves residuals near 0.0077 here, over a fixed 5e-3 but
         # inside one rung step of each reconstruction, 2**-4 * (1 + alpha).
-        recon = reconstruct_utility(oracle_by_name("log_sum"), depth=4)
-        fit = verify_affine_uniqueness(recon, (0.1, 0.9), seed=3)
+        recon, other = _recons(oracle_by_name("log_sum"), 4, (0.25, 0.75), (0.1, 0.9))
+        fit = verify_affine_uniqueness(recon, other, seed=3)
         assert fit.threshold == (1 + abs(fit.alpha)) * 2.0 ** -4
         assert 5e-3 < fit.max_residual <= fit.threshold and fit.verdict == "pass"
-        strict = verify_affine_uniqueness(recon, (0.1, 0.9), seed=3, threshold=5e-3)
+        strict = verify_affine_uniqueness(recon, other, seed=3, threshold=5e-3)
         assert (strict.threshold, strict.verdict) == (5e-3, "fail")
+
+    def test_budget_of_unequal_depths(self):
+        # One rung step of the fitted reconstruction plus alpha steps of
+        # the other: 2**-6 + alpha * 2**-4.
+        recon = reconstruct_utility(oracle_by_name("linear"), depth=4)
+        other = reconstruct_utility(oracle_by_name("linear"), depth=6, anchor_params=(0.1, 0.9))
+        fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
+        assert fit.threshold == 2.0 ** -6 + abs(fit.alpha) * 2.0 ** -4
+        assert fit.verdict == "pass"
 
     def test_degenerate_fit_raises(self):
         with pytest.raises(DegenerateFitError, match="variance"):
-            verify_affine_uniqueness(reconstruct_utility(_power_oracle(2), depth=1),
-                                     (0.1, 0.9), samples=1)
+            verify_affine_uniqueness(*_recons(_power_oracle(2), 1, (0.25, 0.75), (0.1, 0.9)),
+                                     samples=1)
 
 
 class TestDensity:
     def test_cobb_density_passes(self):
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        lad = build_ladder(o, seg.at(0.25), seg.at(0.75), depth=6)
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=6)
         rep = check_density(o, lad, trials=100, seed=0)
         assert rep.passed and rep.violation_count == 0
         assert rep.extras == {"gap_threshold": 2.0 ** (1 - 6), "depth": 6}
@@ -588,20 +769,20 @@ class TestDensity:
         # 2-step threshold, so every trial is skipped rather than judged.
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        lad = build_ladder(o, seg.at(0.25), seg.at(0.75), depth=0)
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=0)
         rep = check_density(o, lad, trials=50, seed=0, min_depth=0)
         assert rep.passed and rep.skipped == 50
 
     def test_min_depth_enforced(self):
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        lad = build_ladder(o, seg.at(0.25), seg.at(0.75), depth=2)
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=2)
         with pytest.raises(ValueError, match="below configured minimum"):
             check_density(o, lad, min_depth=8)
 
     def test_trials_validated(self):
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
-        lad = build_ladder(o, seg.at(0.25), seg.at(0.75), depth=2)
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=2)
         with pytest.raises(ValueError, match="trials"):
             check_density(o, lad, trials=0)

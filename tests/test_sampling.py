@@ -128,8 +128,9 @@ class TestDraw:
             draw(self.BOX, points, 0, 0, 1)
 
 
-def _recon():
-    return reconstruct_utility(oracle_by_name("cobb_douglas"), depth=4)
+def _recon(anchor_params=(0.25, 0.75)):
+    return reconstruct_utility(oracle_by_name("cobb_douglas"), depth=4,
+                               anchor_params=anchor_params)
 
 
 # Every sampled checker outside the axioms, as (name, call(points, trials,
@@ -225,7 +226,7 @@ class TestPoints:
 # Checkers outside LIBRARY that draw through ``draw``, or by trial.
 OTHER_CHECKS = {
     "order-embedding": lambda n: order_embedding_check(_recon(), trials=n),
-    "affine": lambda n: verify_affine_uniqueness(_recon(), (0.1, 0.9), samples=n),
+    "affine": lambda n: verify_affine_uniqueness(_recon(), _recon((0.1, 0.9)), samples=n),
     "gossen-step": lambda n: check_gossen_law(oracle_by_name("linear"), trials=n,
                                               parameterization="step"),
 }
