@@ -3,7 +3,8 @@
 Each axiom is written once, as a draw and a predicate, and every checker
 runs in two phases.  In the draw phase one ``sampling.draw`` call gives
 every trial the points of one candidate instance, from trial i's own
-stream (that of ``subrng(seed, i)``) or, when the caller passes
+stream (computed for all trials at once; ``subrng(seed, i)`` is the
+one-trial reference the tests use) or, when the caller passes
 ``points``, from those rows in order, cycling; the draws are stacked
 into one array per point name, one row per trial.  In the predicate
 phase the axiom's predicate asks each of its stages with one

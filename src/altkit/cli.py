@@ -154,7 +154,7 @@ def cmd_smoothness(cfg: RunConfig) -> int:
     unc = "n/a" if line.uncertainty is None else f"{line.uncertainty:.2g}"
     print(f"line smoothness at b={b:g}: {line.verdict} [limit {est} +/- {unc}]")
     print(f"calibration smoothness proxy: {'pass' if debreu.passed else 'FAIL'} "
-          f"[violations {debreu.violation_count}/{debreu.trials}]")
+          f"[violations {debreu.violation_count}/{debreu.trials}, skipped {debreu.skipped}]")
     print(f"reports written to {cfg.outdir}")
     return 0 if line.verdict == LINE_SMOOTH and debreu.passed else 1
 

@@ -4,7 +4,7 @@ The generalized first law of diminishing marginal utility says the gain
 from x to the midpoint z=(x+y)/2 is at least the gain from z on to y;
 for represented systems this holds iff the utility is concave (strictly,
 when strict for distinct pairs).  The oracle-side checker draws the pairs
-of all its trials and asks the law of all of them in one batch.  A
+of all its trials at once and asks the law of all of them in one batch.  A
 value-side checker certifies midpoint concavity of any real-valued
 function (e.g. a reconstruction), valuing every point of every trial in
 one ``evaluate_many`` call when the function has one, with an optional
@@ -25,7 +25,8 @@ from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
                        evaluate_points, make_difference_oracle)
 from .ladder import reconstruct_utility
 from .oracle import AltOracle, IntensityOrder
-from .sampling import draw, run_indexed, subrng
+# run_indexed and subrng are unused here; perfbench/tracing.py patches them.
+from .sampling import draw, run_indexed, subrng  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -80,46 +81,20 @@ def _judge(law: str, trials: int, seed: int, violations: list[Witness], counts: 
 
 def check_gossen_law(oracle: AltOracle, points: np.ndarray | None = None,
                      trials: int = 1000, seed: int = 0,
-                     floor: float | None = None,
-                     parameterization: str = "pair") -> ConcavityVerdict:
+                     floor: float | None = None) -> ConcavityVerdict:
     """Sample pairs and assert the midpoint gain law [z,x] >= [y,z], z=(x+y)/2.
 
-    ``parameterization`` chooses how colinear triples are drawn: "pair"
-    samples both endpoints uniformly, "step" samples a base point plus a
-    feasible step v and tests [x+v,x] >= [x+2v,x+v] (the same comparison
-    on the triple x, x+v, x+2v).  Pairs closer than ``floor`` (default
-    1e-6 of the box diameter) never count toward strictness.  Every
-    trial's pair is drawn first, trial i from its stream under ``seed``,
-    and one ``compare_batch`` asks the law of all of them.  "pair" draws
-    every trial at once; "step" draws its direction with
-    ``standard_normal``, so it draws trial by trial from ``subrng(seed, i)``.
-    Given ``points``, its rows, in order and cycling, are the endpoints
-    ("pair") or the base points ("step") of the trials.
+    Both endpoints are drawn uniformly on the box; pairs closer than
+    ``floor`` (default 1e-6 of the box diameter) never count toward
+    strictness.  Every trial's pair is drawn at once, trial i from its
+    stream under ``seed``, and one ``compare_batch`` asks the law of all
+    of them.  Given ``points``, its rows, in order and cycling, are the
+    endpoints of the trials.
     """
-    if parameterization not in ("pair", "step"):
-        raise ConfigError(f"unknown parameterization {parameterization!r}")
     box = oracle.domain
     if floor is None:
         floor = STRICTNESS_FLOOR_FRACTION * box.diameter
-
-    def draw_step(i: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = subrng(seed, i)
-        x = box.sample(rng) if base is None else base[i]
-        d = rng.standard_normal(box.dim)
-        d /= np.linalg.norm(d)
-        # Largest m with x + m*d still inside the box, split into two steps.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bounds = np.where(d > 0, (box.upper - x) / d,
-                              np.where(d < 0, (box.lower - x) / d, np.inf))
-        m_max = float(np.min(bounds))
-        v = (0.5 * m_max * rng.random()) * d
-        return x, x + 2.0 * v
-
-    if parameterization == "pair":
-        pairs, _ = draw(box, points, seed, trials, 2)
-    else:
-        base = None if points is None else draw(box, points, seed, trials, 1)[0][:, 0]
-        pairs = np.array(run_indexed(draw_step, trials))
+    pairs, _ = draw(box, points, seed, trials, 2)
     x, y = pairs[:, 0], pairs[:, 1]
     z = 0.5 * (x + y)
     law = oracle.compare_batch(z, x, y, z)
@@ -134,7 +109,7 @@ def check_gossen_law(oracle: AltOracle, points: np.ndarray | None = None,
             results.append("strict" if out > 0 else "equal")
 
     return _judge("gossen-first-law", trials, seed, *_fold(results, WITNESS_CAP), floor,
-                  extras={"parameterization": parameterization, "oracle": oracle.name})
+                  extras={"parameterization": "pair", "oracle": oracle.name})
 
 
 def _dyadic_params(depth: int) -> list[float]:

@@ -54,7 +54,7 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as bad:
+        except (ValueError, RecursionError) as bad:  # not UTF-8, not JSON, too deep
             raise ConfigError(f"config file {path} is not valid JSON: {bad}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")

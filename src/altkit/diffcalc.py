@@ -99,8 +99,8 @@ class AlepClassification(Record):
 
 
 def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
-                  threshold: float = 1e-3, box: BoxDomain | None = None,
-                  allow_shallow: bool = False) -> list[AlepClassification]:
+                  threshold: float = 1e-3, box: BoxDomain | None = None
+                  ) -> list[AlepClassification]:
     """Label each point substitute/complement/neutral by the cross-partial sign.
 
     The estimate is the average of the h and h/2 stencils; when those two
@@ -110,18 +110,16 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
     diagonal eps * sum|v| / (4 h^2) per stencil, averaged over the two):
     substitute or complement needs |estimate| > threshold + r, neutral
     |estimate| <= threshold - r, and anything between is indeterminate.
-    Piecewise-linear reconstructions
-    carry a ``depth`` attribute and are refused below depth 12 (their
-    second differences are dominated by rung noise) unless
-    ``allow_shallow`` is set.
+    Piecewise-linear reconstructions carry a ``depth`` attribute and are
+    refused below depth 12: their second differences read rung noise.
     """
     if not (h > 0 and threshold > 0):
         raise ValueError("h and threshold must be > 0")
     depth = getattr(u_fn, "depth", None)
-    if depth is not None and depth < MIN_RECONSTRUCTION_DEPTH and not allow_shallow:
+    if depth is not None and depth < MIN_RECONSTRUCTION_DEPTH:
         raise ConfigError(
             f"reconstruction depth {depth} < {MIN_RECONSTRUCTION_DEPTH}: second "
-            "differences would read rung noise; rebuild deeper or pass allow_shallow")
+            "differences would read rung noise; rebuild deeper")
     i, j = pair
     if not len(points):
         return []

@@ -112,9 +112,7 @@ class BoxDomain:
             return X
         return np.array([self.require(x, what) for x in xs]).reshape(-1, self.dim)
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(as_point(x, dim=self.dim), self.lower, self.upper)
-
+    # Unused in altkit; perfbench/tracing.py patches it by name.
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.lower + rng.random(self.dim) * self.extent
 

@@ -36,6 +36,10 @@ UNKNOWN = "unknown"
 
 RELATIVE_EPS = 1e-9  # dead band = RELATIVE_EPS * estimated utility range
 SETUP_LATTICE_POINTS = 7 ** 4  # cap on the lattice that estimates the range
+# Each level of a JSON expression costs up to two Python frames when it is
+# parsed or valued, so this cap keeps a compare made from the deepest
+# lockstep solve well inside Python's default recursion limit of 1000.
+MAX_EXPRESSION_DEPTH = 256
 
 
 def _row(point) -> np.ndarray:
@@ -60,7 +64,7 @@ def _one_definition(evaluator, batch):
 
 @dataclass(eq=False)
 class UtilitySpec:
-    """A named utility with optional analytic derivatives and ground-truth tags.
+    """A named utility with ground-truth tags.
 
     ``batch`` defines the utility: it maps an (N, dim) array of points to
     their (N,) values.  ``evaluator``, the value at one point, is row 0 of
@@ -72,8 +76,6 @@ class UtilitySpec:
     dim: int
     evaluator: Evaluator | None
     domain: BoxDomain
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
     concavity: str = UNKNOWN
     monotone: bool | None = None
     continuous: bool | None = None
@@ -282,47 +284,6 @@ def _kinked(X):
     return np.where(v <= 1.0, v - 1.0, 0.5 * (v - 1.0))
 
 
-def _grad_linear(x):   return np.ones_like(x)
-def _hess_linear(x):   return np.zeros((x.size, x.size))
-
-
-def _grad_cobb(x):
-    s = math.sqrt(x[0] * x[1])
-    return np.array([0.5 * s / x[0], 0.5 * s / x[1]])
-
-
-def _hess_cobb(x):
-    s = math.sqrt(x[0] * x[1])
-    return np.array([
-        [-0.25 * s / x[0] ** 2, 0.25 / s],
-        [0.25 / s, -0.25 * s / x[1] ** 2],
-    ])
-
-
-def _grad_ces(x):
-    return np.array([1.0 + math.sqrt(x[1] / x[0]), 1.0 + math.sqrt(x[0] / x[1])])
-
-
-def _hess_ces(x):
-    s = math.sqrt(x[0] * x[1])
-    return np.array([
-        [-0.5 * math.sqrt(x[1]) / x[0] ** 1.5, 0.5 / s],
-        [0.5 / s, -0.5 * math.sqrt(x[0]) / x[1] ** 1.5],
-    ])
-
-
-def _grad_log_sum(x):  return 1.0 / x
-
-
-def _hess_log_sum(x):  return np.diag(-1.0 / x ** 2)
-
-
-def _grad_exp1d(x):    return np.array([math.exp(x[0])])
-
-
-def _hess_exp1d(x):    return np.array([[math.exp(x[0])]])
-
-
 def catalog() -> list[UtilitySpec]:
     """Built-in utilities with ground-truth tags.
 
@@ -333,23 +294,18 @@ def catalog() -> list[UtilitySpec]:
     """
     return [
         UtilitySpec("linear", 2, None, _box(0.1, 10, 2), batch=_linear,
-                    gradient=_grad_linear, hessian=_hess_linear,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("cobb_douglas", 2, None, _box(0.1, 10, 2), batch=_cobb,
-                    gradient=_grad_cobb, hessian=_hess_cobb,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("ces", 2, None, _box(0.1, 10, 2), batch=_ces,
-                    gradient=_grad_ces, hessian=_hess_ces,
                     concavity=CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("log_sum", 2, None, _box(0.1, 10, 2), batch=_log_sum,
-                    gradient=_grad_log_sum, hessian=_hess_log_sum,
                     concavity=STRICTLY_CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("exp1d", 1, None, _box(0.0, 1.0, 1), batch=_exp1d,
-                    gradient=_grad_exp1d, hessian=_hess_exp1d,
                     concavity=NON_CONCAVE, monotone=True, continuous=True,
                     debreu_smooth=True, line_smooth=True),
         UtilitySpec("kinked_composite", 2, None, _box(0.01, 4.0, 2), batch=_kinked,
@@ -451,30 +407,35 @@ def parse_expression(node, dim: int) -> BatchEvaluator:
     raise as it does, e.g. ValueError where the power is not real, so no
     such NaN reaches a min or max.  Their values are libm's whatever numpy's
     CPU dispatch; ``tests/test_dispatch.py`` holds the golden reports with
-    numpy's AVX2 and AVX-512 code disabled.
+    numpy's AVX2 and AVX-512 code disabled.  A list nested more than
+    ``MAX_EXPRESSION_DEPTH`` deep raises ConfigError.
     """
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        c = float(node)
-        return lambda X: np.full(len(X), c)
-    if not isinstance(node, list) or not node:
-        raise ConfigError(f"malformed expression node: {node!r}")
-    op = node[0]
-    if op == "x":
-        if len(node) != 2 or not isinstance(node[1], int):
-            raise ConfigError(f"coordinate reference needs one integer index: {node!r}")
-        i = node[1]
-        if not 0 <= i < dim:
-            raise ConfigError(f"coordinate index {i} out of range for dimension {dim}")
-        return lambda X: X[:, i]
-    args = [parse_expression(a, dim) for a in node[1:]]
-    if op not in _OPS:
-        raise ConfigError(f"unknown operator {op!r}")
-    fn, arity = _OPS[op]
-    if arity is None and len(args) < 2:
-        raise ConfigError(f"{op} takes at least two arguments")
-    if arity is not None and len(args) != arity:
-        raise ConfigError(f"{op} takes exactly {('one argument', 'two arguments')[arity - 1]}")
-    return lambda X: fn(*[a(X) for a in args])
+    def build(node, depth: int) -> BatchEvaluator:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            c = float(node)
+            return lambda X: np.full(len(X), c)
+        if not isinstance(node, list) or not node:
+            raise ConfigError(f"malformed expression node: {node!r}")
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ConfigError(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels")
+        op = node[0]
+        if op == "x":
+            if len(node) != 2 or type(node[1]) is not int:
+                raise ConfigError(f"coordinate reference needs one integer index: {node!r}")
+            i = node[1]
+            if not 0 <= i < dim:
+                raise ConfigError(f"coordinate index {i} out of range for dimension {dim}")
+            return lambda X: X[:, i]
+        args = [build(a, depth + 1) for a in node[1:]]
+        if not isinstance(op, str) or op not in _OPS:
+            raise ConfigError(f"unknown operator {op!r}")
+        fn, arity = _OPS[op]
+        if arity is None and len(args) < 2:
+            raise ConfigError(f"{op} takes at least two arguments")
+        if arity is not None and len(args) != arity:
+            raise ConfigError(f"{op} takes exactly {('one argument', 'two arguments')[arity - 1]}")
+        return lambda X: fn(*[a(X) for a in args])
+    return build(node, 1)
 
 
 def utility_from_json(source) -> UtilitySpec:
@@ -488,7 +449,7 @@ def utility_from_json(source) -> UtilitySpec:
         text = str(source)
         try:
             doc = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
-        except (OSError, ValueError) as bad:     # ValueError: not UTF-8 or not JSON
+        except (OSError, ValueError, RecursionError) as bad:  # not UTF-8, not JSON, too deep
             raise ConfigError(f"cannot read utility JSON {text[:80]!r}: {bad}") from None
     else:
         doc = dict(source)

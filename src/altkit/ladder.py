@@ -320,12 +320,12 @@ class ReconstructedUtility(Record):
 
 
 def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int = 10,
-                        tol_t: float = DEFAULT_TOL_T, segment: Segment | None = None,
-                        anchor_params: tuple[float, float] = (0.25, 0.75)) -> ReconstructedUtility:
-    """Build a ladder (anchors default to diagonal params 0.25/0.75) and wrap it."""
+                        tol_t: float = DEFAULT_TOL_T,
+                        segment: Segment | None = None) -> ReconstructedUtility:
+    """Build a ladder (anchors default to segment params 0.25/0.75) and wrap it."""
     seg = segment or oracle.domain.diagonal()
-    y_star = seg.at(anchor_params[0]) if y_star is None else y_star
-    x_star = seg.at(anchor_params[1]) if x_star is None else x_star
+    y_star = seg.at(0.25) if y_star is None else y_star
+    x_star = seg.at(0.75) if x_star is None else x_star
     ladder, = build_ladder(oracle, [(y_star, x_star)], depth, tol_t, seg)
     return ReconstructedUtility(oracle, ladder, tol_t)
 

@@ -6,10 +6,11 @@ keyed by (s, 0) from counter (0, 0, i, 0): its block j is the block that
 numpy's ``Philox(key=(s, 0), counter=(0, 0, i, 0))`` emits j-th, and a
 uniform is ``(word >> 11) * 2**-53``, as ``Generator.random`` makes it.
 ``uniforms`` computes the streams of all trials at once over uint64
-arrays; ``subrng(seed, i)`` is a numpy Generator on trial i's stream, for
-draws made one trial at a time.  A trial's values do not depend on how
-many trials run or how they are batched, so reports are reproducible
-bit for bit.
+arrays, and every draw in altkit goes through it.  ``subrng(seed, i)``
+is a numpy Generator on trial i's stream: the reference the tests check
+``uniforms`` against, since nothing in altkit draws one trial at a time.
+A trial's values do not depend on how many trials run or how they are
+batched, so reports are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -110,9 +111,9 @@ def draw(box: BoxDomain, points, seed: int, trials: int, k: int,
 
 def run_indexed(fn: Callable[[int], object], n: int, _unused: object = None) -> list:
     """``[fn(0), ..., fn(n - 1)]`` for a trial count ``n >= 1``, evaluated
-    in index order on the calling thread.  The optional third argument is
-    ignored; it keeps the call form of the former worker-count parameter,
-    which perfbench's tracer still uses."""
+    in index order on the calling thread.  No path in altkit calls it; it
+    stays because perfbench's tracer patches it by name, and the optional
+    third argument, ignored, is the worker count that tracer passes."""
     if n < 1:
         raise ValueError("trials must be >= 1")
     return [fn(i) for i in range(n)]

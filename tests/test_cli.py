@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from altkit.cli import main
 from altkit.config import RunConfig
 from altkit.errors import ConfigError
+from altkit.fixtures import MAX_EXPRESSION_DEPTH
 
 
 def _load(path, drop_outdir=True):
@@ -384,6 +385,71 @@ ORACLES = ["linear", "cobb_douglas", "exp1d", "step", "broken_crossover", *UTILI
            "nope"]
 
 
+def _nested(levels: int) -> list:
+    """x0 + x1 nested ``levels`` lists deep, under an even number of negs
+    when ``levels`` is even."""
+    expr: list = ["add", ["x", 0], ["x", 1]]
+    for _ in range(levels - 2):
+        expr = ["neg", expr]
+    return expr
+
+
+def _utility(expr) -> str:
+    return json.dumps({"name": "b", "dimension": 2, "expr": expr})
+
+
+# Utility files every command must refuse with one config error line.  The
+# 3000-deep document is deeper than json itself can decode (or encode).
+REFUSED_UTILITIES = {
+    "index-true": _utility(["x", True]),
+    "index-false": _utility(["x", False]),
+    "operator-list": _utility([[1], 2]),
+    "over-cap": _utility(_nested(MAX_EXPRESSION_DEPTH + 1)),
+    "json-3000-deep": '{"name": "b", "dimension": 2, "expr": '
+                      + '["neg", ' * 2998 + '["add", ["x", 0], ["x", 1]]' + "]" * 2998 + "}",
+}
+# Each command with small sizes, as run on a utility file.
+SMALL_RUNS = {
+    "verify": ["--trials", "5"],
+    "reconstruct": ["--depth", "3", "--trials", "5", "--grid", "2",
+                    "--second-anchors", "0.1", "0.9"],
+    "concavity": ["--trials", "5"],
+    "smoothness": ["--debreu-trials", "2"],
+    "alep": ["--grid", "2"],
+}
+
+
+class TestUtilityExpressionLimits:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    @pytest.mark.parametrize("name", sorted(REFUSED_UTILITIES))
+    def test_refused_with_one_config_error_line(self, name, command, tmp_path, capsys):
+        utility = tmp_path / "b.json"
+        utility.write_text(REFUSED_UTILITIES[name])
+        rc = main([command, "--oracle", str(utility), *SMALL_RUNS[command],
+                   "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_expression_at_the_cap_runs(self, command, tmp_path, capsys):
+        # x0 + x1 at the deepest nesting accepted, valued from inside
+        # every command's solves.
+        utility = tmp_path / "b.json"
+        utility.write_text(_utility(_nested(MAX_EXPRESSION_DEPTH)))
+        assert main([command, "--oracle", str(utility), *SMALL_RUNS[command],
+                     "--outdir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_deep_json_config_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text("[" * 3000 + "]" * 3000)
+        assert main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
 class TestCliFuzz:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -533,6 +599,16 @@ class TestSmoothnessCommand:
         assert doc["debreu"]["verdict"] == "pass"
         quotients = (tmp_path / "quotients.csv").read_text().splitlines()
         assert quotients[0] == "a,f,quotient" and len(quotients) > 4
+
+    def test_debreu_skips_are_printed(self, tmp_path, capsys):
+        # neg_quadratic is not monotone on its diagonal, so no stencil
+        # point calibrates and the proxy skips every trial; the summary
+        # line says so.
+        rc = main(["smoothness", "--oracle", "neg_quadratic", "--outdir", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "calibration smoothness proxy: pass [violations 0/50, skipped 50]\n" in out
+        assert _load(tmp_path / "smoothness.json")["debreu"]["skipped"] == 50
 
     def test_kinked_diagonal_exits_one(self, tmp_path):
         rc = main(["smoothness", "--oracle", "kinked_composite", "--b", "1.0",

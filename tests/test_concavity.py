@@ -93,22 +93,18 @@ class TestGossenLaw:
         assert v.violation_count == 200
         assert len(v.violations) == 10
 
-    def test_step_parameterization(self):
-        # Base-plus-step draws stay on one line, so the law reads the
-        # same; linear still shows no strict gains.
-        v = check_gossen_law(oracle_by_name("linear"), trials=800, seed=2,
-                             parameterization="step")
+    def test_reports_echo_the_pair_draw(self):
+        # Both endpoints are drawn on the box; reports name that draw.
+        # linear shows no strict gains, cobb_douglas no violations.
+        v = check_gossen_law(oracle_by_name("linear"), trials=800, seed=2)
         assert v.holds and v.strict_count == 0
-        assert v.extras["parameterization"] == "step"
-        v = check_gossen_law(oracle_by_name("cobb_douglas"), trials=800,
-                             seed=2, parameterization="step")
+        assert v.extras["parameterization"] == "pair"
+        v = check_gossen_law(oracle_by_name("cobb_douglas"), trials=800, seed=2)
         assert v.holds and v.violation_count == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
             check_gossen_law(oracle_by_name("linear"), trials=0)
-        with pytest.raises(ConfigError, match="parameterization"):
-            check_gossen_law(oracle_by_name("linear"), parameterization="ray")
 
     def test_verdict_serialises(self):
         v = check_gossen_law(oracle_by_name("linear"), trials=50, seed=0)

@@ -123,11 +123,6 @@ class TestBoxDomain:
         with pytest.raises(ValueError, match="dimension 2"):
             BoxDomain([0.0, 0.0], [1.0, 1.0]).inside(np.zeros((3, 1)))
 
-    def test_clip(self):
-        box = BoxDomain([0.0, 0.0], [1.0, 1.0])
-        assert box.clip([-1.0, 0.5]).tolist() == [0.0, 0.5]
-        assert box.clip([2.0, 2.0]).tolist() == [1.0, 1.0]
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_sample_stays_inside(self, seed):

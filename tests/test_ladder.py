@@ -744,7 +744,7 @@ class TestAffineUniqueness:
         # One rung step of the fitted reconstruction plus alpha steps of
         # the other: 2**-6 + alpha * 2**-4.
         recon = reconstruct_utility(oracle_by_name("linear"), depth=4)
-        other = reconstruct_utility(oracle_by_name("linear"), depth=6, anchor_params=(0.1, 0.9))
+        other, = _recons(oracle_by_name("linear"), 6, (0.1, 0.9))
         fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
         assert fit.threshold == 2.0 ** -6 + abs(fit.alpha) * 2.0 ** -4
         assert fit.verdict == "pass"

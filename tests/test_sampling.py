@@ -128,9 +128,10 @@ class TestDraw:
             draw(self.BOX, points, 0, 0, 1)
 
 
-def _recon(anchor_params=(0.25, 0.75)):
-    return reconstruct_utility(oracle_by_name("cobb_douglas"), depth=4,
-                               anchor_params=anchor_params)
+def _recon(lo=0.25, hi=0.75):
+    oracle = oracle_by_name("cobb_douglas")
+    seg = oracle.domain.diagonal()
+    return reconstruct_utility(oracle, seg.at(lo), seg.at(hi), depth=4)
 
 
 # Every sampled checker outside the axioms, as (name, call(points, trials,
@@ -190,15 +191,11 @@ class TestPoints:
 
     OFF = [[3.0, 3.0], [11.0, 2.0], [4.0, 5.0], [2.0, 7.0]]
 
-    @pytest.mark.parametrize("check", sorted(_CHECKERS) + ["gossen-step"]
-                             + sorted(set(LIBRARY) - {"debreu"}))
+    @pytest.mark.parametrize("check", sorted(_CHECKERS) + sorted(set(LIBRARY) - {"debreu"}))
     def test_an_off_box_point_is_refused(self, check):
         oracle = oracle_by_name("cobb_douglas")
         if check in _CHECKERS:
             call = lambda n: _CHECKERS[check](oracle, points=self.OFF, trials=n, seed=1)
-        elif check == "gossen-step":
-            call = lambda n: check_gossen_law(oracle, points=self.OFF, trials=n, seed=1,
-                                              parameterization="step")
         else:
             call = lambda n: LIBRARY[check](self.OFF, n, oracle)
         with pytest.raises(DomainError, match=r"sampled point \[11.0, 2.0\] is outside"):
@@ -208,27 +205,20 @@ class TestPoints:
         report = LIBRARY["debreu"](self.OFF, 4, oracle_by_name("cobb_douglas"))
         assert report.skipped == 1 and report.passed
 
-    def test_gossen_step_takes_base_points_in_order(self):
-        # exp1d is convex, so every trial is a witness.  Trial i's base is
-        # row i of the cycle; its direction and step come first in its stream.
+    def test_gossen_takes_endpoints_in_order(self):
+        # exp1d is convex, so every trial of distinct points is a witness.
+        # Trial i's endpoints are rows 2i and 2i + 1 of the cycle.
         rows = [[0.2], [0.5], [0.7]]
-        report = check_gossen_law(oracle_by_name("exp1d"), points=rows, trials=5, seed=2,
-                                  parameterization="step")
+        report = check_gossen_law(oracle_by_name("exp1d"), points=rows, trials=5, seed=2)
         assert report.violation_count == 5
         for i, w in enumerate(report.violations):
-            x = rows[i % 3][0]
-            rng = subrng(2, i)
-            d = 1.0 if rng.standard_normal() > 0 else -1.0
-            step = ((1.0 - x) if d > 0 else x) * rng.random()
-            assert w.points["x"] == [x] and w.points["y"] == [x + d * step]
+            assert w.points["x"] == rows[2 * i % 3] and w.points["y"] == rows[(2 * i + 1) % 3]
 
 
-# Checkers outside LIBRARY that draw through ``draw``, or by trial.
+# Checkers outside LIBRARY that draw through ``draw``.
 OTHER_CHECKS = {
     "order-embedding": lambda n: order_embedding_check(_recon(), trials=n),
-    "affine": lambda n: verify_affine_uniqueness(_recon(), _recon((0.1, 0.9)), samples=n),
-    "gossen-step": lambda n: check_gossen_law(oracle_by_name("linear"), trials=n,
-                                              parameterization="step"),
+    "affine": lambda n: verify_affine_uniqueness(_recon(), _recon(0.1, 0.9), samples=n),
 }
 
 
