@@ -9,10 +9,11 @@ one-trial reference the tests use) or, when the caller passes
 into one array per point name, one row per trial.  In the predicate
 phase the axiom's predicate asks each of its stages with one
 ``compare_batch`` over the trials that earlier stages left undecided,
-and returns per trial a ``Witness``, ``None`` (it holds) or ``SKIP`` (its
-premise did not hold).  Every trial is asked what a loop over single
-trials would ask it, so reports and compare counts do not depend on the
-batching; ``replay_witness`` runs the same predicate on a batch of one,
+and tags each trial ``None`` (it holds), ``SKIP`` (its premise did not
+hold) or ``VIOLATION``; a ``Witness`` is built only for the first
+``WITNESS_CAP`` violations, which a report keeps.  Every trial is asked
+what a loop over single trials would ask it, so reports and compare
+counts do not depend on the batching; ``replay_witness`` runs the same predicate on a batch of one,
 the points of a stored witness.  Streams are derived per trial index, so
 a report regenerated from its stored seed is bit-identical.
 
@@ -199,21 +200,15 @@ def _row(points: dict, i: int, names) -> dict[str, list[float]]:
     return {name: _pt(points[name][i]) for name in names}
 
 
-def _fold(results, witness_cap: int) -> tuple[list[Witness], Counter]:
-    """Count per-trial outcomes.  A trial returns None when the property
-    holds, a ``Witness`` for a violation (counted as VIOLATION; the first
-    ``witness_cap`` are kept) or a tag string such as SKIP, counted under
-    itself."""
-    witnesses: list[Witness] = []
-    counts: Counter = Counter()
-    for r in results:
-        if isinstance(r, Witness):
-            if len(witnesses) < witness_cap:
-                witnesses.append(r)
-            r = VIOLATION
-        if r is not None:
-            counts[r] += 1
-    return witnesses, counts
+def _fold(tags: np.ndarray, witness: Callable[[int], Witness]) -> tuple[list[Witness], Counter]:
+    """Fold a predicate's output: count its per-trial tags, None where the
+    property holds (not counted) and VIOLATION, SKIP or another string each
+    under itself, and build with ``witness(i)`` the witnesses a report
+    keeps, those of the first ``WITNESS_CAP`` VIOLATION trials i in trial
+    order, and no others."""
+    counts = Counter(tags.tolist())
+    counts.pop(None, None)
+    return [witness(i) for i in np.flatnonzero(tags == VIOLATION)[:WITNESS_CAP].tolist()], counts
 
 
 def _collect(axiom: str, trials: int, seed: int, violations: list[Witness],
@@ -343,15 +338,12 @@ def _sign_match(label: str, quad: Callable):
     """Predicate of the two consistency axioms: the preference of x over
     y ([x,y] against [y,y]) and the comparison of ``quad(x, y, z)`` must
     have the same sign; a witness names the latter ``label``."""
-    def predicate(oracle: AltOracle, p: dict) -> list:
+    def predicate(oracle: AltOracle, p: dict) -> tuple:
         x, y, z = p["x"], p["y"], p["z"]
         pref = oracle.compare_batch(x, y, y, y)
         other = oracle.compare_batch(*quad(x, y, z))
-        out: list = [None] * len(x)
-        for i in np.flatnonzero(pref != other):
-            out[i] = Witness(_row(p, i, "xyz"), {"preference": _ORDER[pref[i]],
-                                                 label: _ORDER[other[i]]})
-        return out
+        return np.where(pref != other, VIOLATION, None), lambda i: Witness(
+            _row(p, i, "xyz"), {"preference": _ORDER[pref[i]], label: _ORDER[other[i]]})
     return predicate
 
 
@@ -360,34 +352,36 @@ _consistency = _sign_match("shifted", lambda x, y, z: (x, z, y, z))
 _second_consistency = _sign_match("mirrored", lambda x, y, z: (z, y, z, x))
 
 
-def _crossover(oracle: AltOracle, p: dict) -> list:
+def _crossover(oracle: AltOracle, p: dict) -> tuple:
     """[z,w] = [x,y] implies [x,z] = [y,w] (checked where w is given and
     not NaN), and [x,x] = [y,y] always.  SKIP when no Equal premise was
-    found."""
+    found.  ``p["manufactured"]`` marks premises found, less null failures."""
     x, y, w = p["x"], p["y"], p.get("w")
-    out: list = [SKIP] * len(x)
-    rebracket = np.zeros(len(x), dtype=bool)
+    premise = np.zeros(len(x), dtype=bool)
+    swapped = np.zeros(len(x), dtype=np.int8)
     if w is not None:
         j = np.flatnonzero(~np.isnan(w[:, 0]))
-        premise = oracle.compare_batch(p["z"][j], w[j], x[j], y[j])
-        j = j[premise == 0]
-        swapped = oracle.compare_batch(x[j], p["z"][j], y[j], w[j])
-        for i in j:
-            out[i] = None
-        for i, s in zip(j[swapped != 0], swapped[swapped != 0]):
-            out[i] = Witness(_row(p, i, QUAD), {"premise": EQUAL.value, "swapped": _ORDER[s]},
-                             note="rebracket")
-            rebracket[i] = True
-    rest = np.flatnonzero(~rebracket)
+        j = j[oracle.compare_batch(p["z"][j], w[j], x[j], y[j]) == 0]
+        premise[j] = True
+        swapped[j] = oracle.compare_batch(x[j], p["z"][j], y[j], w[j])
+    rest = np.flatnonzero(swapped == 0)        # a failed rebracket is not asked again
     xr, yr = x[rest], y[rest]
-    null = oracle.compare_batch(xr, xr, yr, yr)
-    for i, s in zip(rest[null != 0], null[null != 0]):
-        out[i] = Witness(_row(p, i, ("x", "y")), {"null_brackets": _ORDER[s]},
-                         note="null-brackets")
-    return out
+    null = np.zeros(len(x), dtype=np.int8)
+    null[rest] = oracle.compare_batch(xr, xr, yr, yr)
+    p["manufactured"] = premise & (null == 0)
+    tags = np.where(premise, None, SKIP)
+    tags[(swapped != 0) | (null != 0)] = VIOLATION
+
+    def witness(i: int) -> Witness:
+        if swapped[i]:
+            return Witness(_row(p, i, QUAD), {"premise": EQUAL.value,
+                                              "swapped": _ORDER[swapped[i]]}, note="rebracket")
+        return Witness(_row(p, i, ("x", "y")), {"null_brackets": _ORDER[null[i]]},
+                       note="null-brackets")
+    return tags, witness
 
 
-def _continuity(oracle: AltOracle, p: dict) -> list:
+def _continuity(oracle: AltOracle, p: dict) -> tuple:
     """A GREATER answer on x, y, z, w must not turn LESS on any moved copy:
     those of ``moved`` from a draw, or the one stored in a witness as
     ``x_moved`` ... ``w_moved``.  Probe k is asked of every GREATER trial
@@ -397,32 +391,35 @@ def _continuity(oracle: AltOracle, p: dict) -> list:
     else:
         moved = np.stack([p[n + "_moved"] for n in QUAD], axis=1)[:, None]
     base = oracle.compare_batch(*(p[n] for n in QUAD))
-    out: list = [None if b > 0 else SKIP for b in base]
+    tags = np.where(base > 0, None, SKIP)
+    probe = np.zeros(len(base), dtype=np.intp)     # the probe that flipped a trial
     live = np.flatnonzero(base > 0)
     for k in range(moved.shape[1]):
         if not live.size:
             break
-        copies = moved[live, k]
-        flipped = oracle.compare_batch(*copies.transpose(1, 0, 2)) < 0
-        for i, copy in zip(live[flipped], copies[flipped]):
-            points = _row(p, i, QUAD)
-            points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, copy)})
-            out[i] = Witness(points, {"base": GREATER.value, "perturbed": LESS.value})
+        flipped = oracle.compare_batch(*moved[live, k].transpose(1, 0, 2)) < 0
+        probe[live[flipped]] = k
+        tags[live[flipped]] = VIOLATION
         live = live[~flipped]
-    return out
+
+    def witness(i: int) -> Witness:
+        points = _row(p, i, QUAD)
+        points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, moved[i, probe[i]])})
+        return Witness(points, {"base": GREATER.value, "perturbed": LESS.value})
+    return tags, witness
 
 
-def _monotonicity(oracle: AltOracle, p: dict) -> list:
+def _monotonicity(oracle: AltOracle, p: dict) -> tuple:
     """x above y on every axis implies x strictly preferred to y."""
     x, y = p["x"], p["y"]
     dominates = np.all(x > y, axis=1)
-    out: list = [None if d else SKIP for d in dominates]
     j = np.flatnonzero(dominates)
     yj = y[j]
-    pref = oracle.compare_batch(x[j], yj, yj, yj)
-    for i, s in zip(j[pref <= 0], pref[pref <= 0]):
-        out[i] = Witness(_row(p, i, ("x", "y")), {"preference": _PREFERENCE[s]})
-    return out
+    pref = np.ones(len(x), dtype=np.int8)
+    pref[j] = oracle.compare_batch(x[j], yj, yj, yj)
+    tags = np.where(dominates, None, SKIP)
+    tags[pref <= 0] = VIOLATION
+    return tags, lambda i: Witness(_row(p, i, ("x", "y")), {"preference": _PREFERENCE[pref[i]]})
 
 
 _RULES = {
@@ -434,13 +431,14 @@ _RULES = {
 }
 
 
-def _trials(axiom: str, oracle: AltOracle, points: np.ndarray | None, trials: int,
-            seed: int, **params) -> list:
+def _check(axiom: str, oracle: AltOracle, points: np.ndarray | None, trials: int, seed: int,
+           proxy: bool = False, extras: dict | None = None, **params) -> AxiomReport:
     """The two phases of every checker: draw the instances of all trials
     (trial i from its stream under ``seed``, its points from ``points``
     when given), then apply the axiom's predicate to all of them at once."""
     draw_for, violation = _RULES[axiom]
-    return violation(oracle, draw_for(oracle, points, seed, trials, **params))
+    judged = violation(oracle, draw_for(oracle, points, seed, trials, **params))
+    return _collect(axiom, trials, seed, *_fold(*judged), proxy, extras)
 
 
 def check_consistency(oracle: AltOracle, points: np.ndarray | None = None,
@@ -450,16 +448,14 @@ def check_consistency(oracle: AltOracle, points: np.ndarray | None = None,
     the pair in both orders this is an exact sign match between the
     preference trichotomy and the shifted comparison.
     """
-    results = _trials("consistency", oracle, points, trials, seed)
-    return _collect("consistency", trials, seed, *_fold(results, WITNESS_CAP))
+    return _check("consistency", oracle, points, trials, seed)
 
 
 def check_second_consistency(oracle: AltOracle, points: np.ndarray | None = None,
                              trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Mirror form of consistency on the second slot: x weakly preferred
     to y iff [z,y] >= [z,x]."""
-    results = _trials("second-consistency", oracle, points, trials, seed)
-    return _collect("second-consistency", trials, seed, *_fold(results, WITNESS_CAP))
+    return _check("second-consistency", oracle, points, trials, seed)
 
 
 def check_crossover(oracle: AltOracle, points: np.ndarray | None = None,
@@ -476,11 +472,9 @@ def check_crossover(oracle: AltOracle, points: np.ndarray | None = None,
     failed.  Each trial also asserts the degenerate consequence
     [x,x] = [y,y].
     """
-    results = _trials("crossover", oracle, points, trials, seed)
-    manufactured = sum(1 for r in results
-                       if r is None or (isinstance(r, Witness) and r.note == "rebracket"))
-    return _collect("crossover", trials, seed, *_fold(results, WITNESS_CAP),
-                    extras={"manufactured": manufactured})
+    p = _draw_crossover(oracle, points, seed, trials)
+    return _collect("crossover", trials, seed, *_fold(*_crossover(oracle, p)),
+                    extras={"manufactured": int(np.count_nonzero(p["manufactured"]))})
 
 
 def check_continuity_proxy(oracle: AltOracle, points: np.ndarray | None = None,
@@ -494,17 +488,14 @@ def check_continuity_proxy(oracle: AltOracle, points: np.ndarray | None = None,
     defaults to just above the equality dead band so that continuous
     systems keep comfortable margins while jump discontinuities still flip.
     """
-    results = _trials("continuity-proxy", oracle, points, trials, seed,
-                      delta=delta, probes=probes)
-    return _collect("continuity-proxy", trials, seed, *_fold(results, WITNESS_CAP),
-                    proxy=True, extras={"delta": delta, "probes": probes})
+    return _check("continuity-proxy", oracle, points, trials, seed, True,
+                  {"delta": delta, "probes": probes}, delta=delta, probes=probes)
 
 
 def check_monotonicity(oracle: AltOracle, points: np.ndarray | None = None,
                        trials: int = 1000, seed: int = 0) -> AxiomReport:
     """Coordinatewise strict dominance must imply strict preference."""
-    results = _trials("monotonicity", oracle, points, trials, seed)
-    return _collect("monotonicity", trials, seed, *_fold(results, WITNESS_CAP))
+    return _check("monotonicity", oracle, points, trials, seed)
 
 
 _CHECKERS: dict[str, Callable] = {
@@ -536,4 +527,4 @@ def replay_witness(oracle: AltOracle, axiom: str, witness: Witness) -> bool:
     if axiom not in _RULES:
         raise ValueError(f"no replay rule for axiom {axiom!r}")
     pts = {k: np.asarray(v, dtype=float)[None] for k, v in witness.points.items()}
-    return isinstance(_RULES[axiom][1](oracle, pts)[0], Witness)
+    return _RULES[axiom][1](oracle, pts)[0][0] == VIOLATION

@@ -128,19 +128,15 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
         raise ConfigError(f"pair {pair} out of range for dimension {X.shape[1]}")
     _require_margin(box, X, h)
     (est_h, est_h2), rounding = second_differences(u_fn, X, i, j, (h, 0.5 * h))
-    out: list[AlepClassification] = []
-    for x, e_h, e_h2, r in zip(X, est_h, est_h2, 0.5 * rounding.sum(axis=0)):
-        estimate = 0.5 * (e_h + e_h2)
-        if abs(e_h - e_h2) > max(threshold, 0.25 * abs(estimate)):
-            label = INDETERMINATE
-        elif estimate < -(threshold + r):
-            label = SUBSTITUTE
-        elif estimate > threshold + r:
-            label = COMPLEMENT
-        elif abs(estimate) <= threshold - r:
-            label = NEUTRAL
-        else:
-            label = INDETERMINATE
-        out.append(AlepClassification([float(v) for v in x], (i, j), float(estimate),
-                                      float(e_h), float(e_h2), label, h, threshold))
-    return out
+    # Silent on overflow and NaN, as float arithmetic is; fmax skips a NaN
+    # estimate, as max(threshold, nan) does.
+    with np.errstate(all="ignore"):
+        r = 0.5 * rounding.sum(axis=0)
+        estimate = 0.5 * (est_h + est_h2)
+        labels = np.select([np.abs(est_h - est_h2) > np.fmax(threshold, 0.25 * np.abs(estimate)),
+                            estimate < -(threshold + r), estimate > threshold + r,
+                            np.abs(estimate) <= threshold - r],
+                           [INDETERMINATE, SUBSTITUTE, COMPLEMENT, NEUTRAL], INDETERMINATE)
+    return [AlepClassification(x, (i, j), e, e_h, e_h2, label, h, threshold)
+            for x, e, e_h, e_h2, label in zip(X.tolist(), estimate.tolist(), est_h.tolist(),
+                                              est_h2.tolist(), labels.tolist())]

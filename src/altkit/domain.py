@@ -20,6 +20,8 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     if type(coords) is np.ndarray and coords.dtype == np.float64 and coords.ndim == 1:
         x = coords
     else:
+        if type(coords) is bool or isinstance(coords, (list, tuple)) and bool in map(type, coords):
+            raise ValueError(f"point coordinates must be numbers, not bools: {coords!r}")
         x = np.asarray(coords, dtype=float)
         if x.ndim == 0:
             x = x.reshape(1)

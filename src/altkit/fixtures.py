@@ -340,17 +340,11 @@ def intensity_catalog() -> list[IntensitySpec]:
 
 
 def utility_by_name(name: str) -> UtilitySpec:
-    for spec in catalog():
-        if spec.name == name:
-            return spec
-    raise KeyError(name)
+    return {spec.name: spec for spec in catalog()}[name]
 
 
 def intensity_by_name(name: str) -> IntensitySpec:
-    for spec in intensity_catalog():
-        if spec.name == name:
-            return spec
-    raise KeyError(name)
+    return {spec.name: spec for spec in intensity_catalog()}[name]
 
 
 def oracle_by_name(name: str, domain: BoxDomain | None = None,
@@ -387,8 +381,14 @@ def _running(better):
     return fold
 
 
+def _sqrt(X):
+    if (X < 0).any():
+        raise ValueError("math domain error")
+    return np.sqrt(X)
+
+
 # name: (function over arrays, number of arguments; None for two or more)
-_OPS = {"sqrt": (_libm(math.sqrt), 1), "log": (_log, 1), "exp": (_exp, 1),
+_OPS = {"sqrt": (_sqrt, 1), "log": (_log, 1), "exp": (_exp, 1),
         "neg": (np.negative, 1), "add": (np.add, 2), "sub": (np.subtract, 2),
         "mul": (np.multiply, 2), "div": (np.divide, 2), "pow": (_libm(math.pow, 2), 2),
         "min": (_running(np.less), None), "max": (_running(np.greater), None)}
@@ -402,13 +402,14 @@ def parse_expression(node, dim: int) -> BatchEvaluator:
     other list is ``[op, arg, ...]`` with op drawn from add/sub/mul/div/pow
     (binary), sqrt/log/exp/neg (unary), min/max (2+ args).  ``div`` is IEEE
     division, so a zero divisor gives an infinite or NaN value, which the
-    oracle rejects where it reaches a compared value.  ``sqrt``, ``log``,
-    ``exp`` and ``pow`` are the math module's, one element at a time, and
-    raise as it does, e.g. ValueError where the power is not real, so no
-    such NaN reaches a min or max.  Their values are libm's whatever numpy's
-    CPU dispatch; ``tests/test_dispatch.py`` holds the golden reports with
-    numpy's AVX2 and AVX-512 code disabled.  A list nested more than
-    ``MAX_EXPRESSION_DEPTH`` deep raises ConfigError.
+    oracle rejects where it reaches a compared value.  ``sqrt`` is numpy's,
+    correctly rounded as IEEE requires and so math.sqrt's bit for bit, and
+    ``log``, ``exp`` and ``pow`` are the math module's, one element at a
+    time, libm's whatever numpy's CPU dispatch; all raise as the math module
+    does, e.g. ValueError on a negative square root or where the power is
+    not real, so no such NaN reaches a min or max.  ``tests/test_dispatch.py``
+    holds the golden reports with numpy's AVX2 and AVX-512 code disabled.  A
+    list nested more than ``MAX_EXPRESSION_DEPTH`` deep raises ConfigError.
     """
     def build(node, depth: int) -> BatchEvaluator:
         if isinstance(node, (int, float)) and not isinstance(node, bool):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .axioms import (_PREFERENCE, QUAD, SKIP, WITNESS_CAP, AxiomReport, Record, Witness,
+from .axioms import (_ORDER, _PREFERENCE, QUAD, SKIP, VIOLATION, AxiomReport, Record, Witness,
                      _collect, _fold, _pt)
 from .domain import Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
@@ -30,8 +30,6 @@ from .oracle import AltOracle, IntensityOrder
 from .sampling import draw, run_indexed, subrng  # noqa: F401
 from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F401
                       indifference_param_many, pinned_rows)
-
-GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
 MAX_RUNGS_PER_LEVEL = 200_000
 
@@ -228,7 +226,7 @@ def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
     points = [y, x]
     k = 1
     while True:
-        if oracle.compare(x, y, z, points[-1]) is GREATER:
+        if oracle.compare(x, y, z, points[-1]) is IntensityOrder.GREATER:
             return k, points
         if k >= cap:
             raise ArchimedeanError(f"no finite step count within cap={cap}")
@@ -277,33 +275,9 @@ class ReconstructedUtility(Record):
         return float(self.evaluate_many([x])[0])
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """Values of every point of ``xs``.  A point indifferent to an
-        anchor takes its value; the others are solved to their indifferent
-        segment parameters in lockstep and interpolated between rungs, or
-        clamped to an edge value (and counted) outside the rung range.  A
-        point gets the same value after the same number of compares
-        whatever the other points are."""
-        oracle, ladder = self.oracle, self.ladder
-        xs = oracle.domain.require_many(xs)
-        values = np.empty(len(xs))
-        rest = np.arange(len(xs))
-        for anchor, value in ((ladder.anchor_lo, 0.0), (ladder.anchor_hi, 1.0)):
-            a = np.broadcast_to(anchor, (rest.size, oracle.dim))
-            equal = oracle.compare_batch(xs[rest], a, a, a) == 0
-            values[rest[equal]] = value
-            rest = rest[~equal]
-        t, clamp = indifference_param_many(oracle, ladder.segment, xs[rest], self.tol_t)
-        params, vals = self._params, self._values
-        below = (clamp < 0) | (t <= params[0])
-        above = ~below & ((clamp > 0) | (t >= params[-1]))
-        self.clamped += int(np.count_nonzero(
-            (below & ((clamp < 0) | (t < params[0])))
-            | (above & ((clamp > 0) | (t > params[-1])))))
-        j = np.clip(np.searchsorted(params, t), 1, params.size - 1)
-        frac = (t - params[j - 1]) / (params[j] - params[j - 1])
-        inside = vals[j - 1] + frac * (vals[j] - vals[j - 1])
-        values[rest] = np.where(below, vals[0], np.where(above, vals[-1], inside))
-        return values
+        """Values of every point of ``xs``: :func:`evaluate_together` of this
+        reconstruction alone."""
+        return evaluate_together([self], xs)[0]
 
     def __call__(self, x) -> float:
         return self.evaluate(x)
@@ -317,6 +291,42 @@ class ReconstructedUtility(Record):
             "oracle_calls": self.ladder.oracle_calls,
             "clamped_evaluations": self.clamped,
         }
+
+
+def evaluate_together(recons: Sequence[ReconstructedUtility], xs) -> list[np.ndarray]:
+    """Per reconstruction r of ``recons`` (one oracle, segment and tol_t),
+    the values of the points of ``xs``: a point indifferent to an anchor of
+    r takes its value, and the others, solved once for all r in one lockstep
+    solve, are interpolated between r's rungs or clamped to an edge value
+    (and counted).  A point's values do not depend on the other points."""
+    oracle = recons[0].oracle
+    xs = oracle.domain.require_many(xs)
+    parts, off = [], np.zeros(len(xs), dtype=bool)     # off: off an anchor of some r
+    for r in recons:
+        values, rest = np.empty(len(xs)), np.arange(len(xs))
+        for anchor, value in ((r.ladder.anchor_lo, 0.0), (r.ladder.anchor_hi, 1.0)):
+            a = np.broadcast_to(anchor, (rest.size, oracle.dim))
+            equal = oracle.compare_batch(xs[rest], a, a, a) == 0
+            values[rest[equal]] = value
+            rest = rest[~equal]
+        parts.append((values, rest))
+        off[rest] = True
+    union = np.flatnonzero(off)
+    t_all, clamp_all = indifference_param_many(oracle, recons[0].ladder.segment, xs[union],
+                                               recons[0].tol_t)
+    for r, (values, rest) in zip(recons, parts):
+        k = np.searchsorted(union, rest)
+        t, clamp, params, vals = t_all[k], clamp_all[k], r._params, r._values
+        below = (clamp < 0) | (t <= params[0])
+        above = ~below & ((clamp > 0) | (t >= params[-1]))
+        r.clamped += int(np.count_nonzero(
+            (below & ((clamp < 0) | (t < params[0])))
+            | (above & ((clamp > 0) | (t > params[-1])))))
+        j = np.clip(np.searchsorted(params, t), 1, params.size - 1)
+        frac = (t - params[j - 1]) / (params[j] - params[j - 1])
+        inside = vals[j - 1] + frac * (vals[j] - vals[j - 1])
+        values[rest] = np.where(below, vals[0], np.where(above, vals[-1], inside))
+    return [values for values, _ in parts]
 
 
 def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int = 10,
@@ -355,8 +365,9 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: Reconstruct
     2**-depth_b + |alpha| * 2**-depth_a, unless ``threshold`` is given.
     """
     rng_points = draw(recon_a.oracle.domain, None, seed, samples, 1)[0][:, 0]
-    u_a = recon_a.evaluate_many(rng_points)
-    u_b = recon_b.evaluate_many(rng_points)
+    solve = [(r.oracle, r.ladder.segment, r.tol_t) for r in (recon_a, recon_b)]
+    u_a, u_b = (evaluate_together([recon_a, recon_b], rng_points) if solve[0] == solve[1]
+                else [r.evaluate_many(rng_points) for r in (recon_a, recon_b)])
     if float(np.var(u_a)) < 1e-18:
         raise DegenerateFitError("no utility variance across samples; cannot fit")
     alpha, beta = np.polyfit(u_a, u_b, 1)
@@ -404,11 +415,11 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | 
         q, zp, lo_q = q[above], zp[above], lo[idx[q[above]]]
         found[q[oracle.compare_batch(zp, lo_q, lo_q, lo_q) > 0]] = True
 
-    results: list = [SKIP] * trials
-    for q, i in enumerate(idx.tolist()):
-        results[i] = None if found[q] else Witness(
-            {"hi": _pt(hi[i]), "lo": _pt(lo[i])}, {"reconstructed_gap": f"{gap[q]:.6g}"})
-    return _collect("density", trials, seed, *_fold(results, WITNESS_CAP),
+    tags = np.full(trials, SKIP, dtype=object)
+    tags[idx] = np.where(found, None, VIOLATION)
+    return _collect("density", trials, seed, *_fold(tags, lambda i: Witness(
+        {"hi": _pt(hi[i]), "lo": _pt(lo[i])},
+        {"reconstructed_gap": f"{gap[np.searchsorted(idx, i)]:.6g}"})),
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
 
@@ -424,17 +435,16 @@ def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
     u = recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
     d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])
     judged = np.flatnonzero(np.abs(d_hat) > dead_band)
-    answers = oracle.compare_batch(*(quads[judged, k] for k in range(4)))
-    results: list = [None] * trials
-    for i, c in zip(judged.tolist(), answers.tolist()):
-        predicted = GREATER if d_hat[i] > 0 else LESS
-        if c != predicted.sign:
-            results[i] = Witness({n: _pt(p) for n, p in zip(QUAD, quads[i])},
-                                 {"oracle": (LESS, EQUAL, GREATER)[c + 1].value,
-                                  "reconstruction": predicted.value,
-                                  "value_difference": f"{d_hat[i]:.6g}"})
+    predicted = np.where(d_hat > 0, 1, -1)
+    answers = predicted.copy()                  # a trial in the band is not asked
+    answers[judged] = oracle.compare_batch(*(quads[judged, k] for k in range(4)))
 
-    return _collect("representation", trials, seed, *_fold(results, WITNESS_CAP),
+    def witness(i: int) -> Witness:
+        return Witness({n: _pt(p) for n, p in zip(QUAD, quads[i])},
+                       {"oracle": _ORDER[answers[i]], "reconstruction": _ORDER[predicted[i]],
+                        "value_difference": f"{d_hat[i]:.6g}"})
+    return _collect("representation", trials, seed,
+                    *_fold(np.where(answers != predicted, VIOLATION, None), witness),
                     extras={"dead_band": dead_band, "in_band": trials - judged.size})
 
 
@@ -453,15 +463,14 @@ def order_embedding_check(recon: ReconstructedUtility, trials: int = 1000,
     d = u[:, 0] - u[:, 1]
     judged = np.flatnonzero(np.abs(d) > dead_band)
     a, b = pairs[judged, 0], pairs[judged, 1]
-    answers = oracle.compare_batch(a, b, b, b)
-    results: list = ["in-band"] * trials
-    for i, p in zip(judged.tolist(), answers.tolist()):
-        expected = 1 if d[i] > 0 else -1
-        results[i] = None if p == expected else Witness(
-            {"a": _pt(pairs[i, 0]), "b": _pt(pairs[i, 1])},
-            {"oracle": _PREFERENCE[p], "reconstruction": _PREFERENCE[expected],
-             "value_difference": f"{d[i]:.6g}"})
-
-    violations, counts = _fold(results, WITNESS_CAP)
+    expected = np.where(d > 0, 1, -1)
+    answers = np.zeros(trials, dtype=np.int8)
+    answers[judged] = oracle.compare_batch(a, b, b, b)
+    tags = np.full(trials, "in-band", dtype=object)
+    tags[judged] = np.where(answers[judged] == expected[judged], None, VIOLATION)
+    violations, counts = _fold(tags, lambda i: Witness(
+        {"a": _pt(pairs[i, 0]), "b": _pt(pairs[i, 1])},
+        {"oracle": _PREFERENCE[answers[i]], "reconstruction": _PREFERENCE[expected[i]],
+         "value_difference": f"{d[i]:.6g}"}))
     return _collect("order-embedding", trials, seed, violations, counts,
                     extras={"dead_band": dead_band, "in_band": counts["in-band"]})

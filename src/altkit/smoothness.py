@@ -13,12 +13,11 @@ calibrated in one lockstep solve.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axioms import SKIP, WITNESS_CAP, AxiomReport, Record, Witness, _collect, _fold, _pt
+from .axioms import SKIP, VIOLATION, AxiomReport, Record, Witness, _collect, _fold, _pt
 from .domain import Segment
 from .errors import (AltkitError, ConfigError, ConstructionError, DomainError,
                      OrderingError, RangeError)
@@ -247,30 +246,30 @@ def debreu_smoothness_proxy(oracle: AltOracle, points: np.ndarray | None = None,
     except DomainError:
         pass                                     # the box holds no diagonal ray
 
-    def judge(x: np.ndarray, a: list[float]):
-        a0 = a[0]
-        if math.isnan(a0):
-            return SKIP
-        for axis in range(box.dim):
-            a_p, a_m, a_ph, a_mh = a[1 + 4 * axis:5 + 4 * axis]
-            if any(map(math.isnan, (a_p, a_m, a_ph, a_mh))):
-                return SKIP
-            h = float(h_vec[axis])
-            d1 = (a_p - a_m) / (2.0 * h)
-            d2 = (a_ph - a_mh) / h
-            left = (a0 - a_mh) / (0.5 * h)
-            right = (a_ph - a0) / (0.5 * h)
-            outputs = {"axis": str(axis), "central_h": f"{d1:.6g}",
-                       "central_h2": f"{d2:.6g}", "left": f"{left:.6g}",
-                       "right": f"{right:.6g}"}
-            if abs(d2 - d1) > REL_TOL * max(1.0, abs(d2)):
-                return Witness({"x": _pt(x)}, outputs, note="step-halving drift")
-            if abs(left - right) > ONE_SIDED_TOL * max(1.0, abs(d2)):
-                return Witness({"x": _pt(x)}, outputs, note="one-sided kink")
-        return None
+    # Per trial and axis, the h and h/2 central and the h/2 one-sided
+    # differences.  Axes are judged in order: a trial skips at the first with
+    # a NaN scale, fails at the first with drift or else a kink, or holds.
+    a = scales.reshape(trials, -1)
+    a0 = a[:, :1]
+    a_p, a_m, a_ph, a_mh = (a[:, 1 + k::4] for k in range(4))
+    d1, d2 = (a_p - a_m) / (2.0 * h_vec), (a_ph - a_mh) / h_vec
+    left, right = (a0 - a_mh) / (0.5 * h_vec), (a_ph - a0) / (0.5 * h_vec)
+    scale = np.fmax(1.0, np.abs(d2))             # fmax keeps 1.0 over NaN, as max does
+    code = np.select([np.isnan(a[:, 1:]).reshape(trials, box.dim, 4).any(axis=2),
+                      np.abs(d2 - d1) > REL_TOL * scale,
+                      np.abs(left - right) > ONE_SIDED_TOL * scale], [1, 2, 3], 0)
+    axis = (code != 0).argmax(axis=1)
+    code = code[np.arange(trials), axis]
+    tags = np.where(np.isnan(a0[:, 0]) | (code == 1), SKIP, np.where(code > 1, VIOLATION, None))
 
-    results = [judge(x[0], a) for x, a in zip(xs, scales.reshape(trials, -1).tolist())]
-    return _collect("debreu-smoothness-proxy", trials, seed,
-                    *_fold(results, WITNESS_CAP), proxy=True,
+    def witness(i: int) -> Witness:
+        k = axis[i]
+        outputs = {"axis": str(k), "central_h": f"{d1[i, k]:.6g}",
+                   "central_h2": f"{d2[i, k]:.6g}", "left": f"{left[i, k]:.6g}",
+                   "right": f"{right[i, k]:.6g}"}
+        return Witness({"x": _pt(xs[i, 0])}, outputs,
+                       note="step-halving drift" if code[i] == 2 else "one-sided kink")
+
+    return _collect("debreu-smoothness-proxy", trials, seed, *_fold(tags, witness), proxy=True,
                     extras={"h_fraction": h_fraction, "rel_tol": REL_TOL,
                             "one_sided_tol": ONE_SIDED_TOL})

@@ -23,3 +23,18 @@ def catalog_names():
 @pytest.fixture
 def cobb_spec():
     return utility_by_name("cobb_douglas")
+
+
+@pytest.fixture
+def built_witnesses(monkeypatch):
+    """The list of every ``Witness`` constructed while the test runs."""
+    from altkit.axioms import Witness
+
+    built = []
+    init = Witness.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Witness, "__init__", counting)
+    return built

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from altkit.axioms import (ALL_AXIOMS, SCAN_CHUNK, AxiomReport, Witness, _scan_for_equal,
+from altkit.axioms import (ALL_AXIOMS, SCAN_CHUNK, WITNESS_CAP, AxiomReport, Witness,
+                           _draw_crossover, _scan_for_equal,
                            check_consistency, check_continuity_proxy,
                            check_crossover, check_monotonicity,
                            check_second_consistency, replay_witness,
                            run_axiom_suite)
+from altkit.cli import main
 from altkit.domain import BoxDomain
 from altkit.fixtures import (IntensitySpec, catalog, make_difference_oracle,
                              make_intensity_oracle, oracle_by_name, utility_from_json)
@@ -73,7 +75,59 @@ class TestSecondConsistency:
         assert "mirrored" in rep.violations[0].outputs
 
 
+def reference_crossover(oracle, p):
+    """The crossover predicate as a loop over its trials, with a Witness
+    for every violation, and the count of manufactured premises read from
+    those witnesses: trials that hold, and rebracket violations."""
+    out = []
+    for i in range(len(p["x"])):
+        x, y, z, w = (p[n][i] for n in "xyzw")
+        r = "skip"
+        if not np.isnan(w[0]) and oracle.compare(z, w, x, y) is E:
+            r = None
+            swapped = oracle.compare(x, z, y, w)
+            if swapped is not E:
+                r = Witness({n: p[n][i].tolist() for n in "xyzw"},
+                            {"premise": "equal", "swapped": swapped.value}, note="rebracket")
+        if not isinstance(r, Witness) and (null := oracle.compare(x, x, y, y)) is not E:
+            r = Witness({"x": x.tolist(), "y": y.tolist()}, {"null_brackets": null.value},
+                        note="null-brackets")
+        out.append(r)
+    manufactured = sum(r is None or (isinstance(r, Witness) and r.note == "rebracket")
+                       for r in out)
+    return out, manufactured
+
+
+def _null_broken_oracle():
+    """g(x, y) = x - y off the diagonal and g(x, x) = x: every manufactured
+    premise survives the exchange, and every null bracket fails."""
+    spec = IntensitySpec("null_broken", 1, None, BoxDomain([0.0], [10.0]),
+                         batch=lambda X, Y: np.where(X[:, 0] == Y[:, 0], X[:, 0],
+                                                     X[:, 0] - Y[:, 0]))
+    return make_intensity_oracle(spec)
+
+
 class TestCrossover:
+    @pytest.mark.parametrize("name", ["broken_crossover", "cobb_douglas", "neg_quadratic",
+                                      "step", "constant", "null_broken"])
+    def test_manufactured_and_witnesses_match_the_per_trial_reference(self, name):
+        oracle = _null_broken_oracle() if name == "null_broken" else oracle_by_name(name)
+        for seed in range(10):
+            rep = check_crossover(oracle, trials=200, seed=seed)
+            results, manufactured = reference_crossover(
+                oracle, _draw_crossover(oracle, None, seed, 200))
+            witnesses = [r for r in results if isinstance(r, Witness)]
+            assert rep.extras["manufactured"] == manufactured
+            assert rep.violation_count == len(witnesses)
+            assert rep.skipped == results.count("skip")
+            assert rep.to_dict()["violations"] == [w.to_dict() for w in witnesses[:WITNESS_CAP]]
+
+    def test_premise_failing_null_brackets_is_not_manufactured(self):
+        rep = check_crossover(_null_broken_oracle(), trials=200, seed=0)
+        assert rep.extras["manufactured"] == 0 and rep.skipped == 0
+        assert rep.violation_count == 200
+        assert {w.note for w in rep.violations} == {"null-brackets"}
+
     def test_difference_oracle_passes_and_manufactures(self, cobb_oracle):
         rep = check_crossover(cobb_oracle, trials=1000, seed=0)
         assert rep.passed
@@ -252,6 +306,31 @@ class TestBatchedCheckers:
             assert oracle.calls == calls, axiom
             for w in report.violations:
                 assert replay_witness(oracle, axiom, w), (axiom, w)
+
+    def test_verify_builds_only_the_kept_witnesses(self, built_witnesses, tmp_path):
+        assert main(["verify", "--oracle", "broken_crossover",
+                     "--outdir", str(tmp_path)]) == 1
+        kept = []
+        for axiom in ALL_AXIOMS:
+            report = json.loads((tmp_path / f"verify-{axiom}.json").read_text())["report"]
+            assert len(report["violations"]) <= WITNESS_CAP
+            kept += report["violations"]
+        assert [w.to_dict() for w in built_witnesses] == kept
+
+    def test_each_axiom_builds_only_its_kept_witnesses(self, built_witnesses):
+        # Together these oracles fail every axiom on more than WITNESS_CAP trials.
+        jumpy = IntensitySpec("jumpy", 1, None, BoxDomain([0.0], [1.0]), batch=lambda X, Y: (
+            np.where(np.floor(X[:, 0] * 1e9) % 2 == 0, 1.0, -1.0) * (X[:, 0] - Y[:, 0])))
+        over_cap = set()
+        for oracle in (oracle_by_name("broken_crossover"), oracle_by_name("step"),
+                       _inconsistent_oracle(), make_intensity_oracle(jumpy)):
+            for axiom in ALL_AXIOMS:
+                report = run_axiom_suite(oracle, [axiom])[axiom]
+                assert built_witnesses == report.violations, (oracle.name, axiom)
+                built_witnesses.clear()
+                if report.violation_count > WITNESS_CAP:
+                    over_cap.add(axiom)
+        assert over_cap == set(ALL_AXIOMS)
 
     def test_every_catalog_oracle_answers_in_batches(self):
         names = [s.name for s in catalog()] + ["broken_crossover", "constant"]

@@ -407,7 +407,19 @@ REFUSED_UTILITIES = {
     "over-cap": _utility(_nested(MAX_EXPRESSION_DEPTH + 1)),
     "json-3000-deep": '{"name": "b", "dimension": 2, "expr": '
                       + '["neg", ' * 2998 + '["add", ["x", 0], ["x", 1]]' + "]" * 2998 + "}",
+    # A bool is not a coordinate, although float(true) is 1.0.
+    "domain-lower-true": json.dumps({"name": "b", "dimension": 2, "expr": ["x", 0],
+                                     "domain": {"lower": [True, 0.5], "upper": [2, 2]}}),
+    "domain-lower-false": json.dumps({"name": "b", "dimension": 2, "expr": ["x", 0],
+                                      "domain": {"lower": [False, 0.5], "upper": [2, 2]}}),
+    "domain-upper-true": json.dumps({"name": "b", "dimension": 2, "expr": ["x", 0],
+                                     "domain": {"lower": [0.5, 0.5], "upper": [2, True]}}),
 }
+# Config domains every command must refuse the same way.
+BOOL_DOMAINS = [{"lower": [True, 0.5], "upper": [2, 2]},
+                {"lower": [False, 0.5], "upper": [2, 2]},
+                {"lower": [0.5, 0.5], "upper": [2, True]},
+                {"lower": True, "upper": [2, 2]}]
 # Each command with small sizes, as run on a utility file.
 SMALL_RUNS = {
     "verify": ["--trials", "5"],
@@ -430,6 +442,18 @@ class TestUtilityExpressionLimits:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    @pytest.mark.parametrize("domain", range(len(BOOL_DOMAINS)))
+    def test_bool_domain_corner_in_config_refused(self, domain, command, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"oracle": "linear", "domain": BOOL_DOMAINS[domain]}))
+        rc = main([command, "--config", str(config), *SMALL_RUNS[command],
+                   "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: domain override")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", sorted(SMALL_RUNS))

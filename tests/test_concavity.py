@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from altkit.axioms import Witness, _fold, _pt
+from altkit.axioms import VIOLATION, WITNESS_CAP, Witness, _fold, _pt
 from altkit.concavity import (STRICTNESS_FLOOR_FRACTION, _dyadic_params, _judge,
                               check_gossen_law, check_midpoint_concavity,
                               concavity_roundtrip)
@@ -18,21 +18,32 @@ SPECS = {s.name: s for s in catalog()}
 UNIT_BOX = BoxDomain([0.0], [1.0])
 
 
+def fold(results):
+    """``_fold`` of per-trial results: tags, with a Witness for each violation."""
+    tags = np.array([VIOLATION if isinstance(r, Witness) else r for r in results], dtype=object)
+    return _fold(tags, results.__getitem__)
+
+
+def _pair(domain, points, seed: int, i: int):
+    """Trial i's endpoints: drawn from ``subrng(seed, i)``, or rows 2i and
+    2i + 1 of ``points`` round the cycle."""
+    if points is None:
+        rng = subrng(seed, i)
+        return domain.sample(rng), domain.sample(rng)
+    return (np.asarray(points[j % len(points)], dtype=float) for j in (2 * i, 2 * i + 1))
+
+
 def reference_midpoint_concavity(u_fn, domain, points=None, trials=200, seed=0, tol=0.0,
-                                 dyadic_depth=None):
+                                 dyadic_depth=None, floor=None):
     """``check_midpoint_concavity`` one trial and one point at a time, on
-    the same draws: trial i draws x and y from ``subrng(seed, i)``, or
-    takes rows 2i and 2i + 1 of ``points`` round the cycle, and stops at
-    its first chord point below the chord."""
-    floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
+    the same draws, stopping at each trial's first chord point below the
+    chord, with a Witness for every violating trial."""
+    if floor is None:
+        floor = STRICTNESS_FLOOR_FRACTION * domain.diameter
     params = _dyadic_params(dyadic_depth) if dyadic_depth else [0.5]
 
     def trial(i: int):
-        if points is None:
-            rng = subrng(seed, i)
-            x, y = domain.sample(rng), domain.sample(rng)
-        else:
-            x, y = (np.asarray(points[j % len(points)], dtype=float) for j in (2 * i, 2 * i + 1))
+        x, y = _pair(domain, points, seed, i)
         ux, uy = u_fn(x), u_fn(y)
         worst = np.inf
         for t in params:
@@ -48,8 +59,47 @@ def reference_midpoint_concavity(u_fn, domain, points=None, trials=200, seed=0, 
         return "strict" if worst > 0 else "equal"
 
     return _judge("midpoint-concavity", trials, seed,
-                  *_fold([trial(i) for i in range(trials)], 10), floor,
+                  *fold([trial(i) for i in range(trials)]), floor,
                   dyadic_depth=dyadic_depth, extras={"tol": tol})
+
+
+def reference_gossen_law(oracle, points=None, trials=1000, seed=0, floor=None):
+    """``check_gossen_law`` one trial and one compare at a time, on the
+    same draws, with a Witness for every violating trial."""
+    if floor is None:
+        floor = STRICTNESS_FLOOR_FRACTION * oracle.domain.diameter
+
+    def trial(i: int):
+        x, y = _pair(oracle.domain, points, seed, i)
+        z = 0.5 * (x + y)
+        law = oracle.compare(z, x, y, z)
+        if law is IntensityOrder.LESS:
+            return Witness({"x": _pt(x), "y": _pt(y), "z": _pt(z)}, {"midpoint_law": "less"})
+        if float(np.linalg.norm(x - y)) < floor:
+            return "below-floor"
+        return "strict" if law is IntensityOrder.GREATER else "equal"
+
+    return _judge("gossen-first-law", trials, seed,
+                  *fold([trial(i) for i in range(trials)]), floor,
+                  extras={"parameterization": "pair", "oracle": oracle.name})
+
+
+def near_floor_pairs(box, n: int, seed: int):
+    """Rows 2i and 2i + 1 are pairs of box points 1e-6 of the box diameter
+    apart, give or take a few ulps, and floors to judge them against: the
+    default, and for the first pairs the norm of their difference measured
+    one row at a time and all rows at once, which may differ in the last
+    bits."""
+    rng = np.random.default_rng(seed)
+    floor = STRICTNESS_FLOOR_FRACTION * box.diameter
+    x = box.lower + 0.5 * box.extent * rng.random((n, box.dim))
+    d = rng.standard_normal((n, box.dim))
+    d *= floor * (1.0 + 2e-16 * rng.integers(-3, 4, (n, 1))) / np.linalg.norm(d, axis=1)[:, None]
+    points = np.stack([x, x + d], axis=1).reshape(-1, box.dim)
+    diff = points[0::2] - points[1::2]
+    floors = {None, *np.linalg.norm(diff[:20], axis=1).tolist(),
+              *(float(np.linalg.norm(row)) for row in diff[:20])}
+    return points, floors
 
 
 class TestGossenLaw:
@@ -92,6 +142,27 @@ class TestGossenLaw:
         v = check_gossen_law(oracle_by_name("exp1d"), trials=200, seed=0)
         assert v.violation_count == 200
         assert len(v.violations) == 10
+
+    def test_only_kept_witnesses_are_built(self, built_witnesses):
+        v = check_gossen_law(oracle_by_name("exp1d"), trials=2000, seed=0)
+        assert v.violation_count == 2000
+        assert built_witnesses == v.violations and len(v.violations) == WITNESS_CAP
+
+    @pytest.mark.parametrize("name", ["exp1d", "linear", "neg_quadratic", "step"])
+    def test_matches_per_trial_reference(self, name):
+        oracle = oracle_by_name(name)
+        for seed in range(60):
+            assert check_gossen_law(oracle, trials=200, seed=seed).to_json() == \
+                reference_gossen_law(oracle, trials=200, seed=seed).to_json(), seed
+
+    @pytest.mark.parametrize("name", ["cobb_douglas", "kinked_composite", "exp1d"])
+    def test_matches_per_trial_reference_near_the_floor(self, name):
+        oracle = oracle_by_name(name)
+        points, floors = near_floor_pairs(oracle.domain, 200, seed=4)
+        for floor in floors:
+            got = check_gossen_law(oracle, points=points, trials=200, floor=floor)
+            assert got.to_json() == reference_gossen_law(oracle, points=points, trials=200,
+                                                         floor=floor).to_json(), floor
 
     def test_reports_echo_the_pair_draw(self):
         # Both endpoints are drawn on the box; reports name that draw.
@@ -182,6 +253,20 @@ class TestMidpointConcavity:
                    for check in (check_midpoint_concavity, reference_midpoint_concavity)]
         assert reports[0].to_json() == reports[1].to_json()
         assert (reports[0].verdict == "fails") == (case in ("exp1d-recon", "square"))
+
+    @pytest.mark.parametrize("name", ["cobb_douglas", "kinked_composite", "exp1d"])
+    def test_matches_per_point_reference_near_the_floor(self, name):
+        spec = SPECS[name]
+        points, floors = near_floor_pairs(spec.domain, 200, seed=5)
+        for floor in floors:
+            reports = [check(spec, spec.domain, points=points, trials=200, floor=floor)
+                       for check in (check_midpoint_concavity, reference_midpoint_concavity)]
+            assert reports[0].to_json() == reports[1].to_json(), floor
+
+    def test_only_kept_witnesses_are_built(self, built_witnesses):
+        v = check_midpoint_concavity(lambda p: p[0] ** 2, UNIT_BOX, trials=500, seed=0)
+        assert v.violation_count > WITNESS_CAP
+        assert built_witnesses == v.violations and len(v.violations) == WITNESS_CAP
 
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):

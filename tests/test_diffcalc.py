@@ -101,7 +101,57 @@ class TestCrossStencil:
         assert d == pytest.approx(-0.25, abs=1e-5)
 
 
+def reference_alep_labels(est_h, est_h2, rounding, threshold):
+    """``alep_classify``'s labels one point at a time, with Python's max
+    and abs, from the stencil estimates and rounding bounds."""
+    labels = []
+    for e_h, e_h2, r in zip(est_h.tolist(), est_h2.tolist(), (0.5 * rounding.sum(axis=0)).tolist()):
+        estimate = 0.5 * (e_h + e_h2)
+        if abs(e_h - e_h2) > max(threshold, 0.25 * abs(estimate)):
+            labels.append("indeterminate")
+        elif estimate < -(threshold + r):
+            labels.append("substitute")
+        elif estimate > threshold + r:
+            labels.append("complement")
+        elif abs(estimate) <= threshold - r:
+            labels.append("neutral")
+        else:
+            labels.append("indeterminate")
+    return labels
+
+
 class TestAlepClassify:
+    @pytest.mark.parametrize("name", ["cobb_douglas", "min2", "kinked_composite", "ces"])
+    def test_labels_match_the_per_point_reference(self, name):
+        spec = SPECS[name]
+        box = spec.domain.shrunk(0.2)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            X = box.lower + rng.random((40, 2)) * box.extent
+            h, threshold = (0.1, 1e-3) if seed % 2 else (1e-3, 0.05)
+            (est_h, est_h2), rounding = second_differences(spec, X, 0, 1, (h, 0.5 * h))
+            got = alep_classify(spec, X, h=h, threshold=threshold)
+            assert [c.label for c in got] == \
+                reference_alep_labels(est_h, est_h2, rounding, threshold), seed
+            assert [c.estimate_h for c in got] == est_h.tolist()
+            assert [c.point for c in got] == X.tolist()
+
+    def test_labels_of_edge_estimates(self, monkeypatch):
+        # NaN and infinite estimates, and estimates on each boundary of a
+        # test, through a plain callable as the tracer passes one.
+        import altkit.diffcalc as diffcalc
+        nan, inf = math.nan, math.inf
+        est_h = np.array([nan, 1.0, inf, -inf, 1.0, 0.5, -0.5, 0.25, 0.5, 0.0, 1e-3, 2e-3, 0.1])
+        est_h2 = np.array([1.0, nan, inf, inf, 1.0, 0.5, -0.5, 0.25, 0.5 + 1e-3, 0.0, 1e-3,
+                           2e-3, 0.1 + 0.025])
+        rounding = np.array([[0.0] * 9 + [2e-3, 0.0, 2e-3, 0.0], [0.0] * 13])
+        monkeypatch.setattr(diffcalc, "second_differences",
+                            lambda *args: ((est_h, est_h2), rounding))
+        got = alep_classify(lambda p: 0.0, [[1.0, 1.0]] * est_h.size, threshold=1e-3)
+        assert [c.label for c in got] == reference_alep_labels(est_h, est_h2, rounding, 1e-3)
+        assert {c.label for c in got} == {"indeterminate", "complement", "substitute",
+                                          "neutral"}
+
     def test_catalog_labels(self):
         pts = [[1.0, 1.0], [2.0, 3.0]]
         assert [c.label for c in alep_classify(SPECS["cobb_douglas"], pts)] \

@@ -495,6 +495,26 @@ class TestExpressionGrammar:
         f = parse_expression(["neg", ["div", 1, ["x", 0]]], 1)
         assert f(np.array([[4.0]])).tolist() == [-0.25]
 
+    def test_sqrt_is_math_sqrt_bit_for_bit(self):
+        # Random bit patterns of non-negative doubles (every exponent,
+        # subnormals included), uniform values, and the special values.
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 0x7FF0_0000_0000_0000, 1_000_000, dtype=np.uint64)
+        tiny = np.finfo(float).smallest_subnormal
+        special = [0.0, -0.0, tiny, 2 * tiny, np.finfo(float).tiny * (1 - 2 ** -52),
+                   np.finfo(float).tiny, np.finfo(float).max, math.inf, math.nan, -math.nan]
+        x = np.concatenate([bits.view(float), rng.random(100_000) * 1e3, special])
+        got = parse_expression(["sqrt", ["x", 0]], 1)(x[:, None])
+        expected = np.array([math.sqrt(v) for v in x.tolist()])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [-1.0, -5e-324, -math.inf])
+    def test_sqrt_of_a_negative_value_raises_as_math_does(self, value):
+        with pytest.raises(ValueError, match="^math domain error$"):
+            math.sqrt(value)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            parse_expression(["sqrt", ["x", 0]], 1)(np.array([[4.0], [value]]))
+
     @pytest.mark.parametrize("expr,msg", [
         (["x", 0, 1], "integer index"),
         (["x", 5], "out of range"),

@@ -15,8 +15,9 @@ from altkit.errors import (ArchimedeanError, ConstructionError, DegenerateFitErr
                            DomainError, OrderingError)
 from altkit.fixtures import make_difference_oracle, oracle_by_name, utility_by_name
 from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder,
-                           check_density, order_embedding_check, reconstruct_utility,
-                           representation_spot_check, verify_affine_uniqueness)
+                           check_density, evaluate_together, order_embedding_check,
+                           reconstruct_utility, representation_spot_check,
+                           verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.sampling import subrng
 from altkit.solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, pinned_rows
@@ -748,6 +749,23 @@ class TestAffineUniqueness:
         fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
         assert fit.threshold == 2.0 ** -6 + abs(fit.alpha) * 2.0 ** -4
         assert fit.verdict == "pass"
+
+    @pytest.mark.parametrize("name", ["log_sum", "exp1d", "min2"])
+    def test_one_solve_values_both_reconstructions(self, name):
+        # Each reconstruction keeps its own anchor values and clamp count;
+        # points off the anchors of both are solved once, not twice.
+        together = _recons(oracle_by_name(name), 5, (0.25, 0.75), (0.1, 0.9))
+        apart = _recons(oracle_by_name(name), 5, (0.25, 0.75), (0.1, 0.9))
+        box = together[0].oracle.domain
+        points = np.concatenate([box.lattice(6), [r.ladder.anchor_lo for r in together],
+                                 [r.ladder.anchor_hi for r in together]])
+        calls = [r.oracle.calls for r in (together[0], apart[0])]
+        got = evaluate_together(together, points)
+        expected = [r.evaluate_many(points) for r in apart]
+        assert [v.tolist() for v in got] == [v.tolist() for v in expected]
+        assert [r.clamped for r in together] == [r.clamped for r in apart] and apart[0].clamped
+        saved = (apart[0].oracle.calls - calls[1]) - (together[0].oracle.calls - calls[0])
+        assert saved > 0
 
     def test_degenerate_fit_raises(self):
         with pytest.raises(DegenerateFitError, match="variance"):

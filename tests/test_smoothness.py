@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from altkit.axioms import SKIP, VIOLATION, WITNESS_CAP, Witness, _collect, _fold
 from altkit.domain import BoxDomain, Segment
 from altkit.errors import ConfigError, ConstructionError, DomainError, OrderingError, RangeError
 from altkit.fixtures import catalog, make_difference_oracle, oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
-from altkit.smoothness import (SOLVE_F_RELATIVE_TOL, SOLVE_F_SCALE_TOL, _scales, calibrate,
-                               debreu_smoothness_proxy, default_schedule, diagonal_point,
-                               line_smoothness_limit, solve_f)
+from altkit.sampling import subrng
+from altkit.smoothness import (ONE_SIDED_TOL, REL_TOL, SOLVE_F_RELATIVE_TOL, SOLVE_F_SCALE_TOL,
+                               _scales, calibrate, debreu_smoothness_proxy, default_schedule,
+                               diagonal_point, line_smoothness_limit, solve_f)
 from altkit.solvers import DEFAULT_TOL_T, band_bisect
 
 SPECS = {s.name: s for s in catalog()}
@@ -223,7 +225,74 @@ class TestCalibrate:
             calibrate(o, [1.0, 0.1])
 
 
+def reference_debreu(oracle, points=None, trials=50, seed=0, h_fraction=1e-3):
+    """``debreu_smoothness_proxy`` judged one trial and one axis at a time,
+    with a Witness for every violating trial.  Trial i's point is drawn
+    from ``subrng(seed, i)`` on the box shrunk by 2h, or is row i of
+    ``points`` round the cycle; its stencil points are calibrated by
+    ``_scales``, whose rows do not depend on their batch."""
+    box = oracle.domain
+    h_vec = h_fraction * box.extent
+    inner = box.shrunk(2.0 * h_vec)
+    xs = [inner.sample(subrng(seed, i)) if points is None
+          else np.asarray(points[i % len(points)], dtype=float) for i in range(trials)]
+    moves = [(s, axis) for axis in range(box.dim) for s in (1.0, -1.0, 0.5, -0.5)]
+    stencils = [[x] + [x + s * h_vec[axis] * np.eye(box.dim)[axis] for s, axis in moves]
+                for x in xs]
+    rows = np.array([p for stencil in stencils for p in stencil])
+    ok = np.flatnonzero(box.inside(rows))
+    scales = np.full(len(rows), np.nan)
+    try:
+        a, clamp = _scales(oracle, rows[ok], DEFAULT_TOL_T)
+        scales[ok[clamp == 0]] = a[clamp == 0]
+    except DomainError:
+        pass
+
+    def judge(x, a):
+        if math.isnan(a[0]):
+            return SKIP
+        for axis in range(box.dim):
+            a_p, a_m, a_ph, a_mh = a[1 + 4 * axis:5 + 4 * axis]
+            if any(map(math.isnan, (a_p, a_m, a_ph, a_mh))):
+                return SKIP
+            h = float(h_vec[axis])
+            d1, d2 = (a_p - a_m) / (2.0 * h), (a_ph - a_mh) / h
+            left, right = (a[0] - a_mh) / (0.5 * h), (a_ph - a[0]) / (0.5 * h)
+            outputs = {"axis": str(axis), "central_h": f"{d1:.6g}", "central_h2": f"{d2:.6g}",
+                       "left": f"{left:.6g}", "right": f"{right:.6g}"}
+            if abs(d2 - d1) > REL_TOL * max(1.0, abs(d2)):
+                return Witness({"x": x.tolist()}, outputs, note="step-halving drift")
+            if abs(left - right) > ONE_SIDED_TOL * max(1.0, abs(d2)):
+                return Witness({"x": x.tolist()}, outputs, note="one-sided kink")
+        return None
+
+    results = [judge(x, a) for x, a in zip(xs, scales.reshape(trials, -1).tolist())]
+    tags = np.array([VIOLATION if isinstance(r, Witness) else r for r in results], dtype=object)
+    return _collect("debreu-smoothness-proxy", trials, seed, *_fold(tags, results.__getitem__),
+                    proxy=True, extras={"h_fraction": h_fraction, "rel_tol": REL_TOL,
+                                        "one_sided_tol": ONE_SIDED_TOL})
+
+
 class TestDebreuProxy:
+    @pytest.mark.parametrize("name", ["min2", "kinked_composite", "step", "exp1d"])
+    def test_matches_per_trial_reference(self, name):
+        oracle = oracle_by_name(name)
+        for seed in range(60):
+            assert debreu_smoothness_proxy(oracle, trials=20, seed=seed).to_json() == \
+                reference_debreu(oracle, trials=20, seed=seed).to_json(), seed
+
+    def test_matches_per_trial_reference_on_points(self):
+        # Diagonal points of min2 fail on the kink; points on a face skip.
+        oracle = oracle_by_name("min2")
+        points = [[2.0, 2.0], [0.1, 5.0], [3.0, 3.0], [7.0, 2.0], [10.0, 4.0]] * 4
+        assert debreu_smoothness_proxy(oracle, points=points, trials=20).to_json() == \
+            reference_debreu(oracle, points=points, trials=20).to_json()
+
+    def test_only_kept_witnesses_are_built(self, built_witnesses):
+        rep = debreu_smoothness_proxy(oracle_by_name("min2"), points=[[2.0, 2.0]], trials=30)
+        assert rep.violation_count == 30
+        assert built_witnesses == rep.violations and len(rep.violations) == WITNESS_CAP
+
     def test_min2_kink_on_diagonal(self):
         # a(x) = min(x0, x1) has slope 1/0 either side of the diagonal;
         # probing diagonal points directly exposes the one-sided split.
