@@ -2,11 +2,16 @@
 
 Each axiom is written once, as a draw and a predicate, and every checker
 runs in two phases.  In the draw phase one ``sampling.draw`` call gives
-every trial the points of one candidate instance, from trial i's own
-stream (computed for all trials at once; ``subrng(seed, i)`` is the
-one-trial reference the tests use) or, when the caller passes
-``points``, from those rows in order, cycling; the draws are stacked
-into one array per point name, one row per trial.  In the predicate
+every trial the points of one candidate instance, from the leading
+uniforms of trial i's own stream (computed for all trials at once;
+``subrng(seed, i)`` is the one-trial reference the tests use) or, when
+the caller passes ``points``, from those rows in order, cycling; the
+draws are stacked into one array per point name, one row per trial.
+The continuity proxy's moved copies are the one exception: its draw
+gives only the quadruple, and its predicate draws the moves of the
+trials whose base answer needs them, from further on in their streams.
+``run_axiom_suite`` computes the leading uniforms once for all of its
+checkers (``sampling.shared_prefix``).  In the predicate
 phase the axiom's predicate asks each of its stages with one
 ``compare_batch`` over the trials that earlier stages left undecided,
 and tags each trial ``None`` (it holds), ``SKIP`` (its premise did not
@@ -36,7 +41,7 @@ import numpy as np
 
 from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
-from .sampling import draw, run_indexed, subrng  # noqa: F401
+from .sampling import draw, run_indexed, shared_prefix, subrng, uniforms  # noqa: F401
 from .solvers import DEFAULT_TOL_T, SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -303,10 +308,13 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
 
 def _draw_perturbed(oracle: AltOracle, points: np.ndarray | None, seed: int, trials: int,
                     delta: float, probes: int) -> dict[str, np.ndarray]:
-    """Sample a quadruple x, y, z, w and ``moved``: ``probes`` copies of
-    it, each coordinate moved by up to ``delta`` of the box extent and
-    clipped to the box.  A trial draws its copies' moves, 2u - 1 from
-    uniforms u, right after its quadruple, from its own stream."""
+    """Sample a quadruple x, y, z, w, and give ``move``, which makes the
+    ``probes`` moved copies of the quadruples of the trials it is given:
+    each coordinate moved by up to ``delta`` of the box extent, 2u - 1
+    from uniforms u, and clipped to the box.  A trial's moves are the
+    uniforms of its own stream right after its quadruple's, or its first
+    ones when ``points`` are given; the predicate asks for them only of
+    the trials that need them."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if delta > MAX_DELTA:
@@ -314,14 +322,19 @@ def _draw_perturbed(oracle: AltOracle, points: np.ndarray | None, seed: int, tri
     if probes < 1:
         raise ValueError("probes must be >= 1")
     box = oracle.domain
-    quad, u = draw(box, points, seed, trials, 4, probes * 4 * box.dim)
-    moved = u.reshape(trials, probes, 4, box.dim)   # a view: the copies are made in u
-    moved *= 2.0
-    moved -= 1.0
-    moved *= delta * box.extent
-    moved += quad[:, None]
-    np.clip(moved, box.lower, box.upper, out=moved)
-    return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "moved": moved}
+    quad, _ = draw(box, points, seed, trials, 4)
+    start = 4 * box.dim if points is None else 0
+
+    def move(rows: np.ndarray) -> np.ndarray:
+        moved = uniforms(seed, rows, probes * 4 * box.dim, start)
+        moved = moved.reshape(len(rows), probes, 4, box.dim)
+        moved *= 2.0
+        moved -= 1.0
+        moved *= delta * box.extent
+        moved += quad[rows, None]
+        np.clip(moved, box.lower, box.upper, out=moved)
+        return moved
+    return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "move": move}
 
 
 def _draw_dominating(oracle: AltOracle, points: np.ndarray | None, seed: int,
@@ -383,28 +396,31 @@ def _crossover(oracle: AltOracle, p: dict) -> tuple:
 
 def _continuity(oracle: AltOracle, p: dict) -> tuple:
     """A GREATER answer on x, y, z, w must not turn LESS on any moved copy:
-    those of ``moved`` from a draw, or the one stored in a witness as
-    ``x_moved`` ... ``w_moved``.  Probe k is asked of every GREATER trial
-    that no earlier probe flipped.  SKIP when the answer is not GREATER."""
-    if "moved" in p:
-        moved = p["moved"]
-    else:
-        moved = np.stack([p[n + "_moved"] for n in QUAD], axis=1)[:, None]
+    those that ``move`` from a draw makes for the GREATER trials, or the
+    one stored in a witness as ``x_moved`` ... ``w_moved``.  Probe k is
+    asked of every GREATER trial that no earlier probe flipped.  SKIP when
+    the answer is not GREATER."""
     base = oracle.compare_batch(*(p[n] for n in QUAD))
     tags = np.where(base > 0, None, SKIP)
+    greater = np.flatnonzero(base > 0)
+    if "move" in p:
+        moved = p["move"](greater)                 # row r belongs to trial greater[r]
+    else:
+        moved = np.stack([p[n + "_moved"] for n in QUAD], axis=1)[greater, None]
     probe = np.zeros(len(base), dtype=np.intp)     # the probe that flipped a trial
-    live = np.flatnonzero(base > 0)
+    live = np.arange(len(greater))
     for k in range(moved.shape[1]):
         if not live.size:
             break
         flipped = oracle.compare_batch(*moved[live, k].transpose(1, 0, 2)) < 0
-        probe[live[flipped]] = k
-        tags[live[flipped]] = VIOLATION
+        probe[greater[live[flipped]]] = k
+        tags[greater[live[flipped]]] = VIOLATION
         live = live[~flipped]
 
     def witness(i: int) -> Witness:
         points = _row(p, i, QUAD)
-        points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, moved[i, probe[i]])})
+        r = np.searchsorted(greater, i)
+        points.update({n + "_moved": _pt(v) for n, v in zip(QUAD, moved[r, probe[i]])})
         return Witness(points, {"base": GREATER.value, "perturbed": LESS.value})
     return tags, witness
 
@@ -422,12 +438,14 @@ def _monotonicity(oracle: AltOracle, p: dict) -> tuple:
     return tags, lambda i: Witness(_row(p, i, ("x", "y")), {"preference": _PREFERENCE[pref[i]]})
 
 
+# Per axiom: its draw, its predicate, and how many leading uniforms of a
+# trial's stream its draw reads, in units of the dimension.
 _RULES = {
-    "consistency": (_draw_triple, _consistency),
-    "crossover": (_draw_crossover, _crossover),
-    "second-consistency": (_draw_triple, _second_consistency),
-    "continuity-proxy": (_draw_perturbed, _continuity),
-    "monotonicity": (_draw_dominating, _monotonicity),
+    "consistency": (_draw_triple, _consistency, 3),
+    "crossover": (_draw_crossover, _crossover, 3),
+    "second-consistency": (_draw_triple, _second_consistency, 3),
+    "continuity-proxy": (_draw_perturbed, _continuity, 4),
+    "monotonicity": (_draw_dominating, _monotonicity, 2),
 }
 
 
@@ -436,7 +454,7 @@ def _check(axiom: str, oracle: AltOracle, points: np.ndarray | None, trials: int
     """The two phases of every checker: draw the instances of all trials
     (trial i from its stream under ``seed``, its points from ``points``
     when given), then apply the axiom's predicate to all of them at once."""
-    draw_for, violation = _RULES[axiom]
+    draw_for, violation, _ = _RULES[axiom]
     judged = violation(oracle, draw_for(oracle, points, seed, trials, **params))
     return _collect(axiom, trials, seed, *_fold(*judged), proxy, extras)
 
@@ -513,11 +531,18 @@ def run_axiom_suite(oracle: AltOracle, axioms=ALL_AXIOMS, trials: int = 1000,
                     seed: int = 0, delta: float = DEFAULT_DELTA,
                     probes: int = DEFAULT_PROBES) -> dict[str, AxiomReport]:
     """Run several checkers with a shared master seed; ``delta`` and
-    ``probes`` go to the continuity proxy."""
+    ``probes`` go to the continuity proxy.  The leading uniforms of each
+    trial's stream are computed once, as wide as the widest draw of the
+    axioms asks, and each checker's draw reads its own prefix of them
+    (``sampling.shared_prefix``): the reports are those of the checkers
+    run alone."""
+    axioms = tuple(axioms)
+    width = max((_RULES[name][2] for name in axioms), default=0)
     reports = {}
-    for name in axioms:
-        params = {"delta": delta, "probes": probes} if name == "continuity-proxy" else {}
-        reports[name] = _CHECKERS[name](oracle, trials=trials, seed=seed, **params)
+    with shared_prefix(seed, trials, width * oracle.domain.dim):
+        for name in axioms:
+            params = {"delta": delta, "probes": probes} if name == "continuity-proxy" else {}
+            reports[name] = _CHECKERS[name](oracle, trials=trials, seed=seed, **params)
     return reports
 
 

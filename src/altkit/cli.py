@@ -98,12 +98,14 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     ladders = ladder.build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
                                   cfg.depth, cfg.tol_t, seg)
     recon, *second = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
-    _write_report(cfg, "reconstruction.json", {"reconstruction": recon.to_dict()})
-
+    # The reconstruction's counts are taken before the grid's evaluations,
+    # and written after them, so an impossible grid fails before any report.
+    reconstruction = {"reconstruction": recon.to_dict()}
     rows: list[list] = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
     points = oracle.domain.lattice(cfg.grid)
     for point, value in zip(points, recon.evaluate_many(points).tolist()):
         rows.append([float(v) for v in point] + [value])
+    _write_report(cfg, "reconstruction.json", reconstruction)
     _write_csv(cfg, "grid.csv", rows)
 
     spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
     except AltkitError as bad:
         print("error: " + str(bad).replace("\n", " "), file=sys.stderr)
         return 1
+    except MemoryError as bad:      # numpy refuses an array the sizes asked for
+        print(f"config error: the sizes asked for do not fit in memory: {bad}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,6 +84,17 @@ def numeric_hessian(u_fn, x, h: float = 1e-3, box: BoxDomain | None = None) -> n
     return hess
 
 
+def _rows(points) -> np.ndarray:
+    """``points`` as an (N, dim) float array.  A 2-D array of numbers is
+    checked whole, for finiteness; anything else, or an array with a
+    non-finite value, goes through ``as_point`` row by row, so the first
+    bad row raises its error."""
+    if (isinstance(points, np.ndarray) and points.dtype.kind in "fiu" and points.ndim == 2
+            and points.shape[1] and np.isfinite(points).all()):
+        return points.astype(float, copy=False)
+    return np.array([as_point(raw) for raw in points])
+
+
 @dataclass
 class AlepClassification(Record):
     """Cross-partial sign read at one point for one goods pair."""
@@ -123,7 +134,7 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
     i, j = pair
     if not len(points):
         return []
-    X = np.array([as_point(raw) for raw in points])
+    X = _rows(points)
     if not (0 <= i < X.shape[1] and 0 <= j < X.shape[1]):
         raise ConfigError(f"pair {pair} out of range for dimension {X.shape[1]}")
     _require_margin(box, X, h)

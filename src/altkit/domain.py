@@ -120,10 +120,12 @@ class BoxDomain:
 
     def lattice(self, per_axis: int) -> np.ndarray:
         """Regular grid of ``per_axis`` points per axis, corners included,
-        as rows in C order."""
+        as rows in C order.  The result is allocated first, so a grid too
+        large for memory fails before any other work."""
+        out = np.empty((per_axis ** self.dim, self.dim))
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(self.lower, self.upper)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return np.stack([m.ravel() for m in mesh], axis=-1, out=out)
 
     def diagonal(self) -> "Segment":
         """Main diagonal, lower corner to upper corner."""

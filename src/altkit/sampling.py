@@ -5,16 +5,26 @@ Trial i of a run with master seed s reads the Philox4x64-10 stream
 keyed by (s, 0) from counter (0, 0, i, 0): its block j is the block that
 numpy's ``Philox(key=(s, 0), counter=(0, 0, i, 0))`` emits j-th, and a
 uniform is ``(word >> 11) * 2**-53``, as ``Generator.random`` makes it.
-``uniforms`` computes the streams of all trials at once over uint64
-arrays, and every draw in altkit goes through it.  ``subrng(seed, i)``
-is a numpy Generator on trial i's stream: the reference the tests check
-``uniforms`` against, since nothing in altkit draws one trial at a time.
-A trial's values do not depend on how many trials run or how they are
-batched, so reports are reproducible bit for bit.
+``uniforms`` computes the streams of many trials at once over uint64
+arrays, and every draw in altkit goes through it.  Philox is counter
+based, so any block of any trial's stream is computed on its own:
+``uniforms`` takes a set of trials in any order and an offset into their
+streams, and computes only the blocks that hold what it returns.
+``subrng(seed, i)`` is a numpy Generator on trial i's stream: the
+reference the tests check ``uniforms`` against, since nothing in altkit
+draws one trial at a time.  A trial's values do not depend on how many
+trials run, how they are batched or which of its blocks are skipped, so
+reports are reproducible bit for bit.
+
+``draw`` reads the leading uniforms of each trial's stream.  Inside
+``shared_prefix``, draws under one seed and trial count read them from
+one array, computed once, instead of each computing its own.
 """
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -61,19 +71,27 @@ def _philox(ctr: list, seed: int) -> list:
     return ctr
 
 
-def uniforms(seed: int, trials: int, n: int) -> np.ndarray:
-    """Array (trials, n) whose row i holds the first n uniforms on [0, 1)
-    of trial i's stream, computed ``BLOCK_CHUNK`` blocks at a time."""
+def uniforms(seed: int, rows, n: int, start: int = 0) -> np.ndarray:
+    """Array (len(rows), n) whose row r holds uniforms ``start`` ..
+    ``start + n - 1`` on [0, 1) of trial ``rows[r]``'s stream; an int
+    ``rows`` stands for trials 0 .. rows - 1.  Only the blocks that hold
+    those uniforms are computed, ``BLOCK_CHUNK`` blocks at a time."""
     seed = check_seed(seed)
-    blocks = -(-n // 4)
-    out = np.empty((trials, n))
-    step = max(1, BLOCK_CHUNK // max(blocks, 1))
-    j = np.arange(1, blocks + 1, dtype=np.uint64)    # numpy steps the counter first
-    for start in range(0, trials, step):
-        i = np.arange(start, min(start + step, trials), dtype=np.uint64)
+    counted = np.ndim(rows) == 0
+    count = rows if counted else len(rows)
+    out = np.empty((count, n))      # first, so an impossible size fails before any work
+    if not (n and count):
+        return out
+    first, skip = divmod(start, 4)
+    blocks = (skip + n + 3) // 4
+    step = max(1, BLOCK_CHUNK // blocks)
+    j = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)  # numpy steps the counter first
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        i = (np.arange(lo, hi) if counted else np.asarray(rows[lo:hi])).astype(np.uint64)
         ctr = [np.tile(j, i.size), np.uint64(0), np.repeat(i, blocks), np.uint64(0)]
         words = np.stack(_philox(ctr, seed), axis=-1).reshape(i.size, 4 * blocks)
-        out[start:start + i.size] = (words[:, :n] >> np.uint64(11)) * 2.0 ** -53
+        out[lo:hi] = (words[:, skip:skip + n] >> np.uint64(11)) * 2.0 ** -53
     return out
 
 
@@ -92,16 +110,48 @@ def cycled(points, n: int, dim: int) -> np.ndarray:
     return np.resize(P, (n, dim))
 
 
+# The prefix that ``shared_prefix`` scopes: {"key": (seed, trials),
+# "width": its uniforms per trial, "u": the array once a draw has made it}.
+_PREFIX: ContextVar[dict | None] = ContextVar("altkit_shared_prefix", default=None)
+
+
+@contextmanager
+def shared_prefix(seed: int, trials: int, width: int):
+    """Within the block, every ``draw`` under ``seed`` and ``trials`` that
+    reads at most ``width`` leading uniforms per trial reads them from one
+    read-only (trials, width) array, which the first of them computes.
+    The values are those each draw would compute alone."""
+    token = _PREFIX.set({"key": (seed, trials), "width": width, "u": None})
+    try:
+        yield
+    finally:
+        _PREFIX.reset(token)
+
+
+def _leading(seed: int, trials: int, n: int) -> np.ndarray:
+    """``uniforms(seed, trials, n)``, or a view of the shared prefix when
+    one is in scope for ``seed`` and ``trials`` and covers n uniforms."""
+    shared = _PREFIX.get()
+    if shared is None or shared["key"] != (seed, trials) or n > shared["width"]:
+        return uniforms(seed, trials, n)
+    if shared["u"] is None:
+        shared["u"] = uniforms(seed, trials, shared["width"])
+        shared["u"].flags.writeable = False
+    return shared["u"][:, :n]
+
+
 def draw(box: BoxDomain, points, seed: int, trials: int, k: int,
          m: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Points (trials, k, dim) and uniforms (trials, m), from one ``uniforms``
-    call: trial i's stream gives its k points, in the arithmetic of
-    ``box.sample``, and then its m uniforms.  Given ``points``, its rows,
-    ``cycled`` and each required to lie in ``box``, are the points instead."""
+    """Points (trials, k, dim) and uniforms (trials, m), from the leading
+    uniforms of each trial's stream: trial i's gives its k points, in the
+    arithmetic of ``box.sample``, and then its m uniforms.  Given
+    ``points``, its rows, ``cycled`` and each required to lie in ``box``,
+    are the points instead.  The uniforms may be a read-only view of a
+    shared prefix (``shared_prefix``)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = k * box.dim if points is None else 0
-    u = uniforms(seed, trials, n + m)
+    u = _leading(seed, trials, n + m)
     if points is None:
         X = box.lower + u[:, :n].reshape(trials, k, box.dim) * box.extent
     else:

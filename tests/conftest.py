@@ -1,5 +1,6 @@
 """Shared fixtures: catalog oracles are cheap to build, so each test takes
 a fresh one (call counters are per-oracle state)."""
+import numpy as np
 import pytest
 
 from altkit.fixtures import catalog, oracle_by_name, utility_by_name
@@ -38,3 +39,19 @@ def built_witnesses(monkeypatch):
         init(self, *args, **kwargs)
     monkeypatch.setattr(Witness, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def philox_blocks(monkeypatch):
+    """The number of Philox blocks of each ``sampling._philox`` call made
+    while the test runs, in call order; their sum is the blocks computed."""
+    from altkit import sampling
+
+    blocks = []
+    philox = sampling._philox
+
+    def counting(ctr, seed):
+        blocks.append(max(np.size(c) for c in ctr))
+        return philox(ctr, seed)
+    monkeypatch.setattr(sampling, "_philox", counting)
+    return blocks

@@ -385,6 +385,29 @@ ORACLES = ["linear", "cobb_douglas", "exp1d", "step", "broken_crossover", *UTILI
            "nope"]
 
 
+class TestImpossibleSizes:
+    """A size whose arrays numpy refuses (PiB scale, refused before any
+    memory is taken) is a usage error: exit 2, one ``config error`` line
+    on stderr, and no report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--oracle", "linear", "--axioms", "continuity-proxy",
+         "--probes", "100000000000"],
+        ["verify", "--oracle", "linear", "--axioms", "consistency",
+         "--trials", "100000000000000"],
+        ["alep", "--oracle", "linear", "--grid", "100000000"],
+        ["reconstruct", "--oracle", "linear", "--grid", "100000000", "--depth", "2"],
+    ], ids=" ".join)
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        rc = main([*argv, "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert err.startswith("config error: the sizes asked for do not fit in memory: ")
+        assert "PiB" in err
+        assert not (tmp_path / "out").exists()
+
+
 def _nested(levels: int) -> list:
     """x0 + x1 nested ``levels`` lists deep, under an even number of negs
     when ``levels`` is even."""

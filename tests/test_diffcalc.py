@@ -7,7 +7,7 @@ import pytest
 from altkit.concavity import check_midpoint_concavity
 from altkit.diffcalc import (alep_classify, numeric_gradient, numeric_hessian,
                              second_differences)
-from altkit.domain import BoxDomain
+from altkit.domain import BoxDomain, as_point
 from altkit.errors import ConfigError, DomainError
 from altkit.fixtures import catalog, oracle_by_name
 from altkit.ladder import reconstruct_utility
@@ -199,6 +199,40 @@ class TestAlepClassify:
         box = BoxDomain([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(DomainError, match="margin"):
             alep_classify(lambda p: 0.0, [[0.05, 0.5]], h=0.1, box=box)
+
+    # Bad rows as lists and as arrays: a NaN or infinite coordinate, a row
+    # of the wrong length, a bool coordinate, a row that is not flat.
+    BAD_POINTS = [
+        [[1.0, 1.0], [math.nan, 1.0]],
+        np.array([[1.0, 1.0], [1.0, math.inf]]),
+        np.array([[1.0, 1.0], [math.nan, 2.0]], dtype=np.float32),
+        [[1.0, 1.0], [1.0, 1.0, 1.0]],
+        [[1.0, 1.0], [1.0]],
+        [[1.0, 1.0], [True, 1.0]],
+        [[1.0, 1.0], False],
+        np.ones((2, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize("points", BAD_POINTS, ids=range(len(BAD_POINTS)))
+    def test_a_bad_row_raises_the_per_row_message(self, points):
+        with pytest.raises(ValueError) as want:
+            # The check alep_classify made of every row before it checked
+            # a numeric array whole.
+            np.array([as_point(raw) for raw in points])
+        with pytest.raises(ValueError) as got:
+            alep_classify(SPECS["linear"], points)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 1.0], [2.0, 3.0]], np.array([[1.0, 1.0], [2.0, 3.0]]),
+        np.array([[1, 1], [2, 3]]), np.array([[1.0, 1.0], [2.0, 3.1]], dtype=np.float32),
+        ((1.0, 1.0), np.array([2.0, 3.0])),
+    ], ids=["list", "float64", "int", "float32", "mixed"])
+    def test_good_points_give_the_per_row_arrays(self, points):
+        want = np.array([as_point(raw) for raw in points])
+        got = alep_classify(SPECS["cobb_douglas"], points)
+        assert [c.point for c in got] == want.tolist()
+        assert all(type(v) is float for c in got for v in c.point)
 
     def test_validation_and_serialisation(self):
         with pytest.raises(ValueError, match="must be > 0"):

@@ -1,23 +1,30 @@
 """The per-trial stream: a numpy Philox4x64-10 over uint64 arrays, checked
 word for word against numpy's own Philox, and the one draw primitive
 every checker uses."""
+import contextlib
+import importlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altkit import axioms, concavity, ladder, sampling, smoothness
-from altkit.axioms import _CHECKERS
+from altkit.axioms import _CHECKERS, run_axiom_suite
+from altkit.cli import main
 from altkit.concavity import check_gossen_law, check_midpoint_concavity
 from altkit.domain import BoxDomain
 from altkit.errors import DomainError
-from altkit.fixtures import oracle_by_name
+from altkit.fixtures import make_difference_oracle, oracle_by_name, utility_from_json
 from altkit.ladder import (check_density, order_embedding_check, reconstruct_utility,
                            representation_spot_check, verify_affine_uniqueness)
 from altkit.sampling import _philox, draw, subrng, uniforms
 from altkit.smoothness import debreu_smoothness_proxy
 
 SEEDS = st.integers(0, 2**64 - 1)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def numpy_philox(seed: int, trial: int) -> np.random.Philox:
@@ -58,6 +65,34 @@ class TestStream:
             rng = subrng(11, i)
             assert np.array_equal(rng.random(3), u[i, :3])
             assert np.array_equal(rng.uniform(-1.0, 1.0, 7), 2.0 * u[i, 3:] - 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, rows=st.lists(st.integers(0, 2**64 - 1), max_size=7, unique=True),
+           start=st.integers(0, 13), n=st.integers(0, 23))
+    def test_row_subsets_and_offsets_match_numpy_philox(self, seed, rows, start, n):
+        got = uniforms(seed, np.array(rows, dtype=np.uint64), n, start)
+        assert got.shape == (len(rows), n)
+        for r, trial in enumerate(rows):
+            raw = numpy_philox(seed, trial).random_raw(start + n)[start:]
+            assert np.array_equal(got[r], (raw >> np.uint64(11)) * 2.0 ** -53)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 2048])
+    @pytest.mark.parametrize("start, n", [(0, 9), (3, 9), (6, 5), (8, 64), (13, 2)])
+    def test_rows_out_of_order_read_the_whole_draw(self, chunk, start, n, monkeypatch):
+        whole = uniforms(7, 40, start + n)[:, start:]
+        rows = [31, 2, 17, 0, 39, 5, 6, 22]
+        monkeypatch.setattr(sampling, "BLOCK_CHUNK", chunk)
+        assert np.array_equal(uniforms(7, rows, n, start), whole[rows])
+        assert np.array_equal(uniforms(7, np.array(rows), n, start), whole[rows])
+        assert uniforms(7, [], n, start).shape == (0, n)
+
+    def test_only_the_blocks_read_are_computed(self, philox_blocks):
+        # Uniforms 6 .. 14 lie in blocks 1 .. 3 of each stream.
+        uniforms(3, [4, 1], 9, 6)
+        assert sum(philox_blocks) == 2 * 3
+        philox_blocks.clear()
+        uniforms(3, 5, 0, 6)
+        assert philox_blocks == []
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_rejected(self, seed):
@@ -126,6 +161,119 @@ class TestDraw:
     def test_trials_validated(self, points):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             draw(self.BOX, points, 0, 0, 1)
+
+
+class TestSharedPrefix:
+    BOX = TestDraw.BOX
+
+    def test_draws_in_scope_read_one_prefix(self, philox_blocks):
+        alone = [draw(self.BOX, None, 5, 17, k, m) for k, m in [(3, 0), (1, 3), (2, 1)]]
+        philox_blocks.clear()
+        with sampling.shared_prefix(5, 17, 3 * 3):
+            shared = [draw(self.BOX, None, 5, 17, k, m) for k, m in [(3, 0), (1, 3), (2, 1)]]
+            assert sum(philox_blocks) == 17 * 3
+            # Another seed, another trial count or a wider draw computes its own.
+            assert np.array_equal(draw(self.BOX, None, 6, 17, 1)[0],
+                                  reference_draw(self.BOX, None, 6, 17, 1)[0])
+            assert np.array_equal(draw(self.BOX, None, 5, 9, 1)[0], alone[0][0][:9, :1])
+            assert np.array_equal(draw(self.BOX, None, 5, 17, 4)[0][:, :3], alone[0][0])
+        assert sum(philox_blocks) == 17 * 3 + 17 + 9 + 17 * 3
+        for (p, u), (q, v) in zip(alone, shared):
+            assert np.array_equal(p, q) and np.array_equal(u, v)
+        with pytest.raises(ValueError, match="read-only"):
+            shared[1][1][0, 0] = 1.0
+        assert sampling._PREFIX.get() is None
+
+    def test_the_scope_ends_when_the_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with sampling.shared_prefix(5, 17, 9):
+                raise RuntimeError
+        assert sampling._PREFIX.get() is None
+
+
+def reference_moves(box, points, seed, trials, delta, probes):
+    """The continuity proxy's quadruples and the moved copies of every
+    trial, as the draw made them when it drew the moves with the
+    quadruple: m uniforms right after the quadruple's from one ``draw``
+    call, 2u - 1, scaled by ``delta`` of the extent, added and clipped."""
+    quad, u = draw(box, points, seed, trials, 4, probes * 4 * box.dim)
+    moved = u.reshape(trials, probes, 4, box.dim)
+    moved *= 2.0
+    moved -= 1.0
+    moved *= delta * box.extent
+    moved += quad[:, None]
+    np.clip(moved, box.lower, box.upper, out=moved)
+    return quad, moved
+
+
+class TestLateMoves:
+    @pytest.mark.parametrize("name", ["linear", "exp1d", "mixed3"])
+    @pytest.mark.parametrize("given", [False, True], ids=["streams", "points"])
+    @pytest.mark.parametrize("delta, probes", [(1e-8, 8), (0.1, 3), (0.05, 1)])
+    def test_moves_of_any_rows_match_all_trials(self, name, given, delta, probes):
+        oracle = _named_oracle(name)
+        box = oracle.domain
+        points = box.lower + np.linspace(0.0, 1.0, 7)[:, None] * box.extent if given else None
+        quad, moved = reference_moves(box, points, 9, 60, delta, probes)
+        p = axioms._draw_perturbed(oracle, points, 9, 60, delta, probes)
+        assert np.array_equal(np.stack([p[n] for n in axioms.QUAD], axis=1), quad)
+        for rows in (np.arange(60), np.array([41, 3, 59, 0, 17]), np.array([], dtype=int)):
+            assert np.array_equal(p["move"](rows), moved[rows])
+
+
+MIXED3 = {"name": "mixed3", "dimension": 3,
+          "expr": ["add", ["pow", ["x", 0], 0.3], ["mul", ["log", ["x", 1]], ["x", 2]]]}
+
+
+def _named_oracle(name):
+    if name == "mixed3":
+        return make_difference_oracle(utility_from_json(MIXED3))
+    return oracle_by_name(name)
+
+
+class TestAxiomSuite:
+    """``run_axiom_suite`` draws the leading uniforms once for all of its
+    checkers; its reports and compares are those of each checker alone."""
+
+    SUBSETS = [axioms.ALL_AXIOMS, ("continuity-proxy",), ("monotonicity", "consistency"),
+               ("crossover", "continuity-proxy", "second-consistency")]
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**64 - 1])
+    @pytest.mark.parametrize("name", ["linear", "cobb_douglas", "exp1d", "step",
+                                      "broken_crossover", "neg_quadratic", "mixed3"])
+    def test_reports_match_each_checker_alone(self, name, seed):
+        for subset in self.SUBSETS:
+            oracle = _named_oracle(name)
+            suite = run_axiom_suite(oracle, subset, trials=120, seed=seed, probes=4)
+            for axiom in subset:
+                alone = _named_oracle(name)
+                params = {"probes": 4} if axiom == "continuity-proxy" else {}
+                report = _CHECKERS[axiom](alone, trials=120, seed=seed, **params)
+                assert suite[axiom].to_json() == report.to_json(), (subset, axiom)
+            assert list(suite) == list(subset)
+        assert sampling._PREFIX.get() is None
+
+    def test_linear_suite_draws_its_prefix_once(self, philox_blocks):
+        reports = run_axiom_suite(oracle_by_name("linear"), trials=1000, seed=1)
+        # A 2-D trial's widest prefix, continuity's quadruple, is 8
+        # uniforms (2 blocks); its 8 probes of 4 moved points are 64 more
+        # (16 blocks), drawn only for trials whose base answer is GREATER.
+        greater = 1000 - reports["continuity-proxy"].skipped
+        assert sum(philox_blocks) == 2000 + 16 * greater == 10128
+
+    def test_monotonicity_alone_draws_one_block_a_trial(self, philox_blocks):
+        run_axiom_suite(oracle_by_name("linear"), ("monotonicity",), trials=1000, seed=1)
+        assert sum(philox_blocks) == 1000
+
+    def test_a_verify_catalog_round_draws_the_blocks_it_reads(self, philox_blocks, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for command in workloads.commands("verify-catalog", 1, 2, tmp_path):
+                main(list(command.argv))
+        assert sum(philox_blocks) == 89632
 
 
 def _recon(lo=0.25, hi=0.75):
