@@ -5,10 +5,13 @@
     python scripts/ab_pairs.py --base HEAD~1 --workload verify-catalog reconstruct-ladder \
         shape-diagnostics --pairs 10 --seconds 10
 
-Extracts ``--base`` with ``git archive`` into a temporary directory once,
-then, for each workload in turn, runs ``perfbench/run.py --trace 0`` on the
-base and on this checkout (its working tree, uncommitted changes included),
-one after the other, ``--pairs`` times.  The order inside a pair
+Extracts ``--base`` with ``git archive`` and copies this checkout's working
+tree (tracked files as they are on disk, uncommitted changes included, and
+untracked files that are not ignored) into sibling directories of one
+temporary directory, ``base`` and ``work``, once.  Both sides then run from
+paths of equal length, so the path does not move ``peak_rss_mb``.  For each
+workload in turn, it runs ``perfbench/run.py --trace 0`` on the base and on
+the change, one after the other, ``--pairs`` times.  The order inside a pair
 alternates, so a host that speeds up or slows down during the session
 does not favour one side.  Prints each pair's change/base ratio of every
 end-to-end metric, then one summary per workload: per metric the median
@@ -18,6 +21,7 @@ failed a command or a report check.
 """
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -30,13 +34,25 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def extract(ref: str, dest: Path) -> None:
     """The tree of ``ref`` under ``dest``, through ``git archive``."""
-    archive = dest / "base.tar"
+    archive = dest.with_suffix(".tar")
     with archive.open("wb") as fh:
         subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, stdout=fh,
                        check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "base")
+        tar.extractall(dest)
     archive.unlink()
+
+
+def copy_worktree(dest: Path) -> None:
+    """This checkout's tracked files as they are on disk, and its untracked
+    files that are not ignored, under ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True,
+                            check=True).stdout.decode()
+    for name in listed.split("\0"):
+        if name and (ROOT / name).is_file():       # a deleted tracked file has no copy
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,8 +106,9 @@ def main(argv=None) -> int:
 
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        extract(args.base, Path(tmp))
-        sides = {"base": Path(tmp) / "base", "change": ROOT}
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        extract(args.base, sides["base"])
+        copy_worktree(sides["change"])
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for k in range(args.pairs):

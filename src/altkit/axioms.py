@@ -174,10 +174,6 @@ class Witness(Record):
     outputs: dict[str, str]
     note: str = ""
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Witness":
-        return cls(d["points"], d["outputs"], d.get("note", ""))
-
 
 @dataclass
 class AxiomReport(Record):

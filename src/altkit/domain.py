@@ -1,9 +1,7 @@
 """Points, axis-aligned box domains, and straight segments.
 
 Points are plain 1-D float ndarrays; :func:`as_point` normalizes and
-validates them.  Boxes are products of intervals with a per-face openness
-flag, so a strictly-positive truncation can be represented next to an
-ordinary closed box.
+validates them.  Boxes are closed products of intervals.
 """
 from __future__ import annotations
 
@@ -12,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 def as_point(coords, dim: int | None = None) -> np.ndarray:
@@ -37,17 +35,10 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
 
 @dataclass(eq=False)
 class BoxDomain:
-    """Convex box ``prod_i <lower_i, upper_i>`` in R^n.
-
-    ``lower_open[i]`` / ``upper_open[i]`` mark faces excluded from the box.
-    Random draws and the solvers work with the closure; openness only
-    affects membership, :meth:`inside` and the checks built on it.
-    """
+    """Closed convex box ``prod_i [lower_i, upper_i]`` in R^n."""
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_open: np.ndarray | None = None
-    upper_open: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.lower = as_point(self.lower)
@@ -57,13 +48,6 @@ class BoxDomain:
         with np.errstate(over="ignore"):        # numpy's norm sums the squares
             if not np.isfinite([v @ v for v in (self.extent, self.lower, self.upper)]).all():
                 raise ValueError("box too large: the norm of its extent or a corner overflows")
-        self.lower_open = self._faces(self.lower_open)
-        self.upper_open = self._faces(self.upper_open)
-
-    def _faces(self, flags) -> np.ndarray:
-        if flags is None:
-            flags = False
-        return np.broadcast_to(np.asarray(flags, dtype=bool), (self.dim,)).copy()
 
     @property
     def dim(self) -> int:
@@ -79,17 +63,15 @@ class BoxDomain:
 
     def inside(self, X: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Per row of the (N, dim) array ``X``, whether it lies in the box
-        shrunk by ``margin`` on every face (an open face stays open).  A
-        row with a NaN coordinate is outside."""
+        shrunk by ``margin`` on every face.  A row with a NaN coordinate is
+        outside."""
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points of shape {X.shape} are not rows of dimension {self.dim}")
-        lo, hi = self.lower + margin, self.upper - margin
-        return (((X > lo) | ((X == lo) & ~self.lower_open))
-                & ((X < hi) | ((X == hi) & ~self.upper_open))).all(axis=1)
+        return ((X >= self.lower + margin) & (X <= self.upper - margin)).all(axis=1)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        """Membership test; ``margin > 0`` shrinks the box on every face."""
-        return bool(self.inside(as_point(x, dim=self.dim)[None], margin)[0])
+    def contains(self, x) -> bool:
+        """Whether the point ``x`` lies in the box."""
+        return bool(self.inside(as_point(x, dim=self.dim)[None])[0])
 
     def require(self, x, what: str = "point") -> np.ndarray:
         x = as_point(x, dim=self.dim)
@@ -100,10 +82,9 @@ class BoxDomain:
 
     def require_many(self, xs, what: str = "point") -> np.ndarray:
         """The points of ``xs`` as an (N, dim) array, each one checked as
-        :meth:`require` checks it: shape, finiteness, bounds and open
-        faces, for all rows at once.  If any point fails, the points are
-        replayed through :meth:`require`, so the first bad one raises
-        its error."""
+        :meth:`require` checks it: shape, finiteness and bounds, for all
+        rows at once.  If any point fails, the points are replayed through
+        :meth:`require`, so the first bad one raises its error."""
         try:
             X = np.asarray(xs, dtype=float)
         except (TypeError, ValueError):
@@ -121,8 +102,13 @@ class BoxDomain:
     def lattice(self, per_axis: int) -> np.ndarray:
         """Regular grid of ``per_axis`` points per axis, corners included,
         as rows in C order.  The result is allocated first, so a grid too
-        large for memory fails before any other work."""
-        out = np.empty((per_axis ** self.dim, self.dim))
+        large for memory fails before any other work; one whose size in
+        bytes numpy cannot index raises ConfigError."""
+        count = per_axis ** self.dim
+        if count * self.dim * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"a lattice of {per_axis} points per axis in dimension "
+                              f"{self.dim} has {count} points, too many for one array")
+        out = np.empty((count, self.dim))
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(self.lower, self.upper)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1, out=out)
@@ -171,14 +157,13 @@ class Segment:
         :meth:`at` row by row."""
         return self.p + np.multiply.outer(t, self._dir)
 
-    def param_of(self, x, atol: float | None = None) -> float:
-        """Parameter of a point that must lie on the segment (orthogonal
-        projection residual beyond ``atol`` raises ``DomainError``)."""
+    def param_of(self, x) -> float:
+        """Parameter of a point that must lie on the segment: an orthogonal
+        projection residual beyond 1e-9 * (1 + |x|) raises ``DomainError``."""
         x = as_point(x, dim=self.dim)
         d2 = float(self._dir @ self._dir)
         t = float((x - self.p) @ self._dir) / d2
-        if atol is None:
-            atol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
+        atol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
         residual = float(np.linalg.norm(x - self.at(t)))
         if residual > atol:
             raise DomainError(f"point {x.tolist()} is off the segment (residual {residual:.3e})")

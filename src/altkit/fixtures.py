@@ -47,15 +47,10 @@ def _row(point) -> np.ndarray:
 
 
 def _one_definition(evaluator, batch):
-    """Complete a spec from the form it was given: without ``batch``, the
-    batch is ``evaluator`` looped over rows; without ``evaluator``, the
-    evaluator is row 0 of ``batch``."""
+    """Complete a spec from its ``batch``, which it must have: without
+    ``evaluator``, the evaluator is row 0 of ``batch``."""
     if batch is None:
-        if evaluator is None:
-            raise ValueError("a spec needs an evaluator or a batch")
-
-        def batch(*arrays):
-            return np.array([evaluator(*row) for row in zip(*arrays)], dtype=float)
+        raise ValueError("a spec needs a batch")
     if evaluator is None:
         def evaluator(*points):
             return float(batch(*map(_row, points))[0])
@@ -67,9 +62,9 @@ class UtilitySpec:
     """A named utility with ground-truth tags.
 
     ``batch`` defines the utility: it maps an (N, dim) array of points to
-    their (N,) values.  ``evaluator``, the value at one point, is row 0 of
-    ``batch`` unless given; a spec given only an ``evaluator`` gets a
-    ``batch`` that loops it over rows.  Oracles use ``batch`` alone.
+    their (N,) values, and every spec must give it.  ``evaluator``, the
+    value at one point, is row 0 of ``batch`` unless given.  Oracles use
+    ``batch`` alone.
     """
 
     name: str

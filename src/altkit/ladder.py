@@ -32,6 +32,8 @@ from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F40
                       indifference_param_many, pinned_rows)
 
 MAX_RUNGS_PER_LEVEL = 200_000
+ARCHIMEDEAN_CAP = 1000      # steps an Archimedean walk may take
+AFFINE_SAMPLES = 200        # points an affine fit is taken over
 
 
 @dataclass(eq=False)
@@ -206,7 +208,7 @@ def _grow(ask, seg: Segment, levels: list[dict[int, float]], unit_lo: np.ndarray
             raise ConstructionError("rung cap exceeded; anchors are too close together")
 
 
-def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
+def archimedean_count(oracle: AltOracle, x, y, z,
                       tol_t: float = DEFAULT_TOL_T) -> tuple[int, list[np.ndarray]]:
     """Number of equal steps of size [x,y] needed to walk from x past z.
 
@@ -214,7 +216,7 @@ def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
     the segment a_i -> z; the walk stops at the first k with
     [x,y] > [z, a_k] and returns (k, [a_0..a_k]).  Requires x strictly
     preferred to y and z weakly preferred to x; raises ArchimedeanError
-    past ``cap`` steps.
+    past ``ARCHIMEDEAN_CAP`` steps.
     """
     x = as_point(x)
     y = as_point(y, x.size)
@@ -228,8 +230,8 @@ def archimedean_count(oracle: AltOracle, x, y, z, cap: int = 1000,
     while True:
         if oracle.compare(x, y, z, points[-1]) is IntensityOrder.GREATER:
             return k, points
-        if k >= cap:
-            raise ArchimedeanError(f"no finite step count within cap={cap}")
+        if k >= ARCHIMEDEAN_CAP:
+            raise ArchimedeanError(f"no finite step count within cap={ARCHIMEDEAN_CAP}")
         a = points[-1]
         seg = Segment(a, z)
 
@@ -353,18 +355,17 @@ class AffineFit(Record):
 
 
 def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: ReconstructedUtility,
-                             samples: int = 200, seed: int = 0,
-                             threshold: float | None = None) -> AffineFit:
-    """Fit u_b ~ alpha*u_a + beta over ``samples`` points of the box.
+                             seed: int = 0) -> AffineFit:
+    """Fit u_b ~ alpha*u_a + beta over ``AFFINE_SAMPLES`` points of the box.
 
     ``recon_a`` and ``recon_b`` reconstruct one system from two anchor
     pairs; :func:`build_ladder` builds both ladders in one solve.  A
     faithful system admits only positive affine rescalings, so the fit
     must have alpha > 0 and residuals within the interpolation budget: one
     rung step of u_b plus one of u_a carried through alpha,
-    2**-depth_b + |alpha| * 2**-depth_a, unless ``threshold`` is given.
+    2**-depth_b + |alpha| * 2**-depth_a.
     """
-    rng_points = draw(recon_a.oracle.domain, None, seed, samples, 1)[0][:, 0]
+    rng_points = draw(recon_a.oracle.domain, None, seed, AFFINE_SAMPLES, 1)[0][:, 0]
     solve = [(r.oracle, r.ladder.segment, r.tol_t) for r in (recon_a, recon_b)]
     u_a, u_b = (evaluate_together([recon_a, recon_b], rng_points) if solve[0] == solve[1]
                 else [r.evaluate_many(rng_points) for r in (recon_a, recon_b)])
@@ -372,23 +373,22 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: Reconstruct
         raise DegenerateFitError("no utility variance across samples; cannot fit")
     alpha, beta = np.polyfit(u_a, u_b, 1)
     residual = float(np.max(np.abs(u_b - (alpha * u_a + beta))))
-    if threshold is None:
-        threshold = (recon_b.interpolation_budget
-                     + abs(float(alpha)) * recon_a.interpolation_budget)
+    threshold = recon_b.interpolation_budget + abs(float(alpha)) * recon_a.interpolation_budget
     verdict = "pass" if (alpha > 0 and residual <= threshold) else "fail"
-    return AffineFit(float(alpha), float(beta), residual, samples, threshold, verdict)
+    return AffineFit(float(alpha), float(beta), residual, AFFINE_SAMPLES, threshold, verdict)
 
 
 def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | None = None,
-                  trials: int = 200, seed: int = 0, min_depth: int = 1) -> AxiomReport:
+                  trials: int = 200, seed: int = 0) -> AxiomReport:
     """Between any sampled strict pair more than two rung steps apart there
-    must be a rung strictly between them (oracle-checked).
+    must be a rung strictly between them (oracle-checked).  The ladder
+    needs depth >= 1.
 
     Every trial's pair is drawn first, then ranked and valued in batches;
     the rungs nearest the pair's reconstructed midpoint are tried first,
     in lockstep rounds over the trials."""
-    if ladder.depth < min_depth:
-        raise ValueError(f"ladder depth {ladder.depth} below configured minimum {min_depth}")
+    if ladder.depth < 1:
+        raise ValueError(f"ladder depth {ladder.depth} below the minimum 1")
     recon = ReconstructedUtility(oracle, ladder, ladder.tol_t)
     gap_threshold = 2.0 ** (1 - ladder.depth)
     rung_points = ladder.segment.at_many(np.array([t for _, t in ladder.rungs()]))

@@ -19,8 +19,7 @@ import numpy as np
 
 from .axioms import SKIP, VIOLATION, AxiomReport, Record, Witness, _collect, _fold, _pt
 from .domain import Segment
-from .errors import (AltkitError, ConfigError, ConstructionError, DomainError,
-                     OrderingError, RangeError)
+from .errors import AltkitError, ConstructionError, DomainError, OrderingError, RangeError
 from .oracle import AltOracle
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
 from .sampling import cycled, draw, run_indexed, subrng  # noqa: F401
@@ -129,34 +128,19 @@ class SmoothnessReport(Record):
         return [["a", "f", "quotient"]] + [[a, f, q] for a, f, q in self.rows]
 
 
-def default_schedule(b: float) -> list[float]:
-    """Steps b/2**4 down to b/2**16."""
-    return [b * 2.0 ** (-k) for k in range(4, 17)]
-
-
-def line_smoothness_limit(oracle: AltOracle, b: float,
-                          schedule: list[float] | None = None,
-                          floor: float = DEFAULT_QUOTIENT_FLOOR) -> SmoothnessReport:
-    """Estimate lim_{a->0} (b - f(a,b))/a along a geometric schedule.
+def line_smoothness_limit(oracle: AltOracle, b: float) -> SmoothnessReport:
+    """Estimate lim_{a->0} (b - f(a,b))/a along the steps b/2**4 down to
+    b/2**16.
 
     Richardson-extrapolates the last four quotients (each halving of
     a cancels the first-order term); the spread of the extrapolants is
     the reported uncertainty.  Not-line-smooth requires the estimate to
-    clear both the floor and three times its uncertainty; line-smooth
-    requires estimate and uncertainty both under the floor; anything
-    else is inconclusive.
+    clear both ``DEFAULT_QUOTIENT_FLOOR`` and three times its uncertainty;
+    line-smooth requires estimate and uncertainty both under the floor;
+    anything else is inconclusive.
     """
-    if schedule is None:
-        schedule = default_schedule(b)
-    schedule = [float(a) for a in schedule]
-    if len(schedule) < 2:
-        raise ConfigError("schedule needs at least two step sizes")
-    if any(not a > 0 for a in schedule) or any(
-            not a2 < a1 for a1, a2 in zip(schedule, schedule[1:])):
-        raise ConfigError("schedule must be positive and strictly decreasing")
-    if not floor > 0:
-        raise ConfigError("floor must be > 0")
-
+    schedule = [float(b * 2.0 ** (-k)) for k in range(4, 17)]
+    floor = DEFAULT_QUOTIENT_FLOOR
     calls0 = oracle.calls
     fs, stop = _midpoints(oracle, b, schedule)
     rows = [(a, f, (b - f) / a) for a, f in zip(schedule, fs)]

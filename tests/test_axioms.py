@@ -21,8 +21,8 @@ G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 def _inconsistent_oracle():
     """g(x, y) = x * (1 - y): the derived order flips direction depending
     on the reference point, so shifting the pair breaks the sign match."""
-    spec = IntensitySpec("warped", 1, lambda x, y: x[0] * (1.0 - y[0]),
-                         BoxDomain([0.0], [2.0]))
+    spec = IntensitySpec("warped", 1, None, BoxDomain([0.0], [2.0]),
+                         batch=lambda X, Y: X[:, 0] * (1.0 - Y[:, 0]))
     return make_intensity_oracle(spec)
 
 
@@ -36,10 +36,6 @@ class TestReportShape:
         assert doc["seed"] == 1
         assert doc["violations"] == []
         assert doc["proxy"] is False
-
-    def test_witness_roundtrip(self):
-        w = Witness({"x": [1.0]}, {"preference": "less"}, note="n")
-        assert Witness.from_dict(w.to_dict()) == w
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):

@@ -407,6 +407,28 @@ class TestImpossibleSizes:
         assert "PiB" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", "5"], ["reconstruct", "--depth", "2", "--grid", "2"],
+        ["concavity", "--trials", "5"], ["smoothness", "--debreu-trials", "2"],
+        ["alep", "--grid", "2"],
+    ], ids=" ".join)
+    def test_lattice_past_the_index_limit(self, argv, tmp_path, capsys):
+        # 2**64 rows: the set-up lattice of every oracle command, and alep's
+        # grid, are counted before anything is allocated.
+        dim = 64
+        expr: list = ["x", 0]
+        for i in range(1, dim):
+            expr = ["add", expr, ["x", i]]
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({"name": "sum", "dimension": dim, "expr": expr,
+                                    "domain": {"lower": [0.1] * dim, "upper": [1.0] * dim}}))
+        rc = main([*argv, "--oracle", str(path), "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert err.startswith("config error: a lattice of 2 points per axis in dimension 64 ")
+        assert not (tmp_path / "out").exists()
+
 
 def _nested(levels: int) -> list:
     """x0 + x1 nested ``levels`` lists deep, under an even number of negs

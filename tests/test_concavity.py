@@ -296,6 +296,6 @@ class TestRoundtrip:
         assert r["agree"]
 
     def test_untagged_spec_rejected(self):
-        bare = UtilitySpec("untagged", 1, lambda p: p[0], UNIT_BOX)
+        bare = UtilitySpec("untagged", 1, None, UNIT_BOX, batch=lambda X: X[:, 0])
         with pytest.raises(ConfigError, match="concavity tag"):
             concavity_roundtrip(bare, trials=10)

@@ -11,7 +11,7 @@ from altkit.domain import BoxDomain, as_point
 from altkit.errors import ConfigError, DomainError
 from altkit.fixtures import catalog, oracle_by_name
 from altkit.ladder import reconstruct_utility
-from altkit.smoothness import debreu_smoothness_proxy, line_smoothness_limit, solve_f
+from altkit.smoothness import debreu_smoothness_proxy, solve_f
 from closed_forms import GRADIENT, HESSIAN
 
 SPECS = {s.name: s for s in catalog()}
@@ -247,15 +247,12 @@ class TestAlepClassify:
 
 
 def _cobb_check(name):
-    """A call of ``name`` on cobb_douglas with one step, tolerance or floor
+    """A call of ``name`` on cobb_douglas with one step or tolerance
     argument as its parameter."""
     spec, oracle = SPECS["cobb_douglas"], oracle_by_name("cobb_douglas")
     return {
         "numeric_gradient h": lambda v: numeric_gradient(spec, [1.0, 1.0], h=v),
         "numeric_hessian h": lambda v: numeric_hessian(spec, [1.0, 1.0], h=v),
-        "line_smoothness_limit floor": lambda v: line_smoothness_limit(oracle, 2.0, floor=v),
-        "line_smoothness_limit schedule": lambda v: line_smoothness_limit(
-            oracle, 2.0, schedule=[0.1, v]),
         "solve_f tol": lambda v: solve_f(oracle, 0.5, 2.0, tol=v),
         "check_midpoint_concavity tol": lambda v: check_midpoint_concavity(
             spec, spec.domain, trials=2, tol=v),
@@ -268,8 +265,6 @@ def _cobb_check(name):
 @pytest.mark.parametrize("name, bad, message", [
     ("numeric_gradient h", 0.0, "h must be > 0"),
     ("numeric_hessian h", 0.0, "h must be > 0"),
-    ("line_smoothness_limit floor", 0.0, "floor must be > 0"),
-    ("line_smoothness_limit schedule", 0.0, "schedule must be positive"),
     ("solve_f tol", 0.0, "tol must be > 0"),
     ("check_midpoint_concavity tol", -1.0, "tol must be >= 0"),
     ("debreu_smoothness_proxy h_fraction", 0.0, "h_fraction must be > 0"),

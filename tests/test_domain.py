@@ -46,18 +46,6 @@ class TestBoxDomain:
         assert not box.contains([1.0 + 1e-12, 1.0])
         assert not box.contains([-0.1, 1.0])
 
-    def test_contains_with_margin(self):
-        box = BoxDomain([0.0], [1.0])
-        assert box.contains([0.5], margin=0.4)
-        assert not box.contains([0.05], margin=0.1)
-        assert not box.contains([0.95], margin=0.1)
-
-    def test_open_faces_exclude_boundary(self):
-        box = BoxDomain([0.0], [1.0], lower_open=True)
-        assert not box.contains([0.0])
-        assert box.contains([1.0])
-        assert box.contains([1e-12])
-
     def test_require_raises_with_label(self):
         box = BoxDomain([0.0], [1.0])
         with pytest.raises(DomainError, match="anchor"):
@@ -68,10 +56,9 @@ class TestBoxDomain:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1e-300, 1.0 + 1e-16,
                                                np.nan, np.inf, -np.inf]),
-                             min_size=2, max_size=2), max_size=4),
-           st.lists(st.booleans(), min_size=4, max_size=4))
-    def test_require_many_is_require_of_every_row(self, rows, faces):
-        box = BoxDomain([0.0, 0.5], [1.0, 2.0], lower_open=faces[:2], upper_open=faces[2:])
+                             min_size=2, max_size=2), max_size=4))
+    def test_require_many_is_require_of_every_row(self, rows):
+        box = BoxDomain([0.0, 0.5], [1.0, 2.0])
         try:
             expected = [box.require(r, "row").tolist() for r in rows]
         except (DomainError, ValueError) as bad:
@@ -88,22 +75,19 @@ class TestBoxDomain:
         """Membership of one finite point, one coordinate at a time."""
         for j, v in enumerate(x):
             lo, hi = float(box.lower[j]) + margin, float(box.upper[j]) - margin
-            if v < lo or (v == lo and box.lower_open[j]):
-                return False
-            if v > hi or (v == hi and box.upper_open[j]):
+            if v < lo or v > hi:
                 return False
         return True
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
            st.sampled_from([0.0, 0.25, 0.5, 1.5, -0.25]),
-           st.lists(st.booleans(), min_size=4, max_size=4),
            st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2), max_size=5))
-    def test_inside_is_the_per_coordinate_rule(self, corners, margin, faces, picks):
+    def test_inside_is_the_per_coordinate_rule(self, corners, margin, picks):
         lower = [min(corners[0], corners[1]), min(corners[2], corners[3])]
         upper = [max(corners[0], corners[1]), max(corners[2], corners[3])]
         assume(lower[0] < upper[0] and lower[1] < upper[1])
-        box = BoxDomain(lower, upper, lower_open=faces[:2], upper_open=faces[2:])
+        box = BoxDomain(lower, upper)
         # Per axis: the faces, the faces moved in by the margin, a point
         # between them, and the non-finite values.
         values = [[lo, hi, lo + margin, hi - margin, 0.5 * (lo + hi), np.nan,
@@ -112,12 +96,12 @@ class TestBoxDomain:
         expected = [all(map(math.isfinite, x)) and self.reference_contains(box, x, margin)
                     for x in X.tolist()]
         assert box.inside(X, margin).tolist() == expected
-        for x, want in zip(X, expected):
+        for x in X:
             if all(map(math.isfinite, x)):
-                assert box.contains(x, margin) is want
+                assert box.contains(x) is self.reference_contains(box, x, 0.0)
             else:
                 with pytest.raises(ValueError, match="non-finite"):
-                    box.contains(x, margin)
+                    box.contains(x)
 
     def test_inside_refuses_rows_of_another_dimension(self):
         with pytest.raises(ValueError, match="dimension 2"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from closed_forms import GRADIENT, HESSIAN
 from altkit.domain import BoxDomain
 from altkit.errors import ConfigError
-from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
+from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, IntensitySpec, UtilitySpec,
                              catalog, estimate_value_range, intensity_by_name,
                              make_difference_oracle, make_intensity_oracle,
                              oracle_by_name, parse_expression,
@@ -256,9 +256,11 @@ class TestBatchEvaluators:
                                   for k in range(0, len(points), chunk)])
         assert whole.tobytes() == alone.tobytes() == chunked.tobytes()
 
-    def test_scalar_only_spec_gets_a_row_loop(self):
-        spec = UtilitySpec("scalar", 2, lambda x: x[0] * x[1], BoxDomain([0.0, 0.0], [1.0, 1.0]))
-        assert spec.batch(np.array([[0.5, 0.5], [1.0, 0.25]])).tolist() == [0.25, 0.25]
+    def test_spec_without_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="needs a batch"):
+            UtilitySpec("scalar", 2, lambda x: x[0] * x[1], BoxDomain([0.0, 0.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="needs a batch"):
+            IntensitySpec("scalar", 1, lambda x, y: x[0] - y[0], BoxDomain([0.0], [1.0]))
 
     def test_batch_comparator_matches_compare(self):
         oracle = oracle_by_name("log_sum")
@@ -437,9 +439,8 @@ class TestIntensityOracle:
         same answers as the difference oracle."""
         spec = utility_by_name("cobb_douglas")
         diff = make_difference_oracle(spec)
-        from altkit.fixtures import IntensitySpec
-        ispec = IntensitySpec("reduced", 2,
-                              lambda x, y: spec(x) - spec(y), spec.domain)
+        ispec = IntensitySpec("reduced", 2, None, spec.domain,
+                              batch=lambda X, Y: spec.batch(X) - spec.batch(Y))
         reduced = make_intensity_oracle(ispec)
         rng = np.random.default_rng(7)
         for _ in range(1000):

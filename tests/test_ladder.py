@@ -407,11 +407,11 @@ class TestArchimedeanCount:
             archimedean_count(oracle_by_name("linear"),
                               [5.0, 5.0], [1.0, 1.0], [2.0, 2.0])
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         # ~170 steps of size e^0.01 - 1 separate the anchors; cap first.
+        monkeypatch.setattr(ladder, "ARCHIMEDEAN_CAP", 50)
         with pytest.raises(ArchimedeanError, match="cap=50"):
-            archimedean_count(oracle_by_name("exp1d"), [0.01], [0.0], [1.0],
-                              cap=50)
+            archimedean_count(oracle_by_name("exp1d"), [0.01], [0.0], [1.0])
 
 
 @pytest.fixture(scope="module")
@@ -614,26 +614,24 @@ class TestBatchedReconstruction:
         ([[5.0, 5.0], [math.nan, 1.0], [11.0, 2.0]], ValueError,
          "point has non-finite coordinates: array([nan,  1.])"),
         ([[2.0, math.inf]], ValueError, "point has non-finite coordinates: array([ 2., inf])"),
-        ([[5.0, 5.0], [0.1, 5.0]], DomainError,             # open lower face of axis 0
-         "point [0.1, 5.0] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
-        ([[5.0, 10.0]], DomainError,                        # open upper face of axis 1
-         "point [5.0, 10.0] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
+        ([[5.0, 5.0], [0.09999999999999999, 5.0]], DomainError,     # one ulp below a face
+         "point [0.09999999999999999, 5.0] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
+        ([[5.0, 10.000000000000002]], DomainError,                 # one ulp above a face
+         "point [5.0, 10.000000000000002] is outside the domain [[0.1, 0.1], [10.0, 10.0]]"),
         ([[5.0, 5.0, 5.0]], ValueError, "point has dimension 3, expected 2"),
         ([5.0, 5.0], ValueError, "point has dimension 1, expected 2"),
     ])
     def test_evaluate_many_names_the_first_bad_point(self, points, error, message):
-        box = BoxDomain([0.1, 0.1], [10.0, 10.0], lower_open=[True, False],
-                        upper_open=[False, True])
+        box = BoxDomain([0.1, 0.1], [10.0, 10.0])
         recon = reconstruct_utility(oracle_by_name("cobb_douglas", box), depth=3)
         with pytest.raises(error) as raised:
             recon.evaluate_many(points)
         assert str(raised.value) == message
 
     def test_evaluate_many_keeps_closed_faces(self):
-        box = BoxDomain([0.1, 0.1], [10.0, 10.0], lower_open=[True, False],
-                        upper_open=[False, True])
+        box = BoxDomain([0.1, 0.1], [10.0, 10.0])
         recon = reconstruct_utility(oracle_by_name("cobb_douglas", box), depth=3)
-        points = [[5.0, 0.1], [10.0, 5.0]]
+        points = [[5.0, 0.1], [10.0, 5.0], [0.1, 5.0], [5.0, 10.0]]
         assert recon.evaluate_many(points).tolist() == [recon(p) for p in points]
         assert recon.evaluate_many([]).shape == (0,)
 
@@ -704,7 +702,7 @@ class TestAffineUniqueness:
         # of a utility affine in the diagonal parameter differ by exactly
         # alpha = 0.5/0.8 and beta = 0.15/0.8.
         recon, other = _recons(oracle_by_name("linear"), 6, (0.25, 0.75), (0.1, 0.9))
-        fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
+        fit = verify_affine_uniqueness(recon, other, seed=0)
         assert fit.verdict == "pass"
         assert fit.alpha == pytest.approx(0.625, abs=1e-6)
         assert fit.beta == pytest.approx(0.1875, abs=1e-6)
@@ -712,7 +710,7 @@ class TestAffineUniqueness:
 
     def test_identical_anchors_give_identity_map(self):
         recon, other = _recons(oracle_by_name("linear"), 6, (0.25, 0.75), (0.25, 0.75))
-        fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
+        fit = verify_affine_uniqueness(recon, other, seed=0)
         assert fit.alpha == pytest.approx(1.0, abs=1e-9)
         assert fit.beta == pytest.approx(0.0, abs=1e-9)
 
@@ -720,16 +718,16 @@ class TestAffineUniqueness:
         # u = t^3 is far from affine in t, yet two reconstructions of it
         # must still be affine images of one another.
         recon, other = _recons(_power_oracle(3), 8, (0.2, 0.8), (0.3, 0.9))
-        fit = verify_affine_uniqueness(recon, other, samples=60, seed=3)
+        fit = verify_affine_uniqueness(recon, other, seed=3)
         assert fit.verdict == "pass" and fit.alpha > 0
 
     def test_to_dict_round(self):
         recon, other = _recons(oracle_by_name("linear"), 4, (0.25, 0.75), (0.1, 0.9))
-        fit = verify_affine_uniqueness(recon, other, samples=30, seed=0)
+        fit = verify_affine_uniqueness(recon, other, seed=0)
         d = fit.to_dict()
         assert set(d) == {"alpha", "beta", "max_residual", "samples",
                           "threshold", "verdict"}
-        assert d["samples"] == 30
+        assert d["samples"] == ladder.AFFINE_SAMPLES == 200
 
     def test_default_threshold_is_the_interpolation_budget(self):
         # Depth 4 leaves residuals near 0.0077 here, over a fixed 5e-3 but
@@ -738,15 +736,13 @@ class TestAffineUniqueness:
         fit = verify_affine_uniqueness(recon, other, seed=3)
         assert fit.threshold == (1 + abs(fit.alpha)) * 2.0 ** -4
         assert 5e-3 < fit.max_residual <= fit.threshold and fit.verdict == "pass"
-        strict = verify_affine_uniqueness(recon, other, seed=3, threshold=5e-3)
-        assert (strict.threshold, strict.verdict) == (5e-3, "fail")
 
     def test_budget_of_unequal_depths(self):
         # One rung step of the fitted reconstruction plus alpha steps of
         # the other: 2**-6 + alpha * 2**-4.
         recon = reconstruct_utility(oracle_by_name("linear"), depth=4)
         other, = _recons(oracle_by_name("linear"), 6, (0.1, 0.9))
-        fit = verify_affine_uniqueness(recon, other, samples=60, seed=0)
+        fit = verify_affine_uniqueness(recon, other, seed=0)
         assert fit.threshold == 2.0 ** -6 + abs(fit.alpha) * 2.0 ** -4
         assert fit.verdict == "pass"
 
@@ -767,10 +763,10 @@ class TestAffineUniqueness:
         saved = (apart[0].oracle.calls - calls[1]) - (together[0].oracle.calls - calls[0])
         assert saved > 0
 
-    def test_degenerate_fit_raises(self):
+    def test_degenerate_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(ladder, "AFFINE_SAMPLES", 1)      # one value has no variance
         with pytest.raises(DegenerateFitError, match="variance"):
-            verify_affine_uniqueness(*_recons(_power_oracle(2), 1, (0.25, 0.75), (0.1, 0.9)),
-                                     samples=1)
+            verify_affine_uniqueness(*_recons(_power_oracle(2), 1, (0.25, 0.75), (0.1, 0.9)))
 
 
 class TestDensity:
@@ -782,21 +778,22 @@ class TestDensity:
         assert rep.passed and rep.violation_count == 0
         assert rep.extras == {"gap_threshold": 2.0 ** (1 - 6), "depth": 6}
 
-    def test_depth_zero_is_vacuous(self):
-        # With only unit rungs every reconstructed gap fits under the
-        # 2-step threshold, so every trial is skipped rather than judged.
+    def test_depth_one_judges_only_wide_gaps(self):
+        # Half-unit rungs: only pairs more than two steps (one unit) apart
+        # are judged, and the rest are skipped.
+        o = oracle_by_name("cobb_douglas")
+        seg = o.domain.diagonal()
+        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=1)
+        rep = check_density(o, lad, trials=50, seed=0)
+        assert rep.passed and 0 < rep.skipped < 50
+        assert rep.extras == {"gap_threshold": 1.0, "depth": 1}
+
+    def test_depth_zero_is_refused(self):
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
         lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=0)
-        rep = check_density(o, lad, trials=50, seed=0, min_depth=0)
-        assert rep.passed and rep.skipped == 50
-
-    def test_min_depth_enforced(self):
-        o = oracle_by_name("cobb_douglas")
-        seg = o.domain.diagonal()
-        lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=2)
-        with pytest.raises(ValueError, match="below configured minimum"):
-            check_density(o, lad, min_depth=8)
+        with pytest.raises(ValueError, match="below the minimum 1"):
+            check_density(o, lad, trials=50, seed=0)
 
     def test_trials_validated(self):
         o = oracle_by_name("cobb_douglas")

@@ -363,10 +363,17 @@ class TestPoints:
             assert w.points["x"] == rows[2 * i % 3] and w.points["y"] == rows[(2 * i + 1) % 3]
 
 
+def _affine(n):
+    """The affine fit over ``n`` sample points."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ladder, "AFFINE_SAMPLES", n)
+        return verify_affine_uniqueness(_recon(), _recon(0.1, 0.9))
+
+
 # Checkers outside LIBRARY that draw through ``draw``.
 OTHER_CHECKS = {
     "order-embedding": lambda n: order_embedding_check(_recon(), trials=n),
-    "affine": lambda n: verify_affine_uniqueness(_recon(), _recon(0.1, 0.9), samples=n),
+    "affine": _affine,
 }
 
 

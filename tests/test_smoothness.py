@@ -6,13 +6,14 @@ import pytest
 
 from altkit.axioms import SKIP, VIOLATION, WITNESS_CAP, Witness, _collect, _fold
 from altkit.domain import BoxDomain, Segment
-from altkit.errors import ConfigError, ConstructionError, DomainError, OrderingError, RangeError
+from altkit.errors import ConstructionError, DomainError, OrderingError, RangeError
 from altkit.fixtures import catalog, make_difference_oracle, oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.sampling import subrng
-from altkit.smoothness import (ONE_SIDED_TOL, REL_TOL, SOLVE_F_RELATIVE_TOL, SOLVE_F_SCALE_TOL,
-                               _scales, calibrate, debreu_smoothness_proxy, default_schedule,
-                               diagonal_point, line_smoothness_limit, solve_f)
+from altkit.smoothness import (DEFAULT_QUOTIENT_FLOOR, ONE_SIDED_TOL, REL_TOL,
+                               SOLVE_F_RELATIVE_TOL, SOLVE_F_SCALE_TOL, _scales, calibrate,
+                               debreu_smoothness_proxy, diagonal_point, line_smoothness_limit,
+                               solve_f)
 from altkit.solvers import DEFAULT_TOL_T, band_bisect
 
 SPECS = {s.name: s for s in catalog()}
@@ -76,11 +77,16 @@ def reference_solve_midpoint(oracle, x, z, tol_t):
     return y
 
 
-def reference_line(oracle, b, schedule):
+def schedule(b):
+    """The line estimate's steps, b/2**4 down to b/2**16."""
+    return [b * 2.0 ** (-k) for k in range(4, 17)]
+
+
+def reference_line(oracle, b):
     """Rows, extras and compares of the schedule solved step by step,
     stopping at the first step that fails."""
     calls0, rows, extras = oracle.calls, [], {}
-    for a in schedule:
+    for a in schedule(b):
         tol = min(SOLVE_F_SCALE_TOL, a * SOLVE_F_RELATIVE_TOL)
         try:
             lo, hi = diagonal_point(oracle.domain, b - a), diagonal_point(oracle.domain, b + a)
@@ -112,7 +118,7 @@ class TestLineSmoothnessLimit:
         # step's solve alone, bit for bit.  An untruncated estimate makes
         # the same compares; a truncated one also asks the later steps.
         lockstep = line_smoothness_limit(oracle_by_name(name), b)
-        rows, extras, calls = reference_line(oracle_by_name(name), b, default_schedule(b))
+        rows, extras, calls = reference_line(oracle_by_name(name), b)
         assert np.array(lockstep.rows).tobytes() == np.array(rows).tobytes()
         assert lockstep.extras == extras
         if not extras:
@@ -123,8 +129,7 @@ class TestLineSmoothnessLimit:
         # b/100; b/128 does not, so its b+a and b-a are indifferent.
         oracle = _dead_zone_oracle(1.0, 0.01)
         r = line_smoothness_limit(oracle, 1.0)
-        rows, extras, _ = reference_line(_dead_zone_oracle(1.0, 0.01), 1.0,
-                                         default_schedule(1.0))
+        rows, extras, _ = reference_line(_dead_zone_oracle(1.0, 0.01), 1.0)
         assert [a for a, _, _ in r.rows] == [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
         assert r.rows == rows and r.extras == extras
         assert extras["truncated_at"] == 2.0 ** -7
@@ -164,29 +169,20 @@ class TestLineSmoothnessLimit:
         assert r.extras["truncated_at"] == 2.0 ** -4
         assert "outside the domain" in r.extras["truncation_reason"]
 
-    def test_default_schedule_geometry(self):
-        sched = default_schedule(1.0)
+    def test_schedule_geometry(self):
+        sched = [a for a, _, _ in line_smoothness_limit(oracle_by_name("cobb_douglas"), 1.0).rows]
         assert sched[0] == 2.0 ** -4 and sched[-1] == 2.0 ** -16
         assert all(b == a / 2 for a, b in zip(sched, sched[1:]))
 
-    def test_schedule_validation(self):
-        o = oracle_by_name("cobb_douglas")
-        with pytest.raises(ConfigError, match="two step sizes"):
-            line_smoothness_limit(o, 1.0, schedule=[0.1])
-        with pytest.raises(ConfigError, match="strictly decreasing"):
-            line_smoothness_limit(o, 1.0, schedule=[0.1, 0.1])
-        with pytest.raises(ConfigError, match="floor"):
-            line_smoothness_limit(o, 1.0, floor=0.0)
-
     def test_report_serialisation(self):
-        r = line_smoothness_limit(oracle_by_name("cobb_douglas"), 2.0,
-                                  schedule=[0.04, 0.02, 0.01, 0.005])
+        r = line_smoothness_limit(oracle_by_name("cobb_douglas"), 2.0)
         doc = json.loads(r.to_json())
         assert doc["b"] == 2.0 and doc["verdict"] == "line-smooth"
-        assert len(doc["rows"]) == 4
+        assert doc["floor"] == DEFAULT_QUOTIENT_FLOOR
+        assert len(doc["rows"]) == 13
         assert set(doc["rows"][0]) == {"a", "f", "quotient"}
         csv = r.csv_rows()
-        assert csv[0] == ["a", "f", "quotient"] and len(csv) == 5
+        assert csv[0] == ["a", "f", "quotient"] and len(csv) == 14
 
     def test_oracle_calls_are_per_call(self):
         # The oracle's own counter runs on across calls; each report
