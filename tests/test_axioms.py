@@ -37,6 +37,10 @@ class TestReportShape:
         assert doc["violations"] == []
         assert doc["proxy"] is False
 
+    def test_witness_roundtrip(self):
+        w = Witness({"x": [1.0]}, {"preference": "less"}, note="n")
+        assert Witness(**json.loads(Witness.dumps(w.to_dict()))) == w
+
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             check_consistency(oracle_by_name("linear"), trials=0)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from altkit.domain import BoxDomain, Segment, as_point
-from altkit.errors import DomainError
+from altkit.errors import ConfigError, DomainError
 
 
 class TestAsPoint:
@@ -45,6 +45,22 @@ class TestBoxDomain:
         assert box.contains([1.0, 2.0])
         assert not box.contains([1.0 + 1e-12, 1.0])
         assert not box.contains([-0.1, 1.0])
+
+    def test_contains_with_margin(self):
+        box = BoxDomain([0.0], [1.0])
+        assert box.inside(np.array([[0.5], [0.05], [0.95]]), 0.4).tolist() == [True, False, False]
+        assert box.inside(np.array([[0.5], [0.05], [0.95], [0.1]]), 0.1).tolist() == [
+            True, False, False, True]
+
+    def test_lattice_past_the_index_limit(self):
+        # 2**60 points of dimension 60 are 60 * 2**63 bytes: refused before
+        # any allocation.  2**56 points of dimension 56 fit numpy's count of
+        # elements but not of bytes (56 * 2**59 > 2**63 - 1).
+        for dim in (60, 56):
+            box = BoxDomain([0.0] * dim, [1.0] * dim)
+            with pytest.raises(ConfigError, match=f"2 points per axis in dimension {dim} "):
+                box.lattice(2)
+        assert BoxDomain([0.0] * 3, [1.0] * 3).lattice(2).shape == (8, 3)
 
     def test_require_raises_with_label(self):
         box = BoxDomain([0.0], [1.0])
