@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Count the machine-independent work of one benchmark round.
+
+    python scripts/count_work.py
+    python scripts/count_work.py --workload reconstruct-ladder --seed 2
+
+Runs one round of each workload of ``perfbench/workloads.py`` (or of the
+ones named) through ``altkit.cli.main`` in this process, with this
+checkout's ``src/``, and prints per workload:
+
+- evaluator rows and evaluator array calls: the rows of every call of a
+  utility's or intensity's array function (``batch``), set-up included;
+- ``compare_batch`` calls and the rows they ask;
+- Philox blocks computed by ``sampling._philox``.
+
+Everything is counted by wrapping altkit from outside ``src/``; nothing
+under ``perfbench/`` is changed.  Reports go to a temporary directory.
+"""
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from altkit import cli, fixtures, sampling  # noqa: E402
+from altkit.oracle import AltOracle  # noqa: E402
+
+COUNTS = ("evaluator rows", "evaluator array calls", "compare_batch calls", "compare rows",
+          "Philox blocks")
+WORKERS = 2          # the benchmark's worker count; altkit runs trials on one thread
+
+
+@contextlib.contextmanager
+def counting(counts: Counter):
+    """Count into ``counts`` while the block runs: every spec built in it
+    gets a counting ``batch``, and ``compare_batch`` and ``_philox`` are
+    wrapped."""
+    compare_batch, philox = AltOracle.compare_batch, sampling._philox
+    inits = {cls: cls.__post_init__ for cls in (fixtures.UtilitySpec, fixtures.IntensitySpec)}
+
+    def counted_init(init):
+        def post_init(self):
+            init(self)
+            batch = self.batch
+
+            def counted(*arrays):
+                counts["evaluator rows"] += len(arrays[0])
+                counts["evaluator array calls"] += 1
+                return batch(*arrays)
+            self.batch = counted
+        return post_init
+
+    def counted_compare_batch(self, X, Y, Z, W):
+        counts["compare_batch calls"] += 1
+        counts["compare rows"] += len(X)
+        return compare_batch(self, X, Y, Z, W)
+
+    def counted_philox(ctr, seed):
+        counts["Philox blocks"] += max(np.size(c) for c in ctr)
+        return philox(ctr, seed)
+
+    for cls, init in inits.items():
+        cls.__post_init__ = counted_init(init)
+    AltOracle.compare_batch = counted_compare_batch
+    sampling._philox = counted_philox
+    try:
+        yield
+    finally:
+        for cls, init in inits.items():
+            cls.__post_init__ = init
+        AltOracle.compare_batch = compare_batch
+        sampling._philox = philox
+
+
+def count_round(workload: str, seed: int) -> tuple[Counter, list]:
+    """The counts of one round of ``workload``, and the exit code of each
+    command (or the exception that escaped it)."""
+    counts, codes = Counter(), []
+    with tempfile.TemporaryDirectory() as out_root, counting(counts):
+        for cmd in workloads.commands(workload, seed, WORKERS, Path(out_root)):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    codes.append(cli.main(list(cmd.argv)))
+                except SystemExit as stop:
+                    codes.append(stop.code)
+                except Exception as bad:  # an escaping exception is a result to show
+                    codes.append(type(bad).__name__)
+    return counts, codes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", nargs="+", choices=workloads.WORKLOADS,
+                        default=list(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    print(f"{'workload':<20}" + "".join(f"{name:>23}" for name in COUNTS))
+    for workload in args.workload:
+        counts, codes = count_round(workload, args.seed)
+        print(f"{workload:<20}" + "".join(f"{counts[name]:>23,}" for name in COUNTS)
+              + f"   exit codes {dict(Counter(map(str, codes)))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

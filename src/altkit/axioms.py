@@ -23,7 +23,9 @@ the points of a stored witness.  Streams are derived per trial index, so
 a report regenerated from its stored seed is bit-identical.
 
 Crossover's draw also solves for its fourth point: the diagonal brackets
-of all trials are bisected in lockstep (``solvers.band_bisect_many``).
+of all trials are bisected in lockstep (``solvers.band_bisect_many``),
+with z, x and y pinned, so that only the diagonal point is new at each
+step.
 
 The continuity check is a necessary-condition proxy (strict outcomes must
 survive small coordinate perturbations); its reports carry ``proxy=True``.
@@ -42,7 +44,8 @@ import numpy as np
 from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, shared_prefix, subrng, uniforms  # noqa: F401
-from .solvers import DEFAULT_TOL_T, SideMany, band_bisect, band_bisect_many  # noqa: F401
+from .solvers import (DEFAULT_TOL_T, SideMany, band_bisect,  # noqa: F401
+                      band_bisect_many, pinned_rows)
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -284,12 +287,13 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
     p = _draw_triple(oracle, points, seed, trials)
-    x, y, z = p["x"], p["y"], p["z"]
+    fixed = pinned_rows(p["z"], p["x"], p["y"])
 
     # w runs down the diagonal so that [z,w] rises with s when the
     # system is increasing along the diagonal.
     def side(j: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return oracle.compare_batch(z[j], diag.at_many(1.0 - s), x[j], y[j])
+        z, x, y = fixed(j)
+        return oracle.compare_batch(z, diag.at_many(1.0 - s), x, y)
 
     every = np.arange(trials)
     lo, hi = np.zeros(trials), np.ones(trials)

@@ -154,8 +154,11 @@ class Segment:
 
     def at_many(self, t: np.ndarray) -> np.ndarray:
         """Rows ``at(t_i)`` for a 1-D array of parameters, bit-identical to
-        :meth:`at` row by row."""
-        return self.p + np.multiply.outer(t, self._dir)
+        :meth:`at` row by row, in a column-major array."""
+        out = np.empty((len(t), self.dim), order="F")
+        np.multiply.outer(t, self._dir, out=out)
+        out += self.p
+        return out
 
     def param_of(self, x) -> float:
         """Parameter of a point that must lie on the segment: an orthogonal

@@ -174,11 +174,11 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     A utility compare values each distinct argument array once: arguments
     that are the same object (``compare_batch(P, X, X, X)``, or
     ``compare(x, y, y, y)``, which ``prefers`` asks) share one call of u.
-    The values of the last two read-only arrays that own their data are
-    kept, and a later compare given the same object reuses them; such an
-    array cannot change unless its owner makes it writeable again.  u is a
-    deterministic row-wise function, so the answers are those of four
-    separate calls, bit for bit.
+    An argument pinned by ``solvers.pinned_rows`` is the rows of a
+    read-only source: the source is valued whole on first use, its values
+    are kept in the source's memo, and every later compare indexes them,
+    until the solve drops the source.  u is a deterministic row-wise
+    function, so the answers are those of four separate calls, bit for bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
@@ -192,18 +192,14 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         probe = (lambda P: f(P, np.broadcast_to(box.lower, P.shape))) if pairwise else f
         eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
 
-    held: tuple = ()     # (array, values) of the last read-only arrays valued
-
     def value(A):
-        nonlocal held
-        if A.flags.writeable or not A.flags.owndata:
+        memo = getattr(A, "memo", None)
+        if memo is None:
             return f(A)
-        for B, v in held:
-            if B is A:
-                return v
-        v = f(A)
-        held = ((A, v), *held[:1])
-        return v
+        v = memo.get(value)
+        if v is None:
+            v = memo[value] = f(A.source)
+        return v[A.index]
 
     def delta(X, Y, Z, W):
         if pairwise:

@@ -176,11 +176,12 @@ def _grow(ask, seg: Segment, levels: list[dict[int, float]], unit_lo: np.ndarray
     """
     walk = np.tile([1, -1], len(levels))      # +1 up, -1 down
     owner = np.repeat(np.arange(len(levels)), 2)
+    units = pinned_rows(unit_hi, unit_lo)     # the first step asks every level's step
 
     def quad(j: np.ndarray, p: np.ndarray) -> np.ndarray:
         """[p, a] for walks j up and [a, p] for walks j down, against their step."""
         w, o = walk[j, None] > 0, owner[j]
-        return ask(o, np.where(w, p, a[j]), np.where(w, a[j], p), unit_hi[o], unit_lo[o])
+        return ask(o, np.where(w, p, a[j]), np.where(w, a[j], p), *units(o))
 
     added = 0
     while walk.size and (limit is None or added < limit):

@@ -14,7 +14,10 @@ calls it, a walk that is sequential by nature (ladder edge growth,
 Archimedean walks) on the brackets of one step.  :func:`band_bisect` is
 that bisection on one bracket with a scalar side, and
 :func:`indifference_param_many` solves indifference for many points on
-one segment.
+one segment.  A side whose compares hold arguments fixed for the whole
+solve (bracket ends, reference points) pins them with
+:func:`pinned_rows`, so that a difference oracle values each of them
+once per solve.
 """
 from __future__ import annotations
 
@@ -54,18 +57,44 @@ def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
     return (a + b) * (0.5 / h), np.abs(b - a) > h * tol
 
 
-def pinned_rows(*arrays: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
-    """j -> the rows j of each array, read-only.  While j repeats (as the
-    same object, or equal) from one call to the next, the same objects come
-    back, so a difference oracle values them once, not at every step."""
+class Pinned(np.ndarray):
+    """Rows ``index`` of ``source``, a read-only copy of a fixed argument
+    of a solve that :func:`pinned_rows` made.  ``memo`` is one dict per
+    source, shared by all its rows, in which a consumer keeps what it
+    computed from the whole source; it goes when the solve drops the
+    source.  Arithmetic on a pinned array gives a plain array, and a view
+    of one carries no source."""
+
+    source: np.ndarray | None = None
+    index: np.ndarray | None = None
+    memo: dict | None = None
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        arr = arr.view(np.ndarray)
+        return arr[()] if return_scalar else arr
+
+
+def pinned_rows(*arrays: np.ndarray) -> Callable[[np.ndarray], tuple[Pinned, ...]]:
+    """j -> the rows j of each array, read-only, as :class:`Pinned` rows of
+    one copy of it made here.  A difference oracle values such a copy once,
+    on first use, and answers every later compare from those values.  While
+    j repeats (as the same object, or equal) from one call to the next, the
+    same objects come back."""
+    # C order, so that take() gathers rows: several times faster than source[j].
+    pins = [(np.array(a, order="C"), {}) for a in arrays]
+    for source, _ in pins:
+        source.flags.writeable = False
     last: list = [None, ()]
 
-    def rows(j: np.ndarray) -> tuple[np.ndarray, ...]:
+    def rows(j: np.ndarray) -> tuple[Pinned, ...]:
         if j is not last[0] and not np.array_equal(last[0], j):
-            subsets = tuple(a[j] for a in arrays)
-            for sub in subsets:
+            subsets = []
+            for source, memo in pins:
+                sub = source.take(j, axis=0).view(Pinned)
+                sub.source, sub.index, sub.memo = source, j, memo
                 sub.flags.writeable = False
-            last[:] = [j, subsets]
+                subsets.append(sub)
+            last[:] = [j, tuple(subsets)]
         return last[1]
     return rows
 
@@ -101,14 +130,12 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     first EQUAL parameter of each bracket that meets one.  Whatever ``tol``
     is, a walk stops at adjacent floats, within 1024 + 1074 halvings.
     """
-    a = np.array(lo, dtype=float)    # copies: both ends move in place
+    a = np.array(lo, dtype=float)    # copies: a stopped bracket's ends are written back
     b = np.array(hi, dtype=float)
     tol = np.asarray(tol, dtype=float)
     if not np.all(tol > 0):
         raise ValueError("tolerance must be positive")
-    # One tol serves every row as is; a per-bracket tol is gathered at each step.
     per = np.broadcast_to(tol, a.shape)
-    width = (lambda k: per[k]) if tol.ndim else (lambda k: tol)
     if np.any(b <= a):
         raise ValueError("need lo < hi")
     every = np.arange(a.size)
@@ -126,20 +153,24 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     # tells whether any midpoint or width can overflow.
     far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
     out, wider = _split(a, b, per, far)
-    j = np.flatnonzero(~found & wider & (a < out) & (out < b))    # running brackets
+    # The running brackets j, with their ends, next parameter and width
+    # kept compact; a bracket's state is written back when it stops.
+    j = np.flatnonzero(~found & wider & (a < out) & (out < b))
+    aj, bj, m, w = a[j], b[j], out[j], per[j]
     while j.size:
-        m = out[j]
         s = side(j, m)
-        a[j[s < 0]] = m[s < 0]
-        b[j[s > 0]] = m[s > 0]
-        eq[j[s == 0]] = m[s == 0]
-        found[j[s == 0]] = True
-        aj, bj = a[j], b[j]
-        m, wider = _split(aj, bj, width(j), far)
-        out[j] = m
-        go = (s != 0) & wider & (aj < m) & (m < bj)
+        np.putmask(aj, s < 0, m)
+        np.putmask(bj, s > 0, m)
+        nxt, wider = _split(aj, bj, w, far)
+        go = (s != 0) & wider & (aj < nxt) & (nxt < bj)
         if not go.all():         # j stays the same object while no bracket stops
-            j = j[go]
+            stop, hit = ~go, s == 0
+            k = j[stop]
+            a[k], b[k], out[k] = aj[stop], bj[stop], nxt[stop]
+            eq[j[hit]] = m[hit]
+            found[j[hit]] = True
+            j, aj, bj, nxt, w = j[go], aj[go], bj[go], nxt[go], w[go]
+        m = nxt
     if not refine:
         out[found] = eq[found]
         return out
@@ -154,23 +185,22 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     outer = np.concatenate([a[lower], b[upper]])
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    edge, wider = _split(outer, inner, width(owner), far)
+    edge, wider = _split(outer, inner, per[owner], far)
     k = np.flatnonzero(wider & (edge != outer) & (edge != inner))
-    ok = owner[k]
+    ok, ko, ki, m, ks, w = owner[k], outer[k], inner[k], edge[k], state[k], per[owner[k]]
     while k.size:
-        m = edge[k]
-        hit = side(ok, m) == state[k]
-        outer[k[hit]] = m[hit]
-        inner[k[~hit]] = m[~hit]
-        ko, ki = outer[k], inner[k]
-        m, wider = _split(ko, ki, width(ok), far)
-        edge[k] = m
-        go = wider & (m != ko) & (m != ki)
+        hit = side(ok, m) == ks
+        np.putmask(ko, hit, m)
+        np.putmask(ki, ~hit, m)
+        nxt, wider = _split(ko, ki, w, far)
+        go = wider & (nxt != ko) & (nxt != ki)
         if not go.all():
-            k, ok = k[go], ok[go]
+            edge[k[~go]] = nxt[~go]
+            k, ok, ko, ki, nxt, ks, w = (v[go] for v in (k, ok, ko, ki, nxt, ks, w))
+        m = nxt
     a[lower] = edge[:lower.size]          # a and b become the band's edges
     b[upper] = edge[lower.size:]
-    out[found] = _split(a[found], b[found], width(found), far)[0]
+    out[found] = _split(a[found], b[found], per[found], far)[0]
     return out
 
 

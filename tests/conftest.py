@@ -1,5 +1,7 @@
 """Shared fixtures: catalog oracles are cheap to build, so each test takes
 a fresh one (call counters are per-oracle state)."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,24 @@ def philox_blocks(monkeypatch):
         return philox(ctr, seed)
     monkeypatch.setattr(sampling, "_philox", counting)
     return blocks
+
+
+@pytest.fixture
+def evaluator_rows(monkeypatch):
+    """The row count of each array-function call of every oracle that
+    ``altkit.fixtures`` builds while the test runs, set-up included, in
+    call order; their sum is the evaluator rows valued."""
+    from altkit import fixtures
+
+    rows = []
+    build = fixtures._build_oracle
+
+    def counting(spec, *args, **kwargs):
+        batch = spec.batch
+
+        def counted(*arrays):
+            rows.append(len(arrays[0]))
+            return batch(*arrays)
+        return build(dataclasses.replace(spec, batch=counted), *args, **kwargs)
+    monkeypatch.setattr(fixtures, "_build_oracle", counting)
+    return rows

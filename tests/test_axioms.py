@@ -170,6 +170,20 @@ class TestCrossover:
         assert rep.passed
         assert rep.skipped == 0
 
+    # Rows valued by one 1000-trial check at seed 1, set-up aside, and its
+    # compares.  The solve for w pins z, x and y, so each is valued once
+    # and only the diagonal point is new at each step (the loop that
+    # valued all four at every step took 112,220 and 106,912 rows for the
+    # same compares).
+    @pytest.mark.parametrize("name, rows, compares", [("linear", 37679, 28559),
+                                                      ("log_sum", 36154, 27232)])
+    def test_the_solve_values_its_fixed_points_once(self, evaluator_rows, name, rows,
+                                                    compares):
+        oracle = oracle_by_name(name)
+        evaluator_rows.clear()
+        check_crossover(oracle, trials=1000, seed=1)
+        assert (sum(evaluator_rows), oracle.calls) == (rows, compares)
+
 
 class TestContinuityProxy:
     def test_continuous_fixture_passes(self, cobb_oracle):

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -746,3 +749,51 @@ class TestAlepCommand:
                    "--outdir", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestNothingShared:
+    """Reports are those of runs through an oracle that copies every
+    argument of every compare, so that no two arguments are one object
+    and no argument is pinned: the shared and pinned values an oracle
+    keeps change no byte."""
+
+    COMMANDS = (["verify", "--trials", "200"],
+                ["reconstruct", "--depth", "5", "--trials", "50", "--grid", "3",
+                 "--second-anchors", "0.1", "0.9"],
+                ["smoothness", "--b", "1.0", "--debreu-trials", "10"])
+
+    @staticmethod
+    def _copying(oracle_by_name):
+        def build(*args, **kwargs):
+            oracle = oracle_by_name(*args, **kwargs)
+            batch, comparator = oracle.batch, oracle.comparator
+            oracle.batch = lambda *arrays: batch(*(np.array(a) for a in arrays))
+            oracle.comparator = lambda *points: comparator(*(np.array(p) for p in points))
+            return oracle
+        return build
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        files = {p.name: re.sub(rb'"timestamp": "[^"]*"', b"", p.read_bytes())
+                 for p in sorted(Path("out").iterdir())} if Path("out").is_dir() else {}
+        shutil.rmtree("out", ignore_errors=True)
+        return rc, re.sub(r"\d+\.\d+ s", "", out.getvalue()), err.getvalue(), files
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    @pytest.mark.parametrize("name", ["linear", "cobb_douglas", "log_sum", "exp1d",
+                                      "kinked_composite", "min2", "neg_quadratic"])
+    def test_reports_equal_those_of_a_copying_oracle(self, name, seed, tmp_path, monkeypatch):
+        import altkit.cli
+
+        monkeypatch.chdir(tmp_path)
+        for command in self.COMMANDS:
+            argv = [*command, "--oracle", name, "--seed", seed, "--outdir", "out"]
+            shared = self._run(argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(altkit.cli, "oracle_by_name",
+                              self._copying(altkit.cli.oracle_by_name))
+                copied = self._run(argv)
+            assert shared == copied

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, IntensitySp
                              oracle_by_name, parse_expression,
                              utility_by_name, utility_from_json)
 from altkit.oracle import IntensityOrder, classify
+from altkit.solvers import pinned_rows
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -171,31 +174,39 @@ class TestSharedArguments:
             ask()
             assert rows == expected
 
-    def test_read_only_arrays_are_valued_once_across_compares(self):
+    def test_pinned_sources_are_valued_once_per_solve(self):
         spec, rows = _counted(utility_by_name("cobb_douglas"))
         oracle = make_difference_oracle(spec)
         rng = np.random.default_rng(2)
-        P, Q, A, B, C = (np.array([spec.domain.sample(rng) for _ in range(5)])
-                         for _ in range(5))
-        for held in (A, B, C):
-            held.flags.writeable = False
-        view = A[::-1]          # read-only, but not the owner of its data
-        asks = [((P, A, B, P), [5, 5, 5]), ((Q, A, B, Q), [5]), ((P, B, A, P), [5]),
-                ((P, C, B, P), [5, 5]),     # C displaces A: two arrays are kept
-                ((P, A, B, P), [5, 5, 5]), ((P, view, view, P), [5, 5])]
+        P, Q, A, B = (np.array([spec.domain.sample(rng) for _ in range(5)]) for _ in range(4))
+        pinned = pinned_rows(A, B)
+        a, b = pinned(np.arange(5))
+        assert type(a + 0.0) is np.ndarray and a[::-1].memo is None
+        two = np.array([1, 3])
+        a2, b2 = pinned(two)
+        P2, view = P[two], a[::-1]
+        A[:] = B                # the pinned rows are of a copy made when pinned
+        # A source is valued whole on first use; a later compare, on any of
+        # its rows, indexes those values.  A view of a pinned row is not
+        # pinned, and a plain array is valued at every compare.
+        asks = [((P, a, b, P), [5, 5, 5]), ((Q, a, b, Q), [5]), ((P2, b2, a2, P2), [2]),
+                ((P, view, view, P), [5, 5]), ((P, A, b, P), [5, 5])]
         for args, expected in asks:
             rows.clear()
             got = oracle.compare_batch(*args)
             assert rows == expected
-            assert got.tolist() == oracle.compare_batch(*(a.copy() for a in args)).tolist()
-        # An owner that makes its array writeable again gets fresh values.
+            assert got.tolist() == oracle.compare_batch(*(np.array(x) for x in args)).tolist()
+        # Another oracle values the source for itself.
+        other = make_difference_oracle(spec, eps_eq=1.0)
         rows.clear()
-        before = oracle.compare_batch(A, B, B, B)
-        assert rows == []
-        A.flags.writeable = True
-        A[:] = B
-        assert oracle.compare_batch(A, B, B, B).tolist() == [0] * 5 != before.tolist()
-        assert rows == [5]
+        other.compare_batch(P, a, b, P)
+        assert rows == [5, 5, 5]
+        # The values go with the source when the solve drops it.
+        values = weakref.ref(a.memo[next(iter(a.memo))])
+        source = weakref.ref(a.source)
+        del pinned, a, b, a2, b2, view, asks, args
+        gc.collect()
+        assert values() is None and source() is None
 
 
 def _kinked_reference(x):

@@ -11,8 +11,8 @@ from altkit.errors import BracketError, OrderingError
 from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.smoothness import solve_f
-from altkit.solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,
-                            indifference_param_many, pinned_rows)
+from altkit.solvers import (_HALF_MAX, DEFAULT_TOL_T, _split, band_bisect,
+                            band_bisect_many, indifference_param_many, pinned_rows)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -170,6 +170,97 @@ def _counted_side_many(sides, queries):
         np.add.at(queries, idx, 1)
         return np.array([sides[j](u).sign for j, u in zip(idx, t)], dtype=np.int8)
     return side_many
+
+
+def scattering_band_bisect_many(side, lo, hi, tol, lo_state=None, hi_state=None,
+                                refine=True):
+    """The lockstep loop that gathers each running bracket's state from
+    full-size arrays and scatters it back at every step.  The compact loop
+    of ``band_bisect_many`` must ask it the same brackets at the same
+    parameters, call by call, and return the same results, bit for bit."""
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    tol = np.asarray(tol, dtype=float)
+    per = np.broadcast_to(tol, a.shape)
+    width = (lambda k: per[k]) if tol.ndim else (lambda k: tol)
+    every = np.arange(a.size)
+    s_lo = side(every, a) if lo_state is None else np.array(lo_state, dtype=np.int8)
+    s_hi = side(every, b) if hi_state is None else np.array(hi_state, dtype=np.int8)
+    found = (s_lo == 0) | (s_hi == 0)
+    eq = np.where(s_lo == 0, a, b)
+    far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
+    out, wider = _split(a, b, per, far)
+    j = np.flatnonzero(~found & wider & (a < out) & (out < b))
+    while j.size:
+        m = out[j]
+        s = side(j, m)
+        a[j[s < 0]] = m[s < 0]
+        b[j[s > 0]] = m[s > 0]
+        eq[j[s == 0]] = m[s == 0]
+        found[j[s == 0]] = True
+        aj, bj = a[j], b[j]
+        m, wider = _split(aj, bj, width(j), far)
+        out[j] = m
+        j = j[(s != 0) & wider & (aj < m) & (m < bj)]
+    if not refine:
+        out[found] = eq[found]
+        return out
+    lower = np.flatnonzero(found & (s_lo < 0))
+    upper = np.flatnonzero(found & (s_hi > 0))
+    owner = np.concatenate([lower, upper])
+    outer = np.concatenate([a[lower], b[upper]])
+    inner = eq[owner]
+    state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
+    edge, wider = _split(outer, inner, width(owner), far)
+    k = np.flatnonzero(wider & (edge != outer) & (edge != inner))
+    while k.size:
+        ok, m = owner[k], edge[k]
+        hit = side(ok, m) == state[k]
+        outer[k[hit]] = m[hit]
+        inner[k[~hit]] = m[~hit]
+        ko, ki = outer[k], inner[k]
+        m, wider = _split(ko, ki, width(ok), far)
+        edge[k] = m
+        k = k[wider & (m != ko) & (m != ki)]
+    a[lower] = edge[:lower.size]
+    b[upper] = edge[lower.size:]
+    out[found] = _split(a[found], b[found], width(found), far)[0]
+    return out
+
+
+def _logged_side_many(sides, log):
+    """Lockstep side over scalar sides that logs each call's brackets and
+    parameters."""
+    def side_many(idx, t):
+        log.append((idx.tolist(), t.tobytes()))
+        return np.array([sides[j](u).sign for j, u in zip(idx, t)], dtype=np.int8)
+    return side_many
+
+
+class TestCompactLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(_brackets, st.one_of(st.sampled_from([1e-10, 1e-6, 1e-2]),
+                                st.lists(st.floats(1e-12, 1.0), min_size=12, max_size=12)),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_asks_and_returns_what_the_scattering_loop_does(self, brackets, tol, pass_states,
+                                                           refine, far):
+        tol = np.array(tol[:len(brackets)]) if isinstance(tol, list) else tol
+        if far:     # ends beyond half the float range: midpoints of halved ends
+            brackets = [(1e308 + 1e307 * lo, 1e307 * width, at, 1e307 * band)
+                        for lo, width, at, band in brackets]
+            tol = 1e307 * tol
+        lo, hi, sides = _banded_brackets(brackets)
+        states = {}
+        if pass_states:
+            states = {"lo_state": [s(a).sign for s, a in zip(sides, lo)],
+                      "hi_state": [s(b).sign for s, b in zip(sides, hi)]}
+        logs = [], []
+        got = band_bisect_many(_logged_side_many(sides, logs[0]), lo, hi, tol,
+                               refine=refine, **states)
+        expected = scattering_band_bisect_many(_logged_side_many(sides, logs[1]), lo, hi, tol,
+                                               refine=refine, **states)
+        assert got.tobytes() == expected.tobytes()
+        assert logs[0] == logs[1]
 
 
 class TestBandBisectMany:
