@@ -11,7 +11,11 @@ checkout's ``src/``, and prints per workload:
 - evaluator rows and evaluator array calls: the rows of every call of a
   utility's or intensity's array function (``batch``), set-up included;
 - ``compare_batch`` calls and the rows they ask;
-- Philox blocks computed by ``sampling._philox``.
+- Philox blocks computed by ``sampling._philox``;
+- the ``compare_batch`` calls split by the solve that asked them, found on
+  the Python stack: a ladder build (``ladder.build_ladder``) outside its
+  edge walks, an edge walk (``ladder._grow``, where the build has one),
+  an evaluation (``solvers.indifference_param_many``), and other calls.
 
 Everything is counted by wrapping altkit from outside ``src/``; nothing
 under ``perfbench/`` is changed.  Reports go to a temporary directory.
@@ -35,6 +39,18 @@ from altkit.oracle import AltOracle  # noqa: E402
 
 COUNTS = ("evaluator rows", "evaluator array calls", "compare_batch calls", "compare rows",
           "Philox blocks")
+# Per kind of solve, the function whose frame on the stack marks it, innermost first.
+SOLVES = (("edge walk", "_grow"), ("ladder build", "build_ladder"),
+          ("evaluation", "indifference_param_many"))
+
+
+def solve_of(frame) -> str:
+    """The kind of solve whose frames hold ``frame``, or "other"."""
+    names = set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return next((kind for kind, name in SOLVES if name in names), "other")
 WORKERS = 2          # the benchmark's worker count; altkit runs trials on one thread
 
 
@@ -60,6 +76,7 @@ def counting(counts: Counter):
 
     def counted_compare_batch(self, X, Y, Z, W):
         counts["compare_batch calls"] += 1
+        counts[solve_of(sys._getframe(1))] += 1
         counts["compare rows"] += len(X)
         return compare_batch(self, X, Y, Z, W)
 
@@ -108,6 +125,8 @@ def main(argv=None) -> int:
         counts, codes = count_round(workload, args.seed)
         print(f"{workload:<20}" + "".join(f"{counts[name]:>23,}" for name in COUNTS)
               + f"   exit codes {dict(Counter(map(str, codes)))}")
+        print(f"{'':<20}compare_batch calls by solve: " + ", ".join(
+            f"{kind} {counts[kind]:,}" for kind in [k for k, _ in SOLVES] + ["other"]))
     return 0
 
 

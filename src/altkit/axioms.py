@@ -25,7 +25,7 @@ a report regenerated from its stored seed is bit-identical.
 Crossover's draw also solves for its fourth point: the diagonal brackets
 of all trials are bisected in lockstep (``solvers.band_bisect_many``),
 with z, x and y pinned, so that only the diagonal point is new at each
-step.
+step; its predicate asks through the same pins, so that only w is new.
 
 The continuity check is a necessary-condition proxy (strict outcomes must
 survive small coordinate perturbations); its reports carry ``proxy=True``.
@@ -120,52 +120,53 @@ class Record:
     def dump(doc, fh) -> None:
         parts: list[str] = []
         put = parts.append
+        # per outer indent: the inner indent with and without a comma, the
+        # closing texts, and per str key its head: comma, indent, key, ": "
+        indents: dict[str, tuple] = {}
 
-        # Dicts and lists have a loop each, with scalars written in place:
-        # the per-value work is the writer's cost, and one shared loop over
-        # (key text, value) pairs was measurably slower.
-        def emit(o, pad: str) -> None:
-            inner = pad + "  "
+        # Every item is one put of its head (comma, indent, key) and its
+        # text: the per-value work is the writer's cost.  A dict's plain
+        # floats and strs, the bulk of a report, are written in place; a
+        # float's repr ends in "n" or "f" only for NaN and the infinities,
+        # which, like every other item, go through emit's isinstance chain.
+        def emit(o, pad: str, head: str) -> None:
+            inner, comma, close, close_list, texts = indents.get(pad) or indents.setdefault(
+                pad, (pad + "  ", "," + pad + "  ", pad + "}", pad + "]", {}))
             if isinstance(o, dict):
                 if not o:
-                    put("{}")
+                    put(head + "{}")
                     return
-                put("{")
-                sep = inner
+                put(head + "{")
+                cut = 1                    # the first item has no comma
                 for k in sorted(o):
-                    put(sep + _quote(k if isinstance(k, str) else _literal(k)) + ": ")
-                    sep = "," + inner
-                    v = o[k]
-                    if isinstance(v, (dict, list, tuple)):
-                        emit(v, inner)
-                    elif isinstance(v, str):
-                        put(_quote(v))
+                    if (head := texts.get(k) if type(k) is str else None) is None:
+                        head = "," + inner + _quote(k if isinstance(k, str) else _literal(k)) + ": "
+                        if type(k) is str:
+                            texts[k] = head
+                    head, cut, v = head[cut:], 0, o[k]
+                    kind = type(v)
+                    if kind is float and (r := float.__repr__(v))[-1] not in "nf":
+                        put(head + r)
+                    elif kind is str:
+                        put(head + _quote(v))
                     else:
-                        put(_literal(v))
-                put(pad + "}")
+                        emit(v, inner, head)
+                put(close)
             elif isinstance(o, (list, tuple)):
                 if not o:
-                    put("[]")
+                    put(head + "[]")
                     return
-                put("[")
-                sep = inner
-                for v in o:
-                    put(sep)
-                    sep = "," + inner
-                    if isinstance(v, (dict, list, tuple)):
-                        emit(v, inner)
-                    elif isinstance(v, str):
-                        put(_quote(v))
-                    else:
-                        put(_literal(v))
-                put(pad + "]")
+                put(head + "[")
+                for i, v in enumerate(o):
+                    emit(v, inner, comma if i else inner)
+                put(close_list)
             else:
-                put(_quote(o) if isinstance(o, str) else _literal(o))
+                put(head + (_quote(o) if isinstance(o, str) else _literal(o)))
             if len(parts) >= FLUSH_PARTS:
                 fh.write("".join(parts))
                 parts.clear()
 
-        emit(doc, "\n")
+        emit(doc, "\n", "")
         fh.write("".join(parts))
 
 
@@ -287,7 +288,7 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
     p = _draw_triple(oracle, points, seed, trials)
-    fixed = pinned_rows(p["z"], p["x"], p["y"])
+    fixed = p["fixed"] = pinned_rows(p["z"], p["x"], p["y"])
 
     # w runs down the diagonal so that [z,w] rises with s when the
     # system is increasing along the diagonal.
@@ -368,17 +369,24 @@ _second_consistency = _sign_match("mirrored", lambda x, y, z: (z, y, z, x))
 def _crossover(oracle: AltOracle, p: dict) -> tuple:
     """[z,w] = [x,y] implies [x,z] = [y,w] (checked where w is given and
     not NaN), and [x,x] = [y,y] always.  SKIP when no Equal premise was
-    found.  ``p["manufactured"]`` marks premises found, less null failures."""
+    found.  ``p["manufactured"]`` marks premises found, less null failures.
+
+    Every compare takes z, x and y through ``p["fixed"]``, the draw's pins,
+    which the draw's solve valued, or pins made here for a witness, so
+    that only w is valued here."""
     x, y, w = p["x"], p["y"], p.get("w")
+    fixed = p.get("fixed") or pinned_rows(*(p[n] for n in "zxy" if n in p))
     premise = np.zeros(len(x), dtype=bool)
     swapped = np.zeros(len(x), dtype=np.int8)
     if w is not None:
         j = np.flatnonzero(~np.isnan(w[:, 0]))
-        j = j[oracle.compare_batch(p["z"][j], w[j], x[j], y[j]) == 0]
+        z_j, x_j, y_j = fixed(j)
+        j = j[oracle.compare_batch(z_j, w.take(j, axis=0), x_j, y_j) == 0]
+        z_j, x_j, y_j = fixed(j)
         premise[j] = True
-        swapped[j] = oracle.compare_batch(x[j], p["z"][j], y[j], w[j])
+        swapped[j] = oracle.compare_batch(x_j, z_j, y_j, w.take(j, axis=0))
     rest = np.flatnonzero(swapped == 0)        # a failed rebracket is not asked again
-    xr, yr = x[rest], y[rest]
+    *_, xr, yr = fixed(rest)
     null = np.zeros(len(x), dtype=np.int8)
     null[rest] = oracle.compare_batch(xr, xr, yr, yr)
     p["manufactured"] = premise & (null == 0)

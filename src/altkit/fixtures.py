@@ -177,8 +177,11 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     An argument pinned by ``solvers.pinned_rows`` is the rows of a
     read-only source: the source is valued whole on first use, its values
     are kept in the source's memo, and every later compare indexes them,
-    until the solve drops the source.  u is a deterministic row-wise
-    function, so the answers are those of four separate calls, bit for bit.
+    until the solve drops the source.  An argument of ``solvers.pinned_source``
+    may also hold rows of one step's new points, ``fresh``: those are
+    valued once per compare, whichever arguments hold them.  u is a
+    deterministic row-wise function, so the answers are those of four
+    separate calls, bit for bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
@@ -196,10 +199,13 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         memo = getattr(A, "memo", None)
         if memo is None:
             return f(A)
-        v = memo.get(value)
-        if v is None:
+        if A.index is not None and (v := memo.get(value)) is None:
             v = memo[value] = f(A.source)
-        return v[A.index]
+        if A.fresh is None:
+            return v.take(A.index)
+        if (step := memo.get(delta)) is None or step[0] is not A.fresh:
+            step = memo[delta] = A.fresh, f(A.fresh)       # the last fresh, and its values
+        return step[1] if A.index is None else np.where(A.index < 0, step[1], v.take(A.index))
 
     def delta(X, Y, Z, W):
         if pairwise:

@@ -4,12 +4,15 @@ The ladder fixes two anchors (value 0 and 1) on a strictly-ranked segment
 and fills in rungs of equal intensity steps: level 0 walks unit steps to
 both domain edges, and each deeper level bisects every step by an
 intensity midpoint, then tries one extra half-step past each edge.  Rung
-(i, k) has value i / 2**k by construction.  ``build_ladder`` builds the
-ladders of many anchor pairs together, as the brackets of one lockstep
-solve per level and per edge-walk step, each with the rungs it would get
-alone.  A reconstructed utility evaluates any point by sliding it to its
-indifferent diagonal parameter and interpolating linearly between the
-deepest rungs; ``evaluate_many`` solves many points in lockstep, and
+(i, k) has value i / 2**k by construction, and a level is kept as two
+arrays, its rung indices and their parameters, from solve to report.
+``build_ladder`` builds the ladders of many anchor pairs together, each
+with the rungs it would get alone, in rounds of one lockstep solve each:
+after level 0's walks, round k holds level k's midpoint brackets whose
+two end rungs are known, the brackets of level k-1 next to the rungs the
+previous round made, and level k-1's edge walks.  A reconstructed
+utility evaluates any point by sliding it to its indifferent diagonal
+parameter and interpolating linearly between the deepest rungs; ``evaluate_many`` solves many points in lockstep, and
 ``evaluate`` is that solve on one point.  The sampled checks on a ladder
 (density, representation, order embedding) draw every trial's points
 first and then ask the oracle and the reconstruction in batches.
@@ -29,7 +32,7 @@ from .oracle import AltOracle, IntensityOrder
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, subrng  # noqa: F401
 from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F401
-                      indifference_param_many, pinned_rows)
+                      indifference_param_many, pinned_source)
 
 MAX_RUNGS_PER_LEVEL = 200_000
 ARCHIMEDEAN_CAP = 1000      # steps an Archimedean walk may take
@@ -38,32 +41,33 @@ AFFINE_SAMPLES = 200        # points an affine fit is taken over
 
 @dataclass(eq=False)
 class DyadicLadder:
-    """Rung parameters by (level, index); rung (i, k) carries value i/2**k.
+    """Rungs by level: ``levels[k]`` is two arrays in index order, the rung
+    indices of level k (consecutive integers) and their segment
+    parameters.  Rung (i, k) carries value i/2**k.
 
     ``oracle_calls`` is the number of compares the construction made."""
 
     segment: Segment
     depth: int
-    levels: list[dict[int, float]]
+    levels: list[tuple[np.ndarray, np.ndarray]]
     anchor_lo: np.ndarray
     anchor_hi: np.ndarray
     tol_t: float
     oracle_calls: int = 0
 
     def point(self, i: int, k: int) -> np.ndarray:
-        return self.segment.at(self.levels[k][i])
+        return self.segment.at(dict(self.rungs(k))[i])
 
     @staticmethod
     def value(i: int, k: int) -> float:
         return i / (1 << k)
 
     def index_range(self, k: int) -> tuple[int, int]:
-        idx = self.levels[k]
-        return min(idx), max(idx)
+        return tuple(self.levels[k][0][[0, -1]].tolist())
 
     def rungs(self, k: int | None = None) -> list[tuple[int, float]]:
-        level = self.levels[self.depth if k is None else k]
-        return sorted(level.items())
+        idx, t = self.levels[self.depth if k is None else k]
+        return list(zip(idx.tolist(), t.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -72,9 +76,9 @@ class DyadicLadder:
             "segment": {"p": self.segment.p.tolist(), "q": self.segment.q.tolist()},
             "anchors": {"lo": self.anchor_lo.tolist(), "hi": self.anchor_hi.tolist()},
             "levels": [
-                {str(i): {"param": t, "value": self.value(i, k)}
-                 for i, t in sorted(level.items())}
-                for k, level in enumerate(self.levels)
+                {str(i): {"param": t, "value": v}
+                 for i, t, v in zip(idx.tolist(), params.tolist(), (idx / 2.0 ** k).tolist())}
+                for k, (idx, params) in enumerate(self.levels)
             ],
         }
 
@@ -89,15 +93,19 @@ def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float 
     must themselves be strictly ranked -- systems that are not monotone
     along the default diagonal are rejected and need a caller-supplied
     strictly-increasing segment.  Every pair is checked, in order, before
-    any rung is solved.  Then each level bisects the steps of every ladder
-    in one lockstep solve, and all edge walks step together.  A ladder
-    gets the rungs it would get alone, after the same compares, which its
-    ``oracle_calls`` counts: the ladders' counts add up to the build's.
+    any rung is solved.  Then the ladders grow together, in rounds of one
+    lockstep solve each (:func:`_round`).  Level 0's edge walks step until
+    none fits; after that, the round that finishes level k also starts
+    level k+1 on the rungs of level k that are known.  A ladder gets the
+    rungs it would get alone, level by level, after the same compares,
+    which its ``oracle_calls`` counts: the ladders' counts add up to the
+    build's.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     seg = segment or oracle.domain.diagonal()
     ladders: list[DyadicLadder] = []
+    t = []
     for y_star, x_star in anchors:
         calls0 = oracle.calls
         y_star = oracle.domain.require(as_point(y_star, seg.dim), "anchor y*")
@@ -111,102 +119,139 @@ def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float 
             raise OrderingError(
                 "reference segment endpoints are not strictly ranked; the system is "
                 "not increasing along the default diagonal -- supply a custom segment")
-        ladders.append(DyadicLadder(seg, depth, [{0: t0, 1: t1}], y_star, x_star, tol_t,
+        ladders.append(DyadicLadder(seg, depth, [], y_star, x_star, tol_t,
                                     oracle_calls=oracle.calls - calls0))
-    asked = np.zeros(len(ladders), dtype=np.int64)
-
-    def ask(owner: np.ndarray, *quad: np.ndarray) -> np.ndarray:
-        """compare_batch of ``quad``, whose row r belongs to ladder owner[r]."""
-        asked[:] += np.bincount(owner, minlength=asked.size)
-        return oracle.compare_batch(*quad)
-
-    _grow(ask, seg, [lad.levels[0] for lad in ladders],
-          np.array([lad.anchor_lo for lad in ladders]),
-          np.array([lad.anchor_hi for lad in ladders]), tol_t)
-
-    for k in range(1, depth + 1):
-        prevs = [lad.levels[-1] for lad in ladders]
-        if (size := 2 * max(map(len, prevs), default=0) - 1) > MAX_RUNGS_PER_LEVEL:
-            raise ConstructionError(f"rung cap exceeded: level {k} would hold {size} rungs")
-        # Every step of every ladder's level is bisected by its intensity
-        # midpoint, all steps in lockstep.
-        inner = [sorted(prev)[:-1] for prev in prevs]
-        sizes = [len(idx) for idx in inner]
-        owner = np.repeat(np.arange(len(prevs)), sizes)
-        t_lo = np.array([prev[i] for prev, idx in zip(prevs, inner) for i in idx])
-        t_hi = np.array([prev[i + 1] for prev, idx in zip(prevs, inner) for i in idx])
-        if np.any(t_hi <= t_lo):         # e.g. two rungs on one jump of a step utility
-            raise ConstructionError(f"level {k - 1} rungs are not strictly increasing")
-        ends = pinned_rows(seg.at_many(t_lo), seg.at_many(t_hi))
-
-        def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
-            p = seg.at_many(t)
-            return ask(owner[j], p, *ends(j), p)
-
-        mids = band_bisect_many(side, t_lo, t_hi, tol_t)
-        curs = []
-        for prev, idx, part in zip(prevs, inner, np.split(mids, np.cumsum(sizes)[:-1])):
-            cur = {2 * i: t for i, t in prev.items()}
-            cur.update(zip((2 * i + 1 for i in idx), part.tolist()))
-            curs.append(cur)
-        # One extra half-step may fit past each edge; by construction a
-        # second one never does.
-        _grow(ask, seg, curs, seg.at_many(np.array([cur[0] for cur in curs])),
-              seg.at_many(np.array([cur[1] for cur in curs])), tol_t, limit=1)
-        for lad, cur in zip(ladders, curs):
-            lad.levels.append(cur)
-
-    for lad, n in zip(ladders, asked.tolist()):
-        lad.oracle_calls += n
+        t += [t0, t1]
+    if not (n := len(ladders)):
+        return ladders
+    asked = np.zeros(n, dtype=np.int64)              # each ladder's compares
+    # The open level of every ladder, one after another: its parameters,
+    # NaN where a rung is still to be solved, its rung count and first index.
+    t, sizes, firsts = np.array(t), np.full(n, 2), np.zeros(n, dtype=np.int64)
+    units = np.array([(lad.anchor_hi, lad.anchor_lo) for lad in ladders]).reshape(-1, seg.dim)
+    walks, k, done = np.ones((n, 2), dtype=bool), 0, []  # walks: the open level's up, down
+    while True:
+        # Level k+1 starts once level k's walks have at most this round's
+        # step left, if it stays within the cap should those walks fit.
+        stops = np.cumsum(sizes)
+        size = 2 * int((sizes + walks[:, 0] * (t[stops - 1] < 1.0)
+                        + walks[:, 1] * (t[stops - sizes] > 0.0)).max()) - 1
+        start = k < depth and not (k == 0 and walks.any()) and size <= MAX_RUNGS_PER_LEVEL
+        if not (start or walks.any() or np.isnan(t).any()):
+            if k == depth:
+                break
+            raise ConstructionError(f"rung cap exceeded: level {k + 1} would hold {size} rungs")
+        level, nxt, added = _round(oracle.compare_batch, asked, seg, k, t, sizes, firsts, walks,
+                                   start, units if k == 0 else None, tol_t)
+        if level[1].max() > MAX_RUNGS_PER_LEVEL:
+            raise ConstructionError("rung cap exceeded; anchors are too close together")
+        done += [level] if start else []
+        (t, sizes, firsts), walks = (nxt, walks | True) if start else (level, added & (k == 0))
+        k += start
+    for t, sizes, firsts in done + [(t, sizes, firsts)]:
+        for lad, params, first in zip(ladders, np.split(t, np.cumsum(sizes)[:-1]), firsts.tolist()):
+            lad.levels.append((np.arange(first, first + params.size), params))
+    for lad, calls in zip(ladders, asked.tolist()):
+        lad.oracle_calls += calls
     return ladders
 
 
-def _grow(ask, seg: Segment, levels: list[dict[int, float]], unit_lo: np.ndarray,
-          unit_hi: np.ndarray, tol_t: float, limit: int | None = None) -> None:
-    """Add rungs past both edges of each ``levels[l]`` while a full step
-    [unit_hi[l], unit_lo[l]] fits before the segment's end, at most
-    ``limit`` on each side.
+def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, sizes: np.ndarray,
+           firsts: np.ndarray, walks: np.ndarray, start: bool, units: np.ndarray | None,
+           tol_t: float) -> tuple:
+    """One round of the ladders whose open level k is ``t``: the
+    parameters of each ladder's rungs in turn, ``sizes[l]`` of them from
+    index ``firsts[l]``, NaN where a rung is still to be solved.  Its
+    brackets, all in one lockstep solve:
 
-    The walks up from max(level) and down from min(level) of every level
-    are independent, so each of their steps is one lockstep solve of all
-    of them; ``ask`` is ``compare_batch`` told the level of each row.
-    With a the edge rung's point, up stops unless [q, a] >= the step and
-    bisects [edge, 1] on [seg.at(t), a]; down stops unless [a, p] >= the
-    step and bisects [0, edge] on [a, seg.at(t)], with the sign negated.
-    """
-    walk = np.tile([1, -1], len(levels))      # +1 up, -1 down
-    owner = np.repeat(np.arange(len(levels)), 2)
-    units = pinned_rows(unit_hi, unit_lo)     # the first step asks every level's step
+    - each NaN rung, the intensity midpoint of its two neighbours, which
+      belong to level k-1: [p, lo] = [hi, p] on [lo, hi];
+    - with ``start``, the midpoint of every two neighbouring rungs that
+      are known, a rung of level k+1;
+    - one step of each edge walk that ``walks[l]`` holds (up, down),
+      against the step [uh, ul], ``units[2l], units[2l+1]`` or, without
+      ``units``, level k's rungs 1 and 0.  With a the edge rung's point,
+      up stops unless [q, a] >= the step and bisects [edge, 1] on
+      [p, a]; down stops unless [a, p] >= the step and bisects [0, edge]
+      on [a, p] with the sign negated.
 
-    def quad(j: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """[p, a] for walks j up and [a, p] for walks j down, against their step."""
-        w, o = walk[j, None] > 0, owner[j]
-        return ask(o, np.where(w, p, a[j]), np.where(w, a[j], p), *units(o))
+    The first step asks every midpoint's lower end and every walk's fit,
+    the second every midpoint's upper end and the edge of every walk that
+    fits, and then all of them bisect, each as it would alone.  Every
+    point but p is a known rung, a segment end or a unit point, pinned
+    for the round (:func:`pinned_source`).  ``compare`` is the oracle's
+    ``compare_batch``, and ``asked[l]`` counts ladder l's rows.  Returns
+    level k completed (t, sizes, firsts), with ``start`` level k+1 begun
+    (else None), NaN where its rung waits for the next round, and which
+    walks added a rung."""
+    n, stops = sizes.size, np.cumsum(sizes)
+    starts, ladder, known = stops - sizes, np.repeat(np.arange(n), sizes), ~np.isnan(t)
+    if units is None:       # the step of level k's walks: its rungs 1 and 0
+        units = seg.at_many(t[np.c_[starts + 1 - firsts, starts - firsts].ravel()])
+    head = [seg.q, seg.p, *units]
+    pos = len(head) - 1 + np.cumsum(known)        # the pin row of each known rung
+    gap = np.flatnonzero(~known)
+    pair = np.flatnonzero(known[:-1] & known[1:] & (ladder[:-1] == ladder[1:]) & start)
+    a, b = np.r_[gap - 1, pair], np.r_[gap + 1, pair + 1]
+    # e.g. two rungs on one jump of a step utility; bad[0] is True for a rung of level k-1
+    if (bad := np.flatnonzero(t[b] <= t[a]) < gap.size).size:
+        raise ConstructionError(f"level {k - bad[0]} rungs are not strictly increasing")
+    wl, wd = np.nonzero(walks)                    # each walk's ladder, and 0 up, 1 down
+    up, one = wd == 0, np.ones(a.size, dtype=np.int64)
+    e = pos[edge := np.where(up, stops[wl] - 1, starts[wl])]
+    # Per bracket: the pin rows of its four arguments, -1 for the moving
+    # point p; p's pin row on the first and the second step; its sign, -1
+    # for a walk down; its ladder.
+    quad, (first, second, sign, owner) = np.split(np.c_[
+        np.stack([-one, pos[a], pos[b], -one, pos[a], pos[b], one, ladder[a]]),
+        np.stack([np.where(up, -1, e), np.where(up, e, -1), 2 + 2 * wl, 3 + 2 * wl,
+                  np.where(up, 0, 1), e, np.where(up, 1, -1), wl])], [4])
+    lo, hi = np.r_[t[a], np.where(up, t[edge], 0.0)], np.r_[t[b], np.where(up, 1.0, t[edge])]
+    rows = pinned_source(np.concatenate([np.array(head), seg.at_many(t[known])]))
+    out, last = np.full(lo.size, np.nan), [None]
 
-    added = 0
-    while walk.size and (limit is None or added < limit):
-        edge = np.array([max(levels[o]) if w > 0 else min(levels[o])
-                         for w, o in zip(walk.tolist(), owner.tolist())])
-        t = np.array([levels[o][i] for o, i in zip(owner.tolist(), edge.tolist())])
-        a = seg.at_many(t)
-        state = quad(np.arange(walk.size), np.where(walk[:, None] > 0, seg.q, seg.p))
-        keep = (state >= 0) & np.where(walk > 0, t < 1.0, t > 0.0)
-        walk, owner, edge, t, a, state = (v[keep] for v in (walk, owner, edge, t, a, state))
-        if not walk.size:
-            return
-        up = walk > 0
+    def plan(g: np.ndarray, moving: np.ndarray | None = None) -> tuple:
+        """Brackets g's rows (pinned_source's step), moving point at pin
+        rows ``moving`` or else new; their count per ladder; their signs."""
+        q, sg = quad.take(g, axis=1), sign.take(g)
+        return (rows(*(np.where(q < 0, moving, q) if moving is not None else
+                       (None if (c < 0).all() else c for c in q))),
+                np.bincount(owner.take(g), minlength=n), sg if sg.min() < 0 else None)
 
-        def side(j: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return walk[j] * quad(j, seg.at_many(u))
+    def ask(step, counts: np.ndarray, sg: np.ndarray | None, fresh=None) -> np.ndarray:
+        asked[:] += counts
+        return compare(*step(fresh)) if sg is None else sg * compare(*step(fresh))
 
-        end = side(np.arange(walk.size), t)
-        new = band_bisect_many(side, np.where(up, t, 0.0), np.where(up, 1.0, t), tol_t,
-                               np.where(up, end, -state), np.where(up, state, end))
-        for o, i, u in zip(owner.tolist(), (edge + walk).tolist(), new.tolist()):
-            levels[o][i] = u
-        added += 1
-        if any(len(levels[o]) > MAX_RUNGS_PER_LEVEL for o in set(owner.tolist())):
-            raise ConstructionError("rung cap exceeded; anchors are too close together")
+    def side(j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if j is not last[0]:                      # the same j while no bracket stops
+            last[:] = [j, plan(go.take(j))]
+        return ask(*last[1], seg.at_many(u))
+
+    s1 = ask(*plan(np.arange(lo.size), first))
+    go = np.flatnonzero((quad[3] < 0) | ((sign * s1 >= 0) & (lo < hi)))   # W moves: a midpoint
+    if go.size:
+        s2, s1, rise = ask(*plan(go, second[go])), s1[go], (sign[go] > 0) & (quad[3, go] >= 0)
+        out[go] = band_bisect_many(side, lo[go], hi[go], tol_t, *np.where(rise, [s2, s1], [s1, s2]))
+
+    t[gap] = out[:gap.size]
+    new = np.full((n, 2), np.nan)                 # each ladder's new up and down rung
+    new[wl, wd] = out[a.size:]
+    (grew_up, grew_down), added = (new == new).T, new == new
+    # Ups first, so that at the border of two ladders the upper rung of
+    # the first comes before the lower rung of the second.
+    t = np.insert(t, np.r_[stops[grew_up], starts[grew_down]],
+                  np.r_[new[grew_up, 0], new[grew_down, 1]])
+    sizes, firsts = sizes + grew_up + grew_down, firsts - grew_down
+    if not start:
+        return (t, sizes, firsts), None, added
+    # Rung 2i of level k+1 is rung i of level k, and rung 2i+1 the
+    # midpoint of rungs i and i+1, solved now or, NaN, in the next round;
+    # each ladder's block is one shorter than twice its level k.
+    nxt = np.full(2 * t.size - n, np.nan)
+    nxt[2 * np.arange(t.size) - np.repeat(np.arange(n), sizes)] = t
+    lp = ladder[pair]
+    nxt[2 * (pair + np.cumsum(added.sum(1))[lp] - grew_up[lp]) - lp + 1] = out[gap.size:a.size]
+    return (t, sizes, firsts), (nxt, 2 * sizes - 1, 2 * firsts), added
 
 
 def archimedean_count(oracle: AltOracle, x, y, z,
@@ -258,9 +303,8 @@ class ReconstructedUtility(Record):
     tol_t: float = DEFAULT_TOL_T
 
     def __post_init__(self) -> None:
-        deepest = self.ladder.rungs()
-        self._params = np.array([t for _, t in deepest])
-        self._values = np.array([self.ladder.value(i, self.ladder.depth) for i, _ in deepest])
+        idx, self._params = self.ladder.levels[self.ladder.depth]
+        self._values = idx / 2.0 ** self.ladder.depth
         if np.any(np.diff(self._params) <= 0):
             raise ConstructionError("ladder rungs are not strictly increasing along the segment")
         self.clamped = 0
@@ -392,8 +436,8 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | 
         raise ValueError(f"ladder depth {ladder.depth} below the minimum 1")
     recon = ReconstructedUtility(oracle, ladder, ladder.tol_t)
     gap_threshold = 2.0 ** (1 - ladder.depth)
-    rung_points = ladder.segment.at_many(np.array([t for _, t in ladder.rungs()]))
-    rung_values = np.array([ladder.value(i, ladder.depth) for i, _ in ladder.rungs()])
+    rung_points = ladder.segment.at_many(recon._params)
+    rung_values = recon._values
 
     pairs, _ = draw(oracle.domain, points, seed, trials, 2)
     a, b = pairs[:, 0], pairs[:, 1]

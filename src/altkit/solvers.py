@@ -17,7 +17,11 @@ that bisection on one bracket with a scalar side, and
 one segment.  A side whose compares hold arguments fixed for the whole
 solve (bracket ends, reference points) pins them with
 :func:`pinned_rows`, so that a difference oracle values each of them
-once per solve.
+once per solve.  A solve whose brackets ask different quadruples, so
+that one argument holds the moving point on some rows and a fixed point
+on others, pins its fixed points with :func:`pinned_source`: the oracle
+then values the fixed points once per solve and each step's moving
+points once per step.
 """
 from __future__ import annotations
 
@@ -59,15 +63,19 @@ def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
 
 class Pinned(np.ndarray):
     """Rows ``index`` of ``source``, a read-only copy of a fixed argument
-    of a solve that :func:`pinned_rows` made.  ``memo`` is one dict per
-    source, shared by all its rows, in which a consumer keeps what it
-    computed from the whole source; it goes when the solve drops the
-    source.  Arithmetic on a pinned array gives a plain array, and a view
-    of one carries no source."""
+    of a solve that :func:`pinned_rows` or :func:`pinned_source` made.
+    ``memo`` is one dict per source, shared by all its rows, in which a
+    consumer keeps what it computed from the whole source; it goes when
+    the solve drops the source.  When ``fresh``, one step's new points, is
+    given, row r is row r of ``fresh`` wherever index[r] < 0 (everywhere
+    when ``index`` is None), and every argument of one compare holds the
+    same ``fresh`` object.  Arithmetic on a pinned array gives a plain
+    array, and a view of one carries no source."""
 
     source: np.ndarray | None = None
     index: np.ndarray | None = None
     memo: dict | None = None
+    fresh: np.ndarray | None = None
 
     def __array_wrap__(self, arr, context=None, return_scalar=False):
         arr = arr.view(np.ndarray)
@@ -76,26 +84,52 @@ class Pinned(np.ndarray):
 
 def pinned_rows(*arrays: np.ndarray) -> Callable[[np.ndarray], tuple[Pinned, ...]]:
     """j -> the rows j of each array, read-only, as :class:`Pinned` rows of
-    one copy of it made here.  A difference oracle values such a copy once,
-    on first use, and answers every later compare from those values.  While
-    j repeats (as the same object, or equal) from one call to the next, the
-    same objects come back."""
-    # C order, so that take() gathers rows: several times faster than source[j].
-    pins = [(np.array(a, order="C"), {}) for a in arrays]
-    for source, _ in pins:
-        source.flags.writeable = False
-    last: list = [None, ()]
+    one copy of it made here (:func:`pinned_source` of each array).  A
+    difference oracle values such a copy once, on first use, and answers
+    every later compare from those values.  While j repeats (as the same
+    object, or equal) from one call to the next, the same objects come
+    back."""
+    sources, last = [pinned_source(a) for a in arrays], [None, ()]
 
     def rows(j: np.ndarray) -> tuple[Pinned, ...]:
         if j is not last[0] and not np.array_equal(last[0], j):
-            subsets = []
-            for source, memo in pins:
-                sub = source.take(j, axis=0).view(Pinned)
-                sub.source, sub.index, sub.memo = source, j, memo
-                sub.flags.writeable = False
-                subsets.append(sub)
-            last[:] = [j, tuple(subsets)]
+            last[:] = [j, tuple(source(j)(None)[0] for source in sources)]
         return last[1]
+    return rows
+
+
+def pinned_source(source: np.ndarray) -> Callable[..., Callable]:
+    """*indices -> fresh -> for each index array, read-only :class:`Pinned`
+    rows: row r is row index[r] of one copy of ``source``, made here, or,
+    where index[r] < 0, row r of ``fresh``, one step's new points.  An
+    index of None stands for ``fresh`` whole.  The rows of the source are
+    gathered once per ``indices``, and come back as the same objects at
+    every step.  A difference oracle values the source once, on first use,
+    and each ``fresh`` once, however many arguments hold rows of it."""
+    # C order, so that take() gathers rows: several times faster than source[j].
+    src = np.array(source, dtype=float, order="C")
+    src.flags.writeable = False
+    memo: dict = {}
+
+    def pin(data: np.ndarray, index: np.ndarray | None, fresh: np.ndarray | None) -> Pinned:
+        sub = data.view(Pinned)
+        sub.source, sub.index, sub.memo, sub.fresh = src, index, memo, fresh
+        sub.flags.writeable = False
+        return sub
+
+    def rows(*indices: np.ndarray | None) -> Callable[[np.ndarray | None], list]:
+        # Per index: None, rows of the source alone, or where rows are fresh
+        # and the source's rows, column-major as Segment.at_many gives fresh.
+        plans = [index if index is None else pin(src.take(index, axis=0), index, None)
+                 if index.min(initial=0) >= 0 else
+                 ((index < 0)[:, None], np.asfortranarray(src.take(index, axis=0)), index)
+                 for index in indices]
+
+        def step(fresh: np.ndarray | None) -> list:
+            whole = fresh if fresh is None else pin(fresh, None, fresh)
+            return [whole if plan is None else plan if type(plan) is not tuple else
+                    pin(np.where(plan[0], fresh, plan[1]), plan[2], fresh) for plan in plans]
+        return step
     return rows
 
 

@@ -61,13 +61,14 @@ class TestLadderStructure:
     def test_rungs_defaults_to_deepest_level(self):
         lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=2)
         assert lad.rungs() == lad.rungs(2)
-        assert all(lad.rungs(k) == sorted(lad.levels[k].items()) for k in range(3))
+        assert all(lad.rungs(k) == list(zip(idx.tolist(), t.tolist()))
+                   for k, (idx, t) in enumerate(lad.levels))
 
     def test_anchor_indices_double_per_level(self):
         lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=3)
-        for k in range(4):
-            assert lad.levels[k][0] == 0.25
-            assert lad.levels[k][1 << k] == 0.75
+        for k, (idx, t) in enumerate(lad.levels):
+            assert t[idx == 0].tolist() == [0.25]
+            assert t[idx == 1 << k].tolist() == [0.75]
 
     def test_point_lies_on_segment(self):
         o = oracle_by_name("cobb_douglas")
@@ -137,12 +138,39 @@ class TestRungCap:
         seg = oracle_by_name("linear").domain.diagonal()
         anchors = seg.at(0.25), seg.at(0.75)
         built, = build_ladder(oracle_by_name("linear"), [anchors], depth=5)
-        assert [len(level) for level in built.levels] == [2, 5, 9, 17, 33, 65]
+        assert [t.size for _, t in built.levels] == [2, 5, 9, 17, 33, 65]
         monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 100)
         o = oracle_by_name("linear")
         with pytest.raises(ConstructionError, match="level 6 would hold 129 rungs"):
             build_ladder(o, [anchors], depth=8)
         assert o.calls == built.oracle_calls        # no compare of level 6
+
+    # On log_sum with anchors 0.25 and 0.75, level 1 holds 9 rungs and both
+    # of its walks could fit but do not; level 2 then holds 17 rungs before
+    # its walks and 18 after.  While level 1's walks are open, level 2
+    # could reach 21 rungs, so it waits for them under a cap of 18.
+    def test_a_level_waits_for_walks_that_could_pass_the_cap(self, monkeypatch):
+        seg = oracle_by_name("log_sum").domain.diagonal()
+        anchors = seg.at(0.25), seg.at(0.75)
+        reference = sequential_build(oracle_by_name("log_sum"), *anchors, 2)
+        monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 18)
+        built, = build_ladder(oracle_by_name("log_sum"), [anchors], 2)
+        assert [t.size for _, t in built.levels] == [5, 9, 18]
+        assert json.dumps(built.to_dict()) == json.dumps(reference.to_dict())
+        assert built.oracle_calls == reference.oracle_calls
+        monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 17)
+        with pytest.raises(ConstructionError) as raised:
+            build_ladder(oracle_by_name("log_sum"), [anchors], 2)
+        assert str(raised.value) == "rung cap exceeded; anchors are too close together"
+
+    def test_level_0_walks_are_capped(self, monkeypatch):
+        # Anchors 0.005 apart on linear's diagonal leave about 100 unit
+        # steps below and 100 above.
+        monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 100)
+        seg = oracle_by_name("linear").domain.diagonal()
+        with pytest.raises(ConstructionError) as raised:
+            build_ladder(oracle_by_name("linear"), [(seg.at(0.5), seg.at(0.505))], 3)
+        assert str(raised.value) == "rung cap exceeded; anchors are too close together"
 
     def test_cli_exits_one_with_one_error_line(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(ladder, "MAX_RUNGS_PER_LEVEL", 100)
@@ -194,8 +222,15 @@ def sequential_build(oracle, y_star, x_star, depth, tol_t=DEFAULT_TOL_T, segment
         cur.update(zip((2 * i + 1 for i in inner), mids.tolist()))
         grow(oracle, seg, cur, seg.at(cur[0]), seg.at(cur[1]), tol_t, limit=1)
         levels.append(cur)
-    return ladder.DyadicLadder(seg, depth, levels, y_star, x_star, tol_t,
-                               oracle_calls=oracle.calls - calls0)
+    return ladder.DyadicLadder(seg, depth, [_arrays(level) for level in levels], y_star, x_star,
+                               tol_t, oracle_calls=oracle.calls - calls0)
+
+
+def _arrays(level: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A level of rung parameters by index as the ladder keeps it: the
+    indices in order, and their parameters."""
+    idx = sorted(level)
+    return np.array(idx), np.array([level[i] for i in idx])
 
 
 def lockstep_grow(oracle, seg, level, unit_lo, unit_hi, tol_t, limit=None):
@@ -334,6 +369,42 @@ class TestLadderBuiltTogether:
     @given(st.sampled_from([0.5, 1.0, 3.0]), _anchor_pairs(0.25), st.integers(0, 5))
     def test_batchless_oracle(self, exponent, pairs, depth):
         self._check(lambda: _power_oracle(exponent), pairs, depth)
+
+    # Depth 0 to 8 with 1 to 3 anchor pairs: walks that fit and walks that
+    # do not, rungs that wait a round beside them, and on the step utility
+    # two rungs on one jump, which stops both builds alike.
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["linear", "log_sum", "exp1d", "kinked_composite", "step"]),
+           _anchor_pairs(0.1), st.integers(0, 8))
+    def test_rounds_match_the_sequential_build(self, name, pairs, depth):
+        seg = oracle_by_name(name).domain.diagonal()
+        anchors = [(seg.at(lo), seg.at(hi)) for lo, hi in pairs]
+        alone, failures = [], []
+        for y, x in anchors:
+            try:
+                alone.append(sequential_build(oracle_by_name(name), y, x, depth))
+            except (ConstructionError, OrderingError) as bad:
+                failures.append(bad)
+        together = oracle_by_name(name)
+        if failures:
+            with pytest.raises((ConstructionError, OrderingError)) as raised:
+                build_ladder(together, anchors, depth)
+            assert (type(raised.value), str(raised.value)) in {(type(f), str(f))
+                                                               for f in failures}
+            return
+        built = build_ladder(together, anchors, depth)
+        for got, want in zip(built, alone):
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert got.oracle_calls == want.oracle_calls
+        assert together.calls == sum(lad.oracle_calls for lad in alone)
+
+    def test_coinciding_rungs_stop_two_ladders_as_one(self):
+        # Each of these step ladders alone puts two rungs of level 2 on one
+        # jump; built together, they stop with the same error.
+        o = make_difference_oracle(utility_by_name("step"), BoxDomain([0.5], [2.0]))
+        with pytest.raises(ConstructionError) as raised:
+            build_ladder(o, [([0.6], [1.9]), ([0.875], [1.625])], depth=5)
+        assert str(raised.value) == "level 2 rungs are not strictly increasing"
 
     def test_no_pairs_build_no_ladder(self):
         o = oracle_by_name("linear")
@@ -482,7 +553,8 @@ class TestBatchedReconstruction:
         plain = _without_batch(batched)
         a = reconstruct_utility(batched, depth=6).ladder
         b = reconstruct_utility(plain, depth=6).ladder
-        assert a.levels == b.levels
+        assert [(i.tolist(), t.tolist()) for i, t in a.levels] == \
+            [(i.tolist(), t.tolist()) for i, t in b.levels]
         assert batched.calls == plain.calls == a.oracle_calls == b.oracle_calls
 
     @pytest.mark.parametrize("name, segment", [
@@ -497,7 +569,7 @@ class TestBatchedReconstruction:
         rng = np.random.default_rng(2)
         # Anchors, both corners, a rung, and random points.
         points = [seg.at(0.25), seg.at(0.75), oracle.domain.lower, oracle.domain.upper,
-                  seg.at(ladder.levels[6][5])]
+                  ladder.point(5, 6)]
         points += [oracle.domain.sample(rng) for _ in range(300)]
         scalar, batched = ReconstructedUtility(oracle, ladder), ReconstructedUtility(oracle, ladder)
         calls = oracle.calls
@@ -555,34 +627,59 @@ class TestBatchedReconstruction:
         return oracle, rows, per_batch
 
     def test_evaluator_rows_of_a_depth_4_reconstruction(self):
-        # Every lockstep solve pins the arguments it holds fixed, and the
-        # oracle values a pinned array once per solve, on first use.  A
-        # level solve asks (p, lo, hi, p): its first step values three
-        # arrays and every later step p alone.  An edge-walk step asks
-        # [p, a] or [a, p] against the pinned unit step, both walks in one
-        # batch: the first step of a walk values four arrays and every
-        # later one two.  Indifference solves ask (P, x, x, x) and value
-        # two arrays on the first step, then P alone.
+        # A round of the build pins every point but the moving one, and
+        # the oracle values the pinned points once per round, on the
+        # round's first step, and the moving points once per later step,
+        # whichever arguments hold them: one array per step, none on a
+        # round's second step.  Indifference solves ask (P, x, x, x) and
+        # value two arrays on the first step, then P alone.
         oracle, rows, per_batch = self._watched("cobb_douglas")
         recon = reconstruct_utility(oracle, depth=4)
-        assert (sum(rows), len(rows), oracle.calls) == (2031, 232, 1885)
-        assert Counter(per_batch) == {3: 4, 1: 130, 4: 5, 2: 33}
+        assert (sum(rows), len(rows), oracle.calls) == (1893, 169, 1885)
+        assert Counter(per_batch) == {1: 165, 0: 5}
         rows.clear()
         per_batch.clear()
         recon.evaluate_many(oracle.domain.lattice(5))
         assert (sum(rows), len(rows)) == (1069, 70)
         assert Counter(per_batch) == {2: 3, 1: 64}
 
+    @pytest.mark.parametrize("name", ["log_sum", "exp1d", "kinked_composite"])
+    def test_a_round_values_new_points_once_per_step_and_pins_once(self, monkeypatch, name):
+        # Per round: its first compare values the pinned points (known
+        # rungs, segment ends, units), its second nothing, and each later
+        # compare one new point per row, whichever of the four arguments
+        # hold it.
+        oracle, rows, _ = self._watched(name)
+        log, rounds = [], []                 # per compare: (rows asked, rows valued)
+        batch, pin = oracle.batch, ladder.pinned_source
+
+        def counting(*arrays):
+            before = len(rows)
+            out = batch(*arrays)
+            log.append((len(arrays[0]), sum(rows[before:])))
+            return out
+
+        def marked(pins):                    # each round pins its points once, first
+            rounds.append((len(log), len(pins)))
+            return pin(pins)
+        oracle.batch = counting
+        monkeypatch.setattr(ladder, "pinned_source", marked)
+        _recons(oracle, 6, (0.25, 0.75), (0.1, 0.9))
+        assert len(rounds) > 7 and sum(n for n, _ in log) == oracle.calls - 4  # 4 anchor checks
+        for (start, pinned), (stop, _) in zip(rounds, rounds[1:] + [(len(log), 0)]):
+            valued = [v for _, v in log[start:stop]]
+            assert valued[:2] == [pinned, 0][:stop - start]
+            assert valued[2:] == [n for n, _ in log[start + 2:stop]]
+
     @pytest.mark.parametrize("name, depth", [("cobb_douglas", 4), ("log_sum", 10),
                                              ("exp1d", 10), ("kinked_composite", 10)])
     def test_evaluator_rows_of_two_ladders_built_together(self, name, depth):
-        # Each level solve and each edge-walk step asks the brackets of both
-        # ladders in one batch, so the build makes fewer array-function
-        # calls than two builds alone.  A pinned bracket end is valued once
-        # per solve, whichever bracket stops first, so the build values no
-        # more rows than two builds alone, also where the brackets of a
-        # level end their bisection at different steps (log_sum, exp1d,
-        # kinked_composite).
+        # Each round asks the brackets of both ladders in one batch, so the
+        # build makes fewer array-function calls than two builds alone.  A
+        # pinned point is valued once per round, whichever bracket stops
+        # first, so the build values no more rows than two builds alone,
+        # also where the brackets of a round end their bisection at
+        # different steps (log_sum, exp1d, kinked_composite).
         pairs = [(0.25, 0.75), (0.1, 0.9)]
         alone = []
         for pair in pairs:
@@ -595,9 +692,9 @@ class TestBatchedReconstruction:
         assert oracle.calls == sum(a[2] for a in alone)
         assert len(rows) < sum(a[1] for a in alone)
         if name == "cobb_douglas":
-            assert alone == [(2031, 232, 1885), (1251, 228, 1133)]
-            assert (sum(rows), len(rows), oracle.calls) == (3282, 298, 3018)
-            assert Counter(per_batch) == {3: 4, 1: 130, 4: 5, 2: 64}
+            assert alone == [(1893, 169, 1885), (1153, 167, 1133)]
+            assert (sum(rows), len(rows), oracle.calls) == (3034, 173, 3018)
+            assert Counter(per_batch) == {1: 165, 0: 5}
 
     def test_evaluate_many_through_batchless_oracle(self):
         oracle = _without_batch(oracle_by_name("exp1d"))
