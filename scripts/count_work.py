@@ -10,12 +10,13 @@ checkout's ``src/``, and prints per workload:
 
 - evaluator rows and evaluator array calls: the rows of every call of a
   utility's or intensity's array function (``batch``), set-up included;
-- ``compare_batch`` calls and the rows they ask;
+- ``compare_batch`` calls and the rows they ask, a ``compare_rows`` call
+  counted as one of them (and the ``compare_batch`` call it may make for
+  its gathered rows not again);
 - Philox blocks computed by ``sampling._philox``;
-- the ``compare_batch`` calls split by the solve that asked them, found on
-  the Python stack: a ladder build (``ladder.build_ladder``) outside its
-  edge walks, an edge walk (``ladder._grow``, where the build has one),
-  an evaluation (``solvers.indifference_param_many``), and other calls.
+- those calls split by the solve that asked them, found on the Python
+  stack: a ladder build (``ladder.build_ladder``), an evaluation
+  (``solvers.indifference_param_many``), and other calls.
 
 Everything is counted by wrapping altkit from outside ``src/``; nothing
 under ``perfbench/`` is changed.  Reports go to a temporary directory.
@@ -40,8 +41,7 @@ from altkit.oracle import AltOracle  # noqa: E402
 COUNTS = ("evaluator rows", "evaluator array calls", "compare_batch calls", "compare rows",
           "Philox blocks")
 # Per kind of solve, the function whose frame on the stack marks it, innermost first.
-SOLVES = (("edge walk", "_grow"), ("ladder build", "build_ladder"),
-          ("evaluation", "indifference_param_many"))
+SOLVES = (("ladder build", "build_ladder"), ("evaluation", "indifference_param_many"))
 
 
 def solve_of(frame) -> str:
@@ -57,9 +57,10 @@ WORKERS = 2          # the benchmark's worker count; altkit runs trials on one t
 @contextlib.contextmanager
 def counting(counts: Counter):
     """Count into ``counts`` while the block runs: every spec built in it
-    gets a counting ``batch``, and ``compare_batch`` and ``_philox`` are
-    wrapped."""
-    compare_batch, philox = AltOracle.compare_batch, sampling._philox
+    gets a counting ``batch``, and ``compare_batch``, ``compare_rows`` and
+    ``_philox`` are wrapped."""
+    compare_batch, compare_rows = AltOracle.compare_batch, AltOracle.compare_rows
+    philox = sampling._philox
     inits = {cls: cls.__post_init__ for cls in (fixtures.UtilitySpec, fixtures.IntensitySpec)}
 
     def counted_init(init):
@@ -74,11 +75,20 @@ def counting(counts: Counter):
             self.batch = counted
         return post_init
 
-    def counted_compare_batch(self, X, Y, Z, W):
+    def count_compare(rows: int) -> None:
         counts["compare_batch calls"] += 1
-        counts[solve_of(sys._getframe(1))] += 1
-        counts["compare rows"] += len(X)
+        counts[solve_of(sys._getframe(2))] += 1
+        counts["compare rows"] += rows
+
+    def counted_compare_batch(self, X, Y, Z, W):
+        if sys._getframe(1).f_code is not compare_rows.__code__:     # compare_rows counts itself
+            count_compare(len(X))
         return compare_batch(self, X, Y, Z, W)
+
+    def counted_compare_rows(self, held, index, fresh=None):
+        signs = compare_rows(self, held, index, fresh)
+        count_compare(len(signs))
+        return signs
 
     def counted_philox(ctr, seed):
         counts["Philox blocks"] += max(np.size(c) for c in ctr)
@@ -87,6 +97,7 @@ def counting(counts: Counter):
     for cls, init in inits.items():
         cls.__post_init__ = counted_init(init)
     AltOracle.compare_batch = counted_compare_batch
+    AltOracle.compare_rows = counted_compare_rows
     sampling._philox = counted_philox
     try:
         yield
@@ -94,6 +105,7 @@ def counting(counts: Counter):
         for cls, init in inits.items():
             cls.__post_init__ = init
         AltOracle.compare_batch = compare_batch
+        AltOracle.compare_rows = compare_rows
         sampling._philox = philox
 
 
@@ -125,7 +137,7 @@ def main(argv=None) -> int:
         counts, codes = count_round(workload, args.seed)
         print(f"{workload:<20}" + "".join(f"{counts[name]:>23,}" for name in COUNTS)
               + f"   exit codes {dict(Counter(map(str, codes)))}")
-        print(f"{'':<20}compare_batch calls by solve: " + ", ".join(
+        print(f"{'':<20}compare calls by solve: " + ", ".join(
             f"{kind} {counts[kind]:,}" for kind in [k for k, _ in SOLVES] + ["other"]))
     return 0
 

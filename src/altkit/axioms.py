@@ -24,8 +24,10 @@ a report regenerated from its stored seed is bit-identical.
 
 Crossover's draw also solves for its fourth point: the diagonal brackets
 of all trials are bisected in lockstep (``solvers.band_bisect_many``),
-with z, x and y pinned, so that only the diagonal point is new at each
-step; its predicate asks through the same pins, so that only w is new.
+with z, x and y held (``solvers.held``) and asked by row index
+(``AltOracle.compare_rows``), so that only the diagonal point is new at
+each step; its predicate asks through the same held points, so that
+only w is new.
 
 The continuity check is a necessary-condition proxy (strict outcomes must
 survive small coordinate perturbations); its reports carry ``proxy=True``.
@@ -45,7 +47,7 @@ from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, shared_prefix, subrng, uniforms  # noqa: F401
 from .solvers import (DEFAULT_TOL_T, SideMany, band_bisect,  # noqa: F401
-                      band_bisect_many, pinned_rows)
+                      band_bisect_many, held)
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -288,13 +290,13 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
     p = _draw_triple(oracle, points, seed, trials)
-    fixed = p["fixed"] = pinned_rows(p["z"], p["x"], p["y"])
+    fixed = p["held"] = held(p["z"], p["x"], p["y"])
 
     # w runs down the diagonal so that [z,w] rises with s when the
     # system is increasing along the diagonal.
     def side(j: np.ndarray, s: np.ndarray) -> np.ndarray:
-        z, x, y = fixed(j)
-        return oracle.compare_batch(z, diag.at_many(1.0 - s), x, y)
+        return oracle.compare_rows(fixed, (j, None, j + trials, j + 2 * trials),
+                                   diag.at_many(1.0 - s))
 
     every = np.arange(trials)
     lo, hi = np.zeros(trials), np.ones(trials)
@@ -371,24 +373,24 @@ def _crossover(oracle: AltOracle, p: dict) -> tuple:
     not NaN), and [x,x] = [y,y] always.  SKIP when no Equal premise was
     found.  ``p["manufactured"]`` marks premises found, less null failures.
 
-    Every compare takes z, x and y through ``p["fixed"]``, the draw's pins,
-    which the draw's solve valued, or pins made here for a witness, so
-    that only w is valued here."""
+    Every compare asks z, x and y by row of ``p["held"]``, the draw's held
+    points, which the draw's solve valued, so that only w is valued here;
+    a witness holds its own (with x for an absent z, which only w's
+    compares ask)."""
     x, y, w = p["x"], p["y"], p.get("w")
-    fixed = p.get("fixed") or pinned_rows(*(p[n] for n in "zxy" if n in p))
-    premise = np.zeros(len(x), dtype=bool)
-    swapped = np.zeros(len(x), dtype=np.int8)
+    n = len(x)
+    fixed = p["held"] if "held" in p else held(p.get("z", x), x, y)
+    premise = np.zeros(n, dtype=bool)
+    swapped = np.zeros(n, dtype=np.int8)
     if w is not None:
         j = np.flatnonzero(~np.isnan(w[:, 0]))
-        z_j, x_j, y_j = fixed(j)
-        j = j[oracle.compare_batch(z_j, w.take(j, axis=0), x_j, y_j) == 0]
-        z_j, x_j, y_j = fixed(j)
+        j = j[oracle.compare_rows(fixed, (j, None, j + n, j + 2 * n), w.take(j, axis=0)) == 0]
         premise[j] = True
-        swapped[j] = oracle.compare_batch(x_j, z_j, y_j, w.take(j, axis=0))
+        swapped[j] = oracle.compare_rows(fixed, (j + n, j, j + 2 * n, None), w.take(j, axis=0))
     rest = np.flatnonzero(swapped == 0)        # a failed rebracket is not asked again
-    *_, xr, yr = fixed(rest)
-    null = np.zeros(len(x), dtype=np.int8)
-    null[rest] = oracle.compare_batch(xr, xr, yr, yr)
+    xr, yr = rest + n, rest + 2 * n
+    null = np.zeros(n, dtype=np.int8)
+    null[rest] = oracle.compare_rows(fixed, (xr, xr, yr, yr))
     p["manufactured"] = premise & (null == 0)
     tags = np.where(premise, None, SKIP)
     tags[(swapped != 0) | (null != 0)] = VIOLATION

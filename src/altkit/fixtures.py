@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import BoxDomain, as_point
 from .errors import ConfigError
-from .oracle import AltOracle, classify, classify_many
+from .oracle import AltOracle, classify, classify_many, rows_of
 
 Evaluator = Callable[[np.ndarray], float]
 BatchEvaluator = Callable[[np.ndarray], np.ndarray]
@@ -174,14 +174,12 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     A utility compare values each distinct argument array once: arguments
     that are the same object (``compare_batch(P, X, X, X)``, or
     ``compare(x, y, y, y)``, which ``prefers`` asks) share one call of u.
-    An argument pinned by ``solvers.pinned_rows`` is the rows of a
-    read-only source: the source is valued whole on first use, its values
-    are kept in the source's memo, and every later compare indexes them,
-    until the solve drops the source.  An argument of ``solvers.pinned_source``
-    may also hold rows of one step's new points, ``fresh``: those are
-    valued once per compare, whichever arguments hold them.  u is a
-    deterministic row-wise function, so the answers are those of four
-    separate calls, bit for bit.
+    ``compare_rows`` values its held array whole the first time it is
+    asked, and keeps it and its values until another held array comes;
+    each call values its fresh points once, whichever arguments hold
+    them, and indexes the held values.  u is a deterministic row-wise
+    function, so the answers are those of four separate calls, bit for
+    bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
@@ -195,22 +193,10 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         probe = (lambda P: f(P, np.broadcast_to(box.lower, P.shape))) if pairwise else f
         eps_eq = RELATIVE_EPS * estimate_value_range(probe, box)
 
-    def value(A):
-        memo = getattr(A, "memo", None)
-        if memo is None:
-            return f(A)
-        if A.index is not None and (v := memo.get(value)) is None:
-            v = memo[value] = f(A.source)
-        if A.fresh is None:
-            return v.take(A.index)
-        if (step := memo.get(delta)) is None or step[0] is not A.fresh:
-            step = memo[delta] = A.fresh, f(A.fresh)       # the last fresh, and its values
-        return step[1] if A.index is None else np.where(A.index < 0, step[1], v.take(A.index))
-
     def delta(X, Y, Z, W):
         if pairwise:
             return f(X, Y) - f(Z, W)
-        u_x, u_y, u_z, u_w = _per_object(value, (X, Y, Z, W))
+        u_x, u_y, u_z, u_w = _per_object(f, (X, Y, Z, W))
         return (u_x - u_y) - (u_z - u_w)
 
     def batch(*arrays):
@@ -220,8 +206,25 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         rows = _per_object(_row, points)
         return classify(_finite(delta, rows, "non-finite intensity difference")[0], eps_eq)
 
+    last: list = [None, None]                  # the last held array, and its values
+
+    def indexed(held, index, fresh):
+        try:
+            with np.errstate(all="ignore"):
+                if held is not last[0]:
+                    last[:] = held, f(held)
+                u_fresh = None if fresh is None else f(fresh)
+                u_x, u_y, u_z, u_w = _per_object(lambda i: rows_of(last[1], i, u_fresh), index)
+                d = (u_x - u_y) - (u_z - u_w)
+            if np.isfinite(d).all():
+                return classify_many(d, eps_eq)
+        except (ValueError, ArithmeticError):
+            pass
+        return batch(*(rows_of(held, i, fresh) for i in index))   # raises, naming the bad row
+
     name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"
-    return AltOracle(spec.dim, box, comparator, eps_eq, name=name, batch=batch)
+    return AltOracle(spec.dim, box, comparator, eps_eq, name=name, batch=batch,
+                     rows=None if pairwise else indexed)
 
 
 def make_difference_oracle(spec: UtilitySpec, domain: BoxDomain | None = None,

@@ -32,7 +32,7 @@ from .oracle import AltOracle, IntensityOrder
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, subrng  # noqa: F401
 from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F401
-                      indifference_param_many, pinned_source)
+                      held, indifference_param_many)
 
 MAX_RUNGS_PER_LEVEL = 200_000
 ARCHIMEDEAN_CAP = 1000      # steps an Archimedean walk may take
@@ -141,7 +141,7 @@ def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float 
             if k == depth:
                 break
             raise ConstructionError(f"rung cap exceeded: level {k + 1} would hold {size} rungs")
-        level, nxt, added = _round(oracle.compare_batch, asked, seg, k, t, sizes, firsts, walks,
+        level, nxt, added = _round(oracle.compare_rows, asked, seg, k, t, sizes, firsts, walks,
                                    start, units if k == 0 else None, tol_t)
         if level[1].max() > MAX_RUNGS_PER_LEVEL:
             raise ConstructionError("rung cap exceeded; anchors are too close together")
@@ -178,9 +178,11 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
     The first step asks every midpoint's lower end and every walk's fit,
     the second every midpoint's upper end and the edge of every walk that
     fits, and then all of them bisect, each as it would alone.  Every
-    point but p is a known rung, a segment end or a unit point, pinned
-    for the round (:func:`pinned_source`).  ``compare`` is the oracle's
-    ``compare_batch``, and ``asked[l]`` counts ladder l's rows.  Returns
+    point but p is a known rung, a segment end or a unit point, held for
+    the round (:func:`solvers.held`) and asked by row: a bracket's four
+    held rows, -1 where p moves, or None for an argument that is p on
+    every row.  ``compare`` is the oracle's ``compare_rows``, and
+    ``asked[l]`` counts ladder l's rows.  Returns
     level k completed (t, sizes, firsts), with ``start`` level k+1 begun
     (else None), NaN where its rung waits for the next round, and which
     walks added a rung."""
@@ -189,7 +191,7 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
     if units is None:       # the step of level k's walks: its rungs 1 and 0
         units = seg.at_many(t[np.c_[starts + 1 - firsts, starts - firsts].ravel()])
     head = [seg.q, seg.p, *units]
-    pos = len(head) - 1 + np.cumsum(known)        # the pin row of each known rung
+    pos = len(head) - 1 + np.cumsum(known)        # the held row of each known rung
     gap = np.flatnonzero(~known)
     pair = np.flatnonzero(known[:-1] & known[1:] & (ladder[:-1] == ladder[1:]) & start)
     a, b = np.r_[gap - 1, pair], np.r_[gap + 1, pair + 1]
@@ -199,28 +201,29 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
     wl, wd = np.nonzero(walks)                    # each walk's ladder, and 0 up, 1 down
     up, one = wd == 0, np.ones(a.size, dtype=np.int64)
     e = pos[edge := np.where(up, stops[wl] - 1, starts[wl])]
-    # Per bracket: the pin rows of its four arguments, -1 for the moving
-    # point p; p's pin row on the first and the second step; its sign, -1
+    # Per bracket: the held rows of its four arguments, -1 for the moving
+    # point p; p's held row on the first and the second step; its sign, -1
     # for a walk down; its ladder.
     quad, (first, second, sign, owner) = np.split(np.c_[
         np.stack([-one, pos[a], pos[b], -one, pos[a], pos[b], one, ladder[a]]),
         np.stack([np.where(up, -1, e), np.where(up, e, -1), 2 + 2 * wl, 3 + 2 * wl,
                   np.where(up, 0, 1), e, np.where(up, 1, -1), wl])], [4])
     lo, hi = np.r_[t[a], np.where(up, t[edge], 0.0)], np.r_[t[b], np.where(up, 1.0, t[edge])]
-    rows = pinned_source(np.concatenate([np.array(head), seg.at_many(t[known])]))
+    fixed = held(head, seg.at_many(t[known]))
     out, last = np.full(lo.size, np.nan), [None]
 
     def plan(g: np.ndarray, moving: np.ndarray | None = None) -> tuple:
-        """Brackets g's rows (pinned_source's step), moving point at pin
-        rows ``moving`` or else new; their count per ladder; their signs."""
+        """Brackets g's index for ``compare``, moving point at held rows
+        ``moving`` or else new; their count per ladder; their signs."""
         q, sg = quad.take(g, axis=1), sign.take(g)
-        return (rows(*(np.where(q < 0, moving, q) if moving is not None else
-                       (None if (c < 0).all() else c for c in q))),
+        return (tuple(np.where(q < 0, moving, q)) if moving is not None else
+                tuple(None if (c < 0).all() else c for c in q),
                 np.bincount(owner.take(g), minlength=n), sg if sg.min() < 0 else None)
 
-    def ask(step, counts: np.ndarray, sg: np.ndarray | None, fresh=None) -> np.ndarray:
+    def ask(index: tuple, counts: np.ndarray, sg: np.ndarray | None, fresh=None) -> np.ndarray:
         asked[:] += counts
-        return compare(*step(fresh)) if sg is None else sg * compare(*step(fresh))
+        signs = compare(fixed, index, fresh)
+        return signs if sg is None else sg * signs
 
     def side(j: np.ndarray, u: np.ndarray) -> np.ndarray:
         if j is not last[0]:                      # the same j while no bracket stops

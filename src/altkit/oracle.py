@@ -71,6 +71,19 @@ _PREF_FROM_INTENSITY = {
 Comparator = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], IntensityOrder]
 # Row-wise comparator over (N, dim) arrays: int8[N] of signs (+1, 0, -1).
 BatchComparator = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# Per argument of a compare: row indices into the held points, or None.
+Index = tuple[np.ndarray | None, ...]
+
+
+def rows_of(held: np.ndarray, i: np.ndarray | None, fresh: np.ndarray | None) -> np.ndarray:
+    """One argument of :meth:`AltOracle.compare_rows`: for each r, row i[r]
+    of ``held``, or row r of ``fresh`` where i[r] < 0 or i is None."""
+    if i is None:
+        return fresh
+    rows = held.take(i, axis=0)
+    if i.min(initial=0) < 0:
+        np.copyto(rows, fresh, where=(i < 0).reshape((-1,) + (1,) * (held.ndim - 1)))
+    return rows
 
 
 @dataclass(eq=False)
@@ -80,7 +93,9 @@ class AltOracle:
     ``comparator`` must be total and deterministic on domain^4.  The call
     counter counts every compare made through this object; results never
     depend on it.  ``batch``, when given, answers many quadruples at once
-    and must agree with ``comparator`` row by row.
+    and must agree with ``comparator`` row by row.  ``rows``, when given,
+    answers :meth:`compare_rows` and must agree with ``batch`` on the
+    gathered rows.
     """
 
     dim: int
@@ -89,6 +104,7 @@ class AltOracle:
     eps_eq: float
     name: str = "oracle"
     batch: BatchComparator | None = None
+    rows: Callable[[np.ndarray, Index, np.ndarray | None], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.domain.dim != self.dim:
@@ -111,6 +127,19 @@ class AltOracle:
                             dtype=np.int8)
         self._calls += len(X)
         return self.batch(X, Y, Z, W)
+
+    def compare_rows(self, held: np.ndarray, index: Index,
+                     fresh: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`compare_batch` of the four arguments that ``index`` names
+        (:func:`rows_of`): ``held`` holds a solve's fixed points, read-only
+        and unchanged while the solve runs (``solvers.held``), and ``fresh``
+        one step's new points.  Counts one call per row.  A difference
+        oracle answers from the values of ``held``, taken once, and of
+        ``fresh``; any other oracle gathers the rows."""
+        if self.rows is None:
+            return self.compare_batch(*(rows_of(held, i, fresh) for i in index))
+        self._calls += len(fresh if fresh is not None else next(i for i in index if i is not None))
+        return self.rows(held, index, fresh)
 
     @property
     def calls(self) -> int:

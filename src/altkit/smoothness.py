@@ -23,7 +23,7 @@ from .errors import AltkitError, ConstructionError, DomainError, OrderingError, 
 from .oracle import AltOracle
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
 from .sampling import cycled, draw, run_indexed, subrng  # noqa: F401
-from .solvers import DEFAULT_TOL_T, band_bisect_many, indifference_param_many, pinned_rows
+from .solvers import DEFAULT_TOL_T, band_bisect_many, held, indifference_param_many
 
 LINE_SMOOTH = "line-smooth"
 NOT_LINE_SMOOTH = "not-line-smooth"
@@ -68,14 +68,13 @@ def _midpoints(oracle: AltOracle, b: float, steps: list[float],
     pre = oracle.compare_batch(z, x, x, x) > 0           # z strictly preferred to x
     live = np.flatnonzero(pre)
     x, z = x[live], z[live]
-    rows = pinned_rows(x, z)
+    n, fixed = live.size, held(x, z)
 
     def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
-        xj, zj = rows(j)
-        y = xj + t[:, None] * (zj - xj)
-        return oracle.compare_batch(y, xj, zj, y)
+        xj = x.take(j, axis=0)
+        y = xj + t[:, None] * (z.take(j, axis=0) - xj)
+        return oracle.compare_rows(fixed, (None, j, j + n, None), y)
 
-    n = live.size
     t = band_bisect_many(side, np.zeros(n), np.ones(n), np.array(tols)[live],
                          np.full(n, -1), np.ones(n))
     y = x + t[:, None] * (z - x)

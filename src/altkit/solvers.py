@@ -14,14 +14,12 @@ calls it, a walk that is sequential by nature (ladder edge growth,
 Archimedean walks) on the brackets of one step.  :func:`band_bisect` is
 that bisection on one bracket with a scalar side, and
 :func:`indifference_param_many` solves indifference for many points on
-one segment.  A side whose compares hold arguments fixed for the whole
-solve (bracket ends, reference points) pins them with
-:func:`pinned_rows`, so that a difference oracle values each of them
-once per solve.  A solve whose brackets ask different quadruples, so
-that one argument holds the moving point on some rows and a fixed point
-on others, pins its fixed points with :func:`pinned_source`: the oracle
-then values the fixed points once per solve and each step's moving
-points once per step.
+one segment.  A solve whose compares mix points fixed for the whole
+solve (bracket ends, reference points) with each step's moving points
+stacks the fixed points once with :func:`held` and asks
+``AltOracle.compare_rows`` by row index: a difference oracle then values
+the fixed points once per solve and each step's moving points once per
+step, whichever arguments hold them.
 """
 from __future__ import annotations
 
@@ -61,76 +59,12 @@ def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
     return (a + b) * (0.5 / h), np.abs(b - a) > h * tol
 
 
-class Pinned(np.ndarray):
-    """Rows ``index`` of ``source``, a read-only copy of a fixed argument
-    of a solve that :func:`pinned_rows` or :func:`pinned_source` made.
-    ``memo`` is one dict per source, shared by all its rows, in which a
-    consumer keeps what it computed from the whole source; it goes when
-    the solve drops the source.  When ``fresh``, one step's new points, is
-    given, row r is row r of ``fresh`` wherever index[r] < 0 (everywhere
-    when ``index`` is None), and every argument of one compare holds the
-    same ``fresh`` object.  Arithmetic on a pinned array gives a plain
-    array, and a view of one carries no source."""
-
-    source: np.ndarray | None = None
-    index: np.ndarray | None = None
-    memo: dict | None = None
-    fresh: np.ndarray | None = None
-
-    def __array_wrap__(self, arr, context=None, return_scalar=False):
-        arr = arr.view(np.ndarray)
-        return arr[()] if return_scalar else arr
-
-
-def pinned_rows(*arrays: np.ndarray) -> Callable[[np.ndarray], tuple[Pinned, ...]]:
-    """j -> the rows j of each array, read-only, as :class:`Pinned` rows of
-    one copy of it made here (:func:`pinned_source` of each array).  A
-    difference oracle values such a copy once, on first use, and answers
-    every later compare from those values.  While j repeats (as the same
-    object, or equal) from one call to the next, the same objects come
-    back."""
-    sources, last = [pinned_source(a) for a in arrays], [None, ()]
-
-    def rows(j: np.ndarray) -> tuple[Pinned, ...]:
-        if j is not last[0] and not np.array_equal(last[0], j):
-            last[:] = [j, tuple(source(j)(None)[0] for source in sources)]
-        return last[1]
-    return rows
-
-
-def pinned_source(source: np.ndarray) -> Callable[..., Callable]:
-    """*indices -> fresh -> for each index array, read-only :class:`Pinned`
-    rows: row r is row index[r] of one copy of ``source``, made here, or,
-    where index[r] < 0, row r of ``fresh``, one step's new points.  An
-    index of None stands for ``fresh`` whole.  The rows of the source are
-    gathered once per ``indices``, and come back as the same objects at
-    every step.  A difference oracle values the source once, on first use,
-    and each ``fresh`` once, however many arguments hold rows of it."""
-    # C order, so that take() gathers rows: several times faster than source[j].
-    src = np.array(source, dtype=float, order="C")
-    src.flags.writeable = False
-    memo: dict = {}
-
-    def pin(data: np.ndarray, index: np.ndarray | None, fresh: np.ndarray | None) -> Pinned:
-        sub = data.view(Pinned)
-        sub.source, sub.index, sub.memo, sub.fresh = src, index, memo, fresh
-        sub.flags.writeable = False
-        return sub
-
-    def rows(*indices: np.ndarray | None) -> Callable[[np.ndarray | None], list]:
-        # Per index: None, rows of the source alone, or where rows are fresh
-        # and the source's rows, column-major as Segment.at_many gives fresh.
-        plans = [index if index is None else pin(src.take(index, axis=0), index, None)
-                 if index.min(initial=0) >= 0 else
-                 ((index < 0)[:, None], np.asfortranarray(src.take(index, axis=0)), index)
-                 for index in indices]
-
-        def step(fresh: np.ndarray | None) -> list:
-            whole = fresh if fresh is None else pin(fresh, None, fresh)
-            return [whole if plan is None else plan if type(plan) is not tuple else
-                    pin(np.where(plan[0], fresh, plan[1]), plan[2], fresh) for plan in plans]
-        return step
-    return rows
+def held(*arrays: np.ndarray) -> np.ndarray:
+    """The rows of ``arrays``, one after another, in one read-only C-order
+    copy: a solve's fixed points, for ``AltOracle.compare_rows``."""
+    out = np.ascontiguousarray(np.concatenate(arrays), dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def band_bisect(side: Side, lo: float, hi: float, tol: float,
@@ -248,11 +182,10 @@ def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,
     the same t, after the same number of compares, whatever the other
     rows are.
     """
-    rows = pinned_rows(xs)
+    fixed = held(xs)
 
     def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        x, = rows(idx)
-        return oracle.compare_batch(seg.at_many(t), x, x, x)
+        return oracle.compare_rows(fixed, (None, idx, idx, idx), seg.at_many(t))
 
     n = len(xs)
     s0 = side(np.arange(n), np.zeros(n))

@@ -754,8 +754,8 @@ class TestAlepCommand:
 class TestNothingShared:
     """Reports are those of runs through an oracle that copies every
     argument of every compare, so that no two arguments are one object
-    and no argument is pinned: the shared and pinned values an oracle
-    keeps change no byte."""
+    and no argument is taken from held values: the shared and held values
+    an oracle keeps change no byte."""
 
     COMMANDS = (["verify", "--trials", "200"],
                 ["reconstruct", "--depth", "5", "--trials", "50", "--grid", "3",
@@ -767,6 +767,7 @@ class TestNothingShared:
         def build(*args, **kwargs):
             oracle = oracle_by_name(*args, **kwargs)
             batch, comparator = oracle.batch, oracle.comparator
+            oracle.rows = None               # compare_rows gathers its rows for batch
             oracle.batch = lambda *arrays: batch(*(np.array(a) for a in arrays))
             oracle.comparator = lambda *points: comparator(*(np.array(p) for p in points))
             return oracle

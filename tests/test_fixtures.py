@@ -18,8 +18,8 @@ from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, IntensitySp
                              make_difference_oracle, make_intensity_oracle,
                              oracle_by_name, parse_expression,
                              utility_by_name, utility_from_json)
-from altkit.oracle import IntensityOrder, classify
-from altkit.solvers import pinned_rows
+from altkit.oracle import AltOracle, IntensityOrder, classify
+from altkit.solvers import held
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -174,39 +174,134 @@ class TestSharedArguments:
             ask()
             assert rows == expected
 
-    def test_pinned_sources_are_valued_once_per_solve(self):
-        spec, rows = _counted(utility_by_name("cobb_douglas"))
-        oracle = make_difference_oracle(spec)
+    def test_held_points_are_valued_once_per_solve(self):
+        inner = utility_by_name("cobb_douglas")
+        rows, values = [], []
+
+        def batch(X):                        # records rows, and the values of a held array
+            out = inner.batch(X)
+            rows.append(len(X))
+            values.append(weakref.ref(out)) if not X.flags.writeable else None
+            return out
+        oracle = make_difference_oracle(dataclasses.replace(inner, evaluator=None, batch=batch))
         rng = np.random.default_rng(2)
-        P, Q, A, B = (np.array([spec.domain.sample(rng) for _ in range(5)]) for _ in range(4))
-        pinned = pinned_rows(A, B)
-        a, b = pinned(np.arange(5))
-        assert type(a + 0.0) is np.ndarray and a[::-1].memo is None
-        two = np.array([1, 3])
-        a2, b2 = pinned(two)
-        P2, view = P[two], a[::-1]
-        A[:] = B                # the pinned rows are of a copy made when pinned
-        # A source is valued whole on first use; a later compare, on any of
-        # its rows, indexes those values.  A view of a pinned row is not
-        # pinned, and a plain array is valued at every compare.
-        asks = [((P, a, b, P), [5, 5, 5]), ((Q, a, b, Q), [5]), ((P2, b2, a2, P2), [2]),
-                ((P, view, view, P), [5, 5]), ((P, A, b, P), [5, 5])]
-        for args, expected in asks:
+        P, Q, A, B = (np.array([inner.domain.sample(rng) for _ in range(5)]) for _ in range(4))
+        fixed, every, two = held(A, B), np.arange(5), np.array([1, 3])
+        values.clear()
+        mixed = np.array([6, -1, 2, -1, 9])
+        # The held array is valued whole the first time it is asked; later
+        # compares index its values, and each call values its fresh points
+        # once, whichever arguments hold them.
+        asks = [((None, every, every + 5, None), P, [10, 5]),
+                ((None, every, every + 5, None), Q, [5]),
+                ((two, two + 5, two, two), None, []),
+                ((mixed, every, None, mixed), P, [5]),
+                ((mixed, mixed, mixed, mixed), Q, [5])]
+        for index, fresh, expected in asks:
             rows.clear()
-            got = oracle.compare_batch(*args)
+            got = oracle.compare_rows(fixed, index, fresh)
             assert rows == expected
-            assert got.tolist() == oracle.compare_batch(*(np.array(x) for x in args)).tolist()
-        # Another oracle values the source for itself.
-        other = make_difference_oracle(spec, eps_eq=1.0)
+            assert got.tolist() == oracle.compare_batch(*_gathered(fixed, index, fresh)).tolist()
+        # Another oracle values the held array for itself.
+        other = make_difference_oracle(dataclasses.replace(inner, evaluator=None, batch=batch),
+                                       eps_eq=1.0)
         rows.clear()
-        other.compare_batch(P, a, b, P)
-        assert rows == [5, 5, 5]
-        # The values go with the source when the solve drops it.
-        values = weakref.ref(a.memo[next(iter(a.memo))])
-        source = weakref.ref(a.source)
-        del pinned, a, b, a2, b2, view, asks, args
+        other.compare_rows(fixed, (None, every, every + 5, None), P)
+        assert rows == [10, 5]
+        # The values go once the oracle is asked about another held array.
+        first, ref = weakref.ref(fixed), values[0]
+        rows.clear()
+        oracle.compare_rows(held(B), (every, every, every, every))
+        assert rows == [5]
+        del fixed, other
         gc.collect()
-        assert values() is None and source() is None
+        assert ref() is None and first() is None
+
+
+def _gathered(fixed: np.ndarray, index: tuple, fresh) -> list[np.ndarray]:
+    """The four arguments that a ``compare_rows`` index names, gathered
+    one row at a time into new arrays."""
+    n = len(fresh) if fresh is not None else len(next(i for i in index if i is not None))
+    return [np.array([fresh[r] if i is None or i[r] < 0 else fixed[i[r]] for r in range(n)])
+            for i in index]
+
+
+def _batchless(oracle: AltOracle) -> AltOracle:
+    return AltOracle(oracle.dim, oracle.domain, oracle.comparator, oracle.eps_eq)
+
+
+class TestCompareRows:
+    """``compare_rows`` answers as ``compare_batch`` on the rows it names,
+    and counts one call per row."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: oracle_by_name("linear"), lambda: oracle_by_name("log_sum"),
+        lambda: oracle_by_name("broken_crossover"),
+        lambda: _batchless(oracle_by_name("linear"))],
+        ids=["linear", "log_sum", "broken_crossover", "batchless"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bits_as_compare_batch_on_the_gathered_rows(self, make, seed):
+        oracle = make()
+        rng = np.random.default_rng(seed)
+        n = 40
+        A, fresh = (np.array([oracle.domain.sample(rng) for _ in range(k)]) for k in (3 * n, n))
+        fixed = held(A)
+        a, b, c, d = (rng.integers(0, 3 * n, n) for _ in range(4))
+        moving = np.where(rng.random(n) < 0.5, -1, a)
+        some = np.where(rng.random(n) < 0.3, -1, b)
+        cases = [((a, b, c, d), None), ((a, b, a, b), None),    # all held; ties give EQUAL
+                 ((a, b, c, d), fresh), ((moving, b, c, moving), fresh),
+                 ((moving, some, c, d), fresh), ((None, a, b, None), fresh),
+                 ((None, a, a, a), fresh), ((c, None, a, b), fresh),
+                 ((moving, moving, some, some), fresh)]
+        answers = []
+        for index, given in cases:
+            calls = oracle.calls
+            got = oracle.compare_rows(fixed, index, given)
+            assert oracle.calls - calls == n
+            assert got.dtype == np.int8
+            assert got.tolist() == oracle.compare_batch(*_gathered(A, index, given)).tolist()
+            answers += got.tolist()
+        assert {-1, 0, 1} <= set(answers)
+        # The caller's array is not the held one: changing it changes no answer.
+        A[:] = A[::-1]
+        index, given = cases[3]
+        assert oracle.compare_rows(fixed, index, given).tolist() == \
+            oracle.compare_batch(*_gathered(fixed, index, given)).tolist()
+
+    @pytest.mark.parametrize("where", ["held", "fresh"])
+    def test_a_non_finite_value_raises_as_compare_batch_does(self, where):
+        spec = utility_by_name("exp1d")
+        oracle = make_difference_oracle(spec, domain=BoxDomain([0.0], [800.0]), eps_eq=1e-9)
+        # exp(710) overflows: in a held row the first compare asks, or in
+        # a fresh row.
+        fixed = held(np.array([[1.0], [710.0], [2.0], [3.0]]))
+        first, third = np.array([0, 1]), np.array([3, 0])
+        if where == "held":
+            index, fresh = (first, np.array([2, 2]), third, np.array([0, 0])), None
+        else:
+            index, fresh = (None, first - 1, third, None), np.array([[1.0], [710.0]])
+        with pytest.raises(ConfigError) as rows:
+            oracle.compare_rows(fixed, index, fresh)
+        with pytest.raises(ConfigError) as batch:
+            oracle.compare_batch(*_gathered(fixed, index, fresh))
+        assert str(rows.value) == str(batch.value)
+        assert "[710.0]" in str(rows.value)
+        # A bad held row that no compare asks stops nothing.
+        index = (np.array([0, 2]), np.array([2, 3]), np.array([3, 0]), np.array([0, 0]))
+        assert oracle.compare_rows(fixed, index).tolist() == \
+            oracle.compare_batch(*_gathered(fixed, index, None)).tolist()
+
+    def test_an_evaluator_error_in_an_unasked_held_row_stops_nothing(self):
+        # log(0) raises for the whole held array; the rows asked are fine.
+        oracle = make_difference_oracle(utility_by_name("log_sum"),
+                                        domain=BoxDomain([0.0, 0.0], [1.0, 1.0]), eps_eq=1e-9)
+        fixed = held(np.array([[0.5, 0.5], [0.0, 0.5], [0.25, 0.75]]))
+        index = (np.array([0, 2]), np.array([2, 0]), np.array([0, 0]), np.array([2, 2]))
+        assert oracle.compare_rows(fixed, index).tolist() == \
+            oracle.compare_batch(*_gathered(fixed, index, None)).tolist()
+        with pytest.raises(ConfigError, match=r"\[0.0, 0.5\]"):
+            oracle.compare_rows(fixed, (np.array([1]),) * 2 + (np.array([0]),) * 2)
 
 
 def _kinked_reference(x):

@@ -20,7 +20,7 @@ from altkit.ladder import (ReconstructedUtility, archimedean_count, build_ladder
                            verify_affine_uniqueness)
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.sampling import subrng
-from altkit.solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many, pinned_rows
+from altkit.solvers import DEFAULT_TOL_T, band_bisect, band_bisect_many
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -212,11 +212,11 @@ def sequential_build(oracle, y_star, x_star, depth, tol_t=DEFAULT_TOL_T, segment
         t_hi = np.array([prev[i + 1] for i in inner])
         if np.any(t_hi <= t_lo):
             raise ConstructionError(f"level {k - 1} rungs are not strictly increasing")
-        ends = pinned_rows(seg.at_many(t_lo), seg.at_many(t_hi))
+        ends = seg.at_many(t_lo), seg.at_many(t_hi)
 
         def side(j, t):
             p = seg.at_many(t)
-            return oracle.compare_batch(p, *ends(j), p)
+            return oracle.compare_batch(p, *(e.take(j, axis=0) for e in ends), p)
 
         mids = band_bisect_many(side, t_lo, t_hi, tol_t)
         cur.update(zip((2 * i + 1 for i in inner), mids.tolist()))
@@ -608,27 +608,30 @@ class TestBatchedReconstruction:
     def _watched(name):
         """A difference oracle of ``name`` with two logs: ``rows`` gets the
         row count of each call of the utility's array function, after
-        set-up, and ``per_batch`` the number of such calls of each batch."""
+        set-up, and ``per_batch`` the number of such calls of each
+        ``compare_batch`` or ``compare_rows``."""
         inner = utility_by_name(name)
         rows: list[int] = []
         spec = dataclasses.replace(inner, evaluator=None,
                                    batch=lambda X: rows.append(len(X)) or inner.batch(X))
         oracle = make_difference_oracle(spec)
-        batch, per_batch = oracle.batch, []
+        per_batch = []
 
-        def watched(*arrays):
-            calls = len(rows)
-            out = batch(*arrays)
-            per_batch.append(len(rows) - calls)
-            return out
+        def watched(answer):
+            def answered(*args):
+                calls = len(rows)
+                out = answer(*args)
+                per_batch.append(len(rows) - calls)
+                return out
+            return answered
 
-        oracle.batch = watched
+        oracle.batch, oracle.rows = watched(oracle.batch), watched(oracle.rows)
         rows.clear()
         return oracle, rows, per_batch
 
     def test_evaluator_rows_of_a_depth_4_reconstruction(self):
-        # A round of the build pins every point but the moving one, and
-        # the oracle values the pinned points once per round, on the
+        # A round of the build holds every point but the moving one, and
+        # the oracle values the held points once per round, on the
         # round's first step, and the moving points once per later step,
         # whichever arguments hold them: one array per step, none on a
         # round's second step.  Indifference solves ask (P, x, x, x) and
@@ -645,30 +648,31 @@ class TestBatchedReconstruction:
 
     @pytest.mark.parametrize("name", ["log_sum", "exp1d", "kinked_composite"])
     def test_a_round_values_new_points_once_per_step_and_pins_once(self, monkeypatch, name):
-        # Per round: its first compare values the pinned points (known
+        # Per round: its first compare values the held points (known
         # rungs, segment ends, units), its second nothing, and each later
         # compare one new point per row, whichever of the four arguments
         # hold it.
         oracle, rows, _ = self._watched(name)
         log, rounds = [], []                 # per compare: (rows asked, rows valued)
-        batch, pin = oracle.batch, ladder.pinned_source
+        answer, hold = oracle.rows, ladder.held
 
-        def counting(*arrays):
+        def counting(*args):
             before = len(rows)
-            out = batch(*arrays)
-            log.append((len(arrays[0]), sum(rows[before:])))
+            out = answer(*args)
+            log.append((len(out), sum(rows[before:])))
             return out
 
-        def marked(pins):                    # each round pins its points once, first
-            rounds.append((len(log), len(pins)))
-            return pin(pins)
-        oracle.batch = counting
-        monkeypatch.setattr(ladder, "pinned_source", marked)
+        def marked(*arrays):                 # each round holds its points once, first
+            fixed = hold(*arrays)
+            rounds.append((len(log), len(fixed)))
+            return fixed
+        oracle.rows = counting
+        monkeypatch.setattr(ladder, "held", marked)
         _recons(oracle, 6, (0.25, 0.75), (0.1, 0.9))
         assert len(rounds) > 7 and sum(n for n, _ in log) == oracle.calls - 4  # 4 anchor checks
-        for (start, pinned), (stop, _) in zip(rounds, rounds[1:] + [(len(log), 0)]):
+        for (start, kept), (stop, _) in zip(rounds, rounds[1:] + [(len(log), 0)]):
             valued = [v for _, v in log[start:stop]]
-            assert valued[:2] == [pinned, 0][:stop - start]
+            assert valued[:2] == [kept, 0][:stop - start]
             assert valued[2:] == [n for n, _ in log[start + 2:stop]]
 
     @pytest.mark.parametrize("name, depth", [("cobb_douglas", 4), ("log_sum", 10),
@@ -676,7 +680,7 @@ class TestBatchedReconstruction:
     def test_evaluator_rows_of_two_ladders_built_together(self, name, depth):
         # Each round asks the brackets of both ladders in one batch, so the
         # build makes fewer array-function calls than two builds alone.  A
-        # pinned point is valued once per round, whichever bracket stops
+        # held point is valued once per round, whichever bracket stops
         # first, so the build values no more rows than two builds alone,
         # also where the brackets of a round end their bisection at
         # different steps (log_sum, exp1d, kinked_composite).

@@ -12,7 +12,7 @@ from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.smoothness import solve_f
 from altkit.solvers import (_HALF_MAX, DEFAULT_TOL_T, _split, band_bisect,
-                            band_bisect_many, indifference_param_many, pinned_rows)
+                            band_bisect_many, held, indifference_param_many)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -393,16 +393,16 @@ def _quadratic_oracle(sign: float = 1.0):
     return AltOracle(1, box, cmp, 1e-12)
 
 
-class TestPinnedRows:
-    def test_same_read_only_objects_while_the_rows_repeat(self):
-        a, b = np.arange(12.0).reshape(6, 2), -np.arange(12.0).reshape(6, 2)
-        rows = pinned_rows(a, b)
-        first = rows(np.array([0, 2, 5]))
-        assert [r.tolist() for r in first] == [a[[0, 2, 5]].tolist(), b[[0, 2, 5]].tolist()]
-        assert not any(r.flags.writeable for r in first) and a.flags.writeable
-        assert all(r is s for r, s in zip(rows(np.array([0, 2, 5])), first))
-        second = rows(np.array([2, 5]))
-        assert second[1].tolist() == b[[2, 5]].tolist() and second[1] is not first[1]
+class TestHeld:
+    def test_a_read_only_c_order_copy_of_the_rows_in_turn(self):
+        a, b = np.arange(12.0).reshape(6, 2), np.asfortranarray(-np.arange(8).reshape(4, 2))
+        fixed = held(a, b)
+        assert fixed.tolist() == a.tolist() + b.tolist() and fixed.dtype == float
+        assert fixed.flags.c_contiguous and not fixed.flags.writeable
+        assert a.flags.writeable and b.flags.writeable
+        a[:] = 0.0                       # the copy does not follow the caller's arrays
+        assert fixed[:6].tolist() == np.arange(12.0).reshape(6, 2).tolist()
+        assert held(b).flags.c_contiguous and not np.shares_memory(held(a), a)
 
 
 class TestSolveMidpoint:

@@ -1,0 +1,35 @@
+"""The machine-independent work of one benchmark round at seed 1, as
+``scripts/count_work.py`` counts it: evaluator rows, compare calls,
+compare rows and Philox blocks.  A change that moves one of them moves
+the benchmark's work, and must say so by updating the figure here."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def count_work():
+    path = list(sys.path)          # the script puts src/ and perfbench/ first
+    spec = importlib.util.spec_from_file_location("count_work", ROOT / "scripts" / "count_work.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    sys.path[:] = path
+
+
+# Per workload: evaluator rows, compare calls, compare rows, Philox blocks.
+COUNTS = {"verify-catalog": (668_564, 537, 392_887, 89_632),
+          "reconstruct-ladder": (1_533_122, 4_003, 1_510_982, 4_000),
+          "shape-diagnostics": (139_110, 220, 102_335, 10_240)}
+
+
+@pytest.mark.parametrize("workload", COUNTS)
+def test_counts_of_one_round_at_seed_1(count_work, workload):
+    counts, codes = count_work.count_round(workload, 1)
+    assert set(codes) <= {0, 1, 2}                  # no exception escaped a command
+    assert tuple(counts[name] for name in ("evaluator rows", "compare_batch calls",
+                                           "compare rows", "Philox blocks")) == COUNTS[workload]
