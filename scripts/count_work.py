@@ -14,8 +14,9 @@ checkout's ``src/``, and prints per workload:
   counted as one of them (and the ``compare_batch`` call it may make for
   its gathered rows not again);
 - Philox blocks computed by ``sampling._philox``;
-- those calls split by the solve that asked them, found on the Python
-  stack: a ladder build (``ladder.build_ladder``), an evaluation
+- compare calls, compare rows and evaluator rows split by the solve that
+  asked them, found on the Python stack: a ladder build
+  (``ladder.build_ladder``), an evaluation
   (``solvers.indifference_param_many``), and other calls.
 
 Everything is counted by wrapping altkit from outside ``src/``; nothing
@@ -42,6 +43,8 @@ COUNTS = ("evaluator rows", "evaluator array calls", "compare_batch calls", "com
           "Philox blocks")
 # Per kind of solve, the function whose frame on the stack marks it, innermost first.
 SOLVES = (("ladder build", "build_ladder"), ("evaluation", "indifference_param_many"))
+KINDS = [kind for kind, _ in SOLVES] + ["other"]
+BY_SOLVE = ("compare calls", "compare rows", "evaluator rows")
 
 
 def solve_of(frame) -> str:
@@ -71,14 +74,17 @@ def counting(counts: Counter):
             def counted(*arrays):
                 counts["evaluator rows"] += len(arrays[0])
                 counts["evaluator array calls"] += 1
+                counts[solve_of(sys._getframe(1)), "evaluator rows"] += len(arrays[0])
                 return batch(*arrays)
             self.batch = counted
         return post_init
 
     def count_compare(rows: int) -> None:
+        solve = solve_of(sys._getframe(2))
         counts["compare_batch calls"] += 1
-        counts[solve_of(sys._getframe(2))] += 1
         counts["compare rows"] += rows
+        counts[solve, "compare calls"] += 1
+        counts[solve, "compare rows"] += rows
 
     def counted_compare_batch(self, X, Y, Z, W):
         if sys._getframe(1).f_code is not compare_rows.__code__:     # compare_rows counts itself
@@ -137,8 +143,9 @@ def main(argv=None) -> int:
         counts, codes = count_round(workload, args.seed)
         print(f"{workload:<20}" + "".join(f"{counts[name]:>23,}" for name in COUNTS)
               + f"   exit codes {dict(Counter(map(str, codes)))}")
-        print(f"{'':<20}compare calls by solve: " + ", ".join(
-            f"{kind} {counts[kind]:,}" for kind in [k for k, _ in SOLVES] + ["other"]))
+        for name in BY_SOLVE:
+            print(f"{'':<20}{name} by solve: " + ", ".join(
+                f"{kind} {counts[kind, name]:,}" for kind in KINDS))
     return 0
 
 

@@ -15,6 +15,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .axioms import ALL_AXIOMS, Record, run_axiom_suite
 from .concavity import check_gossen_law
 from .config import RunConfig
@@ -97,26 +99,38 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     # Both ladders are built, in one solve, before any report is written.
     ladders = ladder.build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
                                   cfg.depth, cfg.tol_t, seg)
-    recon, *second = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
-    # The reconstruction's counts are taken before the grid's evaluations,
-    # and written after them, so an impossible grid fails before any report.
+    recons = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
+    recon, *second = recons
+    # The reconstruction's counts are taken before the evaluations, and
+    # written after them, so an impossible grid fails before any report.
     reconstruction = {"reconstruction": recon.to_dict()}
+    # The spot check's quadruples and the fit's points are drawn first, and
+    # valued with the grid for every reconstruction in one solve.  Fit
+    # point i is quadruple i's first point, so only the fit's points past
+    # the quadruples are added, after them.
+    grid = oracle.domain.lattice(cfg.grid)
+    quads = ladder.spot_check_draw(oracle.domain, cfg.trials, cfg.seed)
+    extra = ladder.affine_draw(oracle.domain, cfg.seed, quads)[cfg.trials:] if second else grid[:0]
+    g, q = len(grid), 4 * cfg.trials
+    at = np.r_[g:g + q:4, g + q:g + q + len(extra)][:ladder.AFFINE_SAMPLES]    # the fit's rows
+    values = ladder.evaluate_together(recons, np.concatenate((grid, quads.reshape(q, -1), extra)))
     rows: list[list] = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
-    points = oracle.domain.lattice(cfg.grid)
-    for point, value in zip(points, recon.evaluate_many(points).tolist()):
-        rows.append([float(v) for v in point] + [value])
+    for point, value in zip(grid.tolist(), values[0][:g].tolist()):
+        rows.append(point + [value])
     _write_report(cfg, "reconstruction.json", reconstruction)
     _write_csv(cfg, "grid.csv", rows)
 
-    spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)
+    spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed,
+                                     valued=(quads, values[0][g:g + q].reshape(cfg.trials, 4)))
     _write_report(cfg, "representation.json", {"report": spot.to_dict()})
     print(f"representation spot-check: {'pass' if spot.passed else 'FAIL'} "
           f"[violations {spot.violation_count}/{spot.trials}, "
           f"in-band {spot.extras.get('in_band', 0)}]")
     ok = spot.passed
 
-    for recon_b in second:
-        fit = verify_affine_uniqueness(recon, recon_b, seed=cfg.seed)
+    for recon_b, u_b in zip(second, values[1:]):
+        fit = verify_affine_uniqueness(recon, recon_b, seed=cfg.seed,
+                                       valued=(values[0][at], u_b[at]))
         _write_report(cfg, "affine.json", {"fit": fit.to_dict()})
         print(f"affine uniqueness: {fit.verdict} "
               f"[alpha {fit.alpha:.6g}, beta {fit.beta:.6g}, "

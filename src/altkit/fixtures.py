@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import BoxDomain, as_point
 from .errors import ConfigError
-from .oracle import AltOracle, classify, classify_many, rows_of
+from .oracle import AltOracle, classify, classify_many, gather
 
 Evaluator = Callable[[np.ndarray], float]
 BatchEvaluator = Callable[[np.ndarray], np.ndarray]
@@ -177,9 +177,11 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     ``compare_rows`` values its held array whole the first time it is
     asked, and keeps it and its values until another held array comes;
     each call values its fresh points once, whichever arguments hold
-    them, and indexes the held values.  u is a deterministic row-wise
-    function, so the answers are those of four separate calls, bit for
-    bit.
+    them, writes their values after the held values in a buffer it
+    keeps, and gathers each argument's values with one ``take`` from it,
+    as an index names the rows of ``held`` and ``fresh`` stacked.  u is a
+    deterministic row-wise function, so the answers are those of four
+    separate calls, bit for bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
@@ -206,21 +208,32 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         rows = _per_object(_row, points)
         return classify(_finite(delta, rows, "non-finite intensity difference")[0], eps_eq)
 
-    last: list = [None, None]                  # the last held array, and its values
+    # The last held array, its values, and those values followed by room
+    # for one call's fresh values.
+    last: list = [None, None, None]
 
     def indexed(held, index, fresh):
         try:
             with np.errstate(all="ignore"):
                 if held is not last[0]:
-                    last[:] = held, f(held)
-                u_fresh = None if fresh is None else f(fresh)
-                u_x, u_y, u_z, u_w = _per_object(lambda i: rows_of(last[1], i, u_fresh), index)
+                    last[:] = held, f(held), None
+                values = last[1]
+                if fresh is not None:
+                    u_fresh, n = f(fresh), len(held)
+                    m = n + len(u_fresh)
+                    if last[2] is None or last[2].size < m:
+                        last[2] = np.concatenate((values, u_fresh))
+                    else:
+                        last[2][n:m] = u_fresh
+                    values = last[2][:m]
+                u_x, u_y, u_z, u_w = _per_object(
+                    lambda i: u_fresh if i is None else values.take(i), index)
                 d = (u_x - u_y) - (u_z - u_w)
             if np.isfinite(d).all():
                 return classify_many(d, eps_eq)
         except (ValueError, ArithmeticError):
             pass
-        return batch(*(rows_of(held, i, fresh) for i in index))   # raises, naming the bad row
+        return batch(*gather(held, index, fresh))   # raises, naming the bad row
 
     name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"
     return AltOracle(spec.dim, box, comparator, eps_eq, name=name, batch=batch,

@@ -26,11 +26,11 @@ import numpy as np
 
 from .axioms import (_ORDER, _PREFERENCE, QUAD, SKIP, VIOLATION, AxiomReport, Record, Witness,
                      _collect, _fold, _pt)
-from .domain import Segment, as_point
+from .domain import BoxDomain, Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
 from .oracle import AltOracle, IntensityOrder
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
-from .sampling import draw, run_indexed, subrng  # noqa: F401
+from .sampling import draw, run_indexed, subrng, uniforms  # noqa: F401
 from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F401
                       held, indifference_param_many)
 
@@ -180,9 +180,9 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
     fits, and then all of them bisect, each as it would alone.  Every
     point but p is a known rung, a segment end or a unit point, held for
     the round (:func:`solvers.held`) and asked by row: a bracket's four
-    held rows, -1 where p moves, or None for an argument that is p on
-    every row.  ``compare`` is the oracle's ``compare_rows``, and
-    ``asked[l]`` counts ladder l's rows.  Returns
+    held rows, p's fresh row, after the held ones, where p moves, or None
+    for an argument that is p on every row.  ``compare`` is the oracle's
+    ``compare_rows``, and ``asked[l]`` counts ladder l's rows.  Returns
     level k completed (t, sizes, firsts), with ``start`` level k+1 begun
     (else None), NaN where its rung waits for the next round, and which
     walks added a rung."""
@@ -214,10 +214,11 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
 
     def plan(g: np.ndarray, moving: np.ndarray | None = None) -> tuple:
         """Brackets g's index for ``compare``, moving point at held rows
-        ``moving`` or else new; their count per ladder; their signs."""
-        q, sg = quad.take(g, axis=1), sign.take(g)
-        return (tuple(np.where(q < 0, moving, q)) if moving is not None else
-                tuple(None if (c < 0).all() else c for c in q),
+        ``moving`` or else new, fresh row r after the held rows; their
+        count per ladder; their signs."""
+        q, sg, new = quad.take(g, axis=1), sign.take(g), moving is None
+        moving = len(fixed) + np.arange(g.size) if new else moving
+        return (tuple(None if new and (c < 0).all() else np.where(c < 0, moving, c) for c in q),
                 np.bincount(owner.take(g), minlength=n), sg if sg.min() < 0 else None)
 
     def ask(index: tuple, counts: np.ndarray, sg: np.ndarray | None, fresh=None) -> np.ndarray:
@@ -348,22 +349,27 @@ def evaluate_together(recons: Sequence[ReconstructedUtility], xs) -> list[np.nda
     the values of the points of ``xs``: a point indifferent to an anchor of
     r takes its value, and the others, solved once for all r in one lockstep
     solve, are interpolated between r's rungs or clamped to an edge value
-    (and counted).  A point's values do not depend on the other points."""
+    (and counted).  The points and every anchor are held once
+    (:func:`solvers.held`), and the anchor checks and the solve ask
+    through that copy.  A point's values do not depend on the other
+    points."""
     oracle = recons[0].oracle
     xs = oracle.domain.require_many(xs)
-    parts, off = [], np.zeros(len(xs), dtype=bool)     # off: off an anchor of some r
-    for r in recons:
-        values, rest = np.empty(len(xs)), np.arange(len(xs))
-        for anchor, value in ((r.ladder.anchor_lo, 0.0), (r.ladder.anchor_hi, 1.0)):
-            a = np.broadcast_to(anchor, (rest.size, oracle.dim))
-            equal = oracle.compare_batch(xs[rest], a, a, a) == 0
+    n = len(xs)
+    fixed = held(xs, [a for r in recons for a in (r.ladder.anchor_lo, r.ladder.anchor_hi)])
+    parts, off = [], np.zeros(n, dtype=bool)     # off: off an anchor of some r
+    for r, row in zip(recons, range(n, len(fixed), 2)):
+        values, rest = np.empty(n), np.arange(n)
+        for anchor, value in ((row, 0.0), (row + 1, 1.0)):
+            a = np.full(rest.size, anchor)
+            equal = oracle.compare_rows(fixed, (rest, a, a, a)) == 0
             values[rest[equal]] = value
             rest = rest[~equal]
         parts.append((values, rest))
         off[rest] = True
     union = np.flatnonzero(off)
-    t_all, clamp_all = indifference_param_many(oracle, recons[0].ladder.segment, xs[union],
-                                               recons[0].tol_t)
+    t_all, clamp_all = indifference_param_many(oracle, recons[0].ladder.segment, fixed,
+                                               recons[0].tol_t, union)
     for r, (values, rest) in zip(recons, parts):
         k = np.searchsorted(union, rest)
         t, clamp, params, vals = t_all[k], clamp_all[k], r._params, r._values
@@ -402,28 +408,45 @@ class AffineFit(Record):
     verdict: str
 
 
+def affine_draw(domain: BoxDomain, seed: int, quads: np.ndarray | None = None) -> np.ndarray:
+    """The affine fit's ``AFFINE_SAMPLES`` points under ``seed``: trial i's
+    first point, as :func:`representation_spot_check` draws it.  Given
+    ``quads``, the spot check's quadruples under ``seed``, trial i's point
+    is ``quads[i, 0]``, and only the trials past them are drawn."""
+    if quads is None:
+        return draw(domain, None, seed, AFFINE_SAMPLES, 1)[0][:, 0]
+    have = quads[:AFFINE_SAMPLES, 0]
+    u = uniforms(seed, np.arange(len(have), AFFINE_SAMPLES), domain.dim)
+    return np.concatenate((have, domain.lower + u * domain.extent))
+
+
 def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: ReconstructedUtility,
-                             seed: int = 0) -> AffineFit:
-    """Fit u_b ~ alpha*u_a + beta over ``AFFINE_SAMPLES`` points of the box.
+                             seed: int = 0, *, valued: tuple | None = None) -> AffineFit:
+    """Fit u_b ~ alpha*u_a + beta over the ``AFFINE_SAMPLES`` points of
+    :func:`affine_draw`.
 
     ``recon_a`` and ``recon_b`` reconstruct one system from two anchor
-    pairs; :func:`build_ladder` builds both ladders in one solve.  A
-    faithful system admits only positive affine rescalings, so the fit
-    must have alpha > 0 and residuals within the interpolation budget: one
-    rung step of u_b plus one of u_a carried through alpha,
-    2**-depth_b + |alpha| * 2**-depth_a.
+    pairs; :func:`build_ladder` builds both ladders in one solve, and
+    :func:`evaluate_together` values both at the points in one solve.  A
+    caller that has those values passes them as ``valued``, (u_a, u_b),
+    and nothing is drawn or valued here.  A faithful system admits only
+    positive affine rescalings, so the fit must have alpha > 0 and
+    residuals within the interpolation budget: one rung step of u_b plus
+    one of u_a carried through alpha, 2**-depth_b + |alpha| * 2**-depth_a.
     """
-    rng_points = draw(recon_a.oracle.domain, None, seed, AFFINE_SAMPLES, 1)[0][:, 0]
-    solve = [(r.oracle, r.ladder.segment, r.tol_t) for r in (recon_a, recon_b)]
-    u_a, u_b = (evaluate_together([recon_a, recon_b], rng_points) if solve[0] == solve[1]
-                else [r.evaluate_many(rng_points) for r in (recon_a, recon_b)])
+    if valued is None:
+        points = affine_draw(recon_a.oracle.domain, seed)
+        solve = [(r.oracle, r.ladder.segment, r.tol_t) for r in (recon_a, recon_b)]
+        valued = (evaluate_together([recon_a, recon_b], points) if solve[0] == solve[1]
+                  else [r.evaluate_many(points) for r in (recon_a, recon_b)])
+    u_a, u_b = valued
     if float(np.var(u_a)) < 1e-18:
         raise DegenerateFitError("no utility variance across samples; cannot fit")
     alpha, beta = np.polyfit(u_a, u_b, 1)
     residual = float(np.max(np.abs(u_b - (alpha * u_a + beta))))
     threshold = recon_b.interpolation_budget + abs(float(alpha)) * recon_a.interpolation_budget
     verdict = "pass" if (alpha > 0 and residual <= threshold) else "fail"
-    return AffineFit(float(alpha), float(beta), residual, AFFINE_SAMPLES, threshold, verdict)
+    return AffineFit(float(alpha), float(beta), residual, len(u_a), threshold, verdict)
 
 
 def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | None = None,
@@ -471,16 +494,29 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | 
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
 
+def spot_check_draw(domain: BoxDomain, trials: int, seed: int,
+                    points: np.ndarray | None = None) -> np.ndarray:
+    """The quadruples of :func:`representation_spot_check`, (trials, 4, dim)."""
+    return draw(domain, points, seed, trials, 4)[0]
+
+
 def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
-                              seed: int = 0, points: np.ndarray | None = None) -> AxiomReport:
+                              seed: int = 0, points: np.ndarray | None = None, *,
+                              valued: tuple | None = None) -> AxiomReport:
     """Reconstructed value differences must reproduce the oracle trichotomy
-    on random quadruples, up to a dead band of four rung steps, 2**(2 - depth)."""
+    on random quadruples, up to a dead band of four rung steps, 2**(2 - depth).
+
+    Every trial's quadruple is drawn first (:func:`spot_check_draw`), so
+    that all 4 * trials reconstructed values and all oracle answers come
+    from batched calls.  A caller that has drawn and valued them passes
+    ``valued``, (quads, u) with u of shape (trials, 4), and nothing is
+    drawn or valued here."""
     oracle = recon.oracle
     dead_band = 2.0 ** (2 - recon.depth)
-    # Every trial's quadruple is drawn first, so that all 4 * trials
-    # reconstructed values and all oracle answers come from batched calls.
-    quads, _ = draw(oracle.domain, points, seed, trials, 4)
-    u = recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
+    if valued is None:
+        quads = spot_check_draw(oracle.domain, trials, seed, points)
+        valued = quads, recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
+    quads, u = valued
     d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])
     judged = np.flatnonzero(np.abs(d_hat) > dead_band)
     predicted = np.where(d_hat > 0, 1, -1)

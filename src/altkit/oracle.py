@@ -75,15 +75,12 @@ BatchComparator = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.
 Index = tuple[np.ndarray | None, ...]
 
 
-def rows_of(held: np.ndarray, i: np.ndarray | None, fresh: np.ndarray | None) -> np.ndarray:
-    """One argument of :meth:`AltOracle.compare_rows`: for each r, row i[r]
-    of ``held``, or row r of ``fresh`` where i[r] < 0 or i is None."""
-    if i is None:
-        return fresh
-    rows = held.take(i, axis=0)
-    if i.min(initial=0) < 0:
-        np.copyto(rows, fresh, where=(i < 0).reshape((-1,) + (1,) * (held.ndim - 1)))
-    return rows
+def gather(held: np.ndarray, index: Index, fresh: np.ndarray | None) -> list[np.ndarray]:
+    """The four arguments of :meth:`AltOracle.compare_rows`: for each entry
+    i of ``index``, row i[r] of ``held`` and ``fresh`` stacked, held
+    first, for each r; ``fresh`` itself where i is None."""
+    stacked = held if fresh is None else np.concatenate((held, fresh))
+    return [fresh if i is None else stacked.take(i, axis=0) for i in index]
 
 
 @dataclass(eq=False)
@@ -131,14 +128,20 @@ class AltOracle:
     def compare_rows(self, held: np.ndarray, index: Index,
                      fresh: np.ndarray | None = None) -> np.ndarray:
         """:meth:`compare_batch` of the four arguments that ``index`` names
-        (:func:`rows_of`): ``held`` holds a solve's fixed points, read-only
+        (:func:`gather`): ``held`` holds a solve's fixed points, read-only
         and unchanged while the solve runs (``solvers.held``), and ``fresh``
-        one step's new points.  Counts one call per row.  A difference
-        oracle answers from the values of ``held``, taken once, and of
-        ``fresh``; any other oracle gathers the rows."""
+        one step's new points, which an index names after the held rows:
+        fresh row r is row ``len(held) + r``.  Counts one call per row.  A
+        difference oracle answers from the values of ``held``, taken once,
+        and of ``fresh``; any other oracle gathers the rows.  A writable
+        ``held`` raises ValueError: its values would be kept while its
+        rows change."""
+        if held.flags.writeable:
+            raise ValueError("compare_rows needs a read-only held array that stays unchanged; "
+                             "make it with solvers.held")
         if self.rows is None:
-            return self.compare_batch(*(rows_of(held, i, fresh) for i in index))
-        self._calls += len(fresh if fresh is not None else next(i for i in index if i is not None))
+            return self.compare_batch(*gather(held, index, fresh))
+        self._calls += len(next((i for i in index if i is not None), fresh))
         return self.rows(held, index, fresh)
 
     @property

@@ -173,32 +173,37 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
 
 
 def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,
-                            tol_t: float = DEFAULT_TOL_T) -> tuple[np.ndarray, np.ndarray]:
+                            tol_t: float = DEFAULT_TOL_T,
+                            rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parameters t with seg.at(t) indifferent to each row of ``xs``,
     assuming preference increases along the segment, solved in lockstep.
+    With ``rows``, ``xs`` is a solve's held copy (:func:`held`) and the
+    points are its rows ``rows``, so that a caller's compares and this
+    solve's share its values.
 
     Returns arrays (t, clamp) where clamp is -1 if a row ranks below the
     whole segment (t=0 returned), +1 if above (t=1), else 0.  A row gets
     the same t, after the same number of compares, whatever the other
     rows are.
     """
-    fixed = held(xs)
+    fixed, rows = (held(xs), np.arange(len(xs))) if rows is None else (xs, rows)
 
-    def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:      # idx: held rows
         return oracle.compare_rows(fixed, (None, idx, idx, idx), seg.at_many(t))
 
-    n = len(xs)
-    s0 = side(np.arange(n), np.zeros(n))
+    n = len(rows)
+    s0 = side(rows, np.zeros(n))
     t = np.zeros(n)
     clamp = np.zeros(n, dtype=np.int64)
     clamp[s0 > 0] = -1
     rest = np.flatnonzero(s0 < 0)
-    s1 = side(rest, np.ones(rest.size))
+    s1 = side(rows[rest], np.ones(rest.size))
     t[rest[s1 < 0]] = 1.0
     clamp[rest[s1 < 0]] = 1
     keep = s1 >= 0
     rest = rest[keep]
-    t[rest] = band_bisect_many(lambda j, u: side(rest[j], u), np.zeros(rest.size),
+    asked = rows[rest]
+    t[rest] = band_bisect_many(lambda j, u: side(asked[j], u), np.zeros(rest.size),
                                np.ones(rest.size), tol_t,
                                lo_state=s0[rest], hi_state=s1[keep])
     return t, clamp

@@ -634,6 +634,100 @@ class TestReconstructCommand:
         assert doc["config"]["depth"] == 3        # file value kept
 
 
+def _blanked(outdir: Path) -> dict[str, bytes]:
+    """Every report of ``outdir``, timestamp blanked."""
+    return {p.name: re.sub(rb'"timestamp": "[^"]*"', b"", p.read_bytes())
+            for p in sorted(outdir.iterdir())}
+
+
+def _reports_of_each_check_alone(argv: list[str]) -> None:
+    """The reports ``reconstruct`` wrote when it valued the grid with
+    ``evaluate_many`` and ran the spot check and the fit each alone, each
+    drawing and valuing its own points, in a fresh oracle."""
+    from altkit import cli
+    from altkit.ladder import (ReconstructedUtility, build_ladder, representation_spot_check,
+                               verify_affine_uniqueness)
+
+    cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
+    oracle = cli._resolve_oracle(cfg)
+    seg = oracle.domain.diagonal()
+    pairs = [cfg.anchors] + ([] if cfg.second_anchors is None else [cfg.second_anchors])
+    ladders = build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
+                           cfg.depth, cfg.tol_t, seg)
+    recon, *second = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
+    reconstruction = {"reconstruction": recon.to_dict()}
+    points = oracle.domain.lattice(cfg.grid)
+    rows = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
+    for point, value in zip(points, recon.evaluate_many(points).tolist()):
+        rows.append([float(v) for v in point] + [value])
+    cli._write_report(cfg, "reconstruction.json", reconstruction)
+    cli._write_csv(cfg, "grid.csv", rows)
+    spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)
+    cli._write_report(cfg, "representation.json", {"report": spot.to_dict()})
+    for recon_b in second:
+        fit = verify_affine_uniqueness(recon, recon_b, seed=cfg.seed)
+        cli._write_report(cfg, "affine.json", {"fit": fit.to_dict()})
+
+
+class TestOneEvaluationSolve:
+    """``reconstruct`` values the grid, the spot check's quadruples and the
+    fit's points in one solve; its reports are those of the three checks
+    each valuing its own points."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["linear", "log_sum", "exp1d", "kinked_composite", "min2"]),
+           trials=st.sampled_from([1, 7, 199, 200, 201, 450]), grid=st.sampled_from([2, 3, 5]),
+           fit=st.booleans(), seed=st.integers(0, 2 ** 32))
+    def test_reports_equal_those_of_each_check_alone(self, name, trials, grid, fit, seed):
+        argv = ["reconstruct", "--oracle", name, "--depth", "4", "--trials", str(trials),
+                "--grid", str(grid), "--seed", str(seed),
+                *(["--second-anchors", "0.1", "0.9"] if fit else [])]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            argv += ["--outdir", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) in (0, 1)
+            together = _blanked(out)
+            shutil.rmtree(out)
+            _reports_of_each_check_alone(argv)
+            assert together == _blanked(out)
+        assert sorted(together) == [*(["affine.json"] if fit else []), "grid.csv",
+                                    "reconstruction.json", "representation.json"]
+
+    # x0 + x1 + log(|x - c|^2 - 0.01) / 100 fails in the disc of radius 0.1
+    # around c = (0.75, 0.25), off the diagonal that the ladder uses and
+    # off the corners that a 2-point grid uses.
+    DX, DY = ["sub", ["x", 0], 0.75], ["sub", ["x", 1], 0.25]
+    HOLED = {"name": "holed", "dimension": 2,
+             "expr": ["add", ["add", ["x", 0], ["x", 1]],
+                      ["mul", 0.01, ["log", ["sub", ["add", ["mul", DX, DX], ["mul", DY, DY]],
+                                             0.01]]]],
+             "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}
+
+    @pytest.mark.parametrize("where", ["spot check", "fit"])
+    def test_an_evaluator_error_on_a_drawn_point_leaves_no_report(self, where, tmp_path, capsys):
+        from altkit.domain import BoxDomain
+        from altkit.ladder import affine_draw, spot_check_draw
+
+        path = tmp_path / "holed.json"
+        path.write_text(json.dumps(self.HOLED))
+        box, trials = BoxDomain([0.0, 0.0], [1.0, 1.0]), 20 if where == "spot check" else 1
+        for seed in range(100):          # the fit's case: a seed whose quadruple is fine
+            quads = spot_check_draw(box, trials, seed)
+            points = np.concatenate((quads.reshape(-1, 2), affine_draw(box, seed, quads)[trials:]))
+            bad = np.square(points[:, 0] - 0.75) + np.square(points[:, 1] - 0.25) <= 0.01
+            if bad.any() and (where == "spot check") == bad[:4 * trials].any():
+                break
+        rc = main(["reconstruct", "--oracle", str(path), "--eps-eq", "1e-9", "--depth", "3",
+                   "--trials", str(trials), "--grid", "2", "--seed", str(seed),
+                   "--second-anchors", "0.1", "0.9", "--outdir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith(f"config error: evaluator failed at {points[bad][0].tolist()}, ")
+        assert err.endswith(": math domain error\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestConcavityCommand:
     def test_concave_fixture_exits_zero(self, tmp_path):
         rc = main(["concavity", "--oracle", "cobb_douglas", "--trials", "300",

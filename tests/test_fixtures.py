@@ -188,7 +188,7 @@ class TestSharedArguments:
         P, Q, A, B = (np.array([inner.domain.sample(rng) for _ in range(5)]) for _ in range(4))
         fixed, every, two = held(A, B), np.arange(5), np.array([1, 3])
         values.clear()
-        mixed = np.array([6, -1, 2, -1, 9])
+        mixed = np.array([6, 11, 2, 13, 9])             # rows 1 and 3 fresh
         # The held array is valued whole the first time it is asked; later
         # compares index its values, and each call values its fresh points
         # once, whichever arguments hold them.
@@ -220,10 +220,12 @@ class TestSharedArguments:
 
 def _gathered(fixed: np.ndarray, index: tuple, fresh) -> list[np.ndarray]:
     """The four arguments that a ``compare_rows`` index names, gathered
-    one row at a time into new arrays."""
-    n = len(fresh) if fresh is not None else len(next(i for i in index if i is not None))
-    return [np.array([fresh[r] if i is None or i[r] < 0 else fixed[i[r]] for r in range(n)])
-            for i in index]
+    one row at a time into new arrays: row i[r] of ``fixed`` or, past its
+    rows, of ``fresh``, or fresh row r where the entry is None."""
+    n = len(next((i for i in index if i is not None), fresh))
+    k = len(fixed)
+    return [np.array([fresh[r] if i is None else fixed[i[r]] if i[r] < k else fresh[i[r] - k]
+                      for r in range(n)]) for i in index]
 
 
 def _batchless(oracle: AltOracle) -> AltOracle:
@@ -245,15 +247,19 @@ class TestCompareRows:
         rng = np.random.default_rng(seed)
         n = 40
         A, fresh = (np.array([oracle.domain.sample(rng) for _ in range(k)]) for k in (3 * n, n))
-        fixed = held(A)
+        fixed, new = held(A), 3 * n + np.arange(n)     # fresh row r is row 3n + r
         a, b, c, d = (rng.integers(0, 3 * n, n) for _ in range(4))
-        moving = np.where(rng.random(n) < 0.5, -1, a)
-        some = np.where(rng.random(n) < 0.3, -1, b)
+        moving = np.where(rng.random(n) < 0.5, new, a)
+        some = np.where(rng.random(n) < 0.3, new, b)
+        edges = np.r_[new[0], b[1:-1], new[-1]]       # rows 0 and n-1 fresh, held between
+        last = np.where(rng.random(n) < 0.5, new, 3 * n - 1)    # the last held row and fresh
         cases = [((a, b, c, d), None), ((a, b, a, b), None),    # all held; ties give EQUAL
                  ((a, b, c, d), fresh), ((moving, b, c, moving), fresh),
                  ((moving, some, c, d), fresh), ((None, a, b, None), fresh),
                  ((None, a, a, a), fresh), ((c, None, a, b), fresh),
-                 ((moving, moving, some, some), fresh)]
+                 ((moving, moving, some, some), fresh), ((edges, a, b, edges), fresh),
+                 ((a, edges, None, c), fresh), ((last, a, b, last), fresh),
+                 ((None, last, last, last), fresh)]
         answers = []
         for index, given in cases:
             calls = oracle.calls
@@ -280,7 +286,7 @@ class TestCompareRows:
         if where == "held":
             index, fresh = (first, np.array([2, 2]), third, np.array([0, 0])), None
         else:
-            index, fresh = (None, first - 1, third, None), np.array([[1.0], [710.0]])
+            index, fresh = (None, np.array([4, 0]), third, None), np.array([[1.0], [710.0]])
         with pytest.raises(ConfigError) as rows:
             oracle.compare_rows(fixed, index, fresh)
         with pytest.raises(ConfigError) as batch:
@@ -302,6 +308,33 @@ class TestCompareRows:
             oracle.compare_batch(*_gathered(fixed, index, None)).tolist()
         with pytest.raises(ConfigError, match=r"\[0.0, 0.5\]"):
             oracle.compare_rows(fixed, (np.array([1]),) * 2 + (np.array([0]),) * 2)
+
+
+    def test_a_row_past_the_fresh_rows_raises(self):
+        # The oracle keeps room for the most fresh values it was asked;
+        # a row past this call's fresh rows is no row, whatever that room
+        # holds from an earlier call.
+        oracle = oracle_by_name("linear")
+        rng = np.random.default_rng(3)
+        fixed, five, two = (np.array([oracle.domain.sample(rng) for _ in range(k)])
+                            for k in (4, 5, 2))
+        fixed, every = held(fixed), np.arange(5)
+        oracle.compare_rows(fixed, (None, every % 4, every % 4, None), five)
+        with pytest.raises(IndexError):
+            oracle.compare_rows(fixed, (np.array([4, 7]),) + (np.array([0, 1]),) * 3, two)
+
+    @pytest.mark.parametrize("make", [lambda: oracle_by_name("linear"),
+                                      lambda: _batchless(oracle_by_name("linear"))],
+                             ids=["linear", "batchless"])
+    def test_a_writable_held_array_is_refused(self, make):
+        # Its values would be kept while the caller changes its rows.
+        oracle = make()
+        A = np.array([[1.0, 1.0], [2.0, 2.0]])
+        index = (np.array([1]), np.array([0]), np.array([0]), np.array([0]))
+        with pytest.raises(ValueError, match=r"solvers\.held"):
+            oracle.compare_rows(A, index)
+        assert oracle.compare_rows(held(A), index).tolist() == \
+            oracle.compare_batch(*_gathered(A, index, None)).tolist() == [1]
 
 
 def _kinked_reference(x):

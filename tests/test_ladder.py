@@ -634,8 +634,10 @@ class TestBatchedReconstruction:
         # the oracle values the held points once per round, on the
         # round's first step, and the moving points once per later step,
         # whichever arguments hold them: one array per step, none on a
-        # round's second step.  Indifference solves ask (P, x, x, x) and
-        # value two arrays on the first step, then P alone.
+        # round's second step.  An evaluation holds its points and anchors
+        # in one copy, valued whole on its first anchor check (25 lattice
+        # points and 2 anchors), which its other anchor check and its
+        # indifference solve index; each step of the solve values P alone.
         oracle, rows, per_batch = self._watched("cobb_douglas")
         recon = reconstruct_utility(oracle, depth=4)
         assert (sum(rows), len(rows), oracle.calls) == (1893, 169, 1885)
@@ -643,8 +645,8 @@ class TestBatchedReconstruction:
         rows.clear()
         per_batch.clear()
         recon.evaluate_many(oracle.domain.lattice(5))
-        assert (sum(rows), len(rows)) == (1069, 70)
-        assert Counter(per_batch) == {2: 3, 1: 64}
+        assert (sum(rows), len(rows)) == (975, 66)
+        assert Counter(per_batch) == {1: 66, 0: 1}
 
     @pytest.mark.parametrize("name", ["log_sum", "exp1d", "kinked_composite"])
     def test_a_round_values_new_points_once_per_step_and_pins_once(self, monkeypatch, name):

@@ -21,10 +21,14 @@ def count_work():
     sys.path[:] = path
 
 
-# Per workload: evaluator rows, compare calls, compare rows, Philox blocks.
+# Per workload: evaluator rows, compare calls, compare rows, Philox blocks;
+# and compare calls by solve: ladder build, evaluation, other.
 COUNTS = {"verify-catalog": (668_564, 537, 392_887, 89_632),
-          "reconstruct-ladder": (1_533_122, 4_003, 1_510_982, 4_000),
+          "reconstruct-ladder": (1_436_925, 3_337, 1_459_728, 2_600),
           "shape-diagnostics": (139_110, 220, 102_335, 10_240)}
+BY_SOLVE = {"verify-catalog": (0, 0, 537),
+            "reconstruct-ladder": (2_842, 460, 35),
+            "shape-diagnostics": (0, 134, 86)}
 
 
 @pytest.mark.parametrize("workload", COUNTS)
@@ -33,3 +37,5 @@ def test_counts_of_one_round_at_seed_1(count_work, workload):
     assert set(codes) <= {0, 1, 2}                  # no exception escaped a command
     assert tuple(counts[name] for name in ("evaluator rows", "compare_batch calls",
                                            "compare rows", "Philox blocks")) == COUNTS[workload]
+    assert tuple(counts[kind, "compare calls"] for kind in count_work.KINDS) == \
+        BY_SOLVE[workload]
