@@ -24,7 +24,7 @@ a report regenerated from its stored seed is bit-identical.
 
 Crossover's draw also solves for its fourth point: the diagonal brackets
 of all trials are bisected in lockstep (``solvers.band_bisect_many``),
-with z, x and y held (``solvers.held``) and asked by row index
+with z, x and y held (``AltOracle.hold``) and asked by row index
 (``AltOracle.compare_rows``), so that only the diagonal point is new at
 each step; its predicate asks through the same held points, so that
 only w is new.
@@ -46,8 +46,7 @@ import numpy as np
 from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, shared_prefix, subrng, uniforms  # noqa: F401
-from .solvers import (DEFAULT_TOL_T, SideMany, band_bisect,  # noqa: F401
-                      band_bisect_many, held)
+from .solvers import DEFAULT_TOL_T, SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -290,7 +289,7 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
     p = _draw_triple(oracle, points, seed, trials)
-    fixed = p["held"] = held(p["z"], p["x"], p["y"])
+    fixed = p["held"] = oracle.hold(p["z"], p["x"], p["y"])
 
     # w runs down the diagonal so that [z,w] rises with s when the
     # system is increasing along the diagonal.
@@ -379,7 +378,7 @@ def _crossover(oracle: AltOracle, p: dict) -> tuple:
     compares ask)."""
     x, y, w = p["x"], p["y"], p.get("w")
     n = len(x)
-    fixed = p["held"] if "held" in p else held(p.get("z", x), x, y)
+    fixed = p["held"] if "held" in p else oracle.hold(p.get("z", x), x, y)
     premise = np.zeros(n, dtype=bool)
     swapped = np.zeros(n, dtype=np.int8)
     if w is not None:

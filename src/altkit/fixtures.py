@@ -174,14 +174,13 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     A utility compare values each distinct argument array once: arguments
     that are the same object (``compare_batch(P, X, X, X)``, or
     ``compare(x, y, y, y)``, which ``prefers`` asks) share one call of u.
-    ``compare_rows`` values its held array whole the first time it is
-    asked, and keeps it and its values until another held array comes;
-    each call values its fresh points once, whichever arguments hold
-    them, writes their values after the held values in a buffer it
-    keeps, and gathers each argument's values with one ``take`` from it,
-    as an index names the rows of ``held`` and ``fresh`` stacked.  u is a
-    deterministic row-wise function, so the answers are those of four
-    separate calls, bit for bit.
+    ``compare_rows`` values a ``Held``'s points whole the first time it
+    is asked and keeps the values in the ``Held``; each call values its
+    fresh points once, whichever arguments hold them, writes their values
+    after the held ones there, and gathers each argument's values with
+    one ``take``, as an index names the held and fresh rows stacked.  u
+    is a deterministic row-wise function, so the answers are those of
+    four separate calls, bit for bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
@@ -208,24 +207,19 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         rows = _per_object(_row, points)
         return classify(_finite(delta, rows, "non-finite intensity difference")[0], eps_eq)
 
-    # The last held array, its values, and those values followed by room
-    # for one call's fresh values.
-    last: list = [None, None, None]
-
     def indexed(held, index, fresh):
         try:
             with np.errstate(all="ignore"):
-                if held is not last[0]:
-                    last[:] = held, f(held), None
-                values = last[1]
+                if held.values is None:
+                    held.values = f(held.points)
+                values, m = held.values, len(held.points)
                 if fresh is not None:
-                    u_fresh, n = f(fresh), len(held)
-                    m = n + len(u_fresh)
-                    if last[2] is None or last[2].size < m:
-                        last[2] = np.concatenate((values, u_fresh))
-                    else:
-                        last[2][n:m] = u_fresh
-                    values = last[2][:m]
+                    u_fresh, n = f(fresh), m
+                    m += len(u_fresh)
+                    if values.size < m:
+                        values = held.values = np.concatenate((values[:n], u_fresh))
+                    values[n:m] = u_fresh
+                values = values[:m]
                 u_x, u_y, u_z, u_w = _per_object(
                     lambda i: u_fresh if i is None else values.take(i), index)
                 d = (u_x - u_y) - (u_z - u_w)
@@ -233,7 +227,7 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
                 return classify_many(d, eps_eq)
         except (ValueError, ArithmeticError):
             pass
-        return batch(*gather(held, index, fresh))   # raises, naming the bad row
+        return batch(*gather(held.points, index, fresh))   # raises, naming the bad row
 
     name = f"intensity:{spec.name}" if pairwise else f"diff:{spec.name}"
     return AltOracle(spec.dim, box, comparator, eps_eq, name=name, batch=batch,

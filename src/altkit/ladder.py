@@ -32,7 +32,7 @@ from .oracle import AltOracle, IntensityOrder
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, subrng, uniforms  # noqa: F401
 from .solvers import (DEFAULT_TOL_T, band_bisect, band_bisect_many,  # noqa: F401
-                      held, indifference_param_many)
+                      indifference_param_many)
 
 MAX_RUNGS_PER_LEVEL = 200_000
 ARCHIMEDEAN_CAP = 1000      # steps an Archimedean walk may take
@@ -61,9 +61,6 @@ class DyadicLadder:
     @staticmethod
     def value(i: int, k: int) -> float:
         return i / (1 << k)
-
-    def index_range(self, k: int) -> tuple[int, int]:
-        return tuple(self.levels[k][0][[0, -1]].tolist())
 
     def rungs(self, k: int | None = None) -> list[tuple[int, float]]:
         idx, t = self.levels[self.depth if k is None else k]
@@ -141,8 +138,8 @@ def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float 
             if k == depth:
                 break
             raise ConstructionError(f"rung cap exceeded: level {k + 1} would hold {size} rungs")
-        level, nxt, added = _round(oracle.compare_rows, asked, seg, k, t, sizes, firsts, walks,
-                                   start, units if k == 0 else None, tol_t)
+        level, nxt, added = _round(oracle, asked, seg, k, t, sizes, firsts, walks, start,
+                                   units if k == 0 else None, tol_t)
         if level[1].max() > MAX_RUNGS_PER_LEVEL:
             raise ConstructionError("rung cap exceeded; anchors are too close together")
         done += [level] if start else []
@@ -156,9 +153,9 @@ def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float 
     return ladders
 
 
-def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, sizes: np.ndarray,
-           firsts: np.ndarray, walks: np.ndarray, start: bool, units: np.ndarray | None,
-           tol_t: float) -> tuple:
+def _round(oracle: AltOracle, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray,
+           sizes: np.ndarray, firsts: np.ndarray, walks: np.ndarray, start: bool,
+           units: np.ndarray | None, tol_t: float) -> tuple:
     """One round of the ladders whose open level k is ``t``: the
     parameters of each ladder's rungs in turn, ``sizes[l]`` of them from
     index ``firsts[l]``, NaN where a rung is still to be solved.  Its
@@ -179,13 +176,12 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
     the second every midpoint's upper end and the edge of every walk that
     fits, and then all of them bisect, each as it would alone.  Every
     point but p is a known rung, a segment end or a unit point, held for
-    the round (:func:`solvers.held`) and asked by row: a bracket's four
-    held rows, p's fresh row, after the held ones, where p moves, or None
-    for an argument that is p on every row.  ``compare`` is the oracle's
-    ``compare_rows``, and ``asked[l]`` counts ladder l's rows.  Returns
-    level k completed (t, sizes, firsts), with ``start`` level k+1 begun
-    (else None), NaN where its rung waits for the next round, and which
-    walks added a rung."""
+    the round (``oracle.hold``) and asked by row (``oracle.compare_rows``):
+    a bracket's four held rows, p's fresh row, after the held ones, where
+    p moves, or None for an argument that is p on every row.  ``asked[l]``
+    counts ladder l's rows.  Returns level k completed (t, sizes, firsts),
+    with ``start`` level k+1 begun (else None), NaN where its rung waits
+    for the next round, and which walks added a rung."""
     n, stops = sizes.size, np.cumsum(sizes)
     starts, ladder, known = stops - sizes, np.repeat(np.arange(n), sizes), ~np.isnan(t)
     if units is None:       # the step of level k's walks: its rungs 1 and 0
@@ -209,21 +205,21 @@ def _round(compare, asked: np.ndarray, seg: Segment, k: int, t: np.ndarray, size
         np.stack([np.where(up, -1, e), np.where(up, e, -1), 2 + 2 * wl, 3 + 2 * wl,
                   np.where(up, 0, 1), e, np.where(up, 1, -1), wl])], [4])
     lo, hi = np.r_[t[a], np.where(up, t[edge], 0.0)], np.r_[t[b], np.where(up, 1.0, t[edge])]
-    fixed = held(head, seg.at_many(t[known]))
+    fixed = oracle.hold(head, seg.at_many(t[known]))
     out, last = np.full(lo.size, np.nan), [None]
 
     def plan(g: np.ndarray, moving: np.ndarray | None = None) -> tuple:
-        """Brackets g's index for ``compare``, moving point at held rows
+        """Brackets g's index for ``compare_rows``, moving point at held rows
         ``moving`` or else new, fresh row r after the held rows; their
         count per ladder; their signs."""
         q, sg, new = quad.take(g, axis=1), sign.take(g), moving is None
-        moving = len(fixed) + np.arange(g.size) if new else moving
+        moving = len(fixed.points) + np.arange(g.size) if new else moving
         return (tuple(None if new and (c < 0).all() else np.where(c < 0, moving, c) for c in q),
                 np.bincount(owner.take(g), minlength=n), sg if sg.min() < 0 else None)
 
     def ask(index: tuple, counts: np.ndarray, sg: np.ndarray | None, fresh=None) -> np.ndarray:
         asked[:] += counts
-        signs = compare(fixed, index, fresh)
+        signs = oracle.compare_rows(fixed, index, fresh)
         return signs if sg is None else sg * signs
 
     def side(j: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -350,15 +346,15 @@ def evaluate_together(recons: Sequence[ReconstructedUtility], xs) -> list[np.nda
     r takes its value, and the others, solved once for all r in one lockstep
     solve, are interpolated between r's rungs or clamped to an edge value
     (and counted).  The points and every anchor are held once
-    (:func:`solvers.held`), and the anchor checks and the solve ask
-    through that copy.  A point's values do not depend on the other
+    (``oracle.hold``), and the anchor checks and the solve ask through
+    that ``Held``.  A point's values do not depend on the other
     points."""
     oracle = recons[0].oracle
     xs = oracle.domain.require_many(xs)
     n = len(xs)
-    fixed = held(xs, [a for r in recons for a in (r.ladder.anchor_lo, r.ladder.anchor_hi)])
+    fixed = oracle.hold(xs, [a for r in recons for a in (r.ladder.anchor_lo, r.ladder.anchor_hi)])
     parts, off = [], np.zeros(n, dtype=bool)     # off: off an anchor of some r
-    for r, row in zip(recons, range(n, len(fixed), 2)):
+    for r, row in zip(recons, range(n, len(fixed.points), 2)):
         values, rest = np.empty(n), np.arange(n)
         for anchor, value in ((row, 0.0), (row + 1, 1.0)):
             a = np.full(rest.size, anchor)

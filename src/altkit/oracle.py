@@ -84,6 +84,19 @@ def gather(held: np.ndarray, index: Index, fresh: np.ndarray | None) -> list[np.
 
 
 @dataclass(eq=False)
+class Held:
+    """A solve's fixed points, made by :meth:`AltOracle.hold` and owned by
+    the solve: ``points``, a read-only C-order copy, and ``values``, where
+    a difference oracle keeps their values, taken on first use, followed
+    by room for one call's fresh values.  Both go when the solve drops
+    this object."""
+
+    points: np.ndarray
+    oracle: AltOracle
+    values: np.ndarray | None = None
+
+
+@dataclass(eq=False)
 class AltOracle:
     """Black-box four-point comparator over a box domain.
 
@@ -101,7 +114,7 @@ class AltOracle:
     eps_eq: float
     name: str = "oracle"
     batch: BatchComparator | None = None
-    rows: Callable[[np.ndarray, Index, np.ndarray | None], np.ndarray] | None = None
+    rows: Callable[[Held, Index, np.ndarray | None], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.domain.dim != self.dim:
@@ -125,22 +138,27 @@ class AltOracle:
         self._calls += len(X)
         return self.batch(X, Y, Z, W)
 
-    def compare_rows(self, held: np.ndarray, index: Index,
+    def hold(self, *arrays: np.ndarray) -> Held:
+        """The rows of ``arrays``, one after another, held for
+        :meth:`compare_rows`: a solve's fixed points."""
+        points = np.ascontiguousarray(np.concatenate(arrays), dtype=float)
+        points.flags.writeable = False
+        return Held(points, self)
+
+    def compare_rows(self, held: Held, index: Index,
                      fresh: np.ndarray | None = None) -> np.ndarray:
         """:meth:`compare_batch` of the four arguments that ``index`` names
-        (:func:`gather`): ``held`` holds a solve's fixed points, read-only
-        and unchanged while the solve runs (``solvers.held``), and ``fresh``
-        one step's new points, which an index names after the held rows:
-        fresh row r is row ``len(held) + r``.  Counts one call per row.  A
-        difference oracle answers from the values of ``held``, taken once,
-        and of ``fresh``; any other oracle gathers the rows.  A writable
-        ``held`` raises ValueError: its values would be kept while its
-        rows change."""
-        if held.flags.writeable:
-            raise ValueError("compare_rows needs a read-only held array that stays unchanged; "
-                             "make it with solvers.held")
+        (:func:`gather`): ``held`` holds a solve's fixed points
+        (:meth:`hold`), and ``fresh`` one step's new points, which an index
+        names after the held rows: fresh row r is row ``len(held.points) +
+        r``.  Counts one call per row.  A difference oracle answers from
+        the values of the held points, taken once per ``Held``, and of
+        ``fresh``; any other oracle gathers the rows.  Points held by
+        another oracle, or not held at all, raise ValueError."""
+        if getattr(held, "oracle", None) is not self:
+            raise ValueError("compare_rows needs points held by this oracle (AltOracle.hold)")
         if self.rows is None:
-            return self.compare_batch(*gather(held, index, fresh))
+            return self.compare_batch(*gather(held.points, index, fresh))
         self._calls += len(next((i for i in index if i is not None), fresh))
         return self.rows(held, index, fresh)
 

@@ -23,7 +23,7 @@ from .errors import AltkitError, ConstructionError, DomainError, OrderingError, 
 from .oracle import AltOracle
 # run_indexed and subrng are unused here; perfbench/tracing.py patches them.
 from .sampling import cycled, draw, run_indexed, subrng  # noqa: F401
-from .solvers import DEFAULT_TOL_T, band_bisect_many, held, indifference_param_many
+from .solvers import DEFAULT_TOL_T, band_bisect_many, indifference_param_many
 
 LINE_SMOOTH = "line-smooth"
 NOT_LINE_SMOOTH = "not-line-smooth"
@@ -68,7 +68,7 @@ def _midpoints(oracle: AltOracle, b: float, steps: list[float],
     pre = oracle.compare_batch(z, x, x, x) > 0           # z strictly preferred to x
     live = np.flatnonzero(pre)
     x, z = x[live], z[live]
-    n, fixed = live.size, held(x, z)
+    n, fixed = live.size, oracle.hold(x, z)
 
     def side(j: np.ndarray, t: np.ndarray) -> np.ndarray:
         xj = x.take(j, axis=0)

@@ -16,7 +16,7 @@ that bisection on one bracket with a scalar side, and
 :func:`indifference_param_many` solves indifference for many points on
 one segment.  A solve whose compares mix points fixed for the whole
 solve (bracket ends, reference points) with each step's moving points
-stacks the fixed points once with :func:`held` and asks
+holds the fixed points once with ``AltOracle.hold`` and asks
 ``AltOracle.compare_rows`` by row index: a difference oracle then values
 the fixed points once per solve and each step's moving points once per
 step, whichever arguments hold them.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import Segment
 from .errors import BracketError
-from .oracle import AltOracle, IntensityOrder
+from .oracle import AltOracle, Held, IntensityOrder
 
 # Default bisection width on the unit parameter.  Kept well below typical
 # equality dead bands so that solved points (rungs, midpoints, calibration
@@ -57,14 +57,6 @@ def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
     h = np.where((np.abs(a) > _HALF_MAX) | (np.abs(b) > _HALF_MAX), 0.5, 1.0)
     a, b = h * a, h * b
     return (a + b) * (0.5 / h), np.abs(b - a) > h * tol
-
-
-def held(*arrays: np.ndarray) -> np.ndarray:
-    """The rows of ``arrays``, one after another, in one read-only C-order
-    copy: a solve's fixed points, for ``AltOracle.compare_rows``."""
-    out = np.ascontiguousarray(np.concatenate(arrays), dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def band_bisect(side: Side, lo: float, hi: float, tol: float,
@@ -172,21 +164,21 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     return out
 
 
-def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray,
+def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray | Held,
                             tol_t: float = DEFAULT_TOL_T,
                             rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parameters t with seg.at(t) indifferent to each row of ``xs``,
     assuming preference increases along the segment, solved in lockstep.
-    With ``rows``, ``xs`` is a solve's held copy (:func:`held`) and the
-    points are its rows ``rows``, so that a caller's compares and this
-    solve's share its values.
+    With ``rows``, ``xs`` is a caller's ``Held`` (``AltOracle.hold``) and
+    the points are its rows ``rows``, so that the caller's compares and
+    this solve's share its values.
 
     Returns arrays (t, clamp) where clamp is -1 if a row ranks below the
     whole segment (t=0 returned), +1 if above (t=1), else 0.  A row gets
     the same t, after the same number of compares, whatever the other
     rows are.
     """
-    fixed, rows = (held(xs), np.arange(len(xs))) if rows is None else (xs, rows)
+    fixed, rows = (oracle.hold(xs), np.arange(len(xs))) if rows is None else (xs, rows)
 
     def side(idx: np.ndarray, t: np.ndarray) -> np.ndarray:      # idx: held rows
         return oracle.compare_rows(fixed, (None, idx, idx, idx), seg.at_many(t))

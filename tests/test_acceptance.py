@@ -215,7 +215,7 @@ def test_criterion_7_ladder_properties_and_replay():
         oracle = oracle_by_name(name)
         seg = oracle.domain.diagonal()
         ladder, = build_ladder(oracle, [(seg.at(0.25), seg.at(0.75))], depth=6)
-        lo_i, hi_i = ladder.index_range(6)
+        lo_i, hi_i = ladder.levels[6][0][[0, -1]]
         rng = np.random.default_rng(1)
         bad = 0
         for _ in range(50):

@@ -848,8 +848,8 @@ class TestAlepCommand:
 class TestNothingShared:
     """Reports are those of runs through an oracle that copies every
     argument of every compare, so that no two arguments are one object
-    and no argument is taken from held values: the shared and held values
-    an oracle keeps change no byte."""
+    and no argument is taken from held values: the values an oracle shares
+    between arguments and those a ``Held`` keeps change no byte."""
 
     COMMANDS = (["verify", "--trials", "200"],
                 ["reconstruct", "--depth", "5", "--trials", "50", "--grid", "3",

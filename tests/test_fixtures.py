@@ -19,7 +19,6 @@ from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, IntensitySp
                              oracle_by_name, parse_expression,
                              utility_by_name, utility_from_json)
 from altkit.oracle import AltOracle, IntensityOrder, classify
-from altkit.solvers import held
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -174,24 +173,30 @@ class TestSharedArguments:
             ask()
             assert rows == expected
 
-    def test_held_points_are_valued_once_per_solve(self):
+    @staticmethod
+    def _recording():
+        """A cobb_douglas difference oracle whose array function records
+        the row count of each call in ``rows``, and five sampled points
+        for each of P, Q, A and B."""
         inner = utility_by_name("cobb_douglas")
-        rows, values = [], []
+        rows = []
 
-        def batch(X):                        # records rows, and the values of a held array
-            out = inner.batch(X)
+        def batch(X):
             rows.append(len(X))
-            values.append(weakref.ref(out)) if not X.flags.writeable else None
-            return out
+            return inner.batch(X)
         oracle = make_difference_oracle(dataclasses.replace(inner, evaluator=None, batch=batch))
         rng = np.random.default_rng(2)
-        P, Q, A, B = (np.array([inner.domain.sample(rng) for _ in range(5)]) for _ in range(4))
-        fixed, every, two = held(A, B), np.arange(5), np.array([1, 3])
-        values.clear()
+        points = (np.array([inner.domain.sample(rng) for _ in range(5)]) for _ in range(4))
+        rows.clear()
+        return oracle, rows, *points
+
+    def test_held_points_are_valued_once_per_solve(self):
+        oracle, rows, P, Q, A, B = self._recording()
+        fixed, every, two = oracle.hold(A, B), np.arange(5), np.array([1, 3])
         mixed = np.array([6, 11, 2, 13, 9])             # rows 1 and 3 fresh
-        # The held array is valued whole the first time it is asked; later
-        # compares index its values, and each call values its fresh points
-        # once, whichever arguments hold them.
+        # The held points are valued whole the first time they are asked;
+        # later compares index their values, and each call values its fresh
+        # points once, whichever arguments hold them.
         asks = [((None, every, every + 5, None), P, [10, 5]),
                 ((None, every, every + 5, None), Q, [5]),
                 ((two, two + 5, two, two), None, []),
@@ -201,21 +206,33 @@ class TestSharedArguments:
             rows.clear()
             got = oracle.compare_rows(fixed, index, fresh)
             assert rows == expected
-            assert got.tolist() == oracle.compare_batch(*_gathered(fixed, index, fresh)).tolist()
-        # Another oracle values the held array for itself.
-        other = make_difference_oracle(dataclasses.replace(inner, evaluator=None, batch=batch),
-                                       eps_eq=1.0)
-        rows.clear()
-        other.compare_rows(fixed, (None, every, every + 5, None), P)
-        assert rows == [10, 5]
-        # The values go once the oracle is asked about another held array.
-        first, ref = weakref.ref(fixed), values[0]
-        rows.clear()
-        oracle.compare_rows(held(B), (every, every, every, every))
-        assert rows == [5]
-        del fixed, other
+            assert got.tolist() == \
+                oracle.compare_batch(*_gathered(fixed.points, index, fresh)).tolist()
+
+    def test_two_helds_asked_in_turn_each_value_their_points_once(self):
+        oracle, rows, P, _, A, B = self._recording()
+        first, second, every = oracle.hold(A), oracle.hold(A, B), np.arange(5)
+        for fixed, expected in ((first, [5, 5]), (second, [10, 5]), (first, [5])):
+            rows.clear()
+            oracle.compare_rows(fixed, (None, every, every, None), P)
+            assert rows == expected
+
+    def test_a_held_s_values_go_with_it(self):
+        oracle, _, P, _, A, _ = self._recording()
+        fixed, every = oracle.hold(A), np.arange(5)
+        oracle.compare_rows(fixed, (None, every, every, None), P)
+        kept = weakref.ref(fixed.values)
+        del fixed
         gc.collect()
-        assert ref() is None and first() is None
+        assert kept() is None and oracle.calls == 5
+
+    def test_points_held_by_another_oracle_are_refused(self):
+        oracle, rows, P, _, A, _ = self._recording()
+        other = make_difference_oracle(utility_by_name("cobb_douglas"), eps_eq=1.0)
+        every = np.arange(5)
+        with pytest.raises(ValueError, match=r"AltOracle\.hold"):
+            other.compare_rows(oracle.hold(A), (None, every, every, None), P)
+        assert rows == [] and other.calls == 0
 
 
 def _gathered(fixed: np.ndarray, index: tuple, fresh) -> list[np.ndarray]:
@@ -247,7 +264,7 @@ class TestCompareRows:
         rng = np.random.default_rng(seed)
         n = 40
         A, fresh = (np.array([oracle.domain.sample(rng) for _ in range(k)]) for k in (3 * n, n))
-        fixed, new = held(A), 3 * n + np.arange(n)     # fresh row r is row 3n + r
+        fixed, new = oracle.hold(A), 3 * n + np.arange(n)   # fresh row r is row 3n + r
         a, b, c, d = (rng.integers(0, 3 * n, n) for _ in range(4))
         moving = np.where(rng.random(n) < 0.5, new, a)
         some = np.where(rng.random(n) < 0.3, new, b)
@@ -273,7 +290,7 @@ class TestCompareRows:
         A[:] = A[::-1]
         index, given = cases[3]
         assert oracle.compare_rows(fixed, index, given).tolist() == \
-            oracle.compare_batch(*_gathered(fixed, index, given)).tolist()
+            oracle.compare_batch(*_gathered(fixed.points, index, given)).tolist()
 
     @pytest.mark.parametrize("where", ["held", "fresh"])
     def test_a_non_finite_value_raises_as_compare_batch_does(self, where):
@@ -281,7 +298,7 @@ class TestCompareRows:
         oracle = make_difference_oracle(spec, domain=BoxDomain([0.0], [800.0]), eps_eq=1e-9)
         # exp(710) overflows: in a held row the first compare asks, or in
         # a fresh row.
-        fixed = held(np.array([[1.0], [710.0], [2.0], [3.0]]))
+        fixed = oracle.hold(np.array([[1.0], [710.0], [2.0], [3.0]]))
         first, third = np.array([0, 1]), np.array([3, 0])
         if where == "held":
             index, fresh = (first, np.array([2, 2]), third, np.array([0, 0])), None
@@ -290,35 +307,35 @@ class TestCompareRows:
         with pytest.raises(ConfigError) as rows:
             oracle.compare_rows(fixed, index, fresh)
         with pytest.raises(ConfigError) as batch:
-            oracle.compare_batch(*_gathered(fixed, index, fresh))
+            oracle.compare_batch(*_gathered(fixed.points, index, fresh))
         assert str(rows.value) == str(batch.value)
         assert "[710.0]" in str(rows.value)
         # A bad held row that no compare asks stops nothing.
         index = (np.array([0, 2]), np.array([2, 3]), np.array([3, 0]), np.array([0, 0]))
         assert oracle.compare_rows(fixed, index).tolist() == \
-            oracle.compare_batch(*_gathered(fixed, index, None)).tolist()
+            oracle.compare_batch(*_gathered(fixed.points, index, None)).tolist()
 
     def test_an_evaluator_error_in_an_unasked_held_row_stops_nothing(self):
         # log(0) raises for the whole held array; the rows asked are fine.
         oracle = make_difference_oracle(utility_by_name("log_sum"),
                                         domain=BoxDomain([0.0, 0.0], [1.0, 1.0]), eps_eq=1e-9)
-        fixed = held(np.array([[0.5, 0.5], [0.0, 0.5], [0.25, 0.75]]))
+        fixed = oracle.hold(np.array([[0.5, 0.5], [0.0, 0.5], [0.25, 0.75]]))
         index = (np.array([0, 2]), np.array([2, 0]), np.array([0, 0]), np.array([2, 2]))
         assert oracle.compare_rows(fixed, index).tolist() == \
-            oracle.compare_batch(*_gathered(fixed, index, None)).tolist()
+            oracle.compare_batch(*_gathered(fixed.points, index, None)).tolist()
         with pytest.raises(ConfigError, match=r"\[0.0, 0.5\]"):
             oracle.compare_rows(fixed, (np.array([1]),) * 2 + (np.array([0]),) * 2)
 
 
     def test_a_row_past_the_fresh_rows_raises(self):
-        # The oracle keeps room for the most fresh values it was asked;
+        # A Held keeps room for the most fresh values it was asked with;
         # a row past this call's fresh rows is no row, whatever that room
         # holds from an earlier call.
         oracle = oracle_by_name("linear")
         rng = np.random.default_rng(3)
         fixed, five, two = (np.array([oracle.domain.sample(rng) for _ in range(k)])
                             for k in (4, 5, 2))
-        fixed, every = held(fixed), np.arange(5)
+        fixed, every = oracle.hold(fixed), np.arange(5)
         oracle.compare_rows(fixed, (None, every % 4, every % 4, None), five)
         with pytest.raises(IndexError):
             oracle.compare_rows(fixed, (np.array([4, 7]),) + (np.array([0, 1]),) * 3, two)
@@ -326,15 +343,23 @@ class TestCompareRows:
     @pytest.mark.parametrize("make", [lambda: oracle_by_name("linear"),
                                       lambda: _batchless(oracle_by_name("linear"))],
                              ids=["linear", "batchless"])
-    def test_a_writable_held_array_is_refused(self, make):
-        # Its values would be kept while the caller changes its rows.
+    def test_bare_arrays_are_refused_and_held_points_stay(self, make):
+        # A read-only view follows its writable base; the held copy does not.
         oracle = make()
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
+        view = A[:]
+        view.flags.writeable = False
         index = (np.array([1]), np.array([0]), np.array([0]), np.array([0]))
-        with pytest.raises(ValueError, match=r"solvers\.held"):
-            oracle.compare_rows(A, index)
-        assert oracle.compare_rows(held(A), index).tolist() == \
-            oracle.compare_batch(*_gathered(A, index, None)).tolist() == [1]
+        for bare in (A, view):
+            with pytest.raises(ValueError, match=r"AltOracle\.hold"):
+                oracle.compare_rows(bare, index)
+        fixed = oracle.hold(view)
+        assert oracle.compare_rows(fixed, index).tolist() == [1]
+        A[1] = [0.5, 0.5]
+        assert oracle.compare_rows(fixed, index).tolist() == \
+            oracle.compare_batch(*_gathered(fixed.points, index, None)).tolist() == [1]
+        assert oracle.compare_rows(oracle.hold(view), index).tolist() == \
+            oracle.compare_batch(*_gathered(view, index, None)).tolist() == [-1]
 
 
 def _kinked_reference(x):

@@ -49,8 +49,8 @@ class TestLadderStructure:
         assert [i for i, _ in level1] == [0, 1, 2, 3]
         expected = [0.25, math.sqrt(0.3125), 0.75, math.sqrt(0.8125)]
         assert [t for _, t in level1] == pytest.approx(expected, abs=1e-8)
-        assert lad.index_range(0) == (0, 1)
-        assert lad.index_range(1) == (0, 3)
+        assert lad.levels[0][0][[0, -1]].tolist() == [0, 1]
+        assert lad.levels[1][0][[0, -1]].tolist() == [0, 3]
 
     def test_rung_values_are_dyadic(self):
         lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=1)
@@ -327,7 +327,7 @@ class TestEdgeWalks:
         assert json.dumps(built.to_dict()) == json.dumps(reference.to_dict())
         assert lockstep.calls == sequential.calls
         if exponent == 1.0:
-            assert built.index_range(0) == (-3, 6)
+            assert built.levels[0][0][[0, -1]].tolist() == [-3, 6]
 
 
 @st.composite
@@ -425,7 +425,7 @@ class TestEqualStepInvariant:
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
         lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=6)
-        lo_i, hi_i = lad.index_range(6)
+        lo_i, hi_i = lad.levels[6][0][[0, -1]]
         rng = np.random.default_rng(7)
         for _ in range(50):
             i = int(rng.integers(lo_i, hi_i - 1))
@@ -649,14 +649,14 @@ class TestBatchedReconstruction:
         assert Counter(per_batch) == {1: 66, 0: 1}
 
     @pytest.mark.parametrize("name", ["log_sum", "exp1d", "kinked_composite"])
-    def test_a_round_values_new_points_once_per_step_and_pins_once(self, monkeypatch, name):
+    def test_a_round_values_new_points_once_per_step_and_pins_once(self, name):
         # Per round: its first compare values the held points (known
         # rungs, segment ends, units), its second nothing, and each later
         # compare one new point per row, whichever of the four arguments
         # hold it.
         oracle, rows, _ = self._watched(name)
         log, rounds = [], []                 # per compare: (rows asked, rows valued)
-        answer, hold = oracle.rows, ladder.held
+        answer, hold = oracle.rows, oracle.hold
 
         def counting(*args):
             before = len(rows)
@@ -666,10 +666,9 @@ class TestBatchedReconstruction:
 
         def marked(*arrays):                 # each round holds its points once, first
             fixed = hold(*arrays)
-            rounds.append((len(log), len(fixed)))
+            rounds.append((len(log), len(fixed.points)))
             return fixed
-        oracle.rows = counting
-        monkeypatch.setattr(ladder, "held", marked)
+        oracle.rows, oracle.hold = counting, marked
         _recons(oracle, 6, (0.25, 0.75), (0.1, 0.9))
         assert len(rounds) > 7 and sum(n for n, _ in log) == oracle.calls - 4  # 4 anchor checks
         for (start, kept), (stop, _) in zip(rounds, rounds[1:] + [(len(log), 0)]):

@@ -12,7 +12,7 @@ from altkit.fixtures import oracle_by_name
 from altkit.oracle import AltOracle, IntensityOrder, classify
 from altkit.smoothness import solve_f
 from altkit.solvers import (_HALF_MAX, DEFAULT_TOL_T, _split, band_bisect,
-                            band_bisect_many, held, indifference_param_many)
+                            band_bisect_many, indifference_param_many)
 
 G, E, L = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
 
@@ -395,14 +395,18 @@ def _quadratic_oracle(sign: float = 1.0):
 
 class TestHeld:
     def test_a_read_only_c_order_copy_of_the_rows_in_turn(self):
+        oracle = oracle_by_name("linear")
         a, b = np.arange(12.0).reshape(6, 2), np.asfortranarray(-np.arange(8).reshape(4, 2))
-        fixed = held(a, b)
+        held = oracle.hold(a, b)
+        fixed = held.points
+        assert held.oracle is oracle and held.values is None
         assert fixed.tolist() == a.tolist() + b.tolist() and fixed.dtype == float
         assert fixed.flags.c_contiguous and not fixed.flags.writeable
         assert a.flags.writeable and b.flags.writeable
         a[:] = 0.0                       # the copy does not follow the caller's arrays
         assert fixed[:6].tolist() == np.arange(12.0).reshape(6, 2).tolist()
-        assert held(b).flags.c_contiguous and not np.shares_memory(held(a), a)
+        assert oracle.hold(b).points.flags.c_contiguous
+        assert not np.shares_memory(oracle.hold(a).points, a)
 
 
 class TestSolveMidpoint:
