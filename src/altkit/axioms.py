@@ -121,53 +121,38 @@ class Record:
     def dump(doc, fh) -> None:
         parts: list[str] = []
         put = parts.append
-        # per outer indent: the inner indent with and without a comma, the
-        # closing texts, and per str key its head: comma, indent, key, ": "
-        indents: dict[str, tuple] = {}
 
-        # Every item is one put of its head (comma, indent, key) and its
-        # text: the per-value work is the writer's cost.  A dict's plain
-        # floats and strs, the bulk of a report, are written in place; a
-        # float's repr ends in "n" or "f" only for NaN and the infinities,
-        # which, like every other item, go through emit's isinstance chain.
-        def emit(o, pad: str, head: str) -> None:
-            inner, comma, close, close_list, texts = indents.get(pad) or indents.setdefault(
-                pad, (pad + "  ", "," + pad + "  ", pad + "}", pad + "]", {}))
+        # A dict's finite floats and its strs, the bulk of a report, are
+        # written in place; a float's repr ends in "n" or "f" only for NaN
+        # and the infinities, which, like every other value, go through emit.
+        def emit(o, pad: str) -> None:
+            inner = pad + "  "
             if isinstance(o, dict):
-                if not o:
-                    put(head + "{}")
-                    return
-                put(head + "{")
-                cut = 1                    # the first item has no comma
+                sep = "{"
                 for k in sorted(o):
-                    if (head := texts.get(k) if type(k) is str else None) is None:
-                        head = "," + inner + _quote(k if isinstance(k, str) else _literal(k)) + ": "
-                        if type(k) is str:
-                            texts[k] = head
-                    head, cut, v = head[cut:], 0, o[k]
-                    kind = type(v)
-                    if kind is float and (r := float.__repr__(v))[-1] not in "nf":
-                        put(head + r)
-                    elif kind is str:
-                        put(head + _quote(v))
+                    put(sep + inner + _quote(k if isinstance(k, str) else _literal(k)) + ": ")
+                    sep, v = ",", o[k]
+                    if type(v) is float and (r := float.__repr__(v))[-1] not in "nf":
+                        put(r)
+                    elif type(v) is str:
+                        put(_quote(v))
                     else:
-                        emit(v, inner, head)
-                put(close)
+                        emit(v, inner)
+                put(pad + "}" if o else "{}")
             elif isinstance(o, (list, tuple)):
-                if not o:
-                    put(head + "[]")
-                    return
-                put(head + "[")
-                for i, v in enumerate(o):
-                    emit(v, inner, comma if i else inner)
-                put(close_list)
+                sep = "["
+                for v in o:
+                    put(sep + inner)
+                    sep = ","
+                    emit(v, inner)
+                put(pad + "]" if o else "[]")
             else:
-                put(head + (_quote(o) if isinstance(o, str) else _literal(o)))
+                put(_quote(o) if isinstance(o, str) else _literal(o))
             if len(parts) >= FLUSH_PARTS:
                 fh.write("".join(parts))
                 parts.clear()
 
-        emit(doc, "\n", "")
+        emit(doc, "\n")
         fh.write("".join(parts))
 
 

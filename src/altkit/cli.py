@@ -101,11 +101,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
                                   cfg.depth, cfg.tol_t, seg)
     recons = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
     recon, *second = recons
-    # The reconstruction's counts are taken before the evaluations, and
-    # written after them, so an impossible grid fails before any report.
-    reconstruction = {"reconstruction": recon.to_dict()}
     # The spot check's quadruples and the fit's points are drawn first, and
-    # valued with the grid for every reconstruction in one solve.  Fit
+    # valued with the grid for every reconstruction in one solve, before
+    # any report is written, so an impossible grid leaves no report.  Fit
     # point i is quadruple i's first point, so only the fit's points past
     # the quadruples are added, after them.
     grid = oracle.domain.lattice(cfg.grid)
@@ -117,7 +115,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     rows: list[list] = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
     for point, value in zip(grid.tolist(), values[0][:g].tolist()):
         rows.append(point + [value])
-    _write_report(cfg, "reconstruction.json", reconstruction)
+    _write_report(cfg, "reconstruction.json", {"reconstruction": recon.to_dict()})
     _write_csv(cfg, "grid.csv", rows)
 
     spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed,

@@ -163,10 +163,8 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, points: np.ndarray | None 
                   dyadic_depth=dyadic_depth, extras={"tol": tol})
 
 
-def concavity_roundtrip(spec: UtilitySpec, domain: BoxDomain | None = None,
-                        trials: int = 2000, seed: int = 0,
-                        depth: int = 8, segment: Segment | None = None,
-                        floor: float | None = None) -> dict:
+def concavity_roundtrip(spec: UtilitySpec, trials: int = 2000, seed: int = 0,
+                        depth: int = 8, segment: Segment | None = None) -> dict:
     """Tie the oracle-side law, the reconstruction, and the ground-truth tag.
 
     Builds a difference oracle for the fixture, runs the midpoint gain
@@ -179,8 +177,8 @@ def concavity_roundtrip(spec: UtilitySpec, domain: BoxDomain | None = None,
     """
     if spec.concavity not in (CONCAVE, STRICTLY_CONCAVE, NON_CONCAVE):
         raise ConfigError(f"fixture {spec.name!r} carries no usable concavity tag")
-    oracle = make_difference_oracle(spec, domain)
-    gossen = check_gossen_law(oracle, trials=trials, seed=seed, floor=floor)
+    oracle = make_difference_oracle(spec)
+    gossen = check_gossen_law(oracle, trials=trials, seed=seed)
     recon = reconstruct_utility(oracle, depth=depth, segment=segment)
     midpoint = check_midpoint_concavity(
         recon, oracle.domain, trials=max(1, trials // 10), seed=seed + 1,

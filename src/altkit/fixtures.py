@@ -158,6 +158,17 @@ def estimate_value_range(fn: BatchEvaluator, box: BoxDomain) -> float:
     return max(float(values.max() - values.min()), 1e-12)
 
 
+def _or_nan(fn, points: np.ndarray) -> np.ndarray:
+    """``fn(points)``, or, when that raises ValueError or ArithmeticError,
+    its rows valued one by one, NaN where a row raises."""
+    try:
+        return fn(points)
+    except (ValueError, ArithmeticError):
+        if len(points) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_or_nan(fn, p[None]) for p in points])
+
+
 def _per_object(fn, args) -> list:
     """``[fn(a) for a in args]``, calling fn once per distinct object."""
     seen: dict = {}
@@ -175,16 +186,17 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
     that are the same object (``compare_batch(P, X, X, X)``, or
     ``compare(x, y, y, y)``, which ``prefers`` asks) share one call of u.
     ``compare_rows`` values a ``Held``'s points whole the first time it
-    is asked and keeps the values in the ``Held``; each call values its
-    fresh points once, whichever arguments hold them, writes their values
-    after the held ones there, and gathers each argument's values with
-    one ``take``, as an index names the held and fresh rows stacked.  u
-    is a deterministic row-wise function, so the answers are those of
-    four separate calls, bit for bit.
+    is asked and keeps the values in the ``Held``, NaN for a point whose
+    value raises; each call values its fresh points once, whichever
+    arguments hold them, and gathers each argument's values with one
+    ``take`` from the held and fresh values stacked, as its index names
+    the rows.  u is a deterministic row-wise function, so the answers
+    are those of four separate calls, bit for bit.
 
     An evaluator's ValueError or ArithmeticError, or a non-finite
     difference, at set-up or in a compare, raises ConfigError naming the
-    points of the first bad row."""
+    points of the first bad row; a held point that no compare asks stops
+    nothing."""
     kind = "intensity" if pairwise else "utility"
     box = domain or spec.domain
     if box.dim != spec.dim:
@@ -211,15 +223,9 @@ def _build_oracle(spec: UtilitySpec | IntensitySpec, domain: BoxDomain | None,
         try:
             with np.errstate(all="ignore"):
                 if held.values is None:
-                    held.values = f(held.points)
-                values, m = held.values, len(held.points)
-                if fresh is not None:
-                    u_fresh, n = f(fresh), m
-                    m += len(u_fresh)
-                    if values.size < m:
-                        values = held.values = np.concatenate((values[:n], u_fresh))
-                    values[n:m] = u_fresh
-                values = values[:m]
+                    held.values = _or_nan(f, held.points)
+                u_fresh = None if fresh is None else f(fresh)
+                values = held.values if fresh is None else np.concatenate((held.values, u_fresh))
                 u_x, u_y, u_z, u_w = _per_object(
                     lambda i: u_fresh if i is None else values.take(i), index)
                 d = (u_x - u_y) - (u_z - u_w)

@@ -254,8 +254,7 @@ def _round(oracle: AltOracle, asked: np.ndarray, seg: Segment, k: int, t: np.nda
     return (t, sizes, firsts), (nxt, 2 * sizes - 1, 2 * firsts), added
 
 
-def archimedean_count(oracle: AltOracle, x, y, z,
-                      tol_t: float = DEFAULT_TOL_T) -> tuple[int, list[np.ndarray]]:
+def archimedean_count(oracle: AltOracle, x, y, z) -> tuple[int, list[np.ndarray]]:
     """Number of equal steps of size [x,y] needed to walk from x past z.
 
     Starting from a0=y, a1=x, each step solves [a_{i+1}, a_i] = [x,y] on
@@ -284,7 +283,7 @@ def archimedean_count(oracle: AltOracle, x, y, z,
         def side(_j: np.ndarray, t: np.ndarray) -> np.ndarray:     # one bracket: one row
             return oracle.compare_batch(seg.at_many(t), a[None], x[None], y[None])
 
-        t = band_bisect_many(side, [0.0], [1.0], tol_t)
+        t = band_bisect_many(side, [0.0], [1.0], DEFAULT_TOL_T)
         points.append(seg.at(float(t[0])))
         k += 1
 
@@ -382,14 +381,13 @@ def evaluate_together(recons: Sequence[ReconstructedUtility], xs) -> list[np.nda
 
 
 def reconstruct_utility(oracle: AltOracle, y_star=None, x_star=None, depth: int = 10,
-                        tol_t: float = DEFAULT_TOL_T,
                         segment: Segment | None = None) -> ReconstructedUtility:
     """Build a ladder (anchors default to segment params 0.25/0.75) and wrap it."""
     seg = segment or oracle.domain.diagonal()
     y_star = seg.at(0.25) if y_star is None else y_star
     x_star = seg.at(0.75) if x_star is None else x_star
-    ladder, = build_ladder(oracle, [(y_star, x_star)], depth, tol_t, seg)
-    return ReconstructedUtility(oracle, ladder, tol_t)
+    ladder, = build_ladder(oracle, [(y_star, x_star)], depth, segment=seg)
+    return ReconstructedUtility(oracle, ladder)
 
 
 @dataclass

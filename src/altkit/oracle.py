@@ -87,9 +87,8 @@ def gather(held: np.ndarray, index: Index, fresh: np.ndarray | None) -> list[np.
 class Held:
     """A solve's fixed points, made by :meth:`AltOracle.hold` and owned by
     the solve: ``points``, a read-only C-order copy, and ``values``, where
-    a difference oracle keeps their values, taken on first use, followed
-    by room for one call's fresh values.  Both go when the solve drops
-    this object."""
+    a difference oracle keeps their values, taken on first use.  Both go
+    when the solve drops this object."""
 
     points: np.ndarray
     oracle: AltOracle

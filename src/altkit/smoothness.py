@@ -173,14 +173,14 @@ def _scales(oracle: AltOracle, xs: np.ndarray, tol_t: float) -> tuple[np.ndarray
     return c_lo + t * (c_hi - c_lo), clamp
 
 
-def calibrate(oracle: AltOracle, x, tol_t: float = DEFAULT_TOL_T) -> float:
+def calibrate(oracle: AltOracle, x) -> float:
     """Diagonal scale a(x) with x indifferent to a(x)*(1,...,1).
 
     Unique for monotone systems.  RangeError when no diagonal multiple
     inside the box matches x.
     """
     x = oracle.domain.require(x)
-    (a,), (clamp,) = _scales(oracle, x[None], tol_t)
+    (a,), (clamp,) = _scales(oracle, x[None], DEFAULT_TOL_T)
     if clamp != 0:
         side = "below" if clamp < 0 else "above"
         raise RangeError(f"point ranks {side} every diagonal multiple in the box")

@@ -46,17 +46,9 @@ Side = Callable[[float], IntensityOrder]
 SideMany = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
-           far: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``0.5 * (a + b)`` and ``|b - a| > tol``, row by row.  ``far`` says
-    that an end may lie beyond half the float range; such rows are then
-    halved first, so that nothing overflows, which keeps the bits of both
-    wherever ``a + b`` and ``b - a`` are finite."""
-    if not far:
-        return 0.5 * (a + b), np.abs(b - a) > tol
-    h = np.where((np.abs(a) > _HALF_MAX) | (np.abs(b) > _HALF_MAX), 0.5, 1.0)
-    a, b = h * a, h * b
-    return (a + b) * (0.5 / h), np.abs(b - a) > h * tol
+def _split(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``0.5 * (a + b)`` and ``|b - a| > tol``, row by row."""
+    return 0.5 * (a + b), np.abs(b - a) > tol
 
 
 def band_bisect(side: Side, lo: float, hi: float, tol: float,
@@ -78,7 +70,8 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
                      refine: bool = True) -> np.ndarray:
     """Crossing parameters of N weakly increasing trichotomies, one per
     bracket [lo_j, hi_j], located in lockstep.  ``tol`` is one width for
-    every bracket or one per bracket.
+    every bracket or one per bracket.  Every end must lie within half the
+    float range, so that no midpoint or width overflows.
 
     Each bracket is asked the parameters it would be asked alone, so every
     bracket gets the same result after the same number of queries
@@ -98,6 +91,8 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     per = np.broadcast_to(tol, a.shape)
     if np.any(b <= a):
         raise ValueError("need lo < hi")
+    if np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX:
+        raise ValueError("need every end within sys.float_info.max / 2")
     every = np.arange(a.size)
     s_lo = side(every, a) if lo_state is None else np.array(lo_state, dtype=np.int8)
     s_hi = side(every, b) if hi_state is None else np.array(hi_state, dtype=np.int8)
@@ -109,10 +104,7 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
 
     found = (s_lo == 0) | (s_hi == 0)
     eq = np.where(s_lo == 0, a, b)
-    # Every parameter asked lies in its bracket, so one look at the ends
-    # tells whether any midpoint or width can overflow.
-    far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
-    out, wider = _split(a, b, per, far)
+    out, wider = _split(a, b, per)
     # The running brackets j, with their ends, next parameter and width
     # kept compact; a bracket's state is written back when it stops.
     j = np.flatnonzero(~found & wider & (a < out) & (out < b))
@@ -121,7 +113,7 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
         s = side(j, m)
         np.putmask(aj, s < 0, m)
         np.putmask(bj, s > 0, m)
-        nxt, wider = _split(aj, bj, w, far)
+        nxt, wider = _split(aj, bj, w)
         go = (s != 0) & wider & (aj < nxt) & (nxt < bj)
         if not go.all():         # j stays the same object while no bracket stops
             stop, hit = ~go, s == 0
@@ -145,14 +137,14 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
     outer = np.concatenate([a[lower], b[upper]])
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    edge, wider = _split(outer, inner, per[owner], far)
+    edge, wider = _split(outer, inner, per[owner])
     k = np.flatnonzero(wider & (edge != outer) & (edge != inner))
     ok, ko, ki, m, ks, w = owner[k], outer[k], inner[k], edge[k], state[k], per[owner[k]]
     while k.size:
         hit = side(ok, m) == ks
         np.putmask(ko, hit, m)
         np.putmask(ki, ~hit, m)
-        nxt, wider = _split(ko, ki, w, far)
+        nxt, wider = _split(ko, ki, w)
         go = wider & (nxt != ko) & (nxt != ki)
         if not go.all():
             edge[k[~go]] = nxt[~go]
@@ -160,7 +152,7 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
         m = nxt
     a[lower] = edge[:lower.size]          # a and b become the band's edges
     b[upper] = edge[lower.size:]
-    out[found] = _split(a[found], b[found], per[found], far)[0]
+    out[found] = _split(a[found], b[found], per[found])[0]
     return out
 
 

@@ -621,6 +621,14 @@ class TestReconstructCommand:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_clamped_evaluations_count_the_points_valued(self, tmp_path):
+        # At depth 4 the log_sum ladder's rungs stop short of the box's
+        # diagonal corners, which the grid values: 2 evaluations clamp.
+        rc = main(["reconstruct", "--oracle", "log_sum", "--depth", "4", "--trials", "200",
+                   "--seed", "3", "--outdir", str(tmp_path)])
+        assert rc in (0, 1)
+        assert _load(tmp_path / "reconstruction.json")["reconstruction"]["clamped_evaluations"] == 2
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"oracle": "cobb_douglas", "depth": 3,
@@ -643,9 +651,12 @@ def _blanked(outdir: Path) -> dict[str, bytes]:
 def _reports_of_each_check_alone(argv: list[str]) -> None:
     """The reports ``reconstruct`` wrote when it valued the grid with
     ``evaluate_many`` and ran the spot check and the fit each alone, each
-    drawing and valuing its own points, in a fresh oracle."""
+    drawing and valuing its own points, in a fresh oracle.  The
+    reconstruction counts the clamped points among those it valued, each
+    point once: the grid, the quadruples and the fit's points past them."""
     from altkit import cli
-    from altkit.ladder import (ReconstructedUtility, build_ladder, representation_spot_check,
+    from altkit.ladder import (ReconstructedUtility, affine_draw, build_ladder,
+                               representation_spot_check, spot_check_draw,
                                verify_affine_uniqueness)
 
     cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
@@ -655,14 +666,20 @@ def _reports_of_each_check_alone(argv: list[str]) -> None:
     ladders = build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
                            cfg.depth, cfg.tol_t, seg)
     recon, *second = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
-    reconstruction = {"reconstruction": recon.to_dict()}
     points = oracle.domain.lattice(cfg.grid)
     rows = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
     for point, value in zip(points, recon.evaluate_many(points).tolist()):
         rows.append([float(v) for v in point] + [value])
+    spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)
+    reconstruction = {"reconstruction": recon.to_dict()}
+    quads = spot_check_draw(oracle.domain, cfg.trials, cfg.seed)
+    extra = affine_draw(oracle.domain, cfg.seed, quads)[cfg.trials:]
+    if second and len(extra):
+        apart = ReconstructedUtility(oracle, recon.ladder, cfg.tol_t)
+        apart.evaluate_many(extra)
+        reconstruction["reconstruction"]["clamped_evaluations"] += apart.clamped
     cli._write_report(cfg, "reconstruction.json", reconstruction)
     cli._write_csv(cfg, "grid.csv", rows)
-    spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)
     cli._write_report(cfg, "representation.json", {"report": spot.to_dict()})
     for recon_b in second:
         fit = verify_affine_uniqueness(recon, recon_b, seed=cfg.seed)

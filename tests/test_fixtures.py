@@ -326,11 +326,30 @@ class TestCompareRows:
         with pytest.raises(ConfigError, match=r"\[0.0, 0.5\]"):
             oracle.compare_rows(fixed, (np.array([1]),) * 2 + (np.array([0]),) * 2)
 
+    def test_held_points_with_a_bad_row_are_valued_once(self):
+        # log(0) raises for the whole held array, which is then valued row
+        # by row once; later compares value nothing.
+        spec = utility_by_name("log_sum")
+        rows = []
+
+        def batch(X):
+            rows.append(len(X))
+            return spec.batch(X)
+        oracle = make_difference_oracle(dataclasses.replace(spec, evaluator=None, batch=batch),
+                                        domain=BoxDomain([0.0, 0.0], [1.0, 1.0]), eps_eq=1e-9)
+        points = np.random.default_rng(5).uniform(0.1, 1.0, (1000, 2))
+        points[1] = [0.0, 0.5]
+        fixed = oracle.hold(points)
+        index = (np.array([0, 2]), np.array([2, 0]), np.array([0, 0]), np.array([2, 2]))
+        rows.clear()
+        answers = [oracle.compare_rows(fixed, index).tolist() for _ in range(3)]
+        assert rows == [1000] + [1] * 1000
+        assert answers == [oracle.compare_batch(*_gathered(points, index, None)).tolist()] * 3
+
 
     def test_a_row_past_the_fresh_rows_raises(self):
-        # A Held keeps room for the most fresh values it was asked with;
-        # a row past this call's fresh rows is no row, whatever that room
-        # holds from an earlier call.
+        # A row past this call's fresh rows is no row, though an earlier
+        # call had more fresh rows.
         oracle = oracle_by_name("linear")
         rng = np.random.default_rng(3)
         fixed, five, two = (np.array([oracle.domain.sample(rng) for _ in range(k)])

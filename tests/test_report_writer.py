@@ -37,6 +37,11 @@ _DOCS = st.recursive(
 )
 
 
+class _Str(str):
+    def __str__(self):
+        return "not the text"
+
+
 class TestWriter:
     @settings(max_examples=400, deadline=None)
     @given(_DOCS)
@@ -52,6 +57,9 @@ class TestWriter:
          np.float64(math.nan), np.float64(-math.inf)],
         {2: "a", 1.5: "b", -1: None}, {None: 1}, {True: 0, False: 1},
         3.5, None, True, "text",
+        # a dict's values past the in-place path's type checks
+        {"a": _Str("x\ty"), "b": _Str("")}, {"a": np.float64(0.1), "b": np.float64(-0.0)},
+        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": 1.5},
     ])
     def test_edge_documents(self, doc):
         assert Record.dumps(doc) == reference(doc)

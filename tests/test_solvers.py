@@ -188,8 +188,7 @@ def scattering_band_bisect_many(side, lo, hi, tol, lo_state=None, hi_state=None,
     s_hi = side(every, b) if hi_state is None else np.array(hi_state, dtype=np.int8)
     found = (s_lo == 0) | (s_hi == 0)
     eq = np.where(s_lo == 0, a, b)
-    far = bool(np.abs(np.concatenate([a, b])).max(initial=0.0) > _HALF_MAX)
-    out, wider = _split(a, b, per, far)
+    out, wider = _split(a, b, per)
     j = np.flatnonzero(~found & wider & (a < out) & (out < b))
     while j.size:
         m = out[j]
@@ -199,7 +198,7 @@ def scattering_band_bisect_many(side, lo, hi, tol, lo_state=None, hi_state=None,
         eq[j[s == 0]] = m[s == 0]
         found[j[s == 0]] = True
         aj, bj = a[j], b[j]
-        m, wider = _split(aj, bj, width(j), far)
+        m, wider = _split(aj, bj, width(j))
         out[j] = m
         j = j[(s != 0) & wider & (aj < m) & (m < bj)]
     if not refine:
@@ -211,7 +210,7 @@ def scattering_band_bisect_many(side, lo, hi, tol, lo_state=None, hi_state=None,
     outer = np.concatenate([a[lower], b[upper]])
     inner = eq[owner]
     state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    edge, wider = _split(outer, inner, width(owner), far)
+    edge, wider = _split(outer, inner, width(owner))
     k = np.flatnonzero(wider & (edge != outer) & (edge != inner))
     while k.size:
         ok, m = owner[k], edge[k]
@@ -219,12 +218,12 @@ def scattering_band_bisect_many(side, lo, hi, tol, lo_state=None, hi_state=None,
         outer[k[hit]] = m[hit]
         inner[k[~hit]] = m[~hit]
         ko, ki = outer[k], inner[k]
-        m, wider = _split(ko, ki, width(ok), far)
+        m, wider = _split(ko, ki, width(ok))
         edge[k] = m
         k = k[wider & (m != ko) & (m != ki)]
     a[lower] = edge[:lower.size]
     b[upper] = edge[lower.size:]
-    out[found] = _split(a[found], b[found], width(found), far)[0]
+    out[found] = _split(a[found], b[found], width(found))[0]
     return out
 
 
@@ -243,12 +242,12 @@ class TestCompactLoop:
                                 st.lists(st.floats(1e-12, 1.0), min_size=12, max_size=12)),
            st.booleans(), st.booleans(), st.booleans())
     def test_asks_and_returns_what_the_scattering_loop_does(self, brackets, tol, pass_states,
-                                                           refine, far):
+                                                           refine, large):
         tol = np.array(tol[:len(brackets)]) if isinstance(tol, list) else tol
-        if far:     # ends beyond half the float range: midpoints of halved ends
-            brackets = [(1e308 + 1e307 * lo, 1e307 * width, at, 1e307 * band)
+        if large:   # ends near half the float range, the largest allowed
+            brackets = [(5e307 + 1e306 * lo, 1e306 * width, at, 1e306 * band)
                         for lo, width, at, band in brackets]
-            tol = 1e307 * tol
+            tol = 1e306 * tol
         lo, hi, sides = _banded_brackets(brackets)
         states = {}
         if pass_states:
@@ -331,14 +330,13 @@ class TestBandBisectMany:
         assert got[0] == 0.3 or np.nextafter(got[0], 1.0) == 0.3
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-sys.float_info.max, sys.float_info.max), min_size=4,
-                    max_size=4, unique=True),
+    @given(st.lists(st.floats(-_HALF_MAX, _HALF_MAX), min_size=4, max_size=4, unique=True),
            st.booleans(), st.floats(5e-324, 1.0), st.booleans())
-    @example([-sys.float_info.max, -1e308, 1e308, sys.float_info.max], True, 1e-10, True)
+    @example([-_HALF_MAX, -1e307, 1e307, _HALF_MAX], True, 1e-10, True)
     def test_every_solve_ends_within_the_float_format(self, ends, band, tol, refine):
         # Side -1 below c1, 0 on [c1, c2] and 1 above c2 (no EQUAL band when
         # c2 < c1).  A loop halves a bracket at most 1024 + 1074 times, from
-        # the largest float's exponent to the smallest subnormal's; the
+        # the largest end's exponent to the smallest subnormal's; the
         # bisection and the refinement are one loop each, whatever tol is.
         lo, c1, c2, hi = sorted(ends)
         if not band:
@@ -353,13 +351,12 @@ class TestBandBisectMany:
         assert lo <= got[0] <= hi
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(-sys.float_info.max, sys.float_info.max), min_size=2,
-                    max_size=2, unique=True))
-    @example([-sys.float_info.max, sys.float_info.max])
-    @example([1e308, sys.float_info.max])
+    @given(st.lists(st.floats(-_HALF_MAX, _HALF_MAX), min_size=2, max_size=2, unique=True))
+    @example([-_HALF_MAX, _HALF_MAX])
+    @example([1e307, _HALF_MAX])
     def test_midpoint_does_not_overflow(self, ends):
-        # The first parameter asked is 0.5 * (lo + hi), bit for bit, wherever
-        # lo + hi and hi - lo are finite, and the exact midpoint otherwise.
+        # Within half the float range, the first parameter asked is
+        # 0.5 * (lo + hi), bit for bit, and lies strictly inside the bracket.
         lo, hi = sorted(ends)
         assume(np.nextafter(lo, hi) < hi)    # else no parameter lies between
         asked = []
@@ -367,13 +364,19 @@ class TestBandBisectMany:
         def side(idx, t):
             asked.append(t[0])
             return np.zeros(1, dtype=np.int8)
-        assert band_bisect_many(side, [lo], [hi], 5e-324, [-1], [1], refine=False) == asked
-        with np.errstate(over="ignore"):
-            naive = 0.5 * (lo + hi), hi - lo
-        if np.isfinite(naive).all():
-            assert np.float64(asked[0]).tobytes() == np.float64(naive[0]).tobytes()
-        else:
-            assert asked[0] == lo / 2 + hi / 2
+        with np.errstate(over="raise"):
+            got = band_bisect_many(side, [lo], [hi], 5e-324, [-1], [1], refine=False)
+        assert got == asked
+        assert np.float64(asked[0]).tobytes() == np.float64(0.5 * (lo + hi)).tobytes()
+        assert lo < asked[0] < hi
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.nextafter(_HALF_MAX, math.inf)),
+                                        (-sys.float_info.max, 0.0), (-math.inf, 1.0)])
+    def test_rejects_ends_beyond_half_the_float_range(self, lo, hi):
+        def side(idx, t):
+            raise AssertionError("no parameter is asked")
+        with pytest.raises(ValueError, match="max / 2"):
+            band_bisect_many(side, [0.0, lo], [1.0, hi], 1e-9)
 
     def test_rejects_bad_bracket(self):
         side = lambda idx, t: np.where(t > 0.5, 1, -1).astype(np.int8)
