@@ -21,10 +21,11 @@ from .axioms import ALL_AXIOMS, Record, run_axiom_suite
 from .concavity import check_gossen_law
 from .config import RunConfig
 from .errors import AltkitError, ConfigError
-from .fixtures import catalog, intensity_catalog, oracle_by_name, utility_by_name, utility_from_json
+from .fixtures import UtilitySpec, catalog, intensity_catalog, oracle_by_name, spec_by_name
 from .diffcalc import alep_classify
 from . import ladder
 from .ladder import ReconstructedUtility, representation_spot_check, verify_affine_uniqueness
+from .sampling import draw
 from .smoothness import LINE_SMOOTH, debreu_smoothness_proxy, line_smoothness_limit
 
 
@@ -32,42 +33,30 @@ from .smoothness import LINE_SMOOTH, debreu_smoothness_proxy, line_smoothness_li
 # Report plumbing
 # ----------------------------------------------------------------------------
 
-def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
+def _out_path(cfg: RunConfig, name: str) -> Path:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
+def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
     doc = {"config": cfg.to_dict(),
            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            **payload}
-    path = outdir / name
+    path = _out_path(cfg, name)
     with path.open("w") as fh:
         Record.dump(doc, fh)
         fh.write("\n")
     return path
 
 
-def _write_csv(cfg: RunConfig, name: str, rows: list[list]) -> Path:
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    with path.open("w", newline="") as fh:
+def _write_csv(cfg: RunConfig, name: str, rows: list[list]) -> None:
+    with _out_path(cfg, name).open("w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    return path
 
 
 def _resolve_oracle(cfg: RunConfig):
     return oracle_by_name(cfg.oracle, cfg.box_override(), cfg.eps_eq)
-
-
-def _resolve_utility_spec(name: str):
-    try:
-        return utility_by_name(name)
-    except KeyError:
-        pass
-    if Path(name).is_file():
-        return utility_from_json(name)
-    raise ConfigError(
-        f"{name!r} is not a utility fixture or JSON utility file "
-        "(intensity-only fixtures have no value function to differentiate)")
 
 
 # ----------------------------------------------------------------------------
@@ -88,7 +77,6 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"[violations {report.violation_count}/{report.trials}, "
               f"skipped {report.skipped}]")
         all_pass &= report.passed
-    print(f"reports written to {cfg.outdir}")
     return 0 if all_pass else 1
 
 
@@ -99,7 +87,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     # Both ladders are built, in one solve, before any report is written.
     ladders = ladder.build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
                                   cfg.depth, cfg.tol_t, seg)
-    recons = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
+    recons = [ReconstructedUtility(oracle, lad) for lad in ladders]
     recon, *second = recons
     # The spot check's quadruples and the fit's points are drawn first, and
     # valued with the grid for every reconstruction in one solve, before
@@ -107,7 +95,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     # point i is quadruple i's first point, so only the fit's points past
     # the quadruples are added, after them.
     grid = oracle.domain.lattice(cfg.grid)
-    quads = ladder.spot_check_draw(oracle.domain, cfg.trials, cfg.seed)
+    quads = draw(oracle.domain, None, cfg.seed, cfg.trials, 4)[0]
     extra = ladder.affine_draw(oracle.domain, cfg.seed, quads)[cfg.trials:] if second else grid[:0]
     g, q = len(grid), 4 * cfg.trials
     at = np.r_[g:g + q:4, g + q:g + q + len(extra)][:ladder.AFFINE_SAMPLES]    # the fit's rows
@@ -134,8 +122,6 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
               f"[alpha {fit.alpha:.6g}, beta {fit.beta:.6g}, "
               f"max residual {fit.max_residual:.3g}]")
         ok &= fit.verdict == "pass"
-
-    print(f"reports written to {cfg.outdir}")
     return 0 if ok else 1
 
 
@@ -146,7 +132,6 @@ def cmd_concavity(cfg: RunConfig) -> int:
     print(f"midpoint gain law: {verdict.verdict} "
           f"[violations {verdict.violation_count}/{verdict.trials}, "
           f"strict {verdict.strict_count}, equal {verdict.equal_count}]")
-    print(f"reports written to {cfg.outdir}")
     if not verdict.holds:
         return 1
     if cfg.strict and not verdict.strict:
@@ -169,17 +154,18 @@ def cmd_smoothness(cfg: RunConfig) -> int:
     print(f"line smoothness at b={b:g}: {line.verdict} [limit {est} +/- {unc}]")
     print(f"calibration smoothness proxy: {'pass' if debreu.passed else 'FAIL'} "
           f"[violations {debreu.violation_count}/{debreu.trials}, skipped {debreu.skipped}]")
-    print(f"reports written to {cfg.outdir}")
     return 0 if line.verdict == LINE_SMOOTH and debreu.passed else 1
 
 
 def cmd_alep(cfg: RunConfig) -> int:
-    spec = _resolve_utility_spec(cfg.oracle)
+    spec = spec_by_name(cfg.oracle)
+    if not isinstance(spec, UtilitySpec):
+        raise ConfigError(
+            f"{cfg.oracle!r} is not a utility fixture or JSON utility file "
+            "(intensity-only fixtures have no value function to differentiate)")
     box = cfg.box_override() or spec.domain
     if box.dim != spec.dim:
         raise ConfigError(f"domain dimension {box.dim} != utility dimension {spec.dim}")
-    if spec.dim < 2 and tuple(cfg.pair) != (0, 0):
-        raise ConfigError("cross-partial classification needs dimension >= 2")
     try:
         inner = box.shrunk(2.0 * cfg.h)
     except ValueError:                   # the margins meet
@@ -198,19 +184,17 @@ def cmd_alep(cfg: RunConfig) -> int:
         tally[c.label] = tally.get(c.label, 0) + 1
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(tally.items()))
     print(f"classified {len(labels)} points ({summary})")
-    print(f"reports written to {cfg.outdir}")
     return 0
 
 
+def _catalog_row(spec, kind: str) -> dict:
+    return {"name": spec.name, "dimension": spec.dim, "kind": kind,
+            "domain": {"lower": spec.domain.lower.tolist(), "upper": spec.domain.upper.tolist()}}
+
+
 def cmd_catalog(as_json: bool) -> int:
-    utilities = [{"name": s.name, "dimension": s.dim, "kind": "utility",
-                  "domain": {"lower": s.domain.lower.tolist(),
-                             "upper": s.domain.upper.tolist()},
-                  **s.tag_dict()} for s in catalog()]
-    intensities = [{"name": s.name, "dimension": s.dim, "kind": "intensity",
-                    "domain": {"lower": s.domain.lower.tolist(),
-                               "upper": s.domain.upper.tolist()}}
-                   for s in intensity_catalog()]
+    utilities = [{**_catalog_row(s, "utility"), **s.tag_dict()} for s in catalog()]
+    intensities = [_catalog_row(s, "intensity") for s in intensity_catalog()]
     if as_json:
         print(Record.dumps({"utilities": utilities, "intensities": intensities}))
         return 0
@@ -324,7 +308,9 @@ def main(argv=None) -> int:
         return cmd_catalog(args.as_json)
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        rc = _COMMANDS[args.command](cfg)
+        print(f"reports written to {cfg.outdir}")
+        return rc
     except ConfigError as bad:      # messages may quote multi-line array reprs
         print("config error: " + str(bad).replace("\n", " "), file=sys.stderr)
         return 2

@@ -117,12 +117,8 @@ def _below(x: np.ndarray, y: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _dyadic_params(depth: int) -> list[float]:
-    """All fractions m/2**l for l<=depth with odd m, ascending (1/2 first level)."""
-    ts: set[float] = set()
-    for level in range(1, depth + 1):
-        scale = 1 << level
-        ts.update(m / scale for m in range(1, scale, 2))
-    return sorted(ts)
+    """All m/2**l for l<=depth with odd m, ascending: the multiples of 2**-depth in (0, 1)."""
+    return (np.arange(1, 2 ** depth) / 2 ** depth).tolist()
 
 
 def check_midpoint_concavity(u_fn, domain: BoxDomain, points: np.ndarray | None = None,

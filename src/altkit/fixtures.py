@@ -360,22 +360,26 @@ def intensity_by_name(name: str) -> IntensitySpec:
     return {spec.name: spec for spec in intensity_catalog()}[name]
 
 
+def spec_by_name(name: str) -> UtilitySpec | IntensitySpec | None:
+    """The utility, else intensity fixture, else JSON utility file ``name``, or None."""
+    for by_name in (utility_by_name, intensity_by_name):
+        try:
+            return by_name(name)
+        except KeyError:
+            pass
+    path = Path(name)
+    return utility_from_json(path) if path.is_file() else None
+
+
 def oracle_by_name(name: str, domain: BoxDomain | None = None,
                    eps_eq: float | None = None) -> AltOracle:
     """Resolve a catalog name (or a JSON utility file path) to an oracle."""
-    try:
-        return make_difference_oracle(utility_by_name(name), domain, eps_eq)
-    except KeyError:
-        pass
-    try:
-        return make_intensity_oracle(intensity_by_name(name), domain, eps_eq)
-    except KeyError:
-        pass
-    path = Path(name)
-    if path.is_file():
-        return make_difference_oracle(utility_from_json(path), domain, eps_eq)
-    known = [s.name for s in catalog()] + [s.name for s in intensity_catalog()]
-    raise ConfigError(f"unknown oracle {name!r}; known fixtures: {', '.join(known)}")
+    spec = spec_by_name(name)
+    if spec is None:
+        known = [s.name for s in catalog()] + [s.name for s in intensity_catalog()]
+        raise ConfigError(f"unknown oracle {name!r}; known fixtures: {', '.join(known)}")
+    make = make_difference_oracle if isinstance(spec, UtilitySpec) else make_intensity_oracle
+    return make(spec, domain, eps_eq)
 
 
 # ----------------------------------------------------------------------------

@@ -299,7 +299,6 @@ class ReconstructedUtility(Record):
 
     oracle: AltOracle
     ladder: DyadicLadder
-    tol_t: float = DEFAULT_TOL_T
 
     def __post_init__(self) -> None:
         idx, self._params = self.ladder.levels[self.ladder.depth]
@@ -311,6 +310,10 @@ class ReconstructedUtility(Record):
     @property
     def depth(self) -> int:
         return self.ladder.depth
+
+    @property
+    def tol_t(self) -> float:
+        return self.ladder.tol_t
 
     @property
     def interpolation_budget(self) -> float:
@@ -454,7 +457,7 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | 
     in lockstep rounds over the trials."""
     if ladder.depth < 1:
         raise ValueError(f"ladder depth {ladder.depth} below the minimum 1")
-    recon = ReconstructedUtility(oracle, ladder, ladder.tol_t)
+    recon = ReconstructedUtility(oracle, ladder)
     gap_threshold = 2.0 ** (1 - ladder.depth)
     rung_points = ladder.segment.at_many(recon._params)
     rung_values = recon._values
@@ -488,27 +491,21 @@ def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | 
                     extras={"gap_threshold": gap_threshold, "depth": ladder.depth})
 
 
-def spot_check_draw(domain: BoxDomain, trials: int, seed: int,
-                    points: np.ndarray | None = None) -> np.ndarray:
-    """The quadruples of :func:`representation_spot_check`, (trials, 4, dim)."""
-    return draw(domain, points, seed, trials, 4)[0]
-
-
 def representation_spot_check(recon: ReconstructedUtility, trials: int = 1000,
                               seed: int = 0, points: np.ndarray | None = None, *,
                               valued: tuple | None = None) -> AxiomReport:
     """Reconstructed value differences must reproduce the oracle trichotomy
     on random quadruples, up to a dead band of four rung steps, 2**(2 - depth).
 
-    Every trial's quadruple is drawn first (:func:`spot_check_draw`), so
-    that all 4 * trials reconstructed values and all oracle answers come
-    from batched calls.  A caller that has drawn and valued them passes
-    ``valued``, (quads, u) with u of shape (trials, 4), and nothing is
-    drawn or valued here."""
+    Every trial's quadruple is drawn first, ``draw(domain, points, seed,
+    trials, 4)[0]``, so that all 4 * trials reconstructed values and all
+    oracle answers come from batched calls.  A caller that has drawn and
+    valued them passes ``valued``, (quads, u) with u of shape (trials, 4),
+    and nothing is drawn or valued here."""
     oracle = recon.oracle
     dead_band = 2.0 ** (2 - recon.depth)
     if valued is None:
-        quads = spot_check_draw(oracle.domain, trials, seed, points)
+        quads = draw(oracle.domain, points, seed, trials, 4)[0]
         valued = quads, recon.evaluate_many(quads.reshape(-1, oracle.dim)).reshape(trials, 4)
     quads, u = valued
     d_hat = (u[:, 0] - u[:, 1]) - (u[:, 2] - u[:, 3])

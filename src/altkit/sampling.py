@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import BoxDomain
+from .errors import ConfigError
 
 # Philox blocks computed per pass of ``uniforms``; bounds its working memory.
 BLOCK_CHUNK = 2048
@@ -75,10 +76,13 @@ def uniforms(seed: int, rows, n: int, start: int = 0) -> np.ndarray:
     """Array (len(rows), n) whose row r holds uniforms ``start`` ..
     ``start + n - 1`` on [0, 1) of trial ``rows[r]``'s stream; an int
     ``rows`` stands for trials 0 .. rows - 1.  Only the blocks that hold
-    those uniforms are computed, ``BLOCK_CHUNK`` blocks at a time."""
+    those uniforms are computed, ``BLOCK_CHUNK`` blocks at a time.  A size
+    whose bytes numpy cannot index raises ConfigError."""
     seed = check_seed(seed)
     counted = np.ndim(rows) == 0
     count = rows if counted else len(rows)
+    if count * n * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{count} rows of {n} uniforms are too many for one array")
     out = np.empty((count, n))      # first, so an impossible size fails before any work
     if not (n and count):
         return out

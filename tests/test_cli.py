@@ -282,6 +282,8 @@ class TestVerifyCommand:
 BOX_INVERTED = ["--domain-lower", "1", "1", "--domain-upper", "0", "0"]
 BOX_1D = ["--domain-lower", "0.5", "--domain-upper", "2"]
 BOX_NAN = ["--domain-lower", "nan", "0", "--domain-upper", "1", "1"]
+# A sample count whose arrays' bytes numpy cannot index.
+HUGE = "2000000000000000000"
 
 
 class TestUsageErrorsExitTwo:
@@ -330,6 +332,11 @@ class TestUsageErrorsExitTwo:
         ["concavity", "--oracle", "linear", "--domain-lower", "0", "0",
          "--domain-upper", "1e300", "1e300"],
         ["alep", "--oracle", "cobb_douglas", "--grid", "3", "--h", "1e-17"],
+        ["alep", "--oracle", "exp1d", "--grid", "3"],
+        # Samples whose bytes numpy cannot index.
+        ["smoothness", "--oracle", "linear", "--debreu-trials", HUGE],
+        ["verify", "--oracle", "linear", "--probes", "100000000000000000",
+         "--axioms", "continuity-proxy"],
     ], ids=" ".join)
     def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -346,12 +353,22 @@ class TestUsageErrorsExitTwo:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [["verify"], ["concavity"], ["reconstruct", "--depth", "1"]],
+                             ids=" ".join)
+    def test_trials_past_the_index_limit(self, argv, tmp_path, capsys):
+        rc = main([*argv, "--oracle", "linear", "--trials", HUGE,
+                   "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
 
 # Pools of the CLI fuzz.  A number is one of its flag's valid values, or,
 # one time in five, an invalid one.  The sizes are always given and stay
-# small, so no example does much work.
+# small, or are too large for any array, so no example does much work.
 BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e300"]
-SIZES = {"--trials": ["1", "20"], "--depth": ["0", "5"], "--grid": ["2", "3"],
+SIZES = {"--trials": ["1", "20", HUGE], "--depth": ["0", "5"], "--grid": ["2", "3"],
          "--probes": ["1", "2"], "--debreu-trials": ["1", "3"]}
 NUMBERS = {"--seed": ["0", "7"], "--eps-eq": ["1e-9", "0.01"], "--tol-t": ["1e-10", "1e-6"],
            "--delta": ["1e-8", "0.05"], "--b": ["0.5", "2"], "--h": ["1e-3", "0.05", "1e-17"],
@@ -656,8 +673,8 @@ def _reports_of_each_check_alone(argv: list[str]) -> None:
     point once: the grid, the quadruples and the fit's points past them."""
     from altkit import cli
     from altkit.ladder import (ReconstructedUtility, affine_draw, build_ladder,
-                               representation_spot_check, spot_check_draw,
-                               verify_affine_uniqueness)
+                               representation_spot_check, verify_affine_uniqueness)
+    from altkit.sampling import draw
 
     cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
     oracle = cli._resolve_oracle(cfg)
@@ -665,17 +682,17 @@ def _reports_of_each_check_alone(argv: list[str]) -> None:
     pairs = [cfg.anchors] + ([] if cfg.second_anchors is None else [cfg.second_anchors])
     ladders = build_ladder(oracle, [(seg.at(lo), seg.at(hi)) for lo, hi in pairs],
                            cfg.depth, cfg.tol_t, seg)
-    recon, *second = [ReconstructedUtility(oracle, lad, cfg.tol_t) for lad in ladders]
+    recon, *second = [ReconstructedUtility(oracle, lad) for lad in ladders]
     points = oracle.domain.lattice(cfg.grid)
     rows = [[f"x{i}" for i in range(oracle.dim)] + ["value"]]
     for point, value in zip(points, recon.evaluate_many(points).tolist()):
         rows.append([float(v) for v in point] + [value])
     spot = representation_spot_check(recon, trials=cfg.trials, seed=cfg.seed)
     reconstruction = {"reconstruction": recon.to_dict()}
-    quads = spot_check_draw(oracle.domain, cfg.trials, cfg.seed)
+    quads = draw(oracle.domain, None, cfg.seed, cfg.trials, 4)[0]
     extra = affine_draw(oracle.domain, cfg.seed, quads)[cfg.trials:]
     if second and len(extra):
-        apart = ReconstructedUtility(oracle, recon.ladder, cfg.tol_t)
+        apart = ReconstructedUtility(oracle, recon.ladder)
         apart.evaluate_many(extra)
         reconstruction["reconstruction"]["clamped_evaluations"] += apart.clamped
     cli._write_report(cfg, "reconstruction.json", reconstruction)
@@ -724,13 +741,14 @@ class TestOneEvaluationSolve:
     @pytest.mark.parametrize("where", ["spot check", "fit"])
     def test_an_evaluator_error_on_a_drawn_point_leaves_no_report(self, where, tmp_path, capsys):
         from altkit.domain import BoxDomain
-        from altkit.ladder import affine_draw, spot_check_draw
+        from altkit.ladder import affine_draw
+        from altkit.sampling import draw
 
         path = tmp_path / "holed.json"
         path.write_text(json.dumps(self.HOLED))
         box, trials = BoxDomain([0.0, 0.0], [1.0, 1.0]), 20 if where == "spot check" else 1
         for seed in range(100):          # the fit's case: a seed whose quadruple is fine
-            quads = spot_check_draw(box, trials, seed)
+            quads = draw(box, None, seed, trials, 4)[0]
             points = np.concatenate((quads.reshape(-1, 2), affine_draw(box, seed, quads)[trials:]))
             bad = np.square(points[:, 0] - 0.75) + np.square(points[:, 1] - 0.25) <= 0.01
             if bad.any() and (where == "spot check") == bad[:4 * trials].any():
@@ -860,6 +878,46 @@ class TestAlepCommand:
                    "--outdir", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+NOT_A_UTILITY = ("config error: {!r} is not a utility fixture or JSON utility file "
+                 "(intensity-only fixtures have no value function to differentiate)\n")
+ONE_DIMENSION = "config error: pair (0, 1) out of range for dimension 1\n"
+# name: the oracle ``oracle_by_name`` builds, and ``alep --grid 3``'s exit
+# code and stderr.  A utility file is "{json}" here.
+RESOLVED = {
+    **{name: (f"diff:{name}", 0, "") for name in
+       ["linear", "cobb_douglas", "ces", "log_sum", "kinked_composite", "min2"]},
+    **{name: (f"diff:{name}", 2, ONE_DIMENSION) for name in ["exp1d", "neg_quadratic", "step"]},
+    **{name: (f"intensity:{name}", 2, NOT_A_UTILITY.format(name))
+       for name in ["broken_crossover", "constant"]},
+    "{json}": ("diff:sqrt_log", 0, ""),
+    "nope": (None, 2, NOT_A_UTILITY.format("nope")),
+}
+UNKNOWN = ("unknown oracle 'nope'; known fixtures: linear, cobb_douglas, ces, log_sum, exp1d, "
+           "kinked_composite, min2, neg_quadratic, step, broken_crossover, constant")
+
+
+class TestFixtureLookup:
+    @pytest.mark.parametrize("name", sorted(RESOLVED))
+    def test_oracle_and_alep_resolve_each_name(self, name, tmp_path, capsys):
+        from altkit.fixtures import oracle_by_name
+
+        oracle_name, rc, err = RESOLVED[name]
+        if name == "{json}":
+            name = str(tmp_path / "sqrt_log.json")
+            Path(name).write_text(json.dumps(SQRT_LOG))
+        if oracle_name is None:
+            with pytest.raises(ConfigError, match=re.escape(UNKNOWN) + "$"):
+                oracle_by_name(name)
+        else:
+            assert oracle_by_name(name).name == oracle_name
+        out_dir = tmp_path / "out"
+        assert main(["alep", "--oracle", name, "--grid", "3", "--outdir", str(out_dir)]) == rc
+        out, got = capsys.readouterr()
+        assert got == err
+        assert out_dir.exists() == (rc == 0)
+        assert out.endswith(f"reports written to {out_dir}\n") == (rc == 0)
 
 
 class TestNothingShared:
