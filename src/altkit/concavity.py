@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .axioms import VIOLATION, Record, Witness, _fold, _pt
-from .domain import BoxDomain, Segment
+from .domain import BoxDomain, Segment, norms
 from .errors import ConfigError
 from .fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, UtilitySpec,
                        evaluate_points, make_difference_oracle)
@@ -96,24 +96,12 @@ def check_gossen_law(oracle: AltOracle, points: np.ndarray | None = None,
     x, y = pairs[:, 0], pairs[:, 1]
     z = 0.5 * (x + y)
     law = oracle.compare_batch(z, x, y, z)
-    tags = np.select([law < 0, _below(x, y, floor), law > 0],
+    tags = np.select([law < 0, norms(x - y) < floor, law > 0],
                      [VIOLATION, "below-floor", "strict"], "equal")
     violations, counts = _fold(tags, lambda i: Witness(
         {"x": _pt(x[i]), "y": _pt(y[i]), "z": _pt(z[i])}, {"midpoint_law": "less"}))
     return _judge("gossen-first-law", trials, seed, violations, counts, floor,
                   extras={"parameterization": "pair", "oracle": oracle.name})
-
-
-def _below(x: np.ndarray, y: np.ndarray, floor: float) -> np.ndarray:
-    """Per row, whether ``np.linalg.norm(x[i] - y[i]) < floor``: a row's norm
-    is a BLAS dot, which may fuse multiply-adds and so differ in the last
-    bits from the norms of all rows at once, so rows that close to the
-    floor are measured one by one."""
-    d = x - y
-    dist = np.linalg.norm(d, axis=1)
-    near = np.flatnonzero(np.abs(dist - floor) <= 1e-12 * floor)
-    dist[near] = [np.linalg.norm(row) for row in d[near]]
-    return dist < floor
 
 
 def _dyadic_params(depth: int) -> list[float]:
@@ -153,7 +141,7 @@ def check_midpoint_concavity(u_fn, domain: BoxDomain, points: np.ndarray | None 
         j = bad[i].argmax()                 # the first chord point below the chord
         return Witness({"x": _pt(x[i]), "y": _pt(y[i]), "point": _pt(chord[i, j])},
                        {"chord_parameter": f"{ts[j]:.10g}", "margin": f"{margin[i, j]:.6g}"})
-    tags = np.select([bad.any(axis=1), _below(x, y, floor), worst > 0],
+    tags = np.select([bad.any(axis=1), norms(x - y) < floor, worst > 0],
                      [VIOLATION, "below-floor", "strict"], "equal")
     return _judge("midpoint-concavity", trials, seed, *_fold(tags, witness), floor,
                   dyadic_depth=dyadic_depth, extras={"tol": tol})

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -33,6 +34,15 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     return x
 
 
+def norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, an overflow giving inf.  The
+    squares are added left to right, as Python floats would be, in any
+    dimension and memory layout: no BLAS, no fused multiply-add, and so
+    the same bits on every host."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(reduce(np.add, np.moveaxis(D * D, -1, 0), 0.0))
+
+
 @dataclass(eq=False)
 class BoxDomain:
     """Closed convex box ``prod_i [lower_i, upper_i]`` in R^n."""
@@ -45,9 +55,8 @@ class BoxDomain:
         self.upper = as_point(self.upper, dim=self.lower.size)
         if np.any(self.upper <= self.lower):
             raise ValueError("box needs lower < upper on every axis")
-        with np.errstate(over="ignore"):        # numpy's norm sums the squares
-            if not np.isfinite([v @ v for v in (self.extent, self.lower, self.upper)]).all():
-                raise ValueError("box too large: the norm of its extent or a corner overflows")
+        if not np.isfinite(norms(np.stack([self.extent, self.lower, self.upper]))).all():
+            raise ValueError("box too large: the norm of its extent or a corner overflows")
 
     @property
     def dim(self) -> int:
@@ -59,7 +68,7 @@ class BoxDomain:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.extent))
+        return float(norms(self.extent))
 
     def inside(self, X: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Per row of the (N, dim) array ``X``, whether it lies in the box
@@ -164,10 +173,9 @@ class Segment:
         """Parameter of a point that must lie on the segment: an orthogonal
         projection residual beyond 1e-9 * (1 + |x|) raises ``DomainError``."""
         x = as_point(x, dim=self.dim)
-        d2 = float(self._dir @ self._dir)
-        t = float((x - self.p) @ self._dir) / d2
-        atol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
-        residual = float(np.linalg.norm(x - self.at(t)))
+        t = float(((x - self.p) * self._dir).sum() / (self._dir * self._dir).sum())
+        atol = 1e-9 * (1.0 + float(norms(x)))
+        residual = float(norms(x - self.at(t)))
         if residual > atol:
             raise DomainError(f"point {x.tolist()} is off the segment (residual {residual:.3e})")
         if t < -atol or t > 1.0 + atol:

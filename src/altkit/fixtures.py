@@ -425,8 +425,9 @@ def parse_expression(node, dim: int) -> BatchEvaluator:
     time, libm's whatever numpy's CPU dispatch; all raise as the math module
     does, e.g. ValueError on a negative square root or where the power is
     not real, so no such NaN reaches a min or max.  ``tests/test_dispatch.py``
-    holds the golden reports with numpy's AVX2 and AVX-512 code disabled.  A
-    list nested more than ``MAX_EXPRESSION_DEPTH`` deep raises ConfigError.
+    holds the golden reports with numpy's AVX2 or AVX-512 code disabled and
+    under each OpenBLAS kernel.  A list nested more than
+    ``MAX_EXPRESSION_DEPTH`` deep raises ConfigError.
     """
     def build(node, depth: int) -> BatchEvaluator:
         if isinstance(node, (int, float)) and not isinstance(node, bool):

@@ -420,7 +420,7 @@ def affine_draw(domain: BoxDomain, seed: int, quads: np.ndarray | None = None) -
 def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: ReconstructedUtility,
                              seed: int = 0, *, valued: tuple | None = None) -> AffineFit:
     """Fit u_b ~ alpha*u_a + beta over the ``AFFINE_SAMPLES`` points of
-    :func:`affine_draw`.
+    :func:`affine_draw`, by least squares in closed form from centred sums.
 
     ``recon_a`` and ``recon_b`` reconstruct one system from two anchor
     pairs; :func:`build_ladder` builds both ladders in one solve, and
@@ -437,13 +437,16 @@ def verify_affine_uniqueness(recon_a: ReconstructedUtility, recon_b: Reconstruct
         valued = (evaluate_together([recon_a, recon_b], points) if solve[0] == solve[1]
                   else [r.evaluate_many(points) for r in (recon_a, recon_b)])
     u_a, u_b = valued
-    if float(np.var(u_a)) < 1e-18:
+    m_a, m_b = u_a.mean(), u_b.mean()
+    d_a = u_a - m_a
+    if (d_a * d_a).mean() < 1e-18:
         raise DegenerateFitError("no utility variance across samples; cannot fit")
-    alpha, beta = np.polyfit(u_a, u_b, 1)
+    alpha = float((d_a * (u_b - m_b)).sum() / (d_a * d_a).sum())
+    beta = float(m_b - alpha * m_a)
     residual = float(np.max(np.abs(u_b - (alpha * u_a + beta))))
-    threshold = recon_b.interpolation_budget + abs(float(alpha)) * recon_a.interpolation_budget
+    threshold = recon_b.interpolation_budget + abs(alpha) * recon_a.interpolation_budget
     verdict = "pass" if (alpha > 0 and residual <= threshold) else "fail"
-    return AffineFit(float(alpha), float(beta), residual, len(u_a), threshold, verdict)
+    return AffineFit(alpha, beta, residual, len(u_a), threshold, verdict)
 
 
 def check_density(oracle: AltOracle, ladder: DyadicLadder, points: np.ndarray | None = None,

@@ -331,6 +331,9 @@ class TestUsageErrorsExitTwo:
         ["alep", "--oracle", "{inverted-domain}"],
         ["concavity", "--oracle", "linear", "--domain-lower", "0", "0",
          "--domain-upper", "1e300", "1e300"],
+        # Each square is finite, their sum is not.
+        ["verify", "--oracle", "linear", "--domain-lower", "0", "0",
+         "--domain-upper", "1.2e154", "1.2e154"],
         ["alep", "--oracle", "cobb_douglas", "--grid", "3", "--h", "1e-17"],
         ["alep", "--oracle", "exp1d", "--grid", "3"],
         # Samples whose bytes numpy cannot index.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from altkit.domain import BoxDomain, Segment, as_point
+from altkit.domain import BoxDomain, Segment, as_point, norms
 from altkit.errors import ConfigError, DomainError
 
 
@@ -31,6 +31,28 @@ class TestAsPoint:
             as_point([1.0, float("nan")])
         with pytest.raises(ValueError, match="non-finite"):
             as_point([np.inf])
+
+
+class TestNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 20])
+    def test_rows_are_their_squares_added_left_to_right(self, dim):
+        # numpy's own row sums go pairwise past eight columns and follow
+        # the memory layout; these do neither, in C and Fortran order alike.
+        rng = np.random.default_rng(dim)
+        D = rng.standard_normal((300, dim)) * np.exp(3.0 * rng.standard_normal((300, dim)))
+        want = []
+        for row in D.tolist():
+            total = 0.0
+            for v in row:
+                total += v * v
+            want.append(math.sqrt(total))
+        assert norms(D).tolist() == want
+        assert norms(np.asfortranarray(D)).tolist() == want
+
+    def test_overflow_gives_inf_and_an_empty_axis_zero(self):
+        assert norms(np.array([1.2e154, 1.2e154])) == np.inf
+        assert norms(np.array([[1e300], [3.0]])).tolist() == [np.inf, 3.0]
+        assert norms(np.empty(0)) == 0.0
 
 
 class TestBoxDomain:
