@@ -10,8 +10,8 @@ draws are stacked into one array per point name, one row per trial.
 The continuity proxy's moved copies are the one exception: its draw
 gives only the quadruple, and its predicate draws the moves of the
 trials whose base answer needs them, from further on in their streams.
-``run_axiom_suite`` computes the leading uniforms once for all of its
-checkers (``sampling.shared_prefix``).  In the predicate
+``run_axiom_suite`` computes the leading uniforms once and hands that
+array to each of its checkers' draws.  In the predicate
 phase the axiom's predicate asks each of its stages with one
 ``compare_batch`` over the trials that earlier stages left undecided,
 and tags each trial ``None`` (it holds), ``SKIP`` (its premise did not
@@ -45,7 +45,7 @@ import numpy as np
 
 from .oracle import AltOracle, IntensityOrder, Preference
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
-from .sampling import draw, run_indexed, shared_prefix, subrng, uniforms  # noqa: F401
+from .sampling import draw, run_indexed, subrng, uniforms  # noqa: F401
 from .solvers import DEFAULT_TOL_T, SideMany, band_bisect, band_bisect_many  # noqa: F401
 
 GREATER, EQUAL, LESS = IntensityOrder.GREATER, IntensityOrder.EQUAL, IntensityOrder.LESS
@@ -256,13 +256,13 @@ def _scan_for_equal(side: SideMany, s_first: np.ndarray, s_last: np.ndarray,
 
 
 def _draw_triple(oracle: AltOracle, points: np.ndarray | None, seed: int,
-                 trials: int) -> dict[str, np.ndarray]:
-    xyz, _ = draw(oracle.domain, points, seed, trials, 3)
+                 trials: int, prefix=None) -> dict[str, np.ndarray]:
+    xyz, _ = draw(oracle.domain, points, seed, trials, 3, prefix=prefix)
     return dict(zip("xyz", xyz.transpose(1, 0, 2)))
 
 
 def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
-                    trials: int) -> dict[str, np.ndarray]:
+                    trials: int, prefix=None) -> dict[str, np.ndarray]:
     """Sample (x, y, z), then solve for w on the domain diagonal so that
     [z,w] matches [x,y]; w is NaN where no diagonal point matches."""
     diag = oracle.domain.diagonal()
@@ -273,7 +273,7 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
     lower = corners[:-1]
     steps = oracle.compare_batch(corners[1:], lower, lower, lower)
     diag_monotone = bool((steps >= 0).all() or (steps <= 0).all())
-    p = _draw_triple(oracle, points, seed, trials)
+    p = _draw_triple(oracle, points, seed, trials, prefix)
     fixed = p["held"] = oracle.hold(p["z"], p["x"], p["y"])
 
     # w runs down the diagonal so that [z,w] rises with s when the
@@ -294,14 +294,15 @@ def _draw_crossover(oracle: AltOracle, points: np.ndarray | None, seed: int,
 
 
 def _draw_perturbed(oracle: AltOracle, points: np.ndarray | None, seed: int, trials: int,
-                    delta: float, probes: int) -> dict[str, np.ndarray]:
+                    delta: float = DEFAULT_DELTA, probes: int = DEFAULT_PROBES,
+                    prefix=None) -> dict:
     """Sample a quadruple x, y, z, w, and give ``move``, which makes the
     ``probes`` moved copies of the quadruples of the trials it is given:
     each coordinate moved by up to ``delta`` of the box extent, 2u - 1
     from uniforms u, and clipped to the box.  A trial's moves are the
     uniforms of its own stream right after its quadruple's, or its first
     ones when ``points`` are given; the predicate asks for them only of
-    the trials that need them."""
+    the trials that need them.  Its ``extras`` are ``delta`` and ``probes``."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if delta > MAX_DELTA:
@@ -309,7 +310,7 @@ def _draw_perturbed(oracle: AltOracle, points: np.ndarray | None, seed: int, tri
     if probes < 1:
         raise ValueError("probes must be >= 1")
     box = oracle.domain
-    quad, _ = draw(box, points, seed, trials, 4)
+    quad, _ = draw(box, points, seed, trials, 4, prefix=prefix)
     start = 4 * box.dim if points is None else 0
 
     def move(rows: np.ndarray) -> np.ndarray:
@@ -321,14 +322,15 @@ def _draw_perturbed(oracle: AltOracle, points: np.ndarray | None, seed: int, tri
         moved += quad[rows, None]
         np.clip(moved, box.lower, box.upper, out=moved)
         return moved
-    return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "move": move}
+    return {**dict(zip(QUAD, quad.transpose(1, 0, 2))), "move": move,
+            "extras": {"delta": delta, "probes": probes}}
 
 
 def _draw_dominating(oracle: AltOracle, points: np.ndarray | None, seed: int,
-                     trials: int) -> dict[str, np.ndarray]:
+                     trials: int, prefix=None) -> dict[str, np.ndarray]:
     """Sample y, then x above y on every axis, inside the box."""
     box = oracle.domain
-    y, r = draw(box, points, seed, trials, 1, box.dim)
+    y, r = draw(box, points, seed, trials, 1, box.dim, prefix=prefix)
     y = y[:, 0]
     frac = 1e-6 + r * (1.0 - 2e-6)
     return {"x": y + frac * (box.upper - y), "y": y}
@@ -355,7 +357,7 @@ _second_consistency = _sign_match("mirrored", lambda x, y, z: (z, y, z, x))
 def _crossover(oracle: AltOracle, p: dict) -> tuple:
     """[z,w] = [x,y] implies [x,z] = [y,w] (checked where w is given and
     not NaN), and [x,x] = [y,y] always.  SKIP when no Equal premise was
-    found.  ``p["manufactured"]`` marks premises found, less null failures.
+    found.  ``p["extras"]`` counts the premises found, less null failures.
 
     Every compare asks z, x and y by row of ``p["held"]``, the draw's held
     points, which the draw's solve valued, so that only w is valued here;
@@ -375,7 +377,7 @@ def _crossover(oracle: AltOracle, p: dict) -> tuple:
     xr, yr = rest + n, rest + 2 * n
     null = np.zeros(n, dtype=np.int8)
     null[rest] = oracle.compare_rows(fixed, (xr, xr, yr, yr))
-    p["manufactured"] = premise & (null == 0)
+    p["extras"] = {"manufactured": int(np.count_nonzero(premise & (null == 0)))}
     tags = np.where(premise, None, SKIP)
     tags[(swapped != 0) | (null != 0)] = VIOLATION
 
@@ -444,13 +446,16 @@ _RULES = {
 
 
 def _check(axiom: str, oracle: AltOracle, points: np.ndarray | None, trials: int, seed: int,
-           proxy: bool = False, extras: dict | None = None, **params) -> AxiomReport:
+           **params) -> AxiomReport:
     """The two phases of every checker: draw the instances of all trials
     (trial i from its stream under ``seed``, its points from ``points``
-    when given), then apply the axiom's predicate to all of them at once."""
+    when given), then apply the axiom's predicate to all of them at once.
+    ``params`` go to the draw.  The report carries the ``extras`` that the
+    draw or the predicate left in the draw's dict."""
     draw_for, violation, _ = _RULES[axiom]
-    judged = violation(oracle, draw_for(oracle, points, seed, trials, **params))
-    return _collect(axiom, trials, seed, *_fold(*judged), proxy, extras)
+    p = draw_for(oracle, points, seed, trials, **params)
+    judged = _fold(*violation(oracle, p))
+    return _collect(axiom, trials, seed, *judged, axiom == "continuity-proxy", p.get("extras"))
 
 
 def check_consistency(oracle: AltOracle, points: np.ndarray | None = None,
@@ -484,9 +489,7 @@ def check_crossover(oracle: AltOracle, points: np.ndarray | None = None,
     failed.  Each trial also asserts the degenerate consequence
     [x,x] = [y,y].
     """
-    p = _draw_crossover(oracle, points, seed, trials)
-    return _collect("crossover", trials, seed, *_fold(*_crossover(oracle, p)),
-                    extras={"manufactured": int(np.count_nonzero(p["manufactured"]))})
+    return _check("crossover", oracle, points, trials, seed)
 
 
 def check_continuity_proxy(oracle: AltOracle, points: np.ndarray | None = None,
@@ -500,8 +503,7 @@ def check_continuity_proxy(oracle: AltOracle, points: np.ndarray | None = None,
     defaults to just above the equality dead band so that continuous
     systems keep comfortable margins while jump discontinuities still flip.
     """
-    return _check("continuity-proxy", oracle, points, trials, seed, True,
-                  {"delta": delta, "probes": probes}, delta=delta, probes=probes)
+    return _check("continuity-proxy", oracle, points, trials, seed, delta=delta, probes=probes)
 
 
 def check_monotonicity(oracle: AltOracle, points: np.ndarray | None = None,
@@ -510,13 +512,15 @@ def check_monotonicity(oracle: AltOracle, points: np.ndarray | None = None,
     return _check("monotonicity", oracle, points, trials, seed)
 
 
-_CHECKERS: dict[str, Callable] = {
-    "consistency": check_consistency,
-    "crossover": check_crossover,
-    "second-consistency": check_second_consistency,
-    "continuity-proxy": check_continuity_proxy,
-    "monotonicity": check_monotonicity,
-}
+def _runner(axiom: str) -> Callable:
+    def check(oracle, points=None, trials=1000, seed=0, **params) -> AxiomReport:
+        return _check(axiom, oracle, points, trials, seed, **params)
+    return check
+
+
+# Per axiom, its checker with the draw's parameters (``prefix`` among them)
+# as keywords: what ``run_axiom_suite`` calls.
+_CHECKERS: dict[str, Callable] = {axiom: _runner(axiom) for axiom in _RULES}
 
 ALL_AXIOMS = tuple(_CHECKERS)
 
@@ -526,17 +530,20 @@ def run_axiom_suite(oracle: AltOracle, axioms=ALL_AXIOMS, trials: int = 1000,
                     probes: int = DEFAULT_PROBES) -> dict[str, AxiomReport]:
     """Run several checkers with a shared master seed; ``delta`` and
     ``probes`` go to the continuity proxy.  The leading uniforms of each
-    trial's stream are computed once, as wide as the widest draw of the
-    axioms asks, and each checker's draw reads its own prefix of them
-    (``sampling.shared_prefix``): the reports are those of the checkers
-    run alone."""
+    trial's stream are computed once, as one read-only array as wide as
+    the widest draw of the axioms asks, and each checker's draw reads its
+    own column prefix of it: the reports are those of the checkers run
+    alone."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     axioms = tuple(axioms)
     width = max((_RULES[name][2] for name in axioms), default=0)
+    prefix = uniforms(seed, trials, width * oracle.domain.dim)
+    prefix.flags.writeable = False
     reports = {}
-    with shared_prefix(seed, trials, width * oracle.domain.dim):
-        for name in axioms:
-            params = {"delta": delta, "probes": probes} if name == "continuity-proxy" else {}
-            reports[name] = _CHECKERS[name](oracle, trials=trials, seed=seed, **params)
+    for name in axioms:
+        params = {"delta": delta, "probes": probes} if name == "continuity-proxy" else {}
+        reports[name] = _CHECKERS[name](oracle, trials=trials, seed=seed, prefix=prefix, **params)
     return reports
 
 

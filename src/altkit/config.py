@@ -14,9 +14,10 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .axioms import ALL_AXIOMS, MAX_DELTA
+from .axioms import ALL_AXIOMS, DEFAULT_DELTA, DEFAULT_PROBES, MAX_DELTA
 from .domain import BoxDomain
 from .errors import ConfigError
+from .solvers import DEFAULT_TOL_T
 
 
 @dataclass
@@ -27,11 +28,11 @@ class RunConfig:
     trials: int = 1000
     depth: int = 10
     eps_eq: float | None = None
-    tol_t: float = 1e-10
+    tol_t: float = DEFAULT_TOL_T
     h: float = 1e-3
     threshold: float = 1e-3
-    delta: float = 1e-8                 # continuity-proxy perturbation fraction
-    probes: int = 8
+    delta: float = DEFAULT_DELTA        # continuity-proxy perturbation fraction
+    probes: int = DEFAULT_PROBES
     b: float | None = None              # diagonal scale for smoothness
     workers: int | None = None          # accepted and echoed; trials run on one thread
     outdir: str = "altkit-reports"

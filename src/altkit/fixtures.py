@@ -24,6 +24,7 @@ import numpy as np
 from .domain import BoxDomain, as_point
 from .errors import ConfigError
 from .oracle import AltOracle, classify, classify_many, gather
+from .sampling import uniforms
 
 Evaluator = Callable[[np.ndarray], float]
 BatchEvaluator = Callable[[np.ndarray], np.ndarray]
@@ -35,7 +36,7 @@ NON_CONCAVE = "non-concave"
 UNKNOWN = "unknown"
 
 RELATIVE_EPS = 1e-9  # dead band = RELATIVE_EPS * estimated utility range
-SETUP_LATTICE_POINTS = 7 ** 4  # cap on the lattice that estimates the range
+SETUP_LATTICE_POINTS = 7 ** 4  # cap on the points that estimate the range
 # Each level of a JSON expression costs up to two Python frames when it is
 # parsed or valued, so this cap keeps a compare made from the deepest
 # lockstep solve well inside Python's default recursion limit of 1000.
@@ -142,19 +143,29 @@ def _finite(fn, arrays, what: str) -> np.ndarray:
 
 
 def estimate_value_range(fn: BatchEvaluator, box: BoxDomain) -> float:
-    """Span of the array function fn over a deterministic lattice that
-    includes the box corners: 7 points per axis, or in more than 4
-    dimensions the most points per axis, at least 2, that keep the lattice
-    within SETUP_LATTICE_POINTS.  The lattice is valued in one call.
+    """Span of the array function fn over at most SETUP_LATTICE_POINTS
+    fixed points that include the lower and upper corners of the box: a
+    lattice of 7 points per axis, or in more than 4 dimensions the most
+    points per axis that keep it within the cap.  Past 11 dimensions not
+    even the 2**dim corners fit, and the points are the diagonal of the
+    7-per-axis lattice and then corners from a fixed stream (seed 0, one
+    trial a corner, each axis at its upper end where its uniform is at
+    least 1/2).  The points are valued in one call.
 
     A function that raises ValueError or ArithmeticError, or gives a NaN
-    or infinite value, at a lattice point raises ConfigError naming the
+    or infinite value, at one of the points raises ConfigError naming the
     first such point.
     """
     per_axis = 7
     while per_axis > 2 and per_axis ** box.dim > SETUP_LATTICE_POINTS:
         per_axis -= 1
-    values = _finite(fn, (box.lattice(per_axis),), "non-finite value")
+    if per_axis ** box.dim <= SETUP_LATTICE_POINTS:
+        points = box.lattice(per_axis)
+    else:
+        upper = uniforms(0, SETUP_LATTICE_POINTS - 7, box.dim) >= 0.5
+        points = np.concatenate([np.linspace(box.lower, box.upper, 7),
+                                 np.where(upper, box.upper, box.lower)])
+    values = _finite(fn, (points,), "non-finite value")
     return max(float(values.max() - values.min()), 1e-12)
 
 

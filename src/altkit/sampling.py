@@ -16,15 +16,13 @@ draws one trial at a time.  A trial's values do not depend on how many
 trials run, how they are batched or which of its blocks are skipped, so
 reports are reproducible bit for bit.
 
-``draw`` reads the leading uniforms of each trial's stream.  Inside
-``shared_prefix``, draws under one seed and trial count read them from
-one array, computed once, instead of each computing its own.
+``draw`` reads the leading uniforms of each trial's stream, or a
+column prefix of an array of them that its caller computed once, with
+``uniforms``, for several draws under one seed and trial count.
 """
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -114,48 +112,19 @@ def cycled(points, n: int, dim: int) -> np.ndarray:
     return np.resize(P, (n, dim))
 
 
-# The prefix that ``shared_prefix`` scopes: {"key": (seed, trials),
-# "width": its uniforms per trial, "u": the array once a draw has made it}.
-_PREFIX: ContextVar[dict | None] = ContextVar("altkit_shared_prefix", default=None)
-
-
-@contextmanager
-def shared_prefix(seed: int, trials: int, width: int):
-    """Within the block, every ``draw`` under ``seed`` and ``trials`` that
-    reads at most ``width`` leading uniforms per trial reads them from one
-    read-only (trials, width) array, which the first of them computes.
-    The values are those each draw would compute alone."""
-    token = _PREFIX.set({"key": (seed, trials), "width": width, "u": None})
-    try:
-        yield
-    finally:
-        _PREFIX.reset(token)
-
-
-def _leading(seed: int, trials: int, n: int) -> np.ndarray:
-    """``uniforms(seed, trials, n)``, or a view of the shared prefix when
-    one is in scope for ``seed`` and ``trials`` and covers n uniforms."""
-    shared = _PREFIX.get()
-    if shared is None or shared["key"] != (seed, trials) or n > shared["width"]:
-        return uniforms(seed, trials, n)
-    if shared["u"] is None:
-        shared["u"] = uniforms(seed, trials, shared["width"])
-        shared["u"].flags.writeable = False
-    return shared["u"][:, :n]
-
-
-def draw(box: BoxDomain, points, seed: int, trials: int, k: int,
-         m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def draw(box: BoxDomain, points, seed: int, trials: int, k: int, m: int = 0,
+         prefix: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Points (trials, k, dim) and uniforms (trials, m), from the leading
     uniforms of each trial's stream: trial i's gives its k points, in the
     arithmetic of ``box.sample``, and then its m uniforms.  Given
     ``points``, its rows, ``cycled`` and each required to lie in ``box``,
-    are the points instead.  The uniforms may be a read-only view of a
-    shared prefix (``shared_prefix``)."""
+    are the points instead.  Given ``prefix``, ``uniforms(seed, trials, w)``
+    for some w >= k * dim + m, the leading uniforms are read from its
+    columns, and the uniforms returned are a view of it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = k * box.dim if points is None else 0
-    u = _leading(seed, trials, n + m)
+    u = uniforms(seed, trials, n + m) if prefix is None else prefix[:, :n + m]
     if points is None:
         X = box.lower + u[:, :n].reshape(trials, k, box.dim) * box.extent
     else:

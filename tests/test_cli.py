@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altkit import fixtures
 from altkit.cli import main
 from altkit.config import RunConfig
 from altkit.errors import ConfigError
@@ -430,27 +431,46 @@ class TestImpossibleSizes:
         assert "PiB" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--trials", "5"], ["reconstruct", "--depth", "2", "--grid", "2"],
-        ["concavity", "--trials", "5"], ["smoothness", "--debreu-trials", "2"],
-        ["alep", "--grid", "2"],
-    ], ids=" ".join)
-    def test_lattice_past_the_index_limit(self, argv, tmp_path, capsys):
-        # 2**64 rows: the set-up lattice of every oracle command, and alep's
-        # grid, are counted before anything is allocated.
-        dim = 64
+    @staticmethod
+    def sum_utility(path: Path, dim: int) -> Path:
         expr: list = ["x", 0]
         for i in range(1, dim):
             expr = ["add", expr, ["x", i]]
-        path = tmp_path / "sum.json"
         path.write_text(json.dumps({"name": "sum", "dimension": dim, "expr": expr,
                                     "domain": {"lower": [0.1] * dim, "upper": [1.0] * dim}}))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--depth", "2", "--grid", "2"], ["alep", "--grid", "2"],
+    ], ids=" ".join)
+    def test_lattice_past_the_index_limit(self, argv, tmp_path, capsys):
+        # 2**64 rows: the grid of reconstruct and alep is counted before
+        # anything is allocated.
+        path = self.sum_utility(tmp_path / "sum.json", 64)
         rc = main([*argv, "--oracle", str(path), "--outdir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1
         assert err.startswith("config error: a lattice of 2 points per axis in dimension 64 ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim", [12, 16, 64])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", "5"], ["concavity", "--trials", "5"],
+        ["smoothness", "--debreu-trials", "2"],
+    ], ids=" ".join)
+    def test_setup_is_bounded_in_every_dimension(self, argv, dim, tmp_path, monkeypatch):
+        # The set-up that estimates the dead band values at most 7**4 rows,
+        # however many corners the box has.
+        rows = []
+        estimate = fixtures.estimate_value_range
+        monkeypatch.setattr(fixtures, "estimate_value_range", lambda fn, box: estimate(
+            lambda P: rows.append(len(P)) or fn(P), box))
+        path = self.sum_utility(tmp_path / "sum.json", dim)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--oracle", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        assert rows == [fixtures.SETUP_LATTICE_POINTS] == [7 ** 4]
 
 
 def _nested(levels: int) -> list:

@@ -479,10 +479,12 @@ class TestBatchEvaluators:
             oracle.compare_batch(rows, rows[::-1], rows, rows)
 
     @pytest.mark.parametrize("dim, points", [(1, 7), (4, 7 ** 4), (5, 4 ** 5), (6, 3 ** 6),
-                                             (8, 2 ** 8)])
+                                             (8, 2 ** 8), (11, 2 ** 11), (12, 7 ** 4),
+                                             (16, 7 ** 4), (64, 7 ** 4)])
     def test_setup_lattice_is_capped(self, dim, points):
         # 7 points per axis up to dimension 4; beyond it the most per axis
-        # within 7**4 points (at dimension 8 only the corners).
+        # within 7**4 points (at dimensions 8 to 11 only the corners); past
+        # 11, 7**4 points that include both extreme corners.
         expr = ["x", 0]
         for i in range(1, dim):
             expr = ["add", expr, ["x", i]]

@@ -104,10 +104,11 @@ class TestStream:
             _CHECKERS["consistency"](oracle_by_name("linear"), trials=5, seed=seed)
 
 
-def reference_draw(box, points, seed, trials, k, m=0):
+def reference_draw(box, points, seed, trials, k, m=0, prefix=None):
     """``draw`` with no ``points``, one trial at a time: trial i makes k
     ``box.sample`` calls on ``subrng(seed, i)`` and then takes m uniforms
-    from the same generator."""
+    from the same generator.  A ``prefix`` holds leading uniforms of those
+    same streams, so it is not read."""
     assert points is None
     rows = []
     for i in range(trials):
@@ -158,37 +159,21 @@ class TestDraw:
             draw(self.BOX, rows, 0, 2, 1)
 
     @pytest.mark.parametrize("points", [None, ROWS], ids=["None", "points"])
+    @pytest.mark.parametrize("k, m", [(1, 0), (3, 0), (4, 24), (1, 3)])
+    def test_a_prefix_is_read_in_place_of_the_streams(self, k, m, points, philox_blocks):
+        alone = draw(self.BOX, points, 5, 17, k, m)
+        prefix = uniforms(5, 17, (k if points is None else 0) * 3 + m + 2)
+        prefix.flags.writeable = False
+        philox_blocks.clear()
+        given = draw(self.BOX, points, 5, 17, k, m, prefix=prefix)
+        assert philox_blocks == []
+        assert all(np.array_equal(a, b) for a, b in zip(alone, given))
+        assert not given[1].flags.writeable
+
+    @pytest.mark.parametrize("points", [None, ROWS], ids=["None", "points"])
     def test_trials_validated(self, points):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             draw(self.BOX, points, 0, 0, 1)
-
-
-class TestSharedPrefix:
-    BOX = TestDraw.BOX
-
-    def test_draws_in_scope_read_one_prefix(self, philox_blocks):
-        alone = [draw(self.BOX, None, 5, 17, k, m) for k, m in [(3, 0), (1, 3), (2, 1)]]
-        philox_blocks.clear()
-        with sampling.shared_prefix(5, 17, 3 * 3):
-            shared = [draw(self.BOX, None, 5, 17, k, m) for k, m in [(3, 0), (1, 3), (2, 1)]]
-            assert sum(philox_blocks) == 17 * 3
-            # Another seed, another trial count or a wider draw computes its own.
-            assert np.array_equal(draw(self.BOX, None, 6, 17, 1)[0],
-                                  reference_draw(self.BOX, None, 6, 17, 1)[0])
-            assert np.array_equal(draw(self.BOX, None, 5, 9, 1)[0], alone[0][0][:9, :1])
-            assert np.array_equal(draw(self.BOX, None, 5, 17, 4)[0][:, :3], alone[0][0])
-        assert sum(philox_blocks) == 17 * 3 + 17 + 9 + 17 * 3
-        for (p, u), (q, v) in zip(alone, shared):
-            assert np.array_equal(p, q) and np.array_equal(u, v)
-        with pytest.raises(ValueError, match="read-only"):
-            shared[1][1][0, 0] = 1.0
-        assert sampling._PREFIX.get() is None
-
-    def test_the_scope_ends_when_the_block_raises(self):
-        with pytest.raises(RuntimeError):
-            with sampling.shared_prefix(5, 17, 9):
-                raise RuntimeError
-        assert sampling._PREFIX.get() is None
 
 
 def reference_moves(box, points, seed, trials, delta, probes):
@@ -251,7 +236,11 @@ class TestAxiomSuite:
                 report = _CHECKERS[axiom](alone, trials=120, seed=seed, **params)
                 assert suite[axiom].to_json() == report.to_json(), (subset, axiom)
             assert list(suite) == list(subset)
-        assert sampling._PREFIX.get() is None
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_validated(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_axiom_suite(oracle_by_name("linear"), trials=trials)
 
     def test_linear_suite_draws_its_prefix_once(self, philox_blocks):
         reports = run_axiom_suite(oracle_by_name("linear"), trials=1000, seed=1)
