@@ -14,6 +14,10 @@ checkout's ``src/``, and prints per workload:
   counted as one of them (and the ``compare_batch`` call it may make for
   its gathered rows not again);
 - Philox blocks computed by ``sampling._philox``;
+- report bytes: the bytes of every file the round writes, with the
+  round's report directory and this checkout's root path blanked wherever
+  a report echoes them (its ``outdir``, and the ``oracle`` path of a JSON
+  utility), so the figure does not depend on where either lives;
 - compare calls, compare rows and evaluator rows split by the solve that
   asked them, found on the Python stack: a ladder build
   (``ladder.build_ladder``), an evaluation
@@ -25,6 +29,7 @@ under ``perfbench/`` is changed.  Reports go to a temporary directory.
 import argparse
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from collections import Counter
@@ -40,7 +45,7 @@ from altkit import cli, fixtures, sampling  # noqa: E402
 from altkit.oracle import AltOracle  # noqa: E402
 
 COUNTS = ("evaluator rows", "evaluator array calls", "compare_batch calls", "compare rows",
-          "Philox blocks")
+          "Philox blocks", "report bytes")
 # Per kind of solve, the function whose frame on the stack marks it, innermost first.
 SOLVES = (("ladder build", "build_ladder"), ("evaluation", "indifference_param_many"))
 KINDS = [kind for kind, _ in SOLVES] + ["other"]
@@ -115,6 +120,21 @@ def counting(counts: Counter):
         sampling._philox = philox
 
 
+def report_bytes(out_root: Path) -> int:
+    """The bytes of every file under ``out_root``, with every copy of
+    ``out_root``, and then of ``ROOT``, as a JSON string spells them taken
+    out."""
+    paths = [json.dumps(str(path))[1:-1].encode() for path in (out_root, ROOT)]
+    total = 0
+    for path in out_root.rglob("*"):
+        if path.is_file():
+            data = path.read_bytes()
+            for blank in paths:
+                data = data.replace(blank, b"")
+            total += len(data)
+    return total
+
+
 def count_round(workload: str, seed: int) -> tuple[Counter, list]:
     """The counts of one round of ``workload``, and the exit code of each
     command (or the exception that escaped it)."""
@@ -129,6 +149,7 @@ def count_round(workload: str, seed: int) -> tuple[Counter, list]:
                     codes.append(stop.code)
                 except Exception as bad:  # an escaping exception is a result to show
                     codes.append(type(bad).__name__)
+        counts["report bytes"] = report_bytes(Path(out_root))
     return counts, codes
 
 

@@ -68,8 +68,8 @@ _PREFERENCE = {1: Preference.PREFER.value, 0: Preference.INDIFFERENT.value,
                -1: Preference.DISPREFER.value}
 
 
-# The report writer writes out the parts it has gathered at the end of a
-# container once there are this many.
+# The report writer writes out the parts it has gathered after an element
+# of a container once there are this many.
 FLUSH_PARTS = 4096
 
 
@@ -122,9 +122,10 @@ class Record:
         parts: list[str] = []
         put = parts.append
 
-        # A dict's finite floats and its strs, the bulk of a report, are
-        # written in place; a float's repr ends in "n" or "f" only for NaN
-        # and the infinities, which, like every other value, go through emit.
+        # A dict's finite floats and strs and a list's finite floats, the
+        # bulk of a report, are written in place; a float's repr ends in "n"
+        # or "f" only for NaN and the infinities, which, like every other
+        # value, go through emit.
         def emit(o, pad: str) -> None:
             inner = pad + "  "
             if isinstance(o, dict):
@@ -138,19 +139,25 @@ class Record:
                         put(_quote(v))
                     else:
                         emit(v, inner)
+                    if len(parts) >= FLUSH_PARTS:
+                        fh.write("".join(parts))
+                        parts.clear()
                 put(pad + "}" if o else "{}")
             elif isinstance(o, (list, tuple)):
                 sep = "["
                 for v in o:
                     put(sep + inner)
                     sep = ","
-                    emit(v, inner)
+                    if type(v) is float and (r := float.__repr__(v))[-1] not in "nf":
+                        put(r)
+                    else:
+                        emit(v, inner)
+                    if len(parts) >= FLUSH_PARTS:
+                        fh.write("".join(parts))
+                        parts.clear()
                 put(pad + "]" if o else "[]")
             else:
                 put(_quote(o) if isinstance(o, str) else _literal(o))
-            if len(parts) >= FLUSH_PARTS:
-                fh.write("".join(parts))
-                parts.clear()
 
         emit(doc, "\n")
         fh.write("".join(parts))

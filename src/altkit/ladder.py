@@ -43,7 +43,8 @@ AFFINE_SAMPLES = 200        # points an affine fit is taken over
 class DyadicLadder:
     """Rungs by level: ``levels[k]`` is two arrays in index order, the rung
     indices of level k (consecutive integers) and their segment
-    parameters.  Rung (i, k) carries value i/2**k.
+    parameters.  Rung (i, k) carries value i/2**k, so a report writes
+    level k as its first index and its parameters (``to_dict``).
 
     ``oracle_calls`` is the number of compares the construction made."""
 
@@ -56,7 +57,10 @@ class DyadicLadder:
     oracle_calls: int = 0
 
     def point(self, i: int, k: int) -> np.ndarray:
-        return self.segment.at(dict(self.rungs(k))[i])
+        idx, t = self.levels[k]
+        if not 0 <= (j := i - int(idx[0])) < len(t):
+            raise KeyError(i)
+        return self.segment.at(t[j])
 
     @staticmethod
     def value(i: int, k: int) -> float:
@@ -72,11 +76,8 @@ class DyadicLadder:
             "tol_t": self.tol_t,
             "segment": {"p": self.segment.p.tolist(), "q": self.segment.q.tolist()},
             "anchors": {"lo": self.anchor_lo.tolist(), "hi": self.anchor_hi.tolist()},
-            "levels": [
-                {str(i): {"param": t, "value": v}
-                 for i, t, v in zip(idx.tolist(), params.tolist(), (idx / 2.0 ** k).tolist())}
-                for k, (idx, params) in enumerate(self.levels)
-            ],
+            "levels": [{"first": int(idx[0]), "param": params.tolist()}
+                       for idx, params in self.levels],
         }
 
 

@@ -368,6 +368,15 @@ class TestUsageErrorsExitTwo:
         assert not (tmp_path / "out").exists()
 
 
+def _sum_utility(dim: int) -> str:
+    """x0 + ... + x_{dim-1} on [0.1, 1]^dim, as a JSON utility file."""
+    expr: list = ["x", 0]
+    for i in range(1, dim):
+        expr = ["add", expr, ["x", i]]
+    return json.dumps({"name": "sum", "dimension": dim, "expr": expr,
+                       "domain": {"lower": [0.1] * dim, "upper": [1.0] * dim}})
+
+
 # Pools of the CLI fuzz.  A number is one of its flag's valid values, or,
 # one time in five, an invalid one.  The sizes are always given and stay
 # small, or are too large for any array, so no example does much work.
@@ -399,12 +408,17 @@ CONFIGS = [{"trials": "abc"}, {"depth": 2.5}, {"domain": [0, 1]}, {"h": None},
            {"domain": {"lower": [0.5, 0.5], "upper": [2, 2]}}]
 SQRT_LOG = {"name": "sqrt_log", "dimension": 2,
             "expr": ["add", ["sqrt", ["x", 0]], ["log", ["x", 1]]]}
-# JSON utility files by name in the oracle pool: one good, four malformed.
+# JSON utility files by name in the oracle pool: three good, four malformed.
 UTILITY_FILES = {
     "{json}": json.dumps(SQRT_LOG), "{not-json}": "not json", "{array}": "[1, 2]",
     "{dimension-abc}": json.dumps({**SQRT_LOG, "dimension": "abc"}),
     "{inverted-domain}": json.dumps({**SQRT_LOG, "domain": {"lower": [1, 1], "upper": [0, 0]}}),
+    "{sum-1}": _sum_utility(1), "{sum-12}": _sum_utility(12),
 }
+# In dimension 12 a grid has at most 2 points per axis, 4096 in all: a
+# lattice between 2**20 points and numpy's index limit would take
+# gigabytes before any check refuses it.
+WIDE_SIZES = {**SIZES, "--grid": ["1", "2"]}
 ORACLES = ["linear", "cobb_douglas", "exp1d", "step", "broken_crossover", *UTILITY_FILES,
            "nope"]
 
@@ -433,11 +447,7 @@ class TestImpossibleSizes:
 
     @staticmethod
     def sum_utility(path: Path, dim: int) -> Path:
-        expr: list = ["x", 0]
-        for i in range(1, dim):
-            expr = ["add", expr, ["x", i]]
-        path.write_text(json.dumps({"name": "sum", "dimension": dim, "expr": expr,
-                                    "domain": {"lower": [0.1] * dim, "upper": [1.0] * dim}}))
+        path.write_text(_sum_utility(dim))
         return path
 
     @pytest.mark.parametrize("argv", [
@@ -582,6 +592,7 @@ class TestCliFuzz:
             else:
                 sizes, options = FLAGS[command]
                 oracle = draw(st.sampled_from([*ORACLES, None]))
+                pools = WIDE_SIZES if oracle == "{sum-12}" else SIZES
                 if oracle in UTILITY_FILES:
                     utility = Path(tmp) / "utility.json"
                     utility.write_text(UTILITY_FILES[oracle])
@@ -589,7 +600,7 @@ class TestCliFuzz:
                 if oracle is not None:
                     argv += ["--oracle", oracle]
                 for flag in sizes:
-                    argv += [flag, number(SIZES[flag])]
+                    argv += [flag, number(pools[flag])]
                 for flag in options + COMMON:
                     if not draw(st.booleans()):
                         continue

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altkit.axioms import Record
 from altkit.domain import BoxDomain, Segment, as_point
 from altkit import ladder
 from altkit.cli import main
@@ -94,8 +95,35 @@ class TestLadderStructure:
         d = lad.to_dict()
         assert set(d) == {"depth", "tol_t", "segment", "anchors", "levels"}
         assert d["depth"] == 1 and len(d["levels"]) == 2
-        assert d["levels"][1]["3"]["value"] == 1.5
+        level = d["levels"][1]
+        assert set(level) == {"first", "param"} and level["first"] == 0
+        # Rung 3 of level 1 is param[3 - first], with value 3/2.
+        assert level["param"][3 - level["first"]] == dict(lad.rungs(1))[3]
+        assert lad.value(3, 1) == 1.5
         json.dumps(d)  # must be serialisable as-is
+
+    def test_to_dict_levels_round_trip(self):
+        # Below the lower anchor the indices are negative: first < 0.
+        lad, = build_ladder(oracle_by_name("neg_quadratic"), [([0.25], [0.75])], depth=6,
+                            segment=Segment([0.0], [1.0]))
+        levels = json.loads(Record.dumps(lad.to_dict()))["levels"]
+        assert len(levels) == 7 and levels[-1]["first"] < 0
+        for level, (idx, params) in zip(levels, lad.levels):
+            assert np.array_equal(level["first"] + np.arange(len(level["param"])), idx)
+            assert np.array(level["param"]).tobytes() == params.tobytes()
+
+    def test_point_is_only_defined_on_the_level(self):
+        seg = Segment([0.0], [1.0])
+        lad, = build_ladder(oracle_by_name("neg_quadratic"), [([0.25], [0.75])], depth=2,
+                            segment=seg)
+        idx, t = lad.levels[2]
+        assert idx[[0, -1]].tolist() == [-3, 4]
+        assert lad.point(-3, 2).tolist() == seg.at(t[0]).tolist()
+        assert lad.point(4, 2).tolist() == seg.at(t[-1]).tolist()
+        # -4 would wrap around to the top rung as a bare offset.
+        for i in (-4, 5):
+            with pytest.raises(KeyError):
+                lad.point(i, 2)
 
 
 class TestBuildLadderValidation:

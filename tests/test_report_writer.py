@@ -72,8 +72,9 @@ class TestWriter:
             with pytest.raises(TypeError):
                 Record.dumps(doc)
 
-    def test_streams_in_bounded_writes(self):
-        doc = {"rows": [[float(i), i, str(i)] for i in range(3 * FLUSH_PARTS)]}
+    @staticmethod
+    def assert_streamed(doc):
+        """``dump`` writes ``doc`` in more than 3 writes, none of half the text."""
         writes = []
 
         class Sink(io.StringIO):
@@ -86,6 +87,16 @@ class TestWriter:
         assert sink.getvalue() == reference(doc)
         assert len(writes) > 3
         assert max(writes) < len(sink.getvalue()) / 2
+
+    def test_streams_in_bounded_writes(self):
+        self.assert_streamed({"rows": [[float(i), i, str(i)] for i in range(3 * FLUSH_PARTS)]})
+
+    def test_streams_a_flat_list_in_bounded_writes(self):
+        # A list's finite floats are written in place, and the writer still
+        # writes out its parts inside the list, not only at its end.
+        doc = [i / 3 for i in range(3 * FLUSH_PARTS)]
+        doc[5:FLUSH_PARTS:1000] = [math.nan, -math.inf, -0.0, np.float64(0.1), (1.5, "x")]
+        self.assert_streamed(doc)
 
     def test_report_file_is_dumps_and_a_newline(self, tmp_path):
         payload = {"report": {"values": [0.1, math.nan, -math.inf, 2 ** 70, None],
