@@ -62,14 +62,6 @@ class DyadicLadder:
             raise KeyError(i)
         return self.segment.at(t[j])
 
-    @staticmethod
-    def value(i: int, k: int) -> float:
-        return i / (1 << k)
-
-    def rungs(self, k: int | None = None) -> list[tuple[int, float]]:
-        idx, t = self.levels[self.depth if k is None else k]
-        return list(zip(idx.tolist(), t.tolist()))
-
     def to_dict(self) -> dict:
         return {
             "depth": self.depth,

@@ -11,7 +11,9 @@ tolerance rather than to the dead band.
 There is one bisection, :func:`band_bisect_many`, which runs N brackets
 in lockstep with one batched side call per step; every solve in altkit
 calls it, a walk that is sequential by nature (ladder edge growth,
-Archimedean walks) on the brackets of one step.  :func:`band_bisect` is
+Archimedean walks) on the brackets of one step.  Its band-edge
+refinement is the same lockstep walk (:func:`_walk`) over the edges of
+the bands it found.  :func:`band_bisect` is
 that bisection on one bracket with a scalar side, and
 :func:`indifference_param_many` solves indifference for many points on
 one segment.  A solve whose compares mix points fixed for the whole
@@ -43,6 +45,9 @@ _HALF_MAX = sys.float_info.max / 2
 Side = Callable[[float], IntensityOrder]
 # Lockstep side: (bracket indices, parameters) -> int8 signs of the
 # trichotomy of bracket idx[j] at t[j] (+1 GREATER, 0 EQUAL, -1 LESS).
+# The bisection and the band-edge refinement call it from one walk, whose
+# index array is the same object on every step where no bracket stops and
+# is never written in place: a side may key a plan on its identity.
 SideMany = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -102,58 +107,73 @@ def band_bisect_many(side: SideMany, lo: np.ndarray, hi: np.ndarray, tol: float 
         raise BracketError(f"bracket {j}: endpoints do not straddle the target "
                            f"(side(lo)={s_lo[j]}, side(hi)={s_hi[j]})")
 
-    found = (s_lo == 0) | (s_hi == 0)
-    eq = np.where(s_lo == 0, a, b)
-    out, wider = _split(a, b, per)
-    # The running brackets j, with their ends, next parameter and width
-    # kept compact; a bracket's state is written back when it stops.
-    j = np.flatnonzero(~found & wider & (a < out) & (out < b))
-    aj, bj, m, w = a[j], b[j], out[j], per[j]
-    while j.size:
-        s = side(j, m)
-        np.putmask(aj, s < 0, m)
-        np.putmask(bj, s > 0, m)
-        nxt, wider = _split(aj, bj, w)
-        go = (s != 0) & wider & (aj < nxt) & (nxt < bj)
-        if not go.all():         # j stays the same object while no bracket stops
-            stop, hit = ~go, s == 0
-            k = j[stop]
-            a[k], b[k], out[k] = aj[stop], bj[stop], nxt[stop]
-            eq[j[hit]] = m[hit]
-            found[j[hit]] = True
-            j, aj, bj, nxt, w = j[go], aj[go], bj[go], nxt[go], w[go]
-        m = nxt
+    out, met = _walk(side, every, a, b, per, np.zeros(a.size, dtype=np.int8),
+                     (s_lo != 0) & (s_hi != 0))
     if not refine:
-        out[found] = eq[found]
-        return out
+        return np.where(s_lo == 0, a, np.where(s_hi == 0, b, out))
 
-    # Refine both edges of every band found: an end that answers LESS
-    # (below) or GREATER (above) is walked in towards the EQUAL parameter.
-    # An end answers so exactly when its bracket endpoint did, because
-    # bisection only moves an end of that state.
+    # Refine both edges of every band found: the same walk over [a, eq] for
+    # each lower edge and [eq, b] for each upper one.  An end that answers
+    # LESS (below) or GREATER (above) is walked in towards the EQUAL
+    # parameter; an end answers so exactly when its bracket endpoint did,
+    # because bisection only moves an end of that state.
+    found = met | (s_lo == 0) | (s_hi == 0)
+    eq = np.where(met, out, np.where(s_lo == 0, a, b))
     lower = np.flatnonzero(found & (s_lo < 0))
     upper = np.flatnonzero(found & (s_hi > 0))
     owner = np.concatenate([lower, upper])
-    outer = np.concatenate([a[lower], b[upper]])
-    inner = eq[owner]
-    state = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
-    edge, wider = _split(outer, inner, per[owner])
-    k = np.flatnonzero(wider & (edge != outer) & (edge != inner))
-    ok, ko, ki, m, ks, w = owner[k], outer[k], inner[k], edge[k], state[k], per[owner[k]]
-    while k.size:
-        hit = side(ok, m) == ks
-        np.putmask(ko, hit, m)
-        np.putmask(ki, ~hit, m)
-        nxt, wider = _split(ko, ki, w)
-        go = wider & (nxt != ko) & (nxt != ki)
-        if not go.all():
-            edge[k[~go]] = nxt[~go]
-            k, ok, ko, ki, nxt, ks, w = (v[go] for v in (k, ok, ko, ki, nxt, ks, w))
-        m = nxt
+    outer = np.repeat(np.array([-1, 1], dtype=np.int8), [lower.size, upper.size])
+    edge = _walk(side, owner, np.concatenate([a[lower], eq[upper]]),
+                 np.concatenate([eq[lower], b[upper]]), per, outer, True)[0]
     a[lower] = edge[:lower.size]          # a and b become the band's edges
     b[upper] = edge[lower.size:]
     out[found] = _split(a[found], b[found], per[found])[0]
     return out
+
+
+def _walk(side: SideMany, owner: np.ndarray, a: np.ndarray, b: np.ndarray, per: np.ndarray,
+          outer: np.ndarray, run: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect the brackets [a_i, b_i] where ``run`` holds, in lockstep, and
+    return each bracket's last midpoint (its first if it never ran) and a
+    mask of the brackets that stopped on EQUAL.
+
+    Bracket i is asked as bracket ``owner[i]`` of ``side``, and its answer
+    s is read as the sign of 2s - ``outer[i]``: negative moves the lower
+    end, positive the upper one.  ``outer`` 0 bisects a crossing and stops
+    on EQUAL; -1 (+1) walks a band's lower (upper) edge, where EQUAL counts
+    as the inner side and never stops the walk.  A bracket also stops at
+    its owner's width ``per[owner[i]]`` or at adjacent floats, and its
+    ends and last midpoint are then written back into ``a``, ``b`` and the
+    result.  The owner array handed to ``side`` is the same object on
+    every step where no bracket stops and is never written in place, so a
+    side may key a plan on its identity (``ladder._round`` does).
+    """
+    out, wider = _split(a, b, per[owner])
+    met = np.zeros(a.size, dtype=bool)
+    # The running brackets k, with their owners, ends, next parameter,
+    # width and the two thresholds kept compact; a bracket's state is
+    # written back when it stops.  For an integer s, 2s - outer < 0 is
+    # s < outer/2 rounded up, and 2s - outer > 0 is s > outer/2 rounded down.
+    k = np.flatnonzero(run & wider & (a < out) & (out < b))
+    j = owner[k]
+    ak, bk, m, w = a[k], b[k], out[k], per[j]
+    below, above = np.maximum(outer[k], 0), np.minimum(outer[k], 0)
+    while k.size:
+        s = side(j, m)
+        lower, upper = s < below, s > above
+        np.putmask(ak, lower, m)
+        np.putmask(bk, upper, m)
+        nxt, wider = 0.5 * (ak + bk), bk - ak > w        # _split with no abs: ak < bk
+        moved = lower | upper
+        go = moved & wider & (ak < nxt) & (nxt < bk)
+        if not go.all():
+            stop = ~go
+            i = k[stop]
+            a[i], b[i], out[i], met[i] = ak[stop], bk[stop], nxt[stop], ~moved[stop]
+            k, ak, bk, nxt, w = k[go], ak[go], bk[go], nxt[go], w[go]
+            j, below, above = owner[k], below[go], above[go]
+        m = nxt
+    return out, met
 
 
 def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray | Held,

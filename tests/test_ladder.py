@@ -45,25 +45,19 @@ class TestLadderStructure:
         # (u = 13/16); below, the remaining 1/16 is less than a half step.
         o = _power_oracle(2)
         lad, = build_ladder(o, [([0.25], [0.75])], depth=1)
-        assert lad.rungs(0) == [(0, 0.25), (1, 0.75)]
-        level1 = lad.rungs(1)
-        assert [i for i, _ in level1] == [0, 1, 2, 3]
+        (idx0, t0), (idx1, t1) = lad.levels
+        assert idx0.tolist() == [0, 1] and t0.tolist() == [0.25, 0.75]
+        assert idx1.tolist() == [0, 1, 2, 3]
         expected = [0.25, math.sqrt(0.3125), 0.75, math.sqrt(0.8125)]
-        assert [t for _, t in level1] == pytest.approx(expected, abs=1e-8)
-        assert lad.levels[0][0][[0, -1]].tolist() == [0, 1]
-        assert lad.levels[1][0][[0, -1]].tolist() == [0, 3]
+        assert t1.tolist() == pytest.approx(expected, abs=1e-8)
 
-    def test_rung_values_are_dyadic(self):
-        lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=1)
-        assert lad.value(3, 1) == 1.5
-        assert lad.value(-4, 3) == -0.5
-        assert lad.value(0, 5) == 0.0
-
-    def test_rungs_defaults_to_deepest_level(self):
+    def test_deepest_level_is_the_last(self):
         lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=2)
-        assert lad.rungs() == lad.rungs(2)
-        assert all(lad.rungs(k) == list(zip(idx.tolist(), t.tolist()))
-                   for k, (idx, t) in enumerate(lad.levels))
+        assert len(lad.levels) == lad.depth + 1 == 3
+        idx, t = lad.levels[lad.depth]
+        assert lad.to_dict()["levels"][-1] == {"first": int(idx[0]), "param": t.tolist()}
+        for idx, t in lad.levels:     # consecutive indices, one per parameter
+            assert idx.tolist() == list(range(int(idx[0]), int(idx[0]) + len(t)))
 
     def test_anchor_indices_double_per_level(self):
         lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=3)
@@ -75,20 +69,24 @@ class TestLadderStructure:
         o = oracle_by_name("cobb_douglas")
         seg = o.domain.diagonal()
         lad, = build_ladder(o, [(seg.at(0.25), seg.at(0.75))], depth=2)
-        for i, t in lad.rungs():
-            assert lad.point(i, 2) == pytest.approx(seg.at(t))
+        idx, t = lad.levels[2]
+        for i, u in zip(idx.tolist(), t):
+            assert lad.point(i, 2) == pytest.approx(seg.at(u))
 
     def test_negative_quadratic_on_custom_segment(self):
-        # u = -(t-1)^2 increases on [0, 1]; anchors 0.25/0.75 give dyadic
-        # rung values v with parameter t = 1 - sqrt(0.5625 - v/2).
+        # u = -(t-1)^2 increases on [0, 1]; anchors 0.25/0.75 give rung
+        # (i, k) the dyadic value v = i/2**k, at parameter
+        # t = 1 - sqrt(0.5625 - v/2).
         o = oracle_by_name("neg_quadratic")
-        lad, = build_ladder(o, [([0.25], [0.75])], depth=2,
-                            segment=Segment([0.0], [1.0]))
-        rungs = lad.rungs()
-        assert [i for i, _ in rungs] == list(range(-3, 5))
-        for i, t in rungs:
-            v = lad.value(i, 2)
-            assert t == pytest.approx(1.0 - math.sqrt(0.5625 - v / 2), abs=1e-8)
+        seg = Segment([0.0], [1.0])
+        lad, = build_ladder(o, [([0.25], [0.75])], depth=3, segment=seg)
+        assert lad.levels[2][0].tolist() == list(range(-3, 5))
+        for k, (idx, t) in enumerate(lad.levels[:3]):
+            v = idx / 2 ** k
+            assert t == pytest.approx(1.0 - np.sqrt(0.5625 - v / 2), abs=1e-8)
+        # Rung -4 of level 3 has value -1/2.  (Its top rung, v = 9/8 at
+        # t = 1, sits where the square root magnifies the dead band.)
+        assert lad.point(-4, 3) == pytest.approx(seg.at(1.0 - math.sqrt(0.8125)), abs=1e-8)
 
     def test_to_dict_shape(self):
         lad, = build_ladder(_power_oracle(2), [([0.25], [0.75])], depth=1)
@@ -97,9 +95,9 @@ class TestLadderStructure:
         assert d["depth"] == 1 and len(d["levels"]) == 2
         level = d["levels"][1]
         assert set(level) == {"first", "param"} and level["first"] == 0
-        # Rung 3 of level 1 is param[3 - first], with value 3/2.
-        assert level["param"][3 - level["first"]] == dict(lad.rungs(1))[3]
-        assert lad.value(3, 1) == 1.5
+        # Rung 3 of level 1 is param[3 - first], with value 3/2: u = 1/16 + 3/2 * 1/2.
+        assert level["param"][3 - level["first"]] == lad.levels[1][1][3]
+        assert level["param"][3 - level["first"]] == pytest.approx(math.sqrt(0.8125), abs=1e-8)
         json.dumps(d)  # must be serialisable as-is
 
     def test_to_dict_levels_round_trip(self):
@@ -463,7 +461,7 @@ class TestEqualStepInvariant:
     def test_rung_params_strictly_increasing(self):
         seg = oracle_by_name("log_sum").domain.diagonal()
         lad, = build_ladder(oracle_by_name("log_sum"), [(seg.at(0.25), seg.at(0.75))], depth=5)
-        params = [t for _, t in lad.rungs()]
+        params = lad.levels[lad.depth][1].tolist()
         assert all(a < b for a, b in zip(params, params[1:]))
 
 

@@ -262,6 +262,51 @@ class TestCompactLoop:
         assert logs[0] == logs[1]
 
 
+class TestSideContract:
+    """A lockstep side may key a plan on the identity of its first argument
+    (``ladder._round`` does): in the bisection and in the band-edge
+    refinement alike, the index array is the same object from step to step
+    while no bracket stops, and no call's array is changed afterwards."""
+
+    @staticmethod
+    def kept_calls(sides, lo, hi, refine=True, **states):
+        calls = []
+
+        def side_many(idx, t):
+            calls.append((idx, idx.copy()))
+            return np.array([sides[j](u).sign for j, u in zip(idx, t)], dtype=np.int8)
+
+        band_bisect_many(side_many, lo, hi, 1e-6, refine=refine, **states)
+        return calls if states else calls[2:]      # the end states: two calls on every bracket
+
+    @settings(max_examples=100, deadline=None)
+    @given(_brackets, st.booleans())
+    def test_one_index_object_while_no_bracket_stops(self, brackets, pass_states):
+        lo, hi, sides = _banded_brackets(brackets)
+        states = {}
+        if pass_states:
+            states = {"lo_state": [s(a).sign for s, a in zip(sides, lo)],
+                      "hi_state": [s(b).sign for s, b in zip(sides, hi)]}
+        calls = self.kept_calls(sides, lo, hi, **states)
+        assert all(np.array_equal(idx, kept) for idx, kept in calls)
+        # The bisection's calls come first (refine=False makes them alone),
+        # then the refinement's.  In each phase a bracket stops only by
+        # leaving the index, so equal consecutive indices mean no stop.
+        bisecting = len(self.kept_calls(sides, lo, hi, refine=False, **states))
+        for phase in (calls[:bisecting], calls[bisecting:]):
+            for (idx, kept), (nxt, nxt_kept) in zip(phase, phase[1:]):
+                if np.array_equal(kept, nxt_kept):
+                    assert nxt is idx
+
+    def test_both_phases_step_without_a_stop(self):
+        # Two brackets that meet their bands of 1e-3 on the same bisection
+        # step, so each phase takes many steps with no bracket stopping.
+        lo, hi, sides = _banded_brackets([(0.0, 1.0, 0.3, 1e-3), (1.0, 1.0, 0.3, 1e-3)])
+        calls = self.kept_calls(sides, lo, hi)
+        same = [kept.tolist() for (idx, kept), (nxt, _) in zip(calls, calls[1:]) if nxt is idx]
+        assert same.count([0, 1]) > 1 and same.count([0, 1, 0, 1]) > 1
+
+
 class TestBandBisectMany:
     @settings(max_examples=60, deadline=None)
     @given(_brackets, st.sampled_from([1e-10, 1e-6, 1e-2]), st.booleans(), st.booleans())

@@ -1,6 +1,7 @@
 """perfbench/tracing.py wraps altkit's functions by name from outside
 ``src/``.  Running one small command under the tracer fails here, in the
 unit tests, when a change removes or renames a name the benchmark patches."""
+import ast
 import contextlib
 import importlib
 import io
@@ -115,3 +116,32 @@ def test_shape_reports_match_under_the_tracer(command, tmp_path, monkeypatch):
     for span in ("sampling.subrng", "sampling.run_indexed", "smoothness.solve_f",
                  "smoothness.calibrate", "solvers.band_bisect"):
         assert tracer.get(span).calls == 0, span
+
+
+# The names perfbench/tracing.py patches into modules that never call them.
+TRACER_SHIMS = {
+    "axioms": {"band_bisect", "run_indexed", "subrng"},
+    "concavity": {"run_indexed", "subrng"},
+    "ladder": {"band_bisect", "run_indexed", "subrng"},
+    "smoothness": {"run_indexed", "subrng"},
+}
+
+
+def test_only_tracer_shims_are_imported_unused():
+    # Every other name a module of src/altkit imports, it uses, or exports
+    # in __all__: a dead import fails here.
+    unused = {}
+    for path in sorted((ROOT / "src" / "altkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        if dead := imported - used - exported:
+            unused[path.stem] = dead
+    assert unused == TRACER_SHIMS
