@@ -19,8 +19,12 @@ from altkit.smoothness import line_smoothness_limit
 def trace(name: str, b: float) -> None:
     oracle = oracle_by_name(name)
     report = line_smoothness_limit(oracle, b)
-    print(f"\n{name} at b={b:g}  ->  {report.verdict}"
-          f"  (limit {report.estimate:.6g} +/- {report.uncertainty:.2g})")
+    est = "n/a" if report.estimate is None else f"{report.estimate:.6g}"
+    unc = "n/a" if report.uncertainty is None else f"{report.uncertainty:.2g}"
+    print(f"\n{name} at b={b:g}  ->  {report.verdict}  (limit {est} +/- {unc})")
+    if "truncation_reason" in report.extras:
+        print(f"truncated at a={report.extras['truncated_at']:g}: "
+              f"{report.extras['truncation_reason']}")
     print(f"{'a':>14} {'f(a,b)':>18} {'(b-f)/a':>12}")
     for a, f, q in report.rows:
         print(f"{a:>14.8g} {f:>18.12f} {q:>12.6f}")

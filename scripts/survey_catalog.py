@@ -16,7 +16,7 @@ from altkit.axioms import ALL_AXIOMS, run_axiom_suite
 from altkit.concavity import check_gossen_law
 from altkit.domain import Segment
 from altkit.errors import AltkitError
-from altkit.fixtures import catalog, oracle_by_name
+from altkit.fixtures import catalog, oracle_by_name, utility_by_name
 from altkit.ladder import reconstruct_utility, representation_spot_check
 from altkit.smoothness import debreu_smoothness_proxy, line_smoothness_limit
 
@@ -29,7 +29,7 @@ RECON_SEGMENTS = {
 
 
 def survey(name: str, trials: int, depth: int, seed: int) -> dict:
-    spec = next(s for s in catalog() if s.name == name)
+    spec = utility_by_name(name)
     oracle = oracle_by_name(name)
     t0 = time.perf_counter()
 
@@ -81,9 +81,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--depth", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fixtures", nargs="+",
-                        help="subset of fixture names (default: whole catalog)")
+    parser.add_argument("--fixtures", nargs="+", choices=[s.name for s in catalog()],
+                        help="subset of utility fixture names (default: whole catalog)")
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
 
     names = args.fixtures or [s.name for s in catalog()]
     header = (f"{'fixture':<18} {'axioms':<14} {'gain law':<15} {'tag':<17} "
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
               f"{row['tag']:<17} {row['line']:<16} {row['debreu']:<12} "
               f"{row['representation']:<15} {row['seconds']:>5.1f}")
         # Sound fixtures (everything monotone+continuous) should be clean.
-        spec = next(s for s in catalog() if s.name == name)
+        spec = utility_by_name(name)
         if spec.monotone and spec.continuous:
             if row["axioms"] != "pass" or row["representation"] not in ("pass", "-"):
                 trouble.append(name)
