@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Check the catalog's verdicts across seeds.
+"""Check the paper's results over the fixture catalog.
 
-One loop runs every fixture through a mode's checks at each seed of a
-range and records each check's verdict per seed.  The mode judges that
-map and prints what it flags, then a summary with the time taken.
+One loop runs every fixture of a mode through the mode's checks at each
+seed and records each check's verdict per seed.  The mode judges that
+map and prints what it found, then a summary with the time taken.
 Exits 1 if anything is flagged, 2 on bad input.
 
     PYTHONPATH=src python scripts/sweep.py axioms --seeds 0 59 --trials 1000
     PYTHONPATH=src python scripts/sweep.py shapes --seeds 0 59
+    PYTHONPATH=src python scripts/sweep.py survey --seed 0 --trials 1000 --depth 8
+    PYTHONPATH=src python scripts/sweep.py quotients --b-kinked 1 --b-min 1
 """
 import argparse
+import math
 import sys
 import time
 
 from altkit.axioms import ALL_AXIOMS, replay_witness, run_axiom_suite
 from altkit.concavity import (FAILS, HOLDS, HOLDS_STRICTLY, check_gossen_law,
                               check_midpoint_concavity)
+from altkit.domain import Segment
+from altkit.errors import AltkitError
 from altkit.fixtures import (CONCAVE, NON_CONCAVE, STRICTLY_CONCAVE, catalog,
-                             intensity_catalog, oracle_by_name)
+                             intensity_catalog, oracle_by_name, utility_by_name)
+from altkit.ladder import reconstruct_utility, representation_spot_check
 from altkit.smoothness import (INCONCLUSIVE, LINE_SMOOTH, NOT_LINE_SMOOTH,
                                debreu_smoothness_proxy, line_smoothness_limit)
 
@@ -132,25 +138,127 @@ def shapes(seeds: range):
                    f"{len(lines)} mismatches"), bool(lines)
 
 
+# A reconstruction segment where the diagonal does not rise (None: no reconstruction)
+RECON_SEGMENTS = {"neg_quadratic": Segment([0.0], [1.0]), "step": None}
+WIDTHS = {"axioms": 14, "gain law": 15, "tag": 17, "line": 16, "calibration": 12,
+          "reconstruction": 15}     # the survey's columns after the fixture's name
+
+
+def survey(names, seed: int, trials: int, depth: int):
+    """Each named catalog utility through the axiom suite, the Gossen law,
+    the line limit at mid-range, the calibration proxy and a reconstruction
+    with its representation spot check: a row of verdicts and the seconds
+    taken.  Flags a monotone, continuous fixture that fails an axiom or the
+    spot check; other fixtures may reject a stage, which reads ``n/a``."""
+    def verdict(stage) -> str:      # n/a where the fixture rejects the stage
+        try:
+            return stage().verdict
+        except AltkitError:
+            return "n/a"
+
+    def checks(spec, seed):
+        t0 = time.perf_counter()
+        oracle = oracle_by_name(spec.name)
+        reports = run_axiom_suite(oracle, ALL_AXIOMS, trials=trials, seed=seed)
+        failed = [axiom for axiom, report in reports.items() if not report.passed]
+        segment = RECON_SEGMENTS.get(spec.name, oracle.domain.diagonal())
+        return {"axioms": "FAIL:" + ",".join(failed) if failed else "pass",
+                "gain law": check_gossen_law(oracle, trials=trials, seed=seed).verdict,
+                "tag": spec.concavity,
+                "line": verdict(lambda: line_smoothness_limit(
+                    oracle, 0.5 * sum(oracle.domain.diagonal_scale_range()))),
+                "calibration": verdict(lambda: debreu_smoothness_proxy(
+                    oracle, trials=max(10, trials // 100), seed=seed)),
+                "reconstruction": "skipped" if segment is None else verdict(
+                    lambda: representation_spot_check(reconstruct_utility(
+                        oracle, depth=depth, segment=segment), trials=trials, seed=seed)),
+                "seconds": time.perf_counter() - t0}
+
+    specs = [utility_by_name(name) for name in names]
+    verdicts = sweep(specs, range(seed, seed + 1), checks)
+    header = " ".join([f"{'fixture':<18}"] + [f"{c:<{w}}" for c, w in WIDTHS.items()] + ["    s"])
+    lines = [header, "-" * len(header)]
+    lines += [" ".join([f"{spec.name:<18}"] + [f"{verdicts[spec.name, c][seed]:<{w}}"
+                                               for c, w in WIDTHS.items()]
+                       + [f"{verdicts[spec.name, 'seconds'][seed]:>5.1f}"]) for spec in specs]
+    trouble = [spec.name for spec in specs if spec.monotone and spec.continuous
+               and (verdicts[spec.name, "axioms"][seed],
+                    verdicts[spec.name, "reconstruction"][seed]) != ("pass", "pass")]
+    if trouble:
+        lines.append(f"unexpected failures: {', '.join(trouble)}")
+    return lines, (f"{len(specs)} fixtures, seed {seed}, {trials} trials, depth {depth}: "
+                   f"{len(trouble)} unexpected failures"), bool(trouble)
+
+
+def quotients(b_kinked: float, b_min: float):
+    """The quotient (b - f(a,b))/a as a shrinks, which shows the two smoothness
+    notions independent: it tends to 1/4 on kinked_composite at its kink b = 1
+    (smooth indifference sets), and to 0 on min2 (kinked indifference sets).
+    Draws nothing and flags nothing."""
+    scales = {"kinked_composite": b_kinked, "min2": b_min}
+    specs = [utility_by_name(name) for name in scales]
+    reports = sweep(specs, range(1), lambda spec, seed: {
+        "line": line_smoothness_limit(oracle_by_name(spec.name), scales[spec.name])})
+    lines = []
+    for name, b in scales.items():
+        report = reports[name, "line"][0]
+        est = "n/a" if report.estimate is None else f"{report.estimate:.6g}"
+        unc = "n/a" if report.uncertainty is None else f"{report.uncertainty:.2g}"
+        lines += ["", f"{name} at b={b:g}  ->  {report.verdict}  (limit {est} +/- {unc})"]
+        if "truncation_reason" in report.extras:
+            lines.append(f"truncated at a={report.extras['truncated_at']:g}: "
+                         f"{report.extras['truncation_reason']}")
+        lines.append(f"{'a':>14} {'f(a,b)':>18} {'(b-f)/a':>12}")
+        lines += [f"{a:>14.8g} {f:>18.12f} {q:>12.6f}" for a, f, q in report.rows]
+    return lines, f"{len(specs)} line limits", False
+
+
+def checked(kind, holds, rule: str):
+    """An argparse ``type`` that refuses a value unless it ``holds``: exit 2."""
+    def parse(text: str):
+        if not holds(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse's "invalid int value" names it
+    return parse
+
+
+SEED = checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+TRIALS = checked(int, lambda v: v >= 1, ">= 1")
+DEPTH = checked(int, lambda v: v >= 0, ">= 0")
+SCALE = checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     for mode in ("axioms", "shapes"):
-        modes.add_parser(mode).add_argument("--seeds", type=int, nargs=2, default=[0, 59],
+        modes.add_parser(mode).add_argument("--seeds", type=SEED, nargs=2, default=[0, 59],
                                             metavar=("FIRST", "LAST"))
-    modes.choices["axioms"].add_argument("--trials", type=int, default=1000)
+    modes.choices["axioms"].add_argument("--trials", type=TRIALS, default=1000)
+    p = modes.add_parser("survey")
+    p.add_argument("--seed", type=SEED, default=0)
+    p.add_argument("--trials", type=TRIALS, default=1000)
+    p.add_argument("--depth", type=DEPTH, default=8)
+    names = [spec.name for spec in catalog()]
+    p.add_argument("--fixtures", nargs="+", choices=names, default=names,
+                   help="subset of utility fixture names (default: whole catalog)")
+    p = modes.add_parser("quotients")
+    p.add_argument("--b-kinked", type=SCALE, default=1.0, help="its diagonal scale (kink at 1)")
+    p.add_argument("--b-min", type=SCALE, default=1.0, help="min2's diagonal scale")
     args = parser.parse_args(argv)
-    first, last = args.seeds
-    if not 0 <= first <= last < 2**64:
-        modes.choices[args.mode].error(f"--seeds needs 0 <= FIRST <= LAST < 2**64, "
-                                       f"got {first} {last}")
-    if args.mode == "axioms" and args.trials < 1:
-        modes.choices[args.mode].error(f"--trials must be >= 1, got {args.trials}")
-    seeds = range(first, last + 1)
+
+    if "seeds" in args:
+        first, last = args.seeds
+        if first > last:
+            modes.choices[args.mode].error(f"--seeds needs FIRST <= LAST, got {first} {last}")
+        args.seeds = range(first, last + 1)
 
     t0 = time.perf_counter()
-    lines, summary, flagged = axioms(seeds, args.trials) if args.mode == "axioms" \
-        else shapes(seeds)
+    lines, summary, flagged = {
+        "axioms": lambda: axioms(args.seeds, args.trials), "shapes": lambda: shapes(args.seeds),
+        "survey": lambda: survey(args.fixtures, args.seed, args.trials, args.depth),
+        "quotients": lambda: quotients(args.b_kinked, args.b_min)}[args.mode]()
     elapsed = time.perf_counter() - t0
     for line in lines:
         print(line)

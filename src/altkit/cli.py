@@ -218,16 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its fields")
     common.add_argument("--oracle", help="catalog fixture name or JSON utility file")
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--trials", type=int, help="sample count for randomized checks")
+    # Every command takes, validates and echoes --seed, --trials, --eps-eq and
+    # --tol-t, but not every command reads them: each help names those that do not.
+    common.add_argument("--seed", type=int, help="master seed (default 0); ignored by alep")
+    common.add_argument("--trials", type=int,
+                        help="sample count for randomized checks; smoothness reads "
+                             "--debreu-trials instead, and alep reads neither")
     common.add_argument("--workers", type=int,
                         help="ignored: trials run in index order on one thread "
                              "(accepted, validated and echoed for compatibility)")
     common.add_argument("--outdir", help="report directory (default altkit-reports)")
     common.add_argument("--eps-eq", type=float, dest="eps_eq",
-                        help="oracle equality dead band (default: scaled to value range)")
+                        help="oracle equality dead band (default: scaled to value range); "
+                             "ignored by alep, which calls the utility, not the oracle")
     common.add_argument("--tol-t", type=float, dest="tol_t",
-                        help="bisection tolerance in segment parameter")
+                        help="bisection tolerance in segment parameter, read by reconstruct "
+                             "and smoothness's calibration proxy only: verify's crossover "
+                             "solves to solvers.DEFAULT_TOL_T, and concavity and alep "
+                             "bisect nothing")
     common.add_argument("--domain-lower", type=float, nargs="+", dest="domain_lower",
                         help="override box lower corner")
     common.add_argument("--domain-upper", type=float, nargs="+", dest="domain_upper",

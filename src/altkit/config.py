@@ -115,8 +115,8 @@ class RunConfig:
                 continue
             if len(pair) != 2 or not 0.0 <= pair[0] < pair[1] <= 1.0:
                 raise ConfigError(f"{label} must be two diagonal parameters with 0 <= lo < hi <= 1")
-        if len(self.pair) != 2 or any(i < 0 for i in self.pair):
-            raise ConfigError("pair must be two non-negative coordinate indices")
+        if len(self.pair) != 2 or any(i < 0 for i in self.pair) or self.pair[0] == self.pair[1]:
+            raise ConfigError("pair must be two distinct non-negative coordinate indices")
         if self.axioms is not None:
             unknown = set(self.axioms) - set(ALL_AXIOMS)
             if unknown:

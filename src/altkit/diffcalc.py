@@ -132,6 +132,8 @@ def alep_classify(u_fn, points, pair: tuple[int, int] = (0, 1), h: float = 1e-3,
             f"reconstruction depth {depth} < {MIN_RECONSTRUCTION_DEPTH}: second "
             "differences would read rung noise; rebuild deeper")
     i, j = pair
+    if i == j:              # a curvature, not the cross-partial of two goods
+        raise ConfigError(f"pair {pair} names one good twice")
     if not len(points):
         return []
     X = _rows(points)

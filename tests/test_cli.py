@@ -78,6 +78,7 @@ class TestRunConfig:
         ("anchors", [0.75, 0.25], "anchors"),
         ("second_anchors", [0.5], "second_anchors"),
         ("pair", [0, -1], "pair"),
+        ("pair", [1, 1], "pair"),
         ("axioms", ["nonsense"], "unknown axioms"),
         ("domain", {"lower": [0.0]}, "domain override"),
         ("seed", -1, "seed"),

@@ -195,6 +195,10 @@ class TestAlepClassify:
         with pytest.raises(ConfigError, match="out of range"):
             alep_classify(SPECS["linear"], [[1.0, 1.0]], pair=(0, 5))
 
+    def test_pair_of_one_good_refused(self):
+        with pytest.raises(ConfigError, match="one good twice"):
+            alep_classify(SPECS["linear"], [[1.0, 1.0]], pair=(1, 1))
+
     def test_margin_guard(self):
         box = BoxDomain([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(DomainError, match="margin"):

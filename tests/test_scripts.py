@@ -1,7 +1,7 @@
 """The scripts under ``scripts/``, each loaded from its file and run
-through its ``main``: the sweep's two modes on short seed ranges, and
-the usage errors of the sweep and of ``survey_catalog.py``, which exit 2
-with argparse's message and no traceback."""
+through its ``main``: every script's ``--help``, the sweep's modes on short
+inputs, and the sweep's usage errors, which exit 2 with argparse's message
+and no traceback."""
 import importlib.util
 from pathlib import Path
 
@@ -78,19 +78,66 @@ def test_sweep_usage_errors_exit_2(sweep, capsys, argv):
     assert out == "" and ": error: " in err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", [["--fixtures", "nosuch"], ["--fixtures", "broken_crossover"],
-                                  ["--trials", "0"]])
-def test_survey_catalog_usage_errors_exit_2(capsys, argv):
+SURVEY_TABLE = """\
+fixture            axioms         gain law        tag               line             calibration  reconstruction      s
+-----------------------------------------------------------------------------------------------------------------------
+linear             pass           holds           concave           line-smooth      pass         pass
+cobb_douglas       pass           holds-strictly  concave           line-smooth      pass         pass
+ces                pass           holds-strictly  concave           line-smooth      pass         pass
+log_sum            pass           holds-strictly  strictly-concave  line-smooth      pass         pass
+exp1d              pass           fails           non-concave       line-smooth      pass         pass
+kinked_composite   pass           holds-strictly  concave           line-smooth      pass         pass
+min2               pass           holds           concave           line-smooth      fail         pass
+neg_quadratic      FAIL:monotonicity holds-strictly  strictly-concave  inconclusive     pass         pass
+step               FAIL:monotonicity fails           non-concave       inconclusive     pass         skipped
+9 fixtures, seed 0, 100 trials, depth 8: 0 unexpected failures"""
+
+
+def test_survey_table(sweep, capsys):
+    code, lines = run(sweep, ["survey", "--seed", "0", "--trials", "100"], capsys)
+    # Each row but the header and the rule ends in its seconds figure.
+    assert (code, lines[:2] + [row[:-6].rstrip() for row in lines[2:-1]] + lines[-1:]) == \
+        (0, SURVEY_TABLE.splitlines())
+
+
+def test_survey_flags_a_sound_fixture_without_a_reconstruction(sweep, capsys):
+    # Depth 18 passes the ladder's rung cap, so linear's reconstruction
+    # reads n/a; step is neither monotone nor continuous, so it is not flagged.
+    code, lines = run(sweep, ["survey", "--depth", "18", "--trials", "10",
+                              "--fixtures", "linear", "step"], capsys)
+    assert code == 1 and lines[-2:] == [
+        "unexpected failures: linear",
+        "2 fixtures, seed 0, 10 trials, depth 18: 1 unexpected failures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--fixtures", "nosuch"], ["survey", "--fixtures", "broken_crossover"],
+    ["survey", "--trials", "0"], ["survey", "--seed", "-1"], ["survey", "--seed", str(2**64)],
+    ["survey", "--depth", "-1"]] + [
+    ["quotients", flag, value] for flag in ("--b-min", "--b-kinked")
+    for value in ("-1", "0", "nan", "inf")])
+def test_survey_and_quotients_usage_errors_exit_2(sweep, capsys, argv):
     with pytest.raises(SystemExit) as exit_:
-        load("survey_catalog").main(argv)
+        sweep.main(argv)
     assert exit_.value.code == 2
-    assert ": error: " in capsys.readouterr().err.splitlines()[-1]
+    out, err = capsys.readouterr()
+    assert out == "" and ": error: " in err.splitlines()[-1]
 
 
-def test_kink_quotients_prints_a_truncated_limit(capsys):
+def test_quotients_prints_a_truncated_limit(sweep, capsys):
     # At b = 0.05 the coordinate minimum's first step already leaves the
     # box, so the report has no estimate.
-    assert load("kink_quotients").main(["--b-min", "0.05"]) == 0
+    assert sweep.main(["quotients", "--b-min", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "min2 at b=0.05  ->  inconclusive  (limit n/a +/- n/a)\n" \
            "truncated at a=0.003125: diagonal point" in out
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("ab_pairs", []), ("count_work", []), ("src_lines", []),
+    ("sweep", ["axioms"]), ("sweep", ["shapes"]), ("sweep", ["survey"]), ("sweep", ["quotients"])])
+def test_help_exits_0(capsys, script, argv):
+    with pytest.raises(SystemExit) as exit_:
+        load(script).main(argv + ["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
