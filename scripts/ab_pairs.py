@@ -17,7 +17,8 @@ does not favour one side.  Prints each pair's change/base ratio of every
 end-to-end metric, then one summary per workload: per metric the median
 ratio, the number of pairs the change won (lower is better), and the
 median and quartiles of each side.  Exits 1 if any run of any workload
-failed a command or a report check.
+failed a command or a report check, and 2, before any copy, on an unknown
+workload or a seed outside [0, 2**64).
 """
 import argparse
 import json
@@ -30,6 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def extract(ref: str, dest: Path) -> None:
@@ -96,13 +100,15 @@ def summarize(workload: str, runs: dict[str, list[dict]], args) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref of the base commit")
-    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--workload", required=True, nargs="+", choices=workloads.WORKLOADS)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1, help="benchmark seed (default 1)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be an integer in [0, 2**64), got {args.seed}")
 
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .domain import BoxDomain, as_point
 from .errors import ConfigError
+from .meter import metered
 from .oracle import AltOracle, classify, classify_many, gather
 from .sampling import uniforms
 
@@ -48,10 +49,11 @@ def _row(point) -> np.ndarray:
 
 
 def _one_definition(evaluator, batch):
-    """Complete a spec from its ``batch``, which it must have: without
-    ``evaluator``, the evaluator is row 0 of ``batch``."""
+    """Complete a spec from its ``batch``, which it must have, metered:
+    without ``evaluator``, the evaluator is row 0 of that batch."""
     if batch is None:
         raise ValueError("a spec needs a batch")
+    batch = metered(batch)
     if evaluator is None:
         def evaluator(*points):
             return float(batch(*map(_row, points))[0])

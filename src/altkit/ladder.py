@@ -28,6 +28,7 @@ from .axioms import (_ORDER, _PREFERENCE, QUAD, SKIP, VIOLATION, AxiomReport, Re
                      _collect, _fold, _pt)
 from .domain import BoxDomain, Segment, as_point
 from .errors import ArchimedeanError, ConstructionError, DegenerateFitError, OrderingError
+from .meter import solve
 from .oracle import AltOracle, IntensityOrder
 # run_indexed, subrng and band_bisect are unused here; perfbench/tracing.py patches them.
 from .sampling import draw, run_indexed, subrng, uniforms  # noqa: F401
@@ -73,6 +74,7 @@ class DyadicLadder:
         }
 
 
+@solve("ladder build")
 def build_ladder(oracle: AltOracle, anchors: Sequence, depth: int, tol_t: float = DEFAULT_TOL_T,
                  segment: Segment | None = None) -> list[DyadicLadder]:
     """One dyadic rung grid per (y*, x*) pair of ``anchors``, anchored at

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import BoxDomain
+from .meter import compared
 
 
 class IntensityOrder(Enum):
@@ -131,6 +132,7 @@ class AltOracle:
         """[X_i,Y_i] versus [Z_i,W_i] for every row i, as int8 signs
         (+1 GREATER, 0 EQUAL, -1 LESS); counts one call per row.  Without
         a batch comparator this is a loop over :meth:`compare`."""
+        compared(len(X))
         if self.batch is None:
             return np.array([self.compare(*row).sign for row in zip(X, Y, Z, W)],
                             dtype=np.int8)
@@ -158,7 +160,8 @@ class AltOracle:
             raise ValueError("compare_rows needs points held by this oracle (AltOracle.hold)")
         if self.rows is None:
             return self.compare_batch(*gather(held.points, index, fresh))
-        self._calls += len(next((i for i in index if i is not None), fresh))
+        compared(rows := len(next((i for i in index if i is not None), fresh)))
+        self._calls += rows
         return self.rows(held, index, fresh)
 
     @property

@@ -29,6 +29,7 @@ import numpy as np
 
 from .domain import BoxDomain
 from .errors import ConfigError
+from .meter import drew
 
 # Philox blocks computed per pass of ``uniforms``; bounds its working memory.
 BLOCK_CHUNK = 2048
@@ -92,6 +93,7 @@ def uniforms(seed: int, rows, n: int, start: int = 0) -> np.ndarray:
         hi = min(lo + step, count)
         i = (np.arange(lo, hi) if counted else np.asarray(rows[lo:hi])).astype(np.uint64)
         ctr = [np.tile(j, i.size), np.uint64(0), np.repeat(i, blocks), np.uint64(0)]
+        drew(i.size * blocks)
         words = np.stack(_philox(ctr, seed), axis=-1).reshape(i.size, 4 * blocks)
         out[lo:hi] = (words[:, skip:skip + n] >> np.uint64(11)) * 2.0 ** -53
     return out

@@ -32,6 +32,7 @@ import numpy as np
 
 from .domain import Segment
 from .errors import BracketError
+from .meter import solve
 from .oracle import AltOracle, Held, IntensityOrder
 
 # Default bisection width on the unit parameter.  Kept well below typical
@@ -176,6 +177,7 @@ def _walk(side: SideMany, owner: np.ndarray, a: np.ndarray, b: np.ndarray, per: 
     return out, met
 
 
+@solve("evaluation")
 def indifference_param_many(oracle: AltOracle, seg: Segment, xs: np.ndarray | Held,
                             tol_t: float = DEFAULT_TOL_T,
                             rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,11 @@
 """Shared fixtures: catalog oracles are cheap to build, so each test takes
 a fresh one (call counters are per-oracle state)."""
-import dataclasses
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from altkit.fixtures import catalog, oracle_by_name, utility_by_name
+from altkit.meter import COUNTS
 
 
 @pytest.fixture
@@ -43,38 +43,25 @@ def built_witnesses(monkeypatch):
     return built
 
 
+class Work:
+    """What altkit adds to its work counts (``altkit.meter.COUNTS``) from
+    the last ``clear()`` on: ``work.added()``, or one figure such as
+    ``work["Philox blocks"]``."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.before = COUNTS.copy()
+
+    def added(self) -> Counter:
+        return COUNTS - self.before
+
+    def __getitem__(self, key) -> int:
+        return self.added()[key]
+
+
 @pytest.fixture
-def philox_blocks(monkeypatch):
-    """The number of Philox blocks of each ``sampling._philox`` call made
-    while the test runs, in call order; their sum is the blocks computed."""
-    from altkit import sampling
-
-    blocks = []
-    philox = sampling._philox
-
-    def counting(ctr, seed):
-        blocks.append(max(np.size(c) for c in ctr))
-        return philox(ctr, seed)
-    monkeypatch.setattr(sampling, "_philox", counting)
-    return blocks
-
-
-@pytest.fixture
-def evaluator_rows(monkeypatch):
-    """The row count of each array-function call of every oracle that
-    ``altkit.fixtures`` builds while the test runs, set-up included, in
-    call order; their sum is the evaluator rows valued."""
-    from altkit import fixtures
-
-    rows = []
-    build = fixtures._build_oracle
-
-    def counting(spec, *args, **kwargs):
-        batch = spec.batch
-
-        def counted(*arrays):
-            rows.append(len(arrays[0]))
-            return batch(*arrays)
-        return build(dataclasses.replace(spec, batch=counted), *args, **kwargs)
-    monkeypatch.setattr(fixtures, "_build_oracle", counting)
-    return rows
+def work():
+    """The work counts of the test, from its start or its last ``clear()``."""
+    return Work()

@@ -179,12 +179,11 @@ class TestCrossover:
     # and 36,154).
     @pytest.mark.parametrize("name, rows, compares", [("linear", 30567, 28559),
                                                       ("log_sum", 29240, 27232)])
-    def test_the_solve_values_its_fixed_points_once(self, evaluator_rows, name, rows,
-                                                    compares):
+    def test_the_solve_values_its_fixed_points_once(self, work, name, rows, compares):
         oracle = oracle_by_name(name)
-        evaluator_rows.clear()
+        work.clear()
         check_crossover(oracle, trials=1000, seed=1)
-        assert (sum(evaluator_rows), oracle.calls) == (rows, compares)
+        assert (work["evaluator rows"], oracle.calls) == (rows, compares)
 
 
 class TestContinuityProxy:

@@ -86,13 +86,13 @@ class TestStream:
         assert np.array_equal(uniforms(7, np.array(rows), n, start), whole[rows])
         assert uniforms(7, [], n, start).shape == (0, n)
 
-    def test_only_the_blocks_read_are_computed(self, philox_blocks):
+    def test_only_the_blocks_read_are_computed(self, work):
         # Uniforms 6 .. 14 lie in blocks 1 .. 3 of each stream.
         uniforms(3, [4, 1], 9, 6)
-        assert sum(philox_blocks) == 2 * 3
-        philox_blocks.clear()
+        assert work["Philox blocks"] == 2 * 3
+        work.clear()
         uniforms(3, 5, 0, 6)
-        assert philox_blocks == []
+        assert work["Philox blocks"] == 0
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_rejected(self, seed):
@@ -160,13 +160,13 @@ class TestDraw:
 
     @pytest.mark.parametrize("points", [None, ROWS], ids=["None", "points"])
     @pytest.mark.parametrize("k, m", [(1, 0), (3, 0), (4, 24), (1, 3)])
-    def test_a_prefix_is_read_in_place_of_the_streams(self, k, m, points, philox_blocks):
+    def test_a_prefix_is_read_in_place_of_the_streams(self, k, m, points, work):
         alone = draw(self.BOX, points, 5, 17, k, m)
         prefix = uniforms(5, 17, (k if points is None else 0) * 3 + m + 2)
         prefix.flags.writeable = False
-        philox_blocks.clear()
+        work.clear()
         given = draw(self.BOX, points, 5, 17, k, m, prefix=prefix)
-        assert philox_blocks == []
+        assert work["Philox blocks"] == 0
         assert all(np.array_equal(a, b) for a, b in zip(alone, given))
         assert not given[1].flags.writeable
 
@@ -242,19 +242,19 @@ class TestAxiomSuite:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_axiom_suite(oracle_by_name("linear"), trials=trials)
 
-    def test_linear_suite_draws_its_prefix_once(self, philox_blocks):
+    def test_linear_suite_draws_its_prefix_once(self, work):
         reports = run_axiom_suite(oracle_by_name("linear"), trials=1000, seed=1)
         # A 2-D trial's widest prefix, continuity's quadruple, is 8
         # uniforms (2 blocks); its 8 probes of 4 moved points are 64 more
         # (16 blocks), drawn only for trials whose base answer is GREATER.
         greater = 1000 - reports["continuity-proxy"].skipped
-        assert sum(philox_blocks) == 2000 + 16 * greater == 10128
+        assert work["Philox blocks"] == 2000 + 16 * greater == 10128
 
-    def test_monotonicity_alone_draws_one_block_a_trial(self, philox_blocks):
+    def test_monotonicity_alone_draws_one_block_a_trial(self, work):
         run_axiom_suite(oracle_by_name("linear"), ("monotonicity",), trials=1000, seed=1)
-        assert sum(philox_blocks) == 1000
+        assert work["Philox blocks"] == 1000
 
-    def test_a_verify_catalog_round_draws_the_blocks_it_reads(self, philox_blocks, tmp_path,
+    def test_a_verify_catalog_round_draws_the_blocks_it_reads(self, work, tmp_path,
                                                               monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         workloads = importlib.import_module("workloads")
@@ -262,7 +262,7 @@ class TestAxiomSuite:
                 contextlib.redirect_stderr(io.StringIO()):
             for command in workloads.commands("verify-catalog", 1, 2, tmp_path):
                 main(list(command.argv))
-        assert sum(philox_blocks) == 89632
+        assert work["Philox blocks"] == 89632
 
 
 def _recon(lo=0.25, hi=0.75):

@@ -1,7 +1,9 @@
 """The scripts under ``scripts/``, each loaded from its file and run
 through its ``main``: every script's ``--help``, the sweep's modes on short
-inputs, and the sweep's usage errors, which exit 2 with argparse's message
-and no traceback."""
+inputs, and the scripts' usage errors, which exit 2 with argparse's message
+and no traceback.  A static check keeps every script from rewiring
+altkit."""
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -141,3 +143,60 @@ def test_help_exits_0(capsys, script, argv):
         load(script).main(argv + ["--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ")
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("count_work", ["--seed", "-1"]), ("count_work", ["--seed", str(2**64)]),
+    ("count_work", ["--workload", "nosuch"]),
+    ("ab_pairs", ["--base", "HEAD", "--workload", "nosuch", "--pairs", "1", "--seconds", "1"]),
+    ("ab_pairs", ["--base", "HEAD", "--workload", "verify-catalog", "--pairs", "1",
+                  "--seconds", "1", "--seed", "-1"]),
+    ("ab_pairs", ["--base", "HEAD", "--workload", "verify-catalog", "--pairs", "1",
+                  "--seconds", "1", "--seed", str(2**64)])])
+def test_benchmark_script_usage_errors_exit_2(capsys, script, argv):
+    module = load(script)
+
+    def no_run(*args):
+        raise AssertionError("a refused input reached the work")
+    module.extract = module.copy_worktree = module.count_round = no_run
+    with pytest.raises(SystemExit) as exit_:
+        module.main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ": error: " in err.splitlines()[-1]
+
+
+def _root(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_do_not_rewire_altkit(path):
+    # A script reads altkit's public names and its tally (altkit.meter);
+    # it does not assign into altkit, walk the stack, compare code objects
+    # or reach for private names, any of which a rename inside altkit
+    # could silently turn into wrong counts.
+    tree = ast.parse(path.read_text())
+    imported, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "altkit":
+            imported |= {alias.asname or alias.name for alias in node.names}
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            private += [part for part in node.module.split(".") if part.startswith("_")]
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                         if alias.name.split(".")[0] == "altkit"}
+    written = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Attribute, ast.Subscript))
+               and isinstance(node.ctx, (ast.Store, ast.Del)) and _root(node) in imported]
+    written += [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+                and node.args and _root(node.args[0]) in imported]
+    frames = [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("_getframe", "__code__")]
+    private += [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in imported]
+    assert (written, frames, private) == ([], [], [])

@@ -30,6 +30,13 @@ COUNTS = {"verify-catalog": (668_564, 537, 392_887, 89_632, 58_153),
 BY_SOLVE = {"verify-catalog": (0, 0, 537),
             "reconstruct-ladder": (2_842, 460, 35),
             "shape-diagnostics": (0, 134, 86)}
+# The rest of the table: evaluator array calls, and compare rows and
+# evaluator rows by solve (ladder build, evaluation, other).
+ARRAY_CALLS = {"verify-catalog": 950, "reconstruct-ladder": 3_320, "shape-diagnostics": 257}
+ROWS_BY_SOLVE = {"verify-catalog": ((0, 0, 392_887), (0, 0, 668_564)),
+                 "reconstruct-ladder": ((1_165_932, 267_086, 26_710),
+                                        (1_157_593, 267_086, 12_246)),
+                 "shape-diagnostics": ((0, 90_843, 11_492), (0, 93_003, 46_107))}
 
 
 @pytest.mark.parametrize("workload", COUNTS)
@@ -40,3 +47,6 @@ def test_counts_of_one_round_at_seed_1(count_work, workload):
                                            "Philox blocks", "report bytes")) == COUNTS[workload]
     assert tuple(counts[kind, "compare calls"] for kind in count_work.KINDS) == \
         BY_SOLVE[workload]
+    assert counts["evaluator array calls"] == ARRAY_CALLS[workload]
+    assert tuple(tuple(counts[kind, name] for kind in count_work.KINDS)
+                 for name in ("compare rows", "evaluator rows")) == ROWS_BY_SOLVE[workload]
